@@ -7,13 +7,15 @@ preset chose, in file order. ``slabqed sweep --case 1A`` with no config
 file runs the stock scenario end to end.
 
 Exit codes: 0 success, 1 solver failure or threshold violation, 2 config
-error. ``SLABQED_WORKERS`` overrides the sweep worker count.
+error; a failed run leaves no partial CSV. ``SLABQED_WORKERS`` overrides
+the sweep worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -90,86 +92,122 @@ class RunConfig:
         return np.linspace(self.sweep_min, self.sweep_max, self.sweep_count)
 
     def validate(self):
-        if self.sweep_count < 1:
-            raise ConfigError(f"sweep.count must be >= 1, got {self.sweep_count}")
+        for key, (path, _, bound) in CONFIG_KEYS.items():
+            if bound is None:
+                continue
+            op, limit = bound
+            value = _get(self, path)
+            if not (value > limit if op == ">" else value >= limit):
+                raise ConfigError(f"{key} must be {op} {limit}, got {value!r}")
         if self.sweep_count > 1 and not self.sweep_min < self.sweep_max:
             raise ConfigError(
                 f"sweep.min must be < sweep.max, got "
                 f"[{self.sweep_min}, {self.sweep_max}]"
             )
-        if self.sweep_min <= 0:
-            raise ConfigError(f"sweep.min must be > 0, got {self.sweep_min}")
         if not any((self.method_sfa, self.method_modified_ln,
                     self.method_original_ln, self.method_modes)):
             raise ConfigError("at least one method must be enabled")
-        if self.ppw < 10:
-            raise ConfigError(f"mesh.ppw must be >= 10, got {self.ppw}")
-        if self.oracle_ppw < 10:
-            raise ConfigError(f"oracle.ppw must be >= 10, got {self.oracle_ppw}")
-        if self.padding <= 0 or self.pml_thickness <= 0:
-            raise ConfigError("mesh.padding and mesh.pml_thickness must be > 0")
-        if self.eta <= 0:
-            raise ConfigError(f"modes.eta must be > 0, got {self.eta}")
-        for name in ("ddgt_max", "balance_max", "lossless_min",
-                     "oracle_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"threshold {name} must be > 0")
+        region = self.medium.slab_half_length + self.padding
+        if not abs(self.atom_position) < region:
+            raise ConfigError(
+                f"atom.position must lie strictly inside the physical region "
+                f"(-{region}, {region}), got {self.atom_position}"
+            )
         return self
 
     def items(self):
         """The flat key/value view; re-parsing it reproduces this config."""
-        return [
-            ("case", self.case),
-            ("medium.omega_p", repr(self.medium.omega_p)),
-            ("medium.omega_0", repr(self.medium.omega_0)),
-            ("medium.gamma", repr(self.medium.gamma)),
-            ("medium.slab_half_length", repr(self.medium.slab_half_length)),
-            ("atom.position", repr(self.atom_position)),
-            ("sweep.min", repr(self.sweep_min)),
-            ("sweep.max", repr(self.sweep_max)),
-            ("sweep.count", repr(self.sweep_count)),
-            ("mesh.ppw", repr(self.ppw)),
-            ("mesh.padding", repr(self.padding)),
-            ("mesh.pml_thickness", repr(self.pml_thickness)),
-            ("methods.sfa", repr(self.method_sfa).lower()),
-            ("methods.modified_ln", repr(self.method_modified_ln).lower()),
-            ("methods.original_ln", repr(self.method_original_ln).lower()),
-            ("methods.modes", repr(self.method_modes).lower()),
-            ("modes.n_bins", repr(self.bath.n_bins)),
-            ("modes.nu_max", repr(self.bath.nu_max)),
-            ("modes.box_length", repr(self.bath.box_length)),
-            ("modes.eta", repr(self.eta)),
-            ("output.path", self.output_path),
-            ("identities.ddgt_max", repr(self.ddgt_max)),
-            ("identities.balance_max", repr(self.balance_max)),
-            ("identities.lossless_min", repr(self.lossless_min)),
-            ("identities.closed_box", repr(self.closed_box).lower()),
-            ("oracle.ppw", repr(self.oracle_ppw)),
-            ("oracle.tolerance", repr(self.oracle_tolerance)),
+        return [(_CASE_KEY, self.case)] + [
+            (key, _echo(_get(self, path)))
+            for key, (path, _, _) in CONFIG_KEYS.items()
         ]
 
 
-def _parse_bool(key, value):
-    lowered = value.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
-def _parse_float(key, value):
+def _float(text):
     try:
-        return float(value)
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _parse_int(key, value):
+def _int(text):
     try:
-        return int(value)
+        return int(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _bool(text):
+    spellings = {"true": True, "1": True, "yes": True, "on": True,
+                 "false": False, "0": False, "no": False, "off": False}
+    try:
+        return spellings[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
+
+
+def _position(text):
+    sites = {"A": ATOM_INSIDE, "B": ATOM_OUTSIDE}
+    return sites[text.strip()] if text.strip() in sites else _float(text)
+
+
+def _echo(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else repr(value)
+
+
+_CASE_KEY = "case"
+
+# Every config key except ``case``: key -> (RunConfig attribute path, parser,
+# lower bound as (">" or ">=", limit) or None). Parsing, the echo, items()
+# and the per-key bounds in validate() all read this table; README's config
+# table lists the same keys in the same order, after ``case``.
+CONFIG_KEYS = {
+    "medium.omega_p": ("medium.omega_p", _float, None),
+    "medium.omega_0": ("medium.omega_0", _float, None),
+    "medium.gamma": ("medium.gamma", _float, None),
+    "medium.slab_half_length": ("medium.slab_half_length", _float, None),
+    "atom.position": ("atom_position", _position, None),
+    "sweep.min": ("sweep_min", _float, (">", 0)),
+    "sweep.max": ("sweep_max", _float, None),
+    "sweep.count": ("sweep_count", _int, (">=", 1)),
+    "mesh.ppw": ("ppw", _float, (">=", 10)),
+    "mesh.padding": ("padding", _float, (">", 0)),
+    "mesh.pml_thickness": ("pml_thickness", _float, (">", 0)),
+    "methods.sfa": ("method_sfa", _bool, None),
+    "methods.modified_ln": ("method_modified_ln", _bool, None),
+    "methods.original_ln": ("method_original_ln", _bool, None),
+    "methods.modes": ("method_modes", _bool, None),
+    "modes.n_bins": ("bath.n_bins", _int, None),
+    "modes.nu_max": ("bath.nu_max", _float, None),
+    "modes.box_length": ("bath.box_length", _float, None),
+    "modes.eta": ("eta", _float, (">", 0)),
+    "output.path": ("output_path", str, None),
+    "identities.ddgt_max": ("ddgt_max", _float, (">", 0)),
+    "identities.balance_max": ("balance_max", _float, (">", 0)),
+    "identities.lossless_min": ("lossless_min", _float, (">", 0)),
+    "identities.closed_box": ("closed_box", _bool, None),
+    "oracle.ppw": ("oracle_ppw", _float, (">=", 10)),
+    "oracle.tolerance": ("oracle_tolerance", _float, (">", 0)),
+}
+
+
+def _get(obj, path):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def _set(obj, path, value):
+    """Copy of ``obj`` with ``path`` replaced; nested specs re-validate."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _set(getattr(obj, name), rest, value)
+    return dataclasses.replace(obj, **{name: value})
 
 
 def parse_config_text(text):
@@ -205,136 +243,28 @@ def _apply_case(config: RunConfig, name: str) -> RunConfig:
     )
 
 
-def _apply_item(config: RunConfig, key: str, value: str) -> RunConfig:
-    med = config.medium
-    bath = config.bath
+def _set_key(config: RunConfig, key: str, text: str) -> RunConfig:
+    if key == _CASE_KEY:
+        return _apply_case(config, text)
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    path, parse, _ = CONFIG_KEYS[key]
     try:
-        if key == "case":
-            return _apply_case(config, value)
-        if key == "medium.omega_p":
-            return dataclasses.replace(
-                config,
-                medium=MediumSpec(_parse_float(key, value), med.omega_0,
-                                  med.gamma, med.slab_half_length),
-            )
-        if key == "medium.omega_0":
-            return dataclasses.replace(
-                config,
-                medium=MediumSpec(med.omega_p, _parse_float(key, value),
-                                  med.gamma, med.slab_half_length),
-            )
-        if key == "medium.gamma":
-            return dataclasses.replace(
-                config,
-                medium=MediumSpec(med.omega_p, med.omega_0,
-                                  _parse_float(key, value),
-                                  med.slab_half_length),
-            )
-        if key == "medium.slab_half_length":
-            return dataclasses.replace(
-                config,
-                medium=MediumSpec(med.omega_p, med.omega_0, med.gamma,
-                                  _parse_float(key, value)),
-            )
-        if key == "atom.position":
-            if value.strip() == "A":
-                return dataclasses.replace(config, atom_position=ATOM_INSIDE)
-            if value.strip() == "B":
-                return dataclasses.replace(config, atom_position=ATOM_OUTSIDE)
-            return dataclasses.replace(
-                config, atom_position=_parse_float(key, value)
-            )
-        if key == "sweep.min":
-            return dataclasses.replace(config, sweep_min=_parse_float(key, value))
-        if key == "sweep.max":
-            return dataclasses.replace(config, sweep_max=_parse_float(key, value))
-        if key == "sweep.count":
-            return dataclasses.replace(config, sweep_count=_parse_int(key, value))
-        if key == "mesh.ppw":
-            return dataclasses.replace(config, ppw=_parse_float(key, value))
-        if key == "mesh.padding":
-            return dataclasses.replace(config, padding=_parse_float(key, value))
-        if key == "mesh.pml_thickness":
-            return dataclasses.replace(
-                config, pml_thickness=_parse_float(key, value)
-            )
-        if key == "methods.sfa":
-            return dataclasses.replace(config, method_sfa=_parse_bool(key, value))
-        if key == "methods.modified_ln":
-            return dataclasses.replace(
-                config, method_modified_ln=_parse_bool(key, value)
-            )
-        if key == "methods.original_ln":
-            return dataclasses.replace(
-                config, method_original_ln=_parse_bool(key, value)
-            )
-        if key == "methods.modes":
-            return dataclasses.replace(
-                config, method_modes=_parse_bool(key, value)
-            )
-        if key == "modes.n_bins":
-            return dataclasses.replace(
-                config,
-                bath=BathConfig(_parse_int(key, value), bath.nu_max,
-                                bath.box_length),
-            )
-        if key == "modes.nu_max":
-            return dataclasses.replace(
-                config,
-                bath=BathConfig(bath.n_bins, _parse_float(key, value),
-                                bath.box_length),
-            )
-        if key == "modes.box_length":
-            return dataclasses.replace(
-                config,
-                bath=BathConfig(bath.n_bins, bath.nu_max,
-                                _parse_float(key, value)),
-            )
-        if key == "modes.eta":
-            return dataclasses.replace(config, eta=_parse_float(key, value))
-        if key == "output.path":
-            return dataclasses.replace(config, output_path=value)
-        if key == "identities.ddgt_max":
-            return dataclasses.replace(config, ddgt_max=_parse_float(key, value))
-        if key == "identities.balance_max":
-            return dataclasses.replace(
-                config, balance_max=_parse_float(key, value)
-            )
-        if key == "identities.lossless_min":
-            return dataclasses.replace(
-                config, lossless_min=_parse_float(key, value)
-            )
-        if key == "identities.closed_box":
-            return dataclasses.replace(
-                config, closed_box=_parse_bool(key, value)
-            )
-        if key == "oracle.ppw":
-            return dataclasses.replace(config, oracle_ppw=_parse_float(key, value))
-        if key == "oracle.tolerance":
-            return dataclasses.replace(
-                config, oracle_tolerance=_parse_float(key, value)
-            )
-    except ConfigError:
-        raise
+        return _set(config, path, parse(text))
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def build_config(text=None, case=None, out=None) -> RunConfig:
     """Resolve defaults, preset, config file and flags into a RunConfig."""
-    config = _apply_case(
-        RunConfig(case="vacuum", medium=CASE_PRESETS["vacuum"],
-                  atom_position=ATOM_INSIDE),
-        case if case is not None else "vacuum",
-    )
-    for key, value in parse_config_text(text) if text else []:
-        if key == "case" and case is not None:
-            continue  # the command-line flag wins over the file's preset
-        config = _apply_item(config, key, value)
+    items = parse_config_text(text) if text else []
+    if case is not None:  # the command-line flag wins over the file's preset
+        items = [item for item in items if item[0] != _CASE_KEY]
+    preset = case if case is not None else "vacuum"
+    config = config_from_items([(_CASE_KEY, preset), *items])
     if out is not None:
         config = dataclasses.replace(config, output_path=out)
-    return config.validate()
+    return config
 
 
 def config_from_items(items) -> RunConfig:
@@ -342,7 +272,7 @@ def config_from_items(items) -> RunConfig:
     config = RunConfig(case="vacuum", medium=CASE_PRESETS["vacuum"],
                        atom_position=ATOM_INSIDE)
     for key, value in items:
-        config = _apply_item(config, key, value)
+        config = _set_key(config, key, value)
     return config.validate()
 
 
@@ -368,12 +298,19 @@ def _metadata_lines(command, config, mesh=None, wall_seconds=None):
 
 
 def _write_csv(path, metadata, columns, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in metadata:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    """Write the whole file or nothing: fill a sibling, then rename it."""
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            for line in metadata:
+                fh.write(f"# {line}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def read_config_echo(path) -> RunConfig:
@@ -593,16 +530,18 @@ def cmd_modes(config: RunConfig) -> int:
     spectrum_path = f"{root}_spectrum{ext or '.csv'}"
     metadata = _metadata_lines("modes", config,
                                wall_seconds=time.monotonic() - start)
-    _write_csv(
-        spectrum_path, metadata, ("omega_m",),
-        [(_fmt(w),) for w in modes.frequencies],
-    )
     rows = [
         (_fmt(float(w)),
          _fmt(purcell_from_modes(modes, config.atom_position, float(w),
                                  config.eta)))
         for w in grid
     ]
+    # every row exists before the first file is written, so a failing rate
+    # leaves neither output behind
+    _write_csv(
+        spectrum_path, metadata, ("omega_m",),
+        [(_fmt(w),) for w in modes.frequencies],
+    )
     _write_csv(config.output_path, metadata, ("omega_a", "pf_modes"), rows)
     print(
         f"wrote {modes.n_modes} mode frequencies to {spectrum_path} and "

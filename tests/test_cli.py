@@ -1,17 +1,25 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from slabqed.cli import (
+    CONFIG_KEYS,
     ConfigError,
     RunConfig,
+    _write_csv,
     build_config,
     config_from_items,
     main,
     read_config_echo,
 )
 from slabqed.medium import ATOM_OUTSIDE
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def csv_body(path):
@@ -70,9 +78,16 @@ def test_comments_and_blank_lines_are_ignored():
     "sweep.min = 700\nsweep.max = 300\n",
     "mesh.ppw = 5\n",
     "modes.eta = -1\n",
+    "modes.eta = 0\n",
     "modes.n_bins = 2\n",
     "methods.sfa = false\nmethods.modified_ln = false\n"
     "methods.original_ln = false\nmethods.modes = false\n",
+    "medium.gamma = inf\n",
+    "medium.omega_p = nan\n",
+    "modes.eta = nan\n",
+    "identities.balance_max = nan\n",
+    "oracle.tolerance = nan\n",
+    "case = 1B\natom.position = 0.5\n",
 ])
 def test_bad_config_raises(text):
     with pytest.raises(ConfigError):
@@ -90,6 +105,83 @@ def test_items_round_trip_to_equal_config():
         "identities.closed_box = true\noutput.path = z.csv\n"
     )
     assert config_from_items(cfg.items()) == cfg
+
+
+def _finite(low, high, exclude_low=False):
+    return st.floats(min_value=low, max_value=high, exclude_min=exclude_low)
+
+
+def _flag():
+    return st.sampled_from(["true", "false", "1", "0", "yes", "no", "on",
+                            "OFF"])
+
+
+# one strategy per table key, each drawing valid config text; the sweep
+# range, atom site and method switches are drawn jointly below
+VALUE_TEXT = {
+    "medium.omega_p": _finite(0.0, 1e4).map(repr),
+    "medium.omega_0": _finite(0.0, 1e4, exclude_low=True).map(repr),
+    "medium.gamma": _finite(0.0, 1e3).map(repr),
+    "medium.slab_half_length": _finite(1e-4, 1.0).map(repr),
+    "mesh.ppw": _finite(10.0, 1e3).map(repr),
+    "mesh.padding": _finite(1e-4, 1.0).map(repr),
+    "mesh.pml_thickness": _finite(1e-4, 1.0).map(repr),
+    "sweep.count": st.integers(2, 10**6).map(str),
+    "modes.n_bins": st.integers(8, 512).map(str),
+    "modes.nu_max": _finite(0.0, 1e5, exclude_low=True).map(repr),
+    "modes.box_length": _finite(0.0, 10.0, exclude_low=True).map(repr),
+    "modes.eta": _finite(0.0, 1e3, exclude_low=True).map(repr),
+    "output.path": st.text("abc_-./0123", min_size=1, max_size=12),
+    "identities.ddgt_max": _finite(0.0, 1.0, exclude_low=True).map(repr),
+    "identities.balance_max": _finite(0.0, 1.0, exclude_low=True).map(repr),
+    "identities.lossless_min": _finite(0.0, 1.0, exclude_low=True).map(repr),
+    "identities.closed_box": _flag(),
+    "oracle.ppw": _finite(10.0, 1e3).map(repr),
+    "oracle.tolerance": _finite(0.0, 1.0, exclude_low=True).map(repr),
+}
+JOINT_KEYS = ("sweep.min", "sweep.max", "atom.position", "methods.sfa",
+              "methods.modified_ln", "methods.original_ln", "methods.modes")
+
+
+@st.composite
+def config_items(draw):
+    values = {key: draw(strategy) for key, strategy in VALUE_TEXT.items()}
+    low = draw(_finite(0.0, 1e4, exclude_low=True))
+    values["sweep.min"] = repr(low)
+    values["sweep.max"] = repr(draw(_finite(low, 1e5, exclude_low=True)))
+    half = float(values["medium.slab_half_length"])
+    region = half + float(values["mesh.padding"])
+    values["atom.position"] = draw(st.one_of(
+        st.sampled_from(["A", "B"]) if ATOM_OUTSIDE < region else st.just("A"),
+        _finite(-0.99, 0.99).map(lambda f: repr(f * region)),
+    ))
+    for key in JOINT_KEYS[3:]:
+        values[key] = draw(_flag())
+    assume(any(values[key] in ("true", "1", "yes", "on")
+               for key in JOINT_KEYS[3:]))
+    case = draw(st.sampled_from(["1A", "1B", "2A", "2B", "vacuum"]))
+    return [("case", case), *((key, values[key]) for key in CONFIG_KEYS)]
+
+
+def test_value_strategies_cover_the_key_table():
+    assert sorted([*VALUE_TEXT, *JOINT_KEYS]) == sorted(CONFIG_KEYS)
+
+
+@given(config_items())
+def test_items_round_trip_for_any_valid_config(items):
+    cfg = config_from_items(items)
+    assert config_from_items(cfg.items()) == cfg
+
+
+def test_readme_config_table_lists_the_key_table():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    keys = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        keys.append(line.split("|")[1].strip().strip("`"))
+    assert keys == ["case", *CONFIG_KEYS]
 
 
 def test_medium_keys_build_a_custom_slab():
@@ -128,6 +220,38 @@ def test_runtime_failure_names_the_frequency(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "omega_a = 400" in err
+
+
+def test_non_finite_value_exits_2_without_output(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 1B\nsweep.count = 3\nmedium.gamma = inf\n")
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "medium.gamma" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+def test_failed_modes_run_writes_no_output(tmp_path):
+    # eta below the closed-box mode spacing fails in the rate step, after
+    # the spectrum is known; neither output file may be left behind
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "case = vacuum\nsweep.count = 2\nsweep.min = 400\nsweep.max = 500\n"
+        "modes.box_length = 0.25\nmodes.eta = 0.5\n"
+    )
+    assert main(["modes", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+def test_interrupted_csv_write_leaves_no_file(tmp_path):
+    def rows():
+        yield ("1",)
+        raise RuntimeError("row failed")
+
+    with pytest.raises(RuntimeError):
+        _write_csv(tmp_path / "x.csv", ["meta"], ("a",), rows())
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- sweep
