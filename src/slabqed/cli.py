@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .fem import assemble
+from .fem import assemble, factorize
 from .greens import solve_point_source
 from .identities import (
     check_discrete_ddgt,
@@ -346,6 +346,14 @@ def _worker_count():
     return workers
 
 
+def _closed_box_modes(config: RunConfig, grid):
+    """Eigenmodes of the config's closed-box pencil, kept up past the grid."""
+    system = build_gevp(
+        gevp_mesh(config.medium, config.bath), config.medium, config.bath
+    )
+    return diagonalize(system, band=(1.0, max(1000.0, grid[-1] + 300.0)))
+
+
 def cmd_sweep(config: RunConfig) -> int:
     start = time.monotonic()
     grid = config.grid()
@@ -362,10 +370,7 @@ def cmd_sweep(config: RunConfig) -> int:
 
     mode_rates = {}
     if config.method_modes:
-        system = build_gevp(
-            gevp_mesh(config.medium, config.bath), config.medium, config.bath
-        )
-        modes = diagonalize(system, band=(1.0, max(1000.0, grid[-1] + 300.0)))
+        modes = _closed_box_modes(config, grid)
         for omega in grid:
             omega = float(omega)
             try:
@@ -477,7 +482,8 @@ def cmd_oracle_compare(config: RunConfig) -> int:
     worst = 0.0
     for omega in grid:
         omega = float(omega)
-        solution = solve_scattering(mesh, config.medium, omega, +1)
+        lu = factorize(assemble(mesh, config.medium, omega))
+        solution = solve_scattering(mesh, config.medium, omega, +1, lu)
         r_fem, t_fem = extract_r_t(solution)
         r_ref, t_ref = tmm_reflection_transmission(config.medium, omega)
         scale = max(abs(r_ref), abs(t_ref))
@@ -493,7 +499,7 @@ def cmd_oracle_compare(config: RunConfig) -> int:
         res_field = float(np.max(np.abs(fem_field - tmm_field))) / scale_field
 
         field = solve_point_source(mesh, config.medium, omega,
-                                   config.atom_position)
+                                   config.atom_position, lu)
         g_fem = field(sample)
         g_tmm = tmm_green(config.medium, omega, sample, config.atom_position)
         res_green = float(
@@ -504,6 +510,7 @@ def cmd_oracle_compare(config: RunConfig) -> int:
         rows.append((
             _fmt(omega), _fmt(res_rt), _fmt(res_field), _fmt(res_green)
         ))
+        del lu  # freed before the next point's assembly: keeps peak RSS down
 
     metadata = _metadata_lines("oracle-compare", config, mesh=mesh,
                                wall_seconds=time.monotonic() - start)
@@ -521,10 +528,7 @@ def cmd_modes(config: RunConfig) -> int:
     """Diagonalize the closed-box pencil; write spectrum and rate curve."""
     start = time.monotonic()
     grid = config.grid()
-    system = build_gevp(
-        gevp_mesh(config.medium, config.bath), config.medium, config.bath
-    )
-    modes = diagonalize(system, band=(1.0, max(1000.0, grid[-1] + 300.0)))
+    modes = _closed_box_modes(config, grid)
 
     root, ext = os.path.splitext(config.output_path)
     spectrum_path = f"{root}_spectrum{ext or '.csv'}"

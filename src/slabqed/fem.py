@@ -11,6 +11,9 @@ symmetry, not any Hermiticity, is what the operator identities in
 ``identities`` rely on, so nothing here may conjugate matrix entries.
 Element integrals use a fixed 4-point Gauss-Legendre rule, which is exact
 for the polynomial stretch profiles and the P1 products appearing here.
+``element_quadrature`` and ``p1_load`` are the only places that rule is
+applied, and ``shared_factorization`` is the one place a caller's LU is
+checked against the operator it is about to solve.
 The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
 """
@@ -28,6 +31,10 @@ from .mesh import Mesh1D
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _SHAPE_LO = 0.5 * (1.0 - GAUSS_NODES)  # hat falling across the element
 _SHAPE_HI = 0.5 * (1.0 + GAUSS_NODES)  # hat rising across the element
+
+# dense copies of the operator (identity checks, eigenmode pencil) refuse
+# systems above this many dofs rather than exhausting memory
+DEFAULT_DOF_CAP = 4000
 
 
 class SingularOperatorError(RuntimeError):
@@ -65,6 +72,7 @@ class SystemMatrices:
     """
 
     mesh: Mesh1D
+    medium: MediumSpec
     k: float
     s_diag: np.ndarray
     s_off: np.ndarray
@@ -93,6 +101,32 @@ class SystemMatrices:
         )
 
 
+def element_quadrature(mesh: Mesh1D, elements=slice(None)):
+    """The element rule on ``elements`` (default: every element).
+
+    Returns (points, half, weights): the Gauss points (n, 4), the element
+    half-lengths (n, 1) and the point weights half * GAUSS_WEIGHTS (n, 4),
+    so ``np.sum(weights * f(points))`` integrates f over those elements.
+    """
+    half = 0.5 * mesh.element_lengths[elements][:, None]
+    points = mesh.element_midpoints[elements, None] + half * GAUSS_NODES
+    return points, half, half * GAUSS_WEIGHTS
+
+
+def p1_load(mesh: Mesh1D, elements, scale, profile) -> np.ndarray:
+    """Consistent load f_i = scale int profile(x) phi_i dx over ``elements``.
+
+    ``profile`` is called once with the Gauss points of those elements;
+    returns one value per mesh node, walls included.
+    """
+    points, half, _ = element_quadrature(mesh, elements)
+    common = scale * half * GAUSS_WEIGHTS * profile(points)
+    f = np.zeros(mesh.n_nodes, dtype=complex)
+    np.add.at(f, elements, np.sum(common * _SHAPE_LO, axis=1))
+    np.add.at(f, elements + 1, np.sum(common * _SHAPE_HI, axis=1))
+    return f
+
+
 def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     """Assemble stiffness and mass bands for wavenumber k.
 
@@ -112,7 +146,7 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     if k <= 0:
         raise ValueError(f"k must be > 0, got {k}")
     h = mesh.element_lengths
-    xg = mesh.element_midpoints[:, None] + 0.5 * h[:, None] * GAUSS_NODES
+    xg, half, _ = element_quadrature(mesh)
     sg = mesh.stretch_factor(xg, k)
     eg = medium.relative_permittivity(xg, k)
 
@@ -120,7 +154,7 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     # k_e * [[1, -1], [-1, 1]] with k_e = (1/2h) sum w/s
     k_e = np.sum(GAUSS_WEIGHTS / sg, axis=1) / (2.0 * h)
     # mass: (h/2) sum w eps s N_a N_b
-    common = eg * sg * GAUSS_WEIGHTS * (0.5 * h[:, None])
+    common = eg * sg * GAUSS_WEIGHTS * half
     m_lo = np.sum(common * _SHAPE_LO**2, axis=1)
     m_hi = np.sum(common * _SHAPE_HI**2, axis=1)
     m_x = np.sum(common * _SHAPE_LO * _SHAPE_HI, axis=1)
@@ -133,7 +167,7 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     m_diag[:-1] += m_lo
     m_diag[1:] += m_hi
     return SystemMatrices(
-        mesh=mesh, k=float(k),
+        mesh=mesh, medium=medium, k=float(k),
         s_diag=s_diag, s_off=-k_e,
         m_diag=m_diag, m_off=m_x,
     )
@@ -144,8 +178,6 @@ class Factorization:
 
     def __init__(self, system: SystemMatrices):
         self.system = system
-        self.mesh = system.mesh
-        self.k = system.k
         diag, off = system.operator_interior()
         scale = max(np.abs(diag).max(), np.abs(off).max())
         gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
@@ -172,13 +204,44 @@ class Factorization:
         x, info = self._gttrs(dl, d, du, du2, ipiv, rhs)
         if info != 0:
             raise RuntimeError(f"gttrs failed with info = {info}")
-        dofs = np.zeros(self.mesh.n_nodes, dtype=complex)
+        dofs = np.zeros(self.system.mesh.n_nodes, dtype=complex)
         dofs[1:-1] = x
         return dofs
 
 
 def factorize(system: SystemMatrices) -> Factorization:
     return Factorization(system)
+
+
+def shared_factorization(
+    mesh: Mesh1D,
+    medium: MediumSpec,
+    k: float,
+    factorization: Factorization | None,
+) -> Factorization:
+    """The caller's LU if it was built for (mesh, medium, k), else a new one.
+
+    None means "factorize here"; the solvers take an optional factorization
+    so one LU can serve every solve at a frequency, and this refuses an LU
+    of a different operator instead of silently mixing the two.
+    """
+    if factorization is None:
+        return factorize(assemble(mesh, medium, k))
+    system = factorization.system
+    if system.mesh is not mesh or system.medium != medium or system.k != k:
+        raise ValueError(
+            "factorization was built for a different mesh, medium or k"
+        )
+    return factorization
+
+
+def dense_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix from a diagonal and its off-diagonal band."""
+    full = np.diag(diag)
+    idx = np.arange(off.size)
+    full[idx, idx + 1] = off
+    full[idx + 1, idx] = off
+    return full
 
 
 def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x):

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import (
-    GAUSS_NODES,
-    GAUSS_WEIGHTS,
     Factorization,
     FieldSolution,
-    assemble,
-    factorize,
+    element_quadrature,
+    shared_factorization,
 )
 from .medium import MediumSpec
 from .mesh import Mesh1D
@@ -36,38 +34,24 @@ def solve_point_source(
     src = mesh.find_node(x_src)
     if src == 0 or src == mesh.n_nodes - 1:
         raise ValueError("source on a Dirichlet wall gives the zero field")
-    if factorization is None:
-        factorization = factorize(assemble(mesh, medium, k))
-    elif factorization.mesh is not mesh or factorization.k != k:
-        raise ValueError("factorization was built for a different mesh or k")
+    factorization = shared_factorization(mesh, medium, k, factorization)
     rhs = np.zeros(mesh.n_interior, dtype=complex)
     rhs[src - 1] = 1.0
     return FieldSolution(mesh=mesh, k=float(k), dofs=factorization.solve(rhs))
 
 
-def slab_quadrature(
-    mesh: Mesh1D, points_per_element: int = 4
-) -> tuple[np.ndarray, np.ndarray]:
+def slab_quadrature(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
     """Gauss points and weights covering the slab, element by element.
 
-    The weights sum to the slab length exactly (up to round-off); for the
-    standard slab of half-length 1/32 that is 1/16 = 0.0625. Four points
-    per element is already beyond the discretization error; the count is
-    adjustable for convergence studies.
+    The element rule of ``fem`` on the slab elements. The weights sum to
+    the slab length exactly (up to round-off); for the standard slab of
+    half-length 1/32 that is 1/16 = 0.0625.
     """
-    if points_per_element < 2:
-        raise ValueError("need at least 2 quadrature points per element")
-    if points_per_element == 4:
-        gn, gw = GAUSS_NODES, GAUSS_WEIGHTS
-    else:
-        gn, gw = np.polynomial.legendre.leggauss(points_per_element)
     idx = mesh.slab_element_indices()
     if idx.size == 0:
         raise ValueError("mesh has no slab elements")
-    h = mesh.element_lengths[idx]
-    xq = (mesh.element_midpoints[idx, None] + 0.5 * h[:, None] * gn).ravel()
-    wq = (0.5 * h[:, None] * gw).ravel()
-    return xq, wq
+    xq, _, wq = element_quadrature(mesh, idx)
+    return xq.ravel(), wq.ravel()
 
 
 @dataclass(frozen=True)
@@ -88,7 +72,6 @@ def sample_green(
     k: float,
     x_atom: float,
     factorization: Factorization | None = None,
-    points_per_element: int = 4,
 ) -> GreenSamples:
     """One point-source solve giving both G(x_a, x_a) and G(x_a, slab).
 
@@ -97,7 +80,7 @@ def sample_green(
     the main performance lever of the frequency sweep.
     """
     field = solve_point_source(mesh, medium, k, x_atom, factorization)
-    xq, wq = slab_quadrature(mesh, points_per_element)
+    xq, wq = slab_quadrature(mesh)
     return GreenSamples(
         k=float(k),
         x_atom=float(x_atom),
@@ -117,8 +100,7 @@ def reciprocity_residual(
     factorization: Factorization | None = None,
 ) -> float:
     """|G(a,b) - G(b,a)| / max(|G(a,b)|, |G(b,a)|) from two separate solves."""
-    if factorization is None:
-        factorization = factorize(assemble(mesh, medium, k))
+    factorization = shared_factorization(mesh, medium, k, factorization)
     g_ab = solve_point_source(mesh, medium, k, x_b, factorization)
     g_ba = solve_point_source(mesh, medium, k, x_a, factorization)
     val_ab = g_ab.at_node(mesh.find_node(x_a))

@@ -18,51 +18,23 @@ The pointwise balance check compares the flux functional
 
 against the plane-wave correlation (1/(4k)) sum_{+-} Phi(x_a) Phi*(x_b),
 computed from disjoint solver paths (point sources vs scattering states).
-
-Occupation-number helpers convert a temperature ratio into the mean photon
-number and mean energy per mode.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fem import Factorization, SystemMatrices, assemble, factorize
+from .fem import (
+    DEFAULT_DOF_CAP,
+    Factorization,
+    SystemMatrices,
+    dense_tridiagonal,
+    shared_factorization,
+)
 from .greens import slab_quadrature, solve_point_source
 from .medium import MediumSpec
 from .mesh import Mesh1D
 from .scattering import solve_scattering
-
-DEFAULT_DOF_CAP = 4000
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residuals of the three operator identities at one frequency."""
-
-    k: float
-    ddgt_residual: float
-    lossless_identity_residual: float
-    tec_residual: float
-
-    def __post_init__(self) -> None:
-        for name in ("ddgt_residual", "lossless_identity_residual",
-                     "tec_residual"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-
-def _dense_interior(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    full = np.diag(diag.astype(complex))
-    n = diag.size
-    if n > 1:
-        idx = np.arange(n - 1)
-        full[idx, idx + 1] = off
-        full[idx + 1, idx] = off
-    return full
 
 
 def _dense_green(system: SystemMatrices, dof_cap: int) -> np.ndarray:
@@ -73,7 +45,9 @@ def _dense_green(system: SystemMatrices, dof_cap: int) -> np.ndarray:
             "use a coarser mesh or raise dof_cap"
         )
     diag, off = system.operator_interior()
-    return np.linalg.solve(_dense_interior(diag, off), np.eye(n, dtype=complex))
+    return np.linalg.solve(
+        dense_tridiagonal(diag, off), np.eye(n, dtype=complex)
+    )
 
 
 def check_discrete_ddgt(
@@ -87,8 +61,8 @@ def check_discrete_ddgt(
     """
     green = _dense_green(system, dof_cap)
     green_h = green.conj().T
-    s_im = _dense_interior(*system.stiffness_interior()).imag
-    m_im = _dense_interior(*system.mass_interior()).imag
+    s_im = dense_tridiagonal(*system.stiffness_interior()).imag
+    m_im = dense_tridiagonal(*system.mass_interior()).imag
     residual = (
         green.imag
         + green @ s_im @ green_h
@@ -123,7 +97,7 @@ def check_lossless_identity_failure(
         raise ValueError(f"no interior nodes inside window {window}")
 
     green = _dense_green(system, dof_cap)
-    m_im = _dense_interior(*system.mass_interior()).imag
+    m_im = dense_tridiagonal(*system.mass_interior()).imag
     residual = green.imag - system.k**2 * (green @ m_im @ green.conj().T)
     sub = np.ix_(keep, keep)
     num = float(np.max(np.abs(residual[sub])))
@@ -152,8 +126,7 @@ def check_thermal_equilibrium(
             raise ValueError(
                 f"evaluation point {x} lies in the absorbing layer"
             )
-    if factorization is None:
-        factorization = factorize(assemble(mesh, medium, k))
+    factorization = shared_factorization(mesh, medium, k, factorization)
 
     field_a = solve_point_source(mesh, medium, k, x_alpha, factorization)
     if x_beta == x_alpha:
@@ -177,65 +150,3 @@ def check_thermal_equilibrium(
         )
     rhs *= 0.25 / k
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-
-
-def evaluate_identities(
-    mesh: Mesh1D,
-    medium: MediumSpec,
-    k: float,
-    x_alpha: float,
-    x_beta: float,
-    dof_cap: int = DEFAULT_DOF_CAP,
-) -> IdentityReport:
-    """All three residuals on one mesh, sharing the assembly."""
-    system = assemble(mesh, medium, k)
-    return IdentityReport(
-        k=float(k),
-        ddgt_residual=check_discrete_ddgt(system, dof_cap=dof_cap),
-        lossless_identity_residual=check_lossless_identity_failure(
-            system, dof_cap=dof_cap
-        ),
-        tec_residual=check_thermal_equilibrium(
-            mesh, medium, k, x_alpha, x_beta
-        ),
-    )
-
-
-def spectral_function(
-    mesh: Mesh1D,
-    medium: MediumSpec,
-    k: float,
-    x_a: float,
-    x_b: float,
-    factorization: Factorization | None = None,
-) -> float:
-    """Local/nonlocal density-of-states function -2 Im G(x_a, x_b).
-
-    Vacuum self-value is -1/k; symmetric in its arguments by reciprocity.
-    """
-    field = solve_point_source(mesh, medium, k, x_a, factorization)
-    return -2.0 * complex(field(x_b)).imag
-
-
-def thermal_occupation(omega: float, temperature_ratio: float):
-    """Mean photon number and mean energy per mode at a given temperature.
-
-    temperature_ratio is k_B T / (hbar omega), dimensionless; omega is kept
-    for interface symmetry and validation only, since the ratio already
-    absorbs it. Returns (n_bar, energy over hbar omega); the second is
-    n_bar + 1/2 and tends to 1/2 (zero-point) as the ratio goes to 0.
-    """
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    if temperature_ratio < 0:
-        raise ValueError(
-            f"temperature_ratio must be >= 0, got {temperature_ratio}"
-        )
-    if temperature_ratio == 0.0:
-        return 0.0, 0.5
-    x = 1.0 / temperature_ratio
-    if x > 700.0:  # exp overflow guard; occupation is e^{-x} to 300 digits
-        n_bar = math.exp(-x)
-    else:
-        n_bar = 1.0 / math.expm1(x)
-    return n_bar, n_bar + 0.5

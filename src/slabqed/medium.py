@@ -77,10 +77,6 @@ class MediumSpec:
         eps[inside] += self.susceptibility(omega)
         return eps if eps.ndim else complex(eps)
 
-    def in_slab(self, x):
-        """True where |x| <= slab_half_length (faces count as inside)."""
-        return np.abs(np.asarray(x, dtype=float)) <= self.slab_half_length
-
 
 # Reference parameter set used throughout: a slab of length 1/16 m with a
 # resonance at omega_0 = 500 rad/m probed around its absorption band.

@@ -59,11 +59,6 @@ class PmlSpec:
         ) / (2.0 * self.thickness)
 
 
-def suggested_pml(k_min: float) -> PmlSpec:
-    """Two free-space wavelengths of the lowest frequency to be absorbed."""
-    return PmlSpec(thickness=2.0 * (2.0 * math.pi / k_min))
-
-
 class Mesh1D:
     """Sorted nodes plus per-element region tags.
 
@@ -97,10 +92,6 @@ class Mesh1D:
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
-
-    @property
-    def n_elements(self) -> int:
-        return self.nodes.size - 1
 
     @property
     def n_interior(self) -> int:
@@ -145,26 +136,6 @@ class Mesh1D:
     def slab_element_indices(self):
         return np.flatnonzero(self.element_region == Region.SLAB)
 
-    def pml_element_indices(self):
-        return np.flatnonzero(
-            (self.element_region == Region.PML_LEFT)
-            | (self.element_region == Region.PML_RIGHT)
-        )
-
-    def summary(self) -> dict:
-        counts = {
-            region.name.lower(): int(np.sum(self.element_region == region))
-            for region in Region
-        }
-        return {
-            "n_nodes": self.n_nodes,
-            "n_elements": self.n_elements,
-            "h_max": self.h_max,
-            "x_min": float(self.nodes[0]),
-            "x_max": float(self.nodes[-1]),
-            **counts,
-        }
-
 
 def _fill_spans(breakpoints, h_target):
     """Uniformly subdivide each span; every breakpoint stays an exact node."""
@@ -176,9 +147,21 @@ def _fill_spans(breakpoints, h_target):
 
 
 def _dedupe(values, tol=1e-12):
-    values = np.sort(np.asarray(values, dtype=float))
-    keep = np.concatenate(([True], np.diff(values) > tol))
-    return values[keep]
+    """Sorted breakpoints with exact repeats merged.
+
+    Distinct breakpoints closer than tol are refused: merging them would
+    move a requested point off its node, and keeping both would leave a
+    sliver element.
+    """
+    values = np.unique(np.asarray(values, dtype=float))
+    close = np.flatnonzero(np.diff(values) <= tol)
+    if close.size:
+        i = close[0]
+        raise ValueError(
+            f"breakpoints {values[i]!r} and {values[i + 1]!r} are distinct "
+            f"but closer than {tol:g}; request one of them"
+        )
+    return values
 
 
 def _tag_elements(nodes, region_edges):

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import assemble
+from .fem import DEFAULT_DOF_CAP, assemble, dense_tridiagonal
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, build_box_mesh
-
-DEFAULT_DOF_CAP = 4000
 
 # Bin placement: quantiles of a mixture of a uniform density and a
 # flattened copy of the oscillator strength. The uniform share keeps the
@@ -39,6 +37,10 @@ DEFAULT_DOF_CAP = 4000
 _UNIFORM_SHARE = 0.3
 _SHAPE_POWER = 0.75
 _GRID_POINTS = 200001
+
+# effective_susceptibility evaluates the bath comb this many local bin
+# spacings off the real axis; fixed by the calibration measurements
+_DELTA_FACTOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -191,13 +193,8 @@ class GevpSystem:
         K = np.zeros((n, n))
         B = np.zeros((n, n))
 
-        em = np.arange(n_em)
-        K[em, em] = self.em_s_diag
-        K[em[:-1], em[:-1] + 1] = self.em_s_off
-        K[em[:-1] + 1, em[:-1]] = self.em_s_off
-        B[em, em] = self.em_m_diag
-        B[em[:-1], em[:-1] + 1] = self.em_m_off
-        B[em[:-1] + 1, em[:-1]] = self.em_m_off
+        K[:n_em, :n_em] = dense_tridiagonal(self.em_s_diag, self.em_s_off)
+        B[:n_em, :n_em] = dense_tridiagonal(self.em_m_diag, self.em_m_off)
 
         if nb:
             total_weight = float(np.sum(self.bin_weights))
@@ -216,19 +213,6 @@ class GevpSystem:
                     for b in (p, q):
                         K[a, b] += counter
         return K, B
-
-    def metric_floor(self):
-        """Smallest eigenvalue of B; positive means the metric is usable."""
-        smallest = scipy.linalg.eigh_tridiagonal(
-            self.em_m_diag,
-            self.em_m_off,
-            select="i",
-            select_range=(0, 0),
-            eigvals_only=True,
-        )[0]
-        if self.n_matter:
-            return min(float(smallest), 1.0)
-        return float(smallest)
 
 
 def build_gevp(mesh: Mesh1D, medium: MediumSpec, bath: BathConfig):
@@ -273,8 +257,7 @@ def build_gevp(mesh: Mesh1D, medium: MediumSpec, bath: BathConfig):
     )
 
 
-def effective_susceptibility(system: GevpSystem, omega: float,
-                             delta_factor: float = 1.0):
+def effective_susceptibility(system: GevpSystem, omega: float):
     """Susceptibility the pencil actually implements, at frequency omega.
 
     Eliminating one element's oscillator block at complex frequency z
@@ -282,9 +265,8 @@ def effective_susceptibility(system: GevpSystem, omega: float,
     returns chi_d(omega) continued to the real axis. The oscillator sum
     is only meaningful a little off the axis (it is a finite comb), so it
     is evaluated at z = omega + i*delta with delta tied to the local bin
-    spacing, and the leading linear-in-delta error removed by a two-point
-    extrapolation. ``delta_factor`` scales delta; 1.0 was fixed by the
-    calibration measurements.
+    spacing (``_DELTA_FACTOR``), and the leading linear-in-delta error
+    removed by a two-point extrapolation.
     """
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
@@ -302,7 +284,7 @@ def effective_susceptibility(system: GevpSystem, omega: float,
     i = int(np.searchsorted(nu, omega))
     lo = max(min(i - 1, nu.size - 2), 0)
     gap = max(float(nu[lo + 1] - nu[lo]), 1e-12)
-    delta = delta_factor * gap
+    delta = _DELTA_FACTOR * gap
 
     def comb(d):
         z = omega + 1j * d

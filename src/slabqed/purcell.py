@@ -20,13 +20,12 @@ its relative residual for free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .fem import Factorization, assemble, factorize
+from .fem import Factorization, shared_factorization
 from .greens import GreenSamples, sample_green
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, PmlSpec, build_mesh
@@ -50,7 +49,6 @@ class PurcellRecord:
     pf_modified_ln: float  # pf_b + pf_m
     pf_original_ln: float  # pf_m alone
     tec_residual: float  # thermal-balance residual at (x_a, x_a)
-    pf_modes: float | None = None  # eigenmode route, filled when computed
 
 
 def gamma_sfa(samples: GreenSamples) -> float:
@@ -91,11 +89,10 @@ def compute_record(
     omega_a: float,
     x_a: float,
     factorization: Factorization | None = None,
-    pf_modes: float | None = None,
 ) -> PurcellRecord:
     """All Purcell factors at one frequency from one factorization."""
-    if factorization is None:
-        factorization = factorize(assemble(mesh, medium, omega_a))
+    factorization = shared_factorization(mesh, medium, omega_a,
+                                         factorization)
     sol_plus = solve_scattering(mesh, medium, omega_a, +1, factorization)
     sol_minus = solve_scattering(mesh, medium, omega_a, -1, factorization)
     samples = sample_green(mesh, medium, omega_a, x_a, factorization)
@@ -114,7 +111,6 @@ def compute_record(
         pf_modified_ln=pf_b + pf_m,
         pf_original_ln=pf_m,
         tec_residual=tec,
-        pf_modes=pf_modes,
     )
 
 

@@ -21,15 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import (
-    GAUSS_NODES,
-    GAUSS_WEIGHTS,
     Factorization,
     FieldSolution,
-    _SHAPE_HI,
-    _SHAPE_LO,
-    assemble,
-    factorize,
+    element_quadrature,
     lattice_wavenumber,
+    p1_load,
+    shared_factorization,
 )
 from .medium import MediumSpec
 from .mesh import Mesh1D
@@ -48,9 +45,6 @@ class PlaneWaveSolution:
         return self.amplitude * np.exp(1j * self.direction * self.k *
                                        np.asarray(x, dtype=float))
 
-    def scattered_at(self, x):
-        return self.scattered(x)
-
     def total_at(self, x):
         """Incident + scattered; meaningful outside the absorbing layers."""
         return self.incident_at(x) + self.scattered(x)
@@ -58,18 +52,12 @@ class PlaneWaveSolution:
 
 def _slab_source(mesh: Mesh1D, medium: MediumSpec, k: float, direction: int):
     """Consistent load f_i = k^2 chi int_slab Phi_inc phi_i dx."""
-    chi = medium.susceptibility(k)
-    idx = mesh.slab_element_indices()
-    h = mesh.element_lengths[idx]
-    xg = mesh.element_midpoints[idx, None] + 0.5 * h[:, None] * GAUSS_NODES
-    phi_inc = np.exp(1j * direction * k * xg)
-    common = (k**2 * chi) * (0.5 * h[:, None]) * GAUSS_WEIGHTS * phi_inc
-    f_lo = np.sum(common * _SHAPE_LO, axis=1)
-    f_hi = np.sum(common * _SHAPE_HI, axis=1)
-    f = np.zeros(mesh.n_nodes, dtype=complex)
-    np.add.at(f, idx, f_lo)
-    np.add.at(f, idx + 1, f_hi)
-    return f
+    return p1_load(
+        mesh,
+        mesh.slab_element_indices(),
+        k**2 * medium.susceptibility(k),
+        lambda x: np.exp(1j * direction * k * x),
+    )
 
 
 def solve_scattering(
@@ -86,10 +74,7 @@ def solve_scattering(
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    if factorization is None:
-        factorization = factorize(assemble(mesh, medium, k))
-    elif factorization.mesh is not mesh or factorization.k != k:
-        raise ValueError("factorization was built for a different mesh or k")
+    factorization = shared_factorization(mesh, medium, k, factorization)
     f = _slab_source(mesh, medium, k, direction)
     dofs = factorization.solve(f[1:-1])
     return PlaneWaveSolution(
@@ -191,10 +176,7 @@ def energy_balance(solution: PlaneWaveSolution) -> EnergyBalance:
     r, t = extract_r_t(solution)
     deficit = solution.amplitude**2 - abs(r) ** 2 - abs(t) ** 2
 
-    idx = mesh.slab_element_indices()
-    h = mesh.element_lengths[idx]
-    xg = mesh.element_midpoints[idx, None] + 0.5 * h[:, None] * GAUSS_NODES
-    wg = 0.5 * h[:, None] * GAUSS_WEIGHTS
+    xg, _, wg = element_quadrature(mesh, mesh.slab_element_indices())
     phi = solution.total_at(xg)
     chi_imag = medium.susceptibility(k).imag
     absorbed = k * chi_imag * float(np.sum(wg * np.abs(phi) ** 2))

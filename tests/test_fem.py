@@ -1,5 +1,7 @@
 """Assembly and solve: textbook element values, dense cross-checks, pivots."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -12,8 +14,12 @@ from slabqed.fem import (
     evaluate_field,
     factorize,
 )
+from slabqed.greens import reciprocity_residual, solve_point_source
+from slabqed.identities import check_thermal_equilibrium
 from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import Mesh1D, PmlSpec, Region, build_mesh
+from slabqed.purcell import compute_record
+from slabqed.scattering import solve_scattering
 
 CASE1 = CASE_PRESETS["1"]
 VACUUM = CASE_PRESETS["vacuum"]
@@ -55,7 +61,8 @@ def test_slab_and_pml_enter_the_bands():
     mesh = build_mesh(CASE1, 700.0, 40.0, 0.05, PmlSpec(thickness=0.05))
     system = assemble(mesh, CASE1, 500.0)
     slab = mesh.slab_element_indices()
-    pml = mesh.pml_element_indices()
+    pml = np.flatnonzero((mesh.element_region == Region.PML_LEFT)
+                         | (mesh.element_region == Region.PML_RIGHT))
     # Lorentz loss shows up as a positive imaginary mass in the slab
     assert np.all(system.m_off[slab].imag > 0)
     # the stretch makes both bands complex inside the layers
@@ -167,3 +174,45 @@ def test_bad_inputs():
     fact = factorize(assemble(mesh, VACUUM, 5.0))
     with pytest.raises(ValueError):
         fact.solve(np.ones(3, dtype=complex))
+
+
+# every solver that accepts a caller's factorization, reduced to its result;
+# x = 0.0625 is the outside atom site, a node of ``shared_mesh``
+SHARED_LU_ENTRY_POINTS = {
+    "solve_scattering": lambda mesh, medium, k, lu: solve_scattering(
+        mesh, medium, k, +1, lu).scattered.dofs,
+    "solve_point_source": lambda mesh, medium, k, lu: solve_point_source(
+        mesh, medium, k, 0.0625, lu).dofs,
+    "reciprocity_residual": lambda mesh, medium, k, lu: reciprocity_residual(
+        mesh, medium, k, 0.0, 0.0625, lu),
+    "check_thermal_equilibrium": lambda mesh, medium, k, lu:
+        check_thermal_equilibrium(mesh, medium, k, 0.0625, 0.0625, lu),
+    "compute_record": lambda mesh, medium, k, lu: dataclasses.astuple(
+        compute_record(mesh, medium, k, 0.0625, lu)),
+}
+
+
+def shared_mesh():
+    return build_mesh(CASE1, 700.0, 20.0, 0.05, PmlSpec(thickness=0.05),
+                      observation_points=(0.0, 0.0625))
+
+
+@pytest.mark.parametrize("entry", SHARED_LU_ENTRY_POINTS)
+def test_shared_factorization_is_bitwise_the_default_path(entry):
+    run = SHARED_LU_ENTRY_POINTS[entry]
+    mesh = shared_mesh()
+    lu = factorize(assemble(mesh, CASE1, 500.0))
+    np.testing.assert_array_equal(run(mesh, CASE1, 500.0, lu),
+                                  run(mesh, CASE1, 500.0, None))
+
+
+@pytest.mark.parametrize("other", ["mesh", "medium", "k"])
+@pytest.mark.parametrize("entry", SHARED_LU_ENTRY_POINTS)
+def test_mismatched_factorization_is_rejected(entry, other):
+    # e.g. a vacuum operator's LU must not solve for a case-1 source
+    mesh = shared_mesh()
+    lu = factorize(assemble(mesh, CASE1, 500.0))
+    call = dict(mesh=mesh, medium=CASE1, k=500.0)
+    call[other] = {"mesh": shared_mesh(), "medium": VACUUM, "k": 501.0}[other]
+    with pytest.raises(ValueError, match="different mesh, medium or k"):
+        SHARED_LU_ENTRY_POINTS[entry](**call, lu=lu)

@@ -9,6 +9,8 @@ tighter. Convergence tests pin the O(h^2) rate itself.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slabqed.fem import assemble, factorize
 from slabqed.greens import (
@@ -115,18 +117,27 @@ def test_slab_quadrature_weights():
     assert np.all(wq > 0)
 
 
-def test_slab_quadrature_point_count_is_adjustable():
-    mesh = make_mesh(CASE1)
-    xq2, wq2 = slab_quadrature(mesh, points_per_element=2)
-    assert xq2.size == 2 * mesh.slab_element_indices().size
-    assert np.sum(wq2) == pytest.approx(0.0625, rel=1e-12)
-    # both rules integrate a smooth profile to close agreement
-    xq4, wq4 = slab_quadrature(mesh)
-    f = lambda x: np.cos(40.0 * x)
-    assert np.sum(wq2 * f(xq2)) == pytest.approx(np.sum(wq4 * f(xq4)),
-                                                 rel=1e-9)
-    with pytest.raises(ValueError):
-        slab_quadrature(mesh, points_per_element=1)
+@settings(deadline=None)
+@given(
+    ppw=st.floats(10.0, 80.0),
+    padding=st.floats(0.01, 0.1),
+    fractions=st.lists(st.floats(-0.999, 0.999), max_size=4),
+)
+def test_any_mesh_keeps_its_nodes_and_slab_rule(ppw, padding, fractions):
+    a = CASE1.slab_half_length
+    obs = [f * (a + padding) for f in fractions]
+    args = (CASE1, 700.0, ppw, padding, PmlSpec(thickness=0.05))
+    if np.any(np.diff(np.unique([-a, a, *obs])) <= 1e-12):
+        # two distinct points cannot both be nodes; refused, never moved
+        with pytest.raises(ValueError, match="closer than"):
+            build_mesh(*args, observation_points=obs)
+        return
+    mesh = build_mesh(*args, observation_points=obs)
+    for x in obs:
+        assert mesh.nodes[mesh.find_node(x)] == x  # bitwise, not approx
+    xq, wq = slab_quadrature(mesh)
+    assert np.sum(wq) == pytest.approx(CASE1.slab_length, rel=1e-12)
+    assert np.all(np.abs(xq) < a)
 
 
 def test_sample_green_consistency():

@@ -1,16 +1,11 @@
-"""Operator-identity checks: exactness, expected failure, balance, occupation."""
+"""Operator-identity checks: exactness, expected failure, balance."""
 
-import math
-
-import numpy as np
 import pytest
 
 from slabqed import identities as ids
 from slabqed.fem import assemble
-from slabqed.greens import sample_green
 from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import PmlSpec, build_box_mesh, build_mesh
-from slabqed.purcell import gamma_sfa
 
 PML = PmlSpec(thickness=0.05)
 
@@ -101,58 +96,3 @@ def test_balance_rejects_absorbing_layer_points():
     mesh = open_mesh(medium)
     with pytest.raises(ValueError, match="absorbing"):
         ids.check_thermal_equilibrium(mesh, medium, 500.0, 0.1, 0.0)
-
-
-def test_report_bundle():
-    medium = CASE_PRESETS["2"]
-    mesh = open_mesh(medium)
-    report = ids.evaluate_identities(mesh, medium, 500.0, 0.0625, 0.0625)
-    assert report.k == 500.0
-    assert report.ddgt_residual < 1e-12
-    assert 0.0 < report.lossless_identity_residual < 1.0
-    assert report.tec_residual >= 0.0
-
-
-def test_report_rejects_negative_residuals():
-    with pytest.raises(ValueError, match=">= 0"):
-        ids.IdentityReport(k=500.0, ddgt_residual=-1.0,
-                           lossless_identity_residual=0.0, tec_residual=0.0)
-
-
-def test_spectral_function_vacuum_and_symmetry():
-    medium = CASE_PRESETS["vacuum"]
-    mesh = build_mesh(medium, 700.0, 80.0, 0.05, PML,
-                      observation_points=(0.0, 0.0625))
-    a_self = ids.spectral_function(mesh, medium, 500.0, 0.0, 0.0)
-    np.testing.assert_allclose(a_self, -1.0 / 500.0, rtol=2e-3)
-    a_12 = ids.spectral_function(mesh, medium, 500.0, 0.0, 0.0625)
-    a_21 = ids.spectral_function(mesh, medium, 500.0, 0.0625, 0.0)
-    np.testing.assert_allclose(a_12, a_21, rtol=1e-10)
-
-
-def test_spectral_function_ties_to_emission_rate():
-    medium = CASE_PRESETS["1"]
-    mesh = open_mesh(medium, ppw=40.0)
-    a_self = ids.spectral_function(mesh, medium, 500.0, 0.0625, 0.0625)
-    samples = sample_green(mesh, medium, 500.0, 0.0625)
-    np.testing.assert_allclose(gamma_sfa(samples), -500.0 * a_self,
-                               rtol=1e-13)
-
-
-def test_occupation_anchors():
-    assert ids.thermal_occupation(500.0, 0.0) == (0.0, 0.5)
-    n_bar, energy = ids.thermal_occupation(500.0, 1.0 / math.log(2.0))
-    np.testing.assert_allclose([n_bar, energy], [1.0, 1.5], rtol=1e-12)
-    n_bar, _ = ids.thermal_occupation(500.0, 1.0)
-    np.testing.assert_allclose(n_bar, 1.0 / (math.e - 1.0), rtol=1e-12)
-
-
-def test_occupation_limits_and_validation():
-    n_cold, energy_cold = ids.thermal_occupation(300.0, 1e-3)
-    assert n_cold == 0.0 and energy_cold == 0.5
-    n_hot, _ = ids.thermal_occupation(300.0, 1000.0)
-    np.testing.assert_allclose(n_hot, 1000.0, rtol=1e-3)
-    with pytest.raises(ValueError):
-        ids.thermal_occupation(-1.0, 0.5)
-    with pytest.raises(ValueError):
-        ids.thermal_occupation(500.0, -0.1)

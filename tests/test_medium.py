@@ -75,8 +75,12 @@ def test_vacuum_preset_is_empty():
 def test_slab_geometry():
     assert CASE1.slab_half_length == 0.03125
     assert CASE1.slab_length == 0.0625
-    assert CASE1.in_slab(0.03125)  # faces count as inside
-    assert not CASE1.in_slab(0.031251)
+    # both faces count as inside the slab, the next float outward does not
+    a = CASE1.slab_half_length
+    x = np.array([-a, a, np.nextafter(-a, -1.0), np.nextafter(a, 1.0)])
+    eps = CASE1.relative_permittivity(x, 500.0)
+    inside = 1.0 + CASE1.susceptibility(500.0)
+    np.testing.assert_array_equal(eps, [inside, inside, 1.0, 1.0])
 
 
 @pytest.mark.parametrize(

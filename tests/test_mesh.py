@@ -12,7 +12,6 @@ from slabqed.mesh import (
     Region,
     build_box_mesh,
     build_mesh,
-    suggested_pml,
 )
 
 CASE1 = CASE_PRESETS["1"]
@@ -102,6 +101,16 @@ def test_determinism():
     np.testing.assert_array_equal(m1.element_region, m2.element_region)
 
 
+def test_near_coincident_points_are_refused():
+    # merging them would move one requested point off its node
+    a = CASE1.slab_half_length
+    for obs in ((0.0, 1e-13), (a + 1e-13,)):
+        with pytest.raises(ValueError, match="closer than"):
+            standard_mesh(observation_points=obs)
+    mesh = standard_mesh(observation_points=(a, a, 0.0))  # exact repeats
+    assert mesh.nodes[mesh.find_node(a)] == a
+
+
 def test_find_node_rejects_off_node_points():
     mesh = standard_mesh()
     with pytest.raises(ValueError):
@@ -132,11 +141,6 @@ def test_pml_spec_validation():
         PmlSpec(thickness=0.05, nominal_reflection=2.0)
 
 
-def test_suggested_pml_thickness():
-    spec = suggested_pml(300.0)
-    assert spec.thickness == pytest.approx(4.0 * math.pi / 300.0, rel=1e-12)
-
-
 def test_box_mesh():
     mesh = build_box_mesh(CASE1, 1200.0, 10.0, 0.625,
                           observation_points=(0.0, 0.0625))
@@ -159,10 +163,3 @@ def test_mesh1d_validation():
         Mesh1D([0.0, 1.0, 0.5], [1, 1], None, 0.03125)  # not increasing
     with pytest.raises(ValueError):
         Mesh1D([0.0, 0.5, 1.0], [1], None, 0.03125)  # tag count mismatch
-
-
-def test_summary_contents():
-    info = standard_mesh().summary()
-    assert info["n_elements"] == info["n_nodes"] - 1
-    assert info["slab"] > 0 and info["pml_left"] > 0
-    assert info["x_max"] == pytest.approx(0.13125, rel=1e-12)

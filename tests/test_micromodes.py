@@ -163,10 +163,13 @@ def test_modes_are_real_positive_and_orthonormal(case1_modes):
 
 
 def test_metric_floor_is_positive():
+    # small closed box so the dense metric is cheap to inspect whole
     medium = CASE_PRESETS["1"]
-    bath = BathConfig()
-    system = build_gevp(gevp_mesh(medium, bath), medium, bath)
-    assert system.metric_floor() > 0
+    bath = BathConfig(n_bins=8, box_length=0.25)
+    system = build_gevp(gevp_mesh(medium, bath, k_max=300.0), medium, bath)
+    _, B = system.dense_operators()
+    assert system.n_matter > 0
+    assert scipy.linalg.eigh(B, eigvals_only=True).min() > 0
 
 
 def test_vacuum_purcell_near_unity(vacuum_modes):
