@@ -7,8 +7,8 @@ preset chose, in file order. ``slabqed sweep --case 1A`` with no config
 file runs the stock scenario end to end.
 
 Exit codes: 0 success, 1 solver failure or threshold violation, 2 config
-error; a failed run leaves no partial CSV. ``SLABQED_WORKERS`` overrides
-the sweep worker count.
+error; a failed run leaves no partial CSV. Sweeps run their frequencies
+in order in one thread, so a config gives byte-identical rows every time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .fem import assemble, factorize
+from .fem import assemble
 from .greens import solve_point_source
 from .identities import (
     check_discrete_ddgt,
@@ -333,19 +333,6 @@ def read_config_echo(path) -> RunConfig:
     return config_from_items(items)
 
 
-def _worker_count():
-    raw = os.environ.get("SLABQED_WORKERS")
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"SLABQED_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"SLABQED_WORKERS must be >= 1, got {workers}")
-    return workers
-
-
 def _closed_box_modes(config: RunConfig, grid):
     """Eigenmodes of the config's closed-box pencil, kept up past the grid."""
     system = build_gevp(
@@ -365,8 +352,7 @@ def cmd_sweep(config: RunConfig) -> int:
         padding=config.padding,
         pml_thickness=config.pml_thickness,
     )
-    records = sweep(mesh, config.medium, grid, config.atom_position,
-                    max_workers=_worker_count())
+    records = sweep(mesh, config.medium, grid, config.atom_position)
 
     mode_rates = {}
     if config.method_modes:
@@ -483,15 +469,14 @@ def cmd_oracle_compare(config: RunConfig) -> int:
     worst = 0.0
     for omega in grid:
         omega = float(omega)
-        lu = factorize(assemble(mesh, config.medium, omega))
-        solution = solve_scattering(mesh, config.medium, omega, +1, lu)
+        solution = solve_scattering(mesh, config.medium, omega, +1)
         r_fem, t_fem = extract_r_t(solution)
         r_ref, t_ref = tmm_reflection_transmission(config.medium, omega)
         scale = max(abs(r_ref), abs(t_ref))
         res_rt = max(abs(r_fem - r_ref), abs(t_fem - t_ref)) / scale
 
         probes = np.array([ATOM_INSIDE, ATOM_OUTSIDE])
-        fem_field = solution.total_at(probes) / solution.amplitude
+        fem_field = solution.total_at(probes)
         tmm_field = tmm_total_field(config.medium, omega, +1, probes)
         # floor the scale at the unit incident amplitude: on resonance an
         # opaque slab shadows both probe points and the local field is
@@ -500,7 +485,7 @@ def cmd_oracle_compare(config: RunConfig) -> int:
         res_field = float(np.max(np.abs(fem_field - tmm_field))) / scale_field
 
         field = solve_point_source(mesh, config.medium, omega,
-                                   config.atom_position, lu)
+                                   config.atom_position)
         g_fem = field(sample)
         g_tmm = tmm_green(config.medium, omega, sample, config.atom_position)
         res_green = float(
@@ -511,7 +496,6 @@ def cmd_oracle_compare(config: RunConfig) -> int:
         rows.append((
             _fmt(omega), _fmt(res_rt), _fmt(res_field), _fmt(res_green)
         ))
-        del lu  # freed before the next point's assembly: keeps peak RSS down
 
     metadata = _metadata_lines("oracle-compare", config, mesh=mesh,
                                wall_seconds=time.monotonic() - start)

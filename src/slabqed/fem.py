@@ -12,14 +12,16 @@ symmetry, not any Hermiticity, is what the operator identities in
 Element integrals use a fixed 4-point Gauss-Legendre rule, which is exact
 for the polynomial stretch profiles and the P1 products appearing here.
 ``element_quadrature`` and ``p1_load`` are the only places that rule is
-applied, and ``shared_factorization`` is the one place a caller's LU is
-checked against the operator it is about to solve.
+applied, and ``factorization`` is the one place an LU is built for a
+solve: each mesh keeps the LU of the last (medium, k) solved on it, so all
+solves at one frequency share it and no caller passes one around.
 The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +78,6 @@ class SystemMatrices:
     """
 
     mesh: Mesh1D
-    medium: MediumSpec
     k: float
     s_diag: np.ndarray
     s_off: np.ndarray
@@ -179,17 +180,21 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     m_diag[:-1] += m_lo
     m_diag[1:] += m_hi
     return SystemMatrices(
-        mesh=mesh, medium=medium, k=float(k),
+        mesh=mesh, k=float(k),
         s_diag=s_diag, s_off=-k_e,
         m_diag=m_diag, m_off=m_x,
     )
 
 
 class Factorization:
-    """LU factors of the interior operator, reusable across right-hand sides."""
+    """LU factors of the interior operator, reusable across right-hand sides.
+
+    Holds the factors only, not the system or its mesh, so an LU kept for a
+    mesh by ``factorization`` is freed together with that mesh.
+    """
 
     def __init__(self, system: SystemMatrices):
-        self.system = system
+        self.n_interior = system.n_interior
         diag, off = system.operator_interior()
         scale = max(np.abs(diag).max(), np.abs(off).max())
         gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
@@ -207,44 +212,40 @@ class Factorization:
     def solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve L u = rhs on the interior; returns all-node dofs (walls 0)."""
         rhs = np.ascontiguousarray(rhs_interior, dtype=complex)
-        if rhs.shape != (self.system.n_interior,):
+        if rhs.shape != (self.n_interior,):
             raise ValueError(
-                f"rhs must have shape ({self.system.n_interior},), "
-                f"got {rhs.shape}"
+                f"rhs must have shape ({self.n_interior},), got {rhs.shape}"
             )
         dl, d, du, du2, ipiv = self._factors
         x, info = self._gttrs(dl, d, du, du2, ipiv, rhs)
         if info != 0:
             raise RuntimeError(f"gttrs failed with info = {info}")
-        dofs = np.zeros(self.system.mesh.n_nodes, dtype=complex)
+        dofs = np.zeros(self.n_interior + 2, dtype=complex)
         dofs[1:-1] = x
         return dofs
 
 
-def factorize(system: SystemMatrices) -> Factorization:
-    return Factorization(system)
+# mesh -> (medium, k, LU) of the last operator solved on that mesh
+_LAST_LU = weakref.WeakKeyDictionary()
 
 
-def shared_factorization(
-    mesh: Mesh1D,
-    medium: MediumSpec,
-    k: float,
-    factorization: Factorization | None,
-) -> Factorization:
-    """The caller's LU if it was built for (mesh, medium, k), else a new one.
+def factorization(mesh: Mesh1D, medium: MediumSpec, k: float) -> Factorization:
+    """The LU of L = S - k^2 M for (mesh, medium, k).
 
-    None means "factorize here"; the solvers take an optional factorization
-    so one LU can serve every solve at a frequency, and this refuses an LU
-    of a different operator instead of silently mixing the two.
+    Every solve at one frequency reuses it: the mesh keeps the LU of the
+    last (medium, k) solved on it, and a different (medium, k) replaces
+    that entry, freed before the new operator is assembled. The entry dies
+    with its mesh. One slot per mesh suits a serial frequency loop; solves
+    of two frequencies on one mesh interleaved would refactorize each time.
     """
-    if factorization is None:
-        return factorize(assemble(mesh, medium, k))
-    system = factorization.system
-    if system.mesh is not mesh or system.medium != medium or system.k != k:
-        raise ValueError(
-            "factorization was built for a different mesh, medium or k"
-        )
-    return factorization
+    cached = _LAST_LU.get(mesh)
+    if cached is not None and cached[:2] == (medium, k):
+        return cached[2]
+    del cached  # with the pop, frees the old LU before the new assembly
+    _LAST_LU.pop(mesh, None)
+    lu = Factorization(assemble(mesh, medium, k))
+    _LAST_LU[mesh] = (medium, k, lu)
+    return lu
 
 
 def dense_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

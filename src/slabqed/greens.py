@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (
-    Factorization,
-    FieldSolution,
-    element_quadrature,
-    shared_factorization,
-)
+from .fem import FieldSolution, element_quadrature, factorization
 from .medium import MediumSpec
 from .mesh import Mesh1D
 
@@ -28,16 +23,15 @@ def solve_point_source(
     medium: MediumSpec,
     k: float,
     x_src: float,
-    factorization: Factorization | None = None,
 ) -> FieldSolution:
     """G(x, x_src) as a nodal field; x_src must coincide with a mesh node."""
     src = mesh.find_node(x_src)
     if src == 0 or src == mesh.n_nodes - 1:
         raise ValueError("source on a Dirichlet wall gives the zero field")
-    factorization = shared_factorization(mesh, medium, k, factorization)
     rhs = np.zeros(mesh.n_interior, dtype=complex)
     rhs[src - 1] = 1.0
-    return FieldSolution(mesh=mesh, k=float(k), dofs=factorization.solve(rhs))
+    dofs = factorization(mesh, medium, k).solve(rhs)
+    return FieldSolution(mesh=mesh, k=float(k), dofs=dofs)
 
 
 def slab_quadrature(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +65,6 @@ def sample_green(
     medium: MediumSpec,
     k: float,
     x_atom: float,
-    factorization: Factorization | None = None,
 ) -> GreenSamples:
     """One point-source solve giving both G(x_a, x_a) and G(x_a, slab).
 
@@ -79,7 +72,7 @@ def sample_green(
     the source at the atom stand in for a solve per slab point, which is
     the main performance lever of the frequency sweep.
     """
-    field = solve_point_source(mesh, medium, k, x_atom, factorization)
+    field = solve_point_source(mesh, medium, k, x_atom)
     xq, wq = slab_quadrature(mesh)
     return GreenSamples(
         k=float(k),
@@ -97,12 +90,10 @@ def reciprocity_residual(
     k: float,
     x_a: float,
     x_b: float,
-    factorization: Factorization | None = None,
 ) -> float:
     """|G(a,b) - G(b,a)| / max(|G(a,b)|, |G(b,a)|) from two separate solves."""
-    factorization = shared_factorization(mesh, medium, k, factorization)
-    g_ab = solve_point_source(mesh, medium, k, x_b, factorization)
-    g_ba = solve_point_source(mesh, medium, k, x_a, factorization)
+    g_ab = solve_point_source(mesh, medium, k, x_b)
+    g_ba = solve_point_source(mesh, medium, k, x_a)
     val_ab = g_ab.at_node(mesh.find_node(x_a))
     val_ba = g_ba.at_node(mesh.find_node(x_b))
     scale = max(abs(val_ab), abs(val_ba), 1e-300)

@@ -27,25 +27,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import (
-    DEFAULT_DOF_CAP,
-    Factorization,
-    SystemMatrices,
-    dense_tridiagonal,
-    shared_factorization,
-)
+from .fem import DEFAULT_DOF_CAP, SystemMatrices, dense_tridiagonal
 from .greens import slab_quadrature, solve_point_source
 from .medium import MediumSpec
 from .mesh import Mesh1D
 from .scattering import lattice_plane_wave, solve_scattering
 
 
-def _dense_green(system: SystemMatrices, dof_cap: int) -> np.ndarray:
+def _dense_green(system: SystemMatrices) -> np.ndarray:
     n = system.n_interior
-    if n > dof_cap:
+    if n > DEFAULT_DOF_CAP:
         raise ValueError(
-            f"dense inverse needs {n} dofs, above the cap {dof_cap}; "
-            "use a coarser mesh or raise dof_cap"
+            f"dense inverse needs {n} dofs, above the cap {DEFAULT_DOF_CAP}; "
+            "use a coarser mesh"
         )
     diag, off = system.operator_interior()
     return np.linalg.solve(
@@ -53,16 +47,14 @@ def _dense_green(system: SystemMatrices, dof_cap: int) -> np.ndarray:
     )
 
 
-def check_discrete_ddgt(
-    system: SystemMatrices, dof_cap: int = DEFAULT_DOF_CAP
-) -> float:
+def check_discrete_ddgt(system: SystemMatrices) -> float:
     """Max-norm relative residual of the full two-channel decomposition.
 
     Exact linear algebra, so the residual is pure round-off (< 1e-10) for
     any assembled system, lossy or not. A closed lossless box degenerates
     to 0 = 0 and reports 0.
     """
-    green = _dense_green(system, dof_cap)
+    green = _dense_green(system)
     green_h = green.conj().T
     s_im = dense_tridiagonal(*system.stiffness_interior()).imag
     m_im = dense_tridiagonal(*system.mass_interior()).imag
@@ -81,7 +73,6 @@ def check_discrete_ddgt(
 def check_lossless_identity_failure(
     system: SystemMatrices,
     window: tuple[float, float] | None = None,
-    dof_cap: int = DEFAULT_DOF_CAP,
 ) -> float:
     """Residual of the medium-only identity Im G = k^2 G Im(M) G~.
 
@@ -99,7 +90,7 @@ def check_lossless_identity_failure(
     if keep.size == 0:
         raise ValueError(f"no interior nodes inside window {window}")
 
-    green = _dense_green(system, dof_cap)
+    green = _dense_green(system)
     m_im = dense_tridiagonal(*system.mass_interior()).imag
     residual = green.imag - system.k**2 * (green @ m_im @ green.conj().T)
     sub = np.ix_(keep, keep)
@@ -116,12 +107,11 @@ def check_thermal_equilibrium(
     k: float,
     x_alpha: float,
     x_beta: float,
-    factorization: Factorization | None = None,
 ) -> float:
     """Relative residual of the flux-vs-plane-wave balance at (x_a, x_b).
 
     Both points must be mesh nodes in the physical region. The two sides
-    come from independent solves sharing one factorization: point sources
+    come from independent solves sharing one LU: point sources
     for the flux functional, lattice scattering states for the correlation
     sum.
     """
@@ -130,13 +120,12 @@ def check_thermal_equilibrium(
             raise ValueError(
                 f"evaluation point {x} lies in the absorbing layer"
             )
-    factorization = shared_factorization(mesh, medium, k, factorization)
 
-    field_a = solve_point_source(mesh, medium, k, x_alpha, factorization)
+    field_a = solve_point_source(mesh, medium, k, x_alpha)
     if x_beta == x_alpha:
         field_b = field_a
     else:
-        field_b = solve_point_source(mesh, medium, k, x_beta, factorization)
+        field_b = solve_point_source(mesh, medium, k, x_beta)
     points, weights = slab_quadrature(mesh)
     chi_imag = complex(medium.susceptibility(k)).imag
     correlation = np.sum(
@@ -147,12 +136,8 @@ def check_thermal_equilibrium(
     rhs = 0.0j
     wave = lattice_plane_wave(mesh, k)
     for direction in (+1, -1):
-        sol = solve_scattering(mesh, medium, k, direction, factorization,
-                               wave)
-        rhs += (
-            complex(sol.total_at(x_alpha))
-            * np.conj(complex(sol.total_at(x_beta)))
-            / sol.amplitude**2
-        )
+        sol = solve_scattering(mesh, medium, k, direction, wave)
+        rhs += (complex(sol.total_at(x_alpha))
+                * np.conj(complex(sol.total_at(x_beta))))
     rhs *= 0.25 / k
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

@@ -175,17 +175,18 @@ class GevpSystem:
     def size(self):
         return self.n_em + self.n_matter
 
-    def dense_operators(self, dof_cap: int = DEFAULT_DOF_CAP):
+    def dense_operators(self):
         """Materialize (K, B) as dense float64 arrays.
 
-        Refuses systems above dof_cap: the eigensolve downstream is dense,
-        and a runaway mesh or bin count should fail here with a clear
-        message rather than by exhausting memory.
+        Refuses systems above ``fem.DEFAULT_DOF_CAP``: the eigensolve
+        downstream is dense, and a runaway mesh or bin count should fail
+        here with a clear message rather than by exhausting memory.
         """
         n = self.size
-        if n > dof_cap:
+        if n > DEFAULT_DOF_CAP:
             raise ValueError(
-                f"dense pencil needs {n} dofs, above the cap {dof_cap}; "
+                f"dense pencil needs {n} dofs, above the cap "
+                f"{DEFAULT_DOF_CAP}; "
                 "coarsen the mesh or reduce n_bins"
             )
         n_em = self.n_em
@@ -329,8 +330,7 @@ class ModeSet:
         return float(np.max(np.diff(picked)))
 
 
-def diagonalize(system: GevpSystem, band=None,
-                dof_cap: int = DEFAULT_DOF_CAP) -> ModeSet:
+def diagonalize(system: GevpSystem, band=None) -> ModeSet:
     """Solve the dense pencil and package the modes.
 
     band, when given, is an (omega_lo, omega_hi) pair restricting which
@@ -338,7 +338,7 @@ def diagonalize(system: GevpSystem, band=None,
     dense solver has no useful partial mode, and the pencil is desk
     scale by construction).
     """
-    K, B = system.dense_operators(dof_cap)
+    K, B = system.dense_operators()
     values, vectors = scipy.linalg.eigh(K, B, overwrite_a=True)
     positive = values > 1e-12 * max(float(values[-1]), 1.0)
     freqs = np.sqrt(values[positive])

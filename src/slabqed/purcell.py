@@ -21,7 +21,8 @@ parts on one dispersion relation the boundary part equals the radiation
 lattice bias, O((kh)^2).
 
 One matrix factorization per frequency feeds all three solves (two plane
-waves, one point source). The identity (ldos - medium) = boundary is the
+waves, one point source): ``fem.factorization`` keeps it on the mesh, and
+the sweep runs its frequencies in order, one LU at a time. The identity (ldos - medium) = boundary is the
 zero-separation thermal-balance statement, so each sweep record carries
 its relative residual for free.
 """
@@ -29,11 +30,9 @@ its relative residual for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .fem import Factorization, shared_factorization
 from .greens import GreenSamples, sample_green
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, PmlSpec, build_mesh
@@ -82,7 +81,7 @@ def gamma_boundary(
         raise ValueError("need one solution per incidence direction")
     total = 0.0
     for sol in (sol_plus, sol_minus):
-        total += abs(complex(sol.total_at(x_a))) ** 2 / sol.amplitude**2
+        total += abs(complex(sol.total_at(x_a))) ** 2
     return 0.5 * total
 
 
@@ -102,17 +101,12 @@ def compute_record(
     medium: MediumSpec,
     omega_a: float,
     x_a: float,
-    factorization: Factorization | None = None,
 ) -> PurcellRecord:
     """All Purcell factors at one frequency from one factorization."""
-    factorization = shared_factorization(mesh, medium, omega_a,
-                                         factorization)
     wave = lattice_plane_wave(mesh, omega_a)
-    sol_plus = solve_scattering(mesh, medium, omega_a, +1, factorization,
-                                wave)
-    sol_minus = solve_scattering(mesh, medium, omega_a, -1, factorization,
-                                 wave)
-    samples = sample_green(mesh, medium, omega_a, x_a, factorization)
+    sol_plus = solve_scattering(mesh, medium, omega_a, +1, wave)
+    sol_minus = solve_scattering(mesh, medium, omega_a, -1, wave)
+    samples = sample_green(mesh, medium, omega_a, x_a)
 
     pf_sfa = gamma_sfa(samples)
     pf_b = gamma_boundary(sol_plus, sol_minus, x_a)
@@ -136,21 +130,16 @@ def sweep(
     medium: MediumSpec,
     omegas,
     x_a: float,
-    max_workers: int | None = None,
 ) -> list[PurcellRecord]:
     """Frequency sweep; returns records sorted by transition frequency.
 
-    Frequencies are independent, so the sweep optionally fans out over a
-    thread pool (the tridiagonal LAPACK calls release the GIL); results are
-    deterministic either way.
+    Serial on purpose: the mesh keeps one LU, so each frequency's solves
+    share it and the next frequency replaces it.
     """
-    grid = sorted(float(w) for w in omegas)
-    if not grid:
-        return []
-
-    def one(omega: float) -> PurcellRecord:
+    records = []
+    for omega in sorted(float(w) for w in omegas):
         try:
-            return compute_record(mesh, medium, omega, x_a)
+            records.append(compute_record(mesh, medium, omega, x_a))
         except Exception as exc:
             note = f"sweep point omega_a = {omega}: {exc}"
             try:
@@ -158,11 +147,7 @@ def sweep(
             except TypeError:
                 wrapped = RuntimeError(note)
             raise wrapped from exc
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, grid))
-    return [one(omega) for omega in grid]
+    return records
 
 
 def sweep_grid(lo: float = 300.0, hi: float = 700.0, n: int = 101) -> np.ndarray:

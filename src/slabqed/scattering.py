@@ -16,7 +16,9 @@ incident wave. Each caller picks the incident wave:
   field-correlation balance use it.
 
 The scattered field is outgoing and is what the absorbing layers damp; the
-total field is physically meaningful outside the layers only.
+total field is physically meaningful outside the layers only. The solve
+takes its LU from ``fem.factorization``, so both directions and the
+point-source solves at one frequency share one factorization.
 
 Reflection and transmission are reported in the face (de-embedded port)
 convention: r is the reflected-to-incident ratio at the illuminated face,
@@ -33,13 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import (
-    Factorization,
     FieldSolution,
     element_quadrature,
     evaluate_field,
+    factorization,
     lattice_wavenumber,
     p1_load,
-    shared_factorization,
 )
 from .medium import MediumSpec
 from .mesh import Mesh1D
@@ -52,20 +53,18 @@ class PlaneWaveSolution:
     k: float
     direction: int
     scattered: FieldSolution
-    amplitude: float = 1.0
     incident: FieldSolution | None = None  # unit lattice wave; None: analytic
 
     def incident_at(self, x):
         if self.incident is not None:
-            return self.amplitude * self.incident(x)
-        return self.amplitude * np.exp(1j * self.direction * self.k *
-                                       np.asarray(x, dtype=float))
+            return self.incident(x)
+        return np.exp(1j * self.direction * self.k * np.asarray(x, dtype=float))
 
     def total_at(self, x):
         """Incident + scattered; meaningful outside the absorbing layers."""
         if self.incident is not None:
             # both parts are P1 on one mesh: interpolate their sum once
-            total = self.amplitude * self.incident.dofs + self.scattered.dofs
+            total = self.incident.dofs + self.scattered.dofs
             return evaluate_field(self.mesh, total, x)
         return self.incident_at(x) + self.scattered(x)
 
@@ -100,20 +99,17 @@ def solve_scattering(
     medium: MediumSpec,
     k: float,
     direction: int,
-    factorization: Factorization | None = None,
     lattice_wave: FieldSolution | None = None,
 ) -> PlaneWaveSolution:
     """Scattered-field solve for a unit plane wave from the left (+1) or right.
 
-    Pass a Factorization to reuse one LU across both directions and the
-    point-source solve at the same frequency. Without ``lattice_wave`` the
-    incident wave is the analytic e^{i d k x}; with the +x wave of
+    The LU is ``fem.factorization``'s, shared with every other solve at
+    this frequency on this mesh. Without ``lattice_wave`` the incident wave is the analytic e^{i d k x}; with the +x wave of
     ``lattice_plane_wave(mesh, k)`` it is that wave (d = +1) or its complex
     conjugate (d = -1).
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    factorization = shared_factorization(mesh, medium, k, factorization)
     if lattice_wave is None:
         incident = None
         f = _slab_source(mesh, medium, k,
@@ -126,7 +122,7 @@ def solve_scattering(
         wave = lattice_wave.dofs if direction > 0 else lattice_wave.dofs.conj()
         incident = FieldSolution(mesh=mesh, k=float(k), dofs=wave)
         f = _slab_source(mesh, medium, k, wave)
-    dofs = factorization.solve(f[1:-1])
+    dofs = factorization(mesh, medium, k).solve(f[1:-1])
     return PlaneWaveSolution(
         mesh=mesh,
         medium=medium,
@@ -209,8 +205,8 @@ def extract_r_t(solution: PlaneWaveSolution) -> tuple[complex, complex]:
     fwd = _outgoing_amplitude(solution, +d)
     # incident amplitude at either face is e^{-ika} (illuminated) and
     # e^{+ika} (exit); both expressions below are direction independent
-    r = back * np.exp(1j * k * a) / solution.amplitude
-    t = 1.0 + fwd * np.exp(-1j * k * a) / solution.amplitude
+    r = back * np.exp(1j * k * a)
+    t = 1.0 + fwd * np.exp(-1j * k * a)
     return complex(r), complex(t)
 
 
@@ -225,7 +221,7 @@ def energy_balance(solution: PlaneWaveSolution) -> EnergyBalance:
     """Check that the missing flux equals the power dissipated in the slab."""
     mesh, medium, k = solution.mesh, solution.medium, solution.k
     r, t = extract_r_t(solution)
-    deficit = solution.amplitude**2 - abs(r) ** 2 - abs(t) ** 2
+    deficit = 1.0 - abs(r) ** 2 - abs(t) ** 2
 
     xg, _, wg = element_quadrature(mesh, mesh.slab_element_indices())
     phi = solution.total_at(xg)
@@ -233,7 +229,7 @@ def energy_balance(solution: PlaneWaveSolution) -> EnergyBalance:
     absorbed = k * chi_imag * float(np.sum(wg * np.abs(phi) ** 2))
     # floor the scale so a lossless run (both sides ~ round-off) reads as a
     # tiny residual instead of 0/0 noise
-    scale = max(abs(deficit), abs(absorbed), 1e-6 * solution.amplitude**2)
+    scale = max(abs(deficit), abs(absorbed), 1e-6)
     return EnergyBalance(
         flux_deficit=deficit,
         absorbed=absorbed,

@@ -1,24 +1,28 @@
 """Assembly and solve: textbook element values, dense cross-checks, pivots."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from slabqed import greens, scattering
+from slabqed.cli import main
 from slabqed.fem import (
     Factorization,
     FieldSolution,
     SingularOperatorError,
     assemble,
     evaluate_field,
-    factorize,
+    factorization,
 )
-from slabqed.greens import reciprocity_residual, solve_point_source
+from slabqed.greens import reciprocity_residual, sample_green, solve_point_source
 from slabqed.identities import check_thermal_equilibrium
 from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import Mesh1D, PmlSpec, Region, build_mesh
-from slabqed.purcell import compute_record
+from slabqed.purcell import compute_record, sweep
 from slabqed.scattering import solve_scattering
 
 CASE1 = CASE_PRESETS["1"]
@@ -82,7 +86,7 @@ def test_solve_matches_dense():
     rhs = rng.normal(size=system.n_interior) + 1j * rng.normal(
         size=system.n_interior
     )
-    dofs = factorize(system).solve(rhs)
+    dofs = Factorization(system).solve(rhs)
     dense = to_dense(diag, off)
     np.testing.assert_allclose(
         dofs[1:-1], np.linalg.solve(dense, rhs), rtol=1e-11
@@ -92,10 +96,11 @@ def test_solve_matches_dense():
 
 def test_factorization_is_reusable():
     mesh = uniform_vacuum_box(41)
-    fact = factorize(assemble(mesh, VACUUM, 30.0))
+    system = assemble(mesh, VACUUM, 30.0)
+    fact = Factorization(system)
     rhs1 = np.ones(mesh.n_interior, dtype=complex)
     rhs2 = 1j * np.arange(mesh.n_interior, dtype=float)
-    diag, off = fact.system.operator_interior()
+    diag, off = system.operator_interior()
     for rhs in (rhs1, rhs2):
         dofs = fact.solve(rhs)
         np.testing.assert_allclose(
@@ -115,7 +120,7 @@ def test_manufactured_solution_converges_quadratically():
         mu = tridiag_matvec(m_diag, m_off, u_exact[1:-1].astype(complex))
         # wall values are zero, so the clipped mass product is complete
         rhs = (np.pi**2 - k**2) * mu
-        dofs = factorize(system).solve(rhs)
+        dofs = Factorization(system).solve(rhs)
         return np.max(np.abs(dofs - u_exact))
 
     err_coarse = solve_error(51)
@@ -141,9 +146,9 @@ def test_singular_at_discrete_resonance():
     dense_m = to_dense(m_diag.real, m_off.real)
     k_res = float(np.sqrt(scipy.linalg.eigh(dense_s, dense_m)[0][0]))
     with pytest.raises(SingularOperatorError):
-        factorize(assemble(mesh, VACUUM, k_res))
+        Factorization(assemble(mesh, VACUUM, k_res))
     # a detuned frequency is fine
-    fact = factorize(assemble(mesh, VACUUM, 0.9 * k_res))
+    fact = Factorization(assemble(mesh, VACUUM, 0.9 * k_res))
     assert isinstance(fact, Factorization)
     assert lam.size == mesh.n_interior
 
@@ -171,48 +176,106 @@ def test_bad_inputs():
     mesh = uniform_vacuum_box(11)
     with pytest.raises(ValueError):
         assemble(mesh, VACUUM, 0.0)
-    fact = factorize(assemble(mesh, VACUUM, 5.0))
+    fact = Factorization(assemble(mesh, VACUUM, 5.0))
     with pytest.raises(ValueError):
         fact.solve(np.ones(3, dtype=complex))
 
 
-# every solver that accepts a caller's factorization, reduced to its result;
-# x = 0.0625 is the outside atom site, a node of ``shared_mesh``
-SHARED_LU_ENTRY_POINTS = {
-    "solve_scattering": lambda mesh, medium, k, lu: solve_scattering(
-        mesh, medium, k, +1, lu).scattered.dofs,
-    "solve_point_source": lambda mesh, medium, k, lu: solve_point_source(
-        mesh, medium, k, 0.0625, lu).dofs,
-    "reciprocity_residual": lambda mesh, medium, k, lu: reciprocity_residual(
-        mesh, medium, k, 0.0, 0.0625, lu),
-    "check_thermal_equilibrium": lambda mesh, medium, k, lu:
-        check_thermal_equilibrium(mesh, medium, k, 0.0625, 0.0625, lu),
-    "compute_record": lambda mesh, medium, k, lu: dataclasses.astuple(
-        compute_record(mesh, medium, k, 0.0625, lu)),
+# every solver that takes its LU from ``fem.factorization``, reduced to its
+# result; x = 0.0625 is the outside atom site, a node of ``lu_mesh``
+LU_ENTRY_POINTS = {
+    "solve_scattering": lambda mesh, medium, k: solve_scattering(
+        mesh, medium, k, +1).scattered.dofs,
+    "solve_point_source": lambda mesh, medium, k: solve_point_source(
+        mesh, medium, k, 0.0625).dofs,
+    "sample_green": lambda mesh, medium, k: sample_green(
+        mesh, medium, k, 0.0625).values,
+    "reciprocity_residual": lambda mesh, medium, k: reciprocity_residual(
+        mesh, medium, k, 0.0, 0.0625),
+    "check_thermal_equilibrium": lambda mesh, medium, k:
+        check_thermal_equilibrium(mesh, medium, k, 0.0625, 0.0625),
+    "compute_record": lambda mesh, medium, k: dataclasses.astuple(
+        compute_record(mesh, medium, k, 0.0625)),
 }
 
 
-def shared_mesh():
+def lu_mesh():
     return build_mesh(CASE1, 700.0, 20.0, 0.05, PmlSpec(thickness=0.05),
                       observation_points=(0.0, 0.0625))
 
 
-@pytest.mark.parametrize("entry", SHARED_LU_ENTRY_POINTS)
-def test_shared_factorization_is_bitwise_the_default_path(entry):
-    run = SHARED_LU_ENTRY_POINTS[entry]
-    mesh = shared_mesh()
-    lu = factorize(assemble(mesh, CASE1, 500.0))
-    np.testing.assert_array_equal(run(mesh, CASE1, 500.0, lu),
-                                  run(mesh, CASE1, 500.0, None))
+@pytest.fixture
+def built(monkeypatch):
+    """The k of every Factorization constructed while the test runs."""
+    ks = []
+    init = Factorization.__init__
+
+    def counting(self, system):
+        ks.append(system.k)
+        init(self, system)
+
+    monkeypatch.setattr(Factorization, "__init__", counting)
+    return ks
+
+
+@pytest.mark.parametrize("entry", LU_ENTRY_POINTS)
+def test_entry_point_builds_one_factorization(entry, built):
+    run = LU_ENTRY_POINTS[entry]
+    mesh = lu_mesh()
+    first = run(mesh, CASE1, 500.0)
+    assert built == [500.0]
+    # a repeat reuses the mesh's LU and gives bitwise the same result
+    np.testing.assert_array_equal(run(mesh, CASE1, 500.0), first)
+    assert built == [500.0]
+
+
+def test_sweep_builds_one_factorization_per_point(built):
+    sweep(lu_mesh(), CASE1, [520.0, 410.0, 660.0], 0.0625)
+    assert built == [410.0, 520.0, 660.0]
+
+
+def test_oracle_compare_builds_one_factorization_per_point(built, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 1A\nsweep.count = 3\n")
+    main(["oracle-compare", "--config", str(cfg),
+          "--out", str(tmp_path / "o.csv")])
+    assert built == [300.0, 500.0, 700.0]
 
 
 @pytest.mark.parametrize("other", ["mesh", "medium", "k"])
-@pytest.mark.parametrize("entry", SHARED_LU_ENTRY_POINTS)
-def test_mismatched_factorization_is_rejected(entry, other):
+@pytest.mark.parametrize("entry", LU_ENTRY_POINTS)
+def test_changed_operator_gets_a_fresh_factorization(entry, other, built,
+                                                     monkeypatch):
     # e.g. a vacuum operator's LU must not solve for a case-1 source
-    mesh = shared_mesh()
-    lu = factorize(assemble(mesh, CASE1, 500.0))
+    run = LU_ENTRY_POINTS[entry]
+    mesh = lu_mesh()
+    run(mesh, CASE1, 500.0)
     call = dict(mesh=mesh, medium=CASE1, k=500.0)
-    call[other] = {"mesh": shared_mesh(), "medium": VACUUM, "k": 501.0}[other]
-    with pytest.raises(ValueError, match="different mesh, medium or k"):
-        SHARED_LU_ENTRY_POINTS[entry](**call, lu=lu)
+    call[other] = {"mesh": lu_mesh(), "medium": VACUUM, "k": 501.0}[other]
+
+    def direct(mesh, medium, k):
+        return Factorization(assemble(mesh, medium, k))
+
+    with monkeypatch.context() as patch:
+        for module in (greens, scattering):
+            patch.setattr(module, "factorization", direct)
+        reference = run(**call)
+    del built[:]
+    np.testing.assert_array_equal(run(**call), reference)
+    assert built == [call["k"]]
+
+
+def test_each_mesh_keeps_its_own_factorization(built):
+    meshes = lu_mesh(), lu_mesh()
+    lus = [factorization(mesh, CASE1, 500.0) for mesh in meshes]
+    assert [factorization(mesh, CASE1, 500.0) for mesh in meshes] == lus
+    assert built == [500.0, 500.0]
+
+
+def test_factorization_is_released_with_its_mesh():
+    mesh = lu_mesh()
+    lu = weakref.ref(factorization(mesh, CASE1, 500.0))
+    assert lu() is not None
+    del mesh
+    gc.collect()
+    assert lu() is None

@@ -3,7 +3,7 @@
 import pytest
 
 from slabqed import identities as ids
-from slabqed.fem import assemble
+from slabqed.fem import DEFAULT_DOF_CAP, assemble
 from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import PmlSpec, build_box_mesh, build_mesh
 
@@ -33,10 +33,13 @@ def test_two_channel_decomposition_closed_box_degenerates():
 
 
 def test_dense_dof_cap_guard():
+    # the guard fires before any dense allocation
     medium = CASE_PRESETS["vacuum"]
-    system = assemble(open_mesh(medium), medium, 500.0)
-    with pytest.raises(ValueError, match="cap"):
-        ids.check_discrete_ddgt(system, dof_cap=10)
+    system = assemble(open_mesh(medium, ppw=150.0), medium, 500.0)
+    assert system.n_interior > DEFAULT_DOF_CAP
+    for check in (ids.check_discrete_ddgt, ids.check_lossless_identity_failure):
+        with pytest.raises(ValueError, match="cap"):
+            check(system)
 
 
 def test_medium_only_identity_fails_under_radiation_loss():

@@ -1,7 +1,8 @@
 """Import structure of the package, read from the source with ``ast``.
 
 The oracle must stay independent of the finite-element stack, modules talk
-through public names only, and the element quadrature rule lives in ``fem``.
+through public names only, the element quadrature rule and the LU live in
+``fem``, and nothing runs on a thread pool.
 """
 
 import ast
@@ -44,13 +45,35 @@ def test_no_private_names_cross_modules(name):
     assert private == []
 
 
-@pytest.mark.parametrize("name", sorted(set(MODULES) - {"fem"}))
-def test_only_fem_knows_the_gauss_rule(name):
-    names = {
+def names_in(tree):
+    """Every identifier a tree names, attribute and import names included."""
+    return {
         node.id if isinstance(node, ast.Name)
         else node.attr if isinstance(node, ast.Attribute)
         else node.name
-        for node in ast.walk(MODULES[name])
+        for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     }
-    assert "GAUSS_NODES" not in names
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"fem"}))
+def test_only_fem_knows_the_gauss_rule(name):
+    assert "GAUSS_NODES" not in names_in(MODULES[name])
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"fem"}))
+def test_only_fem_builds_an_lu(name):
+    # solvers ask fem.factorization for the LU; none builds or passes one
+    assert "Factorization" not in names_in(MODULES[name])
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_module_uses_a_worker_pool(name):
+    imported = {
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(MODULES[name])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not any(module and module.startswith("concurrent")
+                   for module in imported)

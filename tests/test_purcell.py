@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from slabqed import purcell
-from slabqed.fem import FieldSolution
 from slabqed.greens import sample_green, solve_point_source
 from slabqed.medium import case_preset
 from slabqed.oracle import tmm_total_field
-from slabqed.scattering import (
-    PlaneWaveSolution,
-    lattice_plane_wave,
-    solve_scattering,
-)
+from slabqed.scattering import solve_scattering
 
 
 def make_setup(label, ppw=40.0):
@@ -121,26 +116,6 @@ def test_gamma_boundary_rejects_same_direction():
         purcell.gamma_boundary(sol_p, sol_p, x_a)
 
 
-def test_gamma_boundary_amplitude_invariance():
-    mesh, medium, x_a = make_setup("2B")
-    # both incident waves: analytic (None) and the lattice plane wave
-    for wave in (None, lattice_plane_wave(mesh, 450.0)):
-        sol_p = solve_scattering(mesh, medium, 450.0, +1, lattice_wave=wave)
-        sol_m = solve_scattering(mesh, medium, 450.0, -1, lattice_wave=wave)
-        scale = 2.5
-        scaled = []
-        for sol in (sol_p, sol_m):
-            field = FieldSolution(sol.scattered.mesh, sol.scattered.k,
-                                  sol.scattered.dofs * scale)
-            scaled.append(PlaneWaveSolution(sol.mesh, sol.medium, sol.k,
-                                            sol.direction, field,
-                                            amplitude=scale,
-                                            incident=sol.incident))
-        base = purcell.gamma_boundary(sol_p, sol_m, x_a)
-        rescaled = purcell.gamma_boundary(scaled[0], scaled[1], x_a)
-        np.testing.assert_allclose(rescaled, base, rtol=1e-12)
-
-
 def test_medium_rate_quadrature_is_converged():
     mesh, medium, x_a = make_setup("1A")
     coarse = sample_green(mesh, medium, 500.0, x_a)
@@ -161,12 +136,10 @@ def test_medium_rate_quadrature_is_converged():
 def test_sweep_is_sorted_positive_and_deterministic():
     mesh, medium, x_a = make_setup("1B")
     grid = [520.0, 410.0, 660.0, 330.0]
-    serial = purcell.sweep(mesh, medium, grid, x_a)
-    threaded = purcell.sweep(mesh, medium, grid, x_a, max_workers=3)
-    assert [r.omega_a for r in serial] == sorted(grid)
-    for a, b in zip(serial, threaded):
-        assert a == b
-    for rec in serial:
+    records = purcell.sweep(mesh, medium, grid, x_a)
+    assert [r.omega_a for r in records] == sorted(grid)
+    assert purcell.sweep(mesh, medium, grid, x_a) == records
+    for rec in records:
         assert rec.pf_sfa > 0 and rec.pf_b > 0 and rec.pf_m >= 0
 
 

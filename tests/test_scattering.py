@@ -10,7 +10,7 @@ band edge gets an explicit dispersion-floor + convergence test instead.
 import numpy as np
 import pytest
 
-from slabqed.fem import assemble, factorize
+from slabqed.fem import assemble
 from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import PmlSpec, build_mesh
 from slabqed.oracle import tmm_reflection_transmission, tmm_total_field
@@ -83,10 +83,8 @@ def test_direction_symmetry_on_symmetric_mesh():
     # and mirrored total fields, to solver round-off on a symmetric mesh
     mesh = build_mesh(CASE1, 700.0, 40.0, PADDING, PML,
                       observation_points=(-0.0625, 0.0, 0.0625))
-    system = assemble(mesh, CASE1, 500.0)
-    fact = factorize(system)
-    fwd = solve_scattering(mesh, CASE1, 500.0, +1, fact)
-    bwd = solve_scattering(mesh, CASE1, 500.0, -1, fact)
+    fwd = solve_scattering(mesh, CASE1, 500.0, +1)
+    bwd = solve_scattering(mesh, CASE1, 500.0, -1)
     r_fwd, t_fwd = extract_r_t(fwd)
     r_bwd, t_bwd = extract_r_t(bwd)
     assert r_fwd == pytest.approx(r_bwd, rel=1e-10)
@@ -126,13 +124,10 @@ def test_absorbing_layer_swallows_the_scattered_wave():
     assert edge / interior.max() < 1e-3
 
 
-def test_shared_factorization_validation():
+def test_direction_must_be_plus_or_minus_one():
     mesh = make_mesh(CASE1)
-    fact = factorize(assemble(mesh, CASE1, 500.0))
     with pytest.raises(ValueError):
-        solve_scattering(mesh, CASE1, 501.0, +1, fact)
-    with pytest.raises(ValueError):
-        solve_scattering(mesh, CASE1, 500.0, 0, fact)
+        solve_scattering(mesh, CASE1, 500.0, 0)
 
 
 def test_probe_needs_room():
