@@ -280,7 +280,8 @@ def _fmt(value):
     return "" if value is None else f"{value:.12e}"
 
 
-def _metadata_lines(command, config, mesh=None, wall_seconds=None):
+def _metadata_lines(command, config, mesh=None, wall_seconds=None,
+                    modes_line=None):
     lines = [
         f"slabqed {command}",
         f"version = {__version__}",
@@ -292,6 +293,8 @@ def _metadata_lines(command, config, mesh=None, wall_seconds=None):
         lines.append(
             f"mesh: {mesh.n_nodes} nodes, h_max = {mesh.h_max:.6e}"
         )
+    if modes_line is not None:
+        lines.append(modes_line)
     lines.append("config:")
     lines.extend(f"  {key} = {value}" for key, value in config.items())
     return lines
@@ -334,11 +337,20 @@ def read_config_echo(path) -> RunConfig:
 
 
 def _closed_box_modes(config: RunConfig, grid):
-    """Eigenmodes of the config's closed-box pencil, kept up past the grid."""
+    """Eigenmodes of the config's closed-box pencil, kept up past the grid.
+
+    Returns the ModeSet and the metadata line describing it: mode count,
+    band and B-orthonormality residual.
+    """
     system = build_gevp(
         gevp_mesh(config.medium, config.bath), config.medium, config.bath
     )
-    return diagonalize(system, band=(1.0, max(1000.0, grid[-1] + 300.0)))
+    lo, hi = 1.0, max(1000.0, float(grid[-1]) + 300.0)
+    modes = diagonalize(system, band=(lo, hi))
+    return modes, (
+        f"modes: {modes.n_modes} in band [{lo:g}, {hi:g}], "
+        f"normalization_residual = {modes.normalization_residual:.3e}"
+    )
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -355,8 +367,9 @@ def cmd_sweep(config: RunConfig) -> int:
     records = sweep(mesh, config.medium, grid, config.atom_position)
 
     mode_rates = {}
+    modes_line = None
     if config.method_modes:
-        modes = _closed_box_modes(config, grid)
+        modes, modes_line = _closed_box_modes(config, grid)
         for omega in grid:
             omega = float(omega)
             try:
@@ -382,7 +395,8 @@ def cmd_sweep(config: RunConfig) -> int:
             _fmt(rec.tec_residual) if want_tec else "",
         ))
     metadata = _metadata_lines("sweep", config, mesh=mesh,
-                               wall_seconds=time.monotonic() - start)
+                               wall_seconds=time.monotonic() - start,
+                               modes_line=modes_line)
     _write_csv(config.output_path, metadata, CSV_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {config.output_path}")
     return 0
@@ -513,12 +527,13 @@ def cmd_modes(config: RunConfig) -> int:
     """Diagonalize the closed-box pencil; write spectrum and rate curve."""
     start = time.monotonic()
     grid = config.grid()
-    modes = _closed_box_modes(config, grid)
+    modes, modes_line = _closed_box_modes(config, grid)
 
     root, ext = os.path.splitext(config.output_path)
     spectrum_path = f"{root}_spectrum{ext or '.csv'}"
     metadata = _metadata_lines("modes", config,
-                               wall_seconds=time.monotonic() - start)
+                               wall_seconds=time.monotonic() - start,
+                               modes_line=modes_line)
     rows = [
         (_fmt(float(w)),
          _fmt(purcell_from_modes(modes, config.atom_position, float(w),

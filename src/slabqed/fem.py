@@ -15,6 +15,9 @@ for the polynomial stretch profiles and the P1 products appearing here.
 applied, and ``factorization`` is the one place an LU is built for a
 solve: each mesh keeps the LU of the last (medium, k) solved on it, so all
 solves at one frequency share it and no caller passes one around.
+``negative_pivots`` (an inertia count) and ``inverse_iteration`` are the
+real symmetric tridiagonal kernels of the eigenmode route; with the LU they
+are the only LAPACK calls in the package.
 The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
 """
@@ -246,6 +249,58 @@ def factorization(mesh: Mesh1D, medium: MediumSpec, k: float) -> Factorization:
     lu = Factorization(assemble(mesh, medium, k))
     _LAST_LU[mesh] = (medium, k, lu)
     return lu
+
+
+def negative_pivots(diag, off2) -> np.ndarray:
+    """Negative LDL^T pivots of real symmetric tridiagonals, one per column.
+
+    ``diag`` is a sequence of n rows and ``off2`` of n - 1 rows, each an
+    array of m entries: the diagonal and the squared off-diagonal, column j
+    of them being one matrix. A row array may appear any number of times.
+    By Sylvester's law of inertia the count is the number of negative
+    eigenvalues. A zero pivot counts by its sign bit and makes the next
+    one infinite with the opposite sign, so the pair counts once, as it
+    would with the zero nudged either way.
+    """
+    pivot = np.array(diag[0], dtype=float)
+    negative = np.signbit(pivot).astype(np.intp)
+    quotient = np.empty_like(pivot)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for row, coupling in zip(diag[1:], off2):
+            np.divide(coupling, pivot, out=quotient)
+            np.subtract(row, quotient, out=pivot)
+            negative += np.signbit(pivot)
+    return negative
+
+
+def inverse_iteration(diag: np.ndarray, off: np.ndarray,
+                      start: np.ndarray) -> np.ndarray:
+    """Null vectors of nearly singular real symmetric tridiagonals.
+
+    Row j of ``diag`` (m, n) and ``off`` (m, n - 1) is one matrix, shifted
+    onto one of its eigenvalues by the caller. Each is factored once with
+    partial pivoting and two solves are applied to row j of ``start``,
+    normalizing in between; returns the unit vectors as rows (m, n). A pivot
+    that is exactly zero (the shift hit the eigenvalue to the last bit) is
+    replaced by eps times the matrix scale, so the solve returns the null
+    vector rather than NaN. ``Factorization`` refuses such operators.
+    """
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+    vectors = np.empty(diag.shape)
+    for j in range(diag.shape[0]):
+        dl, d, du, du2, ipiv, info = gttrf(off[j], diag[j], off[j])
+        if info < 0:
+            raise RuntimeError(f"gttrf failed with info = {info}")
+        if info > 0:
+            scale = max(np.abs(diag[j]).max(), np.abs(off[j]).max())
+            d[d == 0.0] = np.finfo(float).eps * scale
+        x = start[j]
+        for _ in range(2):
+            x, info = gttrs(dl, d, du, du2, ipiv, x / np.linalg.norm(x))
+            if info != 0:
+                raise RuntimeError(f"gttrs failed with info = {info}")
+        vectors[j] = x / np.linalg.norm(x)
+    return vectors
 
 
 def dense_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

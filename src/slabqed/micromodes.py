@@ -11,6 +11,17 @@ medium directly (see ``effective_susceptibility``). The resulting pencil
 genuine normal mode with a real frequency, and the emission rate follows
 from a Lorentzian-smoothed sum over modes (``ser_modes``).
 
+No dense matrix is formed to find the modes. Eliminating the oscillators
+at lam = omega^2 leaves a tridiagonal Schur complement on the field dofs,
+and its LDL^T pivots count the pencil eigenvalues below lam
+(Wittrick-Williams, ``eigenvalue_count``). ``diagonalize`` bisects every
+mode of the band at once with that count, each eigenvalue carried as an
+offset from its nearest bin, then takes the field part by inverse
+iteration on the Schur complement and the oscillator part by back
+substitution; a B-orthonormality residual over a sample of modes is its
+certificate. ``GevpSystem.dense_operators`` remains as the reference the
+tests compare against.
+
 Nothing in here touches absorbing layers: a stretched stiffness matrix is
 complex symmetric, which would wreck the Hermitian eigenproblem, so
 ``build_gevp`` insists on meshes built by ``mesh.build_box_mesh``.
@@ -22,9 +33,14 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .fem import DEFAULT_DOF_CAP, assemble, dense_tridiagonal
+from .fem import (
+    DEFAULT_DOF_CAP,
+    assemble,
+    dense_tridiagonal,
+    inverse_iteration,
+    negative_pivots,
+)
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, build_box_mesh
 
@@ -37,6 +53,15 @@ from .mesh import Mesh1D, build_box_mesh
 _UNIFORM_SHARE = 0.3
 _SHAPE_POWER = 0.75
 _GRID_POINTS = 200001
+
+# diagonalize orthogonalizes neighbouring modes whose spacing is below this
+# fraction of their offset from the nearest bin: inverse iteration alone left
+# B products ~2e-14 / (spacing / offset) between them (cases 1A, 2A and the
+# small reference boxes), so 1e-2 keeps every other pair near 1e-12
+_CLUSTER_GAP = 1e-2
+
+# inverse iteration takes the modes this many at a time (bounds memory)
+_MODE_BLOCK = 256
 
 # effective_susceptibility evaluates the bath comb this many local bin
 # spacings off the real axis; fixed by the calibration measurements
@@ -146,9 +171,10 @@ class GevpSystem:
     keeps K positive semidefinite exactly (the Schur complement of the
     oscillator block at zero frequency is the bare stiffness).
 
-    Dense matrices are only materialized by ``dense_operators``; the
-    blocks alone are enough for ``effective_susceptibility``, which is
-    why a finely binned calibration system stays cheap.
+    The blocks alone are enough for ``diagonalize``, ``eigenvalue_count``
+    and ``effective_susceptibility``, which is why a finely binned
+    calibration system stays cheap; only ``dense_operators``, the
+    reference for tests, materializes K and B.
     """
 
     mesh: Mesh1D
@@ -176,11 +202,11 @@ class GevpSystem:
         return self.n_em + self.n_matter
 
     def dense_operators(self):
-        """Materialize (K, B) as dense float64 arrays.
+        """Materialize (K, B) as dense float64 arrays (test reference).
 
-        Refuses systems above ``fem.DEFAULT_DOF_CAP``: the eigensolve
-        downstream is dense, and a runaway mesh or bin count should fail
-        here with a clear message rather than by exhausting memory.
+        Refuses systems above ``fem.DEFAULT_DOF_CAP``: a runaway mesh or bin
+        count should fail here with a clear message rather than by
+        exhausting memory.
         """
         n = self.size
         if n > DEFAULT_DOF_CAP:
@@ -330,45 +356,283 @@ class ModeSet:
         return float(np.max(np.diff(picked)))
 
 
+@dataclass(frozen=True)
+class _Schur:
+    """The pencil seen through its Schur complement on the field dofs.
+
+    The oscillators of a slab element do not couple to one another, so
+    eliminating them at lam = omega^2 leaves the tridiagonal
+
+        S(lam) = K_em - lam B_em + g(lam) A,  g = -lam sum_q w_q / (nu_q^2 - lam),
+
+    where A adds h_e/4 to the four (p, q) entries of each slab element (g
+    is the counterterm sum_q w_q minus sum_q nu_q^2 w_q / (nu_q^2 - lam),
+    in a form free of cancellation at small lam). By Haynsworth inertia
+    additivity (Wittrick-Williams) the number of pencil eigenvalues below
+    lam is n_slab_elements * #{nu_q^2 < lam} plus the negative LDL^T pivots
+    of S(lam).
+
+    Eigenvalues are carried as lam = anchors[a] + delta about the nearest
+    bin (anchor 0 is lam = 0 itself, the only one without a bath).
+    Near-dark modes sit within 4e-6..0.06 of a bin nu_q^2 ~ 2.5e5, so
+    nu_q^2 - lam formed from lam would lose ~1e-9 relative, and with it the
+    B-orthonormality of the oscillator parts; every detuning is therefore
+    formed as gaps[a, q] - delta. The band rows of S are stored once per
+    distinct (K_em, B_em, A) triple: a mesh of uniform spans has ~20, so a
+    count costs one pivot sweep and no (n_em, m) matrix.
+    """
+
+    anchors: np.ndarray     # (n_bins + 1,): 0, then every nu_q^2
+    gaps: np.ndarray        # (n_bins + 1, n_bins): nu_q^2 - anchors[a]
+    weights: np.ndarray     # (n_bins,): w_q
+    n_elements: int
+    diag_rows: np.ndarray   # (3, k): distinct (K_em, B_em, A) diagonal entries
+    diag_index: np.ndarray  # (n_em,): row of each diagonal entry
+    off_rows: np.ndarray    # (3, k'): the same for the off-diagonal
+    off_index: np.ndarray   # (n_em - 1,)
+
+    @classmethod
+    def of(cls, system: GevpSystem):
+        nu2 = system.bin_frequencies**2
+        anchors = np.concatenate(([0.0], nu2))
+        p, q = system.slab_dof_pairs.T
+        quarter = 0.25 * system.slab_lengths
+        a_diag = np.zeros(system.n_em)
+        a_diag[p] += quarter  # p and q each list every slab element once
+        a_diag[q] += quarter
+        a_off = np.zeros(system.n_em - 1)
+        a_off[p] = quarter
+        diag_rows, diag_index = np.unique(
+            np.stack((system.em_s_diag, system.em_m_diag, a_diag)),
+            axis=1, return_inverse=True,
+        )
+        off_rows, off_index = np.unique(
+            np.stack((system.em_s_off, system.em_m_off, a_off)),
+            axis=1, return_inverse=True,
+        )
+        return cls(
+            anchors=anchors,
+            gaps=nu2[None, :] - anchors[:, None],
+            weights=system.bin_weights,
+            n_elements=system.slab_lengths.size,
+            diag_rows=diag_rows,
+            diag_index=diag_index.ravel(),
+            off_rows=off_rows,
+            off_index=off_index.ravel(),
+        )
+
+    def nearest(self, lam):
+        """Index of the anchor nearest each lam."""
+        return np.argmin(np.abs(lam[:, None] - self.anchors), axis=1)
+
+    def detune(self, anchor, delta):
+        """nu_q^2 - lam for every bin (m, n_bins), free of cancellation."""
+        return self.gaps[anchor] - delta[:, None]
+
+    def bands(self, anchor, delta):
+        """Distinct band rows of S at each lam, and ``detune``.
+
+        Returns (diag, off, detune); diag[:, j] holds the distinct diagonal
+        entries of S(lam_j), spread over the rows by ``diag_index``.
+        """
+        lam = self.anchors[anchor] + delta
+        detune = self.detune(anchor, delta)
+        g = -lam * np.sum(self.weights / detune, axis=1)
+
+        def rows(table):
+            s, m, a = table[:, :, None]
+            return s - m * lam + a * g
+
+        return rows(self.diag_rows), rows(self.off_rows), detune
+
+    def count(self, anchor, delta):
+        """Pencil eigenvalues below lam = anchors[anchor] + delta, each."""
+        diag, off, detune = self.bands(anchor, delta)
+        off *= off
+        diag, off = list(diag), list(off)
+        pivots = negative_pivots([diag[i] for i in self.diag_index.tolist()],
+                                 [off[i] for i in self.off_index.tolist()])
+        below = np.count_nonzero(detune < 0.0, axis=1)
+        return self.n_elements * below + pivots
+
+    def count_at(self, lam):
+        """``count`` at plain lam values; one exactly on a bin moves an ulp down."""
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        anchor = self.nearest(lam)
+        delta = lam - self.anchors[anchor]
+        on_bin = (delta == 0.0) & (anchor > 0)
+        delta[on_bin] = -np.spacing(self.anchors[anchor[on_bin]])
+        return self.count(anchor, delta)
+
+    def matrices(self, anchor, delta):
+        """Full bands of S, one row per lam: (m, n_em) and (m, n_em - 1)."""
+        diag, off, _ = self.bands(anchor, delta)
+        return diag.T[:, self.diag_index], off.T[:, self.off_index]
+
+
+def eigenvalue_count(system: GevpSystem, lam) -> np.ndarray:
+    """Number of pencil eigenvalues omega^2 strictly below each lam >= 0.
+
+    O(n_em) per value and no dense matrix: the Wittrick-Williams count of
+    ``_Schur``. A lam exactly on a bin nu_q^2 is counted one ulp below it.
+    """
+    return _Schur.of(system).count_at(lam)
+
+
+def _bisect(schur: _Schur, first, last, lam_lo, lam_hi):
+    """Eigenvalues first..last-1, all in [lam_lo, lam_hi], as (anchor, delta).
+
+    Every mode is bisected at once with the count. Each round re-anchors
+    the bracket at the bin nearest its midpoint, so the bracket ends are
+    offsets from that bin, and a mode stops once the offset itself is
+    resolved to a few ulps (not lam: that is what the near-dark modes
+    need). Modes sharing a bracket, as all do at first, share one count.
+    """
+    target = np.arange(first, last)
+    anchor = np.zeros(target.size, dtype=int)
+    lo = np.full(target.size, float(lam_lo))
+    hi = np.full(target.size, float(lam_hi))
+    active = np.arange(target.size)
+    eps = np.finfo(float).eps
+    while active.size:
+        a, l, h = anchor[active], lo[active], hi[active]
+        new = schur.nearest(schur.anchors[a] + 0.5 * (l + h))
+        shift = schur.anchors[a] - schur.anchors[new]
+        l, h = l + shift, h + shift
+        mid = 0.5 * (l + h)
+        mid = np.where(mid == 0.0, 0.5 * h, mid)  # a bin itself is singular
+        _, first_of, inverse = np.unique(
+            np.stack((new, mid)), axis=1, return_index=True,
+            return_inverse=True,
+        )
+        count = schur.count(new[first_of], mid[first_of])
+        stuck = (mid == l) | (mid == h)
+        above = count[inverse.ravel()] > target[active]
+        h = np.where(above, mid, h)
+        l = np.where(above, l, mid)
+        anchor[active], lo[active], hi[active] = new, l, h
+        done = stuck | (h - l <= 4.0 * eps * np.maximum(np.abs(l), np.abs(h)))
+        active = active[~done]
+    delta = 0.5 * (lo + hi)
+    return anchor, np.where(delta == 0.0, hi, delta)
+
+
 def diagonalize(system: GevpSystem, band=None) -> ModeSet:
-    """Solve the dense pencil and package the modes.
+    """Eigenmodes of the pencil (K, B) with omega in band, without K or B.
 
     band, when given, is an (omega_lo, omega_hi) pair restricting which
-    eigenfrequencies are kept; everything is computed either way (the
-    dense solver has no useful partial mode, and the pencil is desk
-    scale by construction).
+    eigenfrequencies are kept; None keeps the whole (positive) spectrum.
+    Each kept eigenvalue lam = omega^2 is bisected with the inertia count
+    of ``_Schur``, carried as an offset from its nearest bin. Two
+    inverse-iteration steps on the Schur complement S(lam) give the field
+    part v; the oscillator part follows from the eliminated rows,
+    y_eq = (1/2) sqrt(h_e) nu_q sqrt(w_q) (v_p + v_q) / (nu_q^2 - lam),
+    and the pair is normalized in B (``_orthogonalize_clusters`` handles
+    near-degenerate modes). The certificate ``normalization_residual`` is
+    the largest deviation from B-orthonormality over up to 256 modes
+    spread across the band, computed with banded products and the
+    rank-one structure of each y.
     """
-    K, B = system.dense_operators()
-    values, vectors = scipy.linalg.eigh(K, B, overwrite_a=True)
-    positive = values > 1e-12 * max(float(values[-1]), 1.0)
-    freqs = np.sqrt(values[positive])
-    vectors = vectors[:, positive]
-
-    if band is not None:
+    n = system.size
+    if n > DEFAULT_DOF_CAP:
+        raise ValueError(
+            f"pencil has {n} dofs, above the cap {DEFAULT_DOF_CAP}; "
+            "coarsen the mesh or reduce n_bins"
+        )
+    schur = _Schur.of(system)
+    if band is None:
+        lam_lo = 0.0
+        lam_hi = 2.0 * max(1.0, float(schur.anchors[-1]),
+                           float(np.max(system.em_s_diag / system.em_m_diag)))
+        while schur.count_at(lam_hi)[0] < n:
+            lam_hi *= 2.0
+    else:
         lo, hi = band
         if not lo < hi:
             raise ValueError(f"band must be (lo, hi) with lo < hi, got {band}")
-        keep = (freqs >= lo) & (freqs <= hi)
-        freqs = freqs[keep]
-        vectors = vectors[:, keep]
-
-    n_kept = freqs.size
-    if n_kept == 0:
+        lam_lo, lam_hi = max(lo, 0.0) ** 2, float(hi) ** 2
+    first, last = schur.count_at([lam_lo, lam_hi])
+    if last <= first:
         raise ValueError("no positive eigenfrequencies in the requested band")
 
-    sample = np.unique(np.linspace(0, n_kept - 1, min(n_kept, 256)).astype(int))
-    probe = vectors[:, sample]
-    gram = probe.T @ (B @ probe)
-    residual = float(np.max(np.abs(gram - np.eye(sample.size))))
+    anchor, delta = _bisect(schur, first, last, lam_lo, lam_hi)
+    lam = schur.anchors[anchor] + delta
+    detune = schur.detune(anchor, delta)
+    fields = np.zeros((lam.size, system.mesh.n_nodes))
+    v = fields[:, 1:-1]  # field parts, filled in place
+    # a start vector of its own per mode, so that modes of one cluster land
+    # on different directions of its invariant subspace; modes go through
+    # in blocks, so no (modes, n_em) band matrix is ever held whole
+    rng = np.random.default_rng(0)
+    for block in np.split(np.arange(lam.size),
+                          np.arange(_MODE_BLOCK, lam.size, _MODE_BLOCK)):
+        diag, off = schur.matrices(anchor[block], delta[block])
+        v[block] = inverse_iteration(diag, off,
+                                     rng.standard_normal(diag.shape))
 
-    fields = np.zeros((n_kept, system.mesh.n_nodes))
-    fields[:, 1:-1] = vectors[: system.n_em].T
+    p, q = system.slab_dof_pairs.T
+    # y_m = slab_m (x) bins_m: one factor per slab element, one per bin
+    slab = 0.5 * np.sqrt(system.slab_lengths) * (v[:, p] + v[:, q])
+    bins = system.bin_frequencies * np.sqrt(system.bin_weights) / detune
+    bv = _mass_times(system, v)
+    scale = 1.0 / np.sqrt(np.einsum("ij,ij->i", v, bv)
+                          + np.sum(slab**2, axis=1) * np.sum(bins**2, axis=1))
+    v *= scale[:, None]
+    bv *= scale[:, None]
+    slab *= scale[:, None]
+    _orthogonalize_clusters(delta, lam, v, bv, slab, bins)
+
+    sample = np.unique(np.linspace(0, lam.size - 1,
+                                   min(lam.size, 256)).astype(int))
+    gram = (v[sample] @ bv[sample].T
+            + (slab[sample] @ slab[sample].T) * (bins[sample] @ bins[sample].T))
+    residual = float(np.max(np.abs(gram - np.eye(sample.size))))
     return ModeSet(
-        frequencies=freqs,
+        frequencies=np.sqrt(lam),
         e_fields=fields,
         nodes=system.mesh.nodes.copy(),
         normalization_residual=residual,
     )
+
+
+def _orthogonalize_clusters(delta, lam, v, bv, slab, bins):
+    """B-orthonormalize, in place, modes closer than ``_CLUSTER_GAP``.
+
+    Inverse iteration cannot tell apart modes whose spacing is far below
+    their offset from the nearest bin (the small medium-1 reference box has
+    a pair split by 1.2e-11 of it, left 4.6e-5 from orthogonal). Their
+    vectors are Gram-Schmidt orthogonalized, twice, in the full pencil
+    metric: mode k's oscillator part is linear in v_k at its own lam_k, so
+    the B product of mode j with v is (B v_j).v + (slab_j.slab(v))
+    (bins_j.bins_k), and removing c v_j from v_k makes the pair exactly
+    B-orthogonal.
+    """
+    close = np.diff(lam) < _CLUSTER_GAP * np.maximum(np.abs(delta[1:]),
+                                                     np.abs(delta[:-1]))
+    runs = np.flatnonzero(np.diff(np.concatenate(([0], close, [0]))))
+    for first, last in zip(runs[::2], runs[1::2]):
+        for k in range(first + 1, last + 1):
+            for _ in range(2):
+                for j in range(first, k):
+                    overlap = bins[j] @ bins[k]
+                    c = (bv[j] @ v[k] + overlap * (slab[j] @ slab[k])) / (
+                        bv[j] @ v[j] + overlap * (slab[j] @ slab[j]))
+                    v[k] -= c * v[j]
+                    bv[k] -= c * bv[j]
+                    slab[k] -= c * slab[j]
+            scale = 1.0 / np.sqrt(bv[k] @ v[k]
+                                  + (slab[k] @ slab[k]) * (bins[k] @ bins[k]))
+            v[k] *= scale
+            bv[k] *= scale
+            slab[k] *= scale
+
+
+def _mass_times(system: GevpSystem, v):
+    """B_em applied to every row of v (banded product)."""
+    out = v * system.em_m_diag
+    out[:, :-1] += v[:, 1:] * system.em_m_off
+    out[:, 1:] += v[:, :-1] * system.em_m_off
+    return out
 
 
 def ser_modes(modes: ModeSet, x_a: float, omega_a: float, eta: float):
@@ -402,7 +666,7 @@ def purcell_from_modes(modes: ModeSet, x_a: float, omega_a: float,
 
 def gevp_mesh(medium: MediumSpec, bath: BathConfig, k_max: float = 1000.0,
               points_per_wavelength: float = 10.0) -> Mesh1D:
-    """Closed-box mesh sized for the dense eigensolve.
+    """Closed-box mesh for the eigenmode route (10 points per wavelength).
 
     Both atom sites land on nodes so rates can be sampled there directly.
     """

@@ -335,6 +335,45 @@ def test_modes_column_filled_when_enabled(tmp_path):
     assert np.all(pf_modes > 0.5) and np.all(pf_modes < 1.5)
 
 
+def modes_metadata(path):
+    """(count, band, residual) from the ``modes:`` metadata line, or None."""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# modes: "):
+            count, rest = line.removeprefix("# modes: ").split(" in band ")
+            band, residual = rest.split(", normalization_residual = ")
+            lo, hi = band.strip("[]").split(", ")
+            return int(count), (float(lo), float(hi)), float(residual)
+    return None
+
+
+def test_modes_metadata_reports_count_band_and_residual(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "case = vacuum\nsweep.min = 450\nsweep.max = 750\nsweep.count = 3\n"
+        "methods.modes = true\nmodes.box_length = 0.25\nmodes.eta = 30\n"
+    )
+    lines = {}
+    for command in ("sweep", "modes"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        lines[command] = modes_metadata(out)
+        # the line sits in the metadata; the echo still reads back
+        assert read_config_echo(out).method_modes
+    count, band, residual = lines["modes"]
+    assert lines["sweep"] == lines["modes"]
+    assert band == (1.0, 1050.0)  # kept 300 past the top of the grid
+    assert residual < 1e-10
+    _, spectrum = csv_rows(tmp_path / "modes_spectrum.csv")
+    assert len(spectrum) == count
+    assert modes_metadata(tmp_path / "modes_spectrum.csv") == lines["modes"]
+
+
+def test_sweep_without_modes_has_no_modes_line(tmp_path):
+    out = tmp_path / "v.csv"
+    assert main(["sweep", "--case", "vacuum", "--out", str(out)]) == 0
+    assert modes_metadata(out) is None
+
+
 # ---------------------------------------------------------------- checks
 
 

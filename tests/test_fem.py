@@ -17,6 +17,8 @@ from slabqed.fem import (
     assemble,
     evaluate_field,
     factorization,
+    inverse_iteration,
+    negative_pivots,
 )
 from slabqed.greens import reciprocity_residual, sample_green, solve_point_source
 from slabqed.identities import check_thermal_equilibrium
@@ -151,6 +153,45 @@ def test_singular_at_discrete_resonance():
     fact = Factorization(assemble(mesh, VACUUM, 0.9 * k_res))
     assert isinstance(fact, Factorization)
     assert lam.size == mesh.n_interior
+
+
+def test_negative_pivots_count_negative_eigenvalues():
+    rng = np.random.default_rng(3)
+    n, m = 40, 25
+    diag = rng.standard_normal((n, m))
+    off = rng.standard_normal((n - 1, m))
+    diag[5] = diag[3]  # rows may be shared
+    counts = negative_pivots(list(diag), list(off**2))
+    for j in range(m):
+        lam = eigh_tridiagonal(diag[:, j], off[:, j], eigvals_only=True)
+        assert counts[j] == np.sum(lam < 0)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_negative_pivots_zero_pivot_counts_once(zero):
+    # [[0, 1], [1, 0]] has eigenvalues -1 and 1 whichever sign the zero has
+    counts = negative_pivots([np.array([zero]), np.array([0.0])],
+                             [np.array([1.0])])
+    assert counts.tolist() == [1]
+
+
+def test_inverse_iteration_finds_the_null_vector():
+    n = 30
+    diag = np.full(n, 2.0)
+    off = np.full(n - 1, -1.0)
+    lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=(4, 4))
+    v = inverse_iteration((diag - lam)[None], off[None], np.ones((1, n)))
+    assert abs(abs(v[0] @ vec[:, 0]) - 1.0) < 1e-12
+
+
+def test_inverse_iteration_survives_an_exact_zero_pivot():
+    # [[1,1,0],[1,2,1],[0,1,1]] is singular and its LU ends on an exact 0
+    diag = np.array([[1.0, 2.0, 1.0]])
+    off = np.array([[1.0, 1.0]])
+    v = inverse_iteration(diag, off, np.array([[1.0, 0.3, -0.2]]))
+    assert np.all(np.isfinite(v))
+    expected = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
+    assert abs(abs(v[0] @ expected) - 1.0) < 1e-12
 
 
 def test_evaluate_field_interpolation():

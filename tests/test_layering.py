@@ -1,8 +1,9 @@
 """Import structure of the package, read from the source with ``ast``.
 
 The oracle must stay independent of the finite-element stack, modules talk
-through public names only, the element quadrature rule and the LU live in
-``fem``, and nothing runs on a thread pool.
+through public names only, the element quadrature rule, the LU and every
+other LAPACK call live in ``fem``, no module runs a dense eigensolver, and
+nothing runs on a thread pool.
 """
 
 import ast
@@ -67,13 +68,32 @@ def test_only_fem_builds_an_lu(name):
     assert "Factorization" not in names_in(MODULES[name])
 
 
-@pytest.mark.parametrize("name", sorted(MODULES))
-def test_no_module_uses_a_worker_pool(name):
-    imported = {
+def imported_modules(tree):
+    """Every module a tree imports, or imports names from."""
+    return {
         alias.name if isinstance(node, ast.Import) else node.module
-        for node in ast.walk(MODULES[name])
+        for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_module_uses_a_worker_pool(name):
     assert not any(module and module.startswith("concurrent")
-                   for module in imported)
+                   for module in imported_modules(MODULES[name]))
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"fem"}))
+def test_only_fem_calls_lapack(name):
+    # the tridiagonal kernels (LU, pivot count, inverse iteration) are fem's
+    tree = MODULES[name]
+    assert not {"get_lapack_funcs", "gttrf", "gttrs"} & names_in(tree)
+    assert not any(module and module.startswith("scipy.linalg")
+                   for module in imported_modules(tree))
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_dense_eigensolver_in_src(name):
+    # eigenmodes come from the inertia count and inverse iteration
+    assert not {"eigh", "eigvalsh", "eig"} & names_in(MODULES[name])

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from slabqed.medium import CASE_PRESETS, MediumSpec, case_preset
+from slabqed.medium import (
+    ATOM_INSIDE,
+    ATOM_OUTSIDE,
+    CASE_PRESETS,
+    MediumSpec,
+    case_preset,
+)
 from slabqed.mesh import PmlSpec, build_mesh
 from slabqed.micromodes import (
     BathConfig,
+    ModeSet,
     build_gevp,
     diagonalize,
     effective_susceptibility,
+    eigenvalue_count,
     frequency_bins,
     gevp_mesh,
     oscillator_strength,
@@ -263,3 +273,102 @@ def test_gevp_mesh_puts_atom_sites_on_nodes():
     assert mesh.pml is None
     mesh.find_node(0.0)
     mesh.find_node(0.0625)
+
+
+# ------------------------------------------- reference: dense eigh on small boxes
+
+_M1 = CASE_PRESETS["1"]
+REFERENCE_MEDIA = {
+    "1": _M1,
+    "2": CASE_PRESETS["2"],
+    "vacuum": CASE_PRESETS["vacuum"],  # no bins: a pure field count
+    # gamma = 0: one undamped bin at omega_0 = 500, inside the band
+    "lossless 1": MediumSpec(_M1.omega_p, _M1.omega_0, 0.0,
+                             _M1.slab_half_length),
+}
+SMALL_BOX = 0.25
+
+
+def small_box_system(medium, n_bins=8, box_length=SMALL_BOX):
+    bath = BathConfig(n_bins=n_bins, box_length=box_length)
+    return build_gevp(gevp_mesh(medium, bath, k_max=300.0), medium, bath)
+
+
+def dense_modes(system, band):
+    """The ModeSet of a dense generalized eigh of the reference operators."""
+    values, vectors = scipy.linalg.eigh(*system.dense_operators())
+    keep = (values >= band[0] ** 2) & (values <= band[1] ** 2)
+    fields = np.zeros((int(keep.sum()), system.mesh.n_nodes))
+    fields[:, 1:-1] = vectors[: system.n_em, keep].T
+    return ModeSet(np.sqrt(values[keep]), fields, system.mesh.nodes.copy(), 0.0)
+
+
+@pytest.mark.parametrize("label", sorted(REFERENCE_MEDIA))
+def test_diagonalize_matches_dense_reference(label):
+    system = small_box_system(REFERENCE_MEDIA[label])
+    band = (1.0, 1000.0)
+    modes = diagonalize(system, band=band)
+    reference = dense_modes(system, band)
+    assert modes.n_modes == reference.n_modes
+    np.testing.assert_allclose(modes.frequencies, reference.frequencies,
+                               rtol=1e-10)
+    assert modes.normalization_residual < 1e-10
+    eta = 4.0 * np.pi / SMALL_BOX
+    for x_a in (ATOM_INSIDE, ATOM_OUTSIDE):
+        for omega in (300.0, 450.0, 500.0, 550.0, 700.0):
+            np.testing.assert_allclose(
+                purcell_from_modes(modes, x_a, omega, eta),
+                purcell_from_modes(reference, x_a, omega, eta),
+                rtol=1e-10,
+            )
+
+
+def test_whole_spectrum_when_no_band():
+    system = small_box_system(REFERENCE_MEDIA["1"])
+    values = scipy.linalg.eigh(*system.dense_operators(), eigvals_only=True)
+    modes = diagonalize(system)
+    assert modes.n_modes == system.size
+    np.testing.assert_allclose(modes.frequencies**2, values, rtol=1e-10)
+    assert modes.normalization_residual < 1e-10
+
+
+def test_count_on_a_bin_counts_just_below_it():
+    system = small_box_system(REFERENCE_MEDIA["lossless 1"])
+    values = scipy.linalg.eigh(*system.dense_operators(), eigvals_only=True)
+    on_bin = float(system.bin_frequencies[0] ** 2)
+    assert eigenvalue_count(system, on_bin)[0] == np.sum(values < on_bin)
+    # a band edge on the bin still brackets the modes below it
+    modes = diagonalize(system, band=(1.0, float(system.bin_frequencies[0])))
+    assert modes.n_modes == np.sum((values >= 1.0) & (values <= on_bin))
+
+
+# the drawn lam keeps this relative distance from every eigenvalue and bin,
+# far above the ~1e-12 relative accuracy of the dense reference
+COUNT_MARGIN = 1e-7
+
+
+@st.composite
+def small_pencils(draw):
+    lossy = draw(st.booleans())
+    medium = MediumSpec(
+        omega_p=draw(st.sampled_from([0.0, 30.0, 100.0, 250.0])),
+        omega_0=draw(st.floats(150.0, 900.0)),
+        gamma=draw(st.floats(1.0, 100.0)) if lossy else 0.0,
+        slab_half_length=draw(st.floats(0.015, 0.03125)),
+    )
+    return small_box_system(medium, n_bins=draw(st.integers(8, 14)),
+                            box_length=draw(st.floats(0.25, 0.35)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(system=small_pencils(),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
+def test_count_is_monotone_and_matches_dense_eigh(system, fractions):
+    values = scipy.linalg.eigh(*system.dense_operators(), eigvals_only=True)
+    lam = np.sort(np.asarray(fractions)) * 1.2 * values[-1] + 1.0
+    special = np.concatenate((values, system.bin_frequencies**2))
+    for x in lam:
+        assume(np.min(np.abs(special - x)) > COUNT_MARGIN * x)
+    counts = eigenvalue_count(system, lam)
+    assert np.all(np.diff(counts) >= 0)
+    np.testing.assert_array_equal(counts, np.searchsorted(values, lam))
