@@ -446,6 +446,7 @@ def cmd_check_identities(config: RunConfig) -> int:
                     check_lossless_identity_failure(system),
                     config.lossless_min, ">",
                 )
+    del system  # the checks keep G with their system; free the last one
 
     # field-correlation balance on a resolved mesh, from the same lattice
     # scattering states as the sweep's tec_residual; what remains is the

@@ -20,6 +20,20 @@ real symmetric tridiagonal kernels of the eigenmode route; with the LU they
 are the only LAPACK calls in the package.
 The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
+
+With s = 1 + (i/k) sigma in the absorbing layers and eps_r = 1 + chi(k)
+in the slab (the two never overlap), the mass splits as
+
+    M = M_0 + chi(k) M_slab + (i/k) M_sigma,
+
+and only three pieces of the operator vary with k: the stiffness of the
+absorbing-layer elements (1/s is not linear in k), the scalar chi(k) and
+the 1/k weight of M_sigma. ``static_bands`` builds the rest once per
+(mesh, medium) and keeps it with the mesh: the three mass bands M_0,
+M_slab and M_sigma, the sigma of the layer elements at their Gauss points
+and the stiffness of every other element. ``assemble`` then does O(n)
+band arithmetic per frequency and no quadrature; it refuses a medium whose
+slab reaches into an absorbing layer, where the split would not hold.
 """
 
 from __future__ import annotations
@@ -71,13 +85,14 @@ def lattice_wavenumber(k: float, h):
     return float(kt) if kt.ndim == 0 else kt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemMatrices:
     """Assembled tridiagonal bands over all nodes, walls included.
 
     ``s_diag/s_off`` and ``m_diag/m_off`` are the stiffness and mass bands;
     ``off[i]`` couples node i to node i+1. Interior (Dirichlet-reduced)
-    views are provided for the solver and the identity checks.
+    views are provided for the solver and the identity checks. Systems
+    compare and hash by identity, so work done on one can be keyed to it.
     """
 
     mesh: Mesh1D
@@ -107,6 +122,14 @@ class SystemMatrices:
             (self.s_diag - k2 * self.m_diag)[1:-1],
             (self.s_off - k2 * self.m_off)[1:-1],
         )
+
+    def factorize(self) -> Factorization:
+        """A fresh LU of this system's interior operator.
+
+        For checks that work on the system they are given; solvers take
+        the mesh's shared LU from ``factorization`` instead.
+        """
+        return Factorization(self)
 
 
 def element_quadrature(mesh: Mesh1D, elements=slice(None)):
@@ -143,6 +166,81 @@ def p1_load(mesh: Mesh1D, elements, scale, profile) -> np.ndarray:
     return f
 
 
+def _gauss_sum(values):
+    """Sum over the last axis, the 4 Gauss points, as (v0 + v1) + (v2 + v3).
+
+    The order numpy uses for complex sums, so the vacuum bands, now summed
+    in real arithmetic, keep the last bit they had when summed as complex.
+    """
+    return ((values[..., 0] + values[..., 1])
+            + (values[..., 2] + values[..., 3]))
+
+
+def _mass_bands(half, weight):
+    """Bands of int weight N_a N_b dx; ``weight`` is given per Gauss point."""
+    common = weight * GAUSS_WEIGHTS * half
+    m_lo = _gauss_sum(common * _SHAPE_LO**2)
+    m_hi = _gauss_sum(common * _SHAPE_HI**2)
+    diag = np.zeros(m_lo.size + 1)
+    diag[:-1] += m_lo
+    diag[1:] += m_hi
+    off = _gauss_sum(common * _SHAPE_LO * _SHAPE_HI)
+    return _read_only(diag), _read_only(off)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class StaticBands:
+    """The k-independent parts of the operator on one (mesh, medium).
+
+    ``m0_*`` is the vacuum mass, ``slab_*`` the mass over the Gauss points
+    the medium places in its slab, and ``sigma_*`` the mass weighted by the
+    absorbing-layer profile sigma (None without a layer). ``stiffness`` is
+    the element stiffness with s = 1; the entries of the ``pml`` elements
+    are replaced per k from their Gauss-point ``pml_sigma``. Holds arrays
+    only, not the mesh, so a copy kept for a mesh dies with it.
+    """
+
+    def __init__(self, mesh: Mesh1D, medium: MediumSpec):
+        points, half, _ = element_quadrature(mesh)
+        # s(x, 1) = 1 + i sigma(x), so its imaginary part is sigma exactly
+        sigma = mesh.stretch_factor(points, 1.0).imag
+        in_slab = medium.in_slab(points)
+        if np.any(in_slab & (sigma > 0)):
+            raise ValueError("the slab reaches into the absorbing layer")
+        two_h = 2.0 * mesh.element_lengths
+        self.m0_diag, self.m0_off = _mass_bands(half, 1.0)
+        self.slab_diag, self.slab_off = _mass_bands(half, in_slab)
+        self.stiffness = _read_only(_gauss_sum(GAUSS_WEIGHTS) / two_h)
+        self.pml = _read_only(np.flatnonzero(np.any(sigma > 0, axis=1)))
+        self.pml_sigma = _read_only(sigma[self.pml])
+        self.pml_two_h = _read_only(two_h[self.pml])
+        self.sigma_diag = self.sigma_off = None
+        if self.pml.size:
+            self.sigma_diag, self.sigma_off = _mass_bands(half, sigma)
+
+
+# mesh -> (medium, StaticBands) of the last medium assembled on that mesh
+_STATIC = weakref.WeakKeyDictionary()
+
+
+def static_bands(mesh: Mesh1D, medium: MediumSpec) -> StaticBands:
+    """The k-independent bands of (mesh, medium), built once per pair.
+
+    Kept like the LU of ``factorization``: one slot per mesh, replaced when
+    another medium is assembled on it and freed with the mesh.
+    """
+    cached = _STATIC.get(mesh)
+    if cached is not None and cached[0] == medium:
+        return cached[1]
+    bands = StaticBands(mesh, medium)
+    _STATIC[mesh] = (medium, bands)
+    return bands
+
+
 def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     """Assemble stiffness and mass bands for wavenumber k.
 
@@ -150,8 +248,9 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     ----------
     mesh : Mesh1D
     medium : MediumSpec
-        Supplies eps_r(x, k); evaluated at the quadrature points, so the
-        slab faces (which are always mesh nodes) split elements cleanly.
+        Supplies chi(k) and the slab extent; the slab test is made at the
+        quadrature points, so the slab faces (which are always mesh nodes)
+        split elements cleanly.
     k : float
         Wavenumber; enters through the stretch profile and eps_r dispersion.
 
@@ -161,31 +260,27 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     """
     if k <= 0:
         raise ValueError(f"k must be > 0, got {k}")
-    h = mesh.element_lengths
-    xg, half, _ = element_quadrature(mesh)
-    sg = mesh.stretch_factor(xg, k)
-    eg = medium.relative_permittivity(xg, k)
-
+    static = static_bands(mesh, medium)
+    chi = complex(medium.susceptibility(k))
+    m_diag = static.m0_diag + chi * static.slab_diag
+    m_off = static.m0_off + chi * static.slab_off
     # stiffness: hat slopes are constant +-1/h, so the element matrix is
     # k_e * [[1, -1], [-1, 1]] with k_e = (1/2h) sum w/s
-    k_e = np.sum(GAUSS_WEIGHTS / sg, axis=1) / (2.0 * h)
-    # mass: (h/2) sum w eps s N_a N_b
-    common = eg * sg * GAUSS_WEIGHTS * half
-    m_lo = np.sum(common * _SHAPE_LO**2, axis=1)
-    m_hi = np.sum(common * _SHAPE_HI**2, axis=1)
-    m_x = np.sum(common * _SHAPE_LO * _SHAPE_HI, axis=1)
+    k_e = static.stiffness.astype(complex)
+    if static.pml.size:
+        stretch = 1.0 + (1j / k) * static.pml_sigma
+        k_e[static.pml] = (_gauss_sum(GAUSS_WEIGHTS / stretch)
+                           / static.pml_two_h)
+        m_diag += (1j / k) * static.sigma_diag
+        m_off += (1j / k) * static.sigma_off
 
-    n = mesh.n_nodes
-    s_diag = np.zeros(n, dtype=complex)
-    m_diag = np.zeros(n, dtype=complex)
+    s_diag = np.zeros(mesh.n_nodes, dtype=complex)
     s_diag[:-1] += k_e
     s_diag[1:] += k_e
-    m_diag[:-1] += m_lo
-    m_diag[1:] += m_hi
     return SystemMatrices(
         mesh=mesh, k=float(k),
         s_diag=s_diag, s_off=-k_e,
-        m_diag=m_diag, m_off=m_x,
+        m_diag=m_diag, m_off=m_off,
     )
 
 
@@ -213,17 +308,23 @@ class Factorization:
         self._gttrs = gttrs
 
     def solve(self, rhs_interior: np.ndarray) -> np.ndarray:
-        """Solve L u = rhs on the interior; returns all-node dofs (walls 0)."""
-        rhs = np.ascontiguousarray(rhs_interior, dtype=complex)
-        if rhs.shape != (self.n_interior,):
+        """Solve L u = rhs on the interior; returns all-node dofs (walls 0).
+
+        ``rhs_interior`` is one right-hand side (n,) or a block (n, m) of
+        them, solved in one call; the result then has one column per
+        right-hand side.
+        """
+        rhs = np.asfortranarray(rhs_interior, dtype=complex)
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.n_interior:
             raise ValueError(
-                f"rhs must have shape ({self.n_interior},), got {rhs.shape}"
+                f"rhs must have shape ({self.n_interior},) or "
+                f"({self.n_interior}, m), got {rhs.shape}"
             )
         dl, d, du, du2, ipiv = self._factors
         x, info = self._gttrs(dl, d, du, du2, ipiv, rhs)
         if info != 0:
             raise RuntimeError(f"gttrs failed with info = {info}")
-        dofs = np.zeros(self.n_interior + 2, dtype=complex)
+        dofs = np.zeros((self.n_interior + 2,) + rhs.shape[1:], dtype=complex)
         dofs[1:-1] = x
         return dofs
 

@@ -12,6 +12,12 @@ medium-only identity, which must fail wherever radiation escapes; its
 failure is the operator-level reason the medium-only emission rate misses
 the boundary contribution.
 
+G is dense, but it comes through the tridiagonal LU: one block solve of
+the identity, O(n^2). Each term G D G~ is L^{-1} (D conj G), a banded
+product and one more block solve, so no dense matrix product or dense
+solve is formed. The two checks on one system share its G, which is
+freed with the system.
+
 The pointwise balance check compares the flux functional
 
     F(x_a, x_b) = Im G(x_a, x_b) - k^2 int chi_I G(x_a, x') G*(x', x_b) dx'
@@ -25,26 +31,57 @@ measure the same balance.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from .fem import DEFAULT_DOF_CAP, SystemMatrices, dense_tridiagonal
+from .fem import DEFAULT_DOF_CAP, SystemMatrices
 from .greens import slab_quadrature, solve_point_source
 from .medium import MediumSpec
 from .mesh import Mesh1D
 from .scattering import lattice_plane_wave, solve_scattering
 
+# system -> (LU, G) for the checks on that system; dies with the system
+_INVERSES = weakref.WeakKeyDictionary()
 
-def _dense_green(system: SystemMatrices) -> np.ndarray:
-    n = system.n_interior
-    if n > DEFAULT_DOF_CAP:
-        raise ValueError(
-            f"dense inverse needs {n} dofs, above the cap {DEFAULT_DOF_CAP}; "
-            "use a coarser mesh"
-        )
-    diag, off = system.operator_interior()
-    return np.linalg.solve(
-        dense_tridiagonal(diag, off), np.eye(n, dtype=complex)
-    )
+
+def _inverse(system: SystemMatrices):
+    """The LU of L and G = L^{-1} on the interior, once per system.
+
+    G comes from one block solve of the identity through the tridiagonal
+    LU, O(n^2); it is dense, so systems above the dof cap are refused.
+    """
+    cached = _INVERSES.get(system)
+    if cached is None:
+        n = system.n_interior
+        if n > DEFAULT_DOF_CAP:
+            raise ValueError(
+                f"dense inverse needs {n} dofs, above the cap "
+                f"{DEFAULT_DOF_CAP}; use a coarser mesh"
+            )
+        lu = system.factorize()
+        cached = _INVERSES[system] = (
+            lu, lu.solve(np.eye(n, dtype=complex))[1:-1])
+    return cached
+
+
+def _sandwich(system: SystemMatrices, bands, columns=slice(None)):
+    """Columns of G D G~ for the real tridiagonal D = (diag, off).
+
+    G is symmetric, so G D G~ = L^{-1} (D conj G): a banded product and one
+    more block solve, O(n^2) for all columns.
+    """
+    lu, green = _inverse(system)
+    diag, off = bands
+    block = np.conj(green[:, columns])
+    product = diag[:, None] * block
+    product[:-1] += off[:, None] * block[1:]
+    product[1:] += off[:, None] * block[:-1]
+    return lu.solve(product)[1:-1]
+
+
+def _imaginary_parts(bands):
+    return tuple(band.imag for band in bands)
 
 
 def check_discrete_ddgt(system: SystemMatrices) -> float:
@@ -54,14 +91,12 @@ def check_discrete_ddgt(system: SystemMatrices) -> float:
     any assembled system, lossy or not. A closed lossless box degenerates
     to 0 = 0 and reports 0.
     """
-    green = _dense_green(system)
-    green_h = green.conj().T
-    s_im = dense_tridiagonal(*system.stiffness_interior()).imag
-    m_im = dense_tridiagonal(*system.mass_interior()).imag
+    _, green = _inverse(system)
     residual = (
         green.imag
-        + green @ s_im @ green_h
-        - system.k**2 * (green @ m_im @ green_h)
+        + _sandwich(system, _imaginary_parts(system.stiffness_interior()))
+        - system.k**2 * _sandwich(
+            system, _imaginary_parts(system.mass_interior()))
     )
     num = float(np.max(np.abs(residual)))
     den = float(np.max(np.abs(green.imag)))
@@ -90,12 +125,12 @@ def check_lossless_identity_failure(
     if keep.size == 0:
         raise ValueError(f"no interior nodes inside window {window}")
 
-    green = _dense_green(system)
-    m_im = dense_tridiagonal(*system.mass_interior()).imag
-    residual = green.imag - system.k**2 * (green @ m_im @ green.conj().T)
-    sub = np.ix_(keep, keep)
-    num = float(np.max(np.abs(residual[sub])))
-    den = float(np.max(np.abs(green.imag[sub])))
+    _, green = _inverse(system)
+    medium = _sandwich(system, _imaginary_parts(system.mass_interior()), keep)
+    green_imag = green.imag[np.ix_(keep, keep)]
+    residual = green_imag - system.k**2 * medium[keep]
+    num = float(np.max(np.abs(residual)))
+    den = float(np.max(np.abs(green_imag)))
     if num == 0.0:
         return 0.0
     return num / max(den, 1e-300)

@@ -72,10 +72,13 @@ class MediumSpec:
         ``omega`` gives the permittivity profile used in assembly.
         """
         x = np.asarray(x, dtype=float)
-        inside = np.abs(x) <= self.slab_half_length
         eps = np.ones(x.shape, dtype=complex)
-        eps[inside] += self.susceptibility(omega)
+        eps[self.in_slab(x)] += self.susceptibility(omega)
         return eps if eps.ndim else complex(eps)
+
+    def in_slab(self, x):
+        """True where ``x`` lies in the slab, faces included."""
+        return np.abs(x) <= self.slab_half_length
 
 
 # Reference parameter set used throughout: a slab of length 1/16 m with a

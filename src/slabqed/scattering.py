@@ -178,16 +178,13 @@ def _outgoing_amplitude(solution: PlaneWaveSolution, side: int) -> complex:
     j0, j1 = _probe_pair(mesh, k, side)
     x = mesh.nodes[[j0, j1]]
     kt = lattice_wavenumber(k, float(x[1] - x[0]))
-    face = side * mesh.slab_half_length
-    basis = np.array([
-        np.exp(1j * side * kt * (x - face)),  # outgoing on this side
-        np.exp(-1j * side * kt * (x - face)),
-    ]).T
-    phi = np.array([
-        solution.scattered.at_node(j0),
-        solution.scattered.at_node(j1),
-    ])
-    out, _ = np.linalg.solve(basis, phi)
+    # phi_j = out e^{i theta_j} + back e^{-i theta_j}; eliminating back
+    # leaves the 2x2 solve in closed form
+    theta = side * kt * (x - side * mesh.slab_half_length)
+    phi0 = solution.scattered.at_node(j0)
+    phi1 = solution.scattered.at_node(j1)
+    out = ((phi0 * np.exp(-1j * theta[1]) - phi1 * np.exp(-1j * theta[0]))
+           / (2j * np.sin(theta[0] - theta[1])))
     return complex(out)
 
 

@@ -6,24 +6,31 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from slabqed import greens, scattering
 from slabqed.cli import main
 from slabqed.fem import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
     Factorization,
     FieldSolution,
     SingularOperatorError,
+    StaticBands,
     assemble,
+    element_quadrature,
     evaluate_field,
     factorization,
     inverse_iteration,
     negative_pivots,
+    static_bands,
 )
 from slabqed.greens import reciprocity_residual, sample_green, solve_point_source
 from slabqed.identities import check_thermal_equilibrium
 from slabqed.medium import CASE_PRESETS
-from slabqed.mesh import Mesh1D, PmlSpec, Region, build_mesh
+from slabqed.mesh import Mesh1D, PmlSpec, Region, build_box_mesh, build_mesh
 from slabqed.purcell import compute_record, sweep
 from slabqed.scattering import solve_scattering
 
@@ -78,6 +85,112 @@ def test_slab_and_pml_enter_the_bands():
     vac = np.flatnonzero(mesh.element_region == Region.VACUUM)
     assert np.all(system.s_off[vac].imag == 0)
     assert np.all(system.m_off[vac].imag == 0)
+
+
+def reference_bands(mesh, medium, k):
+    """Stiffness and mass bands from eps_r(x, k) s(x, k) at every Gauss point.
+
+    The per-frequency formula ``assemble`` used before it split off the
+    k-independent parts; kept here only as the reference.
+    """
+    h = mesh.element_lengths
+    xg, half, _ = element_quadrature(mesh)
+    sg = mesh.stretch_factor(xg, k)
+    eg = medium.relative_permittivity(xg, k)
+    lo, hi = 0.5 * (1.0 - GAUSS_NODES), 0.5 * (1.0 + GAUSS_NODES)
+    k_e = np.sum(GAUSS_WEIGHTS / sg, axis=1) / (2.0 * h)
+    common = eg * sg * GAUSS_WEIGHTS * half
+    s_diag = np.zeros(mesh.n_nodes, dtype=complex)
+    m_diag = np.zeros(mesh.n_nodes, dtype=complex)
+    s_diag[:-1] += k_e
+    s_diag[1:] += k_e
+    m_diag[:-1] += np.sum(common * lo**2, axis=1)
+    m_diag[1:] += np.sum(common * hi**2, axis=1)
+    return s_diag, -k_e, m_diag, np.sum(common * lo * hi, axis=1)
+
+
+ASSEMBLY_MEDIA = {
+    "vacuum": VACUUM,
+    "1": CASE1,
+    "2": CASE_PRESETS["2"],
+    "lossless 1": dataclasses.replace(CASE1, gamma=0.0),
+}
+
+
+@settings(deadline=None, max_examples=30)
+@given(k=st.floats(1.0, 2000.0), ppw=st.floats(10.0, 80.0),
+       name=st.sampled_from(sorted(ASSEMBLY_MEDIA)), box=st.booleans())
+def test_assemble_matches_the_per_gauss_point_formula(k, ppw, name, box):
+    medium = ASSEMBLY_MEDIA[name]
+    if box:
+        mesh = build_box_mesh(medium, 700.0, ppw, 0.625)
+    else:
+        mesh = build_mesh(medium, 700.0, ppw, 0.05, PmlSpec(thickness=0.05))
+    system = assemble(mesh, medium, k)
+    bands = (system.s_diag, system.s_off, system.m_diag, system.m_off)
+    for band, reference in zip(bands, reference_bands(mesh, medium, k)):
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(band - reference)) <= 1e-14 * scale
+
+
+def test_vacuum_box_bands_are_bitwise_the_reference():
+    # the eigenmode route assembles exactly this; its outputs keep their bytes
+    mesh = build_box_mesh(CASE1, 700.0, 40.0, 0.625)
+    system = assemble(mesh, VACUUM, 1.0)
+    bands = (system.s_diag, system.s_off, system.m_diag, system.m_off)
+    for band, reference in zip(bands, reference_bands(mesh, VACUUM, 1.0)):
+        np.testing.assert_array_equal(band, reference)
+
+
+@pytest.fixture
+def static_built(monkeypatch):
+    """The medium of every StaticBands built while the test runs."""
+    media = []
+    init = StaticBands.__init__
+
+    def counting(self, mesh, medium):
+        media.append(medium)
+        init(self, mesh, medium)
+
+    monkeypatch.setattr(StaticBands, "__init__", counting)
+    return media
+
+
+def test_static_bands_are_built_once_per_mesh_and_medium(static_built):
+    mesh = lu_mesh()
+    ks = np.linspace(300.0, 700.0, 9)
+    sweep(mesh, CASE1, ks, 0.0625)
+    assert static_built == [CASE1]
+    sweep(mesh, VACUUM, ks, 0.0625)
+    assert static_built == [CASE1, VACUUM]
+
+
+def test_static_bands_are_released_with_their_mesh():
+    mesh = lu_mesh()
+    bands = weakref.ref(static_bands(mesh, CASE1))
+    assert bands() is not None
+    del mesh
+    gc.collect()
+    assert bands() is None
+
+
+def test_slab_reaching_into_the_absorbing_layer_is_refused():
+    mesh = lu_mesh()
+    wide = dataclasses.replace(CASE1, slab_half_length=0.1)
+    with pytest.raises(ValueError, match="absorbing layer"):
+        assemble(mesh, wide, 500.0)
+
+
+def test_block_solve_matches_column_solves():
+    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05, PmlSpec(thickness=0.05))
+    fact = Factorization(assemble(mesh, CASE1, 430.0))
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(mesh.n_interior, 3)) + 1j * rng.normal(
+        size=(mesh.n_interior, 3))
+    dofs = fact.solve(block)
+    assert dofs.shape == (mesh.n_nodes, 3)
+    for j in range(3):
+        np.testing.assert_array_equal(dofs[:, j], fact.solve(block[:, j]))
 
 
 def test_solve_matches_dense():
@@ -218,8 +331,9 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         assemble(mesh, VACUUM, 0.0)
     fact = Factorization(assemble(mesh, VACUUM, 5.0))
-    with pytest.raises(ValueError):
-        fact.solve(np.ones(3, dtype=complex))
+    for rhs in (np.ones(3), np.ones((3, 2)), np.ones((9, 2, 2)), 1.0):
+        with pytest.raises(ValueError):
+            fact.solve(rhs)
 
 
 # every solver that takes its LU from ``fem.factorization``, reduced to its

@@ -1,9 +1,13 @@
 """Operator-identity checks: exactness, expected failure, balance."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from slabqed import identities as ids
-from slabqed.fem import DEFAULT_DOF_CAP, assemble
+from slabqed.fem import DEFAULT_DOF_CAP, Factorization, assemble
 from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import PmlSpec, build_box_mesh, build_mesh
 
@@ -30,6 +34,45 @@ def test_two_channel_decomposition_closed_box_degenerates():
     assert ids.check_discrete_ddgt(system) == 0.0
     assert ids.check_lossless_identity_failure(
         system, window=(-0.3, 0.3)) == 0.0
+
+
+def test_green_from_the_lu_matches_a_dense_inverse():
+    medium = CASE_PRESETS["1"]
+    system = assemble(open_mesh(medium), medium, 500.0)
+    diag, off = system.operator_interior()
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    reference = np.linalg.solve(dense, np.eye(system.n_interior))
+    _, green = ids._inverse(system)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(green - reference)) <= 1e-12 * scale
+
+
+def test_both_checks_share_one_identity_solve(monkeypatch):
+    identity_solves = []
+    solve = Factorization.solve
+
+    def counting(self, rhs):
+        rhs = np.asarray(rhs)
+        if rhs.ndim == 2 and np.array_equal(rhs, np.eye(rhs.shape[0])):
+            identity_solves.append(rhs.shape[0])
+        return solve(self, rhs)
+
+    monkeypatch.setattr(Factorization, "solve", counting)
+    medium = CASE_PRESETS["vacuum"]
+    system = assemble(open_mesh(medium), medium, 500.0)
+    ids.check_discrete_ddgt(system)
+    ids.check_lossless_identity_failure(system)
+    assert identity_solves == [system.n_interior]
+
+
+def test_green_is_released_with_its_system():
+    medium = CASE_PRESETS["vacuum"]
+    system = assemble(open_mesh(medium), medium, 500.0)
+    ids.check_discrete_ddgt(system)
+    green = weakref.ref(ids._inverse(system)[1])
+    del system
+    gc.collect()
+    assert green() is None
 
 
 def test_dense_dof_cap_guard():

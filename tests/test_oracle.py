@@ -8,6 +8,8 @@ differential equation and the Green-function jump condition.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slabqed.medium import CASE_PRESETS, MediumSpec
 from slabqed.oracle import (
@@ -216,3 +218,60 @@ def test_rejects_nonpositive_frequency():
         plane_wave_coefficients(CASE1, 0.0)
     with pytest.raises(ValueError):
         tmm_total_field(CASE1, 500.0, 0, 0.0)
+
+
+# passive Lorentz slabs probed over the sweep band; gamma = 0 is drawn often
+# because it is the case with an exact flux balance
+PASSIVE_SLABS = st.builds(
+    MediumSpec,
+    omega_p=st.floats(0.0, 300.0),
+    omega_0=st.floats(100.0, 1000.0),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
+    slab_half_length=st.floats(0.005, 0.1),
+)
+BAND = st.floats(300.0, 700.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(medium=PASSIVE_SLABS, omega=BAND)
+def test_passive_slab_never_creates_flux(medium, omega):
+    # a lossless resonance at omega itself has no finite response
+    assume(abs(omega - medium.omega_0) > 1e-6 * medium.omega_0)
+    r, t = tmm_reflection_transmission(medium, omega)
+    flux = abs(r) ** 2 + abs(t) ** 2
+    if medium.gamma == 0.0:
+        assert flux == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert flux <= 1.0 + 1e-12
+
+
+@settings(deadline=None, max_examples=200)
+@given(medium=PASSIVE_SLABS, omega=BAND,
+       x=st.floats(-0.2, 0.2), x_src=st.floats(-0.2, 0.2))
+def test_green_function_is_reciprocal(medium, omega, x, x_src):
+    assume(abs(omega - medium.omega_0) > 1e-6 * medium.omega_0)
+    assert tmm_green(medium, omega, x, x_src) == tmm_green(
+        medium, omega, x_src, x)
+
+
+@settings(deadline=None, max_examples=200)
+@given(medium=PASSIVE_SLABS, omega=BAND)
+def test_incidence_from_either_side_scatters_alike(medium, omega):
+    """r and t read off the total fields of both incidence directions."""
+    assume(abs(omega - medium.omega_0) > 1e-6 * medium.omega_0)
+    k, a = omega, medium.slab_half_length
+    x_out = 2.0 * a  # a point past each face, in vacuum
+    r, t = tmm_reflection_transmission(medium, omega, +1)
+    for direction in (+1, -1):
+        assert tmm_reflection_transmission(medium, omega, direction) == (r, t)
+        # the wave comes in from -direction * infinity
+        near, far = -direction * x_out, direction * x_out
+        incident = np.exp(1j * direction * k * near)
+        reflected = (tmm_total_field(medium, omega, direction, near)
+                     - incident) / np.exp(-1j * direction * k * near)
+        transmitted = (tmm_total_field(medium, omega, direction, far)
+                       / np.exp(1j * direction * k * far))
+        # face convention: reflection referenced at the illuminated face
+        r_face = reflected * np.exp(2j * k * a)
+        assert r_face == pytest.approx(r, abs=1e-12)
+        assert transmitted == pytest.approx(t, abs=1e-12)
