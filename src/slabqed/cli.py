@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .fem import assemble
-from .greens import solve_point_source
+from .crosscheck import oracle_residuals
 from .identities import (
     check_discrete_ddgt,
     check_lossless_identity_failure,
@@ -39,9 +39,7 @@ from .micromodes import (
     gevp_mesh,
     purcell_from_modes,
 )
-from .oracle import tmm_green, tmm_reflection_transmission, tmm_total_field
 from .purcell import purcell_mesh, sweep
-from .scattering import extract_r_t, solve_scattering
 
 CSV_COLUMNS = (
     "omega_a",
@@ -478,35 +476,12 @@ def cmd_oracle_compare(config: RunConfig) -> int:
         padding=config.padding,
         pml_thickness=config.pml_thickness,
     )
-    sample = np.linspace(-config.medium.slab_half_length,
-                         config.medium.slab_half_length, 9)
     rows = []
     worst = 0.0
     for omega in grid:
         omega = float(omega)
-        solution = solve_scattering(mesh, config.medium, omega, +1)
-        r_fem, t_fem = extract_r_t(solution)
-        r_ref, t_ref = tmm_reflection_transmission(config.medium, omega)
-        scale = max(abs(r_ref), abs(t_ref))
-        res_rt = max(abs(r_fem - r_ref), abs(t_fem - t_ref)) / scale
-
-        probes = np.array([ATOM_INSIDE, ATOM_OUTSIDE])
-        fem_field = solution.total_at(probes)
-        tmm_field = tmm_total_field(config.medium, omega, +1, probes)
-        # floor the scale at the unit incident amplitude: on resonance an
-        # opaque slab shadows both probe points and the local field is
-        # exponentially small, which would turn roundoff into a huge ratio
-        scale_field = max(float(np.max(np.abs(tmm_field))), 1.0)
-        res_field = float(np.max(np.abs(fem_field - tmm_field))) / scale_field
-
-        field = solve_point_source(mesh, config.medium, omega,
-                                   config.atom_position)
-        g_fem = field(sample)
-        g_tmm = tmm_green(config.medium, omega, sample, config.atom_position)
-        res_green = float(
-            np.max(np.abs(g_fem - g_tmm)) / np.max(np.abs(g_tmm))
-        )
-
+        res_rt, res_field, res_green = oracle_residuals(
+            mesh, config.medium, omega, config.atom_position)
         worst = max(worst, res_rt, res_field, res_green)
         rows.append((
             _fmt(omega), _fmt(res_rt), _fmt(res_field), _fmt(res_green)

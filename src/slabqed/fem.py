@@ -18,6 +18,18 @@ solves at one frequency share it and no caller passes one around.
 ``negative_pivots`` (an inertia count) and ``inverse_iteration`` are the
 real symmetric tridiagonal kernels of the eigenmode route; with the LU they
 are the only LAPACK calls in the package.
+
+Those calls are LAPACK's ``?gttrf``/``?gttrs`` through scipy's compiled
+f2py wrapper ``scipy/linalg/_flapack``, which ``_load_flapack`` loads as a
+plain extension module: importing ``scipy.linalg`` took ~0.35 s, more than
+half of the process set-up, because it clones the numpy namespace and
+pulls in ``numpy.f2py``, ``numpy.testing`` and more. f2py copies every
+array it may not overwrite, so the LU hands ``gttrf`` the bands
+``operator_interior`` has just built with the overwrite flags set, and
+``solve`` makes one owned copy of the right-hand side for ``gttrs`` to
+overwrite; without that heap churn the first solve of a fresh process is
+as fast as the later ones.
+
 The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
 
@@ -38,11 +50,13 @@ slab reaches into an absorbing layer, where the split would not hold.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .medium import MediumSpec
 from .mesh import Mesh1D
@@ -54,6 +68,41 @@ _SHAPE_HI = 0.5 * (1.0 + GAUSS_NODES)  # hat rising across the element
 # dense copies of the operator (identity checks, eigenmode pencil) refuse
 # systems above this many dofs rather than exhausting memory
 DEFAULT_DOF_CAP = 4000
+
+
+def _load_flapack():
+    """scipy's compiled f2py LAPACK wrapper, without importing scipy.linalg.
+
+    ``find_spec`` locates the scipy package without running its
+    ``__init__``; the extension is then loaded from ``linalg/`` like any
+    other, under this package's name, so ``scipy.linalg`` never enters
+    ``sys.modules``. A scipy that moves the file fails this import.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("slabqed needs scipy for its LAPACK wrapper")
+    (scipy_dir,) = scipy_spec.submodule_search_locations
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy_dir, "linalg"),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(f"{__package__}._flapack")
+    if spec is None:
+        raise ImportError(f"no _flapack extension under {scipy_dir}/linalg")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_FLAPACK = _load_flapack()
+
+
+def _tridiagonal_kernels(dtype):
+    """LAPACK (gttrf, gttrs) for double bands: z if complex, else d."""
+    prefix = "z" if np.issubdtype(dtype, np.complexfloating) else "d"
+    return (getattr(_FLAPACK, f"{prefix}gttrf"),
+            getattr(_FLAPACK, f"{prefix}gttrs"))
 
 
 class SingularOperatorError(RuntimeError):
@@ -295,8 +344,11 @@ class Factorization:
         self.n_interior = system.n_interior
         diag, off = system.operator_interior()
         scale = max(np.abs(diag).max(), np.abs(off).max())
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
-        dl, d, du, du2, ipiv, info = gttrf(off.copy(), diag.copy(), off.copy())
+        gttrf, gttrs = _tridiagonal_kernels(diag.dtype)
+        # the bands are fresh temporaries: d and du are factored in place;
+        # f2py copies dl, which shares ``off`` with du, before the call
+        dl, d, du, du2, ipiv, info = gttrf(off, diag, off,
+                                           overwrite_d=1, overwrite_du=1)
         if info > 0 or np.abs(d).min() < 1e-14 * scale:
             raise SingularOperatorError(
                 f"operator is singular at k = {system.k}: "
@@ -314,14 +366,15 @@ class Factorization:
         them, solved in one call; the result then has one column per
         right-hand side.
         """
-        rhs = np.asfortranarray(rhs_interior, dtype=complex)
+        # one owned copy, which gttrs then overwrites with the solution
+        rhs = np.array(rhs_interior, dtype=complex, order="F")
         if rhs.ndim not in (1, 2) or rhs.shape[0] != self.n_interior:
             raise ValueError(
                 f"rhs must have shape ({self.n_interior},) or "
                 f"({self.n_interior}, m), got {rhs.shape}"
             )
         dl, d, du, du2, ipiv = self._factors
-        x, info = self._gttrs(dl, d, du, du2, ipiv, rhs)
+        x, info = self._gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
         if info != 0:
             raise RuntimeError(f"gttrs failed with info = {info}")
         dofs = np.zeros((self.n_interior + 2,) + rhs.shape[1:], dtype=complex)
@@ -386,7 +439,7 @@ def inverse_iteration(diag: np.ndarray, off: np.ndarray,
     replaced by eps times the matrix scale, so the solve returns the null
     vector rather than NaN. ``Factorization`` refuses such operators.
     """
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+    gttrf, gttrs = _tridiagonal_kernels(diag.dtype)
     vectors = np.empty(diag.shape)
     for j in range(diag.shape[0]):
         dl, d, du, du2, ipiv, info = gttrf(off[j], diag[j], off[j])

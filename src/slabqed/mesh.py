@@ -167,7 +167,9 @@ def _dedupe(values, tol=1e-12):
     move a requested point off its node, and keeping both would leave a
     sliver element.
     """
-    values = np.unique(np.asarray(values, dtype=float))
+    # sort and drop equal neighbours: np.unique would import numpy.ma
+    values = np.sort(np.asarray(values, dtype=float), axis=None)
+    values = np.delete(values, np.flatnonzero(values[1:] == values[:-1]) + 1)
     close = np.flatnonzero(np.diff(values) <= tol)
     if close.size:
         i = close[0]

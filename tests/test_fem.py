@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
-from slabqed import greens, scattering
+from slabqed import fem, greens, scattering
 from slabqed.cli import main
 from slabqed.fem import (
     GAUSS_NODES,
@@ -305,6 +305,66 @@ def test_inverse_iteration_survives_an_exact_zero_pivot():
     assert np.all(np.isfinite(v))
     expected = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
     assert abs(abs(v[0] @ expected) - 1.0) < 1e-12
+
+
+def draw(rng, shape, dtype):
+    values = rng.normal(size=shape)
+    return values + 1j * rng.normal(size=shape) if dtype == complex else values
+
+
+@pytest.mark.parametrize("dtype, prefix", [(complex, "z"), (float, "d")])
+def test_loaded_kernels_are_bitwise_scipys(dtype, prefix):
+    # fem loads scipy's compiled wrapper itself; same kernels, same bits
+    rng = np.random.default_rng(11)
+    diag = draw(rng, 40, dtype) + 4.0  # pivots away from zero
+    off = draw(rng, 39, dtype)
+    b = np.asfortranarray(draw(rng, (40, 2), dtype))
+    gttrf, gttrs = fem._tridiagonal_kernels(np.dtype(dtype))
+    ref_gttrf = getattr(lapack, f"{prefix}gttrf")
+    ref_gttrs = getattr(lapack, f"{prefix}gttrs")
+    factors = gttrf(off, diag, off)
+    reference = ref_gttrf(off, diag, off)
+    for ours, theirs in zip(factors, reference):
+        assert np.asarray(ours).dtype == np.asarray(theirs).dtype
+        assert np.all(ours == theirs)
+    for rhs in (b[:, 0], b):
+        x, info = gttrs(*factors[:5], rhs)
+        x_ref, info_ref = ref_gttrs(*reference[:5], rhs)
+        assert info == info_ref == 0
+        assert x.dtype == x_ref.dtype and np.all(x == x_ref)
+
+
+def test_factorization_matches_scipys_kernels_bitwise():
+    # the LU factors its bands in place; the factors and solves stay the
+    # ones scipy's kernels give on copies of them
+    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05, PmlSpec(thickness=0.05))
+    system = assemble(mesh, CASE1, 430.0)
+    diag, off = system.operator_interior()
+    reference = lapack.zgttrf(off, diag, off)
+    lu = Factorization(system)
+    for ours, theirs in zip(lu._factors, reference):
+        assert np.all(ours == theirs)
+    rhs = np.random.default_rng(5).normal(size=(mesh.n_interior, 2))
+    x_ref, _ = lapack.zgttrs(*reference[:5], rhs.astype(complex))
+    assert np.all(lu.solve(rhs)[1:-1] == x_ref)
+
+
+def test_solve_and_factorize_leave_their_inputs_untouched():
+    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05, PmlSpec(thickness=0.05))
+    system = assemble(mesh, CASE1, 430.0)
+    bands = [np.copy(getattr(system, name))
+             for name in ("s_diag", "s_off", "m_diag", "m_off")]
+    lu = system.factorize()
+    rng = np.random.default_rng(9)
+    n = mesh.n_interior
+    for rhs in (rng.normal(size=n),
+                np.asfortranarray(rng.normal(size=(n, 3))
+                                  + 1j * rng.normal(size=(n, 3)))):
+        kept = rhs.copy()
+        lu.solve(rhs)
+        np.testing.assert_array_equal(rhs, kept)
+    for name, band in zip(("s_diag", "s_off", "m_diag", "m_off"), bands):
+        np.testing.assert_array_equal(getattr(system, name), band)
 
 
 def test_evaluate_field_interpolation():

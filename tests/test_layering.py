@@ -3,13 +3,17 @@
 The oracle must stay independent of the finite-element stack, modules talk
 through public names only, the element quadrature rule, the LU and every
 other LAPACK call live in ``fem``, no module runs a dense eigensolver or a
-dense linear solve, and nothing runs on a thread pool. The benchmark's trace
+dense linear solve, and nothing runs on a thread pool. No module imports
+scipy: ``fem`` loads only its compiled LAPACK wrapper. The benchmark's trace
 hooks must name functions that exist.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,6 +99,35 @@ def test_only_fem_calls_lapack(name):
     assert not {"get_lapack_funcs", "gttrf", "gttrs"} & names_in(tree)
     assert not any(module and module.startswith("scipy.linalg")
                    for module in imported_modules(tree))
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_module_imports_scipy(name):
+    # importing scipy.linalg took more than half of the process set-up;
+    # fem loads scipy's compiled LAPACK wrapper by itself instead
+    assert not any(module and module.startswith("scipy")
+                   for module in imported_modules(MODULES[name]))
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # in a fresh interpreter, as a user's shell starts the CLI; building a
+    # mesh must not pull in numpy.ma either
+    probe = (
+        "import sys\n"
+        "import slabqed.cli\n"
+        "from slabqed.medium import CASE_PRESETS\n"
+        "from slabqed.purcell import purcell_mesh\n"
+        "purcell_mesh(CASE_PRESETS['1'], 0.0625, k_max=700.0, ppw=40.0)\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                            check=True, capture_output=True,
+                            text=True).stdout.split()
+    packages = {".".join(module.split(".")[:2]) for module in loaded}
+    heavy = {"scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.ma"}
+    assert packages & heavy == set()
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

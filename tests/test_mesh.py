@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from slabqed import mesh as mesh_module
 from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import (
     Mesh1D,
@@ -109,6 +112,27 @@ def test_near_coincident_points_are_refused():
             standard_mesh(observation_points=obs)
     mesh = standard_mesh(observation_points=(a, a, 0.0))  # exact repeats
     assert mesh.nodes[mesh.find_node(a)] == a
+
+
+@given(st.lists(st.one_of(st.integers(-20, 20).map(lambda i: i / 8),
+                          st.floats(-1.0, 1.0)),
+                min_size=1, max_size=25))
+def test_dedupe_is_np_unique_or_refuses(values):
+    # breakpoints are merged by sort and neighbour mask, not np.unique
+    values += values[:3]  # exact repeats
+    reference = np.unique(np.asarray(values, dtype=float))
+    if np.any(np.diff(reference) <= 1e-12):
+        with pytest.raises(ValueError, match="closer than"):
+            mesh_module._dedupe(values)
+    else:
+        assert np.array_equal(mesh_module._dedupe(values), reference)
+
+
+def test_dedupe_refuses_distinct_breakpoints_closer_than_tol():
+    assert np.array_equal(mesh_module._dedupe([0.5, -0.25, 0.5, 0.5]),
+                          [-0.25, 0.5])
+    with pytest.raises(ValueError, match="closer than"):
+        mesh_module._dedupe([0.5, 0.5 + 5e-13, -0.25])
 
 
 def test_find_node_rejects_off_node_points():
