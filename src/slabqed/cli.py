@@ -338,7 +338,7 @@ def _closed_box_modes(config: RunConfig, grid):
     """Eigenmodes of the config's closed-box pencil, kept up past the grid.
 
     Returns the ModeSet and the metadata line describing it: mode count,
-    band and B-orthonormality residual.
+    band, B-orthonormality residual and the pivot sweeps the count took.
     """
     system = build_gevp(
         gevp_mesh(config.medium, config.bath), config.medium, config.bath
@@ -347,7 +347,8 @@ def _closed_box_modes(config: RunConfig, grid):
     modes = diagonalize(system, band=(lo, hi))
     return modes, (
         f"modes: {modes.n_modes} in band [{lo:g}, {hi:g}], "
-        f"normalization_residual = {modes.normalization_residual:.3e}"
+        f"normalization_residual = {modes.normalization_residual:.3e}, "
+        f"count_sweeps = {modes.count_sweeps}"
     )
 
 

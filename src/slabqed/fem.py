@@ -15,9 +15,11 @@ for the polynomial stretch profiles and the P1 products appearing here.
 applied, and ``factorization`` is the one place an LU is built for a
 solve: each mesh keeps the LU of the last (medium, k) solved on it, so all
 solves at one frequency share it and no caller passes one around.
-``negative_pivots`` (an inertia count) and ``inverse_iteration`` are the
-real symmetric tridiagonal kernels of the eigenmode route; with the LU they
-are the only LAPACK calls in the package.
+``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot,
+swept in blocks of rows so the sign bits are counted once per block) and
+``inverse_iteration`` are the real symmetric tridiagonal kernels of the
+eigenmode route; ``inverse_iteration`` and the LU are the only LAPACK
+calls in the package.
 
 Those calls are LAPACK's ``?gttrf``/``?gttrs`` through scipy's compiled
 f2py wrapper ``scipy/linalg/_flapack``, which ``_load_flapack`` loads as a
@@ -68,6 +70,9 @@ _SHAPE_HI = 0.5 * (1.0 + GAUSS_NODES)  # hat rising across the element
 # dense copies of the operator (identity checks, eigenmode pencil) refuse
 # systems above this many dofs rather than exhausting memory
 DEFAULT_DOF_CAP = 4000
+
+# pivot_sweep counts sign bits once per this many rows
+_SWEEP_BLOCK = 64
 
 
 def _load_flapack():
@@ -416,15 +421,35 @@ def negative_pivots(diag, off2) -> np.ndarray:
     one infinite with the opposite sign, so the pair counts once, as it
     would with the zero nudged either way.
     """
+    return pivot_sweep(diag, off2)[0]
+
+
+def pivot_sweep(diag, off2):
+    """``negative_pivots`` and the last pivot of every column, in one sweep.
+
+    The sweep is a Python loop over rows, so its cost is per-row ufunc
+    overhead for any m the eigenmode route uses. Each row's pivot is
+    written in place into a (``_SWEEP_BLOCK``, m) buffer by two ufuncs
+    (quotient, then difference), and the sign bits are counted once per
+    block of rows rather than once per row: half the calls of a per-row
+    count, with the same arithmetic, so the counts are bitwise those of
+    the plain recurrence. Returns (negative counts, last pivots).
+    """
     pivot = np.array(diag[0], dtype=float)
     negative = np.signbit(pivot).astype(np.intp)
-    quotient = np.empty_like(pivot)
+    block = np.empty((min(_SWEEP_BLOCK, len(diag) - 1),) + pivot.shape)
+    slots = list(block)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for row, coupling in zip(diag[1:], off2):
-            np.divide(coupling, pivot, out=quotient)
-            np.subtract(row, quotient, out=pivot)
-            negative += np.signbit(pivot)
-    return negative
+        for start in range(1, len(diag), _SWEEP_BLOCK):
+            rows = zip(slots, diag[start:start + _SWEEP_BLOCK],
+                       off2[start - 1:start - 1 + _SWEEP_BLOCK])
+            for out, row, coupling in rows:
+                np.divide(coupling, pivot, out=out)
+                np.subtract(row, out, out=out)
+                pivot = out
+            used = min(_SWEEP_BLOCK, len(diag) - start)
+            negative += np.count_nonzero(np.signbit(block[:used]), axis=0)
+    return negative, pivot.copy()
 
 
 def inverse_iteration(diag: np.ndarray, off: np.ndarray,

@@ -241,7 +241,7 @@ def build_mesh(
     inner = a + padding
     outer = inner + pml.thickness
     obs = np.asarray(tuple(observation_points), dtype=float)
-    if obs.size and (np.min(obs) <= -inner or np.max(obs) >= inner):
+    if not np.all((obs > -inner) & (obs < inner)):  # NaN fails it too
         raise ValueError(
             "observation points must lie strictly inside the physical "
             f"region (-{inner}, {inner}); got {obs.tolist()}"
@@ -292,7 +292,7 @@ def build_box_mesh(
     half = 0.5 * box_length
     a = medium.slab_half_length
     obs = np.asarray(tuple(observation_points), dtype=float)
-    if obs.size and (np.min(obs) <= -half or np.max(obs) >= half):
+    if not np.all((obs > -half) & (obs < half)):  # NaN fails it too
         raise ValueError(
             f"observation points must lie strictly inside (-{half}, {half})"
         )

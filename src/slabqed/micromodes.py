@@ -14,10 +14,15 @@ from a Lorentzian-smoothed sum over modes (``ser_modes``).
 No dense matrix is formed to find the modes. Eliminating the oscillators
 at lam = omega^2 leaves a tridiagonal Schur complement on the field dofs,
 and its LDL^T pivots count the pencil eigenvalues below lam
-(Wittrick-Williams, ``eigenvalue_count``). ``diagonalize`` bisects every
+(Wittrick-Williams, ``eigenvalue_count``). ``diagonalize`` brackets every
 mode of the band at once with that count, each eigenvalue carried as an
-offset from its nearest bin, then takes the field part by inverse
-iteration on the Schur complement and the oscillator part by back
+offset from its nearest bin: bisection until a bracket holds one mode,
+then secant steps on the last LDL^T pivot of the Schur complement, which
+vanishes at the mode. The count alone moves every bracket (the pivot only
+proposes where to count next), so each eigenvalue stays certified by the
+inertia, and bisection remains as the safeguard whenever a step lands
+outside its bracket or fails to halve it. The field part then follows by
+inverse iteration on the Schur complement and the oscillator part by back
 substitution; a B-orthonormality residual over a sample of modes is its
 certificate. ``GevpSystem.dense_operators`` remains as the reference the
 tests compare against.
@@ -39,7 +44,7 @@ from .fem import (
     assemble,
     dense_tridiagonal,
     inverse_iteration,
-    negative_pivots,
+    pivot_sweep,
 )
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, build_box_mesh
@@ -326,13 +331,16 @@ class ModeSet:
 
     e_fields holds one row per mode, sampled on every mesh node with the
     Dirichlet walls pinned to zero; normalization_residual is the largest
-    deviation of the checked eigenvectors from B-orthonormality.
+    deviation of the checked eigenvectors from B-orthonormality, and
+    count_sweeps the number of inertia-count pivot sweeps spent finding
+    the frequencies (0 for modes that did not come from ``diagonalize``).
     """
 
     frequencies: np.ndarray
     e_fields: np.ndarray
     nodes: np.ndarray
     normalization_residual: float
+    count_sweeps: int = 0
 
     @property
     def n_modes(self):
@@ -356,7 +364,7 @@ class ModeSet:
         return float(np.max(np.diff(picked)))
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Schur:
     """The pencil seen through its Schur complement on the field dofs.
 
@@ -390,6 +398,7 @@ class _Schur:
     diag_index: np.ndarray  # (n_em,): row of each diagonal entry
     off_rows: np.ndarray    # (3, k'): the same for the off-diagonal
     off_index: np.ndarray   # (n_em - 1,)
+    sweeps: int = 0         # pivot sweeps made so far
 
     @classmethod
     def of(cls, system: GevpSystem):
@@ -402,23 +411,19 @@ class _Schur:
         a_diag[q] += quarter
         a_off = np.zeros(system.n_em - 1)
         a_off[p] = quarter
-        diag_rows, diag_index = np.unique(
-            np.stack((system.em_s_diag, system.em_m_diag, a_diag)),
-            axis=1, return_inverse=True,
-        )
-        off_rows, off_index = np.unique(
-            np.stack((system.em_s_off, system.em_m_off, a_off)),
-            axis=1, return_inverse=True,
-        )
+        diag_rows, _, diag_index = _unique_columns(
+            np.stack((system.em_s_diag, system.em_m_diag, a_diag)))
+        off_rows, _, off_index = _unique_columns(
+            np.stack((system.em_s_off, system.em_m_off, a_off)))
         return cls(
             anchors=anchors,
             gaps=nu2[None, :] - anchors[:, None],
             weights=system.bin_weights,
             n_elements=system.slab_lengths.size,
             diag_rows=diag_rows,
-            diag_index=diag_index.ravel(),
+            diag_index=diag_index,
             off_rows=off_rows,
-            off_index=off_index.ravel(),
+            off_index=off_index,
         )
 
     def nearest(self, lam):
@@ -445,29 +450,52 @@ class _Schur:
 
         return rows(self.diag_rows), rows(self.off_rows), detune
 
-    def count(self, anchor, delta):
-        """Pencil eigenvalues below lam = anchors[anchor] + delta, each."""
+    def sweep(self, anchor, delta):
+        """Pencil eigenvalues below lam = anchors[anchor] + delta, each.
+
+        Returns the counts and the last LDL^T pivot of each S(lam); every
+        call is one pivot sweep, tallied in ``sweeps``.
+        """
         diag, off, detune = self.bands(anchor, delta)
         off *= off
         diag, off = list(diag), list(off)
-        pivots = negative_pivots([diag[i] for i in self.diag_index.tolist()],
-                                 [off[i] for i in self.off_index.tolist()])
+        pivots, last = pivot_sweep([diag[i] for i in self.diag_index.tolist()],
+                                   [off[i] for i in self.off_index.tolist()])
+        self.sweeps += 1
         below = np.count_nonzero(detune < 0.0, axis=1)
-        return self.n_elements * below + pivots
+        return self.n_elements * below + pivots, last
 
     def count_at(self, lam):
-        """``count`` at plain lam values; one exactly on a bin moves an ulp down."""
+        """Counts at plain lam values; one exactly on a bin moves an ulp down."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         anchor = self.nearest(lam)
         delta = lam - self.anchors[anchor]
         on_bin = (delta == 0.0) & (anchor > 0)
         delta[on_bin] = -np.spacing(self.anchors[anchor[on_bin]])
-        return self.count(anchor, delta)
+        return self.sweep(anchor, delta)[0]
 
     def matrices(self, anchor, delta):
         """Full bands of S, one row per lam: (m, n_em) and (m, n_em - 1)."""
         diag, off, _ = self.bands(anchor, delta)
         return diag.T[:, self.diag_index], off.T[:, self.off_index]
+
+
+def _unique_columns(table):
+    """Distinct columns of a 2-D table, sorted, as np.unique(axis=1) gives.
+
+    Returns (columns, first, inverse): the distinct columns in lexicographic
+    order, the index of the first occurrence of each, and the position of
+    every column among them. A stable lexsort and a neighbour mask stand
+    in for np.unique, whose 1-D form imports numpy.ma (~25 ms) on its
+    first call; a one-row table gives that 1-D case.
+    """
+    order = np.lexsort(table[::-1])
+    ordered = table[:, order]
+    starts = np.ones(order.size, dtype=bool)
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[:, starts], order[starts], inverse
 
 
 def eigenvalue_count(system: GevpSystem, lam) -> np.ndarray:
@@ -482,16 +510,39 @@ def eigenvalue_count(system: GevpSystem, lam) -> np.ndarray:
 def _bisect(schur: _Schur, first, last, lam_lo, lam_hi):
     """Eigenvalues first..last-1, all in [lam_lo, lam_hi], as (anchor, delta).
 
-    Every mode is bisected at once with the count. Each round re-anchors
-    the bracket at the bin nearest its midpoint, so the bracket ends are
-    offsets from that bin, and a mode stops once the offset itself is
-    resolved to a few ulps (not lam: that is what the near-dark modes
-    need). Modes sharing a bracket, as all do at first, share one count.
+    Every mode is bracketed at once with the count, which alone moves the
+    bracket: a trial point whose count exceeds the mode's index becomes its
+    upper end, any other its lower end. Each round re-anchors the bracket
+    at the bin nearest its midpoint, so the bracket ends are offsets from
+    that bin, and a mode stops once the offset itself is resolved to a few
+    ulps (not lam: that is what the near-dark modes need), or when its
+    midpoint cannot split the bracket. Modes sharing a trial point, as all
+    do at first, share one count.
+
+    The trial point is the midpoint until the mode is isolated (the count
+    at its lower end is its index, at its upper end one more). From then
+    on it is the secant point of the last two (offset, last LDL^T pivot of
+    S) pairs, taken only if it falls strictly inside the bracket and the
+    previous round at least halved it; otherwise the midpoint again. The
+    last pivot vanishes at the mode but has poles where the leading block
+    of S is singular, so it only proposes the point; the count decides the
+    side, and a bad proposal costs one round, not the bracket. A secant
+    step within 2 tol of either of the last two trials (tol = 2 eps
+    max(|lo|, |hi|)) spends its round on the two probes step +- tol
+    instead, which close the bracket when the step is that close to the
+    mode. Both trials count: once a secant step has not halved the
+    bracket, the midpoint comes next, so the previous trial is often the
+    midpoint and the converged one the trial before it.
     """
     target = np.arange(first, last)
     anchor = np.zeros(target.size, dtype=int)
     lo = np.full(target.size, float(lam_lo))
     hi = np.full(target.size, float(lam_hi))
+    count_lo = np.full(target.size, first)
+    count_hi = np.full(target.size, last)
+    # the last two trial offsets of each mode and the last pivot at each
+    x0, f0, x1, f1 = np.full((4, target.size), np.nan)
+    halved = np.zeros(target.size, dtype=bool)
     active = np.arange(target.size)
     eps = np.finfo(float).eps
     while active.size:
@@ -499,18 +550,43 @@ def _bisect(schur: _Schur, first, last, lam_lo, lam_hi):
         new = schur.nearest(schur.anchors[a] + 0.5 * (l + h))
         shift = schur.anchors[a] - schur.anchors[new]
         l, h = l + shift, h + shift
+        p0, p1 = x0[active] + shift, x1[active] + shift  # the history, too
+        q0, q1 = f0[active], f1[active]
+        t = target[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p1 - q1 * (p1 - p0) / (q1 - q0)
+        secant = ((count_lo[active] == t) & (count_hi[active] == t + 1)
+                  & halved[active] & (l < step) & (step < h))
         mid = 0.5 * (l + h)
-        mid = np.where(mid == 0.0, 0.5 * h, mid)  # a bin itself is singular
-        _, first_of, inverse = np.unique(
-            np.stack((new, mid)), axis=1, return_index=True,
-            return_inverse=True,
-        )
-        count = schur.count(new[first_of], mid[first_of])
-        stuck = (mid == l) | (mid == h)
-        above = count[inverse.ravel()] > target[active]
-        h = np.where(above, mid, h)
-        l = np.where(above, l, mid)
+        # what a bisection leaves, so a midpoint round always halves
+        half = np.maximum(mid - l, h - mid)
+        trial = np.where(secant, step, mid)
+        tol = 2.0 * eps * np.maximum(np.abs(l), np.abs(h))
+        near = np.minimum(np.abs(step - p0), np.abs(step - p1))
+        close = secant & (near <= 2.0 * tol)
+        # two probes per mode; a mode with one trial point probes it twice
+        probes = np.stack((np.where(close, trial - tol, trial),
+                           np.where(close, trial + tol, trial)))
+        probes = np.where(probes == 0.0, 0.5 * h, probes)  # a bin is singular
+        stuck = ~secant & ((probes[0] == l) | (probes[0] == h))
+        anchors, offsets = np.tile(new, 2), probes.ravel()
+        _, first_of, inverse = _unique_columns(np.stack((anchors, offsets)))
+        counts, pivots = schur.sweep(anchors[first_of], offsets[first_of])
+        counts = counts[inverse].reshape(probes.shape)
+        pivots = pivots[inverse].reshape(probes.shape)
+        c_lo, c_hi = count_lo[active], count_hi[active]
+        for probe, count in zip(probes, counts):
+            above = count > t
+            to_hi = above & (probe < h)
+            to_lo = ~above & (probe > l)
+            h, c_hi = np.where(to_hi, probe, h), np.where(to_hi, count, c_hi)
+            l, c_lo = np.where(to_lo, probe, l), np.where(to_lo, count, c_lo)
+        x0[active] = np.where(close, probes[0], p1)
+        f0[active] = np.where(close, pivots[0], q1)
+        x1[active], f1[active] = probes[1], pivots[1]
+        halved[active] = h - l <= half
         anchor[active], lo[active], hi[active] = new, l, h
+        count_lo[active], count_hi[active] = c_lo, c_hi
         done = stuck | (h - l <= 4.0 * eps * np.maximum(np.abs(l), np.abs(h)))
         active = active[~done]
     delta = 0.5 * (lo + hi)
@@ -522,8 +598,9 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
 
     band, when given, is an (omega_lo, omega_hi) pair restricting which
     eigenfrequencies are kept; None keeps the whole (positive) spectrum.
-    Each kept eigenvalue lam = omega^2 is bisected with the inertia count
-    of ``_Schur``, carried as an offset from its nearest bin. Two
+    Each kept eigenvalue lam = omega^2 is bracketed by the inertia count
+    of ``_Schur`` and closed in by count-safeguarded secant steps
+    (``_bisect``), carried as an offset from its nearest bin. Two
     inverse-iteration steps on the Schur complement S(lam) give the field
     part v; the oscillator part follows from the eliminated rows,
     y_eq = (1/2) sqrt(h_e) nu_q sqrt(w_q) (v_p + v_q) / (nu_q^2 - lam),
@@ -531,7 +608,8 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
     near-degenerate modes). The certificate ``normalization_residual`` is
     the largest deviation from B-orthonormality over up to 256 modes
     spread across the band, computed with banded products and the
-    rank-one structure of each y.
+    rank-one structure of each y. ``count_sweeps`` tallies the pivot
+    sweeps of the counts, band edges included.
     """
     n = system.size
     if n > DEFAULT_DOF_CAP:
@@ -582,8 +660,8 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
     slab *= scale[:, None]
     _orthogonalize_clusters(delta, lam, v, bv, slab, bins)
 
-    sample = np.unique(np.linspace(0, lam.size - 1,
-                                   min(lam.size, 256)).astype(int))
+    (sample,), _, _ = _unique_columns(
+        np.linspace(0, lam.size - 1, min(lam.size, 256)).astype(int)[None])
     gram = (v[sample] @ bv[sample].T
             + (slab[sample] @ slab[sample].T) * (bins[sample] @ bins[sample].T))
     residual = float(np.max(np.abs(gram - np.eye(sample.size))))
@@ -592,6 +670,7 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
         e_fields=fields,
         nodes=system.mesh.nodes.copy(),
         normalization_residual=residual,
+        count_sweeps=schur.sweeps,
     )
 
 

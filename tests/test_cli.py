@@ -336,13 +336,15 @@ def test_modes_column_filled_when_enabled(tmp_path):
 
 
 def modes_metadata(path):
-    """(count, band, residual) from the ``modes:`` metadata line, or None."""
+    """(count, band, residual, sweeps) from the ``modes:`` line, or None."""
     for line in path.read_text(encoding="utf-8").splitlines():
         if line.startswith("# modes: "):
             count, rest = line.removeprefix("# modes: ").split(" in band ")
-            band, residual = rest.split(", normalization_residual = ")
+            band, rest = rest.split(", normalization_residual = ")
+            residual, sweeps = rest.split(", count_sweeps = ")
             lo, hi = band.strip("[]").split(", ")
-            return int(count), (float(lo), float(hi)), float(residual)
+            return (int(count), (float(lo), float(hi)), float(residual),
+                    int(sweeps))
     return None
 
 
@@ -359,10 +361,11 @@ def test_modes_metadata_reports_count_band_and_residual(tmp_path):
         lines[command] = modes_metadata(out)
         # the line sits in the metadata; the echo still reads back
         assert read_config_echo(out).method_modes
-    count, band, residual = lines["modes"]
+    count, band, residual, sweeps = lines["modes"]
     assert lines["sweep"] == lines["modes"]
     assert band == (1.0, 1050.0)  # kept 300 past the top of the grid
     assert residual < 1e-10
+    assert sweeps > 0
     _, spectrum = csv_rows(tmp_path / "modes_spectrum.csv")
     assert len(spectrum) == count
     assert modes_metadata(tmp_path / "modes_spectrum.csv") == lines["modes"]

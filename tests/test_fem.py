@@ -20,11 +20,13 @@ from slabqed.fem import (
     SingularOperatorError,
     StaticBands,
     assemble,
+    dense_tridiagonal,
     element_quadrature,
     evaluate_field,
     factorization,
     inverse_iteration,
     negative_pivots,
+    pivot_sweep,
     static_bands,
 )
 from slabqed.greens import reciprocity_residual, sample_green, solve_point_source
@@ -286,6 +288,57 @@ def test_negative_pivots_zero_pivot_counts_once(zero):
     counts = negative_pivots([np.array([zero]), np.array([0.0])],
                              [np.array([1.0])])
     assert counts.tolist() == [1]
+
+
+def row_by_row_sweep(diag, off2):
+    """The LDL^T pivot recurrence one row at a time: (negative count, last)."""
+    pivot = np.array(diag[0], dtype=float)
+    negative = np.signbit(pivot).astype(np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for row, coupling in zip(diag[1:], off2):
+            pivot = row - coupling / pivot
+            negative += np.signbit(pivot)
+    return negative, pivot
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 995])
+@pytest.mark.parametrize("m", [1, 5])
+def test_pivot_sweep_is_bitwise_the_row_by_row_recurrence(n, m):
+    rng = np.random.default_rng(n * 10 + m)
+    diag = rng.standard_normal((n, m))
+    off2 = rng.standard_normal((n - 1, m)) ** 2
+    if n > 3:
+        # column 0: an exact zero pivot at row 0, an infinite one after it,
+        # and a zero coupling that brings the next one back to finite
+        diag[0, 0] = 0.0
+        off2[1, 0] = 0.0
+    rows = list(diag)
+    rows[n // 2] = rows[0]  # a shared row array, as _Schur passes them
+    expected_count, expected_last = row_by_row_sweep(rows, list(off2))
+    count, last = pivot_sweep(rows, list(off2))
+    np.testing.assert_array_equal(count, expected_count)
+    assert count.dtype == np.intp
+    # bitwise, the infinite pivots included
+    np.testing.assert_array_equal(last.view(np.int64),
+                                  expected_last.view(np.int64))
+    np.testing.assert_array_equal(negative_pivots(rows, list(off2)), count)
+
+
+def test_pivot_sweep_leaves_its_rows_untouched():
+    diag = np.array([[1.0, -2.0], [0.5, 3.0], [2.0, 1.0]])
+    off2 = np.array([[1.0, 4.0], [0.25, 1.0]])
+    before = diag.copy(), off2.copy()
+    count, last = pivot_sweep(list(diag), list(off2))
+    np.testing.assert_array_equal(diag, before[0])
+    np.testing.assert_array_equal(off2, before[1])
+    for j in range(2):
+        off = np.sqrt(off2[:, j])
+        lam = eigh_tridiagonal(diag[:, j], off, eigvals_only=True)
+        assert count[j] == np.sum(lam < 0)
+        full = dense_tridiagonal(diag[:, j], off)
+        # the last pivot is det / det of the leading block
+        expected = np.linalg.det(full) / np.linalg.det(full[:-1, :-1])
+        np.testing.assert_allclose(last[j], expected, rtol=1e-12)
 
 
 def test_inverse_iteration_finds_the_null_vector():

@@ -109,25 +109,49 @@ def test_no_module_imports_scipy(name):
                    for module in imported_modules(MODULES[name]))
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    # in a fresh interpreter, as a user's shell starts the CLI; building a
-    # mesh must not pull in numpy.ma either
-    probe = (
-        "import sys\n"
-        "import slabqed.cli\n"
-        "from slabqed.medium import CASE_PRESETS\n"
-        "from slabqed.purcell import purcell_mesh\n"
-        "purcell_mesh(CASE_PRESETS['1'], 0.0625, k_max=700.0, ppw=40.0)\n"
-        "print(' '.join(sorted(sys.modules)))\n"
-    )
+HEAVY = {"scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.ma"}
+
+
+def packages_loaded_by(probe):
+    """Top two levels of every module in sys.modules after ``probe`` runs.
+
+    The probe runs in a fresh interpreter, as a user's shell starts the CLI.
+    """
+    probe += "import sys\nprint(' '.join(sorted(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     loaded = subprocess.run([sys.executable, "-c", probe], env=env,
                             check=True, capture_output=True,
                             text=True).stdout.split()
-    packages = {".".join(module.split(".")[:2]) for module in loaded}
-    heavy = {"scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.ma"}
-    assert packages & heavy == set()
+    return {".".join(module.split(".")[:2]) for module in loaded}
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # building a mesh must not pull in numpy.ma either
+    probe = (
+        "import slabqed.cli\n"
+        "from slabqed.medium import CASE_PRESETS\n"
+        "from slabqed.purcell import purcell_mesh\n"
+        "purcell_mesh(CASE_PRESETS['1'], 0.0625, k_max=700.0, ppw=40.0)\n"
+    )
+    assert packages_loaded_by(probe) & HEAVY == set()
+
+
+def test_eigenmodes_leave_heavy_modules_unloaded():
+    # a 1-D np.unique imports numpy.ma (~25 ms) on its first call; the
+    # eigenmode route dedupes its counts and certificate sample without it
+    probe = (
+        "import slabqed.cli\n"
+        "from slabqed.medium import CASE_PRESETS\n"
+        "from slabqed.micromodes import (\n"
+        "    BathConfig, build_gevp, diagonalize, gevp_mesh)\n"
+        "medium = CASE_PRESETS['1']\n"
+        "bath = BathConfig(n_bins=8, box_length=0.25)\n"
+        "system = build_gevp(gevp_mesh(medium, bath, k_max=300.0), medium,\n"
+        "                    bath)\n"
+        "assert diagonalize(system, band=(1.0, 1000.0)).n_modes > 0\n"
+    )
+    assert packages_loaded_by(probe) & HEAVY == set()
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

@@ -16,6 +16,7 @@ from slabqed.mesh import (
     build_box_mesh,
     build_mesh,
 )
+from slabqed.purcell import purcell_mesh
 
 CASE1 = CASE_PRESETS["1"]
 PML = PmlSpec(thickness=0.05)
@@ -154,6 +155,19 @@ def test_find_node_rejects_off_node_points():
 def test_invalid_build_arguments(overrides):
     with pytest.raises(ValueError):
         standard_mesh(**overrides)
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_non_finite_observation_points_are_refused(point):
+    # NaN compares False with both range ends, so it used to pass the range
+    # check and fail later, converting NaN to an integer
+    with pytest.raises(ValueError, match="observation points"):
+        standard_mesh(observation_points=(0.0, point))
+    with pytest.raises(ValueError, match="observation points"):
+        build_box_mesh(CASE1, 1200.0, 10.0, 0.625,
+                       observation_points=(point,))
+    with pytest.raises(ValueError, match="observation points"):
+        purcell_mesh(CASE1, point)
 
 
 def test_pml_spec_validation():
