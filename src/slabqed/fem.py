@@ -12,9 +12,11 @@ symmetry, not any Hermiticity, is what the operator identities in
 Element integrals use a fixed 4-point Gauss-Legendre rule, which is exact
 for the polynomial stretch profiles and the P1 products appearing here.
 ``element_quadrature`` and ``p1_load`` are the only places that rule is
-applied, and ``factorization`` is the one place an LU is built for a
-solve: each mesh keeps the LU of the last (medium, k) solved on it, so all
-solves at one frequency share it and no caller passes one around.
+applied; ``slab_rule`` keeps it on the slab elements once per mesh for
+``p1_load`` and the slab quadratures of other modules. ``factorization``
+is the one place an LU is built for a solve: each mesh keeps the LU of
+the last (medium, k) solved on it, so all solves at one frequency share
+it and no caller passes one around.
 ``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot,
 swept in blocks of rows so the sign bits are counted once per block) and
 ``inverse_iteration`` are the real symmetric tridiagonal kernels of the
@@ -48,6 +50,8 @@ M_slab and M_sigma, the sigma of the layer elements at their Gauss points
 and the stiffness of every other element. ``assemble`` then does O(n)
 band arithmetic per frequency and no quadrature; it refuses a medium whose
 slab reaches into an absorbing layer, where the split would not hold.
+The slab load of a P1 wave, k^2 chi M_slab w, is a band product with the
+same M_slab (``StaticBands.slab_load``), over the slab's nodes only.
 """
 
 from __future__ import annotations
@@ -198,25 +202,65 @@ def element_quadrature(mesh: Mesh1D, elements=slice(None)):
     return points, half, half * GAUSS_WEIGHTS
 
 
-def p1_load(mesh: Mesh1D, elements, scale, profile) -> np.ndarray:
-    """Consistent load f_i = scale int profile(x) phi_i dx over ``elements``.
+@dataclass(frozen=True, eq=False)
+class SlabRule:
+    """The element rule on the slab elements of one mesh.
 
-    ``profile`` is either called once with the Gauss points of those
-    elements, or is an array of nodal values standing for its P1
-    interpolant (the rule is exact for it, so the load is scale times the
-    mass matrix of ``elements`` applied to those values). Returns one value
-    per mesh node, walls included.
+    ``elements`` is the slice of the (contiguous) slab elements;
+    ``points``, ``half`` and ``weights`` are ``element_quadrature`` of
+    them, read-only. Holds arrays only, so a copy kept for a mesh dies
+    with it.
     """
-    points, half, _ = element_quadrature(mesh, elements)
-    if callable(profile):
-        values = profile(points)
-    else:
-        values = (profile[elements, None] * _SHAPE_LO
-                  + profile[elements + 1, None] * _SHAPE_HI)
-    common = scale * half * GAUSS_WEIGHTS * values
+
+    elements: slice
+    points: np.ndarray
+    half: np.ndarray
+    weights: np.ndarray
+
+
+# mesh -> SlabRule of that mesh
+_SLAB_RULE = weakref.WeakKeyDictionary()
+
+
+def slab_rule(mesh: Mesh1D) -> SlabRule:
+    """The element rule on the slab elements of ``mesh``, built once per mesh.
+
+    Kept like ``static_bands``: the mesh is immutable, so one entry per
+    mesh, freed with it. The slab elements must be contiguous, as
+    ``build_mesh`` and ``build_box_mesh`` make them.
+    """
+    rule = _SLAB_RULE.get(mesh)
+    if rule is not None:
+        return rule
+    idx = mesh.slab_element_indices()
+    lo = int(idx[0]) if idx.size else 0
+    if idx.size and idx[-1] - lo + 1 != idx.size:
+        raise ValueError("the slab elements are not contiguous")
+    elements = slice(lo, lo + idx.size)
+    points, half, weights = element_quadrature(mesh, elements)
+    rule = SlabRule(elements, _read_only(points), _read_only(half),
+                    _read_only(weights))
+    _SLAB_RULE[mesh] = rule
+    return rule
+
+
+def p1_load(mesh: Mesh1D, scale, profile) -> np.ndarray:
+    """Consistent load f_i = scale int_slab profile(x) phi_i dx.
+
+    ``profile`` is called once with the Gauss points of the slab elements,
+    taken from ``slab_rule``. The element sums are added to the nodes of
+    the contiguous slab elements by two slice-adds, low ends first, in the
+    order an element-by-element scatter would add them. Returns one value
+    per mesh node, walls included. A P1 profile needs no quadrature: use
+    ``StaticBands.slab_load``.
+    """
+    rule = slab_rule(mesh)
+    # scale * half first, not scale * weights: the rounding of the scatter
+    common = scale * rule.half * GAUSS_WEIGHTS * profile(rule.points)
+    start, stop = rule.elements.start, rule.elements.stop
     f = np.zeros(mesh.n_nodes, dtype=complex)
-    np.add.at(f, elements, np.sum(common * _SHAPE_LO, axis=1))
-    np.add.at(f, elements + 1, np.sum(common * _SHAPE_HI, axis=1))
+    f[start:stop] += np.sum(common * _SHAPE_LO, axis=1)
+    f[start + 1:stop + 1] += np.sum(common * _SHAPE_HI, axis=1)
     return f
 
 
@@ -254,8 +298,10 @@ class StaticBands:
     the medium places in its slab, and ``sigma_*`` the mass weighted by the
     absorbing-layer profile sigma (None without a layer). ``stiffness`` is
     the element stiffness with s = 1; the entries of the ``pml`` elements
-    are replaced per k from their Gauss-point ``pml_sigma``. Holds arrays
-    only, not the mesh, so a copy kept for a mesh dies with it.
+    are replaced per k from their Gauss-point ``pml_sigma``. ``slab_nodes``
+    is the slice of nodes that M_slab couples (empty without a slab); its
+    rows and columns hold all nonzeros of M_slab. Holds arrays only, not
+    the mesh, so a copy kept for a mesh dies with it.
     """
 
     def __init__(self, mesh: Mesh1D, medium: MediumSpec):
@@ -268,6 +314,9 @@ class StaticBands:
         two_h = 2.0 * mesh.element_lengths
         self.m0_diag, self.m0_off = _mass_bands(half, 1.0)
         self.slab_diag, self.slab_off = _mass_bands(half, in_slab)
+        slab = np.flatnonzero(np.any(in_slab, axis=1))
+        self.slab_nodes = (slice(int(slab[0]), int(slab[-1]) + 2) if slab.size
+                           else slice(0, 0))
         self.stiffness = _read_only(_gauss_sum(GAUSS_WEIGHTS) / two_h)
         self.pml = _read_only(np.flatnonzero(np.any(sigma > 0, axis=1)))
         self.pml_sigma = _read_only(sigma[self.pml])
@@ -275,6 +324,24 @@ class StaticBands:
         self.sigma_diag = self.sigma_off = None
         if self.pml.size:
             self.sigma_diag, self.sigma_off = _mass_bands(half, sigma)
+
+    def slab_load(self, scale, wave) -> np.ndarray:
+        """The band product scale M_slab w for nodal values ``wave``.
+
+        The consistent load of the P1 wave over the slab (the Gauss rule
+        that built M_slab is exact for it), formed over ``slab_nodes`` and
+        exactly zero outside. Returns one value per mesh node.
+        """
+        nodes = self.slab_nodes
+        f = np.zeros(self.slab_diag.size, dtype=complex)
+        if nodes.stop > nodes.start:
+            w = wave[nodes]
+            off = self.slab_off[nodes.start:nodes.stop - 1]
+            product = self.slab_diag[nodes] * w
+            product[:-1] += off * w[1:]
+            product[1:] += off * w[:-1]
+            f[nodes] = scale * product
+        return f
 
 
 # mesh -> (medium, StaticBands) of the last medium assembled on that mesh

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FieldSolution, element_quadrature, factorization
+from .fem import FieldSolution, factorization, slab_rule
 from .medium import MediumSpec
 from .mesh import Mesh1D
 
@@ -37,15 +37,15 @@ def solve_point_source(
 def slab_quadrature(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
     """Gauss points and weights covering the slab, element by element.
 
-    The element rule of ``fem`` on the slab elements. The weights sum to
-    the slab length exactly (up to round-off); for the standard slab of
-    half-length 1/32 that is 1/16 = 0.0625.
+    Flat read-only views of the mesh's cached ``fem.slab_rule``, built
+    once per mesh. The weights sum to the slab length exactly (up to
+    round-off); for the standard slab of half-length 1/32 that is
+    1/16 = 0.0625.
     """
-    idx = mesh.slab_element_indices()
-    if idx.size == 0:
+    rule = slab_rule(mesh)
+    if rule.points.size == 0:
         raise ValueError("mesh has no slab elements")
-    xq, _, wq = element_quadrature(mesh, idx)
-    return xq.ravel(), wq.ravel()
+    return rule.points.ravel(), rule.weights.ravel()
 
 
 @dataclass(frozen=True)

@@ -90,9 +90,9 @@ class BathConfig:
     def __post_init__(self):
         if self.n_bins < 8:
             raise ValueError(f"n_bins must be >= 8, got {self.n_bins}")
-        if self.nu_max <= 0:
+        if not (np.isfinite(self.nu_max) and self.nu_max > 0):
             raise ValueError(f"nu_max must be > 0, got {self.nu_max}")
-        if self.box_length <= 0:
+        if not (np.isfinite(self.box_length) and self.box_length > 0):
             raise ValueError(
                 f"box_length must be > 0, got {self.box_length}"
             )

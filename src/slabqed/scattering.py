@@ -36,11 +36,12 @@ import numpy as np
 
 from .fem import (
     FieldSolution,
-    element_quadrature,
     evaluate_field,
     factorization,
     lattice_wavenumber,
     p1_load,
+    slab_rule,
+    static_bands,
 )
 from .medium import MediumSpec
 from .mesh import Mesh1D
@@ -72,12 +73,16 @@ class PlaneWaveSolution:
 def _slab_source(mesh: Mesh1D, medium: MediumSpec, k: float, incident):
     """Consistent load f_i = k^2 chi int_slab Phi_inc phi_i dx.
 
-    ``incident`` is a function of x or the nodal values of a P1 wave; for
-    the latter the load is k^2 chi M_slab applied to those values, which is
-    what L - L_vac applies to the wave.
+    ``incident`` is a function of x, integrated by ``fem.p1_load`` with the
+    mesh's cached slab rule, or the nodal values of a P1 wave. For the
+    latter the load is the band product k^2 chi M_slab w over the slab's
+    nodes, with the M_slab that ``fem.static_bands`` keeps for the
+    operator: exactly what L - L_vac applies to the wave.
     """
-    return p1_load(mesh, mesh.slab_element_indices(),
-                   k**2 * medium.susceptibility(k), incident)
+    scale = k**2 * medium.susceptibility(k)
+    if callable(incident):
+        return p1_load(mesh, scale, incident)
+    return static_bands(mesh, medium).slab_load(scale, incident)
 
 
 def lattice_plane_wave(mesh: Mesh1D, k: float) -> FieldSolution:
@@ -151,7 +156,7 @@ def _probe_pair(mesh: Mesh1D, k: float, side: int) -> tuple[int, int]:
             f"vacuum gap too narrow to place an r/t probe at k = {k}; "
             "increase the padding"
         )
-    gaps = np.diff(mesh.nodes)
+    gaps = mesh.element_lengths
     start = int(np.searchsorted(mesh.nodes, 0.5 * (lo + hi)))
     for j in range(start, 1, -1) if side < 0 else range(start, mesh.n_nodes - 2):
         if not (lo <= mesh.nodes[j] and mesh.nodes[j + 1] <= hi):
@@ -220,10 +225,10 @@ def energy_balance(solution: PlaneWaveSolution) -> EnergyBalance:
     r, t = extract_r_t(solution)
     deficit = 1.0 - abs(r) ** 2 - abs(t) ** 2
 
-    xg, _, wg = element_quadrature(mesh, mesh.slab_element_indices())
-    phi = solution.total_at(xg)
+    rule = slab_rule(mesh)
+    phi = solution.total_at(rule.points)
     chi_imag = medium.susceptibility(k).imag
-    absorbed = k * chi_imag * float(np.sum(wg * np.abs(phi) ** 2))
+    absorbed = k * chi_imag * float(np.sum(rule.weights * np.abs(phi) ** 2))
     # floor the scale so a lossless run (both sides ~ round-off) reads as a
     # tiny residual instead of 0/0 noise
     scale = max(abs(deficit), abs(absorbed), 1e-6)

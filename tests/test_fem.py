@@ -31,10 +31,10 @@ from slabqed.fem import (
 )
 from slabqed.greens import reciprocity_residual, sample_green, solve_point_source
 from slabqed.identities import check_thermal_equilibrium
-from slabqed.medium import CASE_PRESETS
+from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS
 from slabqed.mesh import Mesh1D, PmlSpec, Region, build_box_mesh, build_mesh
-from slabqed.purcell import compute_record, sweep
-from slabqed.scattering import solve_scattering
+from slabqed.purcell import compute_record, gamma_boundary, purcell_mesh, sweep
+from slabqed.scattering import lattice_plane_wave, solve_scattering
 
 CASE1 = CASE_PRESETS["1"]
 VACUUM = CASE_PRESETS["vacuum"]
@@ -181,6 +181,98 @@ def test_slab_reaching_into_the_absorbing_layer_is_refused():
     wide = dataclasses.replace(CASE1, slab_half_length=0.1)
     with pytest.raises(ValueError, match="absorbing layer"):
         assemble(mesh, wide, 500.0)
+
+
+_LO, _HI = 0.5 * (1.0 - GAUSS_NODES), 0.5 * (1.0 + GAUSS_NODES)
+
+
+def scatter_slab_load(mesh, scale, values):
+    """Element-by-element scatter of scale * weights * values over the slab.
+
+    ``values`` are given at the slab's Gauss points; the two ``np.add.at``
+    calls are the reference for ``p1_load`` and ``StaticBands.slab_load``.
+    """
+    idx = mesh.slab_element_indices()
+    _, half, _ = element_quadrature(mesh, idx)
+    common = scale * half * GAUSS_WEIGHTS * values
+    f = np.zeros(mesh.n_nodes, dtype=complex)
+    np.add.at(f, idx, np.sum(common * _LO, axis=1))
+    np.add.at(f, idx + 1, np.sum(common * _HI, axis=1))
+    return f
+
+
+@settings(deadline=None, max_examples=30)
+@given(k=st.floats(50.0, 1500.0), ppw=st.floats(10.0, 80.0),
+       half_length=st.floats(0.005, 0.04), box=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_slab_band_load_matches_the_gauss_point_scatter(k, ppw, half_length,
+                                                        box, seed):
+    medium = dataclasses.replace(CASE1, slab_half_length=half_length)
+    if box:
+        mesh = build_box_mesh(medium, 700.0, ppw, 0.625)
+    else:
+        mesh = build_mesh(medium, 700.0, ppw, 0.05, PmlSpec(thickness=0.05))
+    rng = np.random.default_rng(seed)
+    wave = rng.normal(size=mesh.n_nodes) + 1j * rng.normal(size=mesh.n_nodes)
+    scale = k**2 * medium.susceptibility(k)
+    got = static_bands(mesh, medium).slab_load(scale, wave)
+    idx = mesh.slab_element_indices()
+    interpolant = wave[idx, None] * _LO + wave[idx + 1, None] * _HI
+    reference = scatter_slab_load(mesh, scale, interpolant)
+    assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+    outside = np.ones(mesh.n_nodes, dtype=bool)
+    outside[idx[0]:idx[-1] + 2] = False
+    assert np.all(got[outside] == 0)
+
+
+@pytest.mark.parametrize("k", [300.0, 500.0, 700.0])
+@pytest.mark.parametrize("ppw", [20.0, 40.0])
+def test_p1_load_is_bitwise_the_gauss_point_scatter(k, ppw):
+    mesh = build_mesh(CASE1, 700.0, ppw, 0.05, PmlSpec(thickness=0.05))
+    scale = k**2 * CASE1.susceptibility(k)
+
+    def wave(x):
+        return np.exp(-1j * k * x)
+
+    points, _, _ = element_quadrature(mesh, mesh.slab_element_indices())
+    np.testing.assert_array_equal(
+        fem.p1_load(mesh, scale, wave),
+        scatter_slab_load(mesh, scale, wave(points)))
+
+
+def test_slab_rule_is_built_once_per_mesh_and_released_with_it():
+    mesh = lu_mesh()
+    rule = fem.slab_rule(mesh)
+    assert fem.slab_rule(mesh) is rule
+    points, weights = greens.slab_quadrature(mesh)
+    assert points.base is rule.points and weights.base is rule.weights
+    assert not points.flags.writeable
+    rule = weakref.ref(rule)
+    del mesh, points, weights
+    gc.collect()
+    assert rule() is None
+
+
+def test_slab_rule_refuses_a_split_slab():
+    # the slice-adds of p1_load need one contiguous run of slab elements
+    mesh = uniform_vacuum_box(11)
+    tags = mesh.element_region.copy()
+    tags[[2, 3, 6]] = Region.SLAB
+    split = Mesh1D(mesh.nodes, tags, None, 0.03125)
+    with pytest.raises(ValueError, match="not contiguous"):
+        fem.p1_load(split, 1.0, np.cos)
+
+
+@pytest.mark.parametrize("label", ["1A", "1B", "2A", "2B"])
+@pytest.mark.parametrize("omega", [300.0, 500.0, 504.0, 700.0])
+def test_record_boundary_rate_is_bitwise_gamma_boundary(label, omega):
+    medium = CASE_PRESETS[label[0]]
+    x_a = {"A": ATOM_INSIDE, "B": ATOM_OUTSIDE}[label[1]]
+    mesh = purcell_mesh(medium, x_a)
+    record = compute_record(mesh, medium, omega, x_a)
+    wave = lattice_plane_wave(mesh, omega)
+    states = [solve_scattering(mesh, medium, omega, d, wave) for d in (+1, -1)]
+    assert record.pf_b == gamma_boundary(*states, x_a)
 
 
 def test_block_solve_matches_column_solves():

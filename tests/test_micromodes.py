@@ -62,6 +62,15 @@ def test_bath_config_rejects_bad_values():
         BathConfig(box_length=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_bath_config_rejects_non_finite_values(value):
+    # every comparison with NaN is False, so "<= 0" alone let it through
+    with pytest.raises(ValueError, match="nu_max must be > 0"):
+        BathConfig(nu_max=value)
+    with pytest.raises(ValueError, match="box_length must be > 0"):
+        BathConfig(box_length=value)
+
+
 def test_oscillator_strength_formula():
     medium = CASE_PRESETS["1"]
     nu = np.array([100.0, 500.0, 900.0])
