@@ -12,11 +12,13 @@ symmetry, not any Hermiticity, is what the operator identities in
 Element integrals use a fixed 4-point Gauss-Legendre rule, which is exact
 for the polynomial stretch profiles and the P1 products appearing here.
 ``element_quadrature`` and ``p1_load`` are the only places that rule is
-applied; ``slab_rule`` keeps it on the slab elements once per mesh for
-``p1_load`` and the slab quadratures of other modules. ``factorization``
-is the one place an LU is built for a solve: each mesh keeps the LU of
-the last (medium, k) solved on it, so all solves at one frequency share
-it and no caller passes one around.
+applied. ``kept`` keeps work with its mesh, one entry per slot, replaced
+when its key changes and freed with the mesh: the rule on the slab
+elements (``slab_rule``, for ``p1_load`` and the slab quadratures of other
+modules), the k-independent bands of the last medium (``static_bands``)
+and the LU of the last (medium, k) (``factorization``, the one place an LU
+is built for a solve), so all solves at one frequency share it and no
+caller passes one around.
 ``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot,
 swept in blocks of rows so the sign bits are counted once per block) and
 ``inverse_iteration`` are the real symmetric tridiagonal kernels of the
@@ -45,11 +47,11 @@ in the slab (the two never overlap), the mass splits as
 and only three pieces of the operator vary with k: the stiffness of the
 absorbing-layer elements (1/s is not linear in k), the scalar chi(k) and
 the 1/k weight of M_sigma. ``static_bands`` builds the rest once per
-(mesh, medium) and keeps it with the mesh: the three mass bands M_0,
-M_slab and M_sigma, the sigma of the layer elements at their Gauss points
-and the stiffness of every other element. ``assemble`` then does O(n)
-band arithmetic per frequency and no quadrature; it refuses a medium whose
-slab reaches into an absorbing layer, where the split would not hold.
+(mesh, medium): the three mass bands M_0, M_slab and M_sigma, the sigma
+of the layer elements at their Gauss points and the stiffness of every
+other element. ``assemble`` then does O(n) band arithmetic per frequency
+and no quadrature; it refuses a medium whose slab reaches into an
+absorbing layer, where the split would not hold.
 The slab load of a P1 wave, k^2 chi M_slab w, is a band product with the
 same M_slab (``StaticBands.slab_load``), over the slab's nodes only.
 """
@@ -77,6 +79,28 @@ DEFAULT_DOF_CAP = 4000
 
 # pivot_sweep counts sign bits once per this many rows
 _SWEEP_BLOCK = 64
+
+# owner -> {slot: (key, value)}, the entries of ``kept``
+_KEPT = weakref.WeakKeyDictionary()
+
+
+def kept(owner, slot: str, key, build):
+    """The value ``build()`` made for ``key``, kept in ``slot`` of ``owner``.
+
+    One (key, value) entry per slot: an equal key returns the kept value,
+    any other drops the entry, freeing its value before ``build`` runs, and
+    stores the new one; a ``build`` that raises leaves the slot empty. The
+    entries die with their owner, so a value must not refer to it.
+    """
+    slots = _KEPT.setdefault(owner, {})
+    entry = slots.get(slot)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    del entry  # with the pop, frees the old value before the build
+    slots.pop(slot, None)
+    value = build()
+    slots[slot] = (key, value)
+    return value
 
 
 def _load_flapack():
@@ -218,30 +242,23 @@ class SlabRule:
     weights: np.ndarray
 
 
-# mesh -> SlabRule of that mesh
-_SLAB_RULE = weakref.WeakKeyDictionary()
-
-
 def slab_rule(mesh: Mesh1D) -> SlabRule:
     """The element rule on the slab elements of ``mesh``, built once per mesh.
 
-    Kept like ``static_bands``: the mesh is immutable, so one entry per
-    mesh, freed with it. The slab elements must be contiguous, as
-    ``build_mesh`` and ``build_box_mesh`` make them.
+    The slab elements must be contiguous, as ``build_mesh`` and
+    ``build_box_mesh`` make them.
     """
-    rule = _SLAB_RULE.get(mesh)
-    if rule is not None:
-        return rule
-    idx = mesh.slab_element_indices()
-    lo = int(idx[0]) if idx.size else 0
-    if idx.size and idx[-1] - lo + 1 != idx.size:
-        raise ValueError("the slab elements are not contiguous")
-    elements = slice(lo, lo + idx.size)
-    points, half, weights = element_quadrature(mesh, elements)
-    rule = SlabRule(elements, _read_only(points), _read_only(half),
-                    _read_only(weights))
-    _SLAB_RULE[mesh] = rule
-    return rule
+    def build():
+        idx = mesh.slab_element_indices()
+        lo = int(idx[0]) if idx.size else 0
+        if idx.size and idx[-1] - lo + 1 != idx.size:
+            raise ValueError("the slab elements are not contiguous")
+        elements = slice(lo, lo + idx.size)
+        points, half, weights = element_quadrature(mesh, elements)
+        return SlabRule(elements, _read_only(points), _read_only(half),
+                        _read_only(weights))
+
+    return kept(mesh, "slab_rule", None, build)
 
 
 def p1_load(mesh: Mesh1D, scale, profile) -> np.ndarray:
@@ -344,22 +361,13 @@ class StaticBands:
         return f
 
 
-# mesh -> (medium, StaticBands) of the last medium assembled on that mesh
-_STATIC = weakref.WeakKeyDictionary()
-
-
 def static_bands(mesh: Mesh1D, medium: MediumSpec) -> StaticBands:
     """The k-independent bands of (mesh, medium), built once per pair.
 
-    Kept like the LU of ``factorization``: one slot per mesh, replaced when
-    another medium is assembled on it and freed with the mesh.
+    The mesh keeps the bands of the last medium assembled on it.
     """
-    cached = _STATIC.get(mesh)
-    if cached is not None and cached[0] == medium:
-        return cached[1]
-    bands = StaticBands(mesh, medium)
-    _STATIC[mesh] = (medium, bands)
-    return bands
+    return kept(mesh, "static_bands", medium,
+                lambda: StaticBands(mesh, medium))
 
 
 def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
@@ -454,45 +462,29 @@ class Factorization:
         return dofs
 
 
-# mesh -> (medium, k, LU) of the last operator solved on that mesh
-_LAST_LU = weakref.WeakKeyDictionary()
-
-
 def factorization(mesh: Mesh1D, medium: MediumSpec, k: float) -> Factorization:
     """The LU of L = S - k^2 M for (mesh, medium, k).
 
     Every solve at one frequency reuses it: the mesh keeps the LU of the
-    last (medium, k) solved on it, and a different (medium, k) replaces
-    that entry, freed before the new operator is assembled. The entry dies
-    with its mesh. One slot per mesh suits a serial frequency loop; solves
-    of two frequencies on one mesh interleaved would refactorize each time.
+    last (medium, k) solved on it, and the old LU is freed before the
+    operator of a new (medium, k) is assembled. One slot per mesh suits a
+    serial frequency loop; solves of two frequencies on one mesh
+    interleaved would refactorize each time.
     """
-    cached = _LAST_LU.get(mesh)
-    if cached is not None and cached[:2] == (medium, k):
-        return cached[2]
-    del cached  # with the pop, frees the old LU before the new assembly
-    _LAST_LU.pop(mesh, None)
-    lu = Factorization(assemble(mesh, medium, k))
-    _LAST_LU[mesh] = (medium, k, lu)
-    return lu
-
-
-def negative_pivots(diag, off2) -> np.ndarray:
-    """Negative LDL^T pivots of real symmetric tridiagonals, one per column.
-
-    ``diag`` is a sequence of n rows and ``off2`` of n - 1 rows, each an
-    array of m entries: the diagonal and the squared off-diagonal, column j
-    of them being one matrix. A row array may appear any number of times.
-    By Sylvester's law of inertia the count is the number of negative
-    eigenvalues. A zero pivot counts by its sign bit and makes the next
-    one infinite with the opposite sign, so the pair counts once, as it
-    would with the zero nudged either way.
-    """
-    return pivot_sweep(diag, off2)[0]
+    return kept(mesh, "factorization", (medium, k),
+                lambda: Factorization(assemble(mesh, medium, k)))
 
 
 def pivot_sweep(diag, off2):
-    """``negative_pivots`` and the last pivot of every column, in one sweep.
+    """Negative LDL^T pivots and the last pivot of every column, in one sweep.
+
+    ``diag`` is a sequence of n rows and ``off2`` of n - 1 rows, each an
+    array of m entries: the diagonal and the squared off-diagonal, column j
+    of them being one real symmetric tridiagonal. A row array may appear
+    any number of times. By Sylvester's law of inertia the negative count
+    is the number of negative eigenvalues. A zero pivot counts by its sign
+    bit and makes the next one infinite with the opposite sign, so the pair
+    counts once, as it would with the zero nudged either way.
 
     The sweep is a Python loop over rows, so its cost is per-row ufunc
     overhead for any m the eigenmode route uses. Each row's pivot is

@@ -31,38 +31,33 @@ measure the same balance.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
-from .fem import DEFAULT_DOF_CAP, SystemMatrices
+from .fem import DEFAULT_DOF_CAP, SystemMatrices, kept
 from .greens import slab_quadrature, solve_point_source
 from .medium import MediumSpec
 from .mesh import Mesh1D
 from .scattering import lattice_plane_wave, solve_scattering
 
-# system -> (LU, G) for the checks on that system; dies with the system
-_INVERSES = weakref.WeakKeyDictionary()
-
 
 def _inverse(system: SystemMatrices):
-    """The LU of L and G = L^{-1} on the interior, once per system.
+    """The LU of L and G = L^{-1} on the interior, kept with the system.
 
     G comes from one block solve of the identity through the tridiagonal
     LU, O(n^2); it is dense, so systems above the dof cap are refused.
     """
-    cached = _INVERSES.get(system)
-    if cached is None:
-        n = system.n_interior
-        if n > DEFAULT_DOF_CAP:
-            raise ValueError(
-                f"dense inverse needs {n} dofs, above the cap "
-                f"{DEFAULT_DOF_CAP}; use a coarser mesh"
-            )
+    n = system.n_interior
+    if n > DEFAULT_DOF_CAP:
+        raise ValueError(
+            f"dense inverse needs {n} dofs, above the cap "
+            f"{DEFAULT_DOF_CAP}; use a coarser mesh"
+        )
+
+    def build():
         lu = system.factorize()
-        cached = _INVERSES[system] = (
-            lu, lu.solve(np.eye(n, dtype=complex))[1:-1])
-    return cached
+        return lu, lu.solve(np.eye(n, dtype=complex))[1:-1]
+
+    return kept(system, "inverse", None, build)
 
 
 def _sandwich(system: SystemMatrices, bands, columns=slice(None)):

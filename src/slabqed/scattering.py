@@ -70,21 +70,6 @@ class PlaneWaveSolution:
         return self.incident_at(x) + self.scattered(x)
 
 
-def _slab_source(mesh: Mesh1D, medium: MediumSpec, k: float, incident):
-    """Consistent load f_i = k^2 chi int_slab Phi_inc phi_i dx.
-
-    ``incident`` is a function of x, integrated by ``fem.p1_load`` with the
-    mesh's cached slab rule, or the nodal values of a P1 wave. For the
-    latter the load is the band product k^2 chi M_slab w over the slab's
-    nodes, with the M_slab that ``fem.static_bands`` keeps for the
-    operator: exactly what L - L_vac applies to the wave.
-    """
-    scale = k**2 * medium.susceptibility(k)
-    if callable(incident):
-        return p1_load(mesh, scale, incident)
-    return static_bands(mesh, medium).slab_load(scale, incident)
-
-
 def lattice_plane_wave(mesh: Mesh1D, k: float) -> FieldSolution:
     """Unit discrete plane wave travelling toward +x, as a P1 field.
 
@@ -108,17 +93,21 @@ def solve_scattering(
 ) -> PlaneWaveSolution:
     """Scattered-field solve for a unit plane wave from the left (+1) or right.
 
-    The LU is ``fem.factorization``'s, shared with every other solve at
-    this frequency on this mesh. Without ``lattice_wave`` the incident wave is the analytic e^{i d k x}; with the +x wave of
+    The load is k^2 chi int_slab Phi_inc phi_i dx. Without ``lattice_wave``
+    the incident wave is the analytic e^{i d k x}, integrated by
+    ``fem.p1_load`` with the mesh's slab rule. With the +x wave of
     ``lattice_plane_wave(mesh, k)`` it is that wave (d = +1) or its complex
-    conjugate (d = -1).
+    conjugate (d = -1), and the load is the band product k^2 chi M_slab w
+    with the M_slab of ``fem.static_bands``: exactly what L - L_vac applies
+    to the wave. The LU is ``fem.factorization``'s, shared with every other
+    solve at this frequency on this mesh.
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
+    scale = k**2 * medium.susceptibility(k)
     if lattice_wave is None:
         incident = None
-        f = _slab_source(mesh, medium, k,
-                         lambda x: np.exp(1j * direction * k * x))
+        f = p1_load(mesh, scale, lambda x: np.exp(1j * direction * k * x))
     else:
         if lattice_wave.mesh is not mesh or lattice_wave.k != k:
             raise ValueError(
@@ -126,7 +115,7 @@ def solve_scattering(
             )
         wave = lattice_wave.dofs if direction > 0 else lattice_wave.dofs.conj()
         incident = FieldSolution(mesh=mesh, k=float(k), dofs=wave)
-        f = _slab_source(mesh, medium, k, wave)
+        f = static_bands(mesh, medium).slab_load(scale, wave)
     dofs = factorization(mesh, medium, k).solve(f[1:-1])
     return PlaneWaveSolution(
         mesh=mesh,

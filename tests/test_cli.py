@@ -444,6 +444,22 @@ def test_oracle_compare_vacuum_scattering_is_exact(tmp_path):
     assert max(float(row[3]) for row in rows) < 5e-3
 
 
+def test_oracle_compare_fails_on_a_nan_residual(tmp_path, capsys):
+    """An opaque lossless slab drives the oracle's Green function to NaN at
+    omega 411; that row must fail the run, not drop out of the worst."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "case = 1A\nmedium.gamma = 0\nmedium.omega_p = 264\n"
+        "medium.omega_0 = 410\nmedium.slab_half_length = 0.09375\n"
+        "sweep.min = 411\nsweep.max = 413\nsweep.count = 3\n")
+    out = tmp_path / "oc.csv"
+    code = main(["oracle-compare", "--config", str(cfg), "--out", str(out)])
+    _, rows = csv_rows(out)
+    assert not all(np.isfinite(float(v)) for row in rows for v in row[1:])
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- modes
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, lapack
 
-from slabqed import fem, greens, scattering
+from slabqed import fem, greens, identities, scattering
 from slabqed.cli import main
 from slabqed.fem import (
     GAUSS_NODES,
@@ -18,14 +18,12 @@ from slabqed.fem import (
     Factorization,
     FieldSolution,
     SingularOperatorError,
-    StaticBands,
     assemble,
     dense_tridiagonal,
     element_quadrature,
     evaluate_field,
     factorization,
     inverse_iteration,
-    negative_pivots,
     pivot_sweep,
     static_bands,
 )
@@ -144,38 +142,6 @@ def test_vacuum_box_bands_are_bitwise_the_reference():
         np.testing.assert_array_equal(band, reference)
 
 
-@pytest.fixture
-def static_built(monkeypatch):
-    """The medium of every StaticBands built while the test runs."""
-    media = []
-    init = StaticBands.__init__
-
-    def counting(self, mesh, medium):
-        media.append(medium)
-        init(self, mesh, medium)
-
-    monkeypatch.setattr(StaticBands, "__init__", counting)
-    return media
-
-
-def test_static_bands_are_built_once_per_mesh_and_medium(static_built):
-    mesh = lu_mesh()
-    ks = np.linspace(300.0, 700.0, 9)
-    sweep(mesh, CASE1, ks, 0.0625)
-    assert static_built == [CASE1]
-    sweep(mesh, VACUUM, ks, 0.0625)
-    assert static_built == [CASE1, VACUUM]
-
-
-def test_static_bands_are_released_with_their_mesh():
-    mesh = lu_mesh()
-    bands = weakref.ref(static_bands(mesh, CASE1))
-    assert bands() is not None
-    del mesh
-    gc.collect()
-    assert bands() is None
-
-
 def test_slab_reaching_into_the_absorbing_layer_is_refused():
     mesh = lu_mesh()
     wide = dataclasses.replace(CASE1, slab_half_length=0.1)
@@ -238,19 +204,6 @@ def test_p1_load_is_bitwise_the_gauss_point_scatter(k, ppw):
     np.testing.assert_array_equal(
         fem.p1_load(mesh, scale, wave),
         scatter_slab_load(mesh, scale, wave(points)))
-
-
-def test_slab_rule_is_built_once_per_mesh_and_released_with_it():
-    mesh = lu_mesh()
-    rule = fem.slab_rule(mesh)
-    assert fem.slab_rule(mesh) is rule
-    points, weights = greens.slab_quadrature(mesh)
-    assert points.base is rule.points and weights.base is rule.weights
-    assert not points.flags.writeable
-    rule = weakref.ref(rule)
-    del mesh, points, weights
-    gc.collect()
-    assert rule() is None
 
 
 def test_slab_rule_refuses_a_split_slab():
@@ -368,7 +321,7 @@ def test_negative_pivots_count_negative_eigenvalues():
     diag = rng.standard_normal((n, m))
     off = rng.standard_normal((n - 1, m))
     diag[5] = diag[3]  # rows may be shared
-    counts = negative_pivots(list(diag), list(off**2))
+    counts = pivot_sweep(list(diag), list(off**2))[0]
     for j in range(m):
         lam = eigh_tridiagonal(diag[:, j], off[:, j], eigvals_only=True)
         assert counts[j] == np.sum(lam < 0)
@@ -377,8 +330,8 @@ def test_negative_pivots_count_negative_eigenvalues():
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 def test_negative_pivots_zero_pivot_counts_once(zero):
     # [[0, 1], [1, 0]] has eigenvalues -1 and 1 whichever sign the zero has
-    counts = negative_pivots([np.array([zero]), np.array([0.0])],
-                             [np.array([1.0])])
+    counts = pivot_sweep([np.array([zero]), np.array([0.0])],
+                         [np.array([1.0])])[0]
     assert counts.tolist() == [1]
 
 
@@ -413,7 +366,6 @@ def test_pivot_sweep_is_bitwise_the_row_by_row_recurrence(n, m):
     # bitwise, the infinite pivots included
     np.testing.assert_array_equal(last.view(np.int64),
                                   expected_last.view(np.int64))
-    np.testing.assert_array_equal(negative_pivots(rows, list(off2)), count)
 
 
 def test_pivot_sweep_leaves_its_rows_untouched():
@@ -625,17 +577,126 @@ def test_changed_operator_gets_a_fresh_factorization(entry, other, built,
     assert built == [call["k"]]
 
 
-def test_each_mesh_keeps_its_own_factorization(built):
-    meshes = lu_mesh(), lu_mesh()
-    lus = [factorization(mesh, CASE1, 500.0) for mesh in meshes]
-    assert [factorization(mesh, CASE1, 500.0) for mesh in meshes] == lus
-    assert built == [500.0, 500.0]
+class Owner:
+    """A weak-referenceable stand-in for a mesh or a system."""
 
 
-def test_factorization_is_released_with_its_mesh():
-    mesh = lu_mesh()
-    lu = weakref.ref(factorization(mesh, CASE1, 500.0))
-    assert lu() is not None
-    del mesh
+class Value:
+    """A fresh, weak-referenceable value per build."""
+
+
+def test_kept_frees_the_old_value_before_building_the_new():
+    owner = Owner()
+    old = weakref.ref(fem.kept(owner, "slot", 1, Value))
+    seen = []
+
+    def build():
+        seen.append(old())
+        return Value()
+
+    new = fem.kept(owner, "slot", 2, build)
+    assert seen == [None]
+    assert fem.kept(owner, "slot", 2, Value) is new
+
+
+def test_kept_gives_each_owner_and_slot_its_own_entry():
+    owners = Owner(), Owner()
+    values = {(owner, slot): fem.kept(owner, slot, None, Value)
+              for owner in owners for slot in ("a", "b")}
+    assert len({id(value) for value in values.values()}) == 4
+    # a new key in one entry leaves every other entry as it was
+    fem.kept(owners[0], "a", 1, Value)
+    for (owner, slot), value in values.items():
+        if (owner, slot) != (owners[0], "a"):
+            assert fem.kept(owner, slot, None, Value) is value
+
+
+def test_kept_keeps_nothing_from_a_build_that_raises():
+    owner = Owner()
+    old = weakref.ref(fem.kept(owner, "slot", 1, Value))
+
+    def failing():
+        raise SingularOperatorError("no value")
+
+    with pytest.raises(SingularOperatorError):
+        fem.kept(owner, "slot", 2, failing)
+    assert old() is None
+    made = []
+
+    def build():
+        made.append(Value())
+        return made[-1]
+
+    assert fem.kept(owner, "slot", 2, build) is made[0]
+    assert fem.kept(owner, "slot", 2, build) is made[0]
+    assert len(made) == 1
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The slot of every value ``fem.kept`` builds while the test runs."""
+    slots = []
+    kept = fem.kept
+
+    def counting(owner, slot, key, build):
+        def counted():
+            slots.append(slot)
+            return build()
+        return kept(owner, slot, key, counted)
+
+    for module in (fem, identities):
+        monkeypatch.setattr(module, "kept", counting)
+    return slots
+
+
+def kept_slab_rule(mesh, key):
+    points, weights = greens.slab_quadrature(mesh)
+    rule = fem.slab_rule(mesh)
+    # the slab quadrature is read-only views of the kept rule
+    assert points.base is rule.points and weights.base is rule.weights
+    assert not points.flags.writeable
+    return rule
+
+
+def kept_static_bands(mesh, medium):
+    # a sweep assembles at every k from the one set of bands
+    sweep(mesh, medium, np.linspace(300.0, 700.0, 9), 0.0625)
+    return static_bands(mesh, medium)
+
+
+def kept_inverse(system, key):
+    identities.check_discrete_ddgt(system)
+    return identities._inverse(system)[1]
+
+
+# slot -> (a new owner, its keys, the value kept for a key once its callers
+# have run)
+KEPT_SLOTS = {
+    "slab_rule": (lu_mesh, [None], kept_slab_rule),
+    "static_bands": (lu_mesh, [CASE1, VACUUM], kept_static_bands),
+    "factorization": (
+        lu_mesh, [(CASE1, 500.0), (VACUUM, 500.0), (CASE1, 501.0)],
+        lambda mesh, key: factorization(mesh, *key)),
+    "inverse": (lambda: assemble(lu_mesh(), VACUUM, 500.0), [None],
+                kept_inverse),
+}
+
+
+@pytest.mark.parametrize("slot", KEPT_SLOTS)
+def test_a_kept_slot_is_built_once_per_key_and_freed_with_its_owner(
+        slot, builds):
+    new_owner, keys, value_for = KEPT_SLOTS[slot]
+    owner, other = new_owner(), new_owner()
+    value = weakref.ref(value_for(owner, keys[0]))
+    assert value_for(owner, keys[0]) is value()
+    other_value = value_for(other, keys[0])
+    assert other_value is not value()
+    for key in keys[1:]:
+        replaced, value = value, weakref.ref(value_for(owner, key))
+        assert replaced() is None
+        assert value_for(owner, key) is value()
+    assert value_for(other, keys[0]) is other_value
+    assert builds.count(slot) == len(keys) + 1
+    del owner
     gc.collect()
-    assert lu() is None
+    assert value() is None

@@ -1,8 +1,5 @@
 """Operator-identity checks: exactness, expected failure, balance."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -63,16 +60,6 @@ def test_both_checks_share_one_identity_solve(monkeypatch):
     ids.check_discrete_ddgt(system)
     ids.check_lossless_identity_failure(system)
     assert identity_solves == [system.n_interior]
-
-
-def test_green_is_released_with_its_system():
-    medium = CASE_PRESETS["vacuum"]
-    system = assemble(open_mesh(medium), medium, 500.0)
-    ids.check_discrete_ddgt(system)
-    green = weakref.ref(ids._inverse(system)[1])
-    del system
-    gc.collect()
-    assert green() is None
 
 
 def test_dense_dof_cap_guard():

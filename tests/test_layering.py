@@ -1,11 +1,12 @@
 """Import structure of the package, read from the source with ``ast``.
 
 The oracle must stay independent of the finite-element stack, modules talk
-through public names only, the element quadrature rule, the LU and every
-other LAPACK call live in ``fem``, no module runs a dense eigensolver or a
-dense linear solve, and nothing runs on a thread pool. No module imports
-scipy: ``fem`` loads only its compiled LAPACK wrapper. The benchmark's trace
-hooks must name functions that exist.
+through public names only, the element quadrature rule, the LU, every
+other LAPACK call and the one per-owner cache (``kept``) live in ``fem``,
+no module runs a dense eigensolver or a dense linear solve, and nothing
+runs on a thread pool. No module imports scipy: ``fem`` loads only its
+compiled LAPACK wrapper. The benchmark's trace hooks must name functions
+that exist.
 """
 
 import ast
@@ -84,6 +85,12 @@ def imported_modules(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"fem"}))
+def test_only_fem_keeps_work_per_owner(name):
+    # every cache kept with a mesh or a system is a slot of fem.kept
+    assert "weakref" not in imported_modules(MODULES[name])
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
