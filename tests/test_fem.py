@@ -18,6 +18,7 @@ from slabqed.fem import (
     Factorization,
     FieldSolution,
     SingularOperatorError,
+    StaticBands,
     assemble,
     dense_tridiagonal,
     element_quadrature,
@@ -140,6 +141,38 @@ def test_vacuum_box_bands_are_bitwise_the_reference():
     bands = (system.s_diag, system.s_off, system.m_diag, system.m_off)
     for band, reference in zip(bands, reference_bands(mesh, VACUUM, 1.0)):
         np.testing.assert_array_equal(band, reference)
+
+
+@pytest.fixture
+def static_built(monkeypatch):
+    """The medium of every StaticBands built while the test runs."""
+    media = []
+    init = StaticBands.__init__
+
+    def counting(self, mesh, medium):
+        media.append(medium)
+        init(self, mesh, medium)
+
+    monkeypatch.setattr(StaticBands, "__init__", counting)
+    return media
+
+
+def test_static_bands_are_built_once_per_mesh_and_medium(static_built):
+    mesh = lu_mesh()
+    ks = np.linspace(300.0, 700.0, 9)
+    sweep(mesh, CASE1, ks, 0.0625)
+    assert static_built == [CASE1]
+    sweep(mesh, VACUUM, ks, 0.0625)
+    assert static_built == [CASE1, VACUUM]
+
+
+def test_static_bands_are_released_with_their_mesh():
+    mesh = lu_mesh()
+    bands = weakref.ref(static_bands(mesh, CASE1))
+    assert bands() is not None
+    del mesh
+    gc.collect()
+    assert bands() is None
 
 
 def test_slab_reaching_into_the_absorbing_layer_is_refused():
@@ -575,6 +608,22 @@ def test_changed_operator_gets_a_fresh_factorization(entry, other, built,
     del built[:]
     np.testing.assert_array_equal(run(**call), reference)
     assert built == [call["k"]]
+
+
+def test_each_mesh_keeps_its_own_factorization(built):
+    meshes = lu_mesh(), lu_mesh()
+    lus = [factorization(mesh, CASE1, 500.0) for mesh in meshes]
+    assert [factorization(mesh, CASE1, 500.0) for mesh in meshes] == lus
+    assert built == [500.0, 500.0]
+
+
+def test_factorization_is_released_with_its_mesh():
+    mesh = lu_mesh()
+    lu = weakref.ref(factorization(mesh, CASE1, 500.0))
+    assert lu() is not None
+    del mesh
+    gc.collect()
+    assert lu() is None
 
 
 class Owner:
