@@ -338,7 +338,8 @@ def _closed_box_modes(config: RunConfig, grid):
     """Eigenmodes of the config's closed-box pencil, kept up past the grid.
 
     Returns the ModeSet and the metadata line describing it: mode count,
-    band, B-orthonormality residual and the pivot sweeps the count took.
+    band, B-orthonormality residual, the pivot sweeps the count took and
+    the residue-vs-vector residual at the atom.
     """
     system = build_gevp(
         gevp_mesh(config.medium, config.bath), config.medium, config.bath
@@ -348,7 +349,8 @@ def _closed_box_modes(config: RunConfig, grid):
     return modes, (
         f"modes: {modes.n_modes} in band [{lo:g}, {hi:g}], "
         f"normalization_residual = {modes.normalization_residual:.3e}, "
-        f"count_sweeps = {modes.count_sweeps}"
+        f"count_sweeps = {modes.count_sweeps}, residue_residual = "
+        f"{modes.residue_residual(config.atom_position):.3e}"
     )
 
 

@@ -19,22 +19,16 @@ modules), the k-independent bands of the last medium (``static_bands``)
 and the LU of the last (medium, k) (``factorization``, the one place an LU
 is built for a solve), so all solves at one frequency share it and no
 caller passes one around.
-``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot,
-swept in blocks of rows so the sign bits are counted once per block) and
+``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot),
+``twisted_residues`` (the weight of one row in every null vector, from a
+forward and a backward pivot sweep differentiated in lam) and
 ``inverse_iteration`` are the real symmetric tridiagonal kernels of the
 eigenmode route; ``inverse_iteration`` and the LU are the only LAPACK
-calls in the package.
-
-Those calls are LAPACK's ``?gttrf``/``?gttrs`` through scipy's compiled
-f2py wrapper ``scipy/linalg/_flapack``, which ``_load_flapack`` loads as a
-plain extension module: importing ``scipy.linalg`` took ~0.35 s, more than
-half of the process set-up, because it clones the numpy namespace and
-pulls in ``numpy.f2py``, ``numpy.testing`` and more. f2py copies every
-array it may not overwrite, so the LU hands ``gttrf`` the bands
-``operator_interior`` has just built with the overwrite flags set, and
-``solve`` makes one owned copy of the right-hand side for ``gttrs`` to
-overwrite; without that heap churn the first solve of a fresh process is
-as fast as the later ones.
+calls in the package, LAPACK's ``?gttrf``/``?gttrs`` from scipy's compiled
+``_flapack``, loaded without importing ``scipy.linalg``
+(``_load_flapack``). f2py copies every array it may not overwrite, so the
+LU factors fresh bands in place and ``solve`` makes one owned copy of the
+right-hand side.
 
 The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
@@ -73,8 +67,8 @@ GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _SHAPE_LO = 0.5 * (1.0 - GAUSS_NODES)  # hat falling across the element
 _SHAPE_HI = 0.5 * (1.0 + GAUSS_NODES)  # hat rising across the element
 
-# dense copies of the operator (identity checks, eigenmode pencil) refuse
-# systems above this many dofs rather than exhausting memory
+# the identity checks' dense G and the eigenmode pencil refuse systems
+# above this many dofs rather than exhausting memory
 DEFAULT_DOF_CAP = 4000
 
 # pivot_sweep counts sign bits once per this many rows
@@ -541,13 +535,85 @@ def inverse_iteration(diag: np.ndarray, off: np.ndarray,
     return vectors
 
 
-def dense_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Dense symmetric matrix from a diagonal and its off-diagonal band."""
-    full = np.diag(diag)
-    idx = np.arange(off.size)
-    full[idx, idx + 1] = off
-    full[idx + 1, idx] = off
-    return full
+def _differentiated_sweep(diag, ddiag, off2, doff2, floor=None):
+    """Last LDL^T pivot of the rows given and its derivative in lam.
+
+    p_i = d_i - o2_{i-1} / p_{i-1}, and its derivative by the quotient
+    rule, row by row in place: six ufuncs per row, no allocation. A
+    ``floor`` replaces every pivot that is exactly zero.
+    """
+    pivot = np.array(diag[0], dtype=float)
+    slope = np.array(ddiag[0], dtype=float)
+    ratio, work = np.empty_like(pivot), np.empty_like(pivot)
+    for row, drow, coupling, dcoupling in zip(diag[1:], ddiag[1:], off2,
+                                              doff2):
+        if floor is not None:
+            pivot[pivot == 0.0] = floor
+        np.divide(coupling, pivot, out=ratio)
+        np.multiply(ratio, slope, out=work)
+        np.subtract(dcoupling, work, out=work)
+        np.divide(work, pivot, out=work)
+        np.subtract(drow, work, out=slope)
+        np.subtract(row, ratio, out=pivot)
+    if floor is not None:
+        pivot[pivot == 0.0] = floor
+    return pivot, slope
+
+
+def _twisted(diag, ddiag, off2, doff2, edge, floor=None):
+    """``twisted_residues`` without the zero-pivot retry."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        upper, dupper = _differentiated_sweep(
+            diag[:edge + 1], ddiag[:edge + 1], off2[:edge], doff2[:edge],
+            floor)
+        lower, dlower = _differentiated_sweep(
+            diag[:edge:-1], ddiag[:edge:-1], off2[:edge:-1], doff2[:edge:-1],
+            floor)
+        coupling, dcoupling = off2[edge], doff2[edge]
+        gamma_lo = dupper - (dcoupling - coupling / lower * dlower) / lower
+        gamma_hi = dlower - (dcoupling - coupling / upper * dupper) / upper
+        return -1.0 / gamma_lo, -1.0 / gamma_hi, lower
+
+
+def twisted_residues(diag, ddiag, off2, doff2, edge: int):
+    """Resolvent residues at rows ``edge`` and ``edge + 1`` of every column.
+
+    ``diag`` and ``ddiag`` are sequences of n rows, ``off2`` and ``doff2``
+    of n - 1 rows, each an array of m entries: column j of them is a real
+    symmetric tridiagonal T(lam_j) (diagonal and squared off-diagonal) and
+    their derivatives in lam. A row array may appear any number of times.
+    A forward LDL^T sweep down to row ``edge`` and a backward one up to
+    row edge + 1, each differentiated as it runs, meet at the coupling
+    between the two rows, which gives gamma_i = 1 / [T^-1]_ii and gamma_i'
+    at both rows (the twisted factorization of Dhillon-Parlett MRRR).
+    Where gamma_i has a simple zero lam_j, -1 / gamma_i'(lam_j) is the
+    weight that the pole of [T(lam)^-1]_ii at lam_j carries (Golub-Welsch):
+    for T = K - lam M, x_i^2 of the M-normalized null vector x. One pass
+    over the rows serves all m columns. A pivot that is exactly zero (a
+    leading or trailing block singular at lam to the last bit) leaves its
+    column non-finite; such columns are swept again with zero pivots
+    replaced by eps times the largest entry. A residue is only as good as
+    lam_j: off the zero by e it is off by about 2 e |[T^-1]_ii| (the rest
+    of the sum), which swamps the weights of null vectors that nearly
+    vanish on row i.
+
+    Returns (residue at edge, residue at edge + 1, backward pivot at
+    edge + 1); a null vector has sign(x_edge x_edge+1) = sign(-o_edge /
+    that pivot).
+    """
+    lo, hi, pivot = _twisted(diag, ddiag, off2, doff2, edge)
+    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
+    if bad.size:
+        def columns(rows):
+            return [row[bad] for row in rows]
+
+        scale = max(max(np.abs(row[bad]).max() for row in diag),
+                    max(np.sqrt(row[bad].max()) for row in off2))
+        floor = np.finfo(float).eps * scale
+        lo[bad], hi[bad], pivot[bad] = _twisted(
+            columns(diag), columns(ddiag), columns(off2), columns(doff2),
+            edge, floor)
+    return lo, hi, pivot
 
 
 def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x):

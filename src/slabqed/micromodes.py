@@ -9,23 +9,29 @@ discretized susceptibility chi_d(omega) that can be checked against the
 medium directly (see ``effective_susceptibility``). The resulting pencil
 (K, B) is real symmetric with B positive definite, so every mode is a
 genuine normal mode with a real frequency, and the emission rate follows
-from a Lorentzian-smoothed sum over modes (``ser_modes``).
+from a Lorentzian-smoothed sum over modes (``ser_modes``), which reads one
+number per mode: its intensity |E_m(x_a)|^2 at the atom.
 
-No dense matrix is formed to find the modes. Eliminating the oscillators
-at lam = omega^2 leaves a tridiagonal Schur complement on the field dofs,
-and its LDL^T pivots count the pencil eigenvalues below lam
-(Wittrick-Williams, ``eigenvalue_count``). ``diagonalize`` brackets every
-mode of the band at once with that count, each eigenvalue carried as an
-offset from its nearest bin: bisection until a bracket holds one mode,
-then secant steps on the last LDL^T pivot of the Schur complement, which
-vanishes at the mode. The count alone moves every bracket (the pivot only
-proposes where to count next), so each eigenvalue stays certified by the
-inertia, and bisection remains as the safeguard whenever a step lands
-outside its bracket or fails to halve it. The field part then follows by
-inverse iteration on the Schur complement and the oscillator part by back
-substitution; a B-orthonormality residual over a sample of modes is its
-certificate. ``GevpSystem.dense_operators`` remains as the reference the
-tests compare against.
+No dense matrix is formed. Eliminating the oscillators at lam = omega^2
+leaves a tridiagonal Schur complement S(lam) on the field dofs (``_Schur``):
+
+* Frequencies. The LDL^T pivots of S count the pencil eigenvalues below
+  lam (Wittrick-Williams, ``eigenvalue_count``). ``diagonalize`` brackets
+  every mode of the band at once with that count, each eigenvalue carried
+  as an offset from its nearest bin: bisection until a bracket holds one
+  mode, then count-safeguarded secant steps on the last pivot (``_bisect``).
+* Intensities. The field block of (K - lam B)^-1 is S(lam)^-1, so
+  [S^-1]_aa has a pole at every mode with residue -x_m(a)^2. One forward
+  and one backward pivot sweep, differentiated in lam, give all of them at
+  once (``fem.twisted_residues``); ``ModeSet.intensity_at`` computes them
+  for the x it is asked about and keeps them with the mode set.
+* Vectors. Residues cannot tell apart modes closer than ``_CLUSTER_GAP``,
+  so those, and a sample of modes spread across the band, get their field
+  part by inverse iteration on S and their oscillator part by back
+  substitution, B-orthonormalized within each cluster. The clustered modes
+  take their intensities from the vectors. On the sample two certificates
+  are measured: the deviation from B-orthonormality, and the gap between
+  the residue and the vector intensities (``ModeSet.residue_residual``).
 
 Nothing in here touches absorbing layers: a stretched stiffness matrix is
 complex symmetric, which would wreck the Hermitian eigenproblem, so
@@ -42,9 +48,10 @@ import numpy as np
 from .fem import (
     DEFAULT_DOF_CAP,
     assemble,
-    dense_tridiagonal,
     inverse_iteration,
+    kept,
     pivot_sweep,
+    twisted_residues,
 )
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, build_box_mesh
@@ -67,6 +74,9 @@ _CLUSTER_GAP = 1e-2
 
 # inverse iteration takes the modes this many at a time (bounds memory)
 _MODE_BLOCK = 256
+
+# the certificates are measured on this many modes spread across the band
+_SAMPLE = 256
 
 # effective_susceptibility evaluates the bath comb this many local bin
 # spacings off the real axis; fixed by the calibration measurements
@@ -178,8 +188,7 @@ class GevpSystem:
 
     The blocks alone are enough for ``diagonalize``, ``eigenvalue_count``
     and ``effective_susceptibility``, which is why a finely binned
-    calibration system stays cheap; only ``dense_operators``, the
-    reference for tests, materializes K and B.
+    calibration system stays cheap; nothing here materializes K or B.
     """
 
     mesh: Mesh1D
@@ -205,46 +214,6 @@ class GevpSystem:
     @property
     def size(self):
         return self.n_em + self.n_matter
-
-    def dense_operators(self):
-        """Materialize (K, B) as dense float64 arrays (test reference).
-
-        Refuses systems above ``fem.DEFAULT_DOF_CAP``: a runaway mesh or bin
-        count should fail here with a clear message rather than by
-        exhausting memory.
-        """
-        n = self.size
-        if n > DEFAULT_DOF_CAP:
-            raise ValueError(
-                f"dense pencil needs {n} dofs, above the cap "
-                f"{DEFAULT_DOF_CAP}; "
-                "coarsen the mesh or reduce n_bins"
-            )
-        n_em = self.n_em
-        nb = self.bin_frequencies.size
-        K = np.zeros((n, n))
-        B = np.zeros((n, n))
-
-        K[:n_em, :n_em] = dense_tridiagonal(self.em_s_diag, self.em_s_off)
-        B[:n_em, :n_em] = dense_tridiagonal(self.em_m_diag, self.em_m_off)
-
-        if nb:
-            total_weight = float(np.sum(self.bin_weights))
-            alpha_line = self.bin_frequencies * np.sqrt(self.bin_weights)
-            for e, (p, q) in enumerate(self.slab_dof_pairs):
-                h_e = self.slab_lengths[e]
-                cols = n_em + e * nb + np.arange(nb)
-                K[cols, cols] = self.bin_frequencies**2
-                B[cols, cols] = 1.0
-                half_coupling = -0.5 * np.sqrt(h_e) * alpha_line
-                for dof in (p, q):
-                    K[dof, cols] += half_coupling
-                    K[cols, dof] += half_coupling
-                counter = 0.25 * h_e * total_weight
-                for a in (p, q):
-                    for b in (p, q):
-                        K[a, b] += counter
-        return K, B
 
 
 def build_gevp(mesh: Mesh1D, medium: MediumSpec, bath: BathConfig):
@@ -325,35 +294,60 @@ def effective_susceptibility(system: GevpSystem, omega: float):
     return complex(2.0 * comb(delta) - comb(2.0 * delta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSet:
-    """Eigenmodes of the pencil: frequencies, field profiles, certificate.
+    """Eigenmodes of the pencil: frequencies, intensities, certificates.
 
-    e_fields holds one row per mode, sampled on every mesh node with the
-    Dirichlet walls pinned to zero; normalization_residual is the largest
-    deviation of the checked eigenvectors from B-orthonormality, and
+    ``intensity_at(x)`` gives every mode's |E_m(x)|^2. ``vectors`` holds
+    field profiles sampled on every mesh node, walls pinned to zero: one
+    row per mode of ``vector_modes``, or per mode when that is None. A set
+    from ``diagonalize`` has vectors only for its clustered and sample
+    modes and carries ``residues`` for the rest; a set without ``residues``
+    reads every intensity off its vectors. normalization_residual is the
+    largest deviation of the sample vectors from B-orthonormality, and
     count_sweeps the number of inertia-count pivot sweeps spent finding
     the frequencies (0 for modes that did not come from ``diagonalize``).
+    A set compares by identity; the intensities at the last x asked for
+    are kept with it.
     """
 
     frequencies: np.ndarray
-    e_fields: np.ndarray
+    vectors: np.ndarray
     nodes: np.ndarray
     normalization_residual: float
     count_sweeps: int = 0
+    vector_modes: np.ndarray | None = None
+    residues: _Residues | None = None
 
     @property
     def n_modes(self):
         return self.frequencies.size
 
-    def amplitude_at(self, x: float):
-        """Per-mode field amplitude at x, linearly interpolated."""
-        if x < self.nodes[0] or x > self.nodes[-1]:
+    def intensity_at(self, x: float) -> np.ndarray:
+        """|E_m(x)|^2 of every mode, from the P1 interpolant of E_m."""
+        return self._intensities(x)[0]
+
+    def residue_residual(self, x: float) -> float:
+        """Largest gap between residue and vector intensities at x.
+
+        Taken over the sample modes whose intensities come from residues,
+        relative to the largest of their vector intensities; 0 for a set
+        without ``residues``.
+        """
+        return self._intensities(x)[1]
+
+    def _intensities(self, x):
+        if not self.nodes[0] <= x <= self.nodes[-1]:
             raise ValueError(f"x = {x} lies outside the box")
-        j = int(np.clip(np.searchsorted(self.nodes, x), 1, self.nodes.size - 1))
-        span = self.nodes[j] - self.nodes[j - 1]
-        t = (x - self.nodes[j - 1]) / span
-        return (1.0 - t) * self.e_fields[:, j - 1] + t * self.e_fields[:, j]
+        j = int(np.clip(np.searchsorted(self.nodes, x), 1,
+                        self.nodes.size - 1))
+        t = (x - self.nodes[j - 1]) / (self.nodes[j] - self.nodes[j - 1])
+        exact = ((1.0 - t) * self.vectors[:, j - 1]
+                 + t * self.vectors[:, j]) ** 2
+        if self.residues is None:
+            return exact, 0.0
+        return kept(self, "intensities", x, lambda: self.residues.intensities(
+            j, t, exact, self.vector_modes))
 
     def spacing_near(self, omega: float, count: int = 9):
         """Largest gap among the ``count`` mode frequencies nearest omega."""
@@ -458,9 +452,8 @@ class _Schur:
         """
         diag, off, detune = self.bands(anchor, delta)
         off *= off
-        diag, off = list(diag), list(off)
-        pivots, last = pivot_sweep([diag[i] for i in self.diag_index.tolist()],
-                                   [off[i] for i in self.off_index.tolist()])
+        pivots, last = pivot_sweep(_spread(diag, self.diag_index),
+                                   _spread(off, self.off_index))
         self.sweeps += 1
         below = np.count_nonzero(detune < 0.0, axis=1)
         return self.n_elements * below + pivots, last
@@ -478,6 +471,81 @@ class _Schur:
         """Full bands of S, one row per lam: (m, n_em) and (m, n_em - 1)."""
         diag, off, _ = self.bands(anchor, delta)
         return diag.T[:, self.diag_index], off.T[:, self.off_index]
+
+    def residues(self, anchor, delta, edge):
+        """x(edge)^2, x(edge + 1)^2 and sign(x(edge) x(edge + 1)) per mode.
+
+        x is the field part of the B-normalized mode at each lam =
+        anchors[anchor] + delta. ``fem.twisted_residues`` runs on S and
+        dS/dlam = -B_em + g'(lam) A, with g' = -sum w/D - lam sum w/D^2 in
+        the offset form D = gaps - delta that ``detune`` gives.
+        """
+        lam = self.anchors[anchor] + delta
+        diag, off, detune = self.bands(anchor, delta)
+        ratio = self.weights / detune
+        dg = -np.sum(ratio, axis=1) - lam * np.sum(ratio / detune, axis=1)
+
+        def slopes(table):
+            _, m, a = table[:, :, None]
+            return a * dg - m
+
+        doff2 = 2.0 * off * slopes(self.off_rows)
+        lo, hi, pivot = twisted_residues(
+            _spread(diag, self.diag_index),
+            _spread(slopes(self.diag_rows), self.diag_index),
+            _spread(off * off, self.off_index),
+            _spread(doff2, self.off_index),
+            edge,
+        )
+        return lo, hi, -np.sign(off[self.off_index[edge]]) * np.sign(pivot)
+
+
+@dataclass(frozen=True, eq=False)
+class _Residues:
+    """Every mode's (anchor, delta) on the Schur tables, for ``ModeSet``.
+
+    ``clustered`` marks the rows of the set's vectors whose modes take
+    their intensities from the vectors; the other rows are the sample.
+    """
+
+    schur: _Schur
+    anchor: np.ndarray
+    delta: np.ndarray
+    clustered: np.ndarray
+
+    def intensities(self, j, t, exact, vector_modes):
+        """(every mode's intensity, residue residual) at t in mesh cell j.
+
+        ``exact`` holds the vector intensities there. Nodes j - 1 and j are
+        field dofs j - 2 and j - 1, or a wall. Off a node the interpolant's
+        square needs sign(x(j - 2) x(j - 1)) as well as both residues.
+        """
+        edge = min(max(j - 2, 0), self.schur.diag_index.size - 2)
+        lo, hi, sign = self.schur.residues(self.anchor, self.delta, edge)
+        at_node = {edge + 1: lo, edge + 2: hi}
+        u2 = at_node.get(j - 1, np.zeros_like(lo))
+        v2 = at_node.get(j, np.zeros_like(lo))
+        if t == 0.0:
+            out = u2.copy()
+        elif t == 1.0:
+            out = v2.copy()
+        else:
+            cross = sign * np.sqrt(np.maximum(u2 * v2, 0.0))
+            out = ((1.0 - t) ** 2 * u2 + t**2 * v2
+                   + 2.0 * t * (1.0 - t) * cross)
+        sample = ~self.clustered
+        gap = np.abs(out[vector_modes[sample]] - exact[sample])
+        out[vector_modes[self.clustered]] = exact[self.clustered]
+        scale = np.max(exact[sample], initial=0.0)
+        residual = float(np.max(gap, initial=0.0) / scale) if scale else 0.0
+        out.setflags(write=False)  # kept with the mode set
+        return out, residual
+
+
+def _spread(table, index):
+    """The rows of a distinct-row table in band order, as a list of rows."""
+    rows = list(table)
+    return [rows[i] for i in index.tolist()]
 
 
 def _unique_columns(table):
@@ -600,16 +668,19 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
     eigenfrequencies are kept; None keeps the whole (positive) spectrum.
     Each kept eigenvalue lam = omega^2 is bracketed by the inertia count
     of ``_Schur`` and closed in by count-safeguarded secant steps
-    (``_bisect``), carried as an offset from its nearest bin. Two
-    inverse-iteration steps on the Schur complement S(lam) give the field
-    part v; the oscillator part follows from the eliminated rows,
+    (``_bisect``), carried as an offset from its nearest bin. Intensities
+    come from residues (``ModeSet.intensity_at``); vectors are built only
+    for the modes closer than ``_CLUSTER_GAP`` to a neighbour and for
+    ``_SAMPLE`` modes spread across the band. Two inverse-iteration steps
+    on the Schur complement S(lam) give their field part v; the oscillator
+    part follows from the eliminated rows,
     y_eq = (1/2) sqrt(h_e) nu_q sqrt(w_q) (v_p + v_q) / (nu_q^2 - lam),
     and the pair is normalized in B (``_orthogonalize_clusters`` handles
     near-degenerate modes). The certificate ``normalization_residual`` is
-    the largest deviation from B-orthonormality over up to 256 modes
-    spread across the band, computed with banded products and the
-    rank-one structure of each y. ``count_sweeps`` tallies the pivot
-    sweeps of the counts, band edges included.
+    the largest deviation from B-orthonormality over the sample, computed
+    with banded products and the rank-one structure of each y.
+    ``count_sweeps`` tallies the pivot sweeps of the counts, band edges
+    included.
     """
     n = system.size
     if n > DEFAULT_DOF_CAP:
@@ -635,49 +706,67 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
 
     anchor, delta = _bisect(schur, first, last, lam_lo, lam_hi)
     lam = schur.anchors[anchor] + delta
-    detune = schur.detune(anchor, delta)
-    fields = np.zeros((lam.size, system.mesh.n_nodes))
+    close = np.diff(lam) < _CLUSTER_GAP * np.maximum(np.abs(delta[1:]),
+                                                     np.abs(delta[:-1]))
+    picked = np.zeros(lam.size, dtype=bool)
+    picked[:-1] |= close
+    picked[1:] |= close
+    clustered = picked.copy()
+    (sample,), _, _ = _unique_columns(
+        np.linspace(0, lam.size - 1, min(lam.size, _SAMPLE)).astype(int)[None])
+    picked[sample] = True
+    picked = np.flatnonzero(picked)
+
+    fields = np.zeros((picked.size, system.mesh.n_nodes))
     v = fields[:, 1:-1]  # field parts, filled in place
     # a start vector of its own per mode, so that modes of one cluster land
     # on different directions of its invariant subspace; modes go through
     # in blocks, so no (modes, n_em) band matrix is ever held whole
     rng = np.random.default_rng(0)
-    for block in np.split(np.arange(lam.size),
-                          np.arange(_MODE_BLOCK, lam.size, _MODE_BLOCK)):
-        diag, off = schur.matrices(anchor[block], delta[block])
+    for block in np.split(np.arange(picked.size),
+                          np.arange(_MODE_BLOCK, picked.size, _MODE_BLOCK)):
+        diag, off = schur.matrices(anchor[picked[block]],
+                                   delta[picked[block]])
         v[block] = inverse_iteration(diag, off,
                                      rng.standard_normal(diag.shape))
 
     p, q = system.slab_dof_pairs.T
     # y_m = slab_m (x) bins_m: one factor per slab element, one per bin
     slab = 0.5 * np.sqrt(system.slab_lengths) * (v[:, p] + v[:, q])
-    bins = system.bin_frequencies * np.sqrt(system.bin_weights) / detune
+    bins = (system.bin_frequencies * np.sqrt(system.bin_weights)
+            / schur.detune(anchor[picked], delta[picked]))
     bv = _mass_times(system, v)
     scale = 1.0 / np.sqrt(np.einsum("ij,ij->i", v, bv)
                           + np.sum(slab**2, axis=1) * np.sum(bins**2, axis=1))
     v *= scale[:, None]
     bv *= scale[:, None]
     slab *= scale[:, None]
-    _orthogonalize_clusters(delta, lam, v, bv, slab, bins)
+    # every mode of a cluster is picked, so each run is consecutive rows
+    runs = np.searchsorted(picked, np.flatnonzero(
+        np.diff(np.concatenate(([0], close, [0])))))
+    _orthogonalize_clusters(runs, v, bv, slab, bins)
 
-    (sample,), _, _ = _unique_columns(
-        np.linspace(0, lam.size - 1, min(lam.size, 256)).astype(int)[None])
-    gram = (v[sample] @ bv[sample].T
-            + (slab[sample] @ slab[sample].T) * (bins[sample] @ bins[sample].T))
-    residual = float(np.max(np.abs(gram - np.eye(sample.size))))
+    rows = np.searchsorted(picked, sample)
+    gram = (v[rows] @ bv[rows].T
+            + (slab[rows] @ slab[rows].T) * (bins[rows] @ bins[rows].T))
+    residual = float(np.max(np.abs(gram - np.eye(rows.size))))
     return ModeSet(
         frequencies=np.sqrt(lam),
-        e_fields=fields,
+        vectors=fields,
         nodes=system.mesh.nodes.copy(),
         normalization_residual=residual,
         count_sweeps=schur.sweeps,
+        vector_modes=picked,
+        residues=_Residues(schur, anchor, delta, clustered[picked]),
     )
 
 
-def _orthogonalize_clusters(delta, lam, v, bv, slab, bins):
-    """B-orthonormalize, in place, modes closer than ``_CLUSTER_GAP``.
+def _orthogonalize_clusters(runs, v, bv, slab, bins):
+    """B-orthonormalize, in place, the rows of each cluster of modes.
 
-    Inverse iteration cannot tell apart modes whose spacing is far below
+    ``runs`` holds flattened (first, last) row pairs; rows first..last are
+    modes closer than ``_CLUSTER_GAP`` to their neighbours. Inverse
+    iteration cannot tell such modes apart when their spacing is far below
     their offset from the nearest bin (the small medium-1 reference box has
     a pair split by 1.2e-11 of it, left 4.6e-5 from orthogonal). Their
     vectors are Gram-Schmidt orthogonalized, twice, in the full pencil
@@ -686,9 +775,6 @@ def _orthogonalize_clusters(delta, lam, v, bv, slab, bins):
     (bins_j.bins_k), and removing c v_j from v_k makes the pair exactly
     B-orthogonal.
     """
-    close = np.diff(lam) < _CLUSTER_GAP * np.maximum(np.abs(delta[1:]),
-                                                     np.abs(delta[:-1]))
-    runs = np.flatnonzero(np.diff(np.concatenate(([0], close, [0]))))
     for first, last in zip(runs[::2], runs[1::2]):
         for k in range(first + 1, last + 1):
             for _ in range(2):
@@ -732,9 +818,9 @@ def ser_modes(modes: ModeSet, x_a: float, omega_a: float, eta: float):
             f"eta = {eta} is below twice the local mode spacing "
             f"({spacing:.4g}); widen eta or enlarge the box"
         )
-    amp = modes.amplitude_at(x_a)
     lorentz = eta / ((omega_a - modes.frequencies) ** 2 + eta**2)
-    return float(np.sum(modes.frequencies * np.abs(amp) ** 2 * lorentz))
+    return float(np.sum(modes.frequencies * modes.intensity_at(x_a)
+                        * lorentz))
 
 
 def purcell_from_modes(modes: ModeSet, x_a: float, omega_a: float,

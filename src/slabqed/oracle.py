@@ -130,30 +130,45 @@ def _outgoing_pair(medium: MediumSpec, omega: float):
 
     u_left is purely left-going (e^{-ikx}) for x < -a; u_right is purely
     right-going (e^{+ikx}) for x > a. Each is continued through the slab by
-    matching value and derivative at the faces. Returns (u_left, u_right,
-    wronskian) where the u's are vectorized piecewise evaluators.
+    matching value and derivative at the faces. Across an opaque slab they
+    grow by 1/|P|, P = e^{i k_s L}, which overflows, so each is returned
+    scaled back by e^{i k_s s(x)}, s its depth into the slab from the face
+    it enters by (0 before that face, L past the other): every amplitude
+    is O(1), and the growth is restored as one factor in ``tmm_green``.
+    Returns (u_left, u_right, wronskian, (al, ar, bl, br)): the scaled
+    evaluators, P times the Wronskian u_L u_R' - u_L' u_R, and P times the
+    vacuum amplitudes of u_left on the right (al e^{ikx} + bl e^{-ikx})
+    and of u_right on the left (ar, br alike).
     """
     k = float(omega)
     a = medium.slab_half_length
     ks = slab_wavenumber(medium, omega)
     phase = np.exp(1j * k * a)
-    prop = np.exp(1j * ks * medium.slab_length)
+    prop2 = np.exp(2j * ks * medium.slab_length)  # P^2; may underflow to 0
 
-    # u_right: e^{ikx} in x > a, continued leftward.
-    cr = (ks + k) / (2.0 * ks) * phase / prop
+    def vacuum_amplitudes(inner, outer, slope):
+        """P times the (e^{ikx}, e^{-ikx}) amplitudes past the far face.
+
+        Before that face's phase is applied: the scaled solution reads
+        inner + outer P^2 at the far face and its derivative over ik
+        slope (inner - outer P^2).
+        """
+        val = inner + outer * prop2
+        der = slope * (inner - outer * prop2)
+        return 0.5 * (val + der), 0.5 * (val - der)
+
+    # u_right: e^{ikx} in x > a, continued leftward; scaled, it reads
+    # cr + dr e^{2i ks (a - x)} inside the slab
+    cr = (ks + k) / (2.0 * ks) * phase
     dr = (ks - k) / (2.0 * ks) * phase
-    val = cr + dr * prop  # u_right(-a)
-    der = (ks / k) * (cr - dr * prop)  # u_right'(-a) / (ik)
-    ar = 0.5 * phase * (val + der)
-    br = 0.5 * (val - der) / phase
+    plus, minus = vacuum_amplitudes(cr, dr, ks / k)
+    ar, br = plus * phase, minus / phase
 
     # u_left: e^{-ikx} in x < -a, continued rightward. Mirror of u_right.
     cl = (ks - k) / (2.0 * ks) * phase
-    dl = (ks + k) / (2.0 * ks) * phase / prop
-    val = cl * prop + dl  # u_left(+a)
-    der = (ks / k) * (cl * prop - dl)  # u_left'(+a) / (ik)
-    al = 0.5 * (val + der) / phase
-    bl = 0.5 * phase * (val - der)
+    dl = (ks + k) / (2.0 * ks) * phase
+    plus, minus = vacuum_amplitudes(dl, cl, -ks / k)
+    al, bl = plus / phase, minus * phase
 
     # Wronskian u_L u_R' - u_L' u_R, constant in x; in the right vacuum region
     # it collapses to 2ik b_left (and to 2ik a_right on the left, a theorem
@@ -165,9 +180,9 @@ def _outgoing_pair(medium: MediumSpec, omega: float):
         out = np.empty(x.shape, dtype=complex)
         lt, gt = x < -a, x > a
         mid = ~(lt | gt)
+        depth = x[mid] + a
         out[lt] = np.exp(-1j * k * x[lt])
-        out[mid] = cl * np.exp(1j * ks * (x[mid] + a)) + \
-            dl * np.exp(-1j * ks * (x[mid] - a))
+        out[mid] = dl + cl * np.exp(2j * ks * depth)
         out[gt] = al * np.exp(1j * k * x[gt]) + bl * np.exp(-1j * k * x[gt])
         return out
 
@@ -176,9 +191,9 @@ def _outgoing_pair(medium: MediumSpec, omega: float):
         out = np.empty(x.shape, dtype=complex)
         lt, gt = x < -a, x > a
         mid = ~(lt | gt)
+        depth = a - x[mid]
         out[gt] = np.exp(1j * k * x[gt])
-        out[mid] = cr * np.exp(1j * ks * (x[mid] + a)) + \
-            dr * np.exp(-1j * ks * (x[mid] - a))
+        out[mid] = cr + dr * np.exp(2j * ks * depth)
         out[lt] = ar * np.exp(1j * k * x[lt]) + br * np.exp(-1j * k * x[lt])
         return out
 
@@ -196,5 +211,11 @@ def tmm_green(medium: MediumSpec, omega: float, x, x_src):
     x = np.asarray(x, dtype=float)
     lo = np.minimum(x, x_src)
     hi = np.maximum(x, x_src)
-    g = -u_left(lo) * u_right(hi) / wronskian
+    # the scalings of u_left(lo), u_right(hi) and W leave e^{i k_s d}, d the
+    # slab length between lo and hi: the attenuation, at most 1 in size
+    a = medium.slab_half_length
+    between = (np.minimum(np.maximum(hi, -a), a)
+               - np.minimum(np.maximum(lo, -a), a))
+    span = np.exp(1j * slab_wavenumber(medium, omega) * between)
+    g = -u_left(lo) * u_right(hi) * span / wronskian
     return g if g.ndim else complex(g)

@@ -1,0 +1,58 @@
+"""Dense copies of the banded operators, the references the tests compare to.
+
+Nothing in ``src/`` forms these matrices: the eigenmode route works on the
+bands and the Schur complement alone (``test_layering`` keeps it so).
+"""
+
+import numpy as np
+
+from slabqed.fem import DEFAULT_DOF_CAP
+
+
+def dense_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix from a diagonal and its off-diagonal band."""
+    full = np.diag(diag)
+    idx = np.arange(off.size)
+    full[idx, idx + 1] = off
+    full[idx + 1, idx] = off
+    return full
+
+
+def dense_operators(system):
+    """The pencil (K, B) of a ``micromodes.GevpSystem`` as dense arrays.
+
+    Refuses systems above ``fem.DEFAULT_DOF_CAP``: a runaway mesh or bin
+    count should fail here with a clear message rather than by exhausting
+    memory.
+    """
+    n = system.size
+    if n > DEFAULT_DOF_CAP:
+        raise ValueError(
+            f"dense pencil needs {n} dofs, above the cap {DEFAULT_DOF_CAP}; "
+            "coarsen the mesh or reduce n_bins"
+        )
+    n_em = system.n_em
+    nb = system.bin_frequencies.size
+    K = np.zeros((n, n))
+    B = np.zeros((n, n))
+
+    K[:n_em, :n_em] = dense_tridiagonal(system.em_s_diag, system.em_s_off)
+    B[:n_em, :n_em] = dense_tridiagonal(system.em_m_diag, system.em_m_off)
+
+    if nb:
+        total_weight = float(np.sum(system.bin_weights))
+        alpha_line = system.bin_frequencies * np.sqrt(system.bin_weights)
+        for e, (p, q) in enumerate(system.slab_dof_pairs):
+            h_e = system.slab_lengths[e]
+            cols = n_em + e * nb + np.arange(nb)
+            K[cols, cols] = system.bin_frequencies**2
+            B[cols, cols] = 1.0
+            half_coupling = -0.5 * np.sqrt(h_e) * alpha_line
+            for dof in (p, q):
+                K[dof, cols] += half_coupling
+                K[cols, dof] += half_coupling
+            counter = 0.25 * h_e * total_weight
+            for a in (p, q):
+                for b in (p, q):
+                    K[a, b] += counter
+    return K, B

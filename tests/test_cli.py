@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from slabqed import crosscheck
 from slabqed.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -336,15 +337,19 @@ def test_modes_column_filled_when_enabled(tmp_path):
 
 
 def modes_metadata(path):
-    """(count, band, residual, sweeps) from the ``modes:`` line, or None."""
+    """(count, band, residual, sweeps, residue residual) from ``modes:``.
+
+    None when the file has no such line.
+    """
     for line in path.read_text(encoding="utf-8").splitlines():
         if line.startswith("# modes: "):
             count, rest = line.removeprefix("# modes: ").split(" in band ")
             band, rest = rest.split(", normalization_residual = ")
-            residual, sweeps = rest.split(", count_sweeps = ")
+            residual, rest = rest.split(", count_sweeps = ")
+            sweeps, residue = rest.split(", residue_residual = ")
             lo, hi = band.strip("[]").split(", ")
             return (int(count), (float(lo), float(hi)), float(residual),
-                    int(sweeps))
+                    int(sweeps), float(residue))
     return None
 
 
@@ -361,11 +366,12 @@ def test_modes_metadata_reports_count_band_and_residual(tmp_path):
         lines[command] = modes_metadata(out)
         # the line sits in the metadata; the echo still reads back
         assert read_config_echo(out).method_modes
-    count, band, residual, sweeps = lines["modes"]
+    count, band, residual, sweeps, residue = lines["modes"]
     assert lines["sweep"] == lines["modes"]
     assert band == (1.0, 1050.0)  # kept 300 past the top of the grid
     assert residual < 1e-10
     assert sweeps > 0
+    assert residue < 1e-10
     _, spectrum = csv_rows(tmp_path / "modes_spectrum.csv")
     assert len(spectrum) == count
     assert modes_metadata(tmp_path / "modes_spectrum.csv") == lines["modes"]
@@ -444,9 +450,21 @@ def test_oracle_compare_vacuum_scattering_is_exact(tmp_path):
     assert max(float(row[3]) for row in rows) < 5e-3
 
 
-def test_oracle_compare_fails_on_a_nan_residual(tmp_path, capsys):
-    """An opaque lossless slab drives the oracle's Green function to NaN at
-    omega 411; that row must fail the run, not drop out of the worst."""
+def test_oracle_compare_fails_on_a_nan_residual(tmp_path, capsys,
+                                               monkeypatch):
+    """A NaN residual row must fail the run, not drop out of the worst.
+
+    The oracle's Green function once overflowed to NaN at omega 411 on this
+    opaque lossless slab; it is now finite there, so the NaN is injected at
+    omega 412.
+    """
+    oracle_green = crosscheck.tmm_green
+
+    def green(medium, omega, x, x_src):
+        g = oracle_green(medium, omega, x, x_src)
+        return g * np.nan if omega == 412.0 else g
+
+    monkeypatch.setattr(crosscheck, "tmm_green", green)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
         "case = 1A\nmedium.gamma = 0\nmedium.omega_p = 264\n"

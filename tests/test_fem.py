@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal, lapack
+from _dense_reference import dense_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
 from slabqed import fem, greens, identities, scattering
 from slabqed.cli import main
@@ -20,13 +21,13 @@ from slabqed.fem import (
     SingularOperatorError,
     StaticBands,
     assemble,
-    dense_tridiagonal,
     element_quadrature,
     evaluate_field,
     factorization,
     inverse_iteration,
     pivot_sweep,
     static_bands,
+    twisted_residues,
 )
 from slabqed.greens import reciprocity_residual, sample_green, solve_point_source
 from slabqed.identities import check_thermal_equilibrium
@@ -416,6 +417,46 @@ def test_pivot_sweep_leaves_its_rows_untouched():
         # the last pivot is det / det of the leading block
         expected = np.linalg.det(full) / np.linalg.det(full[:-1, :-1])
         np.testing.assert_allclose(last[j], expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("edge", [0, 7, 18])
+def test_twisted_residues_are_the_squared_vector_entries(edge):
+    # T(lam) = K - lam M with both bands lam-dependent; at each eigenvalue
+    # the residues are x_edge^2 and x_edge+1^2 of the M-normalized vector.
+    # Perturbed uniform chains keep every mode extended: a residue is only
+    # as good as lam, and a weight far below lam's error times |T^-1|
+    # (a mode localized away from the row) would be lost in that error.
+    rng = np.random.default_rng(edge)
+    n = 20
+    k_diag, k_off = rng.uniform(2.0, 2.2, n), rng.uniform(-1.1, -0.9, n - 1)
+    m_diag, m_off = rng.uniform(2.0, 2.2, n), rng.uniform(0.4, 0.6, n - 1)
+    lam, vectors = eigh(dense_tridiagonal(k_diag, k_off),
+                        dense_tridiagonal(m_diag, m_off))
+    diag = k_diag[:, None] - lam * m_diag[:, None]
+    off = k_off[:, None] - lam * m_off[:, None]
+    ddiag = np.broadcast_to(-m_diag[:, None], diag.shape)
+    doff2 = -2.0 * off * m_off[:, None]
+    lo, hi, pivot = twisted_residues(diag, ddiag, off**2, doff2, edge)
+    scale = np.max(vectors**2)
+    np.testing.assert_allclose(lo, vectors[edge] ** 2, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(hi, vectors[edge + 1] ** 2, rtol=0,
+                               atol=1e-12 * scale)
+    product = vectors[edge] * vectors[edge + 1]
+    clear = np.abs(product) > 1e-6 * scale
+    assert np.count_nonzero(clear) > n // 2
+    np.testing.assert_array_equal(np.sign(-off[edge] / pivot)[clear],
+                                  np.sign(product)[clear])
+
+
+def test_twisted_residues_survive_an_exact_zero_pivot():
+    # tridiag(1, 2, 1) at lam = 2: the first pivot is exactly 0 and the
+    # null vector (1, 0, -1)/sqrt(2) vanishes on row 1
+    diag = np.full((3, 1), 0.0)
+    ones = np.ones((2, 1))
+    lo, hi, _ = twisted_residues(diag, -np.ones((3, 1)), ones, 0.0 * ones, 1)
+    assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+    np.testing.assert_allclose(lo, 0.0, atol=1e-12)
+    np.testing.assert_allclose(hi, 0.5, rtol=1e-12)
 
 
 def test_inverse_iteration_finds_the_null_vector():

@@ -205,10 +205,12 @@ def test_dense_solve_rule_sees_attribute_chains_and_imports():
     assert dense_solves(tree) == {"np.linalg.solve", "scipy.linalg.inv"}
 
 
-@pytest.mark.parametrize("name", sorted(set(MODULES) - {"fem", "micromodes"}))
+@pytest.mark.parametrize("name", sorted(MODULES))
 def test_dense_operators_only_for_the_pencil_reference(name):
-    # dense copies serve GevpSystem.dense_operators, the test reference
-    assert "dense_tridiagonal" not in names_in(MODULES[name])
+    # dense copies of the bands and the pencil are test references
+    # (tests/_dense_reference.py); no module of the package forms them
+    assert not {"dense_tridiagonal", "dense_operators"} & names_in(
+        MODULES[name])
 
 
 def load_bench_hooks():

@@ -1,6 +1,11 @@
+import contextlib
+import dataclasses
+import signal
+
 import numpy as np
 import pytest
 import scipy.linalg
+from _dense_reference import dense_operators
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +35,33 @@ from slabqed.purcell import compute_record, purcell_mesh
 
 CALIBRATION_BINS = 400
 
+# every test here finishes in a few seconds; a search that stops closing in
+# (say, a bracket that no longer halves) fails at this limit, not hangs
+TEST_TIMEOUT_S = 60
+
+
+@contextlib.contextmanager
+def deadline(seconds=TEST_TIMEOUT_S):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def timeout():
+    # the module fixtures below are set up before this one, so they run
+    # under a deadline of their own
+    with deadline():
+        yield
+
 
 def calibration_system(label):
     medium = CASE_PRESETS[label]
@@ -37,20 +69,27 @@ def calibration_system(label):
     return build_gevp(gevp_mesh(medium, bath), medium, bath), medium
 
 
+def stock_modes(medium):
+    bath = BathConfig()
+    system = build_gevp(gevp_mesh(medium, bath), medium, bath)
+    with deadline():
+        return diagonalize(system, band=(1.0, 1000.0))
+
+
 @pytest.fixture(scope="module")
 def case1_modes():
     medium, x_a = case_preset("1A")
-    bath = BathConfig()
-    system = build_gevp(gevp_mesh(medium, bath), medium, bath)
-    return diagonalize(system, band=(1.0, 1000.0)), medium, x_a
+    return stock_modes(medium), medium, x_a
+
+
+@pytest.fixture(scope="module")
+def case2_modes():
+    return stock_modes(CASE_PRESETS["2"])
 
 
 @pytest.fixture(scope="module")
 def vacuum_modes():
-    medium = CASE_PRESETS["vacuum"]
-    bath = BathConfig()
-    system = build_gevp(gevp_mesh(medium, bath), medium, bath)
-    return diagonalize(system, band=(1.0, 1000.0)), bath
+    return stock_modes(CASE_PRESETS["vacuum"]), BathConfig()
 
 
 def test_bath_config_rejects_bad_values():
@@ -169,8 +208,10 @@ def test_vacuum_spectrum_matches_box_modes(vacuum_modes):
     modes, bath = vacuum_modes
     exact = np.arange(1, 11) * np.pi / bath.box_length
     np.testing.assert_allclose(modes.frequencies[:10], exact, rtol=1e-3)
-    # metric normalization reproduces the sqrt(2/L) standing-wave amplitude
-    amp = np.max(np.abs(modes.e_fields[0]))
+    # metric normalization reproduces the sqrt(2/L) standing-wave amplitude;
+    # the lowest mode is the first of the certificate sample
+    assert modes.vector_modes[0] == 0
+    amp = np.max(np.abs(modes.vectors[0]))
     np.testing.assert_allclose(amp, np.sqrt(2.0 / bath.box_length), rtol=1e-3)
 
 
@@ -182,12 +223,62 @@ def test_modes_are_real_positive_and_orthonormal(case1_modes):
     assert modes.normalization_residual < 1e-10
 
 
+def vector_intensities(modes, x):
+    """|E_m(x)|^2 of the modes that have vectors, read off the vectors."""
+    return np.array([np.interp(x, modes.nodes, row)
+                     for row in modes.vectors]) ** 2
+
+
+# 0.0123 lies between nodes on every stock box mesh
+@pytest.mark.parametrize("x", [ATOM_INSIDE, ATOM_OUTSIDE, 0.0123])
+@pytest.mark.parametrize("label", ["1", "2", "vacuum"])
+def test_residue_intensities_match_the_sample_vectors(label, x, request):
+    fixture = {"1": "case1_modes", "2": "case2_modes",
+               "vacuum": "vacuum_modes"}[label]
+    modes = request.getfixturevalue(fixture)
+    modes = modes[0] if isinstance(modes, tuple) else modes
+    assert (x in modes.nodes) == (x != 0.0123)
+    assert modes.vector_modes.size < modes.n_modes or label == "vacuum"
+    exact = vector_intensities(modes, x)
+    got = modes.intensity_at(x)
+    assert got.shape == modes.frequencies.shape
+    assert np.max(np.abs(got[modes.vector_modes] - exact)) <= (
+        1e-10 * np.max(exact))
+    assert modes.residue_residual(x) < 1e-10
+
+
+def test_clustered_modes_take_their_intensities_from_vectors():
+    # the small medium-1 box holds near-degenerate pairs split far below
+    # their offset from the nearest bin; their residues miss
+    system = small_box_system(REFERENCE_MEDIA["1"])
+    modes = diagonalize(system, band=(1.0, 1000.0))
+    clustered = modes.residues.clustered
+    assert np.count_nonzero(clustered) >= 2
+    rows = modes.vector_modes[clustered]
+    exact = vector_intensities(modes, ATOM_OUTSIDE)
+    np.testing.assert_array_equal(modes.intensity_at(ATOM_OUTSIDE)[rows],
+                                  exact[clustered])
+    residues_only = dataclasses.replace(modes, residues=dataclasses.replace(
+        modes.residues, clustered=np.zeros_like(clustered)))
+    miss = residues_only.intensity_at(ATOM_OUTSIDE)[rows] - exact[clustered]
+    assert np.max(np.abs(miss)) > 1e-7 * np.max(exact)
+
+
+def test_intensities_are_kept_for_the_last_point(case1_modes):
+    modes, _, x_a = case1_modes
+    first = modes.intensity_at(x_a)
+    assert modes.intensity_at(x_a) is first
+    assert not first.flags.writeable
+    modes.intensity_at(ATOM_OUTSIDE)
+    np.testing.assert_array_equal(modes.intensity_at(x_a), first)
+
+
 def test_metric_floor_is_positive():
     # small closed box so the dense metric is cheap to inspect whole
     medium = CASE_PRESETS["1"]
     bath = BathConfig(n_bins=8, box_length=0.25)
     system = build_gevp(gevp_mesh(medium, bath, k_max=300.0), medium, bath)
-    _, B = system.dense_operators()
+    _, B = dense_operators(system)
     assert system.n_matter > 0
     assert scipy.linalg.eigh(B, eigvals_only=True).min() > 0
 
@@ -209,7 +300,9 @@ def test_wall_point_emits_nothing(vacuum_modes):
 def test_amplitude_outside_box_rejected(vacuum_modes):
     modes, _ = vacuum_modes
     with pytest.raises(ValueError, match="outside"):
-        modes.amplitude_at(modes.nodes[-1] + 1.0)
+        modes.intensity_at(modes.nodes[-1] + 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        modes.intensity_at(float("nan"))
 
 
 def test_eta_below_spacing_rejected(vacuum_modes):
@@ -261,7 +354,7 @@ def test_dense_cap_refuses_runaway_systems():
     system, _ = calibration_system("1")
     assert system.size > 4000
     with pytest.raises(ValueError, match="cap"):
-        system.dense_operators()
+        dense_operators(system)
     with pytest.raises(ValueError, match="cap"):
         diagonalize(system)
 
@@ -272,7 +365,7 @@ def test_pencil_is_positive_semidefinite():
     bath = BathConfig(n_bins=8, box_length=0.25)
     mesh = gevp_mesh(medium, bath, k_max=300.0)
     system = build_gevp(mesh, medium, bath)
-    K, B = system.dense_operators()
+    K, B = dense_operators(system)
     values = scipy.linalg.eigh(K, B, eigvals_only=True)
     assert values.min() > -1e-8 * values.max()
 
@@ -306,7 +399,7 @@ def small_box_system(medium, n_bins=8, box_length=SMALL_BOX):
 
 def dense_modes(system, band):
     """The ModeSet of a dense generalized eigh of the reference operators."""
-    values, vectors = scipy.linalg.eigh(*system.dense_operators())
+    values, vectors = scipy.linalg.eigh(*dense_operators(system))
     keep = (values >= band[0] ** 2) & (values <= band[1] ** 2)
     fields = np.zeros((int(keep.sum()), system.mesh.n_nodes))
     fields[:, 1:-1] = vectors[: system.n_em, keep].T
@@ -335,7 +428,7 @@ def test_diagonalize_matches_dense_reference(label):
 
 def test_whole_spectrum_when_no_band():
     system = small_box_system(REFERENCE_MEDIA["1"])
-    values = scipy.linalg.eigh(*system.dense_operators(), eigvals_only=True)
+    values = scipy.linalg.eigh(*dense_operators(system), eigvals_only=True)
     modes = diagonalize(system)
     assert modes.n_modes == system.size
     np.testing.assert_allclose(modes.frequencies**2, values, rtol=1e-10)
@@ -344,7 +437,7 @@ def test_whole_spectrum_when_no_band():
 
 def test_count_on_a_bin_counts_just_below_it():
     system = small_box_system(REFERENCE_MEDIA["lossless 1"])
-    values = scipy.linalg.eigh(*system.dense_operators(), eigvals_only=True)
+    values = scipy.linalg.eigh(*dense_operators(system), eigvals_only=True)
     on_bin = float(system.bin_frequencies[0] ** 2)
     assert eigenvalue_count(system, on_bin)[0] == np.sum(values < on_bin)
     # a band edge on the bin still brackets the modes below it
@@ -374,7 +467,7 @@ def small_pencils(draw):
 @given(system=small_pencils(),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
 def test_count_is_monotone_and_matches_dense_eigh(system, fractions):
-    values = scipy.linalg.eigh(*system.dense_operators(), eigvals_only=True)
+    values = scipy.linalg.eigh(*dense_operators(system), eigvals_only=True)
     lam = np.sort(np.asarray(fractions)) * 1.2 * values[-1] + 1.0
     special = np.concatenate((values, system.bin_frequencies**2))
     for x in lam:
@@ -387,7 +480,7 @@ def test_count_is_monotone_and_matches_dense_eigh(system, fractions):
 @settings(deadline=None, max_examples=20)
 @given(system=small_pencils())
 def test_diagonalize_matches_dense_eigh_on_random_boxes(system):
-    values = scipy.linalg.eigh(*system.dense_operators(), eigvals_only=True)
+    values = scipy.linalg.eigh(*dense_operators(system), eigvals_only=True)
     modes = diagonalize(system)
     assert modes.n_modes == values.size
     np.testing.assert_allclose(modes.frequencies, np.sqrt(values), rtol=1e-10)

@@ -213,6 +213,22 @@ def test_green_decays_through_opaque_slab():
     assert abs(g_across) / abs(g_self) < 1e-15
 
 
+def test_green_stays_finite_through_an_opaque_lossless_slab():
+    # eps_r = -83.9 at omega 411: e^{i k_s L} = e^{-706} sits at the edge of
+    # underflow, and unscaled amplitudes overflowed to a NaN G
+    medium = MediumSpec(264.0, 410.0, 0.0, 0.09375)
+    omega = 411.0
+    ks = slab_wavenumber(medium, omega)
+    assert abs(np.exp(1j * ks * medium.slab_length)) < 1e-300
+    g = tmm_green(medium, omega, [0.0], 0.0)
+    assert np.all(np.isfinite(g))
+    # deep inside a thick slab G(x, x) is the bulk value i / (2 k_s)
+    np.testing.assert_allclose(g, 1j / (2.0 * ks), rtol=1e-12)
+    x = np.linspace(-0.3, 0.3, 61)
+    for x_src in (-0.2, 0.0, 0.05, 0.2):
+        assert np.all(np.isfinite(tmm_green(medium, omega, x, x_src)))
+
+
 def test_rejects_nonpositive_frequency():
     with pytest.raises(ValueError):
         plane_wave_coefficients(CASE1, 0.0)
