@@ -311,7 +311,9 @@ class StaticBands:
     the element stiffness with s = 1; the entries of the ``pml`` elements
     are replaced per k from their Gauss-point ``pml_sigma``. ``slab_nodes``
     is the slice of nodes that M_slab couples (empty without a slab); its
-    rows and columns hold all nonzeros of M_slab. Holds arrays only, not
+    rows and columns hold all nonzeros of M_slab. ``pml_runs`` are the
+    slices of the runs of ``pml`` elements (one per layer); the nodes of
+    their elements hold all nonzeros of M_sigma. Holds arrays only, not
     the mesh, so a copy kept for a mesh dies with it.
     """
 
@@ -326,33 +328,52 @@ class StaticBands:
         self.m0_diag, self.m0_off = _mass_bands(half, 1.0)
         self.slab_diag, self.slab_off = _mass_bands(half, in_slab)
         slab = np.flatnonzero(np.any(in_slab, axis=1))
+        self.slab_elements = (slice(int(slab[0]), int(slab[-1]) + 1)
+                              if slab.size else slice(0, 0))
         self.slab_nodes = (slice(int(slab[0]), int(slab[-1]) + 2) if slab.size
                            else slice(0, 0))
         self.stiffness = _read_only(_gauss_sum(GAUSS_WEIGHTS) / two_h)
         self.pml = _read_only(np.flatnonzero(np.any(sigma > 0, axis=1)))
         self.pml_sigma = _read_only(sigma[self.pml])
         self.pml_two_h = _read_only(two_h[self.pml])
+        runs = np.split(self.pml, np.flatnonzero(np.diff(self.pml) > 1) + 1)
+        self.pml_runs = tuple(slice(int(run[0]), int(run[-1]) + 1)
+                              for run in runs if run.size)
         self.sigma_diag = self.sigma_off = None
         if self.pml.size:
             self.sigma_diag, self.sigma_off = _mass_bands(half, sigma)
 
-    def slab_load(self, scale, wave) -> np.ndarray:
-        """The band product scale M_slab w for nodal values ``wave``.
+    def _slab_product(self, values) -> np.ndarray:
+        """M_slab w on ``slab_nodes``, for the values of w there."""
+        off = self.slab_off[self.slab_elements]
+        product = self.slab_diag[self.slab_nodes] * values
+        product[:-1] += off * values[1:]
+        product[1:] += off * values[:-1]
+        return product
+
+    def slab_load(self, scale, values) -> np.ndarray:
+        """The band product scale M_slab w for the values of w on ``slab_nodes``.
 
         The consistent load of the P1 wave over the slab (the Gauss rule
         that built M_slab is exact for it), formed over ``slab_nodes`` and
         exactly zero outside. Returns one value per mesh node.
         """
-        nodes = self.slab_nodes
         f = np.zeros(self.slab_diag.size, dtype=complex)
-        if nodes.stop > nodes.start:
-            w = wave[nodes]
-            off = self.slab_off[nodes.start:nodes.stop - 1]
-            product = self.slab_diag[nodes] * w
-            product[:-1] += off * w[1:]
-            product[1:] += off * w[:-1]
-            f[nodes] = scale * product
+        if self.slab_elements.stop > self.slab_elements.start:
+            f[self.slab_nodes] = scale * self._slab_product(values)
         return f
+
+    def slab_inner(self, u, v) -> complex:
+        """int_slab u conj(v) dx of two P1 fields, as v^H M_slab u.
+
+        ``u`` and ``v`` are the values on ``slab_nodes``. The Gauss rule
+        that built M_slab is exact for a product of two P1 fields, so this
+        is the element rule's sum over the slab to round-off; 0 without a
+        slab.
+        """
+        if self.slab_elements.stop == self.slab_elements.start:
+            return 0j
+        return complex(np.vdot(v, self._slab_product(u)))
 
 
 def static_bands(mesh: Mesh1D, medium: MediumSpec) -> StaticBands:
@@ -385,8 +406,14 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
         raise ValueError(f"k must be > 0, got {k}")
     static = static_bands(mesh, medium)
     chi = complex(medium.susceptibility(k))
-    m_diag = static.m0_diag + chi * static.slab_diag
-    m_off = static.m0_off + chi * static.slab_off
+    # M_slab and M_sigma are exact zeros off their nodes: each is added
+    # over its own nodes only, which leaves every band entry bitwise as a
+    # sum over all n would
+    m_diag = static.m0_diag.astype(complex)
+    m_off = static.m0_off.astype(complex)
+    nodes, elements = static.slab_nodes, static.slab_elements
+    m_diag[nodes] += chi * static.slab_diag[nodes]
+    m_off[elements] += chi * static.slab_off[elements]
     # stiffness: hat slopes are constant +-1/h, so the element matrix is
     # k_e * [[1, -1], [-1, 1]] with k_e = (1/2h) sum w/s
     k_e = static.stiffness.astype(complex)
@@ -394,8 +421,10 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
         stretch = 1.0 + (1j / k) * static.pml_sigma
         k_e[static.pml] = (_gauss_sum(GAUSS_WEIGHTS / stretch)
                            / static.pml_two_h)
-        m_diag += (1j / k) * static.sigma_diag
-        m_off += (1j / k) * static.sigma_off
+        for run in static.pml_runs:
+            nodes = slice(run.start, run.stop + 1)
+            m_diag[nodes] += (1j / k) * static.sigma_diag[nodes]
+            m_off[run] += (1j / k) * static.sigma_off[run]
 
     s_diag = np.zeros(mesh.n_nodes, dtype=complex)
     s_diag[:-1] += k_e

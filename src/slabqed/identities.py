@@ -165,9 +165,9 @@ def check_thermal_equilibrium(
 
     rhs = 0.0j
     wave = lattice_plane_wave(mesh, k)
+    node_a, node_b = mesh.find_node(x_alpha), mesh.find_node(x_beta)
     for direction in (+1, -1):
         sol = solve_scattering(mesh, medium, k, direction, wave)
-        rhs += (complex(sol.total_at(x_alpha))
-                * np.conj(complex(sol.total_at(x_beta))))
+        rhs += sol.total_at_node(node_a) * np.conj(sol.total_at_node(node_b))
     rhs *= 0.25 / k
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

@@ -135,13 +135,33 @@ class Mesh1D:
         return s if s.ndim else complex(s)
 
     def find_node(self, x: float, tol: float = 1e-9) -> int:
-        """Index of the node at x; raises if no node is within tol."""
-        idx = int(np.argmin(np.abs(self.nodes - x)))
-        if abs(self.nodes[idx] - x) > tol:
+        """Index of the node at x; raises if no node is within tol.
+
+        Bisection of the sorted nodes: the nearest is the last node below
+        x or the first at or above it, the lower one on a tie, which is the
+        node an argmin of |nodes - x| picks. A NaN x is refused.
+        """
+        nodes = self.nodes
+        idx = int(np.searchsorted(nodes, x))
+        if idx == nodes.size or (
+                idx > 0 and abs(nodes[idx - 1] - x) <= abs(nodes[idx] - x)):
+            idx -= 1
+        if not abs(nodes[idx] - x) <= tol:
             raise ValueError(
-                f"no mesh node at x = {x} (nearest is {self.nodes[idx]})"
+                f"no mesh node at x = {x} (nearest is {nodes[idx]})"
             )
         return idx
+
+    @cached_property
+    def length_classes(self):
+        """(distinct element lengths, the class of each element).
+
+        Each span between breakpoints is filled uniformly, so a mesh has
+        few distinct lengths (18 on the ppw-160 sweep mesh): work per
+        length is done once per class and indexed back by element.
+        """
+        (lengths,), _, which = unique_columns(self.element_lengths[None])
+        return _frozen(lengths), _frozen(which)
 
     def slab_element_indices(self):
         return self._slab_elements
@@ -149,6 +169,24 @@ class Mesh1D:
     @cached_property
     def _slab_elements(self):
         return _frozen(np.flatnonzero(self.element_region == Region.SLAB))
+
+
+def unique_columns(table):
+    """Distinct columns of a 2-D table, sorted, as np.unique(axis=1) gives.
+
+    Returns (columns, first, inverse): the distinct columns in lexicographic
+    order, the index of the first occurrence of each, and the position of
+    every column among them. A stable lexsort and a neighbour mask stand
+    in for np.unique, whose 1-D form imports numpy.ma (~25 ms) on its
+    first call; a one-row table gives that 1-D case.
+    """
+    order = np.lexsort(table[::-1])
+    ordered = table[:, order]
+    starts = np.ones(order.size, dtype=bool)
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[:, starts], order[starts], inverse
 
 
 def _fill_spans(breakpoints, h_target):
@@ -167,9 +205,8 @@ def _dedupe(values, tol=1e-12):
     move a requested point off its node, and keeping both would leave a
     sliver element.
     """
-    # sort and drop equal neighbours: np.unique would import numpy.ma
-    values = np.sort(np.asarray(values, dtype=float), axis=None)
-    values = np.delete(values, np.flatnonzero(values[1:] == values[:-1]) + 1)
+    (values,), _, _ = unique_columns(
+        np.asarray(values, dtype=float).reshape(1, -1))
     close = np.flatnonzero(np.diff(values) <= tol)
     if close.size:
         i = close[0]

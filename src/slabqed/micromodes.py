@@ -54,7 +54,7 @@ from .fem import (
     twisted_residues,
 )
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
-from .mesh import Mesh1D, build_box_mesh
+from .mesh import Mesh1D, build_box_mesh, unique_columns
 
 # Bin placement: quantiles of a mixture of a uniform density and a
 # flattened copy of the oscillator strength. The uniform share keeps the
@@ -405,9 +405,9 @@ class _Schur:
         a_diag[q] += quarter
         a_off = np.zeros(system.n_em - 1)
         a_off[p] = quarter
-        diag_rows, _, diag_index = _unique_columns(
+        diag_rows, _, diag_index = unique_columns(
             np.stack((system.em_s_diag, system.em_m_diag, a_diag)))
-        off_rows, _, off_index = _unique_columns(
+        off_rows, _, off_index = unique_columns(
             np.stack((system.em_s_off, system.em_m_off, a_off)))
         return cls(
             anchors=anchors,
@@ -548,24 +548,6 @@ def _spread(table, index):
     return [rows[i] for i in index.tolist()]
 
 
-def _unique_columns(table):
-    """Distinct columns of a 2-D table, sorted, as np.unique(axis=1) gives.
-
-    Returns (columns, first, inverse): the distinct columns in lexicographic
-    order, the index of the first occurrence of each, and the position of
-    every column among them. A stable lexsort and a neighbour mask stand
-    in for np.unique, whose 1-D form imports numpy.ma (~25 ms) on its
-    first call; a one-row table gives that 1-D case.
-    """
-    order = np.lexsort(table[::-1])
-    ordered = table[:, order]
-    starts = np.ones(order.size, dtype=bool)
-    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    return ordered[:, starts], order[starts], inverse
-
-
 def eigenvalue_count(system: GevpSystem, lam) -> np.ndarray:
     """Number of pencil eigenvalues omega^2 strictly below each lam >= 0.
 
@@ -638,7 +620,7 @@ def _bisect(schur: _Schur, first, last, lam_lo, lam_hi):
         probes = np.where(probes == 0.0, 0.5 * h, probes)  # a bin is singular
         stuck = ~secant & ((probes[0] == l) | (probes[0] == h))
         anchors, offsets = np.tile(new, 2), probes.ravel()
-        _, first_of, inverse = _unique_columns(np.stack((anchors, offsets)))
+        _, first_of, inverse = unique_columns(np.stack((anchors, offsets)))
         counts, pivots = schur.sweep(anchors[first_of], offsets[first_of])
         counts = counts[inverse].reshape(probes.shape)
         pivots = pivots[inverse].reshape(probes.shape)
@@ -712,7 +694,7 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
     picked[:-1] |= close
     picked[1:] |= close
     clustered = picked.copy()
-    (sample,), _, _ = _unique_columns(
+    (sample,), _, _ = unique_columns(
         np.linspace(0, lam.size - 1, min(lam.size, _SAMPLE)).astype(int)[None])
     picked[sample] = True
     picked = np.flatnonzero(picked)

@@ -117,9 +117,8 @@ def compute_record(
 
     node = mesh.find_node(x_a)
     pf_sfa = gamma_sfa(samples)
-    pf_b = 0.5 * sum(
-        abs(complex(sol.incident.dofs[node] + sol.scattered.dofs[node])) ** 2
-        for sol in (sol_plus, sol_minus))
+    pf_b = 0.5 * sum(abs(sol.total_at_node(node)) ** 2
+                     for sol in (sol_plus, sol_minus))
     pf_m = gamma_medium(samples, medium)
     lhs = pf_sfa - pf_m
     tec = abs(lhs - pf_b) / max(abs(lhs), abs(pf_b), 1e-300)

@@ -47,6 +47,29 @@ from .medium import MediumSpec
 from .mesh import Mesh1D
 
 
+@dataclass(frozen=True, eq=False)
+class LatticeWave:
+    """Unit discrete plane wave toward +x, held as its phase at every node.
+
+    The nodal values e^{i d theta(x_j)} (d = +1 toward +x, -1 the complex
+    conjugate, toward -x) are formed on demand, only at the nodes read:
+    the slab's for the load, the atom's for the boundary rate.
+    """
+
+    mesh: Mesh1D
+    k: float
+    phase: np.ndarray  # theta(x_j) at every node, read-only
+
+    def values(self, nodes=slice(None), direction: int = +1):
+        """e^{i d theta} at ``nodes`` (an index, a slice or an index array)."""
+        wave = np.exp(1j * self.phase[nodes])
+        return wave if direction > 0 else wave.conj()
+
+    def __call__(self, x):
+        """P1 interpolation of the +x wave at arbitrary points."""
+        return evaluate_field(self.mesh, self.values(), x)
+
+
 @dataclass(frozen=True)
 class PlaneWaveSolution:
     mesh: Mesh1D
@@ -54,34 +77,51 @@ class PlaneWaveSolution:
     k: float
     direction: int
     scattered: FieldSolution
-    incident: FieldSolution | None = None  # unit lattice wave; None: analytic
+    incident: LatticeWave | None = None  # the +x lattice wave; None: analytic
 
     def incident_at(self, x):
         if self.incident is not None:
-            return self.incident(x)
+            return evaluate_field(
+                self.mesh, self.incident.values(direction=self.direction), x)
         return np.exp(1j * self.direction * self.k * np.asarray(x, dtype=float))
 
     def total_at(self, x):
         """Incident + scattered; meaningful outside the absorbing layers."""
         if self.incident is not None:
             # both parts are P1 on one mesh: interpolate their sum once
-            total = self.incident.dofs + self.scattered.dofs
+            total = (self.incident.values(direction=self.direction)
+                     + self.scattered.dofs)
             return evaluate_field(self.mesh, total, x)
         return self.incident_at(x) + self.scattered(x)
 
+    def total_at_node(self, node: int) -> complex:
+        """``total_at`` the x of mesh node ``node``, read at that node alone.
 
-def lattice_plane_wave(mesh: Mesh1D, k: float) -> FieldSolution:
-    """Unit discrete plane wave travelling toward +x, as a P1 field.
+        Interpolation at a node returns the nodal value, so for a lattice
+        state this is bitwise ``total_at(mesh.nodes[node])``.
+        """
+        if self.incident is not None:
+            incident = self.incident.values(node, self.direction)
+        else:
+            incident = self.incident_at(self.mesh.nodes[node])
+        return complex(incident + self.scattered.dofs[node])
 
-    Nodal values e^{i theta(x_j)}: theta advances by kt_e h_e across each
-    element (kt_e the lattice wavenumber of its length) and theta(0) = 0,
-    the oracle's absolute phase. Pass it to ``solve_scattering``; its
-    complex conjugate is the wave travelling toward -x.
+
+def lattice_plane_wave(mesh: Mesh1D, k: float) -> LatticeWave:
+    """Unit discrete plane wave travelling toward +x.
+
+    Nodal phases theta(x_j): theta advances by kt_e h_e across each
+    element (kt_e the lattice wavenumber of its length, found once per
+    distinct length of ``mesh.length_classes``) and theta(0) = 0, the
+    oracle's absolute phase. Pass it to ``solve_scattering``; its complex
+    conjugate is the wave travelling toward -x.
     """
-    h = mesh.element_lengths
-    theta = np.concatenate(([0.0], np.cumsum(lattice_wavenumber(k, h) * h)))
+    lengths, which = mesh.length_classes
+    steps = (lattice_wavenumber(k, lengths) * lengths)[which]
+    theta = np.concatenate(([0.0], np.cumsum(steps)))
     theta -= np.interp(0.0, mesh.nodes, theta)
-    return FieldSolution(mesh=mesh, k=float(k), dofs=np.exp(1j * theta))
+    theta.setflags(write=False)
+    return LatticeWave(mesh=mesh, k=float(k), phase=theta)
 
 
 def solve_scattering(
@@ -89,7 +129,7 @@ def solve_scattering(
     medium: MediumSpec,
     k: float,
     direction: int,
-    lattice_wave: FieldSolution | None = None,
+    lattice_wave: LatticeWave | None = None,
 ) -> PlaneWaveSolution:
     """Scattered-field solve for a unit plane wave from the left (+1) or right.
 
@@ -113,9 +153,10 @@ def solve_scattering(
             raise ValueError(
                 "lattice wave was built for a different mesh or k"
             )
-        wave = lattice_wave.dofs if direction > 0 else lattice_wave.dofs.conj()
-        incident = FieldSolution(mesh=mesh, k=float(k), dofs=wave)
-        f = static_bands(mesh, medium).slab_load(scale, wave)
+        incident = lattice_wave
+        static = static_bands(mesh, medium)
+        f = static.slab_load(
+            scale, lattice_wave.values(static.slab_nodes, direction))
     dofs = factorization(mesh, medium, k).solve(f[1:-1])
     return PlaneWaveSolution(
         mesh=mesh,

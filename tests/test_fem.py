@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from _dense_reference import dense_tridiagonal
+from _random_meshes import meshes
 from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
 from slabqed import fem, greens, identities, scattering
@@ -215,7 +216,8 @@ def test_slab_band_load_matches_the_gauss_point_scatter(k, ppw, half_length,
     rng = np.random.default_rng(seed)
     wave = rng.normal(size=mesh.n_nodes) + 1j * rng.normal(size=mesh.n_nodes)
     scale = k**2 * medium.susceptibility(k)
-    got = static_bands(mesh, medium).slab_load(scale, wave)
+    static = static_bands(mesh, medium)
+    got = static.slab_load(scale, wave[static.slab_nodes])
     idx = mesh.slab_element_indices()
     interpolant = wave[idx, None] * _LO + wave[idx + 1, None] * _HI
     reference = scatter_slab_load(mesh, scale, interpolant)
@@ -223,6 +225,26 @@ def test_slab_band_load_matches_the_gauss_point_scatter(k, ppw, half_length,
     outside = np.ones(mesh.n_nodes, dtype=bool)
     outside[idx[0]:idx[-1] + 2] = False
     assert np.all(got[outside] == 0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(drawn=meshes(), k=st.floats(50.0, 1500.0))
+def test_narrowed_assembly_is_the_full_length_sum(drawn, k):
+    # chi M_slab and (i/k) M_sigma are added over their own nodes only;
+    # the mass bands equal the sums formed over all n nodes, bitwise
+    mesh, medium = drawn
+    static = static_bands(mesh, medium)
+    system = assemble(mesh, medium, k)
+    chi = complex(medium.susceptibility(k))
+    m_diag = static.m0_diag + chi * static.slab_diag
+    m_off = static.m0_off + chi * static.slab_off
+    if static.sigma_diag is not None:
+        m_diag = m_diag + (1j / k) * static.sigma_diag
+        m_off = m_off + (1j / k) * static.sigma_off
+    np.testing.assert_array_equal(system.m_diag, m_diag)
+    np.testing.assert_array_equal(system.m_off, m_off)
+    runs = [j for run in static.pml_runs for j in range(run.start, run.stop)]
+    assert runs == static.pml.tolist()
 
 
 @pytest.mark.parametrize("k", [300.0, 500.0, 700.0])

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from _random_meshes import meshes
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slabqed import mesh as mesh_module
@@ -140,6 +141,27 @@ def test_find_node_rejects_off_node_points():
     mesh = standard_mesh()
     with pytest.raises(ValueError):
         mesh.find_node(0.1234567)
+
+
+@settings(deadline=None, max_examples=40)
+@given(drawn=meshes(), data=st.data())
+def test_find_node_is_the_argmin_node(drawn, data):
+    # bisection finds the node an argmin over every node picks, and
+    # refuses every point no node is within tol of (NaN and inf too)
+    mesh, _ = drawn
+    nodes = mesh.nodes
+    x_node = nodes[data.draw(st.integers(0, nodes.size - 1))]
+    near = data.draw(st.lists(st.floats(-2e-9, 2e-9), max_size=5))
+    anywhere = data.draw(st.lists(st.floats(-1.0, 1.0), max_size=5))
+    points = [x_node, *(x_node + e for e in near), *anywhere,
+              math.nan, math.inf, -math.inf]
+    for x in points:
+        nearest = int(np.argmin(np.abs(nodes - x)))
+        if abs(nodes[nearest] - x) <= 1e-9:
+            assert mesh.find_node(x) == nearest
+        else:
+            with pytest.raises(ValueError, match="no mesh node"):
+                mesh.find_node(x)
 
 
 @pytest.mark.parametrize(

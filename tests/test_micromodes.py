@@ -17,7 +17,7 @@ from slabqed.medium import (
     MediumSpec,
     case_preset,
 )
-from slabqed.mesh import PmlSpec, build_mesh
+from slabqed.mesh import PmlSpec, build_mesh, unique_columns
 from slabqed.micromodes import (
     BathConfig,
     ModeSet,
@@ -519,7 +519,8 @@ def test_stock_1a_count_work_budget(monkeypatch):
     min_size=1, max_size=12))
 def test_unique_columns_is_numpys_unique(columns):
     table = np.array(columns, dtype=float).T
-    distinct, first, inverse = micromodes._unique_columns(table)
+    # the sort-based dedupe the eigenmode route shares with the mesh
+    distinct, first, inverse = unique_columns(table)
     expected = np.unique(table, axis=1, return_index=True, return_inverse=True)
     np.testing.assert_array_equal(distinct, expected[0])
     np.testing.assert_array_equal(first, expected[1])

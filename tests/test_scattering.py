@@ -9,8 +9,11 @@ band edge gets an explicit dispersion-floor + convergence test instead.
 
 import numpy as np
 import pytest
+from _random_meshes import meshes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slabqed.fem import assemble
+from slabqed.fem import assemble, lattice_wavenumber
 from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import PmlSpec, build_mesh
 from slabqed.oracle import tmm_reflection_transmission, tmm_total_field
@@ -159,20 +162,48 @@ def test_lattice_wave_solves_the_vacuum_mesh(k):
              & (mesh.nodes[j] < mesh.x_inner_right)
              & (np.abs(h[j - 1] - h[j]) < 1e-9 * h[j])]
     wave = lattice_plane_wave(mesh, k)
-    assert residual(wave.dofs)[keep].max() < 1e-12
+    assert residual(wave.values())[keep].max() < 1e-12
     assert residual(np.exp(1j * k * mesh.nodes))[keep].max() > 1e-8
     assert wave(0.0) == 1.0  # the oracle's absolute phase
-    np.testing.assert_allclose(np.abs(wave.dofs), 1.0, atol=1e-15)
+    np.testing.assert_allclose(np.abs(wave.values()), 1.0, atol=1e-15)
 
 
 def test_lattice_state_in_vacuum_is_the_bare_wave():
     mesh = make_mesh(VACUUM)
     wave = lattice_plane_wave(mesh, 500.0)
+    full = np.exp(1j * wave.phase)
     for d in (+1, -1):
         sol = solve_scattering(mesh, VACUUM, 500.0, d, lattice_wave=wave)
         assert np.max(np.abs(sol.scattered.dofs)) < 1e-12
-        expected = wave.dofs if d > 0 else np.conj(wave.dofs)
-        np.testing.assert_array_equal(sol.incident.dofs, expected)
+        assert sol.incident is wave
+        expected = full if d > 0 else np.conj(full)
+        np.testing.assert_array_equal(sol.incident.values(direction=d),
+                                      expected)
+        np.testing.assert_array_equal(sol.incident_at(mesh.nodes), expected)
+
+
+@settings(deadline=None, max_examples=40)
+@given(drawn=meshes(), k=st.floats(50.0, 1500.0), data=st.data())
+def test_lattice_wave_on_any_nodes_is_the_full_length_wave(drawn, k, data):
+    # kt once per distinct element length, exp only at the nodes asked
+    # for: both bitwise the per-element, every-node forms
+    mesh, _ = drawn
+    wave = lattice_plane_wave(mesh, k)
+    h = mesh.element_lengths
+    theta = np.concatenate(([0.0], np.cumsum(lattice_wavenumber(k, h) * h)))
+    theta -= np.interp(0.0, mesh.nodes, theta)
+    np.testing.assert_array_equal(wave.phase, theta)
+    full = np.exp(1j * theta)
+    n = mesh.n_nodes
+    index = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=20)),
+                     dtype=int)
+    lo = data.draw(st.integers(0, n))
+    span = slice(lo, data.draw(st.integers(lo, n)))
+    node = data.draw(st.integers(0, n - 1))
+    for nodes in (index, span, node):
+        np.testing.assert_array_equal(wave.values(nodes), full[nodes])
+        np.testing.assert_array_equal(wave.values(nodes, -1),
+                                      np.conj(full)[nodes])
 
 
 def test_lattice_wave_must_match_the_solve():
