@@ -1,10 +1,15 @@
-"""Point-source (Green function) solves and slab quadrature sampling.
+"""Point-source (Green function) solves and what the rate routes read of G.
 
 The discrete Green function solves L g = e_src where e_src is the consistent
 load of a delta at a mesh node: in weak form int g' v'/s - k^2 int eps s g v
 = v(x_src), i.e. the column of L^{-1} at that node. Because L is complex
 symmetric the discrete G inherits exact reciprocity, G(x, x') = G(x', x),
 up to solver round-off; a residual helper quantifies that.
+
+``sample_green`` reads what the rate routes need of one such solve: the
+self value G(x_a, x_a) for the LDOS route and, for the medium route, the
+slab integral of |G(x_a, .)|^2 as the band form g^H M_slab g over the
+slab's nodes, exact for a P1 field.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FieldSolution, factorization, slab_rule
+from .fem import FieldSolution, factorization, static_bands
 from .medium import MediumSpec
 from .mesh import Mesh1D
 
@@ -34,30 +39,14 @@ def solve_point_source(
     return FieldSolution(mesh=mesh, k=float(k), dofs=dofs)
 
 
-def slab_quadrature(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss points and weights covering the slab, element by element.
-
-    Flat read-only views of the mesh's cached ``fem.slab_rule``, built
-    once per mesh. The weights sum to the slab length exactly (up to
-    round-off); for the standard slab of half-length 1/32 that is
-    1/16 = 0.0625.
-    """
-    rule = slab_rule(mesh)
-    if rule.points.size == 0:
-        raise ValueError("mesh has no slab elements")
-    return rule.points.ravel(), rule.weights.ravel()
-
-
 @dataclass(frozen=True)
 class GreenSamples:
-    """G(x_atom, .) sampled where the noise-current quadrature needs it."""
+    """What the LDOS and medium routes read of G(x_atom, .)."""
 
     k: float
     x_atom: float
     self_value: complex  # G(x_atom, x_atom)
-    points: np.ndarray  # quadrature points inside the slab
-    weights: np.ndarray  # matching weights, summing to the slab length
-    values: np.ndarray  # G(x_atom, points)
+    slab_intensity: float  # int_slab |G(x_atom, x)|^2 dx
 
 
 def sample_green(
@@ -70,17 +59,20 @@ def sample_green(
 
     Reciprocity of the complex-symmetric operator lets a single solve with
     the source at the atom stand in for a solve per slab point, which is
-    the main performance lever of the frequency sweep.
+    the main performance lever of the frequency sweep. The slab integral
+    of |G|^2 is the band form g^H M_slab g over the slab's nodes
+    (``StaticBands.slab_inner``): the Gauss rule that built M_slab is exact
+    for the P1 product, so this is the element rule's sum of |G|^2 at the
+    slab's Gauss points, without interpolating G there.
     """
     field = solve_point_source(mesh, medium, k, x_atom)
-    xq, wq = slab_quadrature(mesh)
+    static = static_bands(mesh, medium)
+    g = field.dofs[static.slab_nodes]
     return GreenSamples(
         k=float(k),
         x_atom=float(x_atom),
         self_value=field.at_node(mesh.find_node(x_atom)),
-        points=xq,
-        weights=wq,
-        values=field(xq),
+        slab_intensity=static.slab_inner(g, g).real,
     )
 
 

@@ -24,8 +24,9 @@ The pointwise balance check compares the flux functional
 
 against the plane-wave correlation (1/(4k)) sum_{+-} Phi(x_a) Phi*(x_b),
 computed from disjoint solver paths (point sources vs scattering states).
-The scattering states are driven by the lattice plane wave, as in the
-sweep's boundary rate, so this check and the sweep's ``tec_residual``
+The scattering states are driven by the lattice plane wave and the slab
+integral is the band form over the slab's nodes, as in the sweep's
+boundary and medium rates, so this check and the sweep's ``tec_residual``
 measure the same balance.
 """
 
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import DEFAULT_DOF_CAP, SystemMatrices, kept
-from .greens import slab_quadrature, solve_point_source
+from .fem import DEFAULT_DOF_CAP, SystemMatrices, kept, static_bands
+from .greens import solve_point_source
 from .medium import MediumSpec
 from .mesh import Mesh1D
 from .scattering import lattice_plane_wave, solve_scattering
@@ -156,11 +157,10 @@ def check_thermal_equilibrium(
         field_b = field_a
     else:
         field_b = solve_point_source(mesh, medium, k, x_beta)
-    points, weights = slab_quadrature(mesh)
+    static = static_bands(mesh, medium)
+    nodes = static.slab_nodes
     chi_imag = complex(medium.susceptibility(k)).imag
-    correlation = np.sum(
-        weights * field_a(points) * np.conj(field_b(points))
-    )
+    correlation = static.slab_inner(field_a.dofs[nodes], field_b.dofs[nodes])
     lhs = complex(field_a(x_beta)).imag - k**2 * chi_imag * correlation
 
     rhs = 0.0j

@@ -88,12 +88,12 @@ def gamma_boundary(
 def gamma_medium(samples: GreenSamples, medium: MediumSpec) -> float:
     """Medium part: noise currents in the slab radiating to the atom.
 
-    Quadrature form 2 k^3 sum_q w_q chi_I |G(x_a, x_q)|^2; the homogeneous
-    slab lets chi_I factor out of the sum.
+    2 k^3 chi_I int_slab |G(x_a, x)|^2 dx; the homogeneous slab lets chi_I
+    factor out of the integral, which ``sample_green`` forms as the slab
+    band form g^H M_slab g (the element rule's Gauss sum, exactly).
     """
     chi_imag = complex(medium.susceptibility(samples.k)).imag
-    weighted = float(np.sum(samples.weights * np.abs(samples.values) ** 2))
-    return 2.0 * samples.k**3 * chi_imag * weighted
+    return 2.0 * samples.k**3 * chi_imag * samples.slab_intensity
 
 
 def compute_record(

@@ -38,6 +38,7 @@ from .fem import (
     FieldSolution,
     evaluate_field,
     factorization,
+    kept,
     lattice_wavenumber,
     p1_load,
     slab_rule,
@@ -61,8 +62,21 @@ class LatticeWave:
     phase: np.ndarray  # theta(x_j) at every node, read-only
 
     def values(self, nodes=slice(None), direction: int = +1):
-        """e^{i d theta} at ``nodes`` (an index, a slice or an index array)."""
-        wave = np.exp(1j * self.phase[nodes])
+        """e^{i d theta} at ``nodes`` (an index, a slice or an index array).
+
+        The +x values on the last slice asked for are kept with the wave,
+        read-only, so both directions of one frequency share one ``exp``.
+        """
+        def build():
+            wave = np.exp(1j * self.phase[nodes])
+            wave.setflags(write=False)
+            return wave
+
+        if isinstance(nodes, slice):
+            key = (nodes.start, nodes.stop, nodes.step)
+            wave = kept(self, "values", key, build)
+        else:
+            wave = build()
         return wave if direction > 0 else wave.conj()
 
     def __call__(self, x):

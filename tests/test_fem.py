@@ -596,8 +596,8 @@ LU_ENTRY_POINTS = {
         mesh, medium, k, +1).scattered.dofs,
     "solve_point_source": lambda mesh, medium, k: solve_point_source(
         mesh, medium, k, 0.0625).dofs,
-    "sample_green": lambda mesh, medium, k: sample_green(
-        mesh, medium, k, 0.0625).values,
+    "sample_green": lambda mesh, medium, k: dataclasses.astuple(
+        sample_green(mesh, medium, k, 0.0625)),
     "reciprocity_residual": lambda mesh, medium, k: reciprocity_residual(
         mesh, medium, k, 0.0, 0.0625),
     "check_thermal_equilibrium": lambda mesh, medium, k:
@@ -756,17 +756,16 @@ def builds(monkeypatch):
             return build()
         return kept(owner, slot, key, counted)
 
-    for module in (fem, identities):
+    for module in (fem, identities, scattering):
         monkeypatch.setattr(module, "kept", counting)
     return slots
 
 
 def kept_slab_rule(mesh, key):
-    points, weights = greens.slab_quadrature(mesh)
+    # the analytic-wave load reads the kept rule, which is read-only
+    fem.p1_load(mesh, 1.0, np.cos)
     rule = fem.slab_rule(mesh)
-    # the slab quadrature is read-only views of the kept rule
-    assert points.base is rule.points and weights.base is rule.weights
-    assert not points.flags.writeable
+    assert not (rule.points.flags.writeable or rule.weights.flags.writeable)
     return rule
 
 
@@ -781,6 +780,18 @@ def kept_inverse(system, key):
     return identities._inverse(system)[1]
 
 
+def kept_lattice_values(wave, nodes):
+    # both directions of a lattice solve read one kept, read-only copy of
+    # the +x values on the slab
+    if nodes == "slab":
+        for direction in (+1, -1):
+            solve_scattering(wave.mesh, CASE1, wave.k, direction, wave)
+        nodes = static_bands(wave.mesh, CASE1).slab_nodes
+    values = wave.values(nodes)
+    assert not values.flags.writeable
+    return values
+
+
 # slot -> (a new owner, its keys, the value kept for a key once its callers
 # have run)
 KEPT_SLOTS = {
@@ -791,6 +802,8 @@ KEPT_SLOTS = {
         lambda mesh, key: factorization(mesh, *key)),
     "inverse": (lambda: assemble(lu_mesh(), VACUUM, 500.0), [None],
                 kept_inverse),
+    "values": (lambda: lattice_plane_wave(lu_mesh(), 500.0),
+               ["slab", slice(None)], kept_lattice_values),
 }
 
 

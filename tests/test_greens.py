@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slabqed.fem import slab_rule, static_bands
 from slabqed.greens import (
     reciprocity_residual,
     sample_green,
-    slab_quadrature,
     solve_point_source,
 )
 from slabqed.medium import CASE_PRESETS
@@ -30,6 +30,12 @@ VACUUM = CASE_PRESETS["vacuum"]
 def make_mesh(medium, ppw=40.0, obs=(0.0, 0.0625)):
     return build_mesh(medium, 700.0, ppw, 0.05, PmlSpec(thickness=0.05),
                       observation_points=obs)
+
+
+def slab_quadrature(mesh):
+    """Flat Gauss points and weights of the mesh's slab rule."""
+    rule = slab_rule(mesh)
+    return rule.points.ravel(), rule.weights.ravel()
 
 
 def test_vacuum_self_value():
@@ -143,7 +149,9 @@ def test_sample_green_consistency():
     samples = sample_green(mesh, CASE1, 500.0, 0.0)
     field = solve_point_source(mesh, CASE1, 500.0, 0.0)
     assert samples.self_value == field(0.0)
-    np.testing.assert_array_equal(samples.values, field(samples.points))
+    static = static_bands(mesh, CASE1)
+    g = field.dofs[static.slab_nodes]
+    assert samples.slab_intensity == static.slab_inner(g, g).real
     assert samples.k == 500.0 and samples.x_atom == 0.0
 
 

@@ -1,7 +1,5 @@
 """Purcell-factor methods: vacuum anchors, regime structure, exact identities."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -117,20 +115,24 @@ def test_gamma_boundary_rejects_same_direction():
 
 
 def test_medium_rate_quadrature_is_converged():
-    mesh, medium, x_a = make_setup("1A")
-    coarse = sample_green(mesh, medium, 500.0, x_a)
-    # reference: an 8-point Gauss rule on the same slab elements
+    # the band form g^H M_slab g is the slab integral of |G_h|^2 itself:
+    # an independent 8-point Gauss sum of the interpolated G agrees to
+    # round-off, and compute_record reports that rate
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    idx = mesh.slab_element_indices()
-    half = 0.5 * mesh.element_lengths[idx][:, None]
-    xq = (mesh.element_midpoints[idx, None] + half * nodes).ravel()
-    field = solve_point_source(mesh, medium, 500.0, x_a)
-    fine = dataclasses.replace(coarse, points=xq,
-                               weights=(half * weights).ravel(),
-                               values=field(xq))
-    pf4 = purcell.gamma_medium(coarse, medium)
-    pf8 = purcell.gamma_medium(fine, medium)
-    assert abs(pf8 - pf4) / pf4 < 1e-3
+    for label in ("1A", "1B", "2A", "2B"):
+        mesh, medium, x_a = make_setup(label)
+        for k in (300.0, 500.0, 700.0):
+            idx = mesh.slab_element_indices()
+            half = 0.5 * mesh.element_lengths[idx][:, None]
+            xq = mesh.element_midpoints[idx, None] + half * nodes
+            field = solve_point_source(mesh, medium, k, x_a)
+            gauss8 = float(np.sum(half * weights * np.abs(field(xq)) ** 2))
+            chi_imag = complex(medium.susceptibility(k)).imag
+            pf8 = 2.0 * k**3 * chi_imag * gauss8
+            samples = sample_green(mesh, medium, k, x_a)
+            pf_m = purcell.gamma_medium(samples, medium)
+            assert abs(pf_m - pf8) <= 1e-13 * pf8
+            assert purcell.compute_record(mesh, medium, k, x_a).pf_m == pf_m
 
 
 def test_sweep_is_sorted_positive_and_deterministic():
