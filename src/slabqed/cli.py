@@ -354,17 +354,33 @@ def _closed_box_modes(config: RunConfig, grid):
     )
 
 
+def _sweep_mesh(config: RunConfig, medium: MediumSpec, x_a: float,
+                k_max: float, ppw: float):
+    """``purcell_mesh`` with the run's padding and absorbing layer.
+
+    That mesh puts both preset atom sites and ``x_a`` on nodes, so each
+    must lie strictly inside the physical region, (-(a + padding),
+    a + padding); a padding too thin for them is a config error.
+    """
+    reach = max(abs(x) for x in (ATOM_INSIDE, ATOM_OUTSIDE, x_a))
+    region = medium.slab_half_length + config.padding
+    if not reach < region:
+        raise ConfigError(
+            f"mesh.padding = {config.padding!r} leaves the atom site "
+            f"x = {reach!r} outside the physical region (-{region}, "
+            f"{region}); mesh.padding must be > "
+            f"{reach - medium.slab_half_length!r}"
+        )
+    return purcell_mesh(medium, x_a, k_max=k_max, ppw=ppw,
+                        padding=config.padding,
+                        pml_thickness=config.pml_thickness)
+
+
 def cmd_sweep(config: RunConfig) -> int:
     start = time.monotonic()
     grid = config.grid()
-    mesh = purcell_mesh(
-        config.medium,
-        config.atom_position,
-        k_max=float(grid[-1]),
-        ppw=config.ppw,
-        padding=config.padding,
-        pml_thickness=config.pml_thickness,
-    )
+    mesh = _sweep_mesh(config, config.medium, config.atom_position,
+                       k_max=float(grid[-1]), ppw=config.ppw)
     records = sweep(mesh, config.medium, grid, config.atom_position)
 
     mode_rates = {}
@@ -427,9 +443,7 @@ def cmd_check_identities(config: RunConfig) -> int:
     # resolution, so ppw = 15 keeps the dense inverses cheap
     for label, medium in (("vacuum", CASE_PRESETS["vacuum"]),
                           ("slab", config.medium)):
-        mesh = purcell_mesh(medium, x_b, k_max=700.0, ppw=15.0,
-                            padding=config.padding,
-                            pml_thickness=config.pml_thickness)
+        mesh = _sweep_mesh(config, medium, x_b, k_max=700.0, ppw=15.0)
         for k in (300.0, 500.0, 700.0):
             system = assemble(mesh, medium, k)
             all_ok &= _report(
@@ -452,9 +466,7 @@ def cmd_check_identities(config: RunConfig) -> int:
     # field-correlation balance on a resolved mesh, from the same lattice
     # scattering states as the sweep's tec_residual; what remains is the
     # LDOS route's vacuum lattice bias, O((kh)^2)
-    mesh = purcell_mesh(config.medium, x_b, k_max=700.0, ppw=160.0,
-                        padding=config.padding,
-                        pml_thickness=config.pml_thickness)
+    mesh = _sweep_mesh(config, config.medium, x_b, k_max=700.0, ppw=160.0)
     worst = 0.0
     for k in np.linspace(300.0, 700.0, 21):
         worst = max(worst, check_thermal_equilibrium(
@@ -471,14 +483,8 @@ def cmd_oracle_compare(config: RunConfig) -> int:
     """Solver-vs-transfer-matrix comparison; exit 0 iff within tolerance."""
     start = time.monotonic()
     grid = config.grid()
-    mesh = purcell_mesh(
-        config.medium,
-        config.atom_position,
-        k_max=float(grid[-1]),
-        ppw=config.oracle_ppw,
-        padding=config.padding,
-        pml_thickness=config.pml_thickness,
-    )
+    mesh = _sweep_mesh(config, config.medium, config.atom_position,
+                       k_max=float(grid[-1]), ppw=config.oracle_ppw)
     rows = []
     residuals = []
     for omega in grid:

@@ -232,6 +232,33 @@ def test_non_finite_value_exits_2_without_output(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+# The sweep mesh puts both preset atom sites on nodes. Around the 1/32 slab
+# a padding of 0.03 ends the physical region at 0.06125, short of the outside
+# site 0.0625, although case 1A's own atom at 0 passes validate().
+THIN_PADDING = "case = 1A\nsweep.count = 3\nmesh.padding = 0.03\n"
+
+
+@pytest.mark.parametrize("command",
+                         ["sweep", "oracle-compare", "check-identities"])
+def test_padding_short_of_an_atom_site_exits_2(command, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(THIN_PADDING)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mesh.padding")
+    assert "mesh.padding must be > 0.03125" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+def test_padding_short_of_an_atom_site_leaves_modes_running(tmp_path):
+    # the closed box of the eigenmode route has no padding
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(THIN_PADDING)
+    assert main(["modes", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.csv")]) == 0
+
+
 def test_failed_modes_run_writes_no_output(tmp_path):
     # eta below the closed-box mode spacing fails in the rate step, after
     # the spectrum is known; neither output file may be left behind
