@@ -134,12 +134,15 @@ def packages_loaded_by(probe):
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
-    # building a mesh must not pull in numpy.ma either
+    # building a mesh and running a sweep point (the per-mesh length
+    # classes of the lattice wave among them) must not pull in numpy.ma
     probe = (
         "import slabqed.cli\n"
         "from slabqed.medium import CASE_PRESETS\n"
-        "from slabqed.purcell import purcell_mesh\n"
-        "purcell_mesh(CASE_PRESETS['1'], 0.0625, k_max=700.0, ppw=40.0)\n"
+        "from slabqed.purcell import purcell_mesh, sweep\n"
+        "mesh = purcell_mesh(CASE_PRESETS['1'], 0.0625, k_max=700.0,"
+        " ppw=40.0)\n"
+        "assert sweep(mesh, CASE_PRESETS['1'], [500.0], 0.0625)\n"
     )
     assert packages_loaded_by(probe) & HEAVY == set()
 
