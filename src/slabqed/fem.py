@@ -14,8 +14,8 @@ for the polynomial stretch profiles and the P1 products appearing here.
 ``element_quadrature`` and ``p1_load`` are the only places that rule is
 applied. ``kept`` keeps work with its mesh, one entry per slot, replaced
 when its key changes and freed with the mesh: the rule on the slab
-elements (``slab_rule``, for ``p1_load`` and the slab quadratures of other
-modules), the k-independent bands of the last medium (``static_bands``)
+elements (``slab_rule``, for ``p1_load`` and the energy balance of
+``scattering``), the k-independent bands of the last medium (``static_bands``)
 and the LU of the last (medium, k) (``factorization``, the one place an LU
 is built for a solve), so all solves at one frequency share it and no
 caller passes one around.
@@ -44,10 +44,14 @@ the 1/k weight of M_sigma. ``static_bands`` builds the rest once per
 (mesh, medium): the three mass bands M_0, M_slab and M_sigma, the sigma
 of the layer elements at their Gauss points and the stiffness of every
 other element. ``assemble`` then does O(n) band arithmetic per frequency
-and no quadrature; it refuses a medium whose slab reaches into an
-absorbing layer, where the split would not hold.
+and no quadrature, adding chi M_slab over the slab's nodes and
+(i/k) M_sigma over the layers' nodes only (both are exact zeros elsewhere);
+it refuses a medium whose slab reaches into an absorbing layer, where the
+split would not hold.
 The slab load of a P1 wave, k^2 chi M_slab w, is a band product with the
-same M_slab (``StaticBands.slab_load``), over the slab's nodes only.
+same M_slab (``StaticBands.slab_load``), and the slab integral of u conj(v)
+for two P1 fields is v^H M_slab u (``StaticBands.slab_inner``), both over
+the slab's nodes only.
 """
 
 from __future__ import annotations
@@ -359,8 +363,7 @@ class StaticBands:
         exactly zero outside. Returns one value per mesh node.
         """
         f = np.zeros(self.slab_diag.size, dtype=complex)
-        if self.slab_elements.stop > self.slab_elements.start:
-            f[self.slab_nodes] = scale * self._slab_product(values)
+        f[self.slab_nodes] = scale * self._slab_product(values)
         return f
 
     def slab_inner(self, u, v) -> complex:
@@ -371,8 +374,6 @@ class StaticBands:
         is the element rule's sum over the slab to round-off; 0 without a
         slab.
         """
-        if self.slab_elements.stop == self.slab_elements.start:
-            return 0j
         return complex(np.vdot(v, self._slab_product(u)))
 
 

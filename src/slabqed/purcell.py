@@ -18,13 +18,20 @@ scattered field travels at the lattice wavenumber, and an incident wave at
 another wavenumber would slip in phase against it at the atom. With both
 parts on one dispersion relation the boundary part equals the radiation
 (absorbing-layer) channel of the LDOS up to the LDOS route's own vacuum
-lattice bias, O((kh)^2).
+lattice bias, O((kh)^2). The wave is carried as its nodal phase, and
+``compute_record`` forms its values only on the slab's nodes (the loads)
+and at the atom's node (the boundary part).
+
+The medium part is 2k^3 chi_I int_slab |G(x_a, x)|^2 dx, taken as the slab
+band form g^H M_slab g over the slab's nodes: the Gauss rule that built
+M_slab integrates the P1 product exactly, so no Gauss-point values of G
+are formed.
 
 One matrix factorization per frequency feeds all three solves (two plane
 waves, one point source): ``fem.factorization`` keeps it on the mesh, and
-the sweep runs its frequencies in order, one LU at a time. The identity (ldos - medium) = boundary is the
-zero-separation thermal-balance statement, so each sweep record carries
-its relative residual for free.
+the sweep runs its frequencies in order, one LU at a time. The identity
+(ldos - medium) = boundary is the zero-separation thermal-balance
+statement, so each sweep record carries its relative residual for free.
 """
 
 from __future__ import annotations

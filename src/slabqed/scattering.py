@@ -13,7 +13,11 @@ incident wave. Each caller picks the incident wave:
   ``fem.lattice_wavenumber`` across each element, interpolated as P1. It is
   what the vacuum mesh itself carries, so incident and scattered parts
   share one dispersion relation; the boundary emission rate and the
-  field-correlation balance use it.
+  field-correlation balance use it. The wave is held as its phase theta,
+  with kt found once per distinct element length; its values are formed
+  only where they are read: on the slab's nodes for the load (once for
+  both directions), at one node for ``total_at_node``, and at every node
+  only for ``total_at`` and ``incident_at``.
 
 The scattered field is outgoing and is what the absorbing layers damp; the
 total field is physically meaningful outside the layers only. The solve
@@ -78,10 +82,6 @@ class LatticeWave:
         else:
             wave = build()
         return wave if direction > 0 else wave.conj()
-
-    def __call__(self, x):
-        """P1 interpolation of the +x wave at arbitrary points."""
-        return evaluate_field(self.mesh, self.values(), x)
 
 
 @dataclass(frozen=True)
