@@ -109,7 +109,7 @@ class PlaneWaveSolution:
         return self.incident_at(x) + self.scattered(x)
 
     def total_at_node(self, node: int) -> complex:
-        """``total_at`` the x of mesh node ``node``, read at that node alone.
+        """``total_at(mesh.nodes[node])``, read at that node alone.
 
         Interpolation at a node returns the nodal value, so for a lattice
         state this is bitwise ``total_at(mesh.nodes[node])``.
@@ -152,8 +152,8 @@ def solve_scattering(
     ``fem.p1_load`` with the mesh's slab rule. With the +x wave of
     ``lattice_plane_wave(mesh, k)`` it is that wave (d = +1) or its complex
     conjugate (d = -1), and the load is the band product k^2 chi M_slab w
-    with the M_slab of ``fem.static_bands``: exactly what L - L_vac applies
-    to the wave. The LU is ``fem.factorization``'s, shared with every other
+    with the M_slab of ``fem.static_bands``, from the wave's values on the
+    slab's nodes alone: exactly what L - L_vac applies to the wave. The LU is ``fem.factorization``'s, shared with every other
     solve at this frequency on this mesh.
     """
     if direction not in (+1, -1):
