@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .fem import assemble
+from .fem import DEFAULT_DOF_CAP, assemble
 from .crosscheck import oracle_residuals
 from .identities import (
     check_discrete_ddgt,
@@ -339,11 +339,35 @@ def _closed_box_modes(config: RunConfig, grid):
 
     Returns the ModeSet and the metadata line describing it: mode count,
     band, B-orthonormality residual, the pivot sweeps the count took and
-    the residue-vs-vector residual at the atom.
+    the residue-vs-vector residual at the atom. A box under four slab
+    lengths, a bath that stops short of the resonance and a pencil above
+    the dof cap are config errors, each naming its key and bound.
     """
-    system = build_gevp(
-        gevp_mesh(config.medium, config.bath), config.medium, config.bath
-    )
+    medium, bath = config.medium, config.bath
+    if not bath.box_length >= 4.0 * medium.slab_length:
+        raise ConfigError(
+            f"modes.box_length = {bath.box_length!r} is under 4 slab "
+            f"lengths; modes.box_length must be >= "
+            f"{4.0 * medium.slab_length!r}"
+        )
+    if medium.omega_p != 0.0 and not bath.nu_max > medium.omega_0:
+        raise ConfigError(
+            f"modes.nu_max = {bath.nu_max!r} does not clear the resonance; "
+            f"modes.nu_max must be > {medium.omega_0!r}"
+        )
+    system = build_gevp(gevp_mesh(medium, bath), medium, bath)
+    if system.size > DEFAULT_DOF_CAP:
+        # n_bins oscillators per slab element, on top of the field dofs
+        room = (DEFAULT_DOF_CAP - system.n_em) // max(
+            system.slab_lengths.size, 1)
+        key, value, bound = (
+            ("modes.n_bins", bath.n_bins, f"<= {room}")
+            if system.n_matter and room >= 8 else
+            ("modes.box_length", bath.box_length, f"< {bath.box_length!r}"))
+        raise ConfigError(
+            f"{key} = {value!r} gives a pencil of {system.size} dofs, above "
+            f"the cap {DEFAULT_DOF_CAP}; {key} must be {bound}"
+        )
     lo, hi = 1.0, max(1000.0, float(grid[-1]) + 300.0)
     modes = diagonalize(system, band=(lo, hi))
     return modes, (
@@ -381,11 +405,10 @@ def cmd_sweep(config: RunConfig) -> int:
     grid = config.grid()
     mesh = _sweep_mesh(config, config.medium, config.atom_position,
                        k_max=float(grid[-1]), ppw=config.ppw)
-    records = sweep(mesh, config.medium, grid, config.atom_position)
-
     mode_rates = {}
     modes_line = None
     if config.method_modes:
+        # before the sweep, so a modes config error costs no sweep
         modes, modes_line = _closed_box_modes(config, grid)
         for omega in grid:
             omega = float(omega)
@@ -397,6 +420,7 @@ def cmd_sweep(config: RunConfig) -> int:
                 raise RuntimeError(
                     f"sweep point omega_a = {omega}: {exc}"
                 ) from exc
+    records = sweep(mesh, config.medium, grid, config.atom_position)
 
     want_tec = config.method_sfa and config.method_modified_ln
     rows = []

@@ -13,12 +13,11 @@ Element integrals use a fixed 4-point Gauss-Legendre rule, which is exact
 for the polynomial stretch profiles and the P1 products appearing here.
 ``element_quadrature`` and ``p1_load`` are the only places that rule is
 applied. ``kept`` keeps work with its mesh, one entry per slot, replaced
-when its key changes and freed with the mesh: the rule on the slab
-elements (``slab_rule``, for ``p1_load`` and the energy balance of
-``scattering``), the k-independent bands of the last medium (``static_bands``)
-and the LU of the last (medium, k) (``factorization``, the one place an LU
-is built for a solve), so all solves at one frequency share it and no
-caller passes one around.
+when its key changes and freed with the mesh: the k-independent bands and
+the rule on the slab elements (``static_bands``, one per mesh whatever the
+medium) and the LU of the last (medium, k) (``factorization``, the one
+place an LU is built for a solve), so all solves at one frequency share it
+and no caller passes one around.
 ``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot),
 ``twisted_residues`` (the weight of one row in every null vector, from a
 forward and a backward pivot sweep differentiated in lam) and
@@ -34,20 +33,21 @@ The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
 
 With s = 1 + (i/k) sigma in the absorbing layers and eps_r = 1 + chi(k)
-in the slab (the two never overlap), the mass splits as
+on the slab elements, both placed by the mesh (``Mesh1D.pml_runs`` and
+``slab_elements``, which never overlap), the mass splits as
 
     M = M_0 + chi(k) M_slab + (i/k) M_sigma,
 
 and only three pieces of the operator vary with k: the stiffness of the
 absorbing-layer elements (1/s is not linear in k), the scalar chi(k) and
-the 1/k weight of M_sigma. ``static_bands`` builds the rest once per
-(mesh, medium): the three mass bands M_0, M_slab and M_sigma, the sigma
-of the layer elements at their Gauss points and the stiffness of every
-other element. ``assemble`` then does O(n) band arithmetic per frequency
-and no quadrature, adding chi M_slab over the slab's nodes and
-(i/k) M_sigma over the layers' nodes only (both are exact zeros elsewhere);
-it refuses a medium whose slab reaches into an absorbing layer, where the
-split would not hold.
+the 1/k weight of M_sigma. None of the rest depends on the medium, so
+``static_bands`` builds it once per mesh: the three mass bands M_0, M_slab
+and M_sigma, the sigma of the layer elements at their Gauss points and the
+stiffness of every other element. ``assemble`` then does O(n) band
+arithmetic per frequency and no quadrature, adding chi M_slab over the
+slab's nodes and (i/k) M_sigma over the layers' nodes only (both are exact
+zeros elsewhere); it refuses a medium whose slab half-length is not the
+mesh's.
 The slab load of a P1 wave, k^2 chi M_slab w, is a band product with the
 same M_slab (``StaticBands.slab_load``), and the slab integral of u conj(v)
 for two P1 fields is v^H M_slab u (``StaticBands.slab_inner``), both over
@@ -152,16 +152,18 @@ def lattice_wavenumber(k: float, h):
     extracted coefficients pick up a spurious phase k(kt/k - 1) x_probe that
     grows with the probe distance and swamps the actual discretization error.
     A scalar h gives a float, an array of spacings one kt per entry.
+    Below kh ~ 2e-8 (a sliver element next to a breakpoint) c rounds to 1
+    and arccos to 0; kt = k there, the phase step kh to round-off.
     """
     h = np.asarray(h, dtype=float)
     z = k * h
     c = (1.0 - z**2 / 3.0) / (1.0 + z**2 / 6.0)
-    if np.any(np.abs(c) >= 1.0):
+    if np.any(c <= -1.0):
         raise ValueError(
             f"no propagating lattice wave at k = {k} with spacing "
             f"h = {np.max(h)}"
         )
-    kt = np.arccos(c) / h
+    kt = np.where(c < 1.0, np.arccos(c) / h, k)
     return float(kt) if kt.ndim == 0 else kt
 
 
@@ -186,14 +188,11 @@ class SystemMatrices:
     def n_interior(self) -> int:
         return self.mesh.n_interior
 
-    def interior_bands(self, diag, off):
-        return diag[1:-1], off[1:-1]
-
     def stiffness_interior(self):
-        return self.interior_bands(self.s_diag, self.s_off)
+        return self.s_diag[1:-1], self.s_off[1:-1]
 
     def mass_interior(self):
-        return self.interior_bands(self.m_diag, self.m_off)
+        return self.m_diag[1:-1], self.m_off[1:-1]
 
     def operator_interior(self):
         """Bands of L = S - k^2 M on the interior nodes."""
@@ -202,14 +201,6 @@ class SystemMatrices:
             (self.s_diag - k2 * self.m_diag)[1:-1],
             (self.s_off - k2 * self.m_off)[1:-1],
         )
-
-    def factorize(self) -> Factorization:
-        """A fresh LU of this system's interior operator.
-
-        For checks that work on the system they are given; solvers take
-        the mesh's shared LU from ``factorization`` instead.
-        """
-        return Factorization(self)
 
 
 def element_quadrature(mesh: Mesh1D, elements=slice(None)):
@@ -224,55 +215,21 @@ def element_quadrature(mesh: Mesh1D, elements=slice(None)):
     return points, half, half * GAUSS_WEIGHTS
 
 
-@dataclass(frozen=True, eq=False)
-class SlabRule:
-    """The element rule on the slab elements of one mesh.
-
-    ``elements`` is the slice of the (contiguous) slab elements;
-    ``points``, ``half`` and ``weights`` are ``element_quadrature`` of
-    them, read-only. Holds arrays only, so a copy kept for a mesh dies
-    with it.
-    """
-
-    elements: slice
-    points: np.ndarray
-    half: np.ndarray
-    weights: np.ndarray
-
-
-def slab_rule(mesh: Mesh1D) -> SlabRule:
-    """The element rule on the slab elements of ``mesh``, built once per mesh.
-
-    The slab elements must be contiguous, as ``build_mesh`` and
-    ``build_box_mesh`` make them.
-    """
-    def build():
-        idx = mesh.slab_element_indices()
-        lo = int(idx[0]) if idx.size else 0
-        if idx.size and idx[-1] - lo + 1 != idx.size:
-            raise ValueError("the slab elements are not contiguous")
-        elements = slice(lo, lo + idx.size)
-        points, half, weights = element_quadrature(mesh, elements)
-        return SlabRule(elements, _read_only(points), _read_only(half),
-                        _read_only(weights))
-
-    return kept(mesh, "slab_rule", None, build)
-
-
 def p1_load(mesh: Mesh1D, scale, profile) -> np.ndarray:
     """Consistent load f_i = scale int_slab profile(x) phi_i dx.
 
     ``profile`` is called once with the Gauss points of the slab elements,
-    taken from ``slab_rule``. The element sums are added to the nodes of
-    the contiguous slab elements by two slice-adds, low ends first, in the
-    order an element-by-element scatter would add them. Returns one value
-    per mesh node, walls included. A P1 profile needs no quadrature: use
+    ``StaticBands.slab_points``. The element sums are added to the nodes of
+    the slab elements by two slice-adds, low ends first, in the order an
+    element-by-element scatter would add them. Returns one value per mesh
+    node, walls included. A P1 profile needs no quadrature: use
     ``StaticBands.slab_load``.
     """
-    rule = slab_rule(mesh)
+    static = static_bands(mesh)
     # scale * half first, not scale * weights: the rounding of the scatter
-    common = scale * rule.half * GAUSS_WEIGHTS * profile(rule.points)
-    start, stop = rule.elements.start, rule.elements.stop
+    common = (scale * static.slab_half * GAUSS_WEIGHTS
+              * profile(static.slab_points))
+    start, stop = mesh.slab_elements.start, mesh.slab_elements.stop
     f = np.zeros(mesh.n_nodes, dtype=complex)
     f[start:stop] += np.sum(common * _SHAPE_LO, axis=1)
     f[start + 1:stop + 1] += np.sum(common * _SHAPE_HI, axis=1)
@@ -307,42 +264,40 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 class StaticBands:
-    """The k-independent parts of the operator on one (mesh, medium).
+    """The k-independent parts of the operator on one mesh.
 
-    ``m0_*`` is the vacuum mass, ``slab_*`` the mass over the Gauss points
-    the medium places in its slab, and ``sigma_*`` the mass weighted by the
-    absorbing-layer profile sigma (None without a layer). ``stiffness`` is
-    the element stiffness with s = 1; the entries of the ``pml`` elements
-    are replaced per k from their Gauss-point ``pml_sigma``. ``slab_nodes``
-    is the slice of nodes that M_slab couples (empty without a slab); its
-    rows and columns hold all nonzeros of M_slab. ``pml_runs`` are the
-    slices of the runs of ``pml`` elements (one per layer); the nodes of
-    their elements hold all nonzeros of M_sigma. Holds arrays only, not
-    the mesh, so a copy kept for a mesh dies with it.
+    ``m0_*`` is the vacuum mass, ``slab_*`` the mass over the mesh's slab
+    elements, and ``sigma_*`` the mass weighted by the absorbing-layer
+    profile sigma (None without a layer). ``stiffness`` is the element
+    stiffness with s = 1; the entries of the ``pml`` elements, those of the
+    mesh's ``pml_runs``, are replaced per k from their Gauss-point
+    ``pml_sigma``. ``slab_points``, ``slab_half`` and ``slab_weights`` are the
+    element rule on the slab elements (``element_quadrature``). M_slab has
+    all its nonzeros on the mesh's ``slab_nodes`` and M_sigma on the nodes
+    of the ``pml_runs``. Holds arrays and slices only, not the mesh, so a
+    copy kept for a mesh dies with it.
     """
 
-    def __init__(self, mesh: Mesh1D, medium: MediumSpec):
+    def __init__(self, mesh: Mesh1D):
         points, half, _ = element_quadrature(mesh)
         # s(x, 1) = 1 + i sigma(x), so its imaginary part is sigma exactly
         sigma = mesh.stretch_factor(points, 1.0).imag
-        in_slab = medium.in_slab(points)
-        if np.any(in_slab & (sigma > 0)):
-            raise ValueError("the slab reaches into the absorbing layer")
+        in_slab = np.zeros_like(half)
+        in_slab[mesh.slab_elements] = 1.0
         two_h = 2.0 * mesh.element_lengths
         self.m0_diag, self.m0_off = _mass_bands(half, 1.0)
         self.slab_diag, self.slab_off = _mass_bands(half, in_slab)
-        slab = np.flatnonzero(np.any(in_slab, axis=1))
-        self.slab_elements = (slice(int(slab[0]), int(slab[-1]) + 1)
-                              if slab.size else slice(0, 0))
-        self.slab_nodes = (slice(int(slab[0]), int(slab[-1]) + 2) if slab.size
-                           else slice(0, 0))
+        self.slab_elements, self.slab_nodes = (mesh.slab_elements,
+                                               mesh.slab_nodes)
+        self.slab_points, self.slab_half, self.slab_weights = (
+            _read_only(array)
+            for array in element_quadrature(mesh, mesh.slab_elements))
         self.stiffness = _read_only(_gauss_sum(GAUSS_WEIGHTS) / two_h)
-        self.pml = _read_only(np.flatnonzero(np.any(sigma > 0, axis=1)))
+        elements = np.arange(two_h.size)
+        self.pml = _read_only(np.concatenate(
+            [elements[:0]] + [elements[run] for run in mesh.pml_runs]))
         self.pml_sigma = _read_only(sigma[self.pml])
         self.pml_two_h = _read_only(two_h[self.pml])
-        runs = np.split(self.pml, np.flatnonzero(np.diff(self.pml) > 1) + 1)
-        self.pml_runs = tuple(slice(int(run[0]), int(run[-1]) + 1)
-                              for run in runs if run.size)
         self.sigma_diag = self.sigma_off = None
         if self.pml.size:
             self.sigma_diag, self.sigma_off = _mass_bands(half, sigma)
@@ -377,13 +332,9 @@ class StaticBands:
         return complex(np.vdot(v, self._slab_product(u)))
 
 
-def static_bands(mesh: Mesh1D, medium: MediumSpec) -> StaticBands:
-    """The k-independent bands of (mesh, medium), built once per pair.
-
-    The mesh keeps the bands of the last medium assembled on it.
-    """
-    return kept(mesh, "static_bands", medium,
-                lambda: StaticBands(mesh, medium))
+def static_bands(mesh: Mesh1D) -> StaticBands:
+    """The k-independent bands of ``mesh``, built once and kept with it."""
+    return kept(mesh, "static_bands", None, lambda: StaticBands(mesh))
 
 
 def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
@@ -393,9 +344,7 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     ----------
     mesh : Mesh1D
     medium : MediumSpec
-        Supplies chi(k) and the slab extent; the slab test is made at the
-        quadrature points, so the slab faces (which are always mesh nodes)
-        split elements cleanly.
+        Supplies chi(k); its slab must be the mesh's, which places it.
     k : float
         Wavenumber; enters through the stretch profile and eps_r dispersion.
 
@@ -405,14 +354,19 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     """
     if k <= 0:
         raise ValueError(f"k must be > 0, got {k}")
-    static = static_bands(mesh, medium)
+    if medium.slab_half_length != mesh.slab_half_length:
+        raise ValueError(
+            f"the medium's slab half-length {medium.slab_half_length} is not "
+            f"the mesh's {mesh.slab_half_length}"
+        )
+    static = static_bands(mesh)
     chi = complex(medium.susceptibility(k))
     # M_slab and M_sigma are exact zeros off their nodes: each is added
     # over its own nodes only, which leaves every band entry bitwise as a
     # sum over all n would
     m_diag = static.m0_diag.astype(complex)
     m_off = static.m0_off.astype(complex)
-    nodes, elements = static.slab_nodes, static.slab_elements
+    nodes, elements = mesh.slab_nodes, mesh.slab_elements
     m_diag[nodes] += chi * static.slab_diag[nodes]
     m_off[elements] += chi * static.slab_off[elements]
     # stiffness: hat slopes are constant +-1/h, so the element matrix is
@@ -422,7 +376,7 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
         stretch = 1.0 + (1j / k) * static.pml_sigma
         k_e[static.pml] = (_gauss_sum(GAUSS_WEIGHTS / stretch)
                            / static.pml_two_h)
-        for run in static.pml_runs:
+        for run in mesh.pml_runs:
             nodes = slice(run.start, run.stop + 1)
             m_diag[nodes] += (1j / k) * static.sigma_diag[nodes]
             m_off[run] += (1j / k) * static.sigma_off[run]

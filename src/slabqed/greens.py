@@ -66,8 +66,8 @@ def sample_green(
     slab's Gauss points, without interpolating G there.
     """
     field = solve_point_source(mesh, medium, k, x_atom)
-    static = static_bands(mesh, medium)
-    g = field.dofs[static.slab_nodes]
+    static = static_bands(mesh)
+    g = field.dofs[mesh.slab_nodes]
     return GreenSamples(
         k=float(k),
         x_atom=float(x_atom),

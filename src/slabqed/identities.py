@@ -34,7 +34,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import DEFAULT_DOF_CAP, SystemMatrices, kept, static_bands
+from .fem import (
+    DEFAULT_DOF_CAP,
+    Factorization,
+    SystemMatrices,
+    kept,
+    static_bands,
+)
 from .greens import solve_point_source
 from .medium import MediumSpec
 from .mesh import Mesh1D
@@ -55,7 +61,7 @@ def _inverse(system: SystemMatrices):
         )
 
     def build():
-        lu = system.factorize()
+        lu = Factorization(system)
         return lu, lu.solve(np.eye(n, dtype=complex))[1:-1]
 
     return kept(system, "inverse", None, build)
@@ -157,8 +163,8 @@ def check_thermal_equilibrium(
         field_b = field_a
     else:
         field_b = solve_point_source(mesh, medium, k, x_beta)
-    static = static_bands(mesh, medium)
-    nodes = static.slab_nodes
+    static = static_bands(mesh)
+    nodes = mesh.slab_nodes
     chi_imag = complex(medium.susceptibility(k)).imag
     correlation = static.slab_inner(field_a.dofs[nodes], field_b.dofs[nodes])
     lhs = complex(field_a(x_beta)).imag - k**2 * chi_imag * correlation

@@ -6,6 +6,13 @@ layer interfaces and every requested observation point are exact breakpoints;
 each span between breakpoints is subdivided uniformly with the globally
 smallest element size, so requested points are mesh nodes to the last bit.
 
+The mesh is the one place that knows where the slab and the layers lie:
+the slab is the run of elements whose midpoint lies in (-a, a), each layer
+the run whose midpoint lies beyond the layer's inner edge
+(``Mesh1D.slab_elements``, ``slab_nodes``, ``pml_runs``). Assembly, the
+slab loads and the slab integrals all read these slices, so the
+plane-wave and point-source routes see one slab.
+
 The absorbing layer is a complex coordinate stretch
 ``s(x, k) = 1 + (i/k) sigma(x)`` with a polynomial profile
 ``sigma(x) = sigma_max (depth/d)^m``; sigma_max is chosen from a nominal
@@ -15,7 +22,6 @@ stretch enters assembly as 1/s on gradient terms and s on value terms.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,13 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from .medium import MediumSpec
-
-
-class Region(enum.IntEnum):
-    PML_LEFT = 0
-    VACUUM = 1
-    SLAB = 2
-    PML_RIGHT = 3
 
 
 @dataclass(frozen=True)
@@ -66,38 +65,52 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class Mesh1D:
-    """Sorted nodes plus per-element region tags.
+    """Sorted nodes, the absorbing layers and the slab: all of the geometry.
 
     Attributes
     ----------
     nodes : (n,) float array, strictly increasing
-    element_region : (n-1,) int array of Region values
     pml : PmlSpec or None (None for the closed box)
+    slab_half_length : a; the slab is [-a, a]
     x_inner_left, x_inner_right : inner edges of the absorbing layers
         (equal to the domain ends when there is no layer)
+    slab_elements : slice of the elements whose midpoint lies in (-a, a)
+    slab_nodes : slice of their nodes (empty without a slab)
+    pml_runs : slices of the elements whose midpoint lies beyond
+        x_inner_left or x_inner_right, one per layer
 
-    The arrays are read-only copies, so the per-element arrays derived from
-    them are computed once per mesh rather than once per solve.
+    The midpoints are sorted, so each region is one run of elements; a
+    slab that reaches into a layer is refused. The arrays are read-only
+    copies, so the per-element arrays derived from them are computed once
+    per mesh rather than once per solve.
     """
 
-    def __init__(self, nodes, element_region, pml, slab_half_length):
+    def __init__(self, nodes, pml, slab_half_length):
         self.nodes = _frozen(np.array(nodes, dtype=float))
-        self.element_region = _frozen(
-            np.array(element_region, dtype=np.int8))
         self.pml = pml
-        self.slab_half_length = float(slab_half_length)
+        self.slab_half_length = a = float(slab_half_length)
         if self.nodes.ndim != 1 or self.nodes.size < 3:
             raise ValueError("mesh needs at least 3 nodes")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        if self.element_region.shape != (self.nodes.size - 1,):
-            raise ValueError("need one region tag per element")
         if pml is not None:
             self.x_inner_left = self.nodes[0] + pml.thickness
             self.x_inner_right = self.nodes[-1] - pml.thickness
         else:
             self.x_inner_left = self.nodes[0]
             self.x_inner_right = self.nodes[-1]
+        mid = self.element_midpoints
+        lo = int(np.searchsorted(mid, -a, "right"))
+        hi = int(np.searchsorted(mid, a, "left"))
+        self.slab_elements = slice(lo, hi)
+        self.slab_nodes = slice(lo, hi + 1 if lo < hi else lo)
+        left = int(np.searchsorted(mid, self.x_inner_left, "left"))
+        right = int(np.searchsorted(mid, self.x_inner_right, "right"))
+        self.pml_runs = tuple(run for run in (slice(0, left),
+                                              slice(right, mid.size))
+                              if run.start < run.stop)
+        if lo < hi and (lo < left or hi > right):
+            raise ValueError("the slab reaches into the absorbing layer")
 
     @property
     def n_nodes(self) -> int:
@@ -163,13 +176,6 @@ class Mesh1D:
         (lengths,), _, which = unique_columns(self.element_lengths[None])
         return _frozen(lengths), _frozen(which)
 
-    def slab_element_indices(self):
-        return self._slab_elements
-
-    @cached_property
-    def _slab_elements(self):
-        return _frozen(np.flatnonzero(self.element_region == Region.SLAB))
-
 
 def unique_columns(table):
     """Distinct columns of a 2-D table, sorted, as np.unique(axis=1) gives.
@@ -215,23 +221,6 @@ def _dedupe(values, tol=1e-12):
             f"but closer than {tol:g}; request one of them"
         )
     return values
-
-
-def _tag_elements(nodes, region_edges):
-    """Region of each element from its midpoint.
-
-    region_edges maps each Region to an open (lo, hi) interval whose ends are
-    breakpoints (hence exact nodes); later entries override earlier ones, so
-    listing SLAB after VACUUM carves the slab out of the physical region.
-    """
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    tags = np.full(mid.size, -1, dtype=np.int8)
-    for region, (lo, hi) in region_edges.items():
-        mask = (mid > lo) & (mid < hi)
-        tags[mask] = region
-    if np.any(tags < 0):
-        raise AssertionError("untagged element; breakpoints inconsistent")
-    return tags
 
 
 def build_mesh(
@@ -288,17 +277,7 @@ def build_mesh(
     breakpoints = _dedupe(
         np.concatenate(([-outer, -inner, -a, a, inner, outer], obs))
     )
-    nodes = _fill_spans(breakpoints, h_target)
-    tags = _tag_elements(
-        nodes,
-        {
-            Region.PML_LEFT: (-outer, -inner),
-            Region.VACUUM: (-inner, inner),  # provisional; slab overrides
-            Region.SLAB: (-a, a),
-            Region.PML_RIGHT: (inner, outer),
-        },
-    )
-    return Mesh1D(nodes, tags, pml, a)
+    return Mesh1D(_fill_spans(breakpoints, h_target), pml, a)
 
 
 def build_box_mesh(
@@ -336,12 +315,4 @@ def build_box_mesh(
 
     h_target = 2.0 * math.pi / (k_max * points_per_wavelength)
     breakpoints = _dedupe(np.concatenate(([-half, -a, a, half], obs)))
-    nodes = _fill_spans(breakpoints, h_target)
-    tags = _tag_elements(
-        nodes,
-        {
-            Region.VACUUM: (-half, half),
-            Region.SLAB: (-a, a),
-        },
-    )
-    return Mesh1D(nodes, tags, None, a)
+    return Mesh1D(_fill_spans(breakpoints, h_target), None, a)

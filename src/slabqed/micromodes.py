@@ -234,7 +234,7 @@ def build_gevp(mesh: Mesh1D, medium: MediumSpec, bath: BathConfig):
     m_diag, m_off = bands.mass_interior()
 
     centers, weights = frequency_bins(medium, bath)
-    elements = mesh.slab_element_indices()
+    elements = np.arange(mesh.slab_elements.start, mesh.slab_elements.stop)
     pairs = np.column_stack((elements - 1, elements))
     if centers.size and elements.size:
         if pairs.min() < 0 or pairs.max() >= mesh.n_interior:

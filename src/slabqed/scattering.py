@@ -45,7 +45,6 @@ from .fem import (
     kept,
     lattice_wavenumber,
     p1_load,
-    slab_rule,
     static_bands,
 )
 from .medium import MediumSpec
@@ -149,12 +148,13 @@ def solve_scattering(
 
     The load is k^2 chi int_slab Phi_inc phi_i dx. Without ``lattice_wave``
     the incident wave is the analytic e^{i d k x}, integrated by
-    ``fem.p1_load`` with the mesh's slab rule. With the +x wave of
-    ``lattice_plane_wave(mesh, k)`` it is that wave (d = +1) or its complex
-    conjugate (d = -1), and the load is the band product k^2 chi M_slab w
-    with the M_slab of ``fem.static_bands``, from the wave's values on the
-    slab's nodes alone: exactly what L - L_vac applies to the wave. The LU is ``fem.factorization``'s, shared with every other
-    solve at this frequency on this mesh.
+    ``fem.p1_load`` with the element rule on the mesh's slab. With the +x
+    wave of ``lattice_plane_wave(mesh, k)`` it is that wave (d = +1) or its
+    complex conjugate (d = -1), and the load is the band product
+    k^2 chi M_slab w with the M_slab of ``fem.static_bands``, from the
+    wave's values on the mesh's ``slab_nodes`` alone: exactly what
+    L - L_vac applies to the wave. The LU is ``fem.factorization``'s,
+    shared with every other solve at this frequency on this mesh.
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
@@ -168,9 +168,8 @@ def solve_scattering(
                 "lattice wave was built for a different mesh or k"
             )
         incident = lattice_wave
-        static = static_bands(mesh, medium)
-        f = static.slab_load(
-            scale, lattice_wave.values(static.slab_nodes, direction))
+        f = static_bands(mesh).slab_load(
+            scale, lattice_wave.values(mesh.slab_nodes, direction))
     dofs = factorization(mesh, medium, k).solve(f[1:-1])
     return PlaneWaveSolution(
         mesh=mesh,
@@ -269,10 +268,11 @@ def energy_balance(solution: PlaneWaveSolution) -> EnergyBalance:
     r, t = extract_r_t(solution)
     deficit = 1.0 - abs(r) ** 2 - abs(t) ** 2
 
-    rule = slab_rule(mesh)
-    phi = solution.total_at(rule.points)
+    static = static_bands(mesh)
+    phi = solution.total_at(static.slab_points)
     chi_imag = medium.susceptibility(k).imag
-    absorbed = k * chi_imag * float(np.sum(rule.weights * np.abs(phi) ** 2))
+    absorbed = k * chi_imag * float(
+        np.sum(static.slab_weights * np.abs(phi) ** 2))
     # floor the scale so a lossless run (both sides ~ round-off) reads as a
     # tiny residual instead of 0/0 noise
     scale = max(abs(deficit), abs(absorbed), 1e-6)

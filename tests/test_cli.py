@@ -259,6 +259,32 @@ def test_padding_short_of_an_atom_site_leaves_modes_running(tmp_path):
                  "--out", str(tmp_path / "r.csv")]) == 0
 
 
+# Eigenmode-route settings that pass validate() but that only the closed box
+# or the pencil can refuse, each with the bound its message must give:
+# under four slab lengths, short of omega_0 = 500, and 995 field dofs plus
+# 100 bins on each of 100 slab elements, 10,995 dofs above the 4,000 cap
+MODES_CONFIG_ERRORS = {
+    "modes.box_length = 0.2": "modes.box_length must be >= 0.25",
+    "modes.nu_max = 400": "modes.nu_max must be > 500.0",
+    "modes.n_bins = 100": "modes.n_bins must be <= 30",
+}
+
+
+@pytest.mark.parametrize("setting", MODES_CONFIG_ERRORS)
+@pytest.mark.parametrize("command", ["modes", "sweep"])
+def test_modes_setting_out_of_bounds_exits_2(command, setting, tmp_path,
+                                              capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        f"case = 1A\nsweep.count = 3\nmethods.modes = true\n{setting}\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {setting.split(' = ')[0]} = ")
+    assert MODES_CONFIG_ERRORS[setting] in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
 def test_failed_modes_run_writes_no_output(tmp_path):
     # eta below the closed-box mode spacing fails in the rate step, after
     # the spectrum is known; neither output file may be left behind

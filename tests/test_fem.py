@@ -33,7 +33,7 @@ from slabqed.fem import (
 from slabqed.greens import reciprocity_residual, sample_green, solve_point_source
 from slabqed.identities import check_thermal_equilibrium
 from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS
-from slabqed.mesh import Mesh1D, PmlSpec, Region, build_box_mesh, build_mesh
+from slabqed.mesh import Mesh1D, PmlSpec, build_box_mesh, build_mesh
 from slabqed.purcell import compute_record, gamma_boundary, purcell_mesh, sweep
 from slabqed.scattering import lattice_plane_wave, solve_scattering
 
@@ -43,8 +43,12 @@ VACUUM = CASE_PRESETS["vacuum"]
 
 def uniform_vacuum_box(n_nodes, length=1.0):
     nodes = np.linspace(-0.5 * length, 0.5 * length, n_nodes)
-    tags = np.full(n_nodes - 1, Region.VACUUM, dtype=np.int8)
-    return Mesh1D(nodes, tags, None, 0.03125)
+    return Mesh1D(nodes, None, 0.03125)
+
+
+def slab_indices(mesh):
+    """The indices of the mesh's slab elements."""
+    return np.arange(mesh.n_nodes - 1)[mesh.slab_elements]
 
 
 def tridiag_matvec(diag, off, v):
@@ -76,16 +80,16 @@ def test_vacuum_hat_matrix_values():
 def test_slab_and_pml_enter_the_bands():
     mesh = build_mesh(CASE1, 700.0, 40.0, 0.05, PmlSpec(thickness=0.05))
     system = assemble(mesh, CASE1, 500.0)
-    slab = mesh.slab_element_indices()
-    pml = np.flatnonzero((mesh.element_region == Region.PML_LEFT)
-                         | (mesh.element_region == Region.PML_RIGHT))
+    slab = mesh.slab_elements
+    pml = np.r_[mesh.pml_runs]
     # Lorentz loss shows up as a positive imaginary mass in the slab
     assert np.all(system.m_off[slab].imag > 0)
     # the stretch makes both bands complex inside the layers
     assert np.any(np.abs(system.s_off[pml].imag) > 0)
     assert np.any(np.abs(system.m_off[pml].imag) > 0)
     # vacuum gap stays purely real
-    vac = np.flatnonzero(mesh.element_region == Region.VACUUM)
+    vac = np.ones(mesh.n_nodes - 1, dtype=bool)
+    vac[slab] = vac[pml] = False
     assert np.all(system.s_off[vac].imag == 0)
     assert np.all(system.m_off[vac].imag == 0)
 
@@ -147,30 +151,31 @@ def test_vacuum_box_bands_are_bitwise_the_reference():
 
 @pytest.fixture
 def static_built(monkeypatch):
-    """The medium of every StaticBands built while the test runs."""
-    media = []
+    """The mesh of every StaticBands built while the test runs."""
+    meshes = []
     init = StaticBands.__init__
 
-    def counting(self, mesh, medium):
-        media.append(medium)
-        init(self, mesh, medium)
+    def counting(self, mesh):
+        meshes.append(mesh)
+        init(self, mesh)
 
     monkeypatch.setattr(StaticBands, "__init__", counting)
-    return media
+    return meshes
 
 
 def test_static_bands_are_built_once_per_mesh_and_medium(static_built):
+    # the bands hold nothing of the medium, so two media share one build
     mesh = lu_mesh()
     ks = np.linspace(300.0, 700.0, 9)
     sweep(mesh, CASE1, ks, 0.0625)
-    assert static_built == [CASE1]
+    assert static_built == [mesh]
     sweep(mesh, VACUUM, ks, 0.0625)
-    assert static_built == [CASE1, VACUUM]
+    assert static_built == [mesh]
 
 
 def test_static_bands_are_released_with_their_mesh():
     mesh = lu_mesh()
-    bands = weakref.ref(static_bands(mesh, CASE1))
+    bands = weakref.ref(static_bands(mesh))
     assert bands() is not None
     del mesh
     gc.collect()
@@ -178,10 +183,31 @@ def test_static_bands_are_released_with_their_mesh():
 
 
 def test_slab_reaching_into_the_absorbing_layer_is_refused():
-    mesh = lu_mesh()
-    wide = dataclasses.replace(CASE1, slab_half_length=0.1)
+    # the layers begin at |x| = 0.08125 on these nodes; the mesh places the
+    # slab and the layers, so it refuses a slab that shares elements with one
     with pytest.raises(ValueError, match="absorbing layer"):
-        assemble(mesh, wide, 500.0)
+        Mesh1D(lu_mesh().nodes, PmlSpec(thickness=0.05), 0.1)
+
+
+def test_assemble_refuses_a_medium_with_another_slab():
+    wide = dataclasses.replace(CASE1, slab_half_length=0.05)
+    with pytest.raises(ValueError, match="slab half-length"):
+        assemble(lu_mesh(), wide, 500.0)
+
+
+def test_a_mesh_without_slab_elements_assembles_no_slab():
+    # no element midpoint of this hand-built mesh lies in the slab (-a, a),
+    # although Gauss points of the two elements at x = 0 do: the lossy
+    # medium leaves the bands bitwise the vacuum ones (a Gauss-point slab
+    # test added chi M_slab on nodes 4-6) and the slab load is zero
+    mesh = uniform_vacuum_box(11)
+    assert mesh.slab_nodes.start == mesh.slab_nodes.stop
+    lossy, vacuum = assemble(mesh, CASE1, 500.0), assemble(mesh, VACUUM, 500.0)
+    for name in ("s_diag", "s_off", "m_diag", "m_off"):
+        np.testing.assert_array_equal(getattr(lossy, name),
+                                      getattr(vacuum, name))
+    assert not np.any(fem.p1_load(mesh, 1.0, np.cos))
+    assert not np.any(static_bands(mesh).slab_diag)
 
 
 _LO, _HI = 0.5 * (1.0 - GAUSS_NODES), 0.5 * (1.0 + GAUSS_NODES)
@@ -193,7 +219,7 @@ def scatter_slab_load(mesh, scale, values):
     ``values`` are given at the slab's Gauss points; the two ``np.add.at``
     calls are the reference for ``p1_load`` and ``StaticBands.slab_load``.
     """
-    idx = mesh.slab_element_indices()
+    idx = slab_indices(mesh)
     _, half, _ = element_quadrature(mesh, idx)
     common = scale * half * GAUSS_WEIGHTS * values
     f = np.zeros(mesh.n_nodes, dtype=complex)
@@ -216,9 +242,8 @@ def test_slab_band_load_matches_the_gauss_point_scatter(k, ppw, half_length,
     rng = np.random.default_rng(seed)
     wave = rng.normal(size=mesh.n_nodes) + 1j * rng.normal(size=mesh.n_nodes)
     scale = k**2 * medium.susceptibility(k)
-    static = static_bands(mesh, medium)
-    got = static.slab_load(scale, wave[static.slab_nodes])
-    idx = mesh.slab_element_indices()
+    got = static_bands(mesh).slab_load(scale, wave[mesh.slab_nodes])
+    idx = slab_indices(mesh)
     interpolant = wave[idx, None] * _LO + wave[idx + 1, None] * _HI
     reference = scatter_slab_load(mesh, scale, interpolant)
     assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
@@ -233,7 +258,7 @@ def test_narrowed_assembly_is_the_full_length_sum(drawn, k):
     # chi M_slab and (i/k) M_sigma are added over their own nodes only;
     # the mass bands equal the sums formed over all n nodes, bitwise
     mesh, medium = drawn
-    static = static_bands(mesh, medium)
+    static = static_bands(mesh)
     system = assemble(mesh, medium, k)
     chi = complex(medium.susceptibility(k))
     m_diag = static.m0_diag + chi * static.slab_diag
@@ -243,8 +268,21 @@ def test_narrowed_assembly_is_the_full_length_sum(drawn, k):
         m_off = m_off + (1j / k) * static.sigma_off
     np.testing.assert_array_equal(system.m_diag, m_diag)
     np.testing.assert_array_equal(system.m_off, m_off)
-    runs = [j for run in static.pml_runs for j in range(run.start, run.stop)]
+    # the mesh's midpoint slices are the elements a Gauss-point test finds,
+    # and the slab bands those of the Gauss-point mask, bitwise
+    points, half, _ = element_quadrature(mesh)
+    in_slab = medium.in_slab(points)
+    np.testing.assert_array_equal(np.all(in_slab, axis=1),
+                                  np.any(in_slab, axis=1))
+    np.testing.assert_array_equal(slab_indices(mesh),
+                                  np.flatnonzero(np.any(in_slab, axis=1)))
+    sigma = mesh.stretch_factor(points, 1.0).imag
+    runs = [j for run in mesh.pml_runs for j in range(run.start, run.stop)]
+    assert runs == np.flatnonzero(np.any(sigma > 0, axis=1)).tolist()
     assert runs == static.pml.tolist()
+    for band, reference in zip((static.slab_diag, static.slab_off),
+                               fem._mass_bands(half, in_slab)):
+        np.testing.assert_array_equal(band, reference)
 
 
 @pytest.mark.parametrize("k", [300.0, 500.0, 700.0])
@@ -256,20 +294,10 @@ def test_p1_load_is_bitwise_the_gauss_point_scatter(k, ppw):
     def wave(x):
         return np.exp(-1j * k * x)
 
-    points, _, _ = element_quadrature(mesh, mesh.slab_element_indices())
+    points, _, _ = element_quadrature(mesh, mesh.slab_elements)
     np.testing.assert_array_equal(
         fem.p1_load(mesh, scale, wave),
         scatter_slab_load(mesh, scale, wave(points)))
-
-
-def test_slab_rule_refuses_a_split_slab():
-    # the slice-adds of p1_load need one contiguous run of slab elements
-    mesh = uniform_vacuum_box(11)
-    tags = mesh.element_region.copy()
-    tags[[2, 3, 6]] = Region.SLAB
-    split = Mesh1D(mesh.nodes, tags, None, 0.03125)
-    with pytest.raises(ValueError, match="not contiguous"):
-        fem.p1_load(split, 1.0, np.cos)
 
 
 @pytest.mark.parametrize("label", ["1A", "1B", "2A", "2B"])
@@ -547,7 +575,7 @@ def test_solve_and_factorize_leave_their_inputs_untouched():
     system = assemble(mesh, CASE1, 430.0)
     bands = [np.copy(getattr(system, name))
              for name in ("s_diag", "s_off", "m_diag", "m_off")]
-    lu = system.factorize()
+    lu = Factorization(system)
     rng = np.random.default_rng(9)
     n = mesh.n_interior
     for rhs in (rng.normal(size=n),
@@ -761,18 +789,16 @@ def builds(monkeypatch):
     return slots
 
 
-def kept_slab_rule(mesh, key):
-    # the analytic-wave load reads the kept rule, which is read-only
+def kept_static_bands(mesh, key):
+    # sweeps of two media assemble at every k from the one set of bands,
+    # and the analytic-wave load reads its slab rule, which is read-only
+    for medium in (CASE1, VACUUM):
+        sweep(mesh, medium, np.linspace(300.0, 700.0, 9), 0.0625)
     fem.p1_load(mesh, 1.0, np.cos)
-    rule = fem.slab_rule(mesh)
-    assert not (rule.points.flags.writeable or rule.weights.flags.writeable)
-    return rule
-
-
-def kept_static_bands(mesh, medium):
-    # a sweep assembles at every k from the one set of bands
-    sweep(mesh, medium, np.linspace(300.0, 700.0, 9), 0.0625)
-    return static_bands(mesh, medium)
+    static = static_bands(mesh)
+    assert not (static.slab_points.flags.writeable
+                or static.slab_weights.flags.writeable)
+    return static
 
 
 def kept_inverse(system, key):
@@ -786,7 +812,7 @@ def kept_lattice_values(wave, nodes):
     if nodes == "slab":
         for direction in (+1, -1):
             solve_scattering(wave.mesh, CASE1, wave.k, direction, wave)
-        nodes = static_bands(wave.mesh, CASE1).slab_nodes
+        nodes = wave.mesh.slab_nodes
     values = wave.values(nodes)
     assert not values.flags.writeable
     return values
@@ -795,8 +821,7 @@ def kept_lattice_values(wave, nodes):
 # slot -> (a new owner, its keys, the value kept for a key once its callers
 # have run)
 KEPT_SLOTS = {
-    "slab_rule": (lu_mesh, [None], kept_slab_rule),
-    "static_bands": (lu_mesh, [CASE1, VACUUM], kept_static_bands),
+    "static_bands": (lu_mesh, [None], kept_static_bands),
     "factorization": (
         lu_mesh, [(CASE1, 500.0), (VACUUM, 500.0), (CASE1, 501.0)],
         lambda mesh, key: factorization(mesh, *key)),

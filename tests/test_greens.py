@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slabqed.fem import slab_rule, static_bands
+from slabqed.fem import static_bands
 from slabqed.greens import (
     reciprocity_residual,
     sample_green,
@@ -34,8 +34,8 @@ def make_mesh(medium, ppw=40.0, obs=(0.0, 0.0625)):
 
 def slab_quadrature(mesh):
     """Flat Gauss points and weights of the mesh's slab rule."""
-    rule = slab_rule(mesh)
-    return rule.points.ravel(), rule.weights.ravel()
+    static = static_bands(mesh)
+    return static.slab_points.ravel(), static.slab_weights.ravel()
 
 
 def test_vacuum_self_value():
@@ -117,7 +117,7 @@ def test_slab_quadrature_weights():
     xq, wq = slab_quadrature(mesh)
     assert np.sum(wq) == pytest.approx(0.0625, rel=1e-12)
     assert np.all(np.abs(xq) < CASE1.slab_half_length)
-    assert xq.size == 4 * mesh.slab_element_indices().size
+    assert xq.size == 4 * (mesh.slab_elements.stop - mesh.slab_elements.start)
     assert np.all(wq > 0)
 
 
@@ -149,9 +149,8 @@ def test_sample_green_consistency():
     samples = sample_green(mesh, CASE1, 500.0, 0.0)
     field = solve_point_source(mesh, CASE1, 500.0, 0.0)
     assert samples.self_value == field(0.0)
-    static = static_bands(mesh, CASE1)
-    g = field.dofs[static.slab_nodes]
-    assert samples.slab_intensity == static.slab_inner(g, g).real
+    g = field.dofs[mesh.slab_nodes]
+    assert samples.slab_intensity == static_bands(mesh).slab_inner(g, g).real
     assert samples.k == 500.0 and samples.x_atom == 0.0
 
 

@@ -1,4 +1,4 @@
-"""Mesh construction: exact node placement, region tags, layer stretch."""
+"""Mesh construction: exact node placement, slab and layer runs, stretch."""
 
 import math
 
@@ -13,7 +13,6 @@ from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import (
     Mesh1D,
     PmlSpec,
-    Region,
     build_box_mesh,
     build_mesh,
 )
@@ -82,28 +81,30 @@ def test_region_tags():
     mesh = standard_mesh()
     mids = mesh.element_midpoints
     a = CASE1.slab_half_length
-    assert np.all(np.abs(mids[mesh.element_region == Region.SLAB]) < a)
-    assert np.all(mids[mesh.element_region == Region.PML_LEFT]
-                  < mesh.x_inner_left)
-    assert np.all(mids[mesh.element_region == Region.PML_RIGHT]
-                  > mesh.x_inner_right)
-    vac = mids[mesh.element_region == Region.VACUUM]
+    slab = mesh.slab_elements
+    left, right = mesh.pml_runs
+    assert np.all(np.abs(mids[slab]) < a)
+    assert np.all(mids[left] < mesh.x_inner_left)
+    assert np.all(mids[right] > mesh.x_inner_right)
+    vac = mids[np.r_[left.stop:slab.start, slab.stop:right.start]]
     assert np.all((np.abs(vac) > a) & (np.abs(vac) < a + 0.05))
-    # every region is populated
-    for region in Region:
-        assert np.any(mesh.element_region == region)
+    # every region is populated, in order, and together they tile the mesh
+    assert (0 == left.start < left.stop < slab.start < slab.stop
+            < right.start < right.stop == mids.size)
+    assert mesh.slab_nodes == slice(slab.start, slab.stop + 1)
 
 
 def test_slab_element_lengths_cover_slab():
     mesh = standard_mesh()
-    slab_len = mesh.element_lengths[mesh.slab_element_indices()].sum()
+    slab_len = mesh.element_lengths[mesh.slab_elements].sum()
     assert slab_len == pytest.approx(CASE1.slab_length, rel=1e-12)
 
 
 def test_determinism():
     m1, m2 = standard_mesh(), standard_mesh()
     np.testing.assert_array_equal(m1.nodes, m2.nodes)
-    np.testing.assert_array_equal(m1.element_region, m2.element_region)
+    assert m1.slab_elements == m2.slab_elements
+    assert m1.pml_runs == m2.pml_runs
 
 
 def test_near_coincident_points_are_refused():
@@ -211,29 +212,32 @@ def test_box_mesh():
     np.testing.assert_array_equal(
         mesh.stretch_factor(mesh.nodes, 500.0), 1.0
     )
-    assert set(np.unique(mesh.element_region)) == {
-        int(Region.VACUUM), int(Region.SLAB)
-    }
+    assert mesh.pml_runs == ()
+    assert np.all(np.abs(mesh.element_midpoints[mesh.slab_elements])
+                  < CASE1.slab_half_length)
+    assert mesh.element_lengths[mesh.slab_elements].sum() == pytest.approx(
+        CASE1.slab_length, rel=1e-12)
     with pytest.raises(ValueError):
         build_box_mesh(CASE1, 1200.0, 10.0, 0.2)  # under 4 slab lengths
 
 
 def test_mesh1d_validation():
     with pytest.raises(ValueError):
-        Mesh1D([0.0, 1.0, 0.5], [1, 1], None, 0.03125)  # not increasing
+        Mesh1D([0.0, 1.0, 0.5], None, 0.03125)  # not increasing
     with pytest.raises(ValueError):
-        Mesh1D([0.0, 0.5, 1.0], [1], None, 0.03125)  # tag count mismatch
+        Mesh1D([0.0, 1.0], None, 0.03125)  # too few nodes
 
 
 def test_mesh_arrays_are_frozen_so_derived_arrays_can_be_cached():
-    nodes = np.array([0.0, 0.25, 0.5, 1.0])
-    mesh = Mesh1D(nodes, [1, 2, 1], None, 0.03125)
+    nodes = np.array([-0.5, -0.25, 0.25, 1.0])
+    mesh = Mesh1D(nodes, None, 0.25)
     nodes[1] = 0.3  # the mesh holds its own copy
-    assert mesh.nodes[1] == 0.25
+    assert mesh.nodes[1] == -0.25
     assert mesh.element_lengths is mesh.element_lengths
-    np.testing.assert_array_equal(mesh.element_lengths, [0.25, 0.25, 0.5])
-    np.testing.assert_array_equal(mesh.slab_element_indices(), [1])
-    for array in (mesh.nodes, mesh.element_region, mesh.element_lengths,
-                  mesh.element_midpoints, mesh.slab_element_indices()):
+    np.testing.assert_array_equal(mesh.element_lengths, [0.25, 0.5, 0.75])
+    assert mesh.slab_elements == slice(1, 2)
+    assert mesh.slab_nodes == slice(1, 3)
+    assert mesh.pml_runs == ()
+    for array in (mesh.nodes, mesh.element_lengths, mesh.element_midpoints):
         with pytest.raises(ValueError):
             array[0] = 0

@@ -122,7 +122,7 @@ def test_medium_rate_quadrature_is_converged():
     for label in ("1A", "1B", "2A", "2B"):
         mesh, medium, x_a = make_setup(label)
         for k in (300.0, 500.0, 700.0):
-            idx = mesh.slab_element_indices()
+            idx = mesh.slab_elements
             half = 0.5 * mesh.element_lengths[idx][:, None]
             xq = mesh.element_midpoints[idx, None] + half * nodes
             field = solve_point_source(mesh, medium, k, x_a)

@@ -206,6 +206,19 @@ def test_lattice_wave_on_any_nodes_is_the_full_length_wave(drawn, k, data):
                                       np.conj(full)[nodes])
 
 
+def test_lattice_wave_crosses_a_sliver_element():
+    # a point 1e-10 past the slab face leaves a sliver element whose kh
+    # rounds the lattice cosine to 1; the wave steps by kh there instead
+    # of being refused as non-propagating
+    mesh = make_mesh(CASE1, obs=(0.0, 0.03125 + 1e-10))
+    assert mesh.element_lengths.min() < 2e-10
+    assert lattice_wavenumber(50.0, 1e-10) == 50.0
+    wave = lattice_plane_wave(mesh, 50.0)
+    assert np.all(np.isfinite(wave.phase))
+    with pytest.raises(ValueError, match="no propagating"):
+        lattice_wavenumber(50.0, 0.07)  # kh = 3.5 > sqrt(12): stopband
+
+
 def test_lattice_wave_must_match_the_solve():
     mesh = make_mesh(CASE1)
     other = make_mesh(CASE1)

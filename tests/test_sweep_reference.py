@@ -1,14 +1,19 @@
-"""The four stock sweeps against their committed CSV bodies.
+"""The stock runs against their committed CSV bodies.
 
 ``data/sweep-<case>.csv`` is the body (header and rows, no ``#`` metadata)
-of ``slabqed sweep --case <case>`` at the stock resolution, ppw 40. A change
-that moves a rate beyond round-off fails here; one that means to must
-regenerate the files and say by how much the rates moved.
+of ``slabqed sweep --case <case>`` at the stock resolution, ppw 40.
+``data/oracle-compare-1B.csv`` is the body of ``oracle-compare --case 1B``
+(``oracle.ppw`` 160), whose analytic-wave slab load (``fem.p1_load``) no
+sweep runs, and ``data/modes-1A.csv`` with ``data/modes-1A_spectrum.csv``
+are the rates and the spectrum of ``modes --case 1A``, the eigenmode
+route. A change that moves a number beyond round-off fails here; one that
+means to must regenerate the files and say by how much the numbers moved.
 
 Rates are normalized to the free-space rate 1, so the absolute floor 1e-14
 only matters where a rate is itself round-off: ``pf_b`` is ~6e-18 at the
 opaque 2A row at omega 500. ``tec_residual`` is not compared: at that row
-it is a ratio of two round-off numbers.
+it is a ratio of two round-off numbers. The smallest oracle residual is
+~7e-5 and the smallest mode frequency ~5, far above that floor.
 """
 
 from pathlib import Path
@@ -31,15 +36,14 @@ def read_body(path):
     return header, dict(zip(header, columns))
 
 
-@pytest.mark.parametrize("case", ["1A", "1B", "2A", "2B"])
-def test_stock_sweep_matches_the_committed_reference(case, tmp_path):
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--case", case, "--out", str(out)]) == 0
-    header, got = read_body(out)
-    ref_header, ref = read_body(DATA / f"sweep-{case}.csv")
+def assert_body_matches(path, reference, key, compared):
+    """``key`` column equal as text, ``compared`` columns to round-off."""
+    header, got = read_body(path)
+    ref_header, ref = read_body(DATA / reference)
     assert header == ref_header
-    assert got["omega_a"] == ref["omega_a"]
-    for name in RATES:
+    if key is not None:
+        assert got[key] == ref[key]
+    for name in compared:
         filled = [value != "" for value in ref[name]]
         assert [value != "" for value in got[name]] == filled, name
         if any(filled):
@@ -47,3 +51,25 @@ def test_stock_sweep_matches_the_committed_reference(case, tmp_path):
                 np.array(got[name], dtype=float),
                 np.array(ref[name], dtype=float),
                 rtol=1e-10, atol=1e-14, err_msg=name)
+
+
+@pytest.mark.parametrize("case", ["1A", "1B", "2A", "2B"])
+def test_stock_sweep_matches_the_committed_reference(case, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--case", case, "--out", str(out)]) == 0
+    assert_body_matches(out, f"sweep-{case}.csv", "omega_a", RATES)
+
+
+def test_oracle_compare_matches_the_committed_reference(tmp_path):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle-compare", "--case", "1B", "--out", str(out)]) == 0
+    assert_body_matches(out, "oracle-compare-1B.csv", "omega",
+                        ("res_rt", "res_field", "res_green"))
+
+
+def test_modes_match_the_committed_reference(tmp_path):
+    out = tmp_path / "modes.csv"
+    assert main(["modes", "--case", "1A", "--out", str(out)]) == 0
+    assert_body_matches(out, "modes-1A.csv", "omega_a", ("pf_modes",))
+    assert_body_matches(tmp_path / "modes_spectrum.csv",
+                        "modes-1A_spectrum.csv", None, ("omega_m",))
