@@ -464,7 +464,7 @@ def cmd_check_identities(config: RunConfig) -> int:
         )
 
     # operator identities on small meshes: exactness does not depend on
-    # resolution, so ppw = 15 keeps the dense inverses cheap
+    # resolution, so ppw = 15 keeps the O(n^2) column solves cheap
     for label, medium in (("vacuum", CASE_PRESETS["vacuum"]),
                           ("slab", config.medium)):
         mesh = _sweep_mesh(config, medium, x_b, k_max=700.0, ppw=15.0)
@@ -485,7 +485,6 @@ def cmd_check_identities(config: RunConfig) -> int:
                     check_lossless_identity_failure(system),
                     config.lossless_min, ">",
                 )
-    del system  # the checks keep G with their system; free the last one
 
     # field-correlation balance on a resolved mesh, from the same lattice
     # scattering states as the sweep's tec_residual; what remains is the

@@ -26,8 +26,8 @@ eigenmode route; ``inverse_iteration`` and the LU are the only LAPACK
 calls in the package, LAPACK's ``?gttrf``/``?gttrs`` from scipy's compiled
 ``_flapack``, loaded without importing ``scipy.linalg``
 (``_load_flapack``). f2py copies every array it may not overwrite, so the
-LU factors fresh bands in place and ``solve`` makes one owned copy of the
-right-hand side.
+LU factors fresh bands in place, ``solve`` makes one owned copy of the
+right-hand side and ``solve_in_place`` overwrites a block its caller owns.
 
 The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
@@ -71,8 +71,8 @@ GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _SHAPE_LO = 0.5 * (1.0 - GAUSS_NODES)  # hat falling across the element
 _SHAPE_HI = 0.5 * (1.0 + GAUSS_NODES)  # hat rising across the element
 
-# the identity checks' dense G and the eigenmode pencil refuse systems
-# above this many dofs rather than exhausting memory
+# the identity checks refuse systems above this many dofs: they solve for
+# every column of G, O(n^2) time, though only a block of columns is held
 DEFAULT_DOF_CAP = 4000
 
 # pivot_sweep counts sign bits once per this many rows
@@ -174,7 +174,7 @@ class SystemMatrices:
     ``s_diag/s_off`` and ``m_diag/m_off`` are the stiffness and mass bands;
     ``off[i]`` couples node i to node i+1. Interior (Dirichlet-reduced)
     views are provided for the solver and the identity checks. Systems
-    compare and hash by identity, so work done on one can be keyed to it.
+    compare by identity: equal bands do not make two systems equal.
     """
 
     mesh: Mesh1D
@@ -197,10 +197,8 @@ class SystemMatrices:
     def operator_interior(self):
         """Bands of L = S - k^2 M on the interior nodes."""
         k2 = self.k**2
-        return (
-            (self.s_diag - k2 * self.m_diag)[1:-1],
-            (self.s_off - k2 * self.m_off)[1:-1],
-        )
+        return (self.s_diag[1:-1] - k2 * self.m_diag[1:-1],
+                self.s_off[1:-1] - k2 * self.m_off[1:-1])
 
 
 def element_quadrature(mesh: Mesh1D, elements=slice(None)):
@@ -282,11 +280,11 @@ class StaticBands:
         points, half, _ = element_quadrature(mesh)
         # s(x, 1) = 1 + i sigma(x), so its imaginary part is sigma exactly
         sigma = mesh.stretch_factor(points, 1.0).imag
-        in_slab = np.zeros_like(half)
-        in_slab[mesh.slab_elements] = 1.0
+        on_slab = np.zeros_like(half)
+        on_slab[mesh.slab_elements] = 1.0
         two_h = 2.0 * mesh.element_lengths
         self.m0_diag, self.m0_off = _mass_bands(half, 1.0)
-        self.slab_diag, self.slab_off = _mass_bands(half, in_slab)
+        self.slab_diag, self.slab_off = _mass_bands(half, on_slab)
         self.slab_elements, self.slab_nodes = (mesh.slab_elements,
                                                mesh.slab_nodes)
         self.slab_points, self.slab_half, self.slab_weights = (
@@ -425,19 +423,29 @@ class Factorization:
         right-hand side.
         """
         # one owned copy, which gttrs then overwrites with the solution
-        rhs = np.array(rhs_interior, dtype=complex, order="F")
-        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.n_interior:
-            raise ValueError(
-                f"rhs must have shape ({self.n_interior},) or "
-                f"({self.n_interior}, m), got {rhs.shape}"
-            )
-        dl, d, du, du2, ipiv = self._factors
-        x, info = self._gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
-        if info != 0:
-            raise RuntimeError(f"gttrs failed with info = {info}")
-        dofs = np.zeros((self.n_interior + 2,) + rhs.shape[1:], dtype=complex)
+        x = self.solve_in_place(np.array(rhs_interior, dtype=complex,
+                                         order="F"))
+        dofs = np.zeros((self.n_interior + 2,) + x.shape[1:], dtype=complex)
         dofs[1:-1] = x
         return dofs
+
+    def solve_in_place(self, block: np.ndarray) -> np.ndarray:
+        """Overwrite ``block`` with L^{-1} block and return it; interior rows.
+
+        ``block`` is (n,) or (n, m), complex, writable and Fortran-ordered,
+        so gttrs works on it directly: no copy in or out, no wall rows.
+        """
+        if (block.ndim not in (1, 2) or block.shape[0] != self.n_interior
+                or block.dtype != complex or not block.flags.f_contiguous
+                or not block.flags.writeable):
+            raise ValueError(
+                f"rhs must be writable, Fortran-ordered, complex and have "
+                f"{self.n_interior} rows, got {block.dtype} {block.shape}")
+        dl, d, du, du2, ipiv = self._factors
+        x, info = self._gttrs(dl, d, du, du2, ipiv, block, overwrite_b=1)
+        if info != 0:
+            raise RuntimeError(f"gttrs failed with info = {info}")
+        return x
 
 
 def factorization(mesh: Mesh1D, medium: MediumSpec, k: float) -> Factorization:

@@ -12,11 +12,11 @@ medium-only identity, which must fail wherever radiation escapes; its
 failure is the operator-level reason the medium-only emission rate misses
 the boundary contribution.
 
-G is dense, but it comes through the tridiagonal LU: one block solve of
-the identity, O(n^2). Each term G D G~ is L^{-1} (D conj G), a banded
-product and one more block solve, so no dense matrix product or dense
-solve is formed. The two checks on one system share its G, which is
-freed with the system.
+G is dense and never held whole: the checks walk its columns in blocks J
+of ``_BLOCK``, G[:, J] solved from the unit columns e_J through the
+tridiagonal LU. Each step is column-local and a max-norm is exact, so the
+residuals are bitwise those of the whole matrices, in O(n^2) time and
+O(n b) memory, with no dense product or dense solve.
 
 The pointwise balance check compares the flux functional
 
@@ -38,7 +38,6 @@ from .fem import (
     DEFAULT_DOF_CAP,
     Factorization,
     SystemMatrices,
-    kept,
     static_bands,
 )
 from .greens import solve_point_source
@@ -47,43 +46,66 @@ from .mesh import Mesh1D
 from .scattering import lattice_plane_wave, solve_scattering
 
 
-def _inverse(system: SystemMatrices):
-    """The LU of L and G = L^{-1} on the interior, kept with the system.
+# columns of G per block: a check holds four (n, _BLOCK) arrays, not G
+_BLOCK = 32
 
-    G comes from one block solve of the identity through the tridiagonal
-    LU, O(n^2); it is dense, so systems above the dof cap are refused.
+
+def _sandwich(lu, bands, conj_green, out, work):
+    """Columns J of G D G~ into ``out`` from conj(G[:, J]), ``work`` scratch.
+
+    G is symmetric, so they are L^{-1} (D conj G[:, J]) for the real
+    tridiagonal D = (diag, off): a banded product and one block solve.
     """
-    n = system.n_interior
-    if n > DEFAULT_DOF_CAP:
-        raise ValueError(
-            f"dense inverse needs {n} dofs, above the cap "
-            f"{DEFAULT_DOF_CAP}; use a coarser mesh"
-        )
-
-    def build():
-        lu = Factorization(system)
-        return lu, lu.solve(np.eye(n, dtype=complex))[1:-1]
-
-    return kept(system, "inverse", None, build)
-
-
-def _sandwich(system: SystemMatrices, bands, columns=slice(None)):
-    """Columns of G D G~ for the real tridiagonal D = (diag, off).
-
-    G is symmetric, so G D G~ = L^{-1} (D conj G): a banded product and one
-    more block solve, O(n^2) for all columns.
-    """
-    lu, green = _inverse(system)
     diag, off = bands
-    block = np.conj(green[:, columns])
-    product = diag[:, None] * block
-    product[:-1] += off[:, None] * block[1:]
-    product[1:] += off[:, None] * block[:-1]
-    return lu.solve(product)[1:-1]
+    shifted = work[1:]
+    np.multiply(diag[:, None], conj_green, out=out)
+    np.multiply(off[:, None], conj_green[1:], out=shifted)
+    out[:-1] += shifted
+    np.multiply(off[:, None], conj_green[:-1], out=shifted)
+    out[1:] += shifted
+    return lu.solve_in_place(out)
 
 
 def _imaginary_parts(bands):
     return tuple(band.imag for band in bands)
+
+
+def _relative_residual(system: SystemMatrices, rows: slice, block_residual):
+    """max|residual| / max|Im G| on the window ``rows`` x ``rows`` of G.
+
+    For each block J of the window's columns, ``block_residual(lu, green,
+    conj_green, out, work)`` returns the residual's rows; it may overwrite
+    G[:, J] (``green``, read first) and work in ``out`` and ``work``. An
+    exactly zero residual reports 0; each column costs O(n), so systems
+    above the dof cap are refused.
+    """
+    n = system.n_interior
+    if n > DEFAULT_DOF_CAP:
+        raise ValueError(
+            f"identity checks solve {n} dofs per column of G, above the cap "
+            f"{DEFAULT_DOF_CAP}; use a coarser mesh"
+        )
+    lu = Factorization(system)
+    columns = np.arange(n)[rows]
+    # allocated once and reused: fresh blocks each time cost page faults
+    # whenever the allocator hands the last block's memory back
+    buffers = [np.empty((n, min(_BLOCK, columns.size)), dtype=complex,
+                        order="F") for _ in range(4)]
+    num = den = 0.0
+    for start in range(0, columns.size, _BLOCK):
+        block = columns[start:start + _BLOCK]
+        green, conj_green, *spare = (buffer[:, :block.size]
+                                     for buffer in buffers)
+        green.fill(0.0)
+        green[block, np.arange(block.size)] = 1.0
+        np.conj(lu.solve_in_place(green), out=conj_green)
+        # np.maximum, unlike max, keeps a NaN as np.max over G would
+        den = np.maximum(den, np.abs(green.imag[rows]).max())
+        residual = block_residual(lu, green, conj_green, *spare)
+        num = np.maximum(num, np.abs(residual).max())
+    if num == 0.0:
+        return 0.0
+    return float(num / max(den, 1e-300))
 
 
 def check_discrete_ddgt(system: SystemMatrices) -> float:
@@ -93,18 +115,20 @@ def check_discrete_ddgt(system: SystemMatrices) -> float:
     any assembled system, lossy or not. A closed lossless box degenerates
     to 0 = 0 and reports 0.
     """
-    _, green = _inverse(system)
-    residual = (
-        green.imag
-        + _sandwich(system, _imaginary_parts(system.stiffness_interior()))
-        - system.k**2 * _sandwich(
-            system, _imaginary_parts(system.mass_interior()))
-    )
-    num = float(np.max(np.abs(residual)))
-    den = float(np.max(np.abs(green.imag)))
-    if num == 0.0:
-        return 0.0
-    return num / max(den, 1e-300)
+    radiation = _imaginary_parts(system.stiffness_interior())
+    medium = _imaginary_parts(system.mass_interior())
+
+    def block_residual(lu, green, conj_green, residual, work):
+        # in place, bitwise Im G + radiation - k^2 medium: + commutes exactly
+        _sandwich(lu, radiation, conj_green, residual, work)
+        residual += green.imag
+        # Im G is spent, so green's block takes the medium term
+        medium_part = _sandwich(lu, medium, conj_green, green, work)
+        medium_part *= system.k**2
+        residual -= medium_part
+        return residual
+
+    return _relative_residual(system, slice(None), block_residual)
 
 
 def check_lossless_identity_failure(
@@ -117,6 +141,7 @@ def check_lossless_identity_failure(
     the default is the physical (non-absorbing) region. With an absorbing
     layer present the residual is O(1) wherever radiation loss reaches,
     which is the point: this identity holds only for closed lossy systems.
+    Only the window's columns of G are solved for.
     """
     mesh = system.mesh
     if window is None:
@@ -126,16 +151,16 @@ def check_lossless_identity_failure(
     keep = np.flatnonzero((x_interior >= lo) & (x_interior <= hi))
     if keep.size == 0:
         raise ValueError(f"no interior nodes inside window {window}")
+    rows = slice(keep[0], keep[-1] + 1)  # the nodes are sorted: one run
+    medium = _imaginary_parts(system.mass_interior())
 
-    _, green = _inverse(system)
-    medium = _sandwich(system, _imaginary_parts(system.mass_interior()), keep)
-    green_imag = green.imag[np.ix_(keep, keep)]
-    residual = green_imag - system.k**2 * medium[keep]
-    num = float(np.max(np.abs(residual)))
-    den = float(np.max(np.abs(green_imag)))
-    if num == 0.0:
-        return 0.0
-    return num / max(den, 1e-300)
+    def block_residual(lu, green, conj_green, product, work):
+        # in place, bitwise Im G - k^2 medium on the window's rows
+        residual = _sandwich(lu, medium, conj_green, product, work)[rows]
+        residual *= system.k**2
+        return np.subtract(green.imag[rows], residual, out=residual)
+
+    return _relative_residual(system, rows, block_residual)
 
 
 def check_thermal_equilibrium(

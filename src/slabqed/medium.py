@@ -65,21 +65,6 @@ class MediumSpec:
         chi = self.omega_p**2 / denom
         return chi if chi.ndim else complex(chi)
 
-    def relative_permittivity(self, x, omega):
-        """eps_r(x, omega) = 1 + chi(omega) inside the slab, 1 outside.
-
-        ``x`` may be a scalar or an ndarray; broadcasting against a scalar
-        ``omega`` gives the permittivity profile used in assembly.
-        """
-        x = np.asarray(x, dtype=float)
-        eps = np.ones(x.shape, dtype=complex)
-        eps[self.in_slab(x)] += self.susceptibility(omega)
-        return eps if eps.ndim else complex(eps)
-
-    def in_slab(self, x):
-        """True where ``x`` lies in the slab, faces included."""
-        return np.abs(x) <= self.slab_half_length
-
 
 # Reference parameter set used throughout: a slab of length 1/16 m with a
 # resonance at omega_0 = 500 rad/m probed around its absorption band.

@@ -1,12 +1,32 @@
 """Dense copies of the banded operators, the references the tests compare to.
 
 Nothing in ``src/`` forms these matrices: the eigenmode route works on the
-bands and the Schur complement alone (``test_layering`` keeps it so).
+bands and the Schur complement alone (``test_layering`` keeps it so). The
+pointwise slab profile of a ``MediumSpec`` (``in_slab``,
+``relative_permittivity``) is a reference too: the package places the slab
+by the mesh's elements, not by a test at each point.
 """
 
 import numpy as np
 
 from slabqed.fem import DEFAULT_DOF_CAP
+
+
+def in_slab(medium, x):
+    """True where ``x`` lies in the medium's slab, faces included."""
+    return np.abs(x) <= medium.slab_half_length
+
+
+def relative_permittivity(medium, x, omega):
+    """eps_r(x, omega) = 1 + chi(omega) inside the slab, 1 outside.
+
+    ``x`` may be a scalar or an ndarray; broadcasting against a scalar
+    ``omega`` gives the permittivity profile at those points.
+    """
+    x = np.asarray(x, dtype=float)
+    eps = np.ones(x.shape, dtype=complex)
+    eps[in_slab(medium, x)] += medium.susceptibility(omega)
+    return eps if eps.ndim else complex(eps)
 
 
 def dense_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

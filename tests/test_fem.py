@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _dense_reference import dense_tridiagonal
+from _dense_reference import dense_tridiagonal, in_slab, relative_permittivity
 from _random_meshes import meshes
 from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
-from slabqed import fem, greens, identities, scattering
+from slabqed import fem, greens, scattering
 from slabqed.cli import main
 from slabqed.fem import (
     GAUSS_NODES,
@@ -103,7 +103,7 @@ def reference_bands(mesh, medium, k):
     h = mesh.element_lengths
     xg, half, _ = element_quadrature(mesh)
     sg = mesh.stretch_factor(xg, k)
-    eg = medium.relative_permittivity(xg, k)
+    eg = relative_permittivity(medium, xg, k)
     lo, hi = 0.5 * (1.0 - GAUSS_NODES), 0.5 * (1.0 + GAUSS_NODES)
     k_e = np.sum(GAUSS_WEIGHTS / sg, axis=1) / (2.0 * h)
     common = eg * sg * GAUSS_WEIGHTS * half
@@ -271,17 +271,17 @@ def test_narrowed_assembly_is_the_full_length_sum(drawn, k):
     # the mesh's midpoint slices are the elements a Gauss-point test finds,
     # and the slab bands those of the Gauss-point mask, bitwise
     points, half, _ = element_quadrature(mesh)
-    in_slab = medium.in_slab(points)
-    np.testing.assert_array_equal(np.all(in_slab, axis=1),
-                                  np.any(in_slab, axis=1))
+    on_slab = in_slab(medium, points)
+    np.testing.assert_array_equal(np.all(on_slab, axis=1),
+                                  np.any(on_slab, axis=1))
     np.testing.assert_array_equal(slab_indices(mesh),
-                                  np.flatnonzero(np.any(in_slab, axis=1)))
+                                  np.flatnonzero(np.any(on_slab, axis=1)))
     sigma = mesh.stretch_factor(points, 1.0).imag
     runs = [j for run in mesh.pml_runs for j in range(run.start, run.stop)]
     assert runs == np.flatnonzero(np.any(sigma > 0, axis=1)).tolist()
     assert runs == static.pml.tolist()
     for band, reference in zip((static.slab_diag, static.slab_off),
-                               fem._mass_bands(half, in_slab)):
+                               fem._mass_bands(half, on_slab)):
         np.testing.assert_array_equal(band, reference)
 
 
@@ -322,6 +322,24 @@ def test_block_solve_matches_column_solves():
     assert dofs.shape == (mesh.n_nodes, 3)
     for j in range(3):
         np.testing.assert_array_equal(dofs[:, j], fact.solve(block[:, j]))
+
+
+def test_solve_in_place_overwrites_its_block_with_the_solve():
+    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05, PmlSpec(thickness=0.05))
+    fact = Factorization(assemble(mesh, CASE1, 430.0))
+    rng = np.random.default_rng(4)
+    n = mesh.n_interior
+    rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    block = np.asfortranarray(rhs)
+    assert fact.solve_in_place(block) is block
+    np.testing.assert_array_equal(block, fact.solve(rhs)[1:-1])
+    # gttrs must get the block itself: anything f2py would copy is refused
+    read_only = np.asfortranarray(rhs)
+    read_only.setflags(write=False)
+    for bad in (np.ascontiguousarray(rhs), np.asfortranarray(rhs.real),
+                read_only, block[:-1]):
+        with pytest.raises(ValueError):
+            fact.solve_in_place(bad)
 
 
 def test_solve_matches_dense():
@@ -784,7 +802,7 @@ def builds(monkeypatch):
             return build()
         return kept(owner, slot, key, counted)
 
-    for module in (fem, identities, scattering):
+    for module in (fem, scattering):
         monkeypatch.setattr(module, "kept", counting)
     return slots
 
@@ -799,11 +817,6 @@ def kept_static_bands(mesh, key):
     assert not (static.slab_points.flags.writeable
                 or static.slab_weights.flags.writeable)
     return static
-
-
-def kept_inverse(system, key):
-    identities.check_discrete_ddgt(system)
-    return identities._inverse(system)[1]
 
 
 def kept_lattice_values(wave, nodes):
@@ -825,8 +838,6 @@ KEPT_SLOTS = {
     "factorization": (
         lu_mesh, [(CASE1, 500.0), (VACUUM, 500.0), (CASE1, 501.0)],
         lambda mesh, key: factorization(mesh, *key)),
-    "inverse": (lambda: assemble(lu_mesh(), VACUUM, 500.0), [None],
-                kept_inverse),
     "values": (lambda: lattice_plane_wave(lu_mesh(), 500.0),
                ["slab", slice(None)], kept_lattice_values),
 }

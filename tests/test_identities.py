@@ -1,10 +1,12 @@
 """Operator-identity checks: exactness, expected failure, balance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from slabqed import identities as ids
-from slabqed.fem import DEFAULT_DOF_CAP, Factorization, assemble
+from slabqed.fem import DEFAULT_DOF_CAP, assemble
 from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import PmlSpec, build_box_mesh, build_mesh
 
@@ -33,33 +35,62 @@ def test_two_channel_decomposition_closed_box_degenerates():
         system, window=(-0.3, 0.3)) == 0.0
 
 
+def green_through_the_blocks(system):
+    """G put together from the column blocks the checks solve for."""
+    blocks = []
+
+    def keep_block(lu, green, *spare):
+        blocks.append(green.copy())
+        return green
+
+    ids._relative_residual(system, slice(None), keep_block)
+    return np.hstack(blocks)
+
+
 def test_green_from_the_lu_matches_a_dense_inverse():
     medium = CASE_PRESETS["1"]
     system = assemble(open_mesh(medium), medium, 500.0)
     diag, off = system.operator_interior()
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     reference = np.linalg.solve(dense, np.eye(system.n_interior))
-    _, green = ids._inverse(system)
+    green = green_through_the_blocks(system)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(green - reference)) <= 1e-12 * scale
 
 
-def test_both_checks_share_one_identity_solve(monkeypatch):
-    identity_solves = []
-    solve = Factorization.solve
+@pytest.mark.parametrize("check", [ids.check_discrete_ddgt,
+                                   ids.check_lossless_identity_failure])
+def test_checks_hold_column_blocks_not_the_dense_green(check):
+    # a dense (n, n) complex G alone is n^2 16 B, four times this bound
+    medium = CASE_PRESETS["1"]
+    system = assemble(open_mesh(medium, ppw=30.0), medium, 500.0)
+    n = system.n_interior
+    tracemalloc.start()
+    try:
+        check(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16 / 4
 
-    def counting(self, rhs):
-        rhs = np.asarray(rhs)
-        if rhs.ndim == 2 and np.array_equal(rhs, np.eye(rhs.shape[0])):
-            identity_solves.append(rhs.shape[0])
-        return solve(self, rhs)
 
-    monkeypatch.setattr(Factorization, "solve", counting)
-    medium = CASE_PRESETS["vacuum"]
-    system = assemble(open_mesh(medium), medium, 500.0)
-    ids.check_discrete_ddgt(system)
-    ids.check_lossless_identity_failure(system)
-    assert identity_solves == [system.n_interior]
+@pytest.mark.parametrize("name", ["vacuum", "1", "2"])
+def test_block_width_leaves_both_checks_bitwise(name, monkeypatch):
+    # every step is column-local and a max-norm is exact, so the width of
+    # the column blocks cannot move a report by a bit
+    medium = CASE_PRESETS[name]
+    system = assemble(open_mesh(medium), medium, 430.0)
+
+    def reports():
+        return (ids.check_discrete_ddgt(system),
+                ids.check_lossless_identity_failure(system),
+                ids.check_lossless_identity_failure(
+                    system, window=(-0.015, 0.015)))
+
+    stock = reports()
+    for width in (1, 7, system.n_interior, system.n_interior + 5):
+        monkeypatch.setattr(ids, "_BLOCK", width)
+        assert reports() == stock
 
 
 def test_dense_dof_cap_guard():

@@ -57,13 +57,15 @@ def test_no_private_names_cross_modules(name):
 
 
 def names_in(tree):
-    """Every identifier a tree names, attribute and import names included."""
+    """Every identifier a tree names: attribute, import and definition
+    names included."""
     return {
         node.id if isinstance(node, ast.Name)
         else node.attr if isinstance(node, ast.Attribute)
         else node.name
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias,
+                             ast.FunctionDef, ast.ClassDef))
     }
 
 
@@ -76,14 +78,15 @@ def test_only_fem_knows_the_gauss_rule(name):
 def test_only_fem_builds_an_lu(name):
     # solvers ask fem.factorization for the LU; none builds or passes one.
     # The identity checks alone factor a system themselves, the one they
-    # check, and only in _inverse, which keeps that LU with the system
+    # check, once per check in _relative_residual, which walks its columns
     tree = MODULES[name]
     if name != "identities":
         assert "Factorization" not in names_in(tree)
     else:
         assert {node.name for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and "Factorization" in names_in(node)} == {"_inverse"}
+                and "Factorization" in names_in(node)} == {
+                    "_relative_residual"}
 
 
 def imported_modules(tree):
@@ -219,10 +222,11 @@ def test_dense_solve_rule_sees_attribute_chains_and_imports():
 
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_dense_operators_only_for_the_pencil_reference(name):
-    # dense copies of the bands and the pencil are test references
-    # (tests/_dense_reference.py); no module of the package forms them
-    assert not {"dense_tridiagonal", "dense_operators"} & names_in(
-        MODULES[name])
+    # dense copies of the bands and the pencil, and the pointwise slab
+    # profile of a medium (the mesh places the slab by its elements), are
+    # test references (tests/_dense_reference.py); no module forms them
+    assert not {"dense_tridiagonal", "dense_operators", "in_slab",
+                "relative_permittivity"} & names_in(MODULES[name])
 
 
 def load_bench_hooks():

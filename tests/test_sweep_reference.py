@@ -6,8 +6,12 @@ of ``slabqed sweep --case <case>`` at the stock resolution, ppw 40.
 (``oracle.ppw`` 160), whose analytic-wave slab load (``fem.p1_load``) no
 sweep runs, and ``data/modes-1A.csv`` with ``data/modes-1A_spectrum.csv``
 are the rates and the spectrum of ``modes --case 1A``, the eigenmode
-route. A change that moves a number beyond round-off fails here; one that
-means to must regenerate the files and say by how much the numbers moved.
+route. ``data/check-identities-1B.txt`` is the stdout of
+``check-identities --case 1B``: its line names and verdicts are compared,
+and the balance value as text; the dissipation residuals are round-off and
+the lossless-identity value is pinned by its verdict. A change that moves a
+number beyond round-off fails here; one that means to must regenerate the
+files and say by how much the numbers moved.
 
 Rates are normalized to the free-space rate 1, so the absolute floor 1e-14
 only matters where a rate is itself round-off: ``pf_b`` is ~6e-18 at the
@@ -65,6 +69,26 @@ def test_oracle_compare_matches_the_committed_reference(tmp_path):
     assert main(["oracle-compare", "--case", "1B", "--out", str(out)]) == 0
     assert_body_matches(out, "oracle-compare-1B.csv", "omega",
                         ("res_rt", "res_field", "res_green"))
+
+
+def report_lines(text):
+    """(verdict, name, value as printed) for each line of a report."""
+    lines = []
+    for line in text.splitlines():
+        verdict, rest = line.split("  ", 1)
+        name, tail = rest.rsplit(": ", 1)
+        lines.append((verdict, name, tail.split()[0]))
+    return lines
+
+
+def test_check_identities_report_matches_the_committed_reference(capsys):
+    assert main(["check-identities", "--case", "1B"]) == 0
+    got = report_lines(capsys.readouterr().out)
+    ref = report_lines((DATA / "check-identities-1B.txt").read_text(
+        encoding="utf-8"))
+    assert [line[:2] for line in got] == [line[:2] for line in ref]
+    balance = [line for line in ref if line[1].startswith("field-correlation")]
+    assert len(balance) == 1 and balance[0] in got
 
 
 def test_modes_match_the_committed_reference(tmp_path):
