@@ -13,7 +13,7 @@ from .medium import (
     MediumSpec,
     case_preset,
 )
-from .mesh import Mesh1D, PmlSpec, build_box_mesh, build_mesh
+from .mesh import Mesh1D, build_box_mesh, build_mesh
 from .micromodes import BathConfig, build_gevp, diagonalize, purcell_from_modes
 from .purcell import (
     PurcellRecord,
@@ -32,7 +32,6 @@ __all__ = [
     "CASE_PRESETS",
     "MediumSpec",
     "Mesh1D",
-    "PmlSpec",
     "PurcellRecord",
     "build_box_mesh",
     "build_gevp",

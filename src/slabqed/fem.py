@@ -1,16 +1,28 @@
 """P1 finite elements for the 1D Helmholtz operator.
 
-Weak form on the stretched coordinate, with homogeneous Dirichlet walls:
+Weak form with homogeneous Dirichlet walls:
 
-    S[u, v] = int (1/s) u' v' dx          (gradient / stiffness part)
-    M[u, v] = int eps_r s u v dx          (value / mass part)
+    S[u, v] = int u' v' dx                (gradient / stiffness part)
+    M[u, v] = int eps_r u v dx            (value / mass part)
     L = S - k^2 M
+
+On an open mesh (``Mesh1D.is_open``) the vacuum lattice continues past
+each wall. Its outgoing solution is u_{j} = rho^{|j - j_0|} u_{j_0} beyond
+the last physical node j_0, with rho = e^{i kt h}, kt the lattice
+wavenumber (``lattice_wavenumber``) and h the length of the boundary
+element. Eliminating that semi-infinite chain exactly adds b rho to the
+diagonal of S at j_0, where b = -k_e - k^2 m_off is the boundary element's
+off-diagonal: the lattice's exact Dirichlet-to-Neumann condition
+(Engquist and Majda, Math. Comp. 31, 1977, for the continuum; Givoli,
+J. Comput. Phys. 94, 1991, for finite elements). Im S then lives on those
+two nodes only, and it is the radiation channel of the operator
+identities in ``identities``.
 
 Both matrices are complex symmetric (not Hermitian) tridiagonal; this
 symmetry, not any Hermiticity, is what the operator identities in
 ``identities`` rely on, so nothing here may conjugate matrix entries.
 Element integrals use a fixed 4-point Gauss-Legendre rule, which is exact
-for the polynomial stretch profiles and the P1 products appearing here.
+for the P1 products appearing here.
 ``element_quadrature`` and ``p1_load`` are the only places that rule is
 applied. ``kept`` keeps work with its mesh, one entry per slot, replaced
 when its key changes and freed with the mesh: the k-independent bands and
@@ -32,21 +44,17 @@ right-hand side and ``solve_in_place`` overwrites a block its caller owns.
 The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
 
-With s = 1 + (i/k) sigma in the absorbing layers and eps_r = 1 + chi(k)
-on the slab elements, both placed by the mesh (``Mesh1D.pml_runs`` and
-``slab_elements``, which never overlap), the mass splits as
+With eps_r = 1 + chi(k) on the slab elements, placed by the mesh
+(``Mesh1D.slab_elements``), the mass splits as
 
-    M = M_0 + chi(k) M_slab + (i/k) M_sigma,
+    M = M_0 + chi(k) M_slab,
 
-and only three pieces of the operator vary with k: the stiffness of the
-absorbing-layer elements (1/s is not linear in k), the scalar chi(k) and
-the 1/k weight of M_sigma. None of the rest depends on the medium, so
-``static_bands`` builds it once per mesh: the three mass bands M_0, M_slab
-and M_sigma, the sigma of the layer elements at their Gauss points and the
-stiffness of every other element. ``assemble`` then does O(n) band
-arithmetic per frequency and no quadrature, adding chi M_slab over the
-slab's nodes and (i/k) M_sigma over the layers' nodes only (both are exact
-zeros elsewhere); it refuses a medium whose slab half-length is not the
+and only the scalar chi(k) and the two boundary terms vary with k. None
+of the rest depends on the medium, so ``static_bands`` builds it once per
+mesh: the two mass bands M_0 and M_slab and the element stiffness.
+``assemble`` then does O(n) band arithmetic per frequency and no
+quadrature, adding chi M_slab over the slab's nodes only (it is an exact
+zero elsewhere); it refuses a medium whose slab half-length is not the
 mesh's.
 The slab load of a P1 wave, k^2 chi M_slab w, is a band product with the
 same M_slab (``StaticBands.slab_load``), and the slab integral of u conj(v)
@@ -152,18 +160,20 @@ def lattice_wavenumber(k: float, h):
     extracted coefficients pick up a spurious phase k(kt/k - 1) x_probe that
     grows with the probe distance and swamps the actual discretization error.
     A scalar h gives a float, an array of spacings one kt per entry.
-    Below kh ~ 2e-8 (a sliver element next to a breakpoint) c rounds to 1
-    and arccos to 0; kt = k there, the phase step kh to round-off.
+    The half-angle form sin(kt h / 2) = (kh/2) / sqrt(1 + (kh)^2/6) is used:
+    arccos of the cosine above loses half the digits of kt h as kh -> 0
+    (2e-10 relative at kh ~ 1e-3), and the phase step of the outgoing
+    boundary, e^{i kt h}, carries the radiation loss.
     """
     h = np.asarray(h, dtype=float)
     z = k * h
-    c = (1.0 - z**2 / 3.0) / (1.0 + z**2 / 6.0)
-    if np.any(c <= -1.0):
+    half_sine = 0.5 * z / np.sqrt(1.0 + z**2 / 6.0)
+    if np.any(half_sine >= 1.0):
         raise ValueError(
             f"no propagating lattice wave at k = {k} with spacing "
             f"h = {np.max(h)}"
         )
-    kt = np.where(c < 1.0, np.arccos(c) / h, k)
+    kt = 2.0 * np.arcsin(half_sine) / h
     return float(kt) if kt.ndim == 0 else kt
 
 
@@ -265,24 +275,17 @@ class StaticBands:
     """The k-independent parts of the operator on one mesh.
 
     ``m0_*`` is the vacuum mass, ``slab_*`` the mass over the mesh's slab
-    elements, and ``sigma_*`` the mass weighted by the absorbing-layer
-    profile sigma (None without a layer). ``stiffness`` is the element
-    stiffness with s = 1; the entries of the ``pml`` elements, those of the
-    mesh's ``pml_runs``, are replaced per k from their Gauss-point
-    ``pml_sigma``. ``slab_points``, ``slab_half`` and ``slab_weights`` are the
-    element rule on the slab elements (``element_quadrature``). M_slab has
-    all its nonzeros on the mesh's ``slab_nodes`` and M_sigma on the nodes
-    of the ``pml_runs``. Holds arrays and slices only, not the mesh, so a
-    copy kept for a mesh dies with it.
+    elements and ``stiffness`` the element stiffness k_e.
+    ``slab_points``, ``slab_half`` and ``slab_weights`` are the element rule
+    on the slab elements (``element_quadrature``). M_slab has all its
+    nonzeros on the mesh's ``slab_nodes``. Holds arrays and slices only,
+    not the mesh, so a copy kept for a mesh dies with it.
     """
 
     def __init__(self, mesh: Mesh1D):
-        points, half, _ = element_quadrature(mesh)
-        # s(x, 1) = 1 + i sigma(x), so its imaginary part is sigma exactly
-        sigma = mesh.stretch_factor(points, 1.0).imag
+        _, half, _ = element_quadrature(mesh)
         on_slab = np.zeros_like(half)
         on_slab[mesh.slab_elements] = 1.0
-        two_h = 2.0 * mesh.element_lengths
         self.m0_diag, self.m0_off = _mass_bands(half, 1.0)
         self.slab_diag, self.slab_off = _mass_bands(half, on_slab)
         self.slab_elements, self.slab_nodes = (mesh.slab_elements,
@@ -290,15 +293,8 @@ class StaticBands:
         self.slab_points, self.slab_half, self.slab_weights = (
             _read_only(array)
             for array in element_quadrature(mesh, mesh.slab_elements))
-        self.stiffness = _read_only(_gauss_sum(GAUSS_WEIGHTS) / two_h)
-        elements = np.arange(two_h.size)
-        self.pml = _read_only(np.concatenate(
-            [elements[:0]] + [elements[run] for run in mesh.pml_runs]))
-        self.pml_sigma = _read_only(sigma[self.pml])
-        self.pml_two_h = _read_only(two_h[self.pml])
-        self.sigma_diag = self.sigma_off = None
-        if self.pml.size:
-            self.sigma_diag, self.sigma_off = _mass_bands(half, sigma)
+        self.stiffness = _read_only(_gauss_sum(GAUSS_WEIGHTS)
+                                    / (2.0 * mesh.element_lengths))
 
     def _slab_product(self, values) -> np.ndarray:
         """M_slab w on ``slab_nodes``, for the values of w there."""
@@ -344,7 +340,8 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     medium : MediumSpec
         Supplies chi(k); its slab must be the mesh's, which places it.
     k : float
-        Wavenumber; enters through the stretch profile and eps_r dispersion.
+        Wavenumber; enters through eps_r dispersion and, on an open mesh,
+        the outgoing condition at the two boundary elements.
 
     Returns
     -------
@@ -359,29 +356,27 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
         )
     static = static_bands(mesh)
     chi = complex(medium.susceptibility(k))
-    # M_slab and M_sigma are exact zeros off their nodes: each is added
-    # over its own nodes only, which leaves every band entry bitwise as a
-    # sum over all n would
+    # M_slab is an exact zero off its nodes: adding it over its own nodes
+    # only leaves every band entry bitwise as a sum over all n would
     m_diag = static.m0_diag.astype(complex)
     m_off = static.m0_off.astype(complex)
     nodes, elements = mesh.slab_nodes, mesh.slab_elements
     m_diag[nodes] += chi * static.slab_diag[nodes]
     m_off[elements] += chi * static.slab_off[elements]
     # stiffness: hat slopes are constant +-1/h, so the element matrix is
-    # k_e * [[1, -1], [-1, 1]] with k_e = (1/2h) sum w/s
+    # k_e * [[1, -1], [-1, 1]] with k_e = (1/2h) sum w
     k_e = static.stiffness.astype(complex)
-    if static.pml.size:
-        stretch = 1.0 + (1j / k) * static.pml_sigma
-        k_e[static.pml] = (_gauss_sum(GAUSS_WEIGHTS / stretch)
-                           / static.pml_two_h)
-        for run in mesh.pml_runs:
-            nodes = slice(run.start, run.stop + 1)
-            m_diag[nodes] += (1j / k) * static.sigma_diag[nodes]
-            m_off[run] += (1j / k) * static.sigma_off[run]
-
     s_diag = np.zeros(mesh.n_nodes, dtype=complex)
     s_diag[:-1] += k_e
     s_diag[1:] += k_e
+    if mesh.is_open:
+        # the vacuum lattice beyond each wall carries u_1 rho^j outward:
+        # eliminating it adds b rho to the last physical node's diagonal
+        ends = [0, -1]
+        h = mesh.element_lengths[ends]
+        b = -static.stiffness[ends] - k**2 * static.m0_off[ends]
+        np.add.at(s_diag, [1, -2],
+                  b * np.exp(1j * lattice_wavenumber(k, h) * h))
     return SystemMatrices(
         mesh=mesh, k=float(k),
         s_diag=s_diag, s_off=-k_e,
@@ -609,10 +604,11 @@ def twisted_residues(diag, ddiag, off2, doff2, edge: int):
 
 
 def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x):
-    """P1 interpolation of nodal values at arbitrary points inside the mesh."""
+    """P1 interpolation of nodal values at points of the physical region."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < mesh.nodes[0]) or np.any(x > mesh.nodes[-1]):
-        raise ValueError("evaluation point outside the mesh")
+    lo, hi = mesh.physical_region
+    if np.any(x < lo) or np.any(x > hi):
+        raise ValueError("evaluation point outside the physical region")
     out = np.interp(x, mesh.nodes, dofs.real) + 1j * np.interp(
         x, mesh.nodes, dofs.imag
     )

@@ -5,18 +5,22 @@ obeys an exact anti-Hermitian-part decomposition
 
     Im(G) = -G Im(S) G~ + k^2 G Im(M) G~,   G = L^{-1},  G~ = conj(G),
 
-splitting the local density of states into a radiation-loss channel (the
-absorbing layer makes Im S nonzero) and a medium-loss channel (slab
-absorption makes Im M nonzero). Dropping the Im(S) term gives the
-medium-only identity, which must fail wherever radiation escapes; its
-failure is the operator-level reason the medium-only emission rate misses
-the boundary contribution.
+splitting the local density of states into a radiation-loss channel and a
+medium-loss channel (slab absorption makes Im M nonzero). On an open mesh
+Im S is nonzero on the two nodes next to the walls alone, where the exact
+outgoing condition lets the field leave: the radiation channel is the
+discrete form of the fluctuating sources that stand for radiation loss.
+Dropping the Im(S) term gives the medium-only identity, which must fail
+wherever radiation escapes; its failure is the operator-level reason the
+medium-only emission rate misses the boundary contribution. In vacuum
+Im M = 0, so the medium-only residual is Im G itself and reads exactly 1.
 
 G is dense and never held whole: the checks walk its columns in blocks J
 of ``_BLOCK``, G[:, J] solved from the unit columns e_J through the
 tridiagonal LU. Each step is column-local and a max-norm is exact, so the
 residuals are bitwise those of the whole matrices, in O(n^2) time and
-O(n b) memory, with no dense product or dense solve.
+O(n b) memory, with no dense product or dense solve. ``check_identities``
+reduces both residuals from one such walk.
 
 The pointwise balance check compares the flux functional
 
@@ -46,7 +50,7 @@ from .mesh import Mesh1D
 from .scattering import lattice_plane_wave, solve_scattering
 
 
-# columns of G per block: a check holds four (n, _BLOCK) arrays, not G
+# columns of G per block: a walk holds at most four (n, _BLOCK) arrays
 _BLOCK = 32
 
 
@@ -70,14 +74,30 @@ def _imaginary_parts(bands):
     return tuple(band.imag for band in bands)
 
 
-def _relative_residual(system: SystemMatrices, rows: slice, block_residual):
-    """max|residual| / max|Im G| on the window ``rows`` x ``rows`` of G.
+def _window_rows(system: SystemMatrices, window) -> slice:
+    """The interior rows with x in ``window``; default the physical region."""
+    mesh = system.mesh
+    if window is None:
+        window = mesh.physical_region
+    lo, hi = window
+    x_interior = mesh.nodes[1:-1]
+    keep = np.flatnonzero((x_interior >= lo) & (x_interior <= hi))
+    if keep.size == 0:
+        raise ValueError(f"no interior nodes inside window {window}")
+    return slice(keep[0], keep[-1] + 1)  # the nodes are sorted: one run
 
-    For each block J of the window's columns, ``block_residual(lu, green,
-    conj_green, out, work)`` returns the residual's rows; it may overwrite
-    G[:, J] (``green``, read first) and work in ``out`` and ``work``. An
-    exactly zero residual reports 0; each column costs O(n), so systems
-    above the dof cap are refused.
+
+def _relative_residuals(system: SystemMatrices, two_channel: bool,
+                        rows: slice | None):
+    """Both identities' max|residual| / max|Im G|, from one walk of G.
+
+    The two-channel residual (None unless ``two_channel``) is taken over
+    every entry of G; the medium-only residual (None without ``rows``)
+    over the window ``rows`` x ``rows``. Only the columns read are solved
+    for: all of them with ``two_channel``, else the window's. G is held as
+    G~ alone, since Im G = -Im G~ exactly, and a residual that is exactly
+    zero reports 0. Each column costs O(n), so systems above the dof cap
+    are refused.
     """
     n = system.n_interior
     if n > DEFAULT_DOF_CAP:
@@ -86,26 +106,55 @@ def _relative_residual(system: SystemMatrices, rows: slice, block_residual):
             f"{DEFAULT_DOF_CAP}; use a coarser mesh"
         )
     lu = Factorization(system)
-    columns = np.arange(n)[rows]
+    radiation = _imaginary_parts(system.stiffness_interior())
+    medium = _imaginary_parts(system.mass_interior())
+    k2 = system.k**2
+    window = rows if rows is not None else slice(0, 0)
+    columns = np.arange(n)[slice(None) if two_channel else window]
     # allocated once and reused: fresh blocks each time cost page faults
     # whenever the allocator hands the last block's memory back
     buffers = [np.empty((n, min(_BLOCK, columns.size)), dtype=complex,
-                        order="F") for _ in range(4)]
-    num = den = 0.0
+                        order="F") for _ in range(3 + two_channel)]
+    # [numerator, denominator] per identity; np.maximum, unlike max,
+    # keeps a NaN as np.max over G would
+    both, medium_only = [0.0, 0.0], [0.0, 0.0]
     for start in range(0, columns.size, _BLOCK):
         block = columns[start:start + _BLOCK]
-        green, conj_green, *spare = (buffer[:, :block.size]
-                                     for buffer in buffers)
-        green.fill(0.0)
-        green[block, np.arange(block.size)] = 1.0
-        np.conj(lu.solve_in_place(green), out=conj_green)
-        # np.maximum, unlike max, keeps a NaN as np.max over G would
-        den = np.maximum(den, np.abs(green.imag[rows]).max())
-        residual = block_residual(lu, green, conj_green, *spare)
-        num = np.maximum(num, np.abs(residual).max())
-    if num == 0.0:
-        return 0.0
-    return float(num / max(den, 1e-300))
+        conj_green, medium_part, work, *spare = (buffer[:, :block.size]
+                                                 for buffer in buffers)
+        conj_green.fill(0.0)
+        conj_green[block, np.arange(block.size)] = 1.0
+        lu.solve_in_place(conj_green)
+        np.conj(conj_green, out=conj_green)
+        minus_im_green = conj_green.imag
+        _sandwich(lu, medium, conj_green, medium_part, work)
+        medium_part *= k2
+        # the window's columns within the block: both are runs
+        cols = slice(max(window.start - block[0], 0),
+                     min(window.stop - block[0], block.size))
+        if cols.start < cols.stop:
+            residual = work[rows, cols]
+            # bitwise Im G - k^2 medium on the window
+            np.negative(minus_im_green[rows, cols], out=residual)
+            residual -= medium_part[rows, cols]
+            medium_only[0] = np.maximum(medium_only[0],
+                                        np.abs(residual).max())
+            medium_only[1] = np.maximum(
+                medium_only[1], np.abs(minus_im_green[rows, cols]).max())
+        if two_channel:
+            # bitwise (radiation + Im G) - k^2 medium
+            (residual,) = spare
+            _sandwich(lu, radiation, conj_green, residual, work)
+            residual -= minus_im_green
+            residual -= medium_part
+            both[0] = np.maximum(both[0], np.abs(residual).max())
+            both[1] = np.maximum(both[1], np.abs(minus_im_green).max())
+
+    def ratio(num, den):
+        return 0.0 if num == 0.0 else float(num / max(den, 1e-300))
+
+    return (ratio(*both) if two_channel else None,
+            ratio(*medium_only) if rows is not None else None)
 
 
 def check_discrete_ddgt(system: SystemMatrices) -> float:
@@ -115,20 +164,7 @@ def check_discrete_ddgt(system: SystemMatrices) -> float:
     any assembled system, lossy or not. A closed lossless box degenerates
     to 0 = 0 and reports 0.
     """
-    radiation = _imaginary_parts(system.stiffness_interior())
-    medium = _imaginary_parts(system.mass_interior())
-
-    def block_residual(lu, green, conj_green, residual, work):
-        # in place, bitwise Im G + radiation - k^2 medium: + commutes exactly
-        _sandwich(lu, radiation, conj_green, residual, work)
-        residual += green.imag
-        # Im G is spent, so green's block takes the medium term
-        medium_part = _sandwich(lu, medium, conj_green, green, work)
-        medium_part *= system.k**2
-        residual -= medium_part
-        return residual
-
-    return _relative_residual(system, slice(None), block_residual)
+    return _relative_residuals(system, True, None)[0]
 
 
 def check_lossless_identity_failure(
@@ -138,29 +174,25 @@ def check_lossless_identity_failure(
     """Residual of the medium-only identity Im G = k^2 G Im(M) G~.
 
     window restricts the reported max-norm to nodes with x in [lo, hi];
-    the default is the physical (non-absorbing) region. With an absorbing
-    layer present the residual is O(1) wherever radiation loss reaches,
-    which is the point: this identity holds only for closed lossy systems.
-    Only the window's columns of G are solved for.
+    the default is the mesh's physical region. On an open mesh the
+    residual is O(1) wherever radiation loss reaches, which is the point:
+    this identity holds only for closed lossy systems. Only the window's
+    columns of G are solved for.
     """
-    mesh = system.mesh
-    if window is None:
-        window = (mesh.x_inner_left, mesh.x_inner_right)
-    lo, hi = window
-    x_interior = mesh.nodes[1:-1]
-    keep = np.flatnonzero((x_interior >= lo) & (x_interior <= hi))
-    if keep.size == 0:
-        raise ValueError(f"no interior nodes inside window {window}")
-    rows = slice(keep[0], keep[-1] + 1)  # the nodes are sorted: one run
-    medium = _imaginary_parts(system.mass_interior())
+    return _relative_residuals(system, False, _window_rows(system, window))[1]
 
-    def block_residual(lu, green, conj_green, product, work):
-        # in place, bitwise Im G - k^2 medium on the window's rows
-        residual = _sandwich(lu, medium, conj_green, product, work)[rows]
-        residual *= system.k**2
-        return np.subtract(green.imag[rows], residual, out=residual)
 
-    return _relative_residual(system, rows, block_residual)
+def check_identities(
+    system: SystemMatrices,
+    window: tuple[float, float] | None = None,
+) -> tuple[float, float]:
+    """``check_discrete_ddgt`` and ``check_lossless_identity_failure``.
+
+    Both residuals, bitwise, from one LU and one walk over the columns of
+    G: the medium-only identity reads the window's part of the columns
+    the two-channel one solves for anyway.
+    """
+    return _relative_residuals(system, True, _window_rows(system, window))
 
 
 def check_thermal_equilibrium(
@@ -177,10 +209,12 @@ def check_thermal_equilibrium(
     for the flux functional, lattice scattering states for the correlation
     sum.
     """
+    lo, hi = mesh.physical_region
     for x in (x_alpha, x_beta):
-        if not mesh.x_inner_left <= x <= mesh.x_inner_right:
+        if not lo <= x <= hi:
             raise ValueError(
-                f"evaluation point {x} lies in the absorbing layer"
+                f"evaluation point {x} lies outside the physical region "
+                f"[{lo}, {hi}]"
             )
 
     field_a = solve_point_source(mesh, medium, k, x_alpha)

@@ -1,62 +1,33 @@
-"""1D meshes: open domain with absorbing layers, or a closed box.
+"""1D meshes: an open domain or a closed box.
 
-The open mesh covers [-(a + padding + d), +(a + padding + d)] where a is the
-slab half-length and d the absorbing-layer thickness. Material interfaces,
-layer interfaces and every requested observation point are exact breakpoints;
-each span between breakpoints is subdivided uniformly with the globally
-smallest element size, so requested points are mesh nodes to the last bit.
+The open mesh covers the physical region [-(a + padding), +(a + padding)],
+where a is the slab half-length, plus one element beyond each end of it.
+Material interfaces, the region's ends and every requested observation
+point are exact breakpoints; each span between breakpoints is subdivided
+uniformly with the globally smallest element size, so requested points are
+mesh nodes to the last bit. The element beyond each end has the length of
+the padding span's elements, and its outer node is the Dirichlet wall:
+the vacuum lattice continues past it, and ``fem.assemble`` folds that
+semi-infinite lattice into the last physical node as its exact outgoing
+condition. A wall node stands in for the field beyond and is never read
+as a field value; the physical region of an open mesh ends at the nodes
+next to its walls. A closed box is the region between its walls, which
+are physical.
 
-The mesh is the one place that knows where the slab and the layers lie:
-the slab is the run of elements whose midpoint lies in (-a, a), each layer
-the run whose midpoint lies beyond the layer's inner edge
-(``Mesh1D.slab_elements``, ``slab_nodes``, ``pml_runs``). Assembly, the
-slab loads and the slab integrals all read these slices, so the
-plane-wave and point-source routes see one slab.
-
-The absorbing layer is a complex coordinate stretch
-``s(x, k) = 1 + (i/k) sigma(x)`` with a polynomial profile
-``sigma(x) = sigma_max (depth/d)^m``; sigma_max is chosen from a nominal
-round-trip reflection R_0 via ``sigma_max = (m+1) ln(1/R_0) / (2 d)``. The
-stretch enters assembly as 1/s on gradient terms and s on value terms.
+The mesh is the one place that knows where the slab lies: the slab is the
+run of elements whose midpoint lies in (-a, a) (``Mesh1D.slab_elements``,
+``slab_nodes``). Assembly, the slab loads and the slab integrals all read
+these slices, so the plane-wave and point-source routes see one slab.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .medium import MediumSpec
-
-
-@dataclass(frozen=True)
-class PmlSpec:
-    """Absorbing-layer parameters (thickness in meters)."""
-
-    thickness: float
-    grading_order: int = 3
-    nominal_reflection: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.thickness <= 0:
-            raise ValueError(f"thickness must be > 0, got {self.thickness}")
-        if self.grading_order < 1:
-            raise ValueError(
-                f"grading_order must be >= 1, got {self.grading_order}"
-            )
-        if not 0 < self.nominal_reflection < 1:
-            raise ValueError(
-                "nominal_reflection must be in (0, 1), got "
-                f"{self.nominal_reflection}"
-            )
-
-    @property
-    def sigma_max(self) -> float:
-        return (self.grading_order + 1) * math.log(
-            1.0 / self.nominal_reflection
-        ) / (2.0 * self.thickness)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -65,52 +36,43 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class Mesh1D:
-    """Sorted nodes, the absorbing layers and the slab: all of the geometry.
+    """Sorted nodes, the slab and the kind of boundary: all of the geometry.
 
     Attributes
     ----------
     nodes : (n,) float array, strictly increasing
-    pml : PmlSpec or None (None for the closed box)
     slab_half_length : a; the slab is [-a, a]
-    x_inner_left, x_inner_right : inner edges of the absorbing layers
-        (equal to the domain ends when there is no layer)
+    is_open : True for an open mesh, whose boundary elements carry the
+        outgoing condition of the vacuum beyond; False for a closed box
+    physical_region : (lo, hi), the nodes next to the walls of an open
+        mesh, the walls themselves of a closed box
     slab_elements : slice of the elements whose midpoint lies in (-a, a)
     slab_nodes : slice of their nodes (empty without a slab)
-    pml_runs : slices of the elements whose midpoint lies beyond
-        x_inner_left or x_inner_right, one per layer
 
-    The midpoints are sorted, so each region is one run of elements; a
-    slab that reaches into a layer is refused. The arrays are read-only
+    The midpoints are sorted, so the slab is one run of elements; on an
+    open mesh a slab that reaches a boundary element is refused, as the
+    outgoing condition holds for vacuum there. The arrays are read-only
     copies, so the per-element arrays derived from them are computed once
     per mesh rather than once per solve.
     """
 
-    def __init__(self, nodes, pml, slab_half_length):
+    def __init__(self, nodes, slab_half_length, is_open=False):
         self.nodes = _frozen(np.array(nodes, dtype=float))
-        self.pml = pml
         self.slab_half_length = a = float(slab_half_length)
+        self.is_open = bool(is_open)
         if self.nodes.ndim != 1 or self.nodes.size < 3:
             raise ValueError("mesh needs at least 3 nodes")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        if pml is not None:
-            self.x_inner_left = self.nodes[0] + pml.thickness
-            self.x_inner_right = self.nodes[-1] - pml.thickness
-        else:
-            self.x_inner_left = self.nodes[0]
-            self.x_inner_right = self.nodes[-1]
+        ends = (1, -2) if self.is_open else (0, -1)
+        self.physical_region = tuple(float(self.nodes[j]) for j in ends)
         mid = self.element_midpoints
         lo = int(np.searchsorted(mid, -a, "right"))
         hi = int(np.searchsorted(mid, a, "left"))
         self.slab_elements = slice(lo, hi)
         self.slab_nodes = slice(lo, hi + 1 if lo < hi else lo)
-        left = int(np.searchsorted(mid, self.x_inner_left, "left"))
-        right = int(np.searchsorted(mid, self.x_inner_right, "right"))
-        self.pml_runs = tuple(run for run in (slice(0, left),
-                                              slice(right, mid.size))
-                              if run.start < run.stop)
-        if lo < hi and (lo < left or hi > right):
-            raise ValueError("the slab reaches into the absorbing layer")
+        if self.is_open and lo < hi and (lo == 0 or hi == mid.size):
+            raise ValueError("the slab reaches the open boundary")
 
     @property
     def n_nodes(self) -> int:
@@ -132,20 +94,6 @@ class Mesh1D:
     @property
     def h_max(self) -> float:
         return float(self.element_lengths.max())
-
-    def stretch_factor(self, x, k: float):
-        """Complex stretch s(x, k); exactly 1 outside the absorbing layers."""
-        x = np.asarray(x, dtype=float)
-        s = np.ones(x.shape, dtype=complex)
-        if self.pml is not None:
-            d = self.pml.thickness
-            m = self.pml.grading_order
-            smax = self.pml.sigma_max
-            depth_l = np.clip(self.x_inner_left - x, 0.0, d)
-            depth_r = np.clip(x - self.x_inner_right, 0.0, d)
-            depth = depth_l + depth_r  # at most one side is nonzero
-            s += (1j / k) * smax * (depth / d) ** m
-        return s if s.ndim else complex(s)
 
     def find_node(self, x: float, tol: float = 1e-9) -> int:
         """Index of the node at x; raises if no node is within tol.
@@ -228,10 +176,9 @@ def build_mesh(
     k_max: float,
     points_per_wavelength: float,
     padding: float,
-    pml: PmlSpec,
     observation_points=(),
 ) -> Mesh1D:
-    """Open-domain mesh: PML | vacuum | slab | vacuum | PML.
+    """Open-domain mesh: wall | vacuum | slab | vacuum | wall.
 
     Parameters
     ----------
@@ -242,9 +189,8 @@ def build_mesh(
     points_per_wavelength : float
         Nodes per free-space wavelength at k_max; must be at least 10.
     padding : float
-        Vacuum gap between each slab face and the absorbing layer.
-    pml : PmlSpec
-        Absorbing-layer recipe, applied symmetrically on both ends.
+        Vacuum gap between each slab face and the end of the physical
+        region; one element of the gap's length lies beyond each end.
     observation_points : iterable of float, optional
         Positions that must coincide with mesh nodes exactly (atom sites,
         probe points). Must lie strictly inside the physical region.
@@ -265,7 +211,6 @@ def build_mesh(
 
     a = medium.slab_half_length
     inner = a + padding
-    outer = inner + pml.thickness
     obs = np.asarray(tuple(observation_points), dtype=float)
     if not np.all((obs > -inner) & (obs < inner)):  # NaN fails it too
         raise ValueError(
@@ -274,10 +219,13 @@ def build_mesh(
         )
 
     h_target = 2.0 * math.pi / (k_max * points_per_wavelength)
-    breakpoints = _dedupe(
-        np.concatenate(([-outer, -inner, -a, a, inner, outer], obs))
-    )
-    return Mesh1D(_fill_spans(breakpoints, h_target), pml, a)
+    breakpoints = _dedupe(np.concatenate(([-inner, -a, a, inner], obs)))
+    nodes = _fill_spans(breakpoints, h_target)
+    # the boundary elements: one more padding element beyond each end
+    walls = (nodes[0] - (nodes[1] - nodes[0]),
+             nodes[-1] + (nodes[-1] - nodes[-2]))
+    return Mesh1D(np.concatenate(([walls[0]], nodes, [walls[1]])), a,
+                  is_open=True)
 
 
 def build_box_mesh(
@@ -287,7 +235,7 @@ def build_box_mesh(
     box_length: float,
     observation_points=(),
 ) -> Mesh1D:
-    """Closed Dirichlet box [-L/2, +L/2] with the slab centered, no PML.
+    """Closed Dirichlet box [-L/2, +L/2] with the slab centered.
 
     Used by the oscillator-bath eigenmode route, which needs a real symmetric
     operator. box_length must be at least four slab lengths so the slab does
@@ -315,4 +263,4 @@ def build_box_mesh(
 
     h_target = 2.0 * math.pi / (k_max * points_per_wavelength)
     breakpoints = _dedupe(np.concatenate(([-half, -a, a, half], obs)))
-    return Mesh1D(_fill_spans(breakpoints, h_target), None, a)
+    return Mesh1D(_fill_spans(breakpoints, h_target), a)

@@ -33,9 +33,10 @@ leaves a tridiagonal Schur complement S(lam) on the field dofs (``_Schur``):
   are measured: the deviation from B-orthonormality, and the gap between
   the residue and the vector intensities (``ModeSet.residue_residual``).
 
-Nothing in here touches absorbing layers: a stretched stiffness matrix is
-complex symmetric, which would wreck the Hermitian eigenproblem, so
-``build_gevp`` insists on meshes built by ``mesh.build_box_mesh``.
+Nothing in here touches the open boundary: its outgoing condition makes
+the stiffness complex symmetric, which would wreck the Hermitian
+eigenproblem, so ``build_gevp`` insists on meshes built by
+``mesh.build_box_mesh``.
 """
 
 from __future__ import annotations
@@ -221,12 +222,12 @@ def build_gevp(mesh: Mesh1D, medium: MediumSpec, bath: BathConfig):
 
     The electromagnetic bands are the vacuum assembly (the slab response
     enters only through the oscillators, never through eps_r, or it would
-    be counted twice). Meshes with absorbing layers are rejected.
+    be counted twice). Open meshes are rejected.
     """
-    if mesh.pml is not None:
+    if mesh.is_open:
         raise ValueError(
-            "eigenmode route needs a closed box; rebuild the mesh without "
-            "an absorbing layer"
+            "eigenmode route needs a closed box; build the mesh with "
+            "build_box_mesh"
         )
     vacuum = dataclasses.replace(medium, omega_p=0.0)
     bands = assemble(mesh, vacuum, k=1.0)

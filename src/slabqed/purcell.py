@@ -17,8 +17,8 @@ The two scattering states are driven by the mesh's own lattice plane wave
 scattered field travels at the lattice wavenumber, and an incident wave at
 another wavenumber would slip in phase against it at the atom. With both
 parts on one dispersion relation the boundary part equals the radiation
-(absorbing-layer) channel of the LDOS up to the LDOS route's own vacuum
-lattice bias, O((kh)^2). The wave is carried as its nodal phase, and
+channel of the LDOS (the flux through the mesh's exact outgoing boundary)
+up to the LDOS route's own vacuum lattice bias, O((kh)^2). The wave is carried as its nodal phase, and
 ``compute_record`` forms its values only on the slab's nodes (the loads)
 and at the atom's node (the boundary part).
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .greens import GreenSamples, sample_green
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
-from .mesh import Mesh1D, PmlSpec, build_mesh
+from .mesh import Mesh1D, build_mesh
 from .scattering import (
     PlaneWaveSolution,
     lattice_plane_wave,
@@ -179,9 +179,11 @@ def purcell_mesh(
     k_max: float = 700.0,
     ppw: float = 40.0,
     padding: float = 0.05,
-    pml_thickness: float = 0.05,
 ) -> Mesh1D:
-    """Standard sweep mesh: both atom sites are nodes regardless of x_a."""
-    pml = PmlSpec(thickness=pml_thickness)
+    """Standard sweep mesh: both atom sites are nodes regardless of x_a.
+
+    An open mesh (``build_mesh``): the physical region ends ``padding``
+    beyond each slab face, where the exact outgoing boundary takes over.
+    """
     obs = sorted({ATOM_INSIDE, ATOM_OUTSIDE, float(x_a)})
-    return build_mesh(medium, k_max, ppw, padding, pml, observation_points=obs)
+    return build_mesh(medium, k_max, ppw, padding, observation_points=obs)

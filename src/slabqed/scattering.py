@@ -19,10 +19,11 @@ incident wave. Each caller picks the incident wave:
   both directions), at one node for ``total_at_node``, and at every node
   only for ``total_at`` and ``incident_at``.
 
-The scattered field is outgoing and is what the absorbing layers damp; the
-total field is physically meaningful outside the layers only. The solve
-takes its LU from ``fem.factorization``, so both directions and the
-point-source solves at one frequency share one factorization.
+The scattered field is outgoing, and the mesh's exact outgoing boundary
+lets it leave without reflection; fields are read in the mesh's physical
+region only, never at its wall nodes. The solve takes its LU from
+``fem.factorization``, so both directions and the point-source solves at
+one frequency share one factorization.
 
 Reflection and transmission are reported in the face (de-embedded port)
 convention: r is the reflected-to-incident ratio at the illuminated face,
@@ -99,7 +100,7 @@ class PlaneWaveSolution:
         return np.exp(1j * self.direction * self.k * np.asarray(x, dtype=float))
 
     def total_at(self, x):
-        """Incident + scattered; meaningful outside the absorbing layers."""
+        """Incident + scattered, at points of the physical region."""
         if self.incident is not None:
             # both parts are P1 on one mesh: interpolate their sum once
             total = (self.incident.values(direction=self.direction)
@@ -182,18 +183,19 @@ def solve_scattering(
 
 
 def _probe_pair(mesh: Mesh1D, k: float, side: int) -> tuple[int, int]:
-    """Two adjacent vacuum nodes on a locally uniform stretch of mesh.
+    """Two adjacent vacuum nodes on a locally uniform run of mesh.
 
     Both nodes sit at least half a wavelength from the slab face and from
-    the absorbing layer, and their four-node neighborhood is uniformly
-    spaced so the lattice dispersion relation applies.
+    the end of the physical region, and their four-node neighborhood is
+    uniformly spaced so the lattice dispersion relation applies.
     """
     lam = 2.0 * math.pi / k
     a = mesh.slab_half_length
+    left, right = mesh.physical_region
     if side < 0:
-        lo, hi = mesh.x_inner_left + 0.5 * lam, -a - 0.5 * lam
+        lo, hi = left + 0.5 * lam, -a - 0.5 * lam
     else:
-        lo, hi = a + 0.5 * lam, mesh.x_inner_right - 0.5 * lam
+        lo, hi = a + 0.5 * lam, right - 0.5 * lam
     if hi <= lo:
         raise ValueError(
             f"vacuum gap too narrow to place an r/t probe at k = {k}; "
@@ -220,7 +222,8 @@ def _outgoing_amplitude(solution: PlaneWaveSolution, side: int) -> complex:
     the lattice wavenumber; using the mesh's own dispersion keeps the long
     vacuum gap from polluting the extracted amplitude with a spurious
     phase. Returns the outgoing coefficient referenced at the slab face;
-    the counter-propagating remnant (absorbing-layer leakage) is discarded.
+    the counter-propagating remnant (what the junctions between spans of
+    unequal element length reflect) is discarded.
     """
     mesh, k = solution.mesh, solution.k
     j0, j1 = _probe_pair(mesh, k, side)

@@ -1,7 +1,7 @@
 """Random sweep and closed-box meshes for the property tests.
 
-``meshes()`` draws an open mesh (``build_mesh``: ppw, padding, absorbing
-layer thickness, observation points) or a closed box (``build_box_mesh``:
+``meshes()`` draws an open mesh (``build_mesh``: ppw, padding, observation
+points) or a closed box (``build_box_mesh``:
 ppw, box length, observation points), around a case-1, case-2 or vacuum
 slab of random half-length, and gives it with its medium.
 """
@@ -12,7 +12,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from slabqed.medium import CASE_PRESETS
-from slabqed.mesh import PmlSpec, build_box_mesh, build_mesh
+from slabqed.mesh import build_box_mesh, build_mesh
 
 
 @st.composite
@@ -32,9 +32,8 @@ def meshes(draw):
             mesh = build_box_mesh(medium, 700.0, ppw, box_length, obs)
         else:
             padding = draw(st.floats(0.01, 0.1))
-            pml = PmlSpec(thickness=draw(st.floats(0.01, 0.1)))
             obs = [f * (a + padding) for f in fractions]
-            mesh = build_mesh(medium, 700.0, ppw, padding, pml, obs)
+            mesh = build_mesh(medium, 700.0, ppw, padding, obs)
     except ValueError as exc:
         assume("closer than" not in str(exc))
         raise

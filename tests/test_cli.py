@@ -126,7 +126,6 @@ VALUE_TEXT = {
     "medium.slab_half_length": _finite(1e-4, 1.0).map(repr),
     "mesh.ppw": _finite(10.0, 1e3).map(repr),
     "mesh.padding": _finite(1e-4, 1.0).map(repr),
-    "mesh.pml_thickness": _finite(1e-4, 1.0).map(repr),
     "sweep.count": st.integers(2, 10**6).map(str),
     "modes.n_bins": st.integers(8, 512).map(str),
     "modes.nu_max": _finite(0.0, 1e5, exclude_low=True).map(repr),
@@ -202,6 +201,36 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("mystery = 1\n")
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["sweep", "check-identities", "oracle-compare", "modes"])
+def test_retired_layer_thickness_exits_2(command, tmp_path, capsys):
+    # the absorbing layers are gone: a config that still sets their
+    # thickness is refused, naming the exact boundary, and writes nothing
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 1A\nmesh.pml_thickness = 0.05\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mesh.pml_thickness")
+    assert "exact outgoing condition" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_echo_with_a_layer_thickness_is_refused(tmp_path):
+    # the echo of a run made while the key existed does not re-parse
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("sweep.count = 1\n")
+    out = tmp_path / "old.csv"
+    assert main(["sweep", "--case", "1A", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = lines.index("#   mesh.padding = 0.05\n") + 1
+    lines.insert(at, "#   mesh.pml_thickness = 0.05\n")
+    out.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ConfigError, match="pml_thickness.*open boundary"):
+        read_config_echo(out)
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -26,6 +26,7 @@ from slabqed.fem import (
     evaluate_field,
     factorization,
     inverse_iteration,
+    lattice_wavenumber,
     pivot_sweep,
     static_bands,
     twisted_residues,
@@ -33,7 +34,7 @@ from slabqed.fem import (
 from slabqed.greens import reciprocity_residual, sample_green, solve_point_source
 from slabqed.identities import check_thermal_equilibrium
 from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS
-from slabqed.mesh import Mesh1D, PmlSpec, build_box_mesh, build_mesh
+from slabqed.mesh import Mesh1D, build_box_mesh, build_mesh
 from slabqed.purcell import compute_record, gamma_boundary, purcell_mesh, sweep
 from slabqed.scattering import lattice_plane_wave, solve_scattering
 
@@ -43,7 +44,7 @@ VACUUM = CASE_PRESETS["vacuum"]
 
 def uniform_vacuum_box(n_nodes, length=1.0):
     nodes = np.linspace(-0.5 * length, 0.5 * length, n_nodes)
-    return Mesh1D(nodes, None, 0.03125)
+    return Mesh1D(nodes, 0.03125)
 
 
 def slab_indices(mesh):
@@ -77,43 +78,88 @@ def test_vacuum_hat_matrix_values():
     assert np.all(s_diag.imag == 0) and np.all(m_diag.imag == 0)
 
 
-def test_slab_and_pml_enter_the_bands():
-    mesh = build_mesh(CASE1, 700.0, 40.0, 0.05, PmlSpec(thickness=0.05))
+def test_slab_and_open_boundary_enter_the_bands():
+    mesh = build_mesh(CASE1, 700.0, 40.0, 0.05)
     system = assemble(mesh, CASE1, 500.0)
     slab = mesh.slab_elements
-    pml = np.r_[mesh.pml_runs]
     # Lorentz loss shows up as a positive imaginary mass in the slab
     assert np.all(system.m_off[slab].imag > 0)
-    # the stretch makes both bands complex inside the layers
-    assert np.any(np.abs(system.s_off[pml].imag) > 0)
-    assert np.any(np.abs(system.m_off[pml].imag) > 0)
+    # the outgoing condition makes S complex on the two end nodes alone
+    n = mesh.n_nodes
+    assert np.flatnonzero(system.s_diag.imag).tolist() == [1, n - 2]
+    assert not np.any(system.s_off.imag)
+    # outgoing flux leaves the domain: -Im S > 0 is the radiation loss
+    assert np.all(system.s_diag.imag[[1, -2]] < 0)
     # vacuum gap stays purely real
-    vac = np.ones(mesh.n_nodes - 1, dtype=bool)
-    vac[slab] = vac[pml] = False
-    assert np.all(system.s_off[vac].imag == 0)
+    vac = np.ones(n - 1, dtype=bool)
+    vac[slab] = False
     assert np.all(system.m_off[vac].imag == 0)
 
 
+@pytest.mark.parametrize("k", [300.0, 500.0, 700.0])
+def test_open_boundary_adds_b_rho_on_the_end_nodes(k):
+    # an open mesh's bands are those of the same nodes as a closed box
+    # except on the two nodes next to the walls, where the semi-infinite
+    # vacuum lattice adds b rho: b the boundary element's off-diagonal,
+    # rho = e^{i kt h} its outgoing step
+    mesh = build_mesh(CASE1, 700.0, 40.0, 0.05)
+    box = Mesh1D(mesh.nodes, mesh.slab_half_length)
+    system, closed = assemble(mesh, CASE1, k), assemble(box, CASE1, k)
+    for name in ("s_off", "m_diag", "m_off"):
+        np.testing.assert_array_equal(getattr(system, name),
+                                      getattr(closed, name))
+    added = system.s_diag - closed.s_diag
+    assert np.flatnonzero(added).tolist() == [1, mesh.n_nodes - 2]
+    for wall, node in ((0, 1), (-1, -2)):
+        h = mesh.element_lengths[wall]
+        b = closed.s_off[wall] - k**2 * closed.m_off[wall]
+        rho = np.exp(1j * lattice_wavenumber(k, h) * h)
+        assert added[node] == pytest.approx(b * rho, rel=1e-15, abs=0.0)
+        assert abs(rho) == pytest.approx(1.0, abs=1e-15)
+
+
+def outgoing_step(k_e, m_d, m_o, k):
+    """The root |rho| = 1, Im rho > 0 of b rho^2 + a rho + b = 0.
+
+    a = 2 (k_e - k^2 m_d) and b = -k_e - k^2 m_o are the diagonal and the
+    off-diagonal of a uniform vacuum lattice of elements (k_e, m_d, m_o).
+    Re rho = c = -a / 2b, and 1 - c = -k^2 (m_d + m_o) / b is formed
+    without the cancellation of k_e, which would cost Im rho half its
+    digits as kh -> 0.
+    """
+    b = -k_e - k**2 * m_o
+    one_minus_c = -k**2 * (m_d + m_o) / b
+    return b, (1.0 - one_minus_c) + 1j * np.sqrt(
+        one_minus_c * (2.0 - one_minus_c))
+
+
 def reference_bands(mesh, medium, k):
-    """Stiffness and mass bands from eps_r(x, k) s(x, k) at every Gauss point.
+    """Stiffness and mass bands from eps_r(x, k) at every Gauss point.
 
     The per-frequency formula ``assemble`` used before it split off the
-    k-independent parts; kept here only as the reference.
+    k-independent parts, plus the outgoing condition of an open mesh from
+    the roots of the lattice stencil; kept here only as the reference.
     """
     h = mesh.element_lengths
     xg, half, _ = element_quadrature(mesh)
-    sg = mesh.stretch_factor(xg, k)
     eg = relative_permittivity(medium, xg, k)
     lo, hi = 0.5 * (1.0 - GAUSS_NODES), 0.5 * (1.0 + GAUSS_NODES)
-    k_e = np.sum(GAUSS_WEIGHTS / sg, axis=1) / (2.0 * h)
-    common = eg * sg * GAUSS_WEIGHTS * half
+    k_e = np.sum(GAUSS_WEIGHTS * np.ones_like(xg), axis=1) / (2.0 * h)
+    common = eg * GAUSS_WEIGHTS * half
     s_diag = np.zeros(mesh.n_nodes, dtype=complex)
     m_diag = np.zeros(mesh.n_nodes, dtype=complex)
     s_diag[:-1] += k_e
     s_diag[1:] += k_e
     m_diag[:-1] += np.sum(common * lo**2, axis=1)
     m_diag[1:] += np.sum(common * hi**2, axis=1)
-    return s_diag, -k_e, m_diag, np.sum(common * lo * hi, axis=1)
+    m_off = np.sum(common * lo * hi, axis=1)
+    if mesh.is_open:
+        for wall, node in ((0, 1), (-1, -2)):
+            b, rho = outgoing_step(k_e[wall],
+                                   np.sum(common[wall] * lo**2).real,
+                                   m_off[wall].real, k)
+            s_diag[node] += b * rho
+    return s_diag, -k_e.astype(complex), m_diag, m_off
 
 
 ASSEMBLY_MEDIA = {
@@ -132,7 +178,7 @@ def test_assemble_matches_the_per_gauss_point_formula(k, ppw, name, box):
     if box:
         mesh = build_box_mesh(medium, 700.0, ppw, 0.625)
     else:
-        mesh = build_mesh(medium, 700.0, ppw, 0.05, PmlSpec(thickness=0.05))
+        mesh = build_mesh(medium, 700.0, ppw, 0.05)
     system = assemble(mesh, medium, k)
     bands = (system.s_diag, system.s_off, system.m_diag, system.m_off)
     for band, reference in zip(bands, reference_bands(mesh, medium, k)):
@@ -182,11 +228,18 @@ def test_static_bands_are_released_with_their_mesh():
     assert bands() is None
 
 
-def test_slab_reaching_into_the_absorbing_layer_is_refused():
-    # the layers begin at |x| = 0.08125 on these nodes; the mesh places the
-    # slab and the layers, so it refuses a slab that shares elements with one
-    with pytest.raises(ValueError, match="absorbing layer"):
-        Mesh1D(lu_mesh().nodes, PmlSpec(thickness=0.05), 0.1)
+def test_slab_reaching_the_open_boundary_is_refused():
+    # the physical region ends at |x| = 0.08125 on these nodes; the outgoing
+    # condition is the vacuum lattice's, so an open mesh refuses a slab
+    # that reaches a boundary element, and a closed box, whose walls are
+    # physical, takes it
+    nodes = lu_mesh().nodes
+    for a in (0.0815, 0.1):
+        with pytest.raises(ValueError, match="open boundary"):
+            Mesh1D(nodes, a, is_open=True)
+        assert Mesh1D(nodes, a).slab_elements == slice(0, nodes.size - 1)
+    assert Mesh1D(nodes, 0.08125, is_open=True).slab_elements == slice(
+        1, nodes.size - 2)
 
 
 def test_assemble_refuses_a_medium_with_another_slab():
@@ -238,7 +291,7 @@ def test_slab_band_load_matches_the_gauss_point_scatter(k, ppw, half_length,
     if box:
         mesh = build_box_mesh(medium, 700.0, ppw, 0.625)
     else:
-        mesh = build_mesh(medium, 700.0, ppw, 0.05, PmlSpec(thickness=0.05))
+        mesh = build_mesh(medium, 700.0, ppw, 0.05)
     rng = np.random.default_rng(seed)
     wave = rng.normal(size=mesh.n_nodes) + 1j * rng.normal(size=mesh.n_nodes)
     scale = k**2 * medium.susceptibility(k)
@@ -255,17 +308,14 @@ def test_slab_band_load_matches_the_gauss_point_scatter(k, ppw, half_length,
 @settings(deadline=None, max_examples=40)
 @given(drawn=meshes(), k=st.floats(50.0, 1500.0))
 def test_narrowed_assembly_is_the_full_length_sum(drawn, k):
-    # chi M_slab and (i/k) M_sigma are added over their own nodes only;
-    # the mass bands equal the sums formed over all n nodes, bitwise
+    # chi M_slab is added over its own nodes only; the mass bands equal
+    # the sums formed over all n nodes, bitwise
     mesh, medium = drawn
     static = static_bands(mesh)
     system = assemble(mesh, medium, k)
     chi = complex(medium.susceptibility(k))
     m_diag = static.m0_diag + chi * static.slab_diag
     m_off = static.m0_off + chi * static.slab_off
-    if static.sigma_diag is not None:
-        m_diag = m_diag + (1j / k) * static.sigma_diag
-        m_off = m_off + (1j / k) * static.sigma_off
     np.testing.assert_array_equal(system.m_diag, m_diag)
     np.testing.assert_array_equal(system.m_off, m_off)
     # the mesh's midpoint slices are the elements a Gauss-point test finds,
@@ -276,10 +326,6 @@ def test_narrowed_assembly_is_the_full_length_sum(drawn, k):
                                   np.any(on_slab, axis=1))
     np.testing.assert_array_equal(slab_indices(mesh),
                                   np.flatnonzero(np.any(on_slab, axis=1)))
-    sigma = mesh.stretch_factor(points, 1.0).imag
-    runs = [j for run in mesh.pml_runs for j in range(run.start, run.stop)]
-    assert runs == np.flatnonzero(np.any(sigma > 0, axis=1)).tolist()
-    assert runs == static.pml.tolist()
     for band, reference in zip((static.slab_diag, static.slab_off),
                                fem._mass_bands(half, on_slab)):
         np.testing.assert_array_equal(band, reference)
@@ -288,7 +334,7 @@ def test_narrowed_assembly_is_the_full_length_sum(drawn, k):
 @pytest.mark.parametrize("k", [300.0, 500.0, 700.0])
 @pytest.mark.parametrize("ppw", [20.0, 40.0])
 def test_p1_load_is_bitwise_the_gauss_point_scatter(k, ppw):
-    mesh = build_mesh(CASE1, 700.0, ppw, 0.05, PmlSpec(thickness=0.05))
+    mesh = build_mesh(CASE1, 700.0, ppw, 0.05)
     scale = k**2 * CASE1.susceptibility(k)
 
     def wave(x):
@@ -313,7 +359,7 @@ def test_record_boundary_rate_is_bitwise_gamma_boundary(label, omega):
 
 
 def test_block_solve_matches_column_solves():
-    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05, PmlSpec(thickness=0.05))
+    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05)
     fact = Factorization(assemble(mesh, CASE1, 430.0))
     rng = np.random.default_rng(3)
     block = rng.normal(size=(mesh.n_interior, 3)) + 1j * rng.normal(
@@ -325,7 +371,7 @@ def test_block_solve_matches_column_solves():
 
 
 def test_solve_in_place_overwrites_its_block_with_the_solve():
-    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05, PmlSpec(thickness=0.05))
+    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05)
     fact = Factorization(assemble(mesh, CASE1, 430.0))
     rng = np.random.default_rng(4)
     n = mesh.n_interior
@@ -343,7 +389,7 @@ def test_solve_in_place_overwrites_its_block_with_the_solve():
 
 
 def test_solve_matches_dense():
-    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05, PmlSpec(thickness=0.05))
+    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05)
     system = assemble(mesh, CASE1, 430.0)
     diag, off = system.operator_interior()
     rng = np.random.default_rng(7)
@@ -576,7 +622,7 @@ def test_loaded_kernels_are_bitwise_scipys(dtype, prefix):
 def test_factorization_matches_scipys_kernels_bitwise():
     # the LU factors its bands in place; the factors and solves stay the
     # ones scipy's kernels give on copies of them
-    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05, PmlSpec(thickness=0.05))
+    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05)
     system = assemble(mesh, CASE1, 430.0)
     diag, off = system.operator_interior()
     reference = lapack.zgttrf(off, diag, off)
@@ -589,7 +635,7 @@ def test_factorization_matches_scipys_kernels_bitwise():
 
 
 def test_solve_and_factorize_leave_their_inputs_untouched():
-    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05, PmlSpec(thickness=0.05))
+    mesh = build_mesh(CASE1, 500.0, 12.0, 0.05)
     system = assemble(mesh, CASE1, 430.0)
     bands = [np.copy(getattr(system, name))
              for name in ("s_diag", "s_off", "m_diag", "m_off")]
@@ -654,7 +700,7 @@ LU_ENTRY_POINTS = {
 
 
 def lu_mesh():
-    return build_mesh(CASE1, 700.0, 20.0, 0.05, PmlSpec(thickness=0.05),
+    return build_mesh(CASE1, 700.0, 20.0, 0.05,
                       observation_points=(0.0, 0.0625))
 
 

@@ -7,19 +7,27 @@ distance from the source), while magnitudes and the self value stay much
 tighter. Convergence tests pin the O(h^2) rate itself.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from _random_meshes import meshes
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slabqed.fem import static_bands
+from slabqed.fem import (
+    Factorization,
+    assemble,
+    lattice_wavenumber,
+    static_bands,
+)
 from slabqed.greens import (
     reciprocity_residual,
     sample_green,
     solve_point_source,
 )
 from slabqed.medium import CASE_PRESETS
-from slabqed.mesh import PmlSpec, build_mesh
+from slabqed.mesh import Mesh1D, build_mesh
 from slabqed.oracle import tmm_green
 
 CASE1 = CASE_PRESETS["1"]
@@ -28,7 +36,7 @@ VACUUM = CASE_PRESETS["vacuum"]
 
 
 def make_mesh(medium, ppw=40.0, obs=(0.0, 0.0625)):
-    return build_mesh(medium, 700.0, ppw, 0.05, PmlSpec(thickness=0.05),
+    return build_mesh(medium, 700.0, ppw, 0.05,
                       observation_points=obs)
 
 
@@ -46,6 +54,58 @@ def test_vacuum_self_value():
     assert self_val == pytest.approx(0.001j, rel=2e-3)
 
 
+def outer_span(mesh, side):
+    """Nodes j = 1, 2, ... inward from one wall across the padding's first
+    uniform span: element j, and element j - 1 from j = 2 on, has the
+    length of element 1. Row 1 also reads the boundary element."""
+    h = mesh.element_lengths if side < 0 else mesh.element_lengths[::-1]
+    same = np.abs(h[1:] - h[1]) <= 1e-9 * h[1]
+    run = int(np.argmin(same)) if not same.all() else same.size
+    nodes = np.arange(1, run + 1)
+    return nodes if side < 0 else mesh.n_nodes - 1 - nodes
+
+
+@settings(deadline=None, max_examples=40)
+@given(drawn=meshes(), k=st.floats(50.0, 1500.0), data=st.data())
+def test_outgoing_boundary_leaves_the_padding_one_outgoing_wave(drawn, k,
+                                                                 data):
+    # from the wall inward to the source or the first change of element
+    # length, a vacuum point-source field is the outgoing lattice wave
+    # alone: each node is rho = e^{i kt h} times its inner neighbour
+    mesh, _ = drawn
+    assume(mesh.is_open)
+    vacuum = dataclasses.replace(VACUUM,
+                                 slab_half_length=mesh.slab_half_length)
+    src = data.draw(st.integers(1, mesh.n_nodes - 2))
+    u = solve_point_source(mesh, vacuum, k, mesh.nodes[src]).dofs
+    for side, wall in ((-1, 0), (+1, -1)):
+        h = mesh.element_lengths[wall]
+        rho = np.exp(1j * lattice_wavenumber(k, h) * h)
+        span = outer_span(mesh, side)
+        # rows j of the span, short of the source, obey the relation
+        span = span[span < src] if side < 0 else span[span > src]
+        inner = span - side
+        np.testing.assert_allclose(u[span], rho * u[inner], rtol=1e-12,
+                                   atol=0.0)
+
+
+@pytest.mark.parametrize("k", [100.0, 500.0, 1500.0])
+def test_uniform_vacuum_self_value_is_the_infinite_lattice_one(k):
+    # on a uniform vacuum mesh the open boundary makes G the infinite
+    # lattice's, G(x_j, x_j) = 1 / (a + 2 b rho) at every node, with a and
+    # b the lattice's diagonal and off-diagonal; a box would ring instead
+    n, h = 241, 1e-3
+    mesh = Mesh1D(h * np.arange(n) - 0.12, VACUUM.slab_half_length,
+                  is_open=True)
+    system = assemble(mesh, VACUUM, k)
+    green = Factorization(system).solve(np.eye(n - 2))[1:-1]
+    a = 2.0 / h - k**2 * 2.0 * h / 3.0
+    b = -1.0 / h - k**2 * h / 6.0
+    rho = np.exp(1j * lattice_wavenumber(k, h) * h)
+    np.testing.assert_allclose(np.diag(green), 1.0 / (a + 2.0 * b * rho),
+                               rtol=1e-12, atol=0.0)
+
+
 def test_vacuum_quarter_wave_phase():
     mesh = make_mesh(VACUUM, obs=(0.0, np.pi / 1000.0))
     k = 500.0
@@ -58,7 +118,7 @@ def test_vacuum_green_profile():
     mesh = make_mesh(VACUUM)
     k = 500.0
     g = solve_point_source(mesh, VACUUM, k, 0.0)
-    x = np.linspace(mesh.x_inner_left, mesh.x_inner_right, 301)
+    x = np.linspace(*mesh.physical_region, 301)
     ref = (1j / (2 * k)) * np.exp(1j * k * np.abs(x))
     vals = g(x)
     scale = np.max(np.abs(ref))
@@ -130,7 +190,7 @@ def test_slab_quadrature_weights():
 def test_any_mesh_keeps_its_nodes_and_slab_rule(ppw, padding, fractions):
     a = CASE1.slab_half_length
     obs = [f * (a + padding) for f in fractions]
-    args = (CASE1, 700.0, ppw, padding, PmlSpec(thickness=0.05))
+    args = (CASE1, 700.0, ppw, padding)
     if np.any(np.diff(np.unique([-a, a, *obs])) <= 1e-12):
         # two distinct points cannot both be nodes; refused, never moved
         with pytest.raises(ValueError, match="closer than"):

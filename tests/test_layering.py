@@ -78,7 +78,7 @@ def test_only_fem_knows_the_gauss_rule(name):
 def test_only_fem_builds_an_lu(name):
     # solvers ask fem.factorization for the LU; none builds or passes one.
     # The identity checks alone factor a system themselves, the one they
-    # check, once per check in _relative_residual, which walks its columns
+    # check, once per walk in _relative_residuals, which walks its columns
     tree = MODULES[name]
     if name != "identities":
         assert "Factorization" not in names_in(tree)
@@ -86,7 +86,7 @@ def test_only_fem_builds_an_lu(name):
         assert {node.name for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and "Factorization" in names_in(node)} == {
-                    "_relative_residual"}
+                    "_relative_residuals"}
 
 
 def imported_modules(tree):

@@ -1,4 +1,4 @@
-"""Mesh construction: exact node placement, slab and layer runs, stretch."""
+"""Mesh construction: exact node placement, the slab run, boundary elements."""
 
 import math
 
@@ -12,14 +12,12 @@ from slabqed import mesh as mesh_module
 from slabqed.medium import CASE_PRESETS
 from slabqed.mesh import (
     Mesh1D,
-    PmlSpec,
     build_box_mesh,
     build_mesh,
 )
 from slabqed.purcell import purcell_mesh
 
 CASE1 = CASE_PRESETS["1"]
-PML = PmlSpec(thickness=0.05)
 
 
 def standard_mesh(**overrides):
@@ -28,39 +26,29 @@ def standard_mesh(**overrides):
         k_max=700.0,
         points_per_wavelength=40.0,
         padding=0.05,
-        pml=PML,
         observation_points=(0.0, 0.0625),
     )
     kwargs.update(overrides)
     return build_mesh(**kwargs)
 
 
-def test_sigma_max_frozen():
-    # (m+1) ln(1/R0) / (2d) = 4 * ln(1e10) / 0.1
-    assert PML.sigma_max == pytest.approx(921.0340371976184, rel=1e-12)
-
-
-def test_stretch_factor_frozen_at_outer_end():
-    # s = 1 + (i/k) sigma_max at full depth; at k = 500 that is 1 + 1.8421i
+def test_open_mesh_ends_one_padding_element_beyond_the_physical_region():
+    # the wall nodes lie one element past +-(a + padding), and that element
+    # has the length of its neighbour in the padding span
     mesh = standard_mesh()
-    s = mesh.stretch_factor(mesh.nodes[-1], 500.0)
-    assert s.real == pytest.approx(1.0, abs=1e-14)
-    assert s.imag == pytest.approx(1.8420680743952368, rel=1e-12)
-    assert s.imag == pytest.approx(1.8421, abs=1e-4)
-
-
-def test_stretch_factor_profile():
-    mesh = standard_mesh()
-    # exactly 1 everywhere outside the layers
-    x_phys = np.linspace(-mesh.x_inner_right, mesh.x_inner_right, 57)
-    np.testing.assert_array_equal(mesh.stretch_factor(x_phys, 500.0), 1.0)
-    # cubic grading: half depth gives (1/2)^3 of the full imaginary part
-    x_half = mesh.x_inner_right + 0.5 * PML.thickness
-    s = mesh.stretch_factor(x_half, 500.0)
-    assert s.imag == pytest.approx(1.8420680743952368 / 8.0, rel=1e-12)
-    # symmetric on the left side
-    s_left = mesh.stretch_factor(-x_half, 500.0)
-    assert s_left == pytest.approx(s, rel=1e-14)
+    a = CASE1.slab_half_length
+    assert mesh.is_open
+    assert mesh.physical_region == (-(a + 0.05), a + 0.05)
+    assert (mesh.nodes[1], mesh.nodes[-2]) == mesh.physical_region
+    h = mesh.element_lengths
+    for wall, inner in ((0, 1), (-1, -2)):
+        assert h[wall] == pytest.approx(h[inner], rel=1e-12)
+    # no more nodes than the physical region's spans need
+    h_target = 2.0 * math.pi / (700.0 * 40.0)
+    assert mesh.element_lengths.size == sum(
+        math.ceil(length / h_target - 1e-9)
+        for length in np.diff([-(a + 0.05), -a, 0.0, a, 0.0625, a + 0.05])
+    ) + 2
 
 
 def test_requested_points_are_exact_nodes():
@@ -82,15 +70,14 @@ def test_region_tags():
     mids = mesh.element_midpoints
     a = CASE1.slab_half_length
     slab = mesh.slab_elements
-    left, right = mesh.pml_runs
     assert np.all(np.abs(mids[slab]) < a)
-    assert np.all(mids[left] < mesh.x_inner_left)
-    assert np.all(mids[right] > mesh.x_inner_right)
-    vac = mids[np.r_[left.stop:slab.start, slab.stop:right.start]]
+    vac = mids[np.r_[1:slab.start, slab.stop:mids.size - 1]]
     assert np.all((np.abs(vac) > a) & (np.abs(vac) < a + 0.05))
+    # the boundary elements lie beyond the physical region
+    lo, hi = mesh.physical_region
+    assert mids[0] < lo and mids[-1] > hi
     # every region is populated, in order, and together they tile the mesh
-    assert (0 == left.start < left.stop < slab.start < slab.stop
-            < right.start < right.stop == mids.size)
+    assert 1 < slab.start < slab.stop < mids.size - 1
     assert mesh.slab_nodes == slice(slab.start, slab.stop + 1)
 
 
@@ -104,7 +91,7 @@ def test_determinism():
     m1, m2 = standard_mesh(), standard_mesh()
     np.testing.assert_array_equal(m1.nodes, m2.nodes)
     assert m1.slab_elements == m2.slab_elements
-    assert m1.pml_runs == m2.pml_runs
+    assert m1.physical_region == m2.physical_region
 
 
 def test_near_coincident_points_are_refused():
@@ -171,7 +158,7 @@ def test_find_node_is_the_argmin_node(drawn, data):
         dict(points_per_wavelength=9.0),
         dict(padding=0.0),
         dict(k_max=-500.0),
-        dict(observation_points=(0.09,)),  # inside the right layer
+        dict(observation_points=(0.09,)),  # in the right boundary element
         dict(observation_points=(-0.25,)),  # outside the domain
     ],
 )
@@ -193,26 +180,14 @@ def test_non_finite_observation_points_are_refused(point):
         purcell_mesh(CASE1, point)
 
 
-def test_pml_spec_validation():
-    with pytest.raises(ValueError):
-        PmlSpec(thickness=-0.01)
-    with pytest.raises(ValueError):
-        PmlSpec(thickness=0.05, grading_order=0)
-    with pytest.raises(ValueError):
-        PmlSpec(thickness=0.05, nominal_reflection=2.0)
-
-
 def test_box_mesh():
     mesh = build_box_mesh(CASE1, 1200.0, 10.0, 0.625,
                           observation_points=(0.0, 0.0625))
-    assert mesh.pml is None
+    assert not mesh.is_open
     assert mesh.nodes[0] == -0.3125 and mesh.nodes[-1] == 0.3125
+    # the walls of a closed box are physical: its region ends at them
+    assert mesh.physical_region == (-0.3125, 0.3125)
     assert mesh.nodes[mesh.find_node(0.0625)] == 0.0625
-    # no absorbing layer: stretch is identically one
-    np.testing.assert_array_equal(
-        mesh.stretch_factor(mesh.nodes, 500.0), 1.0
-    )
-    assert mesh.pml_runs == ()
     assert np.all(np.abs(mesh.element_midpoints[mesh.slab_elements])
                   < CASE1.slab_half_length)
     assert mesh.element_lengths[mesh.slab_elements].sum() == pytest.approx(
@@ -223,21 +198,21 @@ def test_box_mesh():
 
 def test_mesh1d_validation():
     with pytest.raises(ValueError):
-        Mesh1D([0.0, 1.0, 0.5], None, 0.03125)  # not increasing
+        Mesh1D([0.0, 1.0, 0.5], 0.03125)  # not increasing
     with pytest.raises(ValueError):
-        Mesh1D([0.0, 1.0], None, 0.03125)  # too few nodes
+        Mesh1D([0.0, 1.0], 0.03125)  # too few nodes
 
 
 def test_mesh_arrays_are_frozen_so_derived_arrays_can_be_cached():
     nodes = np.array([-0.5, -0.25, 0.25, 1.0])
-    mesh = Mesh1D(nodes, None, 0.25)
+    mesh = Mesh1D(nodes, 0.25)
     nodes[1] = 0.3  # the mesh holds its own copy
     assert mesh.nodes[1] == -0.25
     assert mesh.element_lengths is mesh.element_lengths
     np.testing.assert_array_equal(mesh.element_lengths, [0.25, 0.5, 0.75])
     assert mesh.slab_elements == slice(1, 2)
     assert mesh.slab_nodes == slice(1, 3)
-    assert mesh.pml_runs == ()
+    assert mesh.physical_region == (-0.5, 1.0)
     for array in (mesh.nodes, mesh.element_lengths, mesh.element_midpoints):
         with pytest.raises(ValueError):
             array[0] = 0

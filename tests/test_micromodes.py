@@ -17,7 +17,7 @@ from slabqed.medium import (
     MediumSpec,
     case_preset,
 )
-from slabqed.mesh import PmlSpec, build_mesh, unique_columns
+from slabqed.mesh import Mesh1D, build_mesh, unique_columns
 from slabqed.micromodes import (
     BathConfig,
     ModeSet,
@@ -197,11 +197,17 @@ def test_effective_susceptibility_bin_collision():
 
 
 def test_build_gevp_rejects_absorbing_mesh():
+    # every open mesh carries the complex outgoing condition, so the
+    # Hermitian pencil refuses it, also one with a closed box's nodes
     medium = CASE_PRESETS["1"]
     mesh = build_mesh(medium, k_max=300.0, points_per_wavelength=10.0,
-                      padding=0.05, pml=PmlSpec(thickness=0.05))
-    with pytest.raises(ValueError, match="closed box"):
-        build_gevp(mesh, medium, BathConfig())
+                      padding=0.05)
+    box = gevp_mesh(medium, BathConfig(), k_max=300.0)
+    for open_mesh in (mesh, Mesh1D(box.nodes, box.slab_half_length,
+                                   is_open=True)):
+        assert open_mesh.is_open
+        with pytest.raises(ValueError, match="closed box"):
+            build_gevp(open_mesh, medium, BathConfig())
 
 
 def test_vacuum_spectrum_matches_box_modes(vacuum_modes):
@@ -373,7 +379,7 @@ def test_pencil_is_positive_semidefinite():
 def test_gevp_mesh_puts_atom_sites_on_nodes():
     medium = CASE_PRESETS["1"]
     mesh = gevp_mesh(medium, BathConfig())
-    assert mesh.pml is None
+    assert not mesh.is_open
     mesh.find_node(0.0)
     mesh.find_node(0.0625)
 
