@@ -23,13 +23,13 @@ symmetry, not any Hermiticity, is what the operator identities in
 ``identities`` rely on, so nothing here may conjugate matrix entries.
 Element integrals use a fixed 4-point Gauss-Legendre rule, which is exact
 for the P1 products appearing here.
-``element_quadrature`` and ``p1_load`` are the only places that rule is
-applied. ``kept`` keeps work with its mesh, one entry per slot, replaced
-when its key changes and freed with the mesh: the k-independent bands and
-the rule on the slab elements (``static_bands``, one per mesh whatever the
-medium) and the LU of the last (medium, k) (``factorization``, the one
-place an LU is built for a solve), so all solves at one frequency share it
-and no caller passes one around.
+``element_quadrature`` and ``plane_wave_load`` are the only places that
+rule is applied. ``kept`` keeps work with its mesh, one entry per slot,
+replaced when its key changes and freed with the mesh: the k-independent
+bands and the rule on the slab elements (``static_bands``, one per mesh
+whatever the medium) and the LU of the last (medium, k)
+(``factorization``, the one place an LU is built for a solve), so all
+solves at one frequency share it and no caller passes one around.
 ``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot),
 ``twisted_residues`` (the weight of one row in every null vector, from a
 forward and a backward pivot sweep differentiated in lam) and
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import weakref
 from dataclasses import dataclass
@@ -223,24 +224,30 @@ def element_quadrature(mesh: Mesh1D, elements=slice(None)):
     return points, half, half * GAUSS_WEIGHTS
 
 
-def p1_load(mesh: Mesh1D, scale, profile) -> np.ndarray:
-    """Consistent load f_i = scale int_slab profile(x) phi_i dx.
+def plane_wave_load(mesh: Mesh1D, scale, q: float) -> np.ndarray:
+    """The load f_i = scale int_slab e^{iqx} phi_i dx, by the element rule.
 
-    ``profile`` is called once with the Gauss points of the slab elements,
-    ``StaticBands.slab_points``. The element sums are added to the nodes of
+    On an element of midpoint m and half-length s the wave at the Gauss
+    points is e^{iqm} e^{iqs xi_g}. The second factor, folded with the
+    Gauss weights and the two hats, gives two coefficients per distinct
+    element length (``Mesh1D.length_classes``), so the load takes one
+    ``exp`` per slab element. The element sums are added to the nodes of
     the slab elements by two slice-adds, low ends first, in the order an
     element-by-element scatter would add them. Returns one value per mesh
-    node, walls included. A P1 profile needs no quadrature: use
+    node, walls included. A P1 wave needs no quadrature: use
     ``StaticBands.slab_load``.
     """
-    static = static_bands(mesh)
-    # scale * half first, not scale * weights: the rounding of the scatter
-    common = (scale * static.slab_half * GAUSS_WEIGHTS
-              * profile(static.slab_points))
-    start, stop = mesh.slab_elements.start, mesh.slab_elements.stop
+    elements = mesh.slab_elements
+    lengths, which = mesh.length_classes
+    half = 0.5 * lengths[:, None]
+    folded = half * GAUSS_WEIGHTS * np.exp(1j * q * half * GAUSS_NODES)
+    classes = which[elements]
+    wave = scale * np.exp(1j * q * mesh.element_midpoints[elements])
     f = np.zeros(mesh.n_nodes, dtype=complex)
-    f[start:stop] += np.sum(common * _SHAPE_LO, axis=1)
-    f[start + 1:stop + 1] += np.sum(common * _SHAPE_HI, axis=1)
+    f[elements.start:elements.stop] += (
+        wave * _gauss_sum(folded * _SHAPE_LO)[classes])
+    f[elements.start + 1:elements.stop + 1] += (
+        wave * _gauss_sum(folded * _SHAPE_HI)[classes])
     return f
 
 
@@ -276,10 +283,10 @@ class StaticBands:
 
     ``m0_*`` is the vacuum mass, ``slab_*`` the mass over the mesh's slab
     elements and ``stiffness`` the element stiffness k_e.
-    ``slab_points``, ``slab_half`` and ``slab_weights`` are the element rule
-    on the slab elements (``element_quadrature``). M_slab has all its
-    nonzeros on the mesh's ``slab_nodes``. Holds arrays and slices only,
-    not the mesh, so a copy kept for a mesh dies with it.
+    ``slab_points`` and ``slab_weights`` are the element rule on the slab
+    elements (``element_quadrature``). M_slab has all its nonzeros on the
+    mesh's ``slab_nodes``. Holds arrays and slices only, not the mesh, so
+    a copy kept for a mesh dies with it.
     """
 
     def __init__(self, mesh: Mesh1D):
@@ -290,9 +297,9 @@ class StaticBands:
         self.slab_diag, self.slab_off = _mass_bands(half, on_slab)
         self.slab_elements, self.slab_nodes = (mesh.slab_elements,
                                                mesh.slab_nodes)
-        self.slab_points, self.slab_half, self.slab_weights = (
-            _read_only(array)
-            for array in element_quadrature(mesh, mesh.slab_elements))
+        points, _, weights = element_quadrature(mesh, mesh.slab_elements)
+        self.slab_points, self.slab_weights = (_read_only(points),
+                                               _read_only(weights))
         self.stiffness = _read_only(_gauss_sum(GAUSS_WEIGHTS)
                                     / (2.0 * mesh.element_lengths))
 
@@ -384,6 +391,12 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     )
 
 
+def _operator_scale(system: SystemMatrices) -> float:
+    """max|L_ij| over the bands of the interior operator."""
+    diag, off = system.operator_interior()
+    return max(np.abs(diag).max(), np.abs(off).max())
+
+
 class Factorization:
     """LU factors of the interior operator, reusable across right-hand sides.
 
@@ -394,13 +407,18 @@ class Factorization:
     def __init__(self, system: SystemMatrices):
         self.n_interior = system.n_interior
         diag, off = system.operator_interior()
-        scale = max(np.abs(diag).max(), np.abs(off).max())
+        # the 2-norm of the bands, two BLAS dot products, bounds the
+        # operator's scale max|L_ij| from above: only a pivot under 1e-14
+        # times that bound needs the scale itself
+        bound = math.sqrt(np.vdot(diag, diag).real + np.vdot(off, off).real)
         gttrf, gttrs = _tridiagonal_kernels(diag.dtype)
         # the bands are fresh temporaries: d and du are factored in place;
         # f2py copies dl, which shares ``off`` with du, before the call
         dl, d, du, du2, ipiv, info = gttrf(off, diag, off,
                                            overwrite_d=1, overwrite_du=1)
-        if info > 0 or np.abs(d).min() < 1e-14 * scale:
+        pivot = np.abs(d).min()
+        if info > 0 or (pivot < 1e-14 * bound
+                        and pivot < 1e-14 * _operator_scale(system)):
             raise SingularOperatorError(
                 f"operator is singular at k = {system.k}: "
                 "the frequency coincides with a discrete resonance"
@@ -436,6 +454,8 @@ class Factorization:
             raise ValueError(
                 f"rhs must be writable, Fortran-ordered, complex and have "
                 f"{self.n_interior} rows, got {block.dtype} {block.shape}")
+        if block.size == 0:
+            return block  # gttrs on zero columns corrupts the heap
         dl, d, du, du2, ipiv = self._factors
         x, info = self._gttrs(dl, d, du, du2, ipiv, block, overwrite_b=1)
         if info != 0:

@@ -17,9 +17,12 @@ Im M = 0, so the medium-only residual is Im G itself and reads exactly 1.
 
 G is dense and never held whole: the checks walk its columns in blocks J
 of ``_BLOCK``, G[:, J] solved from the unit columns e_J through the
-tridiagonal LU. Each step is column-local and a max-norm is exact, so the
-residuals are bitwise those of the whole matrices, in O(n^2) time and
-O(n b) memory, with no dense product or dense solve. ``check_identities``
+tridiagonal LU. The medium channel on a block is one more block solve,
+skipped where Im M is exactly zero; the radiation channel is rank 2 at
+most, the two port columns of G (solved once per system) times two rows
+of the block. Each step is column-local and a max-norm is exact, so the
+width of the blocks leaves the residuals unchanged to the bit, in O(n^2)
+time and O(n b) memory, with no dense inverse. ``check_identities``
 reduces both residuals from one such walk.
 
 The pointwise balance check compares the flux functional
@@ -70,8 +73,23 @@ def _sandwich(lu, bands, conj_green, out, work):
     return lu.solve_in_place(out)
 
 
-def _imaginary_parts(bands):
-    return tuple(band.imag for band in bands)
+def _radiation_ports(lu, system: SystemMatrices):
+    """The ports p where Im S is nonzero, Im(s_p) and the columns G[:, p].
+
+    Im S is the outgoing boundary's b rho on the diagonal of the two nodes
+    next to the walls and zero on a closed box, so G Im S G~ [:, J] is
+    G[:, p] (Im(s_p) conj G[p, J]): rank 2 at most, from the port columns
+    solved once. A nonzero off-diagonal of Im S is refused.
+    """
+    diag, off = (band.imag for band in system.stiffness_interior())
+    if np.any(off):
+        raise ValueError("Im S has a nonzero off-diagonal; the radiation "
+                         "channel is taken as diagonal")
+    ports = np.flatnonzero(diag)
+    columns = np.zeros((diag.size, ports.size), dtype=complex, order="F")
+    columns[ports, np.arange(ports.size)] = 1.0
+    lu.solve_in_place(columns)
+    return ports, diag[ports, None], columns
 
 
 def _window_rows(system: SystemMatrices, window) -> slice:
@@ -106,14 +124,18 @@ def _relative_residuals(system: SystemMatrices, two_channel: bool,
             f"{DEFAULT_DOF_CAP}; use a coarser mesh"
         )
     lu = Factorization(system)
-    radiation = _imaginary_parts(system.stiffness_interior())
-    medium = _imaginary_parts(system.mass_interior())
+    if two_channel:
+        ports, port_weights, port_columns = _radiation_ports(lu, system)
+    medium = tuple(band.imag for band in system.mass_interior())
+    # Im M = 0 (vacuum) makes the medium part exactly zero: its buffer is
+    # left at zero and no block is solved for it
+    lossy = any(np.any(band) for band in medium)
     k2 = system.k**2
     window = rows if rows is not None else slice(0, 0)
     columns = np.arange(n)[slice(None) if two_channel else window]
     # allocated once and reused: fresh blocks each time cost page faults
     # whenever the allocator hands the last block's memory back
-    buffers = [np.empty((n, min(_BLOCK, columns.size)), dtype=complex,
+    buffers = [np.zeros((n, min(_BLOCK, columns.size)), dtype=complex,
                         order="F") for _ in range(3 + two_channel)]
     # [numerator, denominator] per identity; np.maximum, unlike max,
     # keeps a NaN as np.max over G would
@@ -127,8 +149,9 @@ def _relative_residuals(system: SystemMatrices, two_channel: bool,
         lu.solve_in_place(conj_green)
         np.conj(conj_green, out=conj_green)
         minus_im_green = conj_green.imag
-        _sandwich(lu, medium, conj_green, medium_part, work)
-        medium_part *= k2
+        if lossy:
+            _sandwich(lu, medium, conj_green, medium_part, work)
+            medium_part *= k2
         # the window's columns within the block: both are runs
         cols = slice(max(window.start - block[0], 0),
                      min(window.stop - block[0], block.size))
@@ -142,9 +165,11 @@ def _relative_residuals(system: SystemMatrices, two_channel: bool,
             medium_only[1] = np.maximum(
                 medium_only[1], np.abs(minus_im_green[rows, cols]).max())
         if two_channel:
-            # bitwise (radiation + Im G) - k^2 medium
+            # (radiation + Im G) - k^2 medium, the radiation channel
+            # G Im S G~ [:, J] from the port columns
             (residual,) = spare
-            _sandwich(lu, radiation, conj_green, residual, work)
+            np.matmul(port_columns, port_weights * conj_green[ports],
+                      out=residual)
             residual -= minus_im_green
             residual -= medium_part
             both[0] = np.maximum(both[0], np.abs(residual).max())

@@ -62,7 +62,9 @@ class MediumSpec:
         """
         omega = np.asarray(omega, dtype=float)
         denom = self.omega_0**2 - omega**2 - 1j * omega * self.gamma
-        chi = self.omega_p**2 / denom
+        # + 0j turns the signed zeros of an empty slab (omega_p = 0) into
+        # +0 and leaves every other value as it is
+        chi = self.omega_p**2 / denom + 0j
         return chi if chi.ndim else complex(chi)
 
 

@@ -15,7 +15,7 @@ Conventions (same normalized units as the rest of the package):
 * reported r/t use the face (de-embedded port) convention the scattering
   module documents, so an empty slab gives (0, 1)
 * interior amplitudes are referenced to the face each wave launches from,
-  which keeps every matrix entry O(1) even when the slab is opaque
+  which keeps every amplitude O(1) even when the slab is opaque
 """
 
 from __future__ import annotations
@@ -51,34 +51,33 @@ class SlabScattering:
 
 
 def plane_wave_coefficients(medium: MediumSpec, omega: float) -> SlabScattering:
-    """Solve the two-interface matching problem for incidence from the left.
+    """Closed-form two-interface solution for incidence from the left.
 
-    Sets up the 4x4 linear system for (r, C, D, t) where the slab interior is
-    ``C e^{ik_s(x+a)} + D e^{-ik_s(x-a)}``. With the face-referenced C and D
-    the matrix entries are bounded by max(1, |k_s|/k), so the solve stays
-    well conditioned even deep in the opaque regime where e^{ik_s L} underflows.
+    The face-referenced Fabry-Perot sum: with the step reflection
+    rho = (k - k_s) / (k + k_s) and the one-way propagator P = e^{i k_s L},
+    the wave launched into the slab at the left face is
+    C = (1 + rho) e^{-ika} / (1 - rho^2 P^2), the one launched back at the
+    right face D = -rho P C, and r = rho (1 - P^2) / (1 - rho^2 P^2) at the
+    illuminated face. Nothing divides by P, which underflows to 0 in an
+    opaque slab (C, D, r and t then tend to their single-face values), and
+    |rho P| < 1 for a passive slab with k_s != 0, so the denominator does
+    not vanish. Scalar complex arithmetic: no matrix is formed or solved.
     """
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     k = float(omega)
-    a = medium.slab_half_length
-    ks = slab_wavenumber(medium, omega)
-    phase = np.exp(1j * k * a)
-    prop = np.exp(1j * ks * medium.slab_length)  # |prop| <= 1 for passive media
-
-    mat = np.array(
-        [
-            [phase, -1.0, -prop, 0.0],
-            [-k * phase, -ks, ks * prop, 0.0],
-            [0.0, prop, 1.0, -phase],
-            [0.0, ks * prop, -ks, -k * phase],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([-1.0 / phase, -k / phase, 0.0, 0.0], dtype=complex)
-    r, c, d, t = np.linalg.solve(mat, rhs)
+    ks = complex(slab_wavenumber(medium, omega))
+    rho = (k - ks) / (k + ks)
+    # |P| <= 1 when passive
+    prop = complex(np.exp(1j * ks * medium.slab_length))
+    denom = 1.0 - (rho * prop) ** 2
+    incident = complex(np.exp(-1j * k * medium.slab_half_length))  # x = -a
+    c = (1.0 + rho) * incident / denom
+    r_face = rho * (1.0 - prop**2) / denom
     return SlabScattering(
-        omega=k, k_slab=ks, half_length=a, r=r, t=t, amp_left=c, amp_right=d
+        omega=k, k_slab=ks, half_length=medium.slab_half_length,
+        r=r_face * incident**2, t=(1.0 - rho) * prop * c * incident,
+        amp_left=c, amp_right=-rho * prop * c,
     )
 
 

@@ -45,7 +45,7 @@ from .fem import (
     factorization,
     kept,
     lattice_wavenumber,
-    p1_load,
+    plane_wave_load,
     static_bands,
 )
 from .medium import MediumSpec
@@ -149,9 +149,9 @@ def solve_scattering(
 
     The load is k^2 chi int_slab Phi_inc phi_i dx. Without ``lattice_wave``
     the incident wave is the analytic e^{i d k x}, integrated by
-    ``fem.p1_load`` with the element rule on the mesh's slab. With the +x
-    wave of ``lattice_plane_wave(mesh, k)`` it is that wave (d = +1) or its
-    complex conjugate (d = -1), and the load is the band product
+    ``fem.plane_wave_load`` with the element rule on the mesh's slab. With
+    the +x wave of ``lattice_plane_wave(mesh, k)`` it is that wave (d = +1)
+    or its complex conjugate (d = -1), and the load is the band product
     k^2 chi M_slab w with the M_slab of ``fem.static_bands``, from the
     wave's values on the mesh's ``slab_nodes`` alone: exactly what
     L - L_vac applies to the wave. The LU is ``fem.factorization``'s,
@@ -162,7 +162,7 @@ def solve_scattering(
     scale = k**2 * medium.susceptibility(k)
     if lattice_wave is None:
         incident = None
-        f = p1_load(mesh, scale, lambda x: np.exp(1j * direction * k * x))
+        f = plane_wave_load(mesh, scale, direction * k)
     else:
         if lattice_wave.mesh is not mesh or lattice_wave.k != k:
             raise ValueError(

@@ -2,6 +2,9 @@
 
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -259,7 +262,7 @@ def test_a_mesh_without_slab_elements_assembles_no_slab():
     for name in ("s_diag", "s_off", "m_diag", "m_off"):
         np.testing.assert_array_equal(getattr(lossy, name),
                                       getattr(vacuum, name))
-    assert not np.any(fem.p1_load(mesh, 1.0, np.cos))
+    assert not np.any(fem.plane_wave_load(mesh, 1.0, 500.0))
     assert not np.any(static_bands(mesh).slab_diag)
 
 
@@ -270,7 +273,8 @@ def scatter_slab_load(mesh, scale, values):
     """Element-by-element scatter of scale * weights * values over the slab.
 
     ``values`` are given at the slab's Gauss points; the two ``np.add.at``
-    calls are the reference for ``p1_load`` and ``StaticBands.slab_load``.
+    calls are the reference for ``plane_wave_load`` and
+    ``StaticBands.slab_load``.
     """
     idx = slab_indices(mesh)
     _, half, _ = element_quadrature(mesh, idx)
@@ -331,19 +335,46 @@ def test_narrowed_assembly_is_the_full_length_sum(drawn, k):
         np.testing.assert_array_equal(band, reference)
 
 
+# the load takes e^{iqx} at a Gauss point as e^{iqm} e^{iq(x - m)}, m the
+# element midpoint, where the scatter takes exp(iqx) of the rounded x; the
+# phase q x reaches 60 rad on these slabs, and the misses seen over 400
+# random meshes stay under 4.1e-15
+PLANE_WAVE_LOAD_RTOL = 1e-14
+
+
+def plane_wave_load_miss(mesh, scale, q):
+    """max|plane_wave_load - scatter of e^{iqx}| over max|scatter|."""
+    points, _, _ = element_quadrature(mesh, mesh.slab_elements)
+    reference = scatter_slab_load(mesh, scale, np.exp(1j * q * points))
+    got = fem.plane_wave_load(mesh, scale, q)
+    outside = np.ones(mesh.n_nodes, dtype=bool)
+    outside[mesh.slab_nodes] = False
+    assert np.all(got[outside] == 0)
+    return np.max(np.abs(got - reference)) / np.max(np.abs(reference))
+
+
 @pytest.mark.parametrize("k", [300.0, 500.0, 700.0])
 @pytest.mark.parametrize("ppw", [20.0, 40.0])
 def test_p1_load_is_bitwise_the_gauss_point_scatter(k, ppw):
+    # named for the callable-profile load this test once held bitwise to
+    # the scatter; the one-exp load rounds the phase in another order
     mesh = build_mesh(CASE1, 700.0, ppw, 0.05)
     scale = k**2 * CASE1.susceptibility(k)
+    assert plane_wave_load_miss(mesh, scale, -k) <= PLANE_WAVE_LOAD_RTOL
 
-    def wave(x):
-        return np.exp(-1j * k * x)
 
-    points, _, _ = element_quadrature(mesh, mesh.slab_elements)
-    np.testing.assert_array_equal(
-        fem.p1_load(mesh, scale, wave),
-        scatter_slab_load(mesh, scale, wave(points)))
+@settings(deadline=None, max_examples=40)
+@given(drawn=meshes(), k=st.floats(50.0, 1500.0),
+       direction=st.sampled_from([+1, -1]))
+def test_plane_wave_load_matches_the_gauss_point_scatter(drawn, k, direction):
+    # open meshes and closed boxes, with the few length classes of the
+    # breakpoint spans; the vacuum draws keep the case-1 scale, which
+    # would otherwise make the load zero
+    mesh, _ = drawn
+    assert mesh.slab_nodes.start < mesh.slab_nodes.stop
+    scale = k**2 * CASE1.susceptibility(k)
+    assert (plane_wave_load_miss(mesh, scale, direction * k)
+            <= PLANE_WAVE_LOAD_RTOL)
 
 
 @pytest.mark.parametrize("label", ["1A", "1B", "2A", "2B"])
@@ -386,6 +417,56 @@ def test_solve_in_place_overwrites_its_block_with_the_solve():
                 read_only, block[:-1]):
         with pytest.raises(ValueError):
             fact.solve_in_place(bad)
+
+
+def test_an_empty_block_is_returned_untouched():
+    # gttrs on a block without columns corrupted the heap (an abort at a
+    # later free); run in a child so such a crash fails this test alone
+    code = (
+        "import numpy as np\n"
+        "from slabqed.fem import Factorization, assemble\n"
+        "from slabqed.medium import CASE_PRESETS\n"
+        "from slabqed.mesh import build_box_mesh\n"
+        "medium = CASE_PRESETS['vacuum']\n"
+        "mesh = build_box_mesh(medium, 700.0, 15.0, 0.625)\n"
+        "lu = Factorization(assemble(mesh, medium, 500.0))\n"
+        "for width in range(200):\n"
+        "    block = np.zeros((mesh.n_interior, 0), complex, order='F')\n"
+        "    assert lu.solve_in_place(block) is block\n"
+        "    junk = [np.ones(width + 1) for _ in range(50)]\n"
+        "    del block, junk\n"
+        "assert lu.solve(np.zeros((mesh.n_interior, 0))).shape == (\n"
+        "    mesh.n_nodes, 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1, 1.5, 1.9, 2.1, 10.0])
+def test_singularity_test_is_the_relative_pivot_threshold(ratio):
+    # L = [[1, 1, 0], [1, 1 + p, 0], [0, 0, 1]]: the second pivot is about
+    # p, the scale max|L_ij| about 1 and the bands' 2-norm about 2, so
+    # ratios p / 1e-14 between 1 and 2 pass the 2-norm screen and are
+    # decided by the scale itself
+    mesh = Mesh1D(np.linspace(0.0, 1.0, 5), 0.1)
+    s_diag = np.array([0.0, 1.0, 1.0 + ratio * 1e-14, 1.0, 0.0],
+                      dtype=complex)
+    s_off = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    system = fem.SystemMatrices(mesh=mesh, k=1.0, s_diag=s_diag, s_off=s_off,
+                                m_diag=np.zeros(5, complex),
+                                m_off=np.zeros(4, complex))
+    diag, off = system.operator_interior()
+    pivots = lapack.zgttrf(off, diag, off)[1]
+    singular = np.abs(pivots).min() < 1e-14 * max(np.abs(diag).max(),
+                                                  np.abs(off).max())
+    assert singular == (ratio < 1.0)
+    if singular:
+        with pytest.raises(SingularOperatorError):
+            Factorization(system)
+    else:
+        Factorization(system)
 
 
 def test_solve_matches_dense():
@@ -855,10 +936,9 @@ def builds(monkeypatch):
 
 def kept_static_bands(mesh, key):
     # sweeps of two media assemble at every k from the one set of bands,
-    # and the analytic-wave load reads its slab rule, which is read-only
+    # and its slab rule, which the energy balance reads, is read-only
     for medium in (CASE1, VACUUM):
         sweep(mesh, medium, np.linspace(300.0, 700.0, 9), 0.0625)
-    fem.p1_load(mesh, 1.0, np.cos)
     static = static_bands(mesh)
     assert not (static.slab_points.flags.writeable
                 or static.slab_weights.flags.writeable)

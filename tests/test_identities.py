@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _dense_reference import dense_tridiagonal
 from _random_meshes import meshes
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -125,6 +126,56 @@ def test_block_width_leaves_both_checks_bitwise(name, monkeypatch):
     for width in (1, 7, system.n_interior, system.n_interior + 5):
         monkeypatch.setattr(ids, "_BLOCK", width)
         assert reports() == stock
+
+
+@settings(deadline=None, max_examples=15)
+@given(drawn=meshes(), k=st.floats(50.0, 1500.0))
+def test_radiation_channel_is_the_dense_sandwich(drawn, k):
+    # G Im S G~ from the port columns against dense matrices, on open
+    # meshes (two ports) and closed boxes (none)
+    mesh, medium = drawn
+    assume(mesh.n_interior <= 500)
+    system = assemble(mesh, medium, k)
+    diag, off = system.operator_interior()
+    green = np.linalg.inv(dense_tridiagonal(diag, off))
+    s_diag, s_off = system.stiffness_interior()
+    dense = green @ dense_tridiagonal(s_diag.imag, s_off.imag) @ np.conj(green)
+    ports, weights, columns = ids._radiation_ports(ids.Factorization(system),
+                                                   system)
+    assert ports.size == (2 if mesh.is_open else 0)
+    rank_two = columns @ (weights * np.conj(green)[ports])
+    assert np.max(np.abs(rank_two - dense)) <= 1e-12 * max(
+        np.max(np.abs(green.imag)), 1e-300)
+    assert ids.check_discrete_ddgt(system) < 1e-12
+
+
+def test_radiation_channel_refuses_an_off_diagonal_im_s():
+    medium = CASE_PRESETS["1"]
+    system = assemble(open_mesh(medium), medium, 500.0)
+    leaky = dataclasses.replace(system, s_off=system.s_off + 1e-3j)
+    for check in (ids.check_discrete_ddgt, ids.check_identities):
+        with pytest.raises(ValueError, match="off-diagonal"):
+            check(leaky)
+
+
+@pytest.mark.parametrize("name", ["vacuum", "1"])
+def test_medium_part_is_solved_only_where_im_m_is_nonzero(name, monkeypatch):
+    # vacuum has Im M = 0 exactly: no medium block is solved, and the
+    # medium-only residual is Im G itself, exactly 1
+    medium = CASE_PRESETS[name]
+    system = assemble(open_mesh(medium), medium, 500.0)
+    sandwiches = []
+    sandwich = ids._sandwich
+
+    def counting(*args):
+        sandwiches.append(args[1])
+        return sandwich(*args)
+
+    monkeypatch.setattr(ids, "_sandwich", counting)
+    both = ids.check_identities(system)
+    assert bool(sandwiches) == (name != "vacuum")
+    if name == "vacuum":
+        assert both[1] == 1.0
 
 
 @pytest.fixture

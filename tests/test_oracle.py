@@ -47,6 +47,55 @@ def airy_r_t(medium, omega):
     return r_face, t_face
 
 
+def matching_system_coefficients(medium, omega):
+    """(r, C, D, t) from the 4x4 value/derivative matching at both faces.
+
+    Field e^{ikx} + r e^{-ikx} left of the slab, C e^{ik_s(x+a)} +
+    D e^{-ik_s(x-a)} inside and t e^{ikx} right of it; solved densely.
+    """
+    k, a = omega, medium.slab_half_length
+    ks = slab_wavenumber(medium, omega)
+    phase = np.exp(1j * k * a)
+    prop = np.exp(1j * ks * medium.slab_length)
+    mat = np.array([[phase, -1.0, -prop, 0.0],
+                    [-k * phase, -ks, ks * prop, 0.0],
+                    [0.0, prop, 1.0, -phase],
+                    [0.0, ks * prop, -ks, -k * phase]], dtype=complex)
+    rhs = np.array([-1.0 / phase, -k / phase, 0.0, 0.0], dtype=complex)
+    return np.linalg.solve(mat, rhs)
+
+
+# an opaque lossy slab 32 times case 2's length (P = e^{i k_s L} underflows
+# to 0 near resonance) and a lossless slab whose eps_r < 0 above omega_0
+# (k_s imaginary, |rho| = 1, P = e^{-706} at 411)
+OPAQUE = MediumSpec(omega_p=100.0, omega_0=500.0, gamma=5.0,
+                    slab_half_length=1.0)
+BELOW_CUTOFF = MediumSpec(omega_p=264.0, omega_0=410.0, gamma=0.0,
+                          slab_half_length=0.09375)
+
+
+@pytest.mark.parametrize("medium", [CASE1, CASE2, VACUUM, OPAQUE,
+                                    BELOW_CUTOFF])
+def test_closed_form_coefficients_solve_the_matching_system(medium):
+    omegas = np.linspace(300.0, 700.0, 401)
+    if medium is BELOW_CUTOFF:
+        omegas = np.concatenate((omegas, [411.0]))
+    worst = 0.0
+    for omega in omegas[np.abs(omegas - medium.omega_0) > 1e-6]:
+        sol = plane_wave_coefficients(medium, omega)
+        got = np.array([sol.r, sol.amp_left, sol.amp_right, sol.t])
+        reference = matching_system_coefficients(medium, omega)
+        worst = max(worst, np.max(np.abs(got - reference)
+                                  / np.maximum(1.0, np.abs(reference))))
+    assert worst <= 1e-14
+    if medium is OPAQUE:
+        prop = np.exp(1j * slab_wavenumber(medium, 500.0) * medium.slab_length)
+        assert prop == 0.0
+    if medium is BELOW_CUTOFF:
+        ks = slab_wavenumber(medium, 411.0)
+        assert ks.real == 0.0 and ks.imag > 0.0
+
+
 def test_vacuum_no_scattering():
     r, t = tmm_reflection_transmission(VACUUM, 500.0)
     assert abs(r) < 1e-14

@@ -3,15 +3,15 @@
 ``data/sweep-<case>.csv`` is the body (header and rows, no ``#`` metadata)
 of ``slabqed sweep --case <case>`` at the stock resolution, ppw 40.
 ``data/oracle-compare-1B.csv`` is the body of ``oracle-compare --case 1B``
-(``oracle.ppw`` 160), whose analytic-wave slab load (``fem.p1_load``) no
-sweep runs, and ``data/modes-1A.csv`` with ``data/modes-1A_spectrum.csv``
-are the rates and the spectrum of ``modes --case 1A``, the eigenmode
-route. ``data/check-identities-1B.txt`` is the stdout of
-``check-identities --case 1B``: its line names and verdicts are compared,
-and the balance value as text; the dissipation residuals are round-off and
-the lossless-identity value is pinned by its verdict. A change that moves a
-number beyond round-off fails here; one that means to must regenerate the
-files and say by how much the numbers moved.
+(``oracle.ppw`` 160), whose analytic-wave slab load
+(``fem.plane_wave_load``) no sweep runs, and ``data/modes-1A.csv`` with
+``data/modes-1A_spectrum.csv`` are the rates and the spectrum of ``modes
+--case 1A``, the eigenmode route. ``data/check-identities-1B.txt`` is the
+stdout of ``check-identities --case 1B``: its line names and verdicts are
+compared, and the balance value as text; the dissipation residuals are
+round-off and the lossless-identity value is pinned by its verdict. A
+change that moves a number beyond round-off fails here; one that means to
+must regenerate the files and say by how much the numbers moved.
 
 Rates are normalized to the free-space rate 1, so the absolute floor 1e-14
 only matters where a rate is itself round-off: ``pf_b`` is ~6e-18 at the
