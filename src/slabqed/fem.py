@@ -361,8 +361,14 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
             f"the medium's slab half-length {medium.slab_half_length} is not "
             f"the mesh's {mesh.slab_half_length}"
         )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi = complex(medium.susceptibility(k))
+    if not np.isfinite(chi):
+        raise ValueError(
+            f"chi(k) is not finite at k = {k}: a lossless slab "
+            f"(gamma = 0) has no permittivity at its resonance omega_0"
+        )
     static = static_bands(mesh)
-    chi = complex(medium.susceptibility(k))
     # M_slab is an exact zero off its nodes: adding it over its own nodes
     # only leaves every band entry bitwise as a sum over all n would
     m_diag = static.m0_diag.astype(complex)
