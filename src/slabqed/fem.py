@@ -361,8 +361,7 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
             f"the medium's slab half-length {medium.slab_half_length} is not "
             f"the mesh's {mesh.slab_half_length}"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chi = complex(medium.susceptibility(k))
+    chi = complex(medium.susceptibility(k))
     if not np.isfinite(chi):
         raise ValueError(
             f"chi(k) is not finite at k = {k}: a lossless slab "
