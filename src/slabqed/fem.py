@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 import weakref
 from dataclasses import dataclass
@@ -158,8 +157,8 @@ def lattice_wavenumber(k: float, h):
 
     i.e. the mesh carries waves at kt = k (1 - (kh)^2/24 + ...) rather than
     at k itself. Wave-amplitude extraction has to use kt, otherwise the
-    extracted coefficients pick up a spurious phase k(kt/k - 1) x_probe that
-    grows with the probe distance and swamps the actual discretization error.
+    extracted coefficients pick up a spurious phase (kt - k) d that grows
+    with the distance d carried and swamps the actual discretization error.
     A scalar h gives a float, an array of spacings one kt per entry.
     The half-angle form sin(kt h / 2) = (kh/2) / sqrt(1 + (kh)^2/6) is used:
     arccos of the cosine above loses half the digits of kt h as kh -> 0
@@ -396,12 +395,6 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     )
 
 
-def _operator_scale(system: SystemMatrices) -> float:
-    """max|L_ij| over the bands of the interior operator."""
-    diag, off = system.operator_interior()
-    return max(np.abs(diag).max(), np.abs(off).max())
-
-
 class Factorization:
     """LU factors of the interior operator, reusable across right-hand sides.
 
@@ -412,18 +405,15 @@ class Factorization:
     def __init__(self, system: SystemMatrices):
         self.n_interior = system.n_interior
         diag, off = system.operator_interior()
-        # the 2-norm of the bands, two BLAS dot products, bounds the
-        # operator's scale max|L_ij| from above: only a pivot under 1e-14
-        # times that bound needs the scale itself
-        bound = math.sqrt(np.vdot(diag, diag).real + np.vdot(off, off).real)
+        # the operator's scale max|L_ij|, taken before gttrf overwrites
+        # the bands
+        scale = max(np.abs(diag).max(), np.abs(off).max())
         gttrf, gttrs = _tridiagonal_kernels(diag.dtype)
         # the bands are fresh temporaries: d and du are factored in place;
         # f2py copies dl, which shares ``off`` with du, before the call
         dl, d, du, du2, ipiv, info = gttrf(off, diag, off,
                                            overwrite_d=1, overwrite_du=1)
-        pivot = np.abs(d).min()
-        if info > 0 or (pivot < 1e-14 * bound
-                        and pivot < 1e-14 * _operator_scale(system)):
+        if info > 0 or np.abs(d).min() < 1e-14 * scale:
             raise SingularOperatorError(
                 f"operator is singular at k = {system.k}: "
                 "the frequency coincides with a discrete resonance"

@@ -22,8 +22,10 @@ skipped where Im M is exactly zero; the radiation channel is rank 2 at
 most, the two port columns of G (solved once per system) times two rows
 of the block. Each step is column-local and a max-norm is exact, so the
 width of the blocks leaves the residuals unchanged to the bit, in O(n^2)
-time and O(n b) memory, with no dense inverse. ``check_identities``
-reduces both residuals from one such walk.
+time and O(n b) memory, with no dense inverse. Every check reduces both
+residuals from one such walk over all the columns, and
+``check_discrete_ddgt`` and ``check_lossless_identity_failure`` each
+return one of them.
 
 The pointwise balance check compares the flux functional
 
@@ -105,17 +107,14 @@ def _window_rows(system: SystemMatrices, window) -> slice:
     return slice(keep[0], keep[-1] + 1)  # the nodes are sorted: one run
 
 
-def _relative_residuals(system: SystemMatrices, two_channel: bool,
-                        rows: slice | None):
+def _relative_residuals(system: SystemMatrices, rows: slice):
     """Both identities' max|residual| / max|Im G|, from one walk of G.
 
-    The two-channel residual (None unless ``two_channel``) is taken over
-    every entry of G; the medium-only residual (None without ``rows``)
-    over the window ``rows`` x ``rows``. Only the columns read are solved
-    for: all of them with ``two_channel``, else the window's. G is held as
-    G~ alone, since Im G = -Im G~ exactly, and a residual that is exactly
-    zero reports 0. Each column costs O(n), so systems above the dof cap
-    are refused.
+    The two-channel residual is taken over every entry of G, the
+    medium-only residual over the window ``rows`` x ``rows``; every column
+    is solved for. G is held as G~ alone, since Im G = -Im G~ exactly, and
+    a residual that is exactly zero reports 0. Each column costs O(n), so
+    systems above the dof cap are refused.
     """
     n = system.n_interior
     if n > DEFAULT_DOF_CAP:
@@ -124,28 +123,25 @@ def _relative_residuals(system: SystemMatrices, two_channel: bool,
             f"{DEFAULT_DOF_CAP}; use a coarser mesh"
         )
     lu = Factorization(system)
-    if two_channel:
-        ports, port_weights, port_columns = _radiation_ports(lu, system)
+    ports, port_weights, port_columns = _radiation_ports(lu, system)
     medium = tuple(band.imag for band in system.mass_interior())
     # Im M = 0 (vacuum) makes the medium part exactly zero: its buffer is
     # left at zero and no block is solved for it
     lossy = any(np.any(band) for band in medium)
     k2 = system.k**2
-    window = rows if rows is not None else slice(0, 0)
-    columns = np.arange(n)[slice(None) if two_channel else window]
     # allocated once and reused: fresh blocks each time cost page faults
     # whenever the allocator hands the last block's memory back
-    buffers = [np.zeros((n, min(_BLOCK, columns.size)), dtype=complex,
-                        order="F") for _ in range(3 + two_channel)]
+    buffers = [np.zeros((n, min(_BLOCK, n)), dtype=complex, order="F")
+               for _ in range(4)]
     # [numerator, denominator] per identity; np.maximum, unlike max,
     # keeps a NaN as np.max over G would
     both, medium_only = [0.0, 0.0], [0.0, 0.0]
-    for start in range(0, columns.size, _BLOCK):
-        block = columns[start:start + _BLOCK]
-        conj_green, medium_part, work, *spare = (buffer[:, :block.size]
-                                                 for buffer in buffers)
+    for start in range(0, n, _BLOCK):
+        width = min(_BLOCK, n - start)
+        conj_green, medium_part, work, residual = (buffer[:, :width]
+                                                   for buffer in buffers)
         conj_green.fill(0.0)
-        conj_green[block, np.arange(block.size)] = 1.0
+        conj_green[start + np.arange(width), np.arange(width)] = 1.0
         lu.solve_in_place(conj_green)
         np.conj(conj_green, out=conj_green)
         minus_im_green = conj_green.imag
@@ -153,33 +149,28 @@ def _relative_residuals(system: SystemMatrices, two_channel: bool,
             _sandwich(lu, medium, conj_green, medium_part, work)
             medium_part *= k2
         # the window's columns within the block: both are runs
-        cols = slice(max(window.start - block[0], 0),
-                     min(window.stop - block[0], block.size))
+        cols = slice(max(rows.start - start, 0), min(rows.stop - start, width))
         if cols.start < cols.stop:
-            residual = work[rows, cols]
+            window = work[rows, cols]
             # bitwise Im G - k^2 medium on the window
-            np.negative(minus_im_green[rows, cols], out=residual)
-            residual -= medium_part[rows, cols]
-            medium_only[0] = np.maximum(medium_only[0],
-                                        np.abs(residual).max())
+            np.negative(minus_im_green[rows, cols], out=window)
+            window -= medium_part[rows, cols]
+            medium_only[0] = np.maximum(medium_only[0], np.abs(window).max())
             medium_only[1] = np.maximum(
                 medium_only[1], np.abs(minus_im_green[rows, cols]).max())
-        if two_channel:
-            # (radiation + Im G) - k^2 medium, the radiation channel
-            # G Im S G~ [:, J] from the port columns
-            (residual,) = spare
-            np.matmul(port_columns, port_weights * conj_green[ports],
-                      out=residual)
-            residual -= minus_im_green
-            residual -= medium_part
-            both[0] = np.maximum(both[0], np.abs(residual).max())
-            both[1] = np.maximum(both[1], np.abs(minus_im_green).max())
+        # (radiation + Im G) - k^2 medium, the radiation channel
+        # G Im S G~ [:, J] from the port columns
+        np.matmul(port_columns, port_weights * conj_green[ports],
+                  out=residual)
+        residual -= minus_im_green
+        residual -= medium_part
+        both[0] = np.maximum(both[0], np.abs(residual).max())
+        both[1] = np.maximum(both[1], np.abs(minus_im_green).max())
 
     def ratio(num, den):
         return 0.0 if num == 0.0 else float(num / max(den, 1e-300))
 
-    return (ratio(*both) if two_channel else None,
-            ratio(*medium_only) if rows is not None else None)
+    return ratio(*both), ratio(*medium_only)
 
 
 def check_discrete_ddgt(system: SystemMatrices) -> float:
@@ -187,9 +178,9 @@ def check_discrete_ddgt(system: SystemMatrices) -> float:
 
     Exact linear algebra, so the residual is pure round-off (< 1e-10) for
     any assembled system, lossy or not. A closed lossless box degenerates
-    to 0 = 0 and reports 0.
+    to 0 = 0 and reports 0. ``check_identities(system)[0]``.
     """
-    return _relative_residuals(system, True, None)[0]
+    return check_identities(system)[0]
 
 
 def check_lossless_identity_failure(
@@ -201,10 +192,10 @@ def check_lossless_identity_failure(
     window restricts the reported max-norm to nodes with x in [lo, hi];
     the default is the mesh's physical region. On an open mesh the
     residual is O(1) wherever radiation loss reaches, which is the point:
-    this identity holds only for closed lossy systems. Only the window's
-    columns of G are solved for.
+    this identity holds only for closed lossy systems.
+    ``check_identities(system, window)[1]``.
     """
-    return _relative_residuals(system, False, _window_rows(system, window))[1]
+    return check_identities(system, window)[1]
 
 
 def check_identities(
@@ -213,11 +204,11 @@ def check_identities(
 ) -> tuple[float, float]:
     """``check_discrete_ddgt`` and ``check_lossless_identity_failure``.
 
-    Both residuals, bitwise, from one LU and one walk over the columns of
-    G: the medium-only identity reads the window's part of the columns
-    the two-channel one solves for anyway.
+    Both residuals from one LU and one walk over the columns of G: the
+    medium-only identity reads the window's part of the columns the
+    two-channel one solves for anyway.
     """
-    return _relative_residuals(system, True, _window_rows(system, window))
+    return _relative_residuals(system, _window_rows(system, window))
 
 
 def check_thermal_equilibrium(

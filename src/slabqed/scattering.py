@@ -29,12 +29,14 @@ Reflection and transmission are reported in the face (de-embedded port)
 convention: r is the reflected-to-incident ratio at the illuminated face,
 t the transmitted-to-incident ratio at the exit face. An empty slab then
 reads r = 0, t = 1 exactly, and both incidence directions agree because
-the slab is mirror symmetric.
+the slab is mirror symmetric. Both are read at the outgoing boundary's two
+ports, the nodes next to the walls, where the scattered field is one
+outgoing lattice wave, and carried back to the faces by the lattice phase
+of the vacuum in between.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,61 +184,27 @@ def solve_scattering(
     )
 
 
-def _probe_pair(mesh: Mesh1D, k: float, side: int) -> tuple[int, int]:
-    """Two adjacent vacuum nodes on a locally uniform run of mesh.
-
-    Both nodes sit at least half a wavelength from the slab face and from
-    the end of the physical region, and their four-node neighborhood is
-    uniformly spaced so the lattice dispersion relation applies.
-    """
-    lam = 2.0 * math.pi / k
-    a = mesh.slab_half_length
-    left, right = mesh.physical_region
-    if side < 0:
-        lo, hi = left + 0.5 * lam, -a - 0.5 * lam
-    else:
-        lo, hi = a + 0.5 * lam, right - 0.5 * lam
-    if hi <= lo:
-        raise ValueError(
-            f"vacuum gap too narrow to place an r/t probe at k = {k}; "
-            "increase the padding"
-        )
-    gaps = mesh.element_lengths
-    start = int(np.searchsorted(mesh.nodes, 0.5 * (lo + hi)))
-    for j in range(start, 1, -1) if side < 0 else range(start, mesh.n_nodes - 2):
-        if not (lo <= mesh.nodes[j] and mesh.nodes[j + 1] <= hi):
-            break
-        local = gaps[j - 1: j + 2]
-        if local.size == 3 and np.ptp(local) < 1e-9 * local[0]:
-            return j, j + 1
-    raise ValueError(
-        f"no uniformly spaced probe pair between x = {lo} and {hi}"
-    )
-
-
 def _outgoing_amplitude(solution: PlaneWaveSolution, side: int) -> complex:
     """Amplitude of the scattered lattice wave leaving the slab on one side.
 
-    Fits phi_sca at two adjacent probe nodes with the two discrete plane
-    waves e^{+-i kt (x - x_face)} of the local uniform spacing, where kt is
-    the lattice wavenumber; using the mesh's own dispersion keeps the long
-    vacuum gap from polluting the extracted amplitude with a spurious
-    phase. Returns the outgoing coefficient referenced at the slab face;
-    the counter-propagating remnant (what the junctions between spans of
-    unequal element length reflect) is discarded.
+    At the port (the node next to the wall, where ``fem.assemble`` puts
+    the boundary's b rho) the scattered field is one outgoing lattice wave.
+    Its value there is carried back to the slab face by the lattice phase
+    sum kt_e h_e of the vacuum elements in between, kt_e found once per
+    distinct element length (``Mesh1D.length_classes``): the mesh's own
+    dispersion, so the vacuum gap adds no spurious phase. What the junctions
+    between spans of unequal element length reflect is left out.
     """
-    mesh, k = solution.mesh, solution.k
-    j0, j1 = _probe_pair(mesh, k, side)
-    x = mesh.nodes[[j0, j1]]
-    kt = lattice_wavenumber(k, float(x[1] - x[0]))
-    # phi_j = out e^{i theta_j} + back e^{-i theta_j}; eliminating back
-    # leaves the 2x2 solve in closed form
-    theta = side * kt * (x - side * mesh.slab_half_length)
-    phi0 = solution.scattered.at_node(j0)
-    phi1 = solution.scattered.at_node(j1)
-    out = ((phi0 * np.exp(-1j * theta[1]) - phi1 * np.exp(-1j * theta[0]))
-           / (2j * np.sin(theta[0] - theta[1])))
-    return complex(out)
+    mesh = solution.mesh
+    elements = mesh.slab_elements
+    if side < 0:
+        port, travel = 1, slice(1, elements.start)
+    else:
+        port, travel = mesh.n_nodes - 2, slice(elements.stop, -1)
+    lengths, which = mesh.length_classes
+    steps = lattice_wavenumber(solution.k, lengths) * lengths
+    phase = np.sum(steps[which[travel]])
+    return complex(solution.scattered.at_node(port) * np.exp(-1j * phase))
 
 
 def extract_r_t(solution: PlaneWaveSolution) -> tuple[complex, complex]:
@@ -246,6 +214,9 @@ def extract_r_t(solution: PlaneWaveSolution) -> tuple[complex, complex]:
     t the transmitted/incident ratio at the exit face, so an empty slab
     gives r = 0, t = 1 with no propagation phase. The slab is mirror
     symmetric, hence both incidence directions report the same values.
+    The outgoing amplitudes are the scattered field at the two ports of
+    the open mesh, carried back to the faces (``_outgoing_amplitude``), so
+    any padding will do.
     """
     k, d = solution.k, solution.direction
     a = solution.mesh.slab_half_length

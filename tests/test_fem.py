@@ -364,9 +364,9 @@ def plane_wave_load_miss(mesh, scale, q):
 
 @pytest.mark.parametrize("k", [300.0, 500.0, 700.0])
 @pytest.mark.parametrize("ppw", [20.0, 40.0])
-def test_p1_load_is_bitwise_the_gauss_point_scatter(k, ppw):
-    # named for the callable-profile load this test once held bitwise to
-    # the scatter; the one-exp load rounds the phase in another order
+def test_plane_wave_load_is_the_gauss_point_scatter(k, ppw):
+    # the one-exp load rounds the phase in another order than the scatter,
+    # so the two agree to a bound, not bitwise
     mesh = build_mesh(CASE1, 700.0, ppw, 0.05)
     scale = k**2 * CASE1.susceptibility(k)
     assert plane_wave_load_miss(mesh, scale, -k) <= PLANE_WAVE_LOAD_RTOL
