@@ -22,14 +22,13 @@ Both matrices are complex symmetric (not Hermitian) tridiagonal; this
 symmetry, not any Hermiticity, is what the operator identities in
 ``identities`` rely on, so nothing here may conjugate matrix entries.
 Element integrals use a fixed 4-point Gauss-Legendre rule, which is exact
-for the P1 products appearing here.
-``element_quadrature`` and ``plane_wave_load`` are the only places that
+for the P1 products appearing here; ``StaticBands`` is the only place that
 rule is applied. ``kept`` keeps work with its mesh, one entry per slot,
 replaced when its key changes and freed with the mesh: the k-independent
-bands and the rule on the slab elements (``static_bands``, one per mesh
-whatever the medium) and the LU of the last (medium, k)
-(``factorization``, the one place an LU is built for a solve), so all
-solves at one frequency share it and no caller passes one around.
+bands (``static_bands``, one per mesh whatever the medium) and the LU of
+the last (medium, k) (``factorization``, the one place an LU is built for
+a solve), so all solves at one frequency share it and no caller passes one
+around.
 ``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot),
 ``twisted_residues`` (the weight of one row in every null vector, from a
 forward and a backward pivot sweep differentiated in lam) and
@@ -211,45 +210,6 @@ class SystemMatrices:
                 self.s_off[1:-1] - k2 * self.m_off[1:-1])
 
 
-def element_quadrature(mesh: Mesh1D, elements=slice(None)):
-    """The element rule on ``elements`` (default: every element).
-
-    Returns (points, half, weights): the Gauss points (n, 4), the element
-    half-lengths (n, 1) and the point weights half * GAUSS_WEIGHTS (n, 4),
-    so ``np.sum(weights * f(points))`` integrates f over those elements.
-    """
-    half = 0.5 * mesh.element_lengths[elements][:, None]
-    points = mesh.element_midpoints[elements, None] + half * GAUSS_NODES
-    return points, half, half * GAUSS_WEIGHTS
-
-
-def plane_wave_load(mesh: Mesh1D, scale, q: float) -> np.ndarray:
-    """The load f_i = scale int_slab e^{iqx} phi_i dx, by the element rule.
-
-    On an element of midpoint m and half-length s the wave at the Gauss
-    points is e^{iqm} e^{iqs xi_g}. The second factor, folded with the
-    Gauss weights and the two hats, gives two coefficients per distinct
-    element length (``Mesh1D.length_classes``), so the load takes one
-    ``exp`` per slab element. The element sums are added to the nodes of
-    the slab elements by two slice-adds, low ends first, in the order an
-    element-by-element scatter would add them. Returns one value per mesh
-    node, walls included. A P1 wave needs no quadrature: use
-    ``StaticBands.slab_load``.
-    """
-    elements = mesh.slab_elements
-    lengths, which = mesh.length_classes
-    half = 0.5 * lengths[:, None]
-    folded = half * GAUSS_WEIGHTS * np.exp(1j * q * half * GAUSS_NODES)
-    classes = which[elements]
-    wave = scale * np.exp(1j * q * mesh.element_midpoints[elements])
-    f = np.zeros(mesh.n_nodes, dtype=complex)
-    f[elements.start:elements.stop] += (
-        wave * _gauss_sum(folded * _SHAPE_LO)[classes])
-    f[elements.start + 1:elements.stop + 1] += (
-        wave * _gauss_sum(folded * _SHAPE_HI)[classes])
-    return f
-
-
 def _gauss_sum(values):
     """Sum over the last axis, the 4 Gauss points, as (v0 + v1) + (v2 + v3).
 
@@ -281,24 +241,19 @@ class StaticBands:
     """The k-independent parts of the operator on one mesh.
 
     ``m0_*`` is the vacuum mass, ``slab_*`` the mass over the mesh's slab
-    elements and ``stiffness`` the element stiffness k_e.
-    ``slab_points`` and ``slab_weights`` are the element rule on the slab
-    elements (``element_quadrature``). M_slab has all its nonzeros on the
-    mesh's ``slab_nodes``. Holds arrays and slices only, not the mesh, so
-    a copy kept for a mesh dies with it.
+    elements and ``stiffness`` the element stiffness k_e. M_slab has all
+    its nonzeros on the mesh's ``slab_nodes``. Holds arrays and slices
+    only, not the mesh, so a copy kept for a mesh dies with it.
     """
 
     def __init__(self, mesh: Mesh1D):
-        _, half, _ = element_quadrature(mesh)
+        half = 0.5 * mesh.element_lengths[:, None]
         on_slab = np.zeros_like(half)
         on_slab[mesh.slab_elements] = 1.0
         self.m0_diag, self.m0_off = _mass_bands(half, 1.0)
         self.slab_diag, self.slab_off = _mass_bands(half, on_slab)
         self.slab_elements, self.slab_nodes = (mesh.slab_elements,
                                                mesh.slab_nodes)
-        points, _, weights = element_quadrature(mesh, mesh.slab_elements)
-        self.slab_points, self.slab_weights = (_read_only(points),
-                                               _read_only(weights))
         self.stiffness = _read_only(_gauss_sum(GAUSS_WEIGHTS)
                                     / (2.0 * mesh.element_lengths))
 
@@ -618,15 +573,18 @@ def twisted_residues(diag, ddiag, off2, doff2, edge: int):
     return lo, hi, pivot
 
 
-def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x):
-    """P1 interpolation of nodal values at points of the physical region."""
+def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x, nodes=slice(None)):
+    """P1 interpolation of nodal values at points of the physical region.
+
+    ``dofs`` are the values at ``mesh.nodes[nodes]``, which must include
+    the two nodes that bracket each point.
+    """
     x = np.asarray(x, dtype=float)
     lo, hi = mesh.physical_region
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError("evaluation point outside the physical region")
-    out = np.interp(x, mesh.nodes, dofs.real) + 1j * np.interp(
-        x, mesh.nodes, dofs.imag
-    )
+    xp = mesh.nodes[nodes]
+    out = np.interp(x, xp, dofs.real) + 1j * np.interp(x, xp, dofs.imag)
     return out if out.ndim else complex(out)
 
 

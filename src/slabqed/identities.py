@@ -52,7 +52,7 @@ from .fem import (
 from .greens import solve_point_source
 from .medium import MediumSpec
 from .mesh import Mesh1D
-from .scattering import lattice_plane_wave, solve_scattering
+from .scattering import solve_scattering
 
 
 # columns of G per block: a walk holds at most four (n, _BLOCK) arrays
@@ -245,10 +245,10 @@ def check_thermal_equilibrium(
     lhs = complex(field_a(x_beta)).imag - k**2 * chi_imag * correlation
 
     rhs = 0.0j
-    wave = lattice_plane_wave(mesh, k)
     node_a, node_b = mesh.find_node(x_alpha), mesh.find_node(x_beta)
     for direction in (+1, -1):
-        sol = solve_scattering(mesh, medium, k, direction, wave)
-        rhs += sol.total_at_node(node_a) * np.conj(sol.total_at_node(node_b))
+        sol = solve_scattering(mesh, medium, k, direction)
+        rhs += (sol.total_at_nodes(node_a)
+                * np.conj(sol.total_at_nodes(node_b)))
     rhs *= 0.25 / k
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

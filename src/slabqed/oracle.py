@@ -82,17 +82,15 @@ def plane_wave_coefficients(medium: MediumSpec, omega: float) -> SlabScattering:
 
 
 def tmm_reflection_transmission(
-    medium: MediumSpec, omega: float, direction: int = +1
+    medium: MediumSpec, omega: float
 ) -> tuple[complex, complex]:
     """(r, t) in the face (de-embedded port) convention.
 
     r = reflected/incident amplitude at the illuminated face, t =
     transmitted/incident at the exit face; an empty slab gives (0, 1).
-    The slab is mirror symmetric, so both directions return the same pair;
-    the argument exists for interface parity with the FEM extraction.
+    The slab is mirror symmetric, so the pair holds for either incidence
+    direction.
     """
-    if direction not in (+1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction}")
     sol = plane_wave_coefficients(medium, omega)
     shift = np.exp(2j * omega * medium.slab_half_length)
     return sol.r * shift, sol.t

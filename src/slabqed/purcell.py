@@ -13,14 +13,13 @@ amplitude the boundary part alone gives 1 in vacuum, and dipole strength,
 permittivity and c drop out of the ratio.
 
 The two scattering states are driven by the mesh's own lattice plane wave
-(``scattering.lattice_plane_wave``), not by the analytic e^{ikx}: the
-scattered field travels at the lattice wavenumber, and an incident wave at
-another wavenumber would slip in phase against it at the atom. With both
-parts on one dispersion relation the boundary part equals the radiation
-channel of the LDOS (the flux through the mesh's exact outgoing boundary)
-up to the LDOS route's own vacuum lattice bias, O((kh)^2). The wave is carried as its nodal phase, and
-``compute_record`` forms its values only on the slab's nodes (the loads)
-and at the atom's node (the boundary part).
+(``scattering.lattice_plane_wave``), so incident and scattered parts share
+one dispersion relation and do not slip in phase against each other. The
+boundary part then equals the radiation channel of the LDOS (the flux
+through the mesh's exact outgoing boundary) up to the LDOS route's own
+vacuum lattice bias, O((kh)^2). The wave is carried as its nodal phase,
+and ``compute_record`` forms its values only on the slab's nodes (the
+loads) and at the atom's node (the boundary part).
 
 The medium part is 2k^3 chi_I int_slab |G(x_a, x)|^2 dx, taken as the slab
 band form g^H M_slab g over the slab's nodes: the Gauss rule that built
@@ -43,11 +42,7 @@ import numpy as np
 from .greens import GreenSamples, sample_green
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, build_mesh
-from .scattering import (
-    PlaneWaveSolution,
-    lattice_plane_wave,
-    solve_scattering,
-)
+from .scattering import PlaneWaveSolution, solve_scattering
 
 
 @dataclass(frozen=True)
@@ -79,10 +74,9 @@ def gamma_boundary(
 ) -> float:
     """Boundary part: half the summed intensity of the two scattering states.
 
-    The two unit-amplitude plane waves are the 1D stand-in for the angular
-    spectrum entering from infinity; in vacuum each contributes 1/2. Works
-    with either incident wave of ``solve_scattering``; ``compute_record``
-    forms the same sum from the lattice states at the atom's node.
+    The two unit-amplitude lattice plane waves are the 1D stand-in for the
+    angular spectrum entering from infinity; in vacuum each contributes
+    1/2. ``compute_record`` forms the same sum at the atom's node.
     """
     if {sol_plus.direction, sol_minus.direction} != {+1, -1}:
         raise ValueError("need one solution per incidence direction")
@@ -112,19 +106,17 @@ def compute_record(
     """All Purcell factors at one frequency from one factorization.
 
     ``x_a`` must be a mesh node (``purcell_mesh`` makes it one). The
-    boundary part reads the two lattice states' nodal values there:
+    boundary part reads the two scattering states' nodal values there:
     interpolation at a node returns the nodal value, so this is
-    ``gamma_boundary`` of the same states to the last bit, without summing
-    and interpolating the full fields.
+    ``gamma_boundary`` of the same states to the last bit.
     """
-    wave = lattice_plane_wave(mesh, omega_a)
-    sol_plus = solve_scattering(mesh, medium, omega_a, +1, wave)
-    sol_minus = solve_scattering(mesh, medium, omega_a, -1, wave)
+    sol_plus = solve_scattering(mesh, medium, omega_a, +1)
+    sol_minus = solve_scattering(mesh, medium, omega_a, -1)
     samples = sample_green(mesh, medium, omega_a, x_a)
 
     node = mesh.find_node(x_a)
     pf_sfa = gamma_sfa(samples)
-    pf_b = 0.5 * sum(abs(sol.total_at_node(node)) ** 2
+    pf_b = 0.5 * sum(abs(sol.total_at_nodes(node)) ** 2
                      for sol in (sol_plus, sol_minus))
     pf_m = gamma_medium(samples, medium)
     lhs = pf_sfa - pf_m

@@ -3,21 +3,17 @@
 The total field is an incident wave (d = +-1, unit amplitude, absolute
 phase referenced at x = 0) plus a scattered part solved on the mesh:
 L phi_sca = k^2 chi M_slab Phi_inc, the load that L - L_vac applies to the
-incident wave. Each caller picks the incident wave:
-
-* the analytic e^{i d k x} (default). It solves the vacuum problem of the
-  continuum, so r and t come out in the continuum's terms; r/t extraction,
-  ``energy_balance`` and the oracle comparisons use it.
-* the lattice plane wave of ``lattice_plane_wave``: nodal values
-  e^{i d theta(x_j)}, where theta advances by the lattice wavenumber
-  ``fem.lattice_wavenumber`` across each element, interpolated as P1. It is
-  what the vacuum mesh itself carries, so incident and scattered parts
-  share one dispersion relation; the boundary emission rate and the
-  field-correlation balance use it. The wave is held as its phase theta,
-  with kt found once per distinct element length; its values are formed
-  only where they are read: on the slab's nodes for the load (once for
-  both directions), at one node for ``total_at_node``, and at every node
-  only for ``total_at`` and ``incident_at``.
+incident wave. The incident wave is the lattice plane wave of
+``lattice_plane_wave``: nodal values e^{i d theta(x_j)}, where theta
+advances by the lattice wavenumber ``fem.lattice_wavenumber`` across each
+element, interpolated as P1. It is what the vacuum mesh itself carries
+(L_vac annihilates it), so incident and scattered parts share one
+dispersion relation. The mesh keeps the wave of the last k as its phase
+theta, with kt found once per distinct element length; its values are
+formed only where they are read: on the slab's nodes for the load and the
+absorbed power (once for both directions), at the nodes asked of
+``total_at_nodes`` and at the two nodes that bracket each point of
+``total_at``.
 
 The scattered field is outgoing, and the mesh's exact outgoing boundary
 lets it leave without reflection; fields are read in the mesh's physical
@@ -31,8 +27,7 @@ t the transmitted-to-incident ratio at the exit face. An empty slab then
 reads r = 0, t = 1 exactly, and both incidence directions agree because
 the slab is mirror symmetric. Both are read at the outgoing boundary's two
 ports, the nodes next to the walls, where the scattered field is one
-outgoing lattice wave, and carried back to the faces by the lattice phase
-of the vacuum in between.
+outgoing lattice wave, and carried to the faces by the wave's own phase.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ from .fem import (
     factorization,
     kept,
     lattice_wavenumber,
-    plane_wave_load,
     static_bands,
 )
 from .medium import MediumSpec
@@ -59,12 +53,11 @@ class LatticeWave:
     """Unit discrete plane wave toward +x, held as its phase at every node.
 
     The nodal values e^{i d theta(x_j)} (d = +1 toward +x, -1 the complex
-    conjugate, toward -x) are formed on demand, only at the nodes read:
-    the slab's for the load, the atom's for the boundary rate.
+    conjugate, toward -x) are formed on demand, only at the nodes read.
+    The mesh keeps the wave (``lattice_plane_wave``), so it holds no
+    reference to the mesh.
     """
 
-    mesh: Mesh1D
-    k: float
     phase: np.ndarray  # theta(x_j) at every node, read-only
 
     def values(self, nodes=slice(None), direction: int = +1):
@@ -93,51 +86,51 @@ class PlaneWaveSolution:
     k: float
     direction: int
     scattered: FieldSolution
-    incident: LatticeWave | None = None  # the +x lattice wave; None: analytic
+    incident: LatticeWave  # the +x lattice wave
 
-    def incident_at(self, x):
-        if self.incident is not None:
-            return evaluate_field(
-                self.mesh, self.incident.values(direction=self.direction), x)
-        return np.exp(1j * self.direction * self.k * np.asarray(x, dtype=float))
+    def total_at_nodes(self, nodes):
+        """Incident + scattered at ``nodes`` (an index, a slice or an index
+        array); a complex for one index."""
+        total = (self.incident.values(nodes, self.direction)
+                 + self.scattered.dofs[nodes])
+        return total if total.ndim else complex(total)
 
     def total_at(self, x):
-        """Incident + scattered, at points of the physical region."""
-        if self.incident is not None:
-            # both parts are P1 on one mesh: interpolate their sum once
-            total = (self.incident.values(direction=self.direction)
-                     + self.scattered.dofs)
-            return evaluate_field(self.mesh, total, x)
-        return self.incident_at(x) + self.scattered(x)
+        """Incident + scattered, at points of the physical region.
 
-    def total_at_node(self, node: int) -> complex:
-        """``total_at(mesh.nodes[node])``, read at that node alone.
-
-        Interpolation at a node returns the nodal value, so for a lattice
-        state this is bitwise ``total_at(mesh.nodes[node])``.
+        Both parts are P1 on one mesh, so their sum is interpolated once.
+        It is formed only at the two nodes that bracket each point, the
+        only nodes interpolation reads there, so this is bitwise the
+        interpolation of the sum formed at every node.
         """
-        if self.incident is not None:
-            incident = self.incident.values(node, self.direction)
-        else:
-            incident = self.incident_at(self.mesh.nodes[node])
-        return complex(incident + self.scattered.dofs[node])
+        nodes = self.mesh.nodes
+        low = np.clip(np.searchsorted(nodes, x, "right") - 1,
+                      0, nodes.size - 2)
+        bracket = np.zeros(nodes.size, dtype=bool)
+        bracket[low] = bracket[low + 1] = True
+        used = np.flatnonzero(bracket)
+        return evaluate_field(self.mesh, self.total_at_nodes(used), x, used)
 
 
 def lattice_plane_wave(mesh: Mesh1D, k: float) -> LatticeWave:
-    """Unit discrete plane wave travelling toward +x.
+    """Unit discrete plane wave travelling toward +x, kept with the mesh.
 
     Nodal phases theta(x_j): theta advances by kt_e h_e across each
     element (kt_e the lattice wavenumber of its length, found once per
     distinct length of ``mesh.length_classes``) and theta(0) = 0, the
-    oracle's absolute phase. Pass it to ``solve_scattering``; its complex
-    conjugate is the wave travelling toward -x.
+    oracle's absolute phase. Its complex conjugate is the wave travelling
+    toward -x. The mesh keeps the wave of the last k (``fem.kept``), so
+    every solve and read at one frequency shares it.
     """
-    lengths, which = mesh.length_classes
-    steps = (lattice_wavenumber(k, lengths) * lengths)[which]
-    theta = np.concatenate(([0.0], np.cumsum(steps)))
-    theta -= np.interp(0.0, mesh.nodes, theta)
-    theta.setflags(write=False)
-    return LatticeWave(mesh=mesh, k=float(k), phase=theta)
+    def build():
+        lengths, which = mesh.length_classes
+        steps = (lattice_wavenumber(k, lengths) * lengths)[which]
+        theta = np.concatenate(([0.0], np.cumsum(steps)))
+        theta -= np.interp(0.0, mesh.nodes, theta)
+        theta.setflags(write=False)
+        return LatticeWave(phase=theta)
+
+    return kept(mesh, "lattice_wave", k, build)
 
 
 def solve_scattering(
@@ -145,34 +138,22 @@ def solve_scattering(
     medium: MediumSpec,
     k: float,
     direction: int,
-    lattice_wave: LatticeWave | None = None,
 ) -> PlaneWaveSolution:
     """Scattered-field solve for a unit plane wave from the left (+1) or right.
 
-    The load is k^2 chi int_slab Phi_inc phi_i dx. Without ``lattice_wave``
-    the incident wave is the analytic e^{i d k x}, integrated by
-    ``fem.plane_wave_load`` with the element rule on the mesh's slab. With
-    the +x wave of ``lattice_plane_wave(mesh, k)`` it is that wave (d = +1)
-    or its complex conjugate (d = -1), and the load is the band product
-    k^2 chi M_slab w with the M_slab of ``fem.static_bands``, from the
-    wave's values on the mesh's ``slab_nodes`` alone: exactly what
+    The incident wave is the +x wave of ``lattice_plane_wave(mesh, k)``
+    (d = +1) or its complex conjugate (d = -1). The load is the band
+    product k^2 chi M_slab w with the M_slab of ``fem.static_bands``, from
+    the wave's values on the mesh's ``slab_nodes`` alone: exactly what
     L - L_vac applies to the wave. The LU is ``fem.factorization``'s,
     shared with every other solve at this frequency on this mesh.
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     scale = k**2 * medium.susceptibility(k)
-    if lattice_wave is None:
-        incident = None
-        f = plane_wave_load(mesh, scale, direction * k)
-    else:
-        if lattice_wave.mesh is not mesh or lattice_wave.k != k:
-            raise ValueError(
-                "lattice wave was built for a different mesh or k"
-            )
-        incident = lattice_wave
-        f = static_bands(mesh).slab_load(
-            scale, lattice_wave.values(mesh.slab_nodes, direction))
+    wave = lattice_plane_wave(mesh, k)
+    f = static_bands(mesh).slab_load(
+        scale, wave.values(mesh.slab_nodes, direction))
     dofs = factorization(mesh, medium, k).solve(f[1:-1])
     return PlaneWaveSolution(
         mesh=mesh,
@@ -180,31 +161,8 @@ def solve_scattering(
         k=float(k),
         direction=direction,
         scattered=FieldSolution(mesh=mesh, k=float(k), dofs=dofs),
-        incident=incident,
+        incident=wave,
     )
-
-
-def _outgoing_amplitude(solution: PlaneWaveSolution, side: int) -> complex:
-    """Amplitude of the scattered lattice wave leaving the slab on one side.
-
-    At the port (the node next to the wall, where ``fem.assemble`` puts
-    the boundary's b rho) the scattered field is one outgoing lattice wave.
-    Its value there is carried back to the slab face by the lattice phase
-    sum kt_e h_e of the vacuum elements in between, kt_e found once per
-    distinct element length (``Mesh1D.length_classes``): the mesh's own
-    dispersion, so the vacuum gap adds no spurious phase. What the junctions
-    between spans of unequal element length reflect is left out.
-    """
-    mesh = solution.mesh
-    elements = mesh.slab_elements
-    if side < 0:
-        port, travel = 1, slice(1, elements.start)
-    else:
-        port, travel = mesh.n_nodes - 2, slice(elements.stop, -1)
-    lengths, which = mesh.length_classes
-    steps = lattice_wavenumber(solution.k, lengths) * lengths
-    phase = np.sum(steps[which[travel]])
-    return complex(solution.scattered.at_node(port) * np.exp(-1j * phase))
 
 
 def extract_r_t(solution: PlaneWaveSolution) -> tuple[complex, complex]:
@@ -214,18 +172,24 @@ def extract_r_t(solution: PlaneWaveSolution) -> tuple[complex, complex]:
     t the transmitted/incident ratio at the exit face, so an empty slab
     gives r = 0, t = 1 with no propagation phase. The slab is mirror
     symmetric, hence both incidence directions report the same values.
-    The outgoing amplitudes are the scattered field at the two ports of
-    the open mesh, carried back to the faces (``_outgoing_amplitude``), so
-    any padding will do.
+    At the ports of an open mesh, the nodes next to the walls where
+    ``fem.assemble`` puts the boundary's b rho, the scattered field is one
+    outgoing lattice wave, e^{-i d theta} behind the slab and e^{i d theta}
+    beyond it; the incident wave's phase theta carries it to the faces, so
+    any padding will do. A closed box has no ports and is refused.
     """
-    k, d = solution.k, solution.direction
-    a = solution.mesh.slab_half_length
-    back = _outgoing_amplitude(solution, -d)
-    fwd = _outgoing_amplitude(solution, +d)
-    # incident amplitude at either face is e^{-ika} (illuminated) and
-    # e^{+ika} (exit); both expressions below are direction independent
-    r = back * np.exp(1j * k * a)
-    t = 1.0 + fwd * np.exp(-1j * k * a)
+    mesh = solution.mesh
+    if not mesh.is_open:
+        raise ValueError("r and t are read at the ports of an open mesh; "
+                         "a closed box has none")
+    d, theta = solution.direction, solution.incident.phase
+    u = solution.scattered.dofs
+    (back, fwd), faces = (1, mesh.n_nodes - 2), mesh.slab_nodes
+    face_in = faces.start
+    if d < 0:
+        back, fwd, face_in = fwd, back, faces.stop - 1
+    r = u[back] * np.exp(1j * d * (theta[back] - 2.0 * theta[face_in]))
+    t = 1.0 + u[fwd] * np.exp(-1j * d * theta[fwd])
     return complex(r), complex(t)
 
 
@@ -237,16 +201,19 @@ class EnergyBalance:
 
 
 def energy_balance(solution: PlaneWaveSolution) -> EnergyBalance:
-    """Check that the missing flux equals the power dissipated in the slab."""
+    """Check that the missing flux equals the power dissipated in the slab.
+
+    The absorbed power k Im(chi) int_slab |Phi_tot|^2 is the slab band
+    form of the nodal total field (``StaticBands.slab_inner``), exact for
+    the P1 field.
+    """
     mesh, medium, k = solution.mesh, solution.medium, solution.k
     r, t = extract_r_t(solution)
     deficit = 1.0 - abs(r) ** 2 - abs(t) ** 2
 
-    static = static_bands(mesh)
-    phi = solution.total_at(static.slab_points)
+    phi = solution.total_at_nodes(mesh.slab_nodes)
     chi_imag = medium.susceptibility(k).imag
-    absorbed = k * chi_imag * float(
-        np.sum(static.slab_weights * np.abs(phi) ** 2))
+    absorbed = k * chi_imag * static_bands(mesh).slab_inner(phi, phi).real
     # floor the scale so a lossless run (both sides ~ round-off) reads as a
     # tiny residual instead of 0/0 noise
     scale = max(abs(deficit), abs(absorbed), 1e-6)

@@ -4,12 +4,26 @@ Nothing in ``src/`` forms these matrices: the eigenmode route works on the
 bands and the Schur complement alone (``test_layering`` keeps it so). The
 pointwise slab profile of a ``MediumSpec`` (``in_slab``,
 ``relative_permittivity``) is a reference too: the package places the slab
-by the mesh's elements, not by a test at each point.
+by the mesh's elements, not by a test at each point. So are the Gauss
+points of the element rule (``element_quadrature``): the package applies
+the rule once, to build the mass bands, and forms no point values.
 """
 
 import numpy as np
 
-from slabqed.fem import DEFAULT_DOF_CAP
+from slabqed.fem import DEFAULT_DOF_CAP, GAUSS_NODES, GAUSS_WEIGHTS
+
+
+def element_quadrature(mesh, elements=slice(None)):
+    """The element rule on ``elements`` (default: every element).
+
+    Returns (points, half, weights): the Gauss points (n, 4), the element
+    half-lengths (n, 1) and the point weights half * GAUSS_WEIGHTS (n, 4),
+    so ``np.sum(weights * f(points))`` integrates f over those elements.
+    """
+    half = 0.5 * mesh.element_lengths[elements][:, None]
+    points = mesh.element_midpoints[elements, None] + half * GAUSS_NODES
+    return points, half, half * GAUSS_WEIGHTS
 
 
 def in_slab(medium, x):

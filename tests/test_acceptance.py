@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from slabqed.crosscheck import oracle_residuals
 from slabqed.fem import assemble
 from slabqed.greens import reciprocity_residual, solve_point_source
 from slabqed.identities import (
@@ -27,13 +28,8 @@ from slabqed.micromodes import (
     gevp_mesh,
     purcell_from_modes,
 )
-from slabqed.oracle import (
-    tmm_green,
-    tmm_reflection_transmission,
-    tmm_total_field,
-)
 from slabqed.purcell import purcell_mesh, sweep, sweep_grid
-from slabqed.scattering import energy_balance, extract_r_t, solve_scattering
+from slabqed.scattering import energy_balance, solve_scattering
 
 CASES = ("1A", "1B", "2A", "2B")
 GRID = sweep_grid()  # 101 points covering [300, 700]
@@ -149,28 +145,6 @@ def test_acceptance_05_discrete_dissipation_identities():
     assert time.monotonic() - start < 30.0
 
 
-def oracle_residuals(mesh, medium, omega, x_a):
-    """Worst of the three solver-vs-transfer-matrix residuals at one k."""
-    solution = solve_scattering(mesh, medium, omega, +1)
-    r_fem, t_fem = extract_r_t(solution)
-    r_ref, t_ref = tmm_reflection_transmission(medium, omega)
-    res_rt = (max(abs(r_fem - r_ref), abs(t_fem - t_ref))
-              / max(abs(r_ref), abs(t_ref)))
-
-    probes = np.array([ATOM_INSIDE, ATOM_OUTSIDE])
-    fem = solution.total_at(probes)
-    ref = tmm_total_field(medium, omega, +1, probes)
-    # scale floored at the unit drive: an opaque slab shadows both probes
-    res_field = float(np.max(np.abs(fem - ref))) / max(
-        float(np.max(np.abs(ref))), 1.0)
-
-    xs = np.linspace(-medium.slab_half_length, medium.slab_half_length, 9)
-    g_fem = solve_point_source(mesh, medium, omega, x_a)(xs)
-    g_ref = tmm_green(medium, omega, xs, x_a)
-    res_green = float(np.max(np.abs(g_fem - g_ref)) / np.max(np.abs(g_ref)))
-    return max(res_rt, res_field, res_green)
-
-
 def worst_oracle_residual(ppw, ks=(300.0, 500.0, 700.0)):
     worst = 0.0
     for name in ("1", "2"):
@@ -178,7 +152,7 @@ def worst_oracle_residual(ppw, ks=(300.0, 500.0, 700.0)):
         for x_a in (ATOM_INSIDE, ATOM_OUTSIDE):
             mesh = purcell_mesh(medium, x_a, k_max=max(ks), ppw=ppw)
             for k in ks:
-                worst = max(worst, oracle_residuals(mesh, medium, k, x_a))
+                worst = max(worst, *oracle_residuals(mesh, medium, k, x_a))
     return worst
 
 
@@ -218,9 +192,9 @@ def test_acceptance_07_structure_reciprocity_energy(pinned_sweeps):
         res = reciprocity_residual(mesh, medium, 500.0, ATOM_INSIDE,
                                    ATOM_OUTSIDE)
         assert res < 1e-10
-        # the flux deficit 1 - |r|^2 - |t|^2 cancels almost completely at
-        # weakly absorbed frequencies, amplifying the |t| extraction error
-        # ~ 40x at the band edge; the 1% audit needs the fine mesh
+        # the audit runs on the fine mesh; the absorbed power is the slab
+        # band form of the nodal field, so the 1% balance holds at ppw 40
+        # as well (test_scattering::test_energy_balance_on_the_sweep_mesh)
         fine = purcell_mesh(medium, ATOM_OUTSIDE, k_max=700.0, ppw=640.0)
         for k in (300.0, 500.0, 700.0):
             balance = energy_balance(solve_scattering(fine, medium, k, +1))

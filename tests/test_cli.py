@@ -19,6 +19,8 @@ from slabqed.cli import (
     read_config_echo,
 )
 from slabqed.medium import ATOM_OUTSIDE
+from slabqed.purcell import purcell_mesh
+from slabqed.scattering import lattice_plane_wave
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -521,18 +523,41 @@ def test_oracle_compare_documents_coarse_mesh_floor(tmp_path):
 
 
 def test_oracle_compare_vacuum_scattering_is_exact(tmp_path):
-    """With no slab the scattering source vanishes identically, so r, t and
-    the probed fields match to roundoff. The point-source comparison keeps
-    its usual lattice-dispersion floor and only meets the 0.5 percent gate."""
+    """With no slab the scattering source vanishes identically, so r and t
+    match to roundoff and the total field is the incident lattice wave. Its
+    miss at the probes is the lattice phase slip |1 - e^{i(theta - k x)}|,
+    largest at x_B, which the unit drive scales. The point-source
+    comparison keeps its usual lattice-dispersion floor and only meets the
+    0.5 percent gate."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text("case = vacuum\nsweep.count = 3\n")
     out = tmp_path / "ocv.csv"
     assert main(["oracle-compare", "--config", str(cfg),
                  "--out", str(out)]) == 0
     _, rows = csv_rows(out)
-    worst_scatter = max(float(v) for row in rows for v in row[1:3])
-    assert worst_scatter < 1e-8
+    config = build_config(cfg.read_text())
+    mesh = purcell_mesh(config.medium, config.atom_position,
+                        k_max=700.0, ppw=config.oracle_ppw,
+                        padding=config.padding)
+    node = mesh.find_node(ATOM_OUTSIDE)
+    for row in rows:
+        k = float(row[0])
+        theta = lattice_plane_wave(mesh, k).phase[node]
+        slip = abs(1.0 - np.exp(1j * (theta - k * ATOM_OUTSIDE)))
+        assert float(row[1]) < 1e-15
+        assert float(row[2]) == pytest.approx(slip, rel=1e-12)
     assert max(float(row[3]) for row in rows) < 5e-3
+
+
+def test_oracle_compare_passes_where_the_analytic_wave_missed(tmp_path):
+    """1A at ppw 160 from omega 474.6: the analytic incident wave missed the
+    0.005 gate there (res_rt 5.06e-3); the lattice wave reads 2.3e-3."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 1A\nsweep.min = 474.6\nsweep.max = 700\n"
+                   "sweep.count = 2\n")
+    out = tmp_path / "oc.csv"
+    assert main(["oracle-compare", "--config", str(cfg),
+                 "--out", str(out)]) == 0
 
 
 def test_oracle_compare_fails_on_a_nan_residual(tmp_path, capsys,

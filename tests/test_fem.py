@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from _dense_reference import dense_tridiagonal, in_slab, relative_permittivity
+from _dense_reference import (
+    dense_tridiagonal,
+    element_quadrature,
+    in_slab,
+    relative_permittivity,
+)
 from _random_meshes import meshes
 from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
@@ -25,7 +30,6 @@ from slabqed.fem import (
     SingularOperatorError,
     StaticBands,
     assemble,
-    element_quadrature,
     evaluate_field,
     factorization,
     inverse_iteration,
@@ -264,14 +268,13 @@ def test_a_mesh_without_slab_elements_assembles_no_slab():
     # no element midpoint of this hand-built mesh lies in the slab (-a, a),
     # although Gauss points of the two elements at x = 0 do: the lossy
     # medium leaves the bands bitwise the vacuum ones (a Gauss-point slab
-    # test added chi M_slab on nodes 4-6) and the slab load is zero
+    # test added chi M_slab on nodes 4-6) and M_slab is zero
     mesh = uniform_vacuum_box(11)
     assert mesh.slab_nodes.start == mesh.slab_nodes.stop
     lossy, vacuum = assemble(mesh, CASE1, 500.0), assemble(mesh, VACUUM, 500.0)
     for name in ("s_diag", "s_off", "m_diag", "m_off"):
         np.testing.assert_array_equal(getattr(lossy, name),
                                       getattr(vacuum, name))
-    assert not np.any(fem.plane_wave_load(mesh, 1.0, 500.0))
     assert not np.any(static_bands(mesh).slab_diag)
 
 
@@ -282,8 +285,7 @@ def scatter_slab_load(mesh, scale, values):
     """Element-by-element scatter of scale * weights * values over the slab.
 
     ``values`` are given at the slab's Gauss points; the two ``np.add.at``
-    calls are the reference for ``plane_wave_load`` and
-    ``StaticBands.slab_load``.
+    calls are the reference for ``StaticBands.slab_load``.
     """
     idx = slab_indices(mesh)
     _, half, _ = element_quadrature(mesh, idx)
@@ -344,48 +346,6 @@ def test_narrowed_assembly_is_the_full_length_sum(drawn, k):
         np.testing.assert_array_equal(band, reference)
 
 
-# the load takes e^{iqx} at a Gauss point as e^{iqm} e^{iq(x - m)}, m the
-# element midpoint, where the scatter takes exp(iqx) of the rounded x; the
-# phase q x reaches 60 rad on these slabs, and the misses seen over 400
-# random meshes stay under 4.1e-15
-PLANE_WAVE_LOAD_RTOL = 1e-14
-
-
-def plane_wave_load_miss(mesh, scale, q):
-    """max|plane_wave_load - scatter of e^{iqx}| over max|scatter|."""
-    points, _, _ = element_quadrature(mesh, mesh.slab_elements)
-    reference = scatter_slab_load(mesh, scale, np.exp(1j * q * points))
-    got = fem.plane_wave_load(mesh, scale, q)
-    outside = np.ones(mesh.n_nodes, dtype=bool)
-    outside[mesh.slab_nodes] = False
-    assert np.all(got[outside] == 0)
-    return np.max(np.abs(got - reference)) / np.max(np.abs(reference))
-
-
-@pytest.mark.parametrize("k", [300.0, 500.0, 700.0])
-@pytest.mark.parametrize("ppw", [20.0, 40.0])
-def test_plane_wave_load_is_the_gauss_point_scatter(k, ppw):
-    # the one-exp load rounds the phase in another order than the scatter,
-    # so the two agree to a bound, not bitwise
-    mesh = build_mesh(CASE1, 700.0, ppw, 0.05)
-    scale = k**2 * CASE1.susceptibility(k)
-    assert plane_wave_load_miss(mesh, scale, -k) <= PLANE_WAVE_LOAD_RTOL
-
-
-@settings(deadline=None, max_examples=40)
-@given(drawn=meshes(), k=st.floats(50.0, 1500.0),
-       direction=st.sampled_from([+1, -1]))
-def test_plane_wave_load_matches_the_gauss_point_scatter(drawn, k, direction):
-    # open meshes and closed boxes, with the few length classes of the
-    # breakpoint spans; the vacuum draws keep the case-1 scale, which
-    # would otherwise make the load zero
-    mesh, _ = drawn
-    assert mesh.slab_nodes.start < mesh.slab_nodes.stop
-    scale = k**2 * CASE1.susceptibility(k)
-    assert (plane_wave_load_miss(mesh, scale, direction * k)
-            <= PLANE_WAVE_LOAD_RTOL)
-
-
 @pytest.mark.parametrize("label", ["1A", "1B", "2A", "2B"])
 @pytest.mark.parametrize("omega", [300.0, 500.0, 504.0, 700.0])
 def test_record_boundary_rate_is_bitwise_gamma_boundary(label, omega):
@@ -393,8 +353,7 @@ def test_record_boundary_rate_is_bitwise_gamma_boundary(label, omega):
     x_a = {"A": ATOM_INSIDE, "B": ATOM_OUTSIDE}[label[1]]
     mesh = purcell_mesh(medium, x_a)
     record = compute_record(mesh, medium, omega, x_a)
-    wave = lattice_plane_wave(mesh, omega)
-    states = [solve_scattering(mesh, medium, omega, d, wave) for d in (+1, -1)]
+    states = [solve_scattering(mesh, medium, omega, d) for d in (+1, -1)]
     assert record.pf_b == gamma_boundary(*states, x_a)
 
 
@@ -944,37 +903,43 @@ def builds(monkeypatch):
 
 
 def kept_static_bands(mesh, key):
-    # sweeps of two media assemble at every k from the one set of bands,
-    # and its slab rule, which the energy balance reads, is read-only
+    # sweeps of two media assemble at every k from the one set of bands
     for medium in (CASE1, VACUUM):
         sweep(mesh, medium, np.linspace(300.0, 700.0, 9), 0.0625)
-    static = static_bands(mesh)
-    assert not (static.slab_points.flags.writeable
-                or static.slab_weights.flags.writeable)
-    return static
+    return static_bands(mesh)
 
 
-def kept_lattice_values(wave, nodes):
-    # both directions of a lattice solve read one kept, read-only copy of
-    # the +x values on the slab
+def kept_lattice_wave(mesh, k):
+    # both directions of a solve and the reads after it share one wave,
+    # whose phase is read-only
+    states = [solve_scattering(mesh, CASE1, k, d) for d in (+1, -1)]
+    wave = lattice_plane_wave(mesh, k)
+    assert all(state.incident is wave for state in states)
+    assert not wave.phase.flags.writeable
+    return wave
+
+
+def kept_lattice_values(mesh, nodes):
+    # both directions of a solve read one kept, read-only copy of the +x
+    # values on the slab; the mesh keeps the wave, the wave its values
     if nodes == "slab":
         for direction in (+1, -1):
-            solve_scattering(wave.mesh, CASE1, wave.k, direction, wave)
-        nodes = wave.mesh.slab_nodes
-    values = wave.values(nodes)
+            solve_scattering(mesh, CASE1, 500.0, direction)
+        nodes = mesh.slab_nodes
+    values = lattice_plane_wave(mesh, 500.0).values(nodes)
     assert not values.flags.writeable
     return values
 
 
-# slot -> (a new owner, its keys, the value kept for a key once its callers
-# have run)
+# slot -> (a new owner, or a new mesh that keeps the owner, its keys, the
+# value kept for a key once its callers have run)
 KEPT_SLOTS = {
     "static_bands": (lu_mesh, [None], kept_static_bands),
     "factorization": (
         lu_mesh, [(CASE1, 500.0), (VACUUM, 500.0), (CASE1, 501.0)],
         lambda mesh, key: factorization(mesh, *key)),
-    "values": (lambda: lattice_plane_wave(lu_mesh(), 500.0),
-               ["slab", slice(None)], kept_lattice_values),
+    "lattice_wave": (lu_mesh, [500.0, 501.0], kept_lattice_wave),
+    "values": (lu_mesh, ["slab", slice(None)], kept_lattice_values),
 }
 
 

@@ -11,6 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from _dense_reference import element_quadrature
 from _random_meshes import meshes
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -40,10 +41,17 @@ def make_mesh(medium, ppw=40.0, obs=(0.0, 0.0625)):
                       observation_points=obs)
 
 
-def slab_quadrature(mesh):
-    """Flat Gauss points and weights of the mesh's slab rule."""
+def slab_points(mesh):
+    """Flat Gauss points of the element rule on the mesh's slab."""
+    points, _, _ = element_quadrature(mesh, mesh.slab_elements)
+    return points.ravel()
+
+
+def slab_mass_total(mesh):
+    """The sum of every entry of M_slab: int_slab (sum_i phi_i)^2 dx, the
+    slab length, since the hats sum to 1."""
     static = static_bands(mesh)
-    return static.slab_points.ravel(), static.slab_weights.ravel()
+    return float(np.sum(static.slab_diag) + 2.0 * np.sum(static.slab_off))
 
 
 def test_vacuum_self_value():
@@ -149,7 +157,7 @@ def test_green_profile_converges_at_second_order():
     for ppw in (40.0, 80.0):
         mesh = make_mesh(CASE1, ppw=ppw)
         g = solve_point_source(mesh, CASE1, k, 0.0625)
-        xq, _ = slab_quadrature(mesh)
+        xq = slab_points(mesh)
         ref = tmm_green(CASE1, k, xq, 0.0625)
         errs[ppw] = np.max(np.abs(g(xq) - ref)) / np.max(np.abs(ref))
     assert errs[80.0] < errs[40.0] / 2.5
@@ -172,13 +180,13 @@ def test_reciprocity_is_exact():
     assert res < 1e-10
 
 
-def test_slab_quadrature_weights():
+def test_slab_mass_sums_to_the_slab_length():
     mesh = make_mesh(CASE1)
-    xq, wq = slab_quadrature(mesh)
-    assert np.sum(wq) == pytest.approx(0.0625, rel=1e-12)
-    assert np.all(np.abs(xq) < CASE1.slab_half_length)
-    assert xq.size == 4 * (mesh.slab_elements.stop - mesh.slab_elements.start)
-    assert np.all(wq > 0)
+    assert slab_mass_total(mesh) == pytest.approx(0.0625, rel=1e-12)
+    static = static_bands(mesh)
+    assert np.all(static.slab_diag[mesh.slab_nodes] > 0)
+    assert np.all(static.slab_off[mesh.slab_elements] > 0)
+    assert np.all(np.abs(slab_points(mesh)) < CASE1.slab_half_length)
 
 
 @settings(deadline=None)
@@ -199,9 +207,9 @@ def test_any_mesh_keeps_its_nodes_and_slab_rule(ppw, padding, fractions):
     mesh = build_mesh(*args, observation_points=obs)
     for x in obs:
         assert mesh.nodes[mesh.find_node(x)] == x  # bitwise, not approx
-    xq, wq = slab_quadrature(mesh)
-    assert np.sum(wq) == pytest.approx(CASE1.slab_length, rel=1e-12)
-    assert np.all(np.abs(xq) < a)
+    assert slab_mass_total(mesh) == pytest.approx(CASE1.slab_length,
+                                                  rel=1e-12)
+    assert np.all(np.abs(slab_points(mesh)) < a)
 
 
 def test_sample_green_consistency():

@@ -327,9 +327,8 @@ def test_incidence_from_either_side_scatters_alike(medium, omega):
     assume(abs(omega - medium.omega_0) > 1e-6 * medium.omega_0)
     k, a = omega, medium.slab_half_length
     x_out = 2.0 * a  # a point past each face, in vacuum
-    r, t = tmm_reflection_transmission(medium, omega, +1)
+    r, t = tmm_reflection_transmission(medium, omega)
     for direction in (+1, -1):
-        assert tmm_reflection_transmission(medium, omega, direction) == (r, t)
         # the wave comes in from -direction * infinity
         near, far = -direction * x_out, direction * x_out
         incident = np.exp(1j * direction * k * near)

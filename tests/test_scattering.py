@@ -13,9 +13,9 @@ from _random_meshes import meshes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slabqed.fem import assemble, lattice_wavenumber
-from slabqed.medium import CASE_PRESETS
-from slabqed.mesh import build_mesh
+from slabqed.fem import assemble, evaluate_field, lattice_wavenumber
+from slabqed.medium import ATOM_OUTSIDE, CASE_PRESETS
+from slabqed.mesh import build_box_mesh, build_mesh
 from slabqed.oracle import tmm_reflection_transmission, tmm_total_field
 from slabqed.scattering import (
     EnergyBalance,
@@ -24,6 +24,7 @@ from slabqed.scattering import (
     lattice_plane_wave,
     solve_scattering,
 )
+from slabqed.purcell import purcell_mesh
 
 CASE1 = CASE_PRESETS["1"]
 CASE2 = CASE_PRESETS["2"]
@@ -98,15 +99,27 @@ def test_direction_symmetry_on_symmetric_mesh():
 
 @pytest.mark.parametrize("case", ["1", "2"])
 def test_energy_balance(case):
-    # the flux deficit is a near cancellation of O(1) numbers off resonance,
-    # so certifying the 1% identity takes a fine mesh; convergence there is
-    # clean O(h^2)
+    # the flux deficit is a near cancellation of O(1) numbers off resonance;
+    # on this fine mesh the balance holds to ~4e-6
     medium = CASE_PRESETS[case]
     mesh = make_mesh(medium, ppw=640.0)
     for omega in (300.0, 500.0, 700.0):
         balance = energy_balance(solve_scattering(mesh, medium, omega, +1))
         assert isinstance(balance, EnergyBalance)
         assert balance.flux_deficit > 0  # lossy slab absorbs
+        assert balance.residual < 1e-2
+
+
+@pytest.mark.parametrize("case", ["1", "2"])
+def test_energy_balance_on_the_sweep_mesh(case):
+    # the absorbed power is the slab band form of the nodal total field,
+    # the P1 field the flux deficit is read from, so the balance holds at
+    # the sweep's ppw 40 (it missed by up to 0.58 with the analytic
+    # incident wave integrated at the Gauss points)
+    medium = CASE_PRESETS[case]
+    mesh = purcell_mesh(medium, ATOM_OUTSIDE, k_max=700.0, ppw=40.0)
+    for omega in (300.0, 500.0, 700.0):
+        balance = energy_balance(solve_scattering(mesh, medium, omega, +1))
         assert balance.residual < 1e-2
 
 
@@ -129,6 +142,15 @@ def test_outgoing_boundary_swallows_the_scattered_wave():
         modulus = np.abs(sol.scattered.dofs[span])
         assert modulus.size > 50
         assert np.ptp(modulus) < 1e-12 * modulus.max()
+
+
+def test_r_t_refuse_a_closed_box():
+    # node 1 of a box is no outgoing port: its scattered value is no
+    # reflected amplitude
+    mesh = build_box_mesh(CASE1, 700.0, 40.0, 0.4)
+    sol = solve_scattering(mesh, CASE1, 500.0, +1)
+    with pytest.raises(ValueError, match="open mesh"):
+        extract_r_t(sol)
 
 
 def test_direction_must_be_plus_or_minus_one():
@@ -181,15 +203,35 @@ def test_lattice_state_in_vacuum_is_the_bare_wave():
     wave = lattice_plane_wave(mesh, 500.0)
     full = np.exp(1j * wave.phase)
     for d in (+1, -1):
-        sol = solve_scattering(mesh, VACUUM, 500.0, d, lattice_wave=wave)
+        sol = solve_scattering(mesh, VACUUM, 500.0, d)
         assert np.max(np.abs(sol.scattered.dofs)) < 1e-12
-        assert sol.incident is wave
+        assert sol.incident is wave  # the mesh keeps one wave per k
         expected = full if d > 0 else np.conj(full)
         np.testing.assert_array_equal(sol.incident.values(direction=d),
                                       expected)
-        physical = mesh.nodes[1:-1]  # the wall nodes are not read
-        np.testing.assert_array_equal(sol.incident_at(physical),
-                                      expected[1:-1])
+        physical = np.arange(1, mesh.n_nodes - 1)  # the walls are not read
+        np.testing.assert_array_equal(
+            sol.total_at_nodes(physical) - sol.scattered.dofs[physical],
+            expected[1:-1])
+
+
+@settings(deadline=None, max_examples=40)
+@given(drawn=meshes(), k=st.floats(50.0, 1500.0),
+       direction=st.sampled_from([+1, -1]), data=st.data())
+def test_total_at_is_the_full_mesh_interpolation(drawn, k, direction, data):
+    # the total is formed at the bracketing nodes alone; bitwise the P1
+    # interpolation of the total formed at every node, at nodes included
+    mesh, medium = drawn
+    sol = solve_scattering(mesh, medium, k, direction)
+    lo, hi = mesh.physical_region
+    inside = mesh.nodes[(mesh.nodes >= lo) & (mesh.nodes <= hi)]
+    x = np.array(data.draw(st.lists(
+        st.floats(lo, hi) | st.sampled_from(inside), min_size=1,
+        max_size=12)))
+    total = sol.incident.values(direction=direction) + sol.scattered.dofs
+    np.testing.assert_array_equal(sol.total_at(x),
+                                  evaluate_field(mesh, total, x))
+    assert sol.total_at(x[0]) == evaluate_field(mesh, total, x[0])
 
 
 @settings(deadline=None, max_examples=40)
@@ -227,14 +269,3 @@ def test_lattice_wave_crosses_a_sliver_element():
     assert np.all(np.isfinite(wave.phase))
     with pytest.raises(ValueError, match="no propagating"):
         lattice_wavenumber(50.0, 0.07)  # kh = 3.5 > sqrt(12): stopband
-
-
-def test_lattice_wave_must_match_the_solve():
-    mesh = make_mesh(CASE1)
-    other = make_mesh(CASE1)
-    with pytest.raises(ValueError, match="lattice wave"):
-        solve_scattering(mesh, CASE1, 500.0, +1,
-                         lattice_wave=lattice_plane_wave(mesh, 501.0))
-    with pytest.raises(ValueError, match="lattice wave"):
-        solve_scattering(mesh, CASE1, 500.0, +1,
-                         lattice_wave=lattice_plane_wave(other, 500.0))

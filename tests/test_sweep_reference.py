@@ -3,8 +3,8 @@
 ``data/sweep-<case>.csv`` is the body (header and rows, no ``#`` metadata)
 of ``slabqed sweep --case <case>`` at the stock resolution, ppw 40.
 ``data/oracle-compare-1B.csv`` is the body of ``oracle-compare --case 1B``
-(``oracle.ppw`` 160), whose analytic-wave slab load
-(``fem.plane_wave_load``) no sweep runs, and ``data/modes-1A.csv`` with
+(``oracle.ppw`` 160), whose r/t read at the ports and probe-field reads no
+sweep runs, and ``data/modes-1A.csv`` with
 ``data/modes-1A_spectrum.csv`` are the rates and the spectrum of ``modes
 --case 1A``, the eigenmode route. ``data/check-identities-1B.txt`` is the
 stdout of ``check-identities --case 1B``: its line names and verdicts are
