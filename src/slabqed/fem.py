@@ -25,10 +25,11 @@ Element integrals use a fixed 4-point Gauss-Legendre rule, which is exact
 for the P1 products appearing here; ``StaticBands`` is the only place that
 rule is applied. ``kept`` keeps work with its mesh, one entry per slot,
 replaced when its key changes and freed with the mesh: the k-independent
-bands (``static_bands``, one per mesh whatever the medium) and the LU of
-the last (medium, k) (``factorization``, the one place an LU is built for
-a solve), so all solves at one frequency share it and no caller passes one
-around.
+bands (``static_bands``, one per mesh whatever the medium), the lattice
+phase steps of the last k (``lattice_steps``), the node of the last
+point asked (``node_of``) and the LU of the last (medium, k)
+(``factorization``, the one place an LU is built for a solve), so all
+solves at one frequency share it and no caller passes one around.
 ``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot),
 ``twisted_residues`` (the weight of one row in every null vector, from a
 forward and a backward pivot sweep differentiated in lam) and
@@ -50,11 +51,14 @@ With eps_r = 1 + chi(k) on the slab elements, placed by the mesh
 
 and only the scalar chi(k) and the two boundary terms vary with k. None
 of the rest depends on the medium, so ``static_bands`` builds it once per
-mesh: the two mass bands M_0 and M_slab and the element stiffness.
-``assemble`` then does O(n) band arithmetic per frequency and no
-quadrature, adding chi M_slab over the slab's nodes only (it is an exact
-zero elsewhere); it refuses a medium whose slab half-length is not the
-mesh's.
+mesh: the two mass bands M_0 and M_slab and the stiffness bands. Per
+frequency, ``assemble`` evaluates chi(k) once, adds chi M_slab over the
+slab's nodes only and b rho on the two ports only (each an exact zero
+elsewhere), with rho from the same per-length kt the lattice wave
+advances by (``lattice_steps``), and refuses a medium whose slab
+half-length is not the mesh's. The LU carries that chi to the loads and
+rates solved through it: one chi, one kt per length class, O(n) band
+arithmetic, one LU and no quadrature per frequency.
 The slab load of a P1 wave, k^2 chi M_slab w, is a band product with the
 same M_slab (``StaticBands.slab_load``), and the slab integral of u conj(v)
 for two P1 fields is v^H M_slab u (``StaticBands.slab_inner``), both over
@@ -97,7 +101,9 @@ def kept(owner, slot: str, key, build):
     stores the new one; a ``build`` that raises leaves the slot empty. The
     entries die with their owner, so a value must not refer to it.
     """
-    slots = _KEPT.setdefault(owner, {})
+    slots = _KEPT.get(owner)
+    if slots is None:
+        slots = _KEPT[owner] = {}
     entry = slots.get(slot)
     if entry is not None and entry[0] == key:
         return entry[1]
@@ -138,7 +144,7 @@ _FLAPACK = _load_flapack()
 
 def _tridiagonal_kernels(dtype):
     """LAPACK (gttrf, gttrs) for double bands: z if complex, else d."""
-    prefix = "z" if np.issubdtype(dtype, np.complexfloating) else "d"
+    prefix = "z" if dtype.kind == "c" else "d"
     return (getattr(_FLAPACK, f"{prefix}gttrf"),
             getattr(_FLAPACK, f"{prefix}gttrs"))
 
@@ -167,7 +173,7 @@ def lattice_wavenumber(k: float, h):
     h = np.asarray(h, dtype=float)
     z = k * h
     half_sine = 0.5 * z / np.sqrt(1.0 + z**2 / 6.0)
-    if np.any(half_sine >= 1.0):
+    if (half_sine >= 1.0).any():
         raise ValueError(
             f"no propagating lattice wave at k = {k} with spacing "
             f"h = {np.max(h)}"
@@ -176,18 +182,24 @@ def lattice_wavenumber(k: float, h):
     return float(kt) if kt.ndim == 0 else kt
 
 
+# the ports of an open mesh, the nodes next to its walls
+_PORTS = np.array([1, -2])
+
+
 @dataclass(frozen=True, eq=False)
 class SystemMatrices:
     """Assembled tridiagonal bands over all nodes, walls included.
 
     ``s_diag/s_off`` and ``m_diag/m_off`` are the stiffness and mass bands;
     ``off[i]`` couples node i to node i+1. Interior (Dirichlet-reduced)
-    views are provided for the solver and the identity checks. Systems
+    views are provided for the solver and the identity checks. ``chi`` is
+    the slab susceptibility chi(k) the bands were assembled with. Systems
     compare by identity: equal bands do not make two systems equal.
     """
 
     mesh: Mesh1D
     k: float
+    chi: complex
     s_diag: np.ndarray
     s_off: np.ndarray
     m_diag: np.ndarray
@@ -221,7 +233,10 @@ def _gauss_sum(values):
 
 
 def _mass_bands(half, weight):
-    """Bands of int weight N_a N_b dx; ``weight`` is given per Gauss point."""
+    """Bands of int weight N_a N_b dx, ``weight`` given per Gauss point.
+
+    Summed in real arithmetic and returned complex.
+    """
     common = weight * GAUSS_WEIGHTS * half
     m_lo = _gauss_sum(common * _SHAPE_LO**2)
     m_hi = _gauss_sum(common * _SHAPE_HI**2)
@@ -229,7 +244,7 @@ def _mass_bands(half, weight):
     diag[:-1] += m_lo
     diag[1:] += m_hi
     off = _gauss_sum(common * _SHAPE_LO * _SHAPE_HI)
-    return _read_only(diag), _read_only(off)
+    return _read_only(diag.astype(complex)), _read_only(off.astype(complex))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -241,9 +256,12 @@ class StaticBands:
     """The k-independent parts of the operator on one mesh.
 
     ``m0_*`` is the vacuum mass, ``slab_*`` the mass over the mesh's slab
-    elements and ``stiffness`` the element stiffness k_e. M_slab has all
-    its nonzeros on the mesh's ``slab_nodes``. Holds arrays and slices
-    only, not the mesh, so a copy kept for a mesh dies with it.
+    elements and ``s_*`` the stiffness: k_e[j-1] + k_e[j] on the diagonal
+    (one k_e at a wall) and -k_e off it, k_e the element stiffness. All
+    are complex, as is every band and load they enter, so no operation on
+    them casts. M_slab has all its nonzeros on the mesh's ``slab_nodes``.
+    Holds arrays and slices only, not the mesh, so a copy kept for a mesh
+    dies with it.
     """
 
     def __init__(self, mesh: Mesh1D):
@@ -254,8 +272,14 @@ class StaticBands:
         self.slab_diag, self.slab_off = _mass_bands(half, on_slab)
         self.slab_elements, self.slab_nodes = (mesh.slab_elements,
                                                mesh.slab_nodes)
-        self.stiffness = _read_only(_gauss_sum(GAUSS_WEIGHTS)
-                                    / (2.0 * mesh.element_lengths))
+        # hat slopes are constant +-1/h, so the element stiffness is
+        # k_e * [[1, -1], [-1, 1]] with k_e = (1/2h) sum w
+        k_e = (_gauss_sum(GAUSS_WEIGHTS)
+               / (2.0 * mesh.element_lengths)).astype(complex)
+        s_diag = np.zeros(mesh.n_nodes, dtype=complex)
+        s_diag[:-1] += k_e
+        s_diag[1:] += k_e
+        self.s_diag, self.s_off = _read_only(s_diag), _read_only(-k_e)
 
     def _slab_product(self, values) -> np.ndarray:
         """M_slab w on ``slab_nodes``, for the values of w there."""
@@ -273,7 +297,8 @@ class StaticBands:
         exactly zero outside. Returns one value per mesh node.
         """
         f = np.zeros(self.slab_diag.size, dtype=complex)
-        f[self.slab_nodes] = scale * self._slab_product(values)
+        np.multiply(scale, self._slab_product(values),
+                    out=f[self.slab_nodes])
         return f
 
     def slab_inner(self, u, v) -> complex:
@@ -290,6 +315,30 @@ class StaticBands:
 def static_bands(mesh: Mesh1D) -> StaticBands:
     """The k-independent bands of ``mesh``, built once and kept with it."""
     return kept(mesh, "static_bands", None, lambda: StaticBands(mesh))
+
+
+def lattice_steps(mesh: Mesh1D, k: float) -> np.ndarray:
+    """The phase kt h the vacuum lattice wave advances across an element.
+
+    One entry per distinct length of ``mesh.length_classes``, with kt from
+    ``lattice_wavenumber``, kept with the mesh for the last k: the lattice
+    wave (``scattering.lattice_plane_wave``) and the outgoing condition of
+    ``assemble`` both read it, so a frequency finds kt once.
+    """
+    def build():
+        lengths, _ = mesh.length_classes
+        return _read_only(lattice_wavenumber(k, lengths) * lengths)
+
+    return kept(mesh, "lattice_steps", k, build)
+
+
+def node_of(mesh: Mesh1D, x: float) -> int:
+    """``mesh.find_node(x)``, kept with the mesh for the last x asked.
+
+    The routes read the atom's node at every frequency, so a sweep
+    bisects the nodes once.
+    """
+    return kept(mesh, "node", x, lambda: mesh.find_node(x))
 
 
 def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
@@ -322,30 +371,27 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
             f"(gamma = 0) has no permittivity at its resonance omega_0"
         )
     static = static_bands(mesh)
-    # M_slab is an exact zero off its nodes: adding it over its own nodes
-    # only leaves every band entry bitwise as a sum over all n would
-    m_diag = static.m0_diag.astype(complex)
-    m_off = static.m0_off.astype(complex)
+    # M_slab is an exact zero off its nodes and b rho off the two ports:
+    # adding each over its own nodes only leaves every band entry bitwise
+    # as a sum over all n would. A band without a per-k term is the static
+    # one itself, read-only.
+    m_diag, m_off = static.m0_diag.copy(), static.m0_off.copy()
     nodes, elements = mesh.slab_nodes, mesh.slab_elements
     m_diag[nodes] += chi * static.slab_diag[nodes]
     m_off[elements] += chi * static.slab_off[elements]
-    # stiffness: hat slopes are constant +-1/h, so the element matrix is
-    # k_e * [[1, -1], [-1, 1]] with k_e = (1/2h) sum w
-    k_e = static.stiffness.astype(complex)
-    s_diag = np.zeros(mesh.n_nodes, dtype=complex)
-    s_diag[:-1] += k_e
-    s_diag[1:] += k_e
+    s_diag = static.s_diag
     if mesh.is_open:
         # the vacuum lattice beyond each wall carries u_1 rho^j outward:
-        # eliminating it adds b rho to the last physical node's diagonal
+        # eliminating it adds b rho to the last physical node's diagonal,
+        # rho from the kt the lattice wave advances by
         ends = [0, -1]
-        h = mesh.element_lengths[ends]
-        b = -static.stiffness[ends] - k**2 * static.m0_off[ends]
-        np.add.at(s_diag, [1, -2],
-                  b * np.exp(1j * lattice_wavenumber(k, h) * h))
+        b = static.s_off.real[ends] - k**2 * static.m0_off.real[ends]
+        steps = lattice_steps(mesh, k)[mesh.length_classes[1][ends]]
+        s_diag = s_diag.copy()
+        s_diag[_PORTS] += b * np.exp(1j * steps)
     return SystemMatrices(
-        mesh=mesh, k=float(k),
-        s_diag=s_diag, s_off=-k_e,
+        mesh=mesh, k=float(k), chi=chi,
+        s_diag=s_diag, s_off=static.s_off,
         m_diag=m_diag, m_off=m_off,
     )
 
@@ -353,12 +399,14 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
 class Factorization:
     """LU factors of the interior operator, reusable across right-hand sides.
 
-    Holds the factors only, not the system or its mesh, so an LU kept for a
-    mesh by ``factorization`` is freed together with that mesh.
+    Holds the factors, k and chi(k) of the system, not the system or its
+    mesh, so an LU kept for a mesh by ``factorization`` is freed together
+    with that mesh; the loads and rates solved through it read its chi.
     """
 
     def __init__(self, system: SystemMatrices):
         self.n_interior = system.n_interior
+        self.k, self.chi = system.k, system.chi
         diag, off = system.operator_interior()
         # the operator's scale max|L_ij|, taken before gttrf overwrites
         # the bands

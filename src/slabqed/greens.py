@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FieldSolution, factorization, static_bands
+from .fem import FieldSolution, factorization, node_of, static_bands
 from .medium import MediumSpec
 from .mesh import Mesh1D
 
@@ -29,13 +29,17 @@ def solve_point_source(
     k: float,
     x_src: float,
 ) -> FieldSolution:
-    """G(x, x_src) as a nodal field; x_src must coincide with a mesh node."""
-    src = mesh.find_node(x_src)
+    """G(x, x_src) as a nodal field; x_src must coincide with a mesh node.
+
+    The unit load is solved in place on the interior rows of the nodal
+    vector, whose walls stay zero.
+    """
+    src = node_of(mesh, x_src)
     if src == 0 or src == mesh.n_nodes - 1:
         raise ValueError("source on a Dirichlet wall gives the zero field")
-    rhs = np.zeros(mesh.n_interior, dtype=complex)
-    rhs[src - 1] = 1.0
-    dofs = factorization(mesh, medium, k).solve(rhs)
+    dofs = np.zeros(mesh.n_nodes, dtype=complex)
+    dofs[src] = 1.0
+    factorization(mesh, medium, k).solve_in_place(dofs[1:-1])
     return FieldSolution(mesh=mesh, k=float(k), dofs=dofs)
 
 
@@ -44,6 +48,7 @@ class GreenSamples:
     """What the LDOS and medium routes read of G(x_atom, .)."""
 
     k: float
+    chi: complex  # chi(k) of the operator whose inverse G is
     x_atom: float
     self_value: complex  # G(x_atom, x_atom)
     slab_intensity: float  # int_slab |G(x_atom, x)|^2 dx
@@ -63,16 +68,17 @@ def sample_green(
     of |G|^2 is the band form g^H M_slab g over the slab's nodes
     (``StaticBands.slab_inner``): the Gauss rule that built M_slab is exact
     for the P1 product, so this is the element rule's sum of |G|^2 at the
-    slab's Gauss points, without interpolating G there.
+    slab's Gauss points, without interpolating G there. The samples carry
+    the chi(k) the operator was built with, which the medium route reads.
     """
     field = solve_point_source(mesh, medium, k, x_atom)
-    static = static_bands(mesh)
     g = field.dofs[mesh.slab_nodes]
     return GreenSamples(
         k=float(k),
+        chi=factorization(mesh, medium, k).chi,
         x_atom=float(x_atom),
-        self_value=field.at_node(mesh.find_node(x_atom)),
-        slab_intensity=static.slab_inner(g, g).real,
+        self_value=field.at_node(node_of(mesh, x_atom)),
+        slab_intensity=static_bands(mesh).slab_inner(g, g).real,
     )
 
 

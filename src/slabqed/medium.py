@@ -9,6 +9,7 @@ Im chi(omega) >= 0 for omega >= 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,17 @@ class MediumSpec:
     slab_half_length: float
 
     def __post_init__(self) -> None:
+        for name in ("omega_p", "omega_0", "gamma", "slab_half_length"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        # chi squares both; a square past the largest double would overflow
+        # in every susceptibility evaluated
+        for name in ("omega_p", "omega_0"):
+            value = getattr(self, name)
+            if not math.isfinite(value * value):
+                raise ValueError(
+                    f"{name} must have a finite square, got {value!r}")
         if self.omega_p < 0:
             raise ValueError(f"omega_p must be >= 0, got {self.omega_p}")
         if self.omega_0 <= 0:

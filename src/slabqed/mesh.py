@@ -62,6 +62,9 @@ class Mesh1D:
         self.is_open = bool(is_open)
         if self.nodes.ndim != 1 or self.nodes.size < 3:
             raise ValueError("mesh needs at least 3 nodes")
+        if self.is_open and self.nodes.size < 4:
+            raise ValueError("an open mesh needs at least 4 nodes: two "
+                             "walls and two distinct ports")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         ends = (1, -2) if self.is_open else (0, -1)

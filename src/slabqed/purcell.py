@@ -26,9 +26,12 @@ band form g^H M_slab g over the slab's nodes: the Gauss rule that built
 M_slab integrates the P1 product exactly, so no Gauss-point values of G
 are formed.
 
-One matrix factorization per frequency feeds all three solves (two plane
-waves, one point source): ``fem.factorization`` keeps it on the mesh, and
-the sweep runs its frequencies in order, one LU at a time. The identity
+Per frequency the routes share one chi(k), one lattice wave and one
+matrix factorization, which feeds three separate single-column solves
+(two plane waves, one point source); each load is solved in place.
+``fem.factorization`` keeps the LU, with the chi it was built from, on
+the mesh, and the sweep runs its frequencies in order, one LU at a time;
+the atom's node is found once per sweep (``fem.node_of``). The identity
 (ldos - medium) = boundary is the zero-separation thermal-balance
 statement, so each sweep record carries its relative residual for free.
 """
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fem import node_of
 from .greens import GreenSamples, sample_green
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, build_mesh
@@ -86,15 +90,15 @@ def gamma_boundary(
     return 0.5 * total
 
 
-def gamma_medium(samples: GreenSamples, medium: MediumSpec) -> float:
+def gamma_medium(samples: GreenSamples) -> float:
     """Medium part: noise currents in the slab radiating to the atom.
 
     2 k^3 chi_I int_slab |G(x_a, x)|^2 dx; the homogeneous slab lets chi_I
     factor out of the integral, which ``sample_green`` forms as the slab
-    band form g^H M_slab g (the element rule's Gauss sum, exactly).
+    band form g^H M_slab g (the element rule's Gauss sum, exactly). chi is
+    the one the operator was built with, carried by the samples.
     """
-    chi_imag = complex(medium.susceptibility(samples.k)).imag
-    return 2.0 * samples.k**3 * chi_imag * samples.slab_intensity
+    return 2.0 * samples.k**3 * samples.chi.imag * samples.slab_intensity
 
 
 def compute_record(
@@ -114,11 +118,11 @@ def compute_record(
     sol_minus = solve_scattering(mesh, medium, omega_a, -1)
     samples = sample_green(mesh, medium, omega_a, x_a)
 
-    node = mesh.find_node(x_a)
+    node = node_of(mesh, x_a)
     pf_sfa = gamma_sfa(samples)
     pf_b = 0.5 * sum(abs(sol.total_at_nodes(node)) ** 2
                      for sol in (sol_plus, sol_minus))
-    pf_m = gamma_medium(samples, medium)
+    pf_m = gamma_medium(samples)
     lhs = pf_sfa - pf_m
     tec = abs(lhs - pf_b) / max(abs(lhs), abs(pf_b), 1e-300)
     return PurcellRecord(

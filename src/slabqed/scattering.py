@@ -9,17 +9,18 @@ advances by the lattice wavenumber ``fem.lattice_wavenumber`` across each
 element, interpolated as P1. It is what the vacuum mesh itself carries
 (L_vac annihilates it), so incident and scattered parts share one
 dispersion relation. The mesh keeps the wave of the last k as its phase
-theta, with kt found once per distinct element length; its values are
-formed only where they are read: on the slab's nodes for the load and the
-absorbed power (once for both directions), at the nodes asked of
-``total_at_nodes`` and at the two nodes that bracket each point of
-``total_at``.
+theta, with kt found once per distinct element length
+(``fem.lattice_steps``, which the operator's outgoing condition reads
+too); its values are formed only where they are read: on the slab's
+nodes for the load and the absorbed power (once for both directions), at
+the nodes asked of ``total_at_nodes`` and at the two nodes that bracket
+each point of ``total_at``.
 
 The scattered field is outgoing, and the mesh's exact outgoing boundary
 lets it leave without reflection; fields are read in the mesh's physical
-region only, never at its wall nodes. The solve takes its LU from
-``fem.factorization``, so both directions and the point-source solves at
-one frequency share one factorization.
+region only, never at its wall nodes. The solve takes its LU, and the
+chi(k) of its load, from ``fem.factorization``, so both directions and
+the point-source solves at one frequency share one factorization.
 
 Reflection and transmission are reported in the face (de-embedded port)
 convention: r is the reflected-to-incident ratio at the illuminated face,
@@ -41,7 +42,7 @@ from .fem import (
     evaluate_field,
     factorization,
     kept,
-    lattice_wavenumber,
+    lattice_steps,
     static_bands,
 )
 from .medium import MediumSpec
@@ -116,16 +117,16 @@ def lattice_plane_wave(mesh: Mesh1D, k: float) -> LatticeWave:
     """Unit discrete plane wave travelling toward +x, kept with the mesh.
 
     Nodal phases theta(x_j): theta advances by kt_e h_e across each
-    element (kt_e the lattice wavenumber of its length, found once per
-    distinct length of ``mesh.length_classes``) and theta(0) = 0, the
+    element (``fem.lattice_steps``, one per distinct element length, which
+    the outgoing condition of the operator reads too) and theta(0) = 0, the
     oracle's absolute phase. Its complex conjugate is the wave travelling
     toward -x. The mesh keeps the wave of the last k (``fem.kept``), so
     every solve and read at one frequency shares it.
     """
     def build():
-        lengths, which = mesh.length_classes
-        steps = (lattice_wavenumber(k, lengths) * lengths)[which]
-        theta = np.concatenate(([0.0], np.cumsum(steps)))
+        theta = np.zeros(mesh.n_nodes)
+        np.cumsum(lattice_steps(mesh, k)[mesh.length_classes[1]],
+                  out=theta[1:])
         theta -= np.interp(0.0, mesh.nodes, theta)
         theta.setflags(write=False)
         return LatticeWave(phase=theta)
@@ -145,16 +146,18 @@ def solve_scattering(
     (d = +1) or its complex conjugate (d = -1). The load is the band
     product k^2 chi M_slab w with the M_slab of ``fem.static_bands``, from
     the wave's values on the mesh's ``slab_nodes`` alone: exactly what
-    L - L_vac applies to the wave. The LU is ``fem.factorization``'s,
-    shared with every other solve at this frequency on this mesh.
+    L - L_vac applies to the wave. The LU, and the chi it was built with,
+    are ``fem.factorization``'s, shared with every other solve at this
+    frequency on this mesh. The load vector is solved in place.
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    scale = k**2 * medium.susceptibility(k)
+    lu = factorization(mesh, medium, k)
     wave = lattice_plane_wave(mesh, k)
-    f = static_bands(mesh).slab_load(
-        scale, wave.values(mesh.slab_nodes, direction))
-    dofs = factorization(mesh, medium, k).solve(f[1:-1])
+    dofs = static_bands(mesh).slab_load(
+        k**2 * lu.chi, wave.values(mesh.slab_nodes, direction))
+    lu.solve_in_place(dofs[1:-1])
+    dofs[0] = dofs[-1] = 0.0  # Dirichlet walls, whatever the load put there
     return PlaneWaveSolution(
         mesh=mesh,
         medium=medium,

@@ -263,6 +263,20 @@ def test_non_finite_value_exits_2_without_output(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+@pytest.mark.parametrize("line", ["medium.omega_p = 1e155",
+                                  "medium.omega_0 = 1e200"])
+def test_overflowing_medium_exits_2(line, tmp_path, capsys):
+    # finite, but chi(omega) squares it past the largest double: refused as
+    # a config error naming the key, not a failure at the first frequency
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"case = 1B\nsweep.count = 3\n{line}\n")
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
 # The sweep mesh puts both preset atom sites on nodes. Around the 1/32 slab
 # a padding of 0.03 ends the physical region at 0.06125, short of the outside
 # site 0.0625, although case 1A's own atom at 0 passes validate().

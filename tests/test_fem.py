@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from _dense_reference import (
     dense_tridiagonal,
@@ -42,7 +42,14 @@ from slabqed.greens import reciprocity_residual, sample_green, solve_point_sourc
 from slabqed.identities import check_thermal_equilibrium
 from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS
 from slabqed.mesh import Mesh1D, build_box_mesh, build_mesh
-from slabqed.purcell import compute_record, gamma_boundary, purcell_mesh, sweep
+from slabqed.purcell import (
+    compute_record,
+    gamma_boundary,
+    gamma_medium,
+    gamma_sfa,
+    purcell_mesh,
+    sweep,
+)
 from slabqed.scattering import lattice_plane_wave, solve_scattering
 
 CASE1 = CASE_PRESETS["1"]
@@ -351,10 +358,38 @@ def test_narrowed_assembly_is_the_full_length_sum(drawn, k):
 def test_record_boundary_rate_is_bitwise_gamma_boundary(label, omega):
     medium = CASE_PRESETS[label[0]]
     x_a = {"A": ATOM_INSIDE, "B": ATOM_OUTSIDE}[label[1]]
-    mesh = purcell_mesh(medium, x_a)
+    assert_record_is_the_route_functions(purcell_mesh(medium, x_a), medium,
+                                         omega, x_a)
+
+
+def assert_record_is_the_route_functions(mesh, medium, omega, x_a):
+    """The sweep record's three rates, bitwise those of the route functions
+    that oracle-compare and the identity checks call."""
     record = compute_record(mesh, medium, omega, x_a)
+    samples = sample_green(mesh, medium, omega, x_a)
     states = [solve_scattering(mesh, medium, omega, d) for d in (+1, -1)]
+    assert record.pf_sfa == gamma_sfa(samples)
+    assert record.pf_m == gamma_medium(samples)
     assert record.pf_b == gamma_boundary(*states, x_a)
+
+
+@settings(deadline=None, max_examples=40)
+@given(drawn=meshes(), lossless=st.booleans(), inside=st.booleans(),
+       pick=st.floats(0.0, 1.0), omega=st.floats(50.0, 1500.0))
+def test_record_is_bitwise_the_route_functions_on_any_open_mesh(
+        drawn, lossless, inside, pick, omega):
+    mesh, medium = drawn
+    assume(mesh.is_open)
+    if lossless:
+        medium = dataclasses.replace(medium, gamma=0.0)
+        assume(omega != medium.omega_0)  # no permittivity at resonance
+    # the atom at a node inside the slab, or outside it in the physical
+    # region
+    x = mesh.nodes[1:-1]
+    sites = x[(np.abs(x) < medium.slab_half_length) == inside]
+    assume(sites.size)
+    x_a = float(sites[round(pick * (sites.size - 1))])
+    assert_record_is_the_route_functions(mesh, medium, omega, x_a)
 
 
 def test_block_solve_matches_column_solves():
@@ -422,8 +457,8 @@ def test_singularity_test_is_the_relative_pivot_threshold(ratio):
     s_diag = np.array([0.0, 1.0, 1.0 + ratio * 1e-14, 1.0, 0.0],
                       dtype=complex)
     s_off = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-    system = fem.SystemMatrices(mesh=mesh, k=1.0, s_diag=s_diag, s_off=s_off,
-                                m_diag=np.zeros(5, complex),
+    system = fem.SystemMatrices(mesh=mesh, k=1.0, chi=0j, s_diag=s_diag,
+                                s_off=s_off, m_diag=np.zeros(5, complex),
                                 m_off=np.zeros(4, complex))
     diag, off = system.operator_interior()
     pivots = lapack.zgttrf(off, diag, off)[1]

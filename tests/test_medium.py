@@ -92,6 +92,20 @@ def test_slab_geometry():
         dict(omega_p=100.0, omega_0=0.0, gamma=50.0, slab_half_length=0.03125),
         dict(omega_p=100.0, omega_0=500.0, gamma=-1.0, slab_half_length=0.03125),
         dict(omega_p=100.0, omega_0=500.0, gamma=50.0, slab_half_length=0.0),
+        # non-finite parameters
+        dict(omega_p=float("nan"), omega_0=500.0, gamma=50.0,
+             slab_half_length=0.03125),
+        dict(omega_p=100.0, omega_0=float("inf"), gamma=50.0,
+             slab_half_length=0.03125),
+        dict(omega_p=100.0, omega_0=500.0, gamma=float("nan"),
+             slab_half_length=0.03125),
+        dict(omega_p=100.0, omega_0=500.0, gamma=50.0,
+             slab_half_length=float("inf")),
+        # finite, but chi squares them past the largest double
+        dict(omega_p=1e155, omega_0=500.0, gamma=50.0,
+             slab_half_length=0.03125),
+        dict(omega_p=100.0, omega_0=1e200, gamma=50.0,
+             slab_half_length=0.03125),
     ],
 )
 def test_invalid_parameters_rejected(kwargs):

@@ -125,6 +125,16 @@ def test_dedupe_refuses_distinct_breakpoints_closer_than_tol():
         mesh_module._dedupe([0.5, 0.5 + 5e-13, -0.25])
 
 
+def test_an_open_mesh_needs_two_distinct_ports():
+    # the outgoing condition adds b rho at nodes 1 and n - 2, which three
+    # nodes would merge; a closed box of three nodes stands
+    nodes = np.array([-1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="two distinct ports"):
+        Mesh1D(nodes, 0.1, is_open=True)
+    assert Mesh1D(nodes, 0.1).n_interior == 1
+    assert Mesh1D(np.append(nodes, 2.0), 0.1, is_open=True).n_interior == 2
+
+
 def test_find_node_rejects_off_node_points():
     mesh = standard_mesh()
     with pytest.raises(ValueError):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from slabqed import purcell
+from slabqed import fem, purcell
+from slabqed.cli import main
 from slabqed.greens import sample_green, solve_point_source
-from slabqed.medium import case_preset
+from slabqed.medium import MediumSpec, case_preset
+from slabqed.mesh import Mesh1D
 from slabqed.oracle import tmm_total_field
 from slabqed.scattering import solve_scattering
 
@@ -130,7 +132,7 @@ def test_medium_rate_quadrature_is_converged():
             chi_imag = complex(medium.susceptibility(k)).imag
             pf8 = 2.0 * k**3 * chi_imag * gauss8
             samples = sample_green(mesh, medium, k, x_a)
-            pf_m = purcell.gamma_medium(samples, medium)
+            pf_m = purcell.gamma_medium(samples)
             assert abs(pf_m - pf8) <= 1e-13 * pf8
             assert purcell.compute_record(mesh, medium, k, x_a).pf_m == pf_m
 
@@ -167,3 +169,42 @@ def test_mesh_places_both_atom_sites_on_nodes():
     mesh, medium, _ = make_setup("2A")
     assert mesh.find_node(0.0) >= 0
     assert mesh.find_node(0.0625) >= 0
+
+
+# ``sweep --case 1B``: 101 frequencies at ppw 40. Per frequency, one chi(k),
+# one kt per length class and one LU; the three routes still make three
+# separate single-column solves. Before the hoisting the sweep evaluated
+# chi 404 times, kt 202 times and bisected for the atom's node 303 times.
+STOCK_1B_POINTS = 101
+
+
+def test_stock_1b_sweep_count_work_budget(monkeypatch, tmp_path):
+    # counted, not timed: calls of each k-dependent helper, LUs built and
+    # right-hand-side columns solved
+    work = dict.fromkeys(("chi", "kt", "find_node", "lu", "solves",
+                          "columns"), 0)
+
+    def count(owner, name, key, columns=None):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            work[key] += 1
+            if columns is not None:
+                block = args[columns]
+                work["columns"] += block.shape[1] if block.ndim == 2 else 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(MediumSpec, "susceptibility", "chi")
+    count(fem, "lattice_wavenumber", "kt")
+    count(Mesh1D, "find_node", "find_node")
+    count(fem.Factorization, "__init__", "lu")
+    count(fem.Factorization, "solve_in_place", "solves", columns=1)
+    assert main(["sweep", "--case", "1B",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+    assert work["chi"] <= STOCK_1B_POINTS
+    assert work["kt"] <= STOCK_1B_POINTS
+    assert work["find_node"] <= 2
+    assert work["lu"] == STOCK_1B_POINTS
+    assert work["solves"] == work["columns"] == 3 * STOCK_1B_POINTS
