@@ -297,6 +297,7 @@ class StaticBands:
         exactly zero outside. Returns one value per mesh node.
         """
         f = np.zeros(self.slab_diag.size, dtype=complex)
+        # scale first: numpy's complex multiply is not bitwise commutative
         np.multiply(scale, self._slab_product(values),
                     out=f[self.slab_nodes])
         return f
