@@ -56,13 +56,17 @@ frequency, ``assemble`` evaluates chi(k) once, adds chi M_slab over the
 slab's nodes only and b rho on the two ports only (each an exact zero
 elsewhere), with rho from the same per-length kt the lattice wave
 advances by (``lattice_steps``), and refuses a medium whose slab
-half-length is not the mesh's. The LU carries that chi to the loads and
-rates solved through it: one chi, one kt per length class, O(n) band
-arithmetic, one LU and no quadrature per frequency.
-The slab load of a P1 wave, k^2 chi M_slab w, is a band product with the
-same M_slab (``StaticBands.slab_load``), and the slab integral of u conj(v)
-for two P1 fields is v^H M_slab u (``StaticBands.slab_inner``), both over
-the slab's nodes only.
+half-length is not the mesh's: one chi, one kt per length class, O(n)
+band arithmetic, one LU and no quadrature per frequency.
+
+The slab's law stays here. Every other module asks the operator about
+the slab in terms of L - L_vac, where L_vac is the operator of the same
+mesh with an empty slab, and never reads chi(k) or M_slab:
+``Factorization.slab_load`` gives the load (L_vac - L) w of a wave w and
+``Factorization.slab_loss`` the slab's loss -v^H Im(L - L_vac) u between
+two fields, both over the slab's nodes only, and
+``SystemMatrices.loss_interior`` the bands of -Im(L - L_vac). On P1 these
+are k^2 chi M_slab w, k^2 chi_I v^H M_slab u and k^2 Im M.
 """
 
 from __future__ import annotations
@@ -193,8 +197,9 @@ class SystemMatrices:
     ``s_diag/s_off`` and ``m_diag/m_off`` are the stiffness and mass bands;
     ``off[i]`` couples node i to node i+1. Interior (Dirichlet-reduced)
     views are provided for the solver and the identity checks. ``chi`` is
-    the slab susceptibility chi(k) the bands were assembled with. Systems
-    compare by identity: equal bands do not make two systems equal.
+    the slab susceptibility chi(k) the bands were assembled with, which
+    ``Factorization`` turns into the slab term. Systems compare by
+    identity: equal bands do not make two systems equal.
     """
 
     mesh: Mesh1D
@@ -214,6 +219,12 @@ class SystemMatrices:
 
     def mass_interior(self):
         return self.m_diag[1:-1], self.m_off[1:-1]
+
+    def loss_interior(self):
+        """Real bands of -Im(L - L_vac) on the interior nodes, the loss the
+        slab adds to the operator: k^2 Im M on P1, zero in vacuum."""
+        k2 = self.k**2
+        return k2 * self.m_diag[1:-1].imag, k2 * self.m_off[1:-1].imag
 
     def operator_interior(self):
         """Bands of L = S - k^2 M on the interior nodes."""
@@ -281,37 +292,6 @@ class StaticBands:
         s_diag[1:] += k_e
         self.s_diag, self.s_off = _read_only(s_diag), _read_only(-k_e)
 
-    def _slab_product(self, values) -> np.ndarray:
-        """M_slab w on ``slab_nodes``, for the values of w there."""
-        off = self.slab_off[self.slab_elements]
-        product = self.slab_diag[self.slab_nodes] * values
-        product[:-1] += off * values[1:]
-        product[1:] += off * values[:-1]
-        return product
-
-    def slab_load(self, scale, values) -> np.ndarray:
-        """The band product scale M_slab w for the values of w on ``slab_nodes``.
-
-        The consistent load of the P1 wave over the slab (the Gauss rule
-        that built M_slab is exact for it), formed over ``slab_nodes`` and
-        exactly zero outside. Returns one value per mesh node.
-        """
-        f = np.zeros(self.slab_diag.size, dtype=complex)
-        # scale first: numpy's complex multiply is not bitwise commutative
-        np.multiply(scale, self._slab_product(values),
-                    out=f[self.slab_nodes])
-        return f
-
-    def slab_inner(self, u, v) -> complex:
-        """int_slab u conj(v) dx of two P1 fields, as v^H M_slab u.
-
-        ``u`` and ``v`` are the values on ``slab_nodes``. The Gauss rule
-        that built M_slab is exact for a product of two P1 fields, so this
-        is the element rule's sum over the slab to round-off; 0 without a
-        slab.
-        """
-        return complex(np.vdot(v, self._slab_product(u)))
-
 
 def static_bands(mesh: Mesh1D) -> StaticBands:
     """The k-independent bands of ``mesh``, built once and kept with it."""
@@ -365,7 +345,8 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
             f"the medium's slab half-length {medium.slab_half_length} is not "
             f"the mesh's {mesh.slab_half_length}"
         )
-    chi = complex(medium.susceptibility(k))
+    # a pole of chi is refused before numpy divides by zero and warns
+    chi = np.nan if medium.pole_at(k) else complex(medium.susceptibility(k))
     if not np.isfinite(chi):
         raise ValueError(
             f"chi(k) is not finite at k = {k}: a lossless slab "
@@ -398,16 +379,22 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
 
 
 class Factorization:
-    """LU factors of the interior operator, reusable across right-hand sides.
+    """LU factors of the interior operator, reusable across right-hand sides,
+    and the operator's slab term, which the loads and rates read.
 
-    Holds the factors, k and chi(k) of the system, not the system or its
+    Holds the factors, k, the scalar k^2 chi(k) by which the slab enters
+    L_vac - L = k^2 chi(k) M_slab, and the k-independent bands
+    (``static_bands``, arrays and slices only), not the system or its
     mesh, so an LU kept for a mesh by ``factorization`` is freed together
-    with that mesh; the loads and rates solved through it read its chi.
+    with that mesh. L_vac is the operator of the same mesh with an empty
+    slab: the two differ on ``slab_nodes`` alone.
     """
 
     def __init__(self, system: SystemMatrices):
         self.n_interior = system.n_interior
-        self.k, self.chi = system.k, system.chi
+        self.k = system.k
+        self._slab_term = self.k**2 * system.chi
+        self._static = static_bands(system.mesh)
         diag, off = system.operator_interior()
         # the operator's scale max|L_ij|, taken before gttrf overwrites
         # the bands
@@ -426,6 +413,40 @@ class Factorization:
             raise RuntimeError(f"gttrf failed with info = {info}")
         self._factors = (dl, d, du, du2, ipiv)
         self._gttrs = gttrs
+
+    def _slab_product(self, values) -> np.ndarray:
+        """M_slab w on ``slab_nodes``, for the values of w there."""
+        static = self._static
+        off = static.slab_off[static.slab_elements]
+        product = static.slab_diag[static.slab_nodes] * values
+        product[:-1] += off * values[1:]
+        product[1:] += off * values[:-1]
+        return product
+
+    def slab_load(self, values) -> np.ndarray:
+        """(L_vac - L) w, for the values of w on ``slab_nodes``.
+
+        One value per mesh node, exactly zero outside ``slab_nodes``: on
+        P1 the band product k^2 chi M_slab w, the consistent load of the
+        P1 wave over the slab (the Gauss rule that built M_slab is exact
+        for it).
+        """
+        f = np.zeros(self.n_interior + 2, dtype=complex)
+        # scale first: numpy's complex multiply is not bitwise commutative
+        np.multiply(self._slab_term, self._slab_product(values),
+                    out=f[self._static.slab_nodes])
+        return f
+
+    def slab_loss(self, u, v) -> complex:
+        """-v^H Im(L - L_vac) u, for the values of u and v on ``slab_nodes``.
+
+        The loss the slab adds to the operator, between two fields: on P1
+        k^2 chi_I v^H M_slab u, which is k^2 chi_I int_slab u conj(v) dx to
+        round-off, since the Gauss rule that built M_slab is exact for the
+        product of two P1 fields; 0 without a slab.
+        """
+        return self._slab_term.imag * complex(
+            np.vdot(v, self._slab_product(u)))
 
     def solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve L u = rhs on the interior; returns all-node dofs (walls 0).

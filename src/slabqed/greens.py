@@ -8,8 +8,10 @@ up to solver round-off; a residual helper quantifies that.
 
 ``sample_green`` reads what the rate routes need of one such solve: the
 self value G(x_a, x_a) for the LDOS route and, for the medium route, the
-slab integral of |G(x_a, .)|^2 as the band form g^H M_slab g over the
-slab's nodes, exact for a P1 field.
+loss the slab adds to the operator, -g^H Im(L - L_vac) g with g =
+G(x_a, .) over the slab's nodes (``Factorization.slab_loss``), read from
+the LU the solve used; on P1 it is k^2 chi_I int_slab |G|^2, exact for a
+P1 field.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FieldSolution, factorization, node_of, static_bands
+from .fem import FieldSolution, factorization, node_of
 from .medium import MediumSpec
 from .mesh import Mesh1D
 
@@ -48,10 +50,9 @@ class GreenSamples:
     """What the LDOS and medium routes read of G(x_atom, .)."""
 
     k: float
-    chi: complex  # chi(k) of the operator whose inverse G is
     x_atom: float
     self_value: complex  # G(x_atom, x_atom)
-    slab_intensity: float  # int_slab |G(x_atom, x)|^2 dx
+    medium_loss: float  # -g^H Im(L - L_vac) g, g = G(x_atom, .) on the slab
 
 
 def sample_green(
@@ -64,21 +65,19 @@ def sample_green(
 
     Reciprocity of the complex-symmetric operator lets a single solve with
     the source at the atom stand in for a solve per slab point, which is
-    the main performance lever of the frequency sweep. The slab integral
-    of |G|^2 is the band form g^H M_slab g over the slab's nodes
-    (``StaticBands.slab_inner``): the Gauss rule that built M_slab is exact
+    the main performance lever of the frequency sweep. The medium loss is
+    the operator's slab loss of g with itself (``Factorization.slab_loss``),
+    on P1 k^2 chi_I g^H M_slab g: the Gauss rule that built M_slab is exact
     for the P1 product, so this is the element rule's sum of |G|^2 at the
-    slab's Gauss points, without interpolating G there. The samples carry
-    the chi(k) the operator was built with, which the medium route reads.
+    slab's Gauss points, without interpolating G there.
     """
     field = solve_point_source(mesh, medium, k, x_atom)
     g = field.dofs[mesh.slab_nodes]
     return GreenSamples(
         k=float(k),
-        chi=factorization(mesh, medium, k).chi,
         x_atom=float(x_atom),
         self_value=field.at_node(node_of(mesh, x_atom)),
-        slab_intensity=static_bands(mesh).slab_inner(g, g).real,
+        medium_loss=factorization(mesh, medium, k).slab_loss(g, g).real,
     )
 
 

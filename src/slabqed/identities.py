@@ -3,22 +3,25 @@
 The discrete operator L = S - k^2 M is complex symmetric, so its inverse
 obeys an exact anti-Hermitian-part decomposition
 
-    Im(G) = -G Im(S) G~ + k^2 G Im(M) G~,   G = L^{-1},  G~ = conj(G),
+    Im(G) = -G Im(S) G~ + G D G~,   G = L^{-1},  G~ = conj(G),
 
-splitting the local density of states into a radiation-loss channel and a
-medium-loss channel (slab absorption makes Im M nonzero). On an open mesh
-Im S is nonzero on the two nodes next to the walls alone, where the exact
-outgoing condition lets the field leave: the radiation channel is the
-discrete form of the fluctuating sources that stand for radiation loss.
-Dropping the Im(S) term gives the medium-only identity, which must fail
-wherever radiation escapes; its failure is the operator-level reason the
-medium-only emission rate misses the boundary contribution. In vacuum
-Im M = 0, so the medium-only residual is Im G itself and reads exactly 1.
+with D = -Im(L - L_vac) the loss the slab adds to the operator
+(``SystemMatrices.loss_interior``; k^2 Im M on P1) and L_vac the operator
+with an empty slab. It splits the local density of states into a
+radiation-loss channel and a medium-loss channel (slab absorption makes D
+nonzero). On an open mesh Im S is nonzero on the two nodes next to the
+walls alone, where the exact outgoing condition lets the field leave: the
+radiation channel is the discrete form of the fluctuating sources that
+stand for radiation loss. Dropping the Im(S) term gives the medium-only
+identity, which must fail wherever radiation escapes; its failure is the
+operator-level reason the medium-only emission rate misses the boundary
+contribution. In vacuum D = 0, so the medium-only residual is Im G itself
+and reads exactly 1.
 
 G is dense and never held whole: the checks walk its columns in blocks J
 of ``_BLOCK``, G[:, J] solved from the unit columns e_J through the
 tridiagonal LU. The medium channel on a block is one more block solve,
-skipped where Im M is exactly zero; the radiation channel is rank 2 at
+skipped where D is exactly zero; the radiation channel is rank 2 at
 most, the two port columns of G (solved once per system) times two rows
 of the block. Each step is column-local and a max-norm is exact, so the
 width of the blocks leaves the residuals unchanged to the bit, in O(n^2)
@@ -29,14 +32,16 @@ return one of them.
 
 The pointwise balance check compares the flux functional
 
-    F(x_a, x_b) = Im G(x_a, x_b) - k^2 int chi_I G(x_a, x') G*(x', x_b) dx'
+    F(x_a, x_b) = Im G(x_a, x_b) - g_b^H D g_a,   g = G(x, .),
 
-against the plane-wave correlation (1/(4k)) sum_{+-} Phi(x_a) Phi*(x_b),
-computed from disjoint solver paths (point sources vs scattering states).
-The scattering states are driven by the lattice plane wave and the slab
-integral is the band form over the slab's nodes, as in the sweep's
-boundary and medium rates, so this check and the sweep's ``tec_residual``
-measure the same balance.
+on P1 Im G(x_a, x_b) - k^2 int chi_I G(x_a, x') G*(x', x_b) dx', against
+the plane-wave correlation (1/(4k)) sum_{+-} Phi(x_a) Phi*(x_b), computed
+from disjoint solver paths (point sources vs scattering states). The
+scattering states are driven by the lattice plane wave and the slab term
+is the operator's slab loss over the slab's nodes
+(``Factorization.slab_loss``), as in the sweep's boundary and medium
+rates, so this check and the sweep's ``tec_residual`` measure the same
+balance.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .fem import (
     DEFAULT_DOF_CAP,
     Factorization,
     SystemMatrices,
-    static_bands,
+    factorization,
 )
 from .greens import solve_point_source
 from .medium import MediumSpec
@@ -124,11 +129,10 @@ def _relative_residuals(system: SystemMatrices, rows: slice):
         )
     lu = Factorization(system)
     ports, port_weights, port_columns = _radiation_ports(lu, system)
-    medium = tuple(band.imag for band in system.mass_interior())
-    # Im M = 0 (vacuum) makes the medium part exactly zero: its buffer is
+    medium = system.loss_interior()
+    # D = 0 (vacuum) makes the medium part exactly zero: its buffer is
     # left at zero and no block is solved for it
     lossy = any(np.any(band) for band in medium)
-    k2 = system.k**2
     # allocated once and reused: fresh blocks each time cost page faults
     # whenever the allocator hands the last block's memory back
     buffers = [np.zeros((n, min(_BLOCK, n)), dtype=complex, order="F")
@@ -147,18 +151,17 @@ def _relative_residuals(system: SystemMatrices, rows: slice):
         minus_im_green = conj_green.imag
         if lossy:
             _sandwich(lu, medium, conj_green, medium_part, work)
-            medium_part *= k2
         # the window's columns within the block: both are runs
         cols = slice(max(rows.start - start, 0), min(rows.stop - start, width))
         if cols.start < cols.stop:
             window = work[rows, cols]
-            # bitwise Im G - k^2 medium on the window
+            # bitwise Im G - medium on the window
             np.negative(minus_im_green[rows, cols], out=window)
             window -= medium_part[rows, cols]
             medium_only[0] = np.maximum(medium_only[0], np.abs(window).max())
             medium_only[1] = np.maximum(
                 medium_only[1], np.abs(minus_im_green[rows, cols]).max())
-        # (radiation + Im G) - k^2 medium, the radiation channel
+        # (radiation + Im G) - medium, the radiation channel
         # G Im S G~ [:, J] from the port columns
         np.matmul(port_columns, port_weights * conj_green[ports],
                   out=residual)
@@ -187,7 +190,7 @@ def check_lossless_identity_failure(
     system: SystemMatrices,
     window: tuple[float, float] | None = None,
 ) -> float:
-    """Residual of the medium-only identity Im G = k^2 G Im(M) G~.
+    """Residual of the medium-only identity Im G = G D G~.
 
     window restricts the reported max-norm to nodes with x in [lo, hi];
     the default is the mesh's physical region. On an open mesh the
@@ -238,11 +241,9 @@ def check_thermal_equilibrium(
         field_b = field_a
     else:
         field_b = solve_point_source(mesh, medium, k, x_beta)
-    static = static_bands(mesh)
     nodes = mesh.slab_nodes
-    chi_imag = complex(medium.susceptibility(k)).imag
-    correlation = static.slab_inner(field_a.dofs[nodes], field_b.dofs[nodes])
-    lhs = complex(field_a(x_beta)).imag - k**2 * chi_imag * correlation
+    lhs = complex(field_a(x_beta)).imag - factorization(
+        mesh, medium, k).slab_loss(field_a.dofs[nodes], field_b.dofs[nodes])
 
     rhs = 0.0j
     node_a, node_b = mesh.find_node(x_alpha), mesh.find_node(x_beta)

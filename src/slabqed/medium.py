@@ -43,9 +43,10 @@ class MediumSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        # chi squares both; a square past the largest double would overflow
-        # in every susceptibility evaluated
-        for name in ("omega_p", "omega_0"):
+        # chi squares omega_p and omega_0 and multiplies gamma by a
+        # frequency: a value whose square passes the largest double would
+        # overflow in every susceptibility evaluated
+        for name in ("omega_p", "omega_0", "gamma"):
             value = getattr(self, name)
             if not math.isfinite(value * value):
                 raise ValueError(
@@ -64,6 +65,18 @@ class MediumSpec:
     @property
     def slab_length(self) -> float:
         return 2.0 * self.slab_half_length
+
+    def pole_at(self, omega: float) -> bool:
+        """Whether the denominator of ``susceptibility`` vanishes at omega.
+
+        It does, and chi has no value, where a lossless slab (gamma = 0)
+        meets its resonance omega_0. Each part is tested as
+        ``susceptibility`` forms it, with no division, so this is True
+        exactly where that would divide by zero: numpy squares a float as
+        omega * omega, and a difference of two floats is zero only when
+        they are equal.
+        """
+        return self.gamma * omega == 0.0 and self.omega_0**2 == omega * omega
 
     def susceptibility(self, omega):
         """chi(omega) = omega_p^2 / (omega_0^2 - omega^2 - i omega gamma).

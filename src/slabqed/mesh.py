@@ -174,6 +174,34 @@ def _dedupe(values, tol=1e-12):
     return values
 
 
+def _span_nodes(medium, k_max, points_per_wavelength, edge,
+                observation_points, region):
+    """Nodes over [-edge, edge], the slab faces and every point exact.
+
+    Each span between breakpoints is filled uniformly with elements no
+    longer than one ``points_per_wavelength``-th of the wavelength at
+    ``k_max``. ``region`` names [-edge, edge] in the error for an
+    observation point that does not lie strictly inside it.
+    """
+    if k_max <= 0:
+        raise ValueError(f"k_max must be > 0, got {k_max}")
+    if points_per_wavelength < 10:
+        raise ValueError(
+            "points_per_wavelength must be >= 10, got "
+            f"{points_per_wavelength}"
+        )
+    obs = np.asarray(tuple(observation_points), dtype=float)
+    if not np.all((obs > -edge) & (obs < edge)):  # NaN fails it too
+        raise ValueError(
+            f"observation points must lie strictly inside {region} "
+            f"(-{edge}, {edge}); got {obs.tolist()}"
+        )
+    a = medium.slab_half_length
+    h_target = 2.0 * math.pi / (k_max * points_per_wavelength)
+    return _fill_spans(_dedupe(np.concatenate(([-edge, -a, a, edge], obs))),
+                       h_target)
+
+
 def build_mesh(
     medium: MediumSpec,
     k_max: float,
@@ -202,33 +230,16 @@ def build_mesh(
     -------
     Mesh1D
     """
-    if k_max <= 0:
-        raise ValueError(f"k_max must be > 0, got {k_max}")
-    if points_per_wavelength < 10:
-        raise ValueError(
-            "points_per_wavelength must be >= 10, got "
-            f"{points_per_wavelength}"
-        )
     if padding <= 0:
         raise ValueError(f"padding must be > 0, got {padding}")
-
-    a = medium.slab_half_length
-    inner = a + padding
-    obs = np.asarray(tuple(observation_points), dtype=float)
-    if not np.all((obs > -inner) & (obs < inner)):  # NaN fails it too
-        raise ValueError(
-            "observation points must lie strictly inside the physical "
-            f"region (-{inner}, {inner}); got {obs.tolist()}"
-        )
-
-    h_target = 2.0 * math.pi / (k_max * points_per_wavelength)
-    breakpoints = _dedupe(np.concatenate(([-inner, -a, a, inner], obs)))
-    nodes = _fill_spans(breakpoints, h_target)
+    nodes = _span_nodes(medium, k_max, points_per_wavelength,
+                        medium.slab_half_length + padding,
+                        observation_points, "the physical region")
     # the boundary elements: one more padding element beyond each end
     walls = (nodes[0] - (nodes[1] - nodes[0]),
              nodes[-1] + (nodes[-1] - nodes[-2]))
-    return Mesh1D(np.concatenate(([walls[0]], nodes, [walls[1]])), a,
-                  is_open=True)
+    return Mesh1D(np.concatenate(([walls[0]], nodes, [walls[1]])),
+                  medium.slab_half_length, is_open=True)
 
 
 def build_box_mesh(
@@ -244,26 +255,11 @@ def build_box_mesh(
     operator. box_length must be at least four slab lengths so the slab does
     not dominate the cavity.
     """
-    if k_max <= 0:
-        raise ValueError(f"k_max must be > 0, got {k_max}")
-    if points_per_wavelength < 10:
-        raise ValueError(
-            "points_per_wavelength must be >= 10, got "
-            f"{points_per_wavelength}"
-        )
     if box_length < 4.0 * medium.slab_length:
         raise ValueError(
             f"box_length must be >= 4 slab lengths "
             f"({4.0 * medium.slab_length}), got {box_length}"
         )
-    half = 0.5 * box_length
-    a = medium.slab_half_length
-    obs = np.asarray(tuple(observation_points), dtype=float)
-    if not np.all((obs > -half) & (obs < half)):  # NaN fails it too
-        raise ValueError(
-            f"observation points must lie strictly inside (-{half}, {half})"
-        )
-
-    h_target = 2.0 * math.pi / (k_max * points_per_wavelength)
-    breakpoints = _dedupe(np.concatenate(([-half, -a, a, half], obs)))
-    return Mesh1D(_fill_spans(breakpoints, h_target), a)
+    return Mesh1D(_span_nodes(medium, k_max, points_per_wavelength,
+                              0.5 * box_length, observation_points, "the box"),
+                  medium.slab_half_length)

@@ -21,16 +21,19 @@ vacuum lattice bias, O((kh)^2). The wave is carried as its nodal phase,
 and ``compute_record`` forms its values only on the slab's nodes (the
 loads) and at the atom's node (the boundary part).
 
-The medium part is 2k^3 chi_I int_slab |G(x_a, x)|^2 dx, taken as the slab
-band form g^H M_slab g over the slab's nodes: the Gauss rule that built
+The medium part is 2k times the loss the slab adds to the operator,
+-g^H Im(L - L_vac) g with g = G(x_a, .) (``GreenSamples.medium_loss``).
+On P1 that is 2k^3 chi_I int_slab |G(x_a, x)|^2 dx, taken as the band form
+k^2 chi_I g^H M_slab g over the slab's nodes: the Gauss rule that built
 M_slab integrates the P1 product exactly, so no Gauss-point values of G
 are formed.
 
-Per frequency the routes share one chi(k), one lattice wave and one
+Per frequency the routes share one operator, one lattice wave and one
 matrix factorization, which feeds three separate single-column solves
 (two plane waves, one point source); each load is solved in place.
-``fem.factorization`` keeps the LU, with the chi it was built from, on
-the mesh, and the sweep runs its frequencies in order, one LU at a time;
+``fem.factorization`` keeps the LU, with the slab term the loads and the
+medium loss read, on the mesh, and the sweep runs its frequencies in
+order, one LU at a time;
 the atom's node is found once per sweep (``fem.node_of``). The identity
 (ldos - medium) = boundary is the zero-separation thermal-balance
 statement, so each sweep record carries its relative residual for free.
@@ -93,12 +96,11 @@ def gamma_boundary(
 def gamma_medium(samples: GreenSamples) -> float:
     """Medium part: noise currents in the slab radiating to the atom.
 
-    2 k^3 chi_I int_slab |G(x_a, x)|^2 dx; the homogeneous slab lets chi_I
-    factor out of the integral, which ``sample_green`` forms as the slab
-    band form g^H M_slab g (the element rule's Gauss sum, exactly). chi is
-    the one the operator was built with, carried by the samples.
+    2k times the slab's loss -g^H Im(L - L_vac) g, which ``sample_green``
+    reads from the operator; on P1 that is 2 k^3 chi_I int_slab
+    |G(x_a, x)|^2 dx (the element rule's Gauss sum, exactly).
     """
-    return 2.0 * samples.k**3 * samples.chi.imag * samples.slab_intensity
+    return 2.0 * samples.k * samples.medium_loss
 
 
 def compute_record(

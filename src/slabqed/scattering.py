@@ -2,25 +2,28 @@
 
 The total field is an incident wave (d = +-1, unit amplitude, absolute
 phase referenced at x = 0) plus a scattered part solved on the mesh:
-L phi_sca = k^2 chi M_slab Phi_inc, the load that L - L_vac applies to the
-incident wave. The incident wave is the lattice plane wave of
-``lattice_plane_wave``: nodal values e^{i d theta(x_j)}, where theta
-advances by the lattice wavenumber ``fem.lattice_wavenumber`` across each
-element, interpolated as P1. It is what the vacuum mesh itself carries
-(L_vac annihilates it), so incident and scattered parts share one
-dispersion relation. The mesh keeps the wave of the last k as its phase
-theta, with kt found once per distinct element length
-(``fem.lattice_steps``, which the operator's outgoing condition reads
-too); its values are formed only where they are read: on the slab's
-nodes for the load and the absorbed power (once for both directions), at
-the nodes asked of ``total_at_nodes`` and at the two nodes that bracket
-each point of ``total_at``.
+L phi_sca = (L_vac - L) Phi_inc, where L_vac is the operator with an
+empty slab, so L_vac - L lives on the slab's nodes alone. The incident
+wave is the lattice plane wave of ``lattice_plane_wave``: nodal values
+e^{i d theta(x_j)}, where theta advances by the lattice wavenumber
+``fem.lattice_wavenumber`` across each element, interpolated as P1. It
+is what the vacuum mesh itself carries (L_vac annihilates it), so
+incident and scattered parts share one dispersion relation. The mesh
+keeps the wave of the last k as its phase theta, with kt found once per
+distinct element length (``fem.lattice_steps``, which the operator's
+outgoing condition reads too); its values are formed only where they
+are read: on the slab's nodes for the load and the absorbed power (once
+for both directions), at the nodes asked of ``total_at_nodes`` and at the
+two nodes that bracket each point of ``total_at``.
 
 The scattered field is outgoing, and the mesh's exact outgoing boundary
 lets it leave without reflection; fields are read in the mesh's physical
 region only, never at its wall nodes. The solve takes its LU, and the
-chi(k) of its load, from ``fem.factorization``, so both directions and
-the point-source solves at one frequency share one factorization.
+slab term of its load (``Factorization.slab_load``), from
+``fem.factorization``, so both directions and the point-source solves at
+one frequency share one factorization. The absorbed power of the energy
+balance is the slab's loss read from the same LU
+(``Factorization.slab_loss``): no module but ``fem`` reads chi(k).
 
 Reflection and transmission are reported in the face (de-embedded port)
 convention: r is the reflected-to-incident ratio at the illuminated face,
@@ -43,7 +46,6 @@ from .fem import (
     factorization,
     kept,
     lattice_steps,
-    static_bands,
 )
 from .medium import MediumSpec
 from .mesh import Mesh1D
@@ -143,19 +145,17 @@ def solve_scattering(
     """Scattered-field solve for a unit plane wave from the left (+1) or right.
 
     The incident wave is the +x wave of ``lattice_plane_wave(mesh, k)``
-    (d = +1) or its complex conjugate (d = -1). The load is the band
-    product k^2 chi M_slab w with the M_slab of ``fem.static_bands``, from
-    the wave's values on the mesh's ``slab_nodes`` alone: exactly what
-    L - L_vac applies to the wave. The LU, and the chi it was built with,
-    are ``fem.factorization``'s, shared with every other solve at this
-    frequency on this mesh. The load vector is solved in place.
+    (d = +1) or its complex conjugate (d = -1). The load is (L_vac - L) w
+    (``Factorization.slab_load``), from the wave's values on the mesh's
+    ``slab_nodes`` alone. The LU is ``fem.factorization``'s, shared with
+    every other solve at this frequency on this mesh. The load vector is
+    solved in place.
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     lu = factorization(mesh, medium, k)
     wave = lattice_plane_wave(mesh, k)
-    dofs = static_bands(mesh).slab_load(
-        k**2 * lu.chi, wave.values(mesh.slab_nodes, direction))
+    dofs = lu.slab_load(wave.values(mesh.slab_nodes, direction))
     lu.solve_in_place(dofs[1:-1])
     dofs[0] = dofs[-1] = 0.0  # Dirichlet walls, whatever the load put there
     return PlaneWaveSolution(
@@ -199,24 +199,24 @@ def extract_r_t(solution: PlaneWaveSolution) -> tuple[complex, complex]:
 @dataclass(frozen=True)
 class EnergyBalance:
     flux_deficit: float  # 1 - |r|^2 - |t|^2
-    absorbed: float  # k Im(chi) int_slab |Phi_tot|^2
+    absorbed: float  # the slab's loss of Phi_tot, over k
     residual: float  # relative mismatch
 
 
 def energy_balance(solution: PlaneWaveSolution) -> EnergyBalance:
     """Check that the missing flux equals the power dissipated in the slab.
 
-    The absorbed power k Im(chi) int_slab |Phi_tot|^2 is the slab band
-    form of the nodal total field (``StaticBands.slab_inner``), exact for
-    the P1 field.
+    The absorbed power is the slab's loss -Phi^H Im(L - L_vac) Phi of the
+    nodal total field over k (``Factorization.slab_loss``): on P1
+    k Im(chi) int_slab |Phi_tot|^2, exact for the P1 field.
     """
-    mesh, medium, k = solution.mesh, solution.medium, solution.k
+    mesh, k = solution.mesh, solution.k
     r, t = extract_r_t(solution)
     deficit = 1.0 - abs(r) ** 2 - abs(t) ** 2
 
     phi = solution.total_at_nodes(mesh.slab_nodes)
-    chi_imag = medium.susceptibility(k).imag
-    absorbed = k * chi_imag * static_bands(mesh).slab_inner(phi, phi).real
+    lu = factorization(mesh, solution.medium, k)
+    absorbed = lu.slab_loss(phi, phi).real / k
     # floor the scale so a lossless run (both sides ~ round-off) reads as a
     # tiny residual instead of 0/0 noise
     scale = max(abs(deficit), abs(absorbed), 1e-6)

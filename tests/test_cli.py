@@ -264,7 +264,8 @@ def test_non_finite_value_exits_2_without_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["medium.omega_p = 1e155",
-                                  "medium.omega_0 = 1e200"])
+                                  "medium.omega_0 = 1e200",
+                                  "medium.gamma = 1e307"])
 def test_overflowing_medium_exits_2(line, tmp_path, capsys):
     # finite, but chi(omega) squares it past the largest double: refused as
     # a config error naming the key, not a failure at the first frequency

@@ -20,7 +20,7 @@ from _dense_reference import (
 from _random_meshes import meshes
 from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
-from slabqed import fem, greens, scattering
+from slabqed import fem, greens, identities, scattering
 from slabqed.cli import main
 from slabqed.fem import (
     GAUSS_NODES,
@@ -292,7 +292,7 @@ def scatter_slab_load(mesh, scale, values):
     """Element-by-element scatter of scale * weights * values over the slab.
 
     ``values`` are given at the slab's Gauss points; the two ``np.add.at``
-    calls are the reference for ``StaticBands.slab_load``.
+    calls are the reference for ``Factorization.slab_load``.
     """
     idx = slab_indices(mesh)
     _, half, _ = element_quadrature(mesh, idx)
@@ -317,7 +317,7 @@ def test_slab_band_load_matches_the_gauss_point_scatter(k, ppw, half_length,
     rng = np.random.default_rng(seed)
     wave = rng.normal(size=mesh.n_nodes) + 1j * rng.normal(size=mesh.n_nodes)
     scale = k**2 * medium.susceptibility(k)
-    got = static_bands(mesh).slab_load(scale, wave[mesh.slab_nodes])
+    got = factorization(mesh, medium, k).slab_load(wave[mesh.slab_nodes])
     idx = slab_indices(mesh)
     interpolant = wave[idx, None] * _LO + wave[idx + 1, None] * _HI
     reference = scatter_slab_load(mesh, scale, interpolant)
@@ -325,6 +325,59 @@ def test_slab_band_load_matches_the_gauss_point_scatter(k, ppw, half_length,
     outside = np.ones(mesh.n_nodes, dtype=bool)
     outside[idx[0]:idx[-1] + 2] = False
     assert np.all(got[outside] == 0)
+
+
+def dense_slab_term(mesh, medium, k):
+    """L - L_vac as a dense matrix over all nodes, and max|L_vac|.
+
+    Both operators from the per-Gauss-point formula (``reference_bands``),
+    L_vac with the slab emptied, so they differ by the slab's term alone;
+    the difference is good to round-off of the operators' scale.
+    """
+    operators = []
+    for each in (medium, dataclasses.replace(medium, omega_p=0.0)):
+        s_diag, s_off, m_diag, m_off = reference_bands(mesh, each, k)
+        operators.append(dense_tridiagonal(s_diag - k**2 * m_diag,
+                                           s_off - k**2 * m_off))
+    return operators[0] - operators[1], np.abs(operators[1]).max()
+
+
+@settings(deadline=None, max_examples=40)
+@given(drawn=meshes(), lossless=st.booleans(), k=st.floats(50.0, 1500.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_slab_readers_are_the_dense_operator_difference(drawn, lossless, k,
+                                                        seed):
+    # the load, the slab loss and the loss bands each read L - L_vac, the
+    # term the slab adds to the operator, and nothing outside the slab
+    mesh, medium = drawn
+    assume(mesh.is_open)
+    if lossless:
+        medium = dataclasses.replace(medium, gamma=0.0)
+        assume(not medium.pole_at(k))
+    term, scale = dense_slab_term(mesh, medium, k)
+    rng = np.random.default_rng(seed)
+    u, v, w = (rng.normal(size=mesh.n_nodes)
+               + 1j * rng.normal(size=mesh.n_nodes) for _ in range(3))
+    slab = np.zeros(mesh.n_nodes, dtype=bool)
+    slab[mesh.slab_nodes] = True
+    u[~slab] = v[~slab] = w[~slab] = 0.0
+    lu = factorization(mesh, medium, k)
+
+    load = lu.slab_load(w[mesh.slab_nodes])
+    assert np.max(np.abs(load + term @ w)) <= 1e-13 * scale * np.abs(w).max()
+    assert np.all(load[~slab] == 0)
+
+    loss = lu.slab_loss(u[mesh.slab_nodes], v[mesh.slab_nodes])
+    reference = -np.vdot(v, term.imag @ u)
+    bound = np.linalg.norm(u) * np.linalg.norm(v)
+    assert abs(loss - reference) <= 1e-13 * scale * bound
+
+    diag, off = assemble(mesh, medium, k).loss_interior()
+    inner = -term.imag[1:-1, 1:-1]
+    assert np.max(np.abs(diag - np.diag(inner))) <= 1e-13 * scale
+    assert np.max(np.abs(off - np.diag(inner, 1))) <= 1e-13 * scale
+    if lossless or medium.omega_p == 0.0:
+        assert loss == 0 and not np.any(diag) and not np.any(off)
 
 
 @settings(deadline=None, max_examples=40)
@@ -841,7 +894,7 @@ def test_changed_operator_gets_a_fresh_factorization(entry, other, built,
         return Factorization(assemble(mesh, medium, k))
 
     with monkeypatch.context() as patch:
-        for module in (greens, scattering):
+        for module in (greens, scattering, identities):
             patch.setattr(module, "factorization", direct)
         reference = run(**call)
     del built[:]

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from slabqed.fem import (
     Factorization,
     assemble,
+    factorization,
     lattice_wavenumber,
     static_bands,
 )
@@ -220,7 +221,8 @@ def test_sample_green_consistency():
     field = solve_point_source(mesh, CASE1, 500.0, 0.0)
     assert samples.self_value == field(0.0)
     g = field.dofs[mesh.slab_nodes]
-    assert samples.slab_intensity == static_bands(mesh).slab_inner(g, g).real
+    lu = factorization(mesh, CASE1, 500.0)
+    assert samples.medium_loss == lu.slab_loss(g, g).real
     assert samples.k == 500.0 and samples.x_atom == 0.0
 
 

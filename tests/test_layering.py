@@ -3,9 +3,10 @@
 The oracle must stay independent of the finite-element stack, modules talk
 through public names only, the element quadrature rule, the LU, every
 other LAPACK call and the one per-owner cache (``kept``) live in ``fem``
-(``identities`` factors the systems it checks through ``fem``'s LU),
-no module runs a dense eigensolver or a dense linear solve, and nothing
-runs on a thread pool. No module imports scipy: ``fem`` loads only its
+(``identities`` factors the systems it checks through ``fem``'s LU), so
+does the slab's law chi(k) M_slab (the routes read the operator's slab
+term), no module runs a dense eigensolver or a dense linear solve, and
+nothing runs on a thread pool. No module imports scipy: ``fem`` loads only its
 compiled LAPACK wrapper. The benchmark's trace hooks must name functions
 that exist.
 """
@@ -87,6 +88,22 @@ def test_only_fem_builds_an_lu(name):
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and "Factorization" in names_in(node)} == {
                     "_relative_residuals"}
+
+
+# The slab enters the operator as L - L_vac = -k^2 chi(k) M_slab, and that
+# law stays in fem: the routes read the operator's slab term (the load, the
+# slab loss, the loss bands), never chi(k) or the slab mass bands
+SLAB_LAW = {"susceptibility", "chi", "static_bands", "StaticBands",
+            "slab_inner"}
+
+
+@pytest.mark.parametrize("name", ["cli", "crosscheck", "greens",
+                                  "identities", "purcell", "scattering"])
+def test_only_fem_reads_the_slab_law(name):
+    tree = MODULES[name]
+    arguments = {node.arg for node in ast.walk(tree)
+                 if isinstance(node, (ast.arg, ast.keyword))}
+    assert not SLAB_LAW & (names_in(tree) | arguments)
 
 
 def imported_modules(tree):

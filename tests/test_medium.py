@@ -1,8 +1,12 @@
 """Lorentz medium: frozen reference values and passivity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from _dense_reference import relative_permittivity
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slabqed.medium import (
     ATOM_INSIDE,
@@ -106,11 +110,32 @@ def test_slab_geometry():
              slab_half_length=0.03125),
         dict(omega_p=100.0, omega_0=1e200, gamma=50.0,
              slab_half_length=0.03125),
+        # chi multiplies gamma by omega: refused by the same square rule
+        dict(omega_p=100.0, omega_0=500.0, gamma=1e155,
+             slab_half_length=0.03125),
+        dict(omega_p=100.0, omega_0=500.0, gamma=1e307,
+             slab_half_length=0.03125),
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
     with pytest.raises(ValueError):
         MediumSpec(**kwargs)
+
+
+@given(omega_0=st.floats(1e-3, 1e6),
+       gamma=st.sampled_from([0.0, 5e-324, 50.0]), step=st.integers(-2, 2))
+def test_pole_is_where_the_denominator_vanishes(omega_0, gamma, step):
+    # exact for the frequencies next to omega_0 too, and for a gamma whose
+    # product with omega underflows to zero
+    medium = dataclasses.replace(CASE1, omega_0=omega_0, gamma=gamma)
+    omega = omega_0
+    for _ in range(abs(step)):
+        omega = float(np.nextafter(omega, step * np.inf))
+    w = np.asarray(omega)
+    denominator = medium.omega_0**2 - w**2 - 1j * w * medium.gamma
+    assert medium.pole_at(omega) == (denominator == 0)
+    if gamma == 0.0:
+        assert medium.pole_at(omega_0)
 
 
 def test_case_preset_resolution():
