@@ -428,8 +428,7 @@ class Factorization:
 
         One value per mesh node, exactly zero outside ``slab_nodes``: on
         P1 the band product k^2 chi M_slab w, the consistent load of the
-        P1 wave over the slab (the Gauss rule that built M_slab is exact
-        for it).
+        P1 wave over the slab.
         """
         f = np.zeros(self.n_interior + 2, dtype=complex)
         # scale first: numpy's complex multiply is not bitwise commutative
@@ -441,9 +440,8 @@ class Factorization:
         """-v^H Im(L - L_vac) u, for the values of u and v on ``slab_nodes``.
 
         The loss the slab adds to the operator, between two fields: on P1
-        k^2 chi_I v^H M_slab u, which is k^2 chi_I int_slab u conj(v) dx to
-        round-off, since the Gauss rule that built M_slab is exact for the
-        product of two P1 fields; 0 without a slab.
+        k^2 chi_I v^H M_slab u, the element rule's k^2 chi_I int_slab
+        u conj(v) dx to round-off; 0 without a slab.
         """
         return self._slab_term.imag * complex(
             np.vdot(v, self._slab_product(u)))

@@ -67,14 +67,11 @@ class MediumSpec:
         return 2.0 * self.slab_half_length
 
     def pole_at(self, omega: float) -> bool:
-        """Whether the denominator of ``susceptibility`` vanishes at omega.
+        """Whether chi has a pole at omega: a lossless slab at omega_0.
 
-        It does, and chi has no value, where a lossless slab (gamma = 0)
-        meets its resonance omega_0. Each part is tested as
-        ``susceptibility`` forms it, with no division, so this is True
-        exactly where that would divide by zero: numpy squares a float as
-        omega * omega, and a difference of two floats is zero only when
-        they are equal.
+        True exactly where ``susceptibility`` divides by zero: both parts
+        of its denominator are formed as there (numpy squares a float as
+        omega * omega), and two floats differ by zero only when equal.
         """
         return self.gamma * omega == 0.0 and self.omega_0**2 == omega * omega
 
