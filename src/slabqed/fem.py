@@ -25,9 +25,8 @@ Element integrals use a fixed 4-point Gauss-Legendre rule, which is exact
 for the P1 products appearing here; ``StaticBands`` is the only place that
 rule is applied. ``kept`` keeps work with its mesh, one entry per slot,
 replaced when its key changes and freed with the mesh: the k-independent
-bands (``static_bands``, one per mesh whatever the medium), the lattice
-phase steps of the last k (``lattice_steps``), the node of the last
-point asked (``node_of``) and the LU of the last (medium, k)
+bands (``static_bands``, one per mesh whatever the medium), the node of
+the last point asked (``node_of``) and the LU of the last (medium, k)
 (``factorization``, the one place an LU is built for a solve), so all
 solves at one frequency share it and no caller passes one around.
 ``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot),
@@ -54,10 +53,19 @@ of the rest depends on the medium, so ``static_bands`` builds it once per
 mesh: the two mass bands M_0 and M_slab and the stiffness bands. Per
 frequency, ``assemble`` evaluates chi(k) once, adds chi M_slab over the
 slab's nodes only and b rho on the two ports only (each an exact zero
-elsewhere), with rho from the same per-length kt the lattice wave
-advances by (``lattice_steps``), and refuses a medium whose slab
-half-length is not the mesh's: one chi, one kt per length class, O(n)
-band arithmetic, one LU and no quadrature per frequency.
+elsewhere), and refuses a medium whose slab half-length is not the
+mesh's: one chi, one kt per length class, O(n) band arithmetic, one LU
+and no quadrature per frequency.
+
+The same phase steps kt h give the vacuum lattice's own plane wave, the
+wave the scattering states are driven by: its nodal phase theta advances
+by kt h across each element, with theta(0) = 0, and L_vac annihilates
+e^{i theta}. ``assemble`` takes theta from the steps that set rho, so
+the wave and the outgoing boundary share one dispersion relation and
+kt = k would change this module alone. ``SystemMatrices.phase`` carries
+theta, and the LU keeps it (``Factorization.phase``) with the wave's
+values on the slab's nodes, which both directions of a frequency read
+(``Factorization.wave``).
 
 The slab's law stays here. Every other module asks the operator about
 the slab in terms of L - L_vac, where L_vac is the operator of the same
@@ -198,8 +206,10 @@ class SystemMatrices:
     ``off[i]`` couples node i to node i+1. Interior (Dirichlet-reduced)
     views are provided for the solver and the identity checks. ``chi`` is
     the slab susceptibility chi(k) the bands were assembled with, which
-    ``Factorization`` turns into the slab term. Systems compare by
-    identity: equal bands do not make two systems equal.
+    ``Factorization`` turns into the slab term, and ``phase`` the nodal
+    phase theta of the vacuum lattice's plane wave at this k, read-only
+    (None on a closed box whose lattice carries no propagating wave).
+    Systems compare by identity: equal bands do not make two systems equal.
     """
 
     mesh: Mesh1D
@@ -209,6 +219,7 @@ class SystemMatrices:
     s_off: np.ndarray
     m_diag: np.ndarray
     m_off: np.ndarray
+    phase: np.ndarray
 
     @property
     def n_interior(self) -> int:
@@ -216,9 +227,6 @@ class SystemMatrices:
 
     def stiffness_interior(self):
         return self.s_diag[1:-1], self.s_off[1:-1]
-
-    def mass_interior(self):
-        return self.m_diag[1:-1], self.m_off[1:-1]
 
     def loss_interior(self):
         """Real bands of -Im(L - L_vac) on the interior nodes, the loss the
@@ -298,21 +306,6 @@ def static_bands(mesh: Mesh1D) -> StaticBands:
     return kept(mesh, "static_bands", None, lambda: StaticBands(mesh))
 
 
-def lattice_steps(mesh: Mesh1D, k: float) -> np.ndarray:
-    """The phase kt h the vacuum lattice wave advances across an element.
-
-    One entry per distinct length of ``mesh.length_classes``, with kt from
-    ``lattice_wavenumber``, kept with the mesh for the last k: the lattice
-    wave (``scattering.lattice_plane_wave``) and the outgoing condition of
-    ``assemble`` both read it, so a frequency finds kt once.
-    """
-    def build():
-        lengths, _ = mesh.length_classes
-        return _read_only(lattice_wavenumber(k, lengths) * lengths)
-
-    return kept(mesh, "lattice_steps", k, build)
-
-
 def node_of(mesh: Mesh1D, x: float) -> int:
     """``mesh.find_node(x)``, kept with the mesh for the last x asked.
 
@@ -353,6 +346,20 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
             f"(gamma = 0) has no permittivity at its resonance omega_0"
         )
     static = static_bands(mesh)
+    # the phase kt h the lattice wave advances across each element, kt
+    # found once per distinct element length. A closed box is assembled at
+    # any k: where its lattice carries no propagating wave it has no phase,
+    # and only a read of the wave is refused
+    lengths, classes = mesh.length_classes
+    try:
+        steps = (lattice_wavenumber(k, lengths) * lengths)[classes]
+    except ValueError:
+        if mesh.is_open:
+            raise
+        phase = None
+    else:  # the oracle's theta(0) = 0
+        phase = np.concatenate(([0.0], np.cumsum(steps)))
+        phase = _read_only(phase - np.interp(0.0, mesh.nodes, phase))
     # M_slab is an exact zero off its nodes and b rho off the two ports:
     # adding each over its own nodes only leaves every band entry bitwise
     # as a sum over all n would. A band without a per-k term is the static
@@ -368,31 +375,33 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
         # rho from the kt the lattice wave advances by
         ends = [0, -1]
         b = static.s_off.real[ends] - k**2 * static.m0_off.real[ends]
-        steps = lattice_steps(mesh, k)[mesh.length_classes[1][ends]]
         s_diag = s_diag.copy()
-        s_diag[_PORTS] += b * np.exp(1j * steps)
+        s_diag[_PORTS] += b * np.exp(1j * steps[ends])
     return SystemMatrices(
         mesh=mesh, k=float(k), chi=chi,
         s_diag=s_diag, s_off=static.s_off,
-        m_diag=m_diag, m_off=m_off,
+        m_diag=m_diag, m_off=m_off, phase=phase,
     )
 
 
 class Factorization:
     """LU factors of the interior operator, reusable across right-hand sides,
-    and the operator's slab term, which the loads and rates read.
+    the operator's slab term, which the loads and rates read, and the
+    lattice wave the scattering states are driven by.
 
     Holds the factors, k, the scalar k^2 chi(k) by which the slab enters
-    L_vac - L = k^2 chi(k) M_slab, and the k-independent bands
-    (``static_bands``, arrays and slices only), not the system or its
-    mesh, so an LU kept for a mesh by ``factorization`` is freed together
-    with that mesh. L_vac is the operator of the same mesh with an empty
-    slab: the two differ on ``slab_nodes`` alone.
+    L_vac - L = k^2 chi(k) M_slab, the wave's nodal phase theta
+    (``phase``, read-only) and the k-independent bands (``static_bands``,
+    arrays and slices only), not the system or its mesh, so an LU kept for
+    a mesh by ``factorization`` is freed together with that mesh. L_vac is
+    the operator of the same mesh with an empty slab: the two differ on
+    ``slab_nodes`` alone.
     """
 
     def __init__(self, system: SystemMatrices):
         self.n_interior = system.n_interior
         self.k = system.k
+        self.phase = system.phase
         self._slab_term = self.k**2 * system.chi
         self._static = static_bands(system.mesh)
         diag, off = system.operator_interior()
@@ -408,11 +417,45 @@ class Factorization:
             raise SingularOperatorError(
                 f"operator is singular at k = {system.k}: "
                 "the frequency coincides with a discrete resonance"
+                + self._slab_scale_note(system, scale)
             )
         if info < 0:
             raise RuntimeError(f"gttrf failed with info = {info}")
         self._factors = (dl, d, du, du2, ipiv)
         self._gttrs = gttrs
+        if self.phase is not None:  # the +x values both directions read
+            slab = self.phase[self._static.slab_nodes]
+            self._slab_wave = _read_only(np.exp(1j * slab))
+
+    def _slab_scale_note(self, system: SystemMatrices, scale) -> str:
+        """Why the pivot test may have tripped, when the slab rows set the
+        scale it is relative to: k^2 chi(k) and the contrast of the largest
+        entry with the largest entry of L_vac; otherwise nothing."""
+        k2, static = self.k**2, self._static
+        vacuum = max(np.abs(band[1:-1]).max() for band in (
+            system.s_diag - k2 * static.m0_diag,
+            system.s_off - k2 * static.m0_off))
+        return "" if scale <= vacuum else (
+            f"; the slab rows set the pivot test's scale: k^2 chi(k) = "
+            f"{self._slab_term:.3e}, the largest entry {scale / vacuum:.3e} "
+            f"times the largest vacuum entry")
+
+    def wave(self, nodes, direction: int = +1):
+        """The unit lattice plane wave e^{i d theta} at ``nodes`` (an
+        index, a slice or an index array).
+
+        d = +1 travels toward +x; -1, its complex conjugate, toward -x.
+        The values are formed only at the nodes read, except on
+        ``slab_nodes``, where the LU keeps them, read-only, so both
+        directions of one frequency share one ``exp``.
+        """
+        if self.phase is None:
+            raise ValueError(f"no propagating lattice wave at k = {self.k}")
+        if isinstance(nodes, slice) and nodes == self._static.slab_nodes:
+            values = self._slab_wave
+        else:
+            values = np.exp(1j * self.phase[nodes])
+        return values if direction > 0 else values.conj()
 
     def _slab_product(self, values) -> np.ndarray:
         """M_slab w on ``slab_nodes``, for the values of w there."""

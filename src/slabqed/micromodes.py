@@ -41,17 +41,16 @@ eigenproblem, so ``build_gevp`` insists on meshes built by
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import (
     DEFAULT_DOF_CAP,
-    assemble,
     inverse_iteration,
     kept,
     pivot_sweep,
+    static_bands,
     twisted_residues,
 )
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
@@ -220,19 +219,19 @@ class GevpSystem:
 def build_gevp(mesh: Mesh1D, medium: MediumSpec, bath: BathConfig):
     """Assemble the block pencil for a closed-box mesh.
 
-    The electromagnetic bands are the vacuum assembly (the slab response
-    enters only through the oscillators, never through eps_r, or it would
-    be counted twice). Open meshes are rejected.
+    The electromagnetic bands are the vacuum stiffness and mass of the
+    mesh's static bands (the slab response enters only through the
+    oscillators, never through eps_r, or it would be counted twice). Open
+    meshes are rejected.
     """
     if mesh.is_open:
         raise ValueError(
             "eigenmode route needs a closed box; build the mesh with "
             "build_box_mesh"
         )
-    vacuum = dataclasses.replace(medium, omega_p=0.0)
-    bands = assemble(mesh, vacuum, k=1.0)
-    s_diag, s_off = bands.stiffness_interior()
-    m_diag, m_off = bands.mass_interior()
+    bands = static_bands(mesh)
+    s_diag, s_off = bands.s_diag[1:-1], bands.s_off[1:-1]
+    m_diag, m_off = bands.m0_diag[1:-1], bands.m0_off[1:-1]
 
     centers, weights = frequency_bins(medium, bath)
     elements = np.arange(mesh.slab_elements.start, mesh.slab_elements.stop)

@@ -18,9 +18,9 @@ from slabqed.cli import (
     main,
     read_config_echo,
 )
+from slabqed.fem import assemble
 from slabqed.medium import ATOM_OUTSIDE
 from slabqed.purcell import purcell_mesh
-from slabqed.scattering import lattice_plane_wave
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -275,6 +275,33 @@ def test_overflowing_medium_exits_2(line, tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     key = line.split(" = ")[0]
     assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+def test_huge_plasma_frequency_sweeps(tmp_path):
+    # k^2 chi M_slab exceeds the vacuum entries by ~1e11 at omega_0, and the
+    # relative pivot test still resolves the operator
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 1B\nsweep.count = 3\nmedium.omega_p = 1e9\n")
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_slab_scale_refusal_names_the_contrast(tmp_path, capsys):
+    # 100 times larger, the slab rows set a scale ~1.7e13 times the vacuum
+    # entries and the pivot test trips at omega_0: still exit 1, as the
+    # refusal depends on the frequency, but the message names k^2 chi(k)
+    # and that contrast next to the resonance it may not be
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 1B\nsweep.count = 3\nmedium.omega_p = 1e10\n")
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert ("operator is singular at k = 500.0: the frequency coincides "
+            "with a discrete resonance") in err
+    assert "slab rows set" in err
+    assert "k^2 chi(k) = 0.000e+00+1.000e+21j" in err
+    assert "1.668e+13 times the largest vacuum entry" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
@@ -557,7 +584,7 @@ def test_oracle_compare_vacuum_scattering_is_exact(tmp_path):
     node = mesh.find_node(ATOM_OUTSIDE)
     for row in rows:
         k = float(row[0])
-        theta = lattice_plane_wave(mesh, k).phase[node]
+        theta = assemble(mesh, config.medium, k).phase[node]
         slip = abs(1.0 - np.exp(1j * (theta - k * ATOM_OUTSIDE)))
         assert float(row[1]) < 1e-15
         assert float(row[2]) == pytest.approx(slip, rel=1e-12)

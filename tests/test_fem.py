@@ -50,7 +50,7 @@ from slabqed.purcell import (
     purcell_mesh,
     sweep,
 )
-from slabqed.scattering import lattice_plane_wave, solve_scattering
+from slabqed.scattering import solve_scattering
 
 CASE1 = CASE_PRESETS["1"]
 VACUUM = CASE_PRESETS["vacuum"]
@@ -84,7 +84,7 @@ def test_vacuum_hat_matrix_values():
     h = 1.0 / (n - 1)
     system = assemble(mesh, VACUUM, 500.0)
     s_diag, s_off = system.stiffness_interior()
-    m_diag, m_off = system.mass_interior()
+    m_diag, m_off = system.m_diag[1:-1], system.m_off[1:-1]
     np.testing.assert_allclose(s_diag, 2.0 / h, rtol=1e-13)
     np.testing.assert_allclose(s_off, -1.0 / h, rtol=1e-13)
     np.testing.assert_allclose(m_diag, 2.0 * h / 3.0, rtol=1e-13)
@@ -210,7 +210,8 @@ def test_assemble_matches_the_per_gauss_point_formula(k, ppw, name, box):
 
 
 def test_vacuum_box_bands_are_bitwise_the_reference():
-    # the eigenmode route assembles exactly this; its outputs keep their bytes
+    # the eigenmode route reads these bands' real interior parts from the
+    # static bands (test_micromodes); its outputs keep their bytes
     mesh = build_box_mesh(CASE1, 700.0, 40.0, 0.625)
     system = assemble(mesh, VACUUM, 1.0)
     bands = (system.s_diag, system.s_off, system.m_diag, system.m_off)
@@ -512,7 +513,8 @@ def test_singularity_test_is_the_relative_pivot_threshold(ratio):
     s_off = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     system = fem.SystemMatrices(mesh=mesh, k=1.0, chi=0j, s_diag=s_diag,
                                 s_off=s_off, m_diag=np.zeros(5, complex),
-                                m_off=np.zeros(4, complex))
+                                m_off=np.zeros(4, complex),
+                                phase=np.zeros(5))
     diag, off = system.operator_interior()
     pivots = lapack.zgttrf(off, diag, off)[1]
     singular = np.abs(pivots).min() < 1e-14 * max(np.abs(diag).max(),
@@ -563,7 +565,7 @@ def test_manufactured_solution_converges_quadratically():
         mesh = uniform_vacuum_box(n_nodes)
         system = assemble(mesh, VACUUM, k)
         u_exact = np.sin(np.pi * (mesh.nodes + 0.5))
-        m_diag, m_off = system.mass_interior()
+        m_diag, m_off = system.m_diag[1:-1], system.m_off[1:-1]
         mu = tridiag_matvec(m_diag, m_off, u_exact[1:-1].astype(complex))
         # wall values are zero, so the clipped mass product is complete
         rhs = (np.pi**2 - k**2) * mu
@@ -582,7 +584,7 @@ def test_singular_at_discrete_resonance():
     mesh = uniform_vacuum_box(12)
     probe = assemble(mesh, VACUUM, 1.0)
     s_diag, s_off = probe.stiffness_interior()
-    m_diag, m_off = probe.mass_interior()
+    m_diag, m_off = probe.m_diag[1:-1], probe.m_off[1:-1]
     # vacuum bands are real; generalized symmetric tridiagonal problem
     lam = eigh_tridiagonal(s_diag.real, s_off.real, eigvals_only=True)
     # crude shift-free approach: scan candidate k around the lowest mode of
@@ -985,8 +987,7 @@ def builds(monkeypatch):
             return build()
         return kept(owner, slot, key, counted)
 
-    for module in (fem, scattering):
-        monkeypatch.setattr(module, "kept", counting)
+    monkeypatch.setattr(fem, "kept", counting)
     return slots
 
 
@@ -997,26 +998,20 @@ def kept_static_bands(mesh, key):
     return static_bands(mesh)
 
 
-def kept_lattice_wave(mesh, k):
-    # both directions of a solve and the reads after it share one wave,
-    # whose phase is read-only
-    states = [solve_scattering(mesh, CASE1, k, d) for d in (+1, -1)]
-    wave = lattice_plane_wave(mesh, k)
-    assert all(state.incident is wave for state in states)
-    assert not wave.phase.flags.writeable
-    return wave
-
-
-def kept_lattice_values(mesh, nodes):
-    # both directions of a solve read one kept, read-only copy of the +x
-    # values on the slab; the mesh keeps the wave, the wave its values
-    if nodes == "slab":
-        for direction in (+1, -1):
-            solve_scattering(mesh, CASE1, 500.0, direction)
-        nodes = mesh.slab_nodes
-    values = lattice_plane_wave(mesh, 500.0).values(nodes)
+def kept_factorization(mesh, key):
+    # both directions of a solve and the reads after it share the LU, which
+    # carries the lattice wave: a read-only phase and one kept, read-only
+    # copy of the +x values on the slab
+    lu = factorization(mesh, *key)
+    states = [solve_scattering(mesh, key[0], key[1], d) for d in (+1, -1)]
+    assert all(state.lu is lu for state in states)
+    values = lu.wave(mesh.slab_nodes)
+    assert lu.wave(mesh.slab_nodes) is values
+    np.testing.assert_array_equal(lu.wave(mesh.slab_nodes, -1),
+                                  np.conj(values))
+    assert not lu.phase.flags.writeable
     assert not values.flags.writeable
-    return values
+    return lu
 
 
 # slot -> (a new owner, or a new mesh that keeps the owner, its keys, the
@@ -1025,9 +1020,7 @@ KEPT_SLOTS = {
     "static_bands": (lu_mesh, [None], kept_static_bands),
     "factorization": (
         lu_mesh, [(CASE1, 500.0), (VACUUM, 500.0), (CASE1, 501.0)],
-        lambda mesh, key: factorization(mesh, *key)),
-    "lattice_wave": (lu_mesh, [500.0, 501.0], kept_lattice_wave),
-    "values": (lu_mesh, ["slab", slice(None)], kept_lattice_values),
+        kept_factorization),
 }
 
 
@@ -1049,3 +1042,12 @@ def test_a_kept_slot_is_built_once_per_key_and_freed_with_its_owner(
     del owner
     gc.collect()
     assert value() is None
+
+
+def test_a_sweep_point_keeps_one_object_per_frequency_on_its_mesh():
+    # the LU carries the lattice wave, so after one point the mesh keeps
+    # the static bands, the atom's node and the LU: no phase steps, wave or
+    # wave values of their own
+    mesh = lu_mesh()
+    compute_record(mesh, CASE1, 500.0, 0.0625)
+    assert set(fem._KEPT[mesh]) == {"static_bands", "node", "factorization"}

@@ -76,7 +76,7 @@ def test_medium_only_residual_matches_a_dense_reference(window):
     system = assemble(open_mesh(medium), medium, 500.0)
     diag, off = system.operator_interior()
     green = np.linalg.inv(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    m_diag, m_off = system.mass_interior()
+    m_diag, m_off = system.m_diag[1:-1], system.m_off[1:-1]
     im_m = np.diag(m_diag.imag) + np.diag(m_off.imag, 1) + np.diag(
         m_off.imag, -1)
     residual = green.imag - system.k**2 * green @ im_m @ np.conj(green)

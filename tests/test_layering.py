@@ -106,6 +106,15 @@ def test_only_fem_reads_the_slab_law(name):
     assert not SLAB_LAW & (names_in(tree) | arguments)
 
 
+# The lattice wavenumber kt sets both the outgoing boundary and the wave
+# that drives the scattering states. fem finds it once per element length
+# class and the LU carries the wave, so kt = k would change fem alone
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"fem", "mesh"}))
+def test_only_fem_knows_the_lattice_dispersion(name):
+    assert not ({"length_classes", "lattice_wavenumber"}
+                & names_in(MODULES[name]))
+
+
 def imported_modules(tree):
     """Every module a tree imports, or imports names from."""
     return {

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slabqed import micromodes
+from slabqed.fem import assemble
 from slabqed.medium import (
     ATOM_INSIDE,
     ATOM_OUTSIDE,
@@ -208,6 +209,20 @@ def test_build_gevp_rejects_absorbing_mesh():
         assert open_mesh.is_open
         with pytest.raises(ValueError, match="closed box"):
             build_gevp(open_mesh, medium, BathConfig())
+
+
+@pytest.mark.parametrize("label", ["1", "2"])
+def test_pencil_bands_are_the_vacuum_assembly(label):
+    # the field block reads the static vacuum bands; bitwise the real
+    # interior bands of a vacuum assembly at k = 1, whose empty slab adds
+    # exact zeros to the mass and whose closed box has no port term
+    medium, bath = CASE_PRESETS[label], BathConfig()
+    mesh = gevp_mesh(medium, bath)
+    system = build_gevp(mesh, medium, bath)
+    vacuum = assemble(mesh, CASE_PRESETS["vacuum"], 1.0)
+    for name in ("s_diag", "s_off", "m_diag", "m_off"):
+        np.testing.assert_array_equal(getattr(system, f"em_{name}"),
+                                      getattr(vacuum, name)[1:-1].real)
 
 
 def test_vacuum_spectrum_matches_box_modes(vacuum_modes):

@@ -13,7 +13,12 @@ from _random_meshes import meshes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slabqed.fem import assemble, evaluate_field, lattice_wavenumber
+from slabqed.fem import (
+    assemble,
+    evaluate_field,
+    factorization,
+    lattice_wavenumber,
+)
 from slabqed.medium import ATOM_OUTSIDE, CASE_PRESETS
 from slabqed.mesh import build_box_mesh, build_mesh
 from slabqed.oracle import tmm_reflection_transmission, tmm_total_field
@@ -21,7 +26,6 @@ from slabqed.scattering import (
     EnergyBalance,
     energy_balance,
     extract_r_t,
-    lattice_plane_wave,
     solve_scattering,
 )
 from slabqed.purcell import purcell_mesh
@@ -191,24 +195,23 @@ def test_lattice_wave_solves_the_vacuum_mesh(k):
     lo, hi = mesh.physical_region
     keep = j[(mesh.nodes[j] > lo) & (mesh.nodes[j] < hi)
              & (np.abs(h[j - 1] - h[j]) < 1e-9 * h[j])]
-    wave = lattice_plane_wave(mesh, k)
-    assert residual(wave.values())[keep].max() < 1e-12
+    wave = factorization(mesh, VACUUM, k).wave(slice(None))
+    assert residual(wave)[keep].max() < 1e-12
     assert residual(np.exp(1j * k * mesh.nodes))[keep].max() > 1e-8
-    assert wave.values(mesh.find_node(0.0)) == 1.0  # the oracle's phase
-    np.testing.assert_allclose(np.abs(wave.values()), 1.0, atol=1e-15)
+    assert wave[mesh.find_node(0.0)] == 1.0  # the oracle's phase
+    np.testing.assert_allclose(np.abs(wave), 1.0, atol=1e-15)
 
 
 def test_lattice_state_in_vacuum_is_the_bare_wave():
     mesh = make_mesh(VACUUM)
-    wave = lattice_plane_wave(mesh, 500.0)
-    full = np.exp(1j * wave.phase)
+    lu = factorization(mesh, VACUUM, 500.0)
+    full = np.exp(1j * lu.phase)
     for d in (+1, -1):
         sol = solve_scattering(mesh, VACUUM, 500.0, d)
         assert np.max(np.abs(sol.scattered.dofs)) < 1e-12
-        assert sol.incident is wave  # the mesh keeps one wave per k
+        assert sol.lu is lu  # the mesh keeps one LU, and wave, per k
         expected = full if d > 0 else np.conj(full)
-        np.testing.assert_array_equal(sol.incident.values(direction=d),
-                                      expected)
+        np.testing.assert_array_equal(sol.lu.wave(slice(None), d), expected)
         physical = np.arange(1, mesh.n_nodes - 1)  # the walls are not read
         np.testing.assert_array_equal(
             sol.total_at_nodes(physical) - sol.scattered.dofs[physical],
@@ -228,7 +231,7 @@ def test_total_at_is_the_full_mesh_interpolation(drawn, k, direction, data):
     x = np.array(data.draw(st.lists(
         st.floats(lo, hi) | st.sampled_from(inside), min_size=1,
         max_size=12)))
-    total = sol.incident.values(direction=direction) + sol.scattered.dofs
+    total = sol.lu.wave(slice(None), direction) + sol.scattered.dofs
     np.testing.assert_array_equal(sol.total_at(x),
                                   evaluate_field(mesh, total, x))
     assert sol.total_at(x[0]) == evaluate_field(mesh, total, x[0])
@@ -239,12 +242,12 @@ def test_total_at_is_the_full_mesh_interpolation(drawn, k, direction, data):
 def test_lattice_wave_on_any_nodes_is_the_full_length_wave(drawn, k, data):
     # kt once per distinct element length, exp only at the nodes asked
     # for: both bitwise the per-element, every-node forms
-    mesh, _ = drawn
-    wave = lattice_plane_wave(mesh, k)
+    mesh, medium = drawn
+    lu = factorization(mesh, medium, k)
     h = mesh.element_lengths
     theta = np.concatenate(([0.0], np.cumsum(lattice_wavenumber(k, h) * h)))
     theta -= np.interp(0.0, mesh.nodes, theta)
-    np.testing.assert_array_equal(wave.phase, theta)
+    np.testing.assert_array_equal(lu.phase, theta)
     full = np.exp(1j * theta)
     n = mesh.n_nodes
     index = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=20)),
@@ -252,9 +255,9 @@ def test_lattice_wave_on_any_nodes_is_the_full_length_wave(drawn, k, data):
     lo = data.draw(st.integers(0, n))
     span = slice(lo, data.draw(st.integers(lo, n)))
     node = data.draw(st.integers(0, n - 1))
-    for nodes in (index, span, node):
-        np.testing.assert_array_equal(wave.values(nodes), full[nodes])
-        np.testing.assert_array_equal(wave.values(nodes, -1),
+    for nodes in (index, span, node, mesh.slab_nodes):
+        np.testing.assert_array_equal(lu.wave(nodes), full[nodes])
+        np.testing.assert_array_equal(lu.wave(nodes, -1),
                                       np.conj(full)[nodes])
 
 
@@ -265,7 +268,16 @@ def test_lattice_wave_crosses_a_sliver_element():
     mesh = make_mesh(CASE1, obs=(0.0, 0.03125 + 1e-10))
     assert mesh.element_lengths.min() < 2e-10
     assert lattice_wavenumber(50.0, 1e-10) == 50.0
-    wave = lattice_plane_wave(mesh, 50.0)
-    assert np.all(np.isfinite(wave.phase))
+    assert np.all(np.isfinite(assemble(mesh, CASE1, 50.0).phase))
     with pytest.raises(ValueError, match="no propagating"):
         lattice_wavenumber(50.0, 0.07)  # kh = 3.5 > sqrt(12): stopband
+
+
+def test_closed_box_without_a_propagating_wave_refuses_only_the_wave():
+    # at kh = 5 the lattice carries no propagating wave: the box's operator
+    # is still assembled and factored, and a scattering solve is refused
+    mesh = build_box_mesh(VACUUM, 10.0, 10.0, 0.4)
+    k = 5.0 / mesh.h_max
+    assert factorization(mesh, VACUUM, k).phase is None
+    with pytest.raises(ValueError, match="no propagating lattice wave"):
+        solve_scattering(mesh, VACUUM, k, +1)
