@@ -37,11 +37,12 @@ The pointwise balance check compares the flux functional
 on P1 Im G(x_a, x_b) - k^2 int chi_I G(x_a, x') G*(x', x_b) dx', against
 the plane-wave correlation (1/(4k)) sum_{+-} Phi(x_a) Phi*(x_b), computed
 from disjoint solver paths (point sources vs scattering states). The
-scattering states are driven by the lattice plane wave and the slab term
-is the operator's slab loss over the slab's nodes
-(``Factorization.slab_loss``), as in the sweep's boundary and medium
-rates, so this check and the sweep's ``tec_residual`` measure the same
-balance.
+scattering states are driven by the LU's lattice plane wave
+(``Factorization.wave``) and the slab term is the operator's slab loss
+over the slab's nodes (``Factorization.slab_loss``), as in the sweep's
+boundary and medium rates, so this check and the sweep's ``tec_residual``
+measure the same balance (to ~1e-8 relative where ``pf_b`` is not at
+round-off).
 """
 
 from __future__ import annotations

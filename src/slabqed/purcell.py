@@ -13,13 +13,14 @@ amplitude the boundary part alone gives 1 in vacuum, and dipole strength,
 permittivity and c drop out of the ratio.
 
 The two scattering states are driven by the mesh's own lattice plane wave
-(``scattering.lattice_plane_wave``), so incident and scattered parts share
-one dispersion relation and do not slip in phase against each other. The
+(``Factorization.wave``), so incident and scattered parts share one
+dispersion relation and do not slip in phase against each other. The
 boundary part then equals the radiation channel of the LDOS (the flux
 through the mesh's exact outgoing boundary) up to the LDOS route's own
-vacuum lattice bias, O((kh)^2). The wave is carried as its nodal phase,
-and ``compute_record`` forms its values only on the slab's nodes (the
-loads) and at the atom's node (the boundary part).
+vacuum lattice bias, O((kh)^2). The LU carries the wave as its nodal
+phase, and ``compute_record`` reads its values only on the slab's nodes
+(the loads, formed once for both directions) and at the atom's node (the
+boundary part).
 
 The medium part is 2k times the loss the slab adds to the operator,
 -g^H Im(L - L_vac) g with g = G(x_a, .) (``GreenSamples.medium_loss``).
@@ -28,13 +29,13 @@ k^2 chi_I g^H M_slab g over the slab's nodes: the Gauss rule that built
 M_slab integrates the P1 product exactly, so no Gauss-point values of G
 are formed.
 
-Per frequency the routes share one operator, one lattice wave and one
-matrix factorization, which feeds three separate single-column solves
-(two plane waves, one point source); each load is solved in place.
+Per frequency the routes share one operator and one matrix
+factorization, which feeds three separate single-column solves (two plane
+waves, one point source); each load is solved in place.
 ``fem.factorization`` keeps the LU, with the slab term the loads and the
-medium loss read, on the mesh, and the sweep runs its frequencies in
-order, one LU at a time;
-the atom's node is found once per sweep (``fem.node_of``). The identity
+medium loss read and the lattice wave the states are driven by, on the
+mesh, and the sweep runs its frequencies in order, one LU at a time; the
+atom's node is found once per sweep (``fem.node_of``). The identity
 (ldos - medium) = boundary is the zero-separation thermal-balance
 statement, so each sweep record carries its relative residual for free.
 """
