@@ -357,8 +357,9 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
         if mesh.is_open:
             raise
         phase = None
-    else:  # the oracle's theta(0) = 0
+    else:
         phase = np.concatenate(([0.0], np.cumsum(steps)))
+        # theta(0) = 0, the oracle's absolute phase
         phase = _read_only(phase - np.interp(0.0, mesh.nodes, phase))
     # M_slab is an exact zero off its nodes and b rho off the two ports:
     # adding each over its own nodes only leaves every band entry bitwise
