@@ -219,7 +219,7 @@ class SystemMatrices:
     s_off: np.ndarray
     m_diag: np.ndarray
     m_off: np.ndarray
-    phase: np.ndarray
+    phase: np.ndarray | None
 
     @property
     def n_interior(self) -> int:
