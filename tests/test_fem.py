@@ -999,35 +999,49 @@ def kept_static_bands(mesh, key):
 
 
 def kept_factorization(mesh, key):
-    # both directions of a solve and the reads after it share the LU, which
-    # carries the lattice wave: a read-only phase and one kept, read-only
-    # copy of the +x values on the slab
+    # both directions of a solve and the reads after it share the LU
     lu = factorization(mesh, *key)
     states = [solve_scattering(mesh, key[0], key[1], d) for d in (+1, -1)]
     assert all(state.lu is lu for state in states)
+    return lu
+
+
+def kept_lattice_wave(mesh, key):
+    # the LU carries the lattice wave the solves are driven by, as a
+    # read-only phase
+    phase = kept_factorization(mesh, key).phase
+    assert not phase.flags.writeable
+    return phase
+
+
+def kept_lattice_values(mesh, key):
+    # both directions read one kept, read-only copy of the +x values on
+    # the slab, which the LU forms once
+    lu = kept_factorization(mesh, key)
     values = lu.wave(mesh.slab_nodes)
     assert lu.wave(mesh.slab_nodes) is values
     np.testing.assert_array_equal(lu.wave(mesh.slab_nodes, -1),
                                   np.conj(values))
-    assert not lu.phase.flags.writeable
     assert not values.flags.writeable
-    return lu
+    return values
 
 
-# slot -> (a new owner, or a new mesh that keeps the owner, its keys, the
-# value kept for a key once its callers have run)
+# id -> (the slot that builds the value, a new owner, or a new mesh that
+# keeps the owner, its keys, the value kept for a key once its callers have
+# run); the lattice wave and its slab values are built with the LU
+LU_KEYS = [(CASE1, 500.0), (VACUUM, 500.0), (CASE1, 501.0)]
 KEPT_SLOTS = {
-    "static_bands": (lu_mesh, [None], kept_static_bands),
-    "factorization": (
-        lu_mesh, [(CASE1, 500.0), (VACUUM, 500.0), (CASE1, 501.0)],
-        kept_factorization),
+    "static_bands": ("static_bands", lu_mesh, [None], kept_static_bands),
+    "factorization": ("factorization", lu_mesh, LU_KEYS, kept_factorization),
+    "lattice_wave": ("factorization", lu_mesh, LU_KEYS, kept_lattice_wave),
+    "values": ("factorization", lu_mesh, LU_KEYS, kept_lattice_values),
 }
 
 
 @pytest.mark.parametrize("slot", KEPT_SLOTS)
 def test_a_kept_slot_is_built_once_per_key_and_freed_with_its_owner(
         slot, builds):
-    new_owner, keys, value_for = KEPT_SLOTS[slot]
+    slot, new_owner, keys, value_for = KEPT_SLOTS[slot]
     owner, other = new_owner(), new_owner()
     value = weakref.ref(value_for(owner, keys[0]))
     assert value_for(owner, keys[0]) is value()
