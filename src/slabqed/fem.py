@@ -37,8 +37,8 @@ eigenmode route; ``inverse_iteration`` and the LU are the only LAPACK
 calls in the package, LAPACK's ``?gttrf``/``?gttrs`` from scipy's compiled
 ``_flapack``, loaded without importing ``scipy.linalg``
 (``_load_flapack``). f2py copies every array it may not overwrite, so the
-LU factors fresh bands in place, ``solve`` makes one owned copy of the
-right-hand side and ``solve_in_place`` overwrites a block its caller owns.
+LU factors fresh bands in place and ``Factorization.solve``, the one solve
+of the package, overwrites a block its caller owns: no copy in or out.
 
 The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
@@ -57,15 +57,18 @@ elsewhere), and refuses a medium whose slab half-length is not the
 mesh's: one chi, one kt per length class, O(n) band arithmetic, one LU
 and no quadrature per frequency.
 
-The same phase steps kt h give the vacuum lattice's own plane wave, the
-wave the scattering states are driven by: its nodal phase theta advances
-by kt h across each element, with theta(0) = 0, and L_vac annihilates
-e^{i theta}. ``assemble`` takes theta from the steps that set rho, so
-the wave and the outgoing boundary share one dispersion relation and
-kt = k would change this module alone. ``SystemMatrices.phase`` carries
-theta, and the LU keeps it (``Factorization.phase``) with the wave's
-values on the slab's nodes, which both directions of a frequency read
-(``Factorization.wave``).
+On an open mesh the same phase steps kt h give the vacuum lattice's own
+plane wave, the wave the scattering states are driven by: its nodal phase
+theta advances by kt h across each element, with theta(0) = 0, and L_vac
+annihilates e^{i theta}. ``assemble`` takes theta from the steps that set
+rho, so the wave and the outgoing boundary share one dispersion relation
+and kt = k would change this module alone. ``SystemMatrices.phase``
+carries theta, and the LU keeps it (``Factorization.phase``) with the
+wave's values on the slab's nodes, which both directions of a frequency
+read (``Factorization.wave``). A closed box has no such wave: its walls
+reflect whatever the slab scatters, so an incident wave plus its response
+is not a scattering state there. It is assembled and factored at any k,
+for the identity checks and the eigenmode route, with no phase.
 
 The slab's law stays here. Every other module asks the operator about
 the slab in terms of L - L_vac, where L_vac is the operator of the same
@@ -208,7 +211,7 @@ class SystemMatrices:
     the slab susceptibility chi(k) the bands were assembled with, which
     ``Factorization`` turns into the slab term, and ``phase`` the nodal
     phase theta of the vacuum lattice's plane wave at this k, read-only
-    (None on a closed box whose lattice carries no propagating wave).
+    (None on a closed box, which has no incident wave at any k).
     Systems compare by identity: equal bands do not make two systems equal.
     """
 
@@ -346,21 +349,6 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
             f"(gamma = 0) has no permittivity at its resonance omega_0"
         )
     static = static_bands(mesh)
-    # the phase kt h the lattice wave advances across each element, kt
-    # found once per distinct element length. A closed box is assembled at
-    # any k: where its lattice carries no propagating wave it has no phase,
-    # and only a read of the wave is refused
-    lengths, classes = mesh.length_classes
-    try:
-        steps = (lattice_wavenumber(k, lengths) * lengths)[classes]
-    except ValueError:
-        if mesh.is_open:
-            raise
-        phase = None
-    else:
-        phase = np.concatenate(([0.0], np.cumsum(steps)))
-        # theta(0) = 0, the oracle's absolute phase
-        phase = _read_only(phase - np.interp(0.0, mesh.nodes, phase))
     # M_slab is an exact zero off its nodes and b rho off the two ports:
     # adding each over its own nodes only leaves every band entry bitwise
     # as a sum over all n would. A band without a per-k term is the static
@@ -369,8 +357,15 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     nodes, elements = mesh.slab_nodes, mesh.slab_elements
     m_diag[nodes] += chi * static.slab_diag[nodes]
     m_off[elements] += chi * static.slab_off[elements]
-    s_diag = static.s_diag
+    s_diag, phase = static.s_diag, None
     if mesh.is_open:
+        # the phase kt h the lattice wave advances across each element, kt
+        # found once per distinct element length
+        lengths, classes = mesh.length_classes
+        steps = (lattice_wavenumber(k, lengths) * lengths)[classes]
+        phase = np.concatenate(([0.0], np.cumsum(steps)))
+        # theta(0) = 0, the oracle's absolute phase
+        phase = _read_only(phase - np.interp(0.0, mesh.nodes, phase))
         # the vacuum lattice beyond each wall carries u_1 rho^j outward:
         # eliminating it adds b rho to the last physical node's diagonal,
         # rho from the kt the lattice wave advances by
@@ -387,12 +382,12 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
 
 class Factorization:
     """LU factors of the interior operator, reusable across right-hand sides,
-    the operator's slab term, which the loads and rates read, and the
-    lattice wave the scattering states are driven by.
+    the operator's slab term, which the loads and rates read, and, on an
+    open mesh, the lattice wave the scattering states are driven by.
 
     Holds the factors, k, the scalar k^2 chi(k) by which the slab enters
     L_vac - L = k^2 chi(k) M_slab, the wave's nodal phase theta
-    (``phase``, read-only) and the k-independent bands (``static_bands``,
+    (``phase``, read-only, None on a closed box) and the k-independent bands (``static_bands``,
     arrays and slices only), not the system or its mesh, so an LU kept for
     a mesh by ``factorization`` is freed together with that mesh. L_vac is
     the operator of the same mesh with an empty slab: the two differ on
@@ -448,10 +443,12 @@ class Factorization:
         d = +1 travels toward +x; -1, its complex conjugate, toward -x.
         The values are formed only at the nodes read, except on
         ``slab_nodes``, where the LU keeps them, read-only, so both
-        directions of one frequency share one ``exp``.
+        directions of one frequency share one ``exp``. A closed box has
+        no incident wave and is refused.
         """
         if self.phase is None:
-            raise ValueError(f"no propagating lattice wave at k = {self.k}")
+            raise ValueError("a closed box has no scattering states: its "
+                             "walls reflect what the slab scatters")
         if isinstance(nodes, slice) and nodes == self._static.slab_nodes:
             values = self._slab_wave
         else:
@@ -490,21 +487,7 @@ class Factorization:
         return self._slab_term.imag * complex(
             np.vdot(v, self._slab_product(u)))
 
-    def solve(self, rhs_interior: np.ndarray) -> np.ndarray:
-        """Solve L u = rhs on the interior; returns all-node dofs (walls 0).
-
-        ``rhs_interior`` is one right-hand side (n,) or a block (n, m) of
-        them, solved in one call; the result then has one column per
-        right-hand side.
-        """
-        # one owned copy, which gttrs then overwrites with the solution
-        x = self.solve_in_place(np.array(rhs_interior, dtype=complex,
-                                         order="F"))
-        dofs = np.zeros((self.n_interior + 2,) + x.shape[1:], dtype=complex)
-        dofs[1:-1] = x
-        return dofs
-
-    def solve_in_place(self, block: np.ndarray) -> np.ndarray:
+    def solve(self, block: np.ndarray) -> np.ndarray:
         """Overwrite ``block`` with L^{-1} block and return it; interior rows.
 
         ``block`` is (n,) or (n, m), complex, writable and Fortran-ordered,

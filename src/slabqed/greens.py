@@ -11,7 +11,8 @@ self value G(x_a, x_a) for the LDOS route and, for the medium route, the
 loss the slab adds to the operator, -g^H Im(L - L_vac) g with g =
 G(x_a, .) over the slab's nodes (``Factorization.slab_loss``), read from
 the LU the solve used; on P1 it is k^2 chi_I int_slab |G|^2, exact for a
-P1 field.
+P1 field. The solve is the kept LU's ``Factorization.solve``, in place on
+the interior rows of the nodal vector.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def solve_point_source(
         raise ValueError("source on a Dirichlet wall gives the zero field")
     dofs = np.zeros(mesh.n_nodes, dtype=complex)
     dofs[src] = 1.0
-    factorization(mesh, medium, k).solve_in_place(dofs[1:-1])
+    factorization(mesh, medium, k).solve(dofs[1:-1])
     return FieldSolution(mesh=mesh, k=float(k), dofs=dofs)
 
 

@@ -78,7 +78,7 @@ def _sandwich(lu, bands, conj_green, out, work):
     out[:-1] += shifted
     np.multiply(off[:, None], conj_green[:-1], out=shifted)
     out[1:] += shifted
-    return lu.solve_in_place(out)
+    return lu.solve(out)
 
 
 def _radiation_ports(lu, system: SystemMatrices):
@@ -96,7 +96,7 @@ def _radiation_ports(lu, system: SystemMatrices):
     ports = np.flatnonzero(diag)
     columns = np.zeros((diag.size, ports.size), dtype=complex, order="F")
     columns[ports, np.arange(ports.size)] = 1.0
-    lu.solve_in_place(columns)
+    lu.solve(columns)
     return ports, diag[ports, None], columns
 
 
@@ -147,7 +147,7 @@ def _relative_residuals(system: SystemMatrices, rows: slice):
                                                    for buffer in buffers)
         conj_green.fill(0.0)
         conj_green[start + np.arange(width), np.arange(width)] = 1.0
-        lu.solve_in_place(conj_green)
+        lu.solve(conj_green)
         np.conj(conj_green, out=conj_green)
         minus_im_green = conj_green.imag
         if lossy:

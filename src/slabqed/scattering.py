@@ -16,11 +16,14 @@ nodes that bracket each point of ``total_at``.
 
 The scattered field is outgoing, and the mesh's exact outgoing boundary
 lets it leave without reflection; fields are read in the mesh's physical
-region only, never at its wall nodes. The solve takes its LU, the slab
-term of its load (``Factorization.slab_load``) and its incident wave from
-``fem.factorization``, so both directions and the point-source solves at
-one frequency share one factorization, and each solution carries the LU
-it was solved with. The absorbed power of the energy balance is the
+region only, never at its wall nodes. Scattering states exist on an open
+mesh only: a closed box has no outgoing boundary, its walls reflect
+whatever the slab scatters, and its LU has no incident wave, so
+``solve_scattering`` refuses it. The solve takes its LU, the slab term of
+its load (``Factorization.slab_load``) and its incident wave from
+``fem.factorization`` and solves in place (``Factorization.solve``), so
+both directions and the point-source solves at one frequency share one
+factorization, and each solution carries the LU it was solved with. The absorbed power of the energy balance is the
 slab's loss read from that LU (``Factorization.slab_loss``): no module
 but ``fem`` reads chi(k).
 
@@ -87,13 +90,15 @@ def solve_scattering(
     (``Factorization.slab_load``), from the wave's values on the mesh's
     ``slab_nodes`` alone. The LU is ``fem.factorization``'s, shared with
     every other solve at this frequency on this mesh. The load vector is
-    solved in place.
+    solved in place (``Factorization.solve``). A closed box has no
+    incident wave, since its walls reflect what the slab scatters, and is
+    refused.
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     lu = factorization(mesh, medium, k)
     dofs = lu.slab_load(lu.wave(mesh.slab_nodes, direction))
-    lu.solve_in_place(dofs[1:-1])
+    lu.solve(dofs[1:-1])
     dofs[0] = dofs[-1] = 0.0  # Dirichlet walls, whatever the load put there
     return PlaneWaveSolution(
         direction=direction,
@@ -113,12 +118,9 @@ def extract_r_t(solution: PlaneWaveSolution) -> tuple[complex, complex]:
     ``fem.assemble`` puts the boundary's b rho, the scattered field is one
     outgoing lattice wave, e^{-i d theta} behind the slab and e^{i d theta}
     beyond it; the incident wave's phase theta carries it to the faces, so
-    any padding will do. A closed box has no ports and is refused.
+    any padding will do.
     """
     mesh = solution.scattered.mesh
-    if not mesh.is_open:
-        raise ValueError("r and t are read at the ports of an open mesh; "
-                         "a closed box has none")
     d, theta = solution.direction, solution.lu.phase
     u = solution.scattered.dofs
     (back, fwd), faces = (1, mesh.n_nodes - 2), mesh.slab_nodes

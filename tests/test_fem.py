@@ -73,6 +73,11 @@ def tridiag_matvec(diag, off, v):
     return out
 
 
+def solved(lu, rhs):
+    """L^{-1} rhs on the interior rows, solved in place on an owned copy."""
+    return lu.solve(np.array(rhs, dtype=complex, order="F"))
+
+
 def to_dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -452,10 +457,10 @@ def test_block_solve_matches_column_solves():
     rng = np.random.default_rng(3)
     block = rng.normal(size=(mesh.n_interior, 3)) + 1j * rng.normal(
         size=(mesh.n_interior, 3))
-    dofs = fact.solve(block)
-    assert dofs.shape == (mesh.n_nodes, 3)
+    x = solved(fact, block)
+    assert x.shape == (mesh.n_interior, 3)
     for j in range(3):
-        np.testing.assert_array_equal(dofs[:, j], fact.solve(block[:, j]))
+        np.testing.assert_array_equal(x[:, j], solved(fact, block[:, j]))
 
 
 def test_solve_in_place_overwrites_its_block_with_the_solve():
@@ -465,15 +470,15 @@ def test_solve_in_place_overwrites_its_block_with_the_solve():
     n = mesh.n_interior
     rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     block = np.asfortranarray(rhs)
-    assert fact.solve_in_place(block) is block
-    np.testing.assert_array_equal(block, fact.solve(rhs)[1:-1])
+    assert fact.solve(block) is block
+    np.testing.assert_array_equal(block, solved(fact, rhs))
     # gttrs must get the block itself: anything f2py would copy is refused
     read_only = np.asfortranarray(rhs)
     read_only.setflags(write=False)
     for bad in (np.ascontiguousarray(rhs), np.asfortranarray(rhs.real),
                 read_only, block[:-1]):
         with pytest.raises(ValueError):
-            fact.solve_in_place(bad)
+            fact.solve(bad)
 
 
 def test_an_empty_block_is_returned_untouched():
@@ -489,11 +494,9 @@ def test_an_empty_block_is_returned_untouched():
         "lu = Factorization(assemble(mesh, medium, 500.0))\n"
         "for width in range(200):\n"
         "    block = np.zeros((mesh.n_interior, 0), complex, order='F')\n"
-        "    assert lu.solve_in_place(block) is block\n"
+        "    assert lu.solve(block) is block\n"
         "    junk = [np.ones(width + 1) for _ in range(50)]\n"
         "    del block, junk\n"
-        "assert lu.solve(np.zeros((mesh.n_interior, 0))).shape == (\n"
-        "    mesh.n_nodes, 0)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env,
@@ -535,12 +538,10 @@ def test_solve_matches_dense():
     rhs = rng.normal(size=system.n_interior) + 1j * rng.normal(
         size=system.n_interior
     )
-    dofs = Factorization(system).solve(rhs)
+    x = solved(Factorization(system), rhs)
     dense = to_dense(diag, off)
-    np.testing.assert_allclose(
-        dofs[1:-1], np.linalg.solve(dense, rhs), rtol=1e-11
-    )
-    assert dofs[0] == 0 and dofs[-1] == 0
+    np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-11)
+    assert x.shape == (system.n_interior,)
 
 
 def test_factorization_is_reusable():
@@ -551,9 +552,8 @@ def test_factorization_is_reusable():
     rhs2 = 1j * np.arange(mesh.n_interior, dtype=float)
     diag, off = system.operator_interior()
     for rhs in (rhs1, rhs2):
-        dofs = fact.solve(rhs)
         np.testing.assert_allclose(
-            tridiag_matvec(diag, off, dofs[1:-1]), rhs, atol=1e-10
+            tridiag_matvec(diag, off, solved(fact, rhs)), rhs, atol=1e-10
         )
 
 
@@ -569,8 +569,8 @@ def test_manufactured_solution_converges_quadratically():
         mu = tridiag_matvec(m_diag, m_off, u_exact[1:-1].astype(complex))
         # wall values are zero, so the clipped mass product is complete
         rhs = (np.pi**2 - k**2) * mu
-        dofs = Factorization(system).solve(rhs)
-        return np.max(np.abs(dofs - u_exact))
+        x = solved(Factorization(system), rhs)
+        return np.max(np.abs(x - u_exact[1:-1]))
 
     err_coarse = solve_error(51)
     err_fine = solve_error(101)
@@ -770,23 +770,25 @@ def test_factorization_matches_scipys_kernels_bitwise():
         assert np.all(ours == theirs)
     rhs = np.random.default_rng(5).normal(size=(mesh.n_interior, 2))
     x_ref, _ = lapack.zgttrs(*reference[:5], rhs.astype(complex))
-    assert np.all(lu.solve(rhs)[1:-1] == x_ref)
+    assert np.all(solved(lu, rhs) == x_ref)
 
 
 def test_solve_and_factorize_leave_their_inputs_untouched():
+    # factorizing leaves the system's bands as they were, and solving
+    # (which overwrites its block by design) leaves the LU's factors
     mesh = build_mesh(CASE1, 500.0, 12.0, 0.05)
     system = assemble(mesh, CASE1, 430.0)
     bands = [np.copy(getattr(system, name))
              for name in ("s_diag", "s_off", "m_diag", "m_off")]
     lu = Factorization(system)
+    factors = [np.copy(factor) for factor in lu._factors]
     rng = np.random.default_rng(9)
     n = mesh.n_interior
     for rhs in (rng.normal(size=n),
-                np.asfortranarray(rng.normal(size=(n, 3))
-                                  + 1j * rng.normal(size=(n, 3)))):
-        kept = rhs.copy()
-        lu.solve(rhs)
-        np.testing.assert_array_equal(rhs, kept)
+                rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))):
+        solved(lu, rhs)
+    for ours, kept in zip(lu._factors, factors):
+        np.testing.assert_array_equal(ours, kept)
     for name, band in zip(("s_diag", "s_off", "m_diag", "m_off"), bands):
         np.testing.assert_array_equal(getattr(system, name), band)
 
@@ -815,9 +817,10 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         assemble(mesh, VACUUM, 0.0)
     fact = Factorization(assemble(mesh, VACUUM, 5.0))
-    for rhs in (np.ones(3), np.ones((3, 2)), np.ones((9, 2, 2)), 1.0):
+    # complex, writable and Fortran-ordered, so only the shape is wrong
+    for shape in (3, (3, 2), (9, 2, 2), ()):
         with pytest.raises(ValueError):
-            fact.solve(rhs)
+            fact.solve(np.ones(shape, dtype=complex, order="F"))
 
 
 # every solver that takes its LU from ``fem.factorization``, reduced to its

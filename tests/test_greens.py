@@ -109,7 +109,8 @@ def test_uniform_vacuum_self_value_is_the_infinite_lattice_one(k):
     mesh = Mesh1D(h * np.arange(n) - 0.12, VACUUM.slab_half_length,
                   is_open=True)
     system = assemble(mesh, VACUUM, k)
-    green = Factorization(system).solve(np.eye(n - 2))[1:-1]
+    green = Factorization(system).solve(
+        np.eye(n - 2, dtype=complex, order="F"))
     a = 2.0 / h - k**2 * 2.0 * h / 3.0
     b = -1.0 / h - k**2 * h / 6.0
     rho = np.exp(1j * lattice_wavenumber(k, h) * h)

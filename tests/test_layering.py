@@ -7,8 +7,9 @@ other LAPACK call and the one per-owner cache (``kept``) live in ``fem``
 does the slab's law chi(k) M_slab (the routes read the operator's slab
 term), no module runs a dense eigensolver or a dense linear solve, and
 nothing runs on a thread pool. No module imports scipy: ``fem`` loads only its
-compiled LAPACK wrapper. The benchmark's trace hooks must name functions
-that exist.
+compiled LAPACK wrapper. The LU has one solve, ``Factorization.solve``. The
+benchmark's trace hooks must name functions that exist, and every solve of
+a sweep is a call of the one its ``fem.solve`` layer times.
 """
 
 import ast
@@ -147,6 +148,12 @@ def test_only_fem_calls_lapack(name):
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
+def test_the_lu_has_one_solve(name):
+    # Factorization.solve, in place, is the only way to solve with an LU
+    assert "solve_in_place" not in names_in(MODULES[name])
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
 def test_no_module_imports_scipy(name):
     # importing scipy.linalg took more than half of the process set-up;
     # fem loads scipy's compiled LAPACK wrapper by itself instead
@@ -271,3 +278,24 @@ def test_bench_trace_hooks_resolve(span):
     for name in attr.split("."):
         target = getattr(target, name)
     assert callable(target)
+
+
+def test_every_sweep_solve_is_the_hooked_one(monkeypatch, tmp_path):
+    # the benchmark's fem.solve layer times the method its hook names: a
+    # sweep's three single-column solves per frequency are all calls of it
+    module_name, attr, _ = load_bench_hooks()["fem.solve"]
+    *path, method = attr.split(".")
+    owner = importlib.import_module(module_name)
+    for name in path:
+        owner = getattr(owner, name)
+    original, calls = getattr(owner, method), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, method, counted)
+    main = importlib.import_module("slabqed.cli").main
+    assert main(["sweep", "--case", "1B",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(calls) == 3 * 101  # the stock grid's 101 frequencies

@@ -217,7 +217,7 @@ def test_stock_1b_sweep_count_work_budget(monkeypatch, tmp_path):
     count(fem, "lattice_wavenumber", "kt")
     count(Mesh1D, "find_node", "find_node")
     count(fem.Factorization, "__init__", "lu")
-    count(fem.Factorization, "solve_in_place", "solves", columns=1)
+    count(fem.Factorization, "solve", "solves", columns=1)
     assert main(["sweep", "--case", "1B",
                  "--out", str(tmp_path / "o.csv")]) == 0
     assert work["chi"] <= STOCK_1B_POINTS

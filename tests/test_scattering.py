@@ -149,12 +149,11 @@ def test_outgoing_boundary_swallows_the_scattered_wave():
 
 
 def test_r_t_refuse_a_closed_box():
-    # node 1 of a box is no outgoing port: its scattered value is no
-    # reflected amplitude
+    # node 1 of a box is no outgoing port, and the box's walls reflect what
+    # the slab scatters: no scattering state, and so no r and t, is formed
     mesh = build_box_mesh(CASE1, 700.0, 40.0, 0.4)
-    sol = solve_scattering(mesh, CASE1, 500.0, +1)
-    with pytest.raises(ValueError, match="open mesh"):
-        extract_r_t(sol)
+    with pytest.raises(ValueError, match="closed box"):
+        solve_scattering(mesh, CASE1, 500.0, +1)
 
 
 def test_direction_must_be_plus_or_minus_one():
@@ -225,6 +224,10 @@ def test_total_at_is_the_full_mesh_interpolation(drawn, k, direction, data):
     # the total is formed at the bracketing nodes alone; bitwise the P1
     # interpolation of the total formed at every node, at nodes included
     mesh, medium = drawn
+    if not mesh.is_open:  # a box has no incident wave
+        with pytest.raises(ValueError, match="closed box"):
+            solve_scattering(mesh, medium, k, direction)
+        return
     sol = solve_scattering(mesh, medium, k, direction)
     lo, hi = mesh.physical_region
     inside = mesh.nodes[(mesh.nodes >= lo) & (mesh.nodes <= hi)]
@@ -244,6 +247,11 @@ def test_lattice_wave_on_any_nodes_is_the_full_length_wave(drawn, k, data):
     # for: both bitwise the per-element, every-node forms
     mesh, medium = drawn
     lu = factorization(mesh, medium, k)
+    if not mesh.is_open:  # a box has no incident wave
+        assert lu.phase is None
+        with pytest.raises(ValueError, match="closed box"):
+            lu.wave(mesh.slab_nodes)
+        return
     h = mesh.element_lengths
     theta = np.concatenate(([0.0], np.cumsum(lattice_wavenumber(k, h) * h)))
     theta -= np.interp(0.0, mesh.nodes, theta)
@@ -279,5 +287,22 @@ def test_closed_box_without_a_propagating_wave_refuses_only_the_wave():
     mesh = build_box_mesh(VACUUM, 10.0, 10.0, 0.4)
     k = 5.0 / mesh.h_max
     assert factorization(mesh, VACUUM, k).phase is None
-    with pytest.raises(ValueError, match="no propagating lattice wave"):
+    with pytest.raises(ValueError, match="closed box"):
         solve_scattering(mesh, VACUUM, k, +1)
+
+
+def test_closed_box_has_no_incident_wave_where_its_lattice_carries_one():
+    # at kh well inside the passband the box's lattice does carry a plane
+    # wave, but its walls reflect what the slab scatters, so w + phi is no
+    # scattering state: the LU has no phase, and the solve is refused. The
+    # box is still factored and solved, for the identity checks
+    mesh = build_box_mesh(VACUUM, 700.0, 40.0, 0.4)
+    k = 500.0
+    assert k * mesh.h_max < 1.0
+    lu = factorization(mesh, VACUUM, k)
+    assert lu.phase is None and assemble(mesh, VACUUM, k).phase is None
+    for direction in (+1, -1):
+        with pytest.raises(ValueError, match="closed box"):
+            solve_scattering(mesh, VACUUM, k, direction)
+    x = lu.solve(np.ones((mesh.n_interior, 1), dtype=complex, order="F"))
+    assert np.all(np.isfinite(x))
