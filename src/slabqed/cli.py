@@ -37,6 +37,7 @@ from .micromodes import (
     build_gevp,
     diagonalize,
     gevp_mesh,
+    nu_max_range,
     purcell_from_modes,
 )
 from .purcell import purcell_mesh, sweep
@@ -96,6 +97,10 @@ class RunConfig:
             value = _get(self, path)
             if not (value > limit if op == ">" else value >= limit):
                 raise ConfigError(f"{key} must be {op} {limit}, got {value!r}")
+        # the eigenmode route's Lorentzian squares eta, as chi does omega_p
+        if not math.isfinite(self.eta * self.eta):
+            raise ConfigError(
+                f"modes.eta = {self.eta!r} must have a finite square")
         if self.sweep_count > 1 and not self.sweep_min < self.sweep_max:
             raise ConfigError(
                 f"sweep.min must be < sweep.max, got "
@@ -341,13 +346,16 @@ def read_config_echo(path) -> RunConfig:
 
 
 def _closed_box_modes(config: RunConfig, grid):
-    """Eigenmodes of the config's closed-box pencil, kept up past the grid.
+    """Eigenmodes of the config's closed-box pencil, kept up past the grid,
+    and the eigenmode route's rate at each grid frequency.
 
-    Returns the ModeSet and the metadata line describing it: mode count,
-    band, B-orthonormality residual, the pivot sweeps the count took and
-    the residue-vs-vector residual at the atom. A box under four slab
-    lengths, a bath that stops short of the resonance and a pencil above
-    the dof cap are config errors, each naming its key and bound.
+    Returns the ModeSet, the rates in grid order and the metadata line
+    describing the modes: mode count, band, B-orthonormality residual, the
+    pivot sweeps the count took and the residue-vs-vector residual at the
+    atom. A box under four slab lengths, a bath that stops short of the
+    resonance or samples it too coarsely to resolve gamma, and a pencil
+    above the dof cap are config errors, each naming its key and bound; a
+    rate that cannot be formed names its frequency.
     """
     medium, bath = config.medium, config.bath
     if not bath.box_length >= 4.0 * medium.slab_length:
@@ -356,10 +364,12 @@ def _closed_box_modes(config: RunConfig, grid):
             f"lengths; modes.box_length must be >= "
             f"{4.0 * medium.slab_length!r}"
         )
-    if medium.omega_p != 0.0 and not bath.nu_max > medium.omega_0:
+    low, high = nu_max_range(medium)
+    if medium.omega_p != 0.0 and not low < bath.nu_max <= high:
         raise ConfigError(
-            f"modes.nu_max = {bath.nu_max!r} does not clear the resonance; "
-            f"modes.nu_max must be > {medium.omega_0!r}"
+            f"modes.nu_max = {bath.nu_max!r} must clear the resonance and "
+            f"resolve medium.gamma = {medium.gamma!r}; modes.nu_max must be "
+            f"> {low!r} and <= {high!r}"
         )
     system = build_gevp(gevp_mesh(medium, bath), medium, bath)
     if system.size > DEFAULT_DOF_CAP:
@@ -376,12 +386,20 @@ def _closed_box_modes(config: RunConfig, grid):
         )
     lo, hi = 1.0, max(1000.0, float(grid[-1]) + 300.0)
     modes = diagonalize(system, band=(lo, hi))
-    return modes, (
+    line = (
         f"modes: {modes.n_modes} in band [{lo:g}, {hi:g}], "
         f"normalization_residual = {modes.normalization_residual:.3e}, "
         f"count_sweeps = {modes.count_sweeps}, residue_residual = "
         f"{modes.residue_residual(config.atom_position):.3e}"
     )
+    rates = []
+    for omega in map(float, grid):
+        try:
+            rates.append(purcell_from_modes(modes, config.atom_position,
+                                            omega, config.eta))
+        except ValueError as exc:
+            raise RuntimeError(f"sweep point omega_a = {omega}: {exc}") from exc
+    return modes, rates, line
 
 
 def _sweep_mesh(config: RunConfig, medium: MediumSpec, x_a: float,
@@ -410,26 +428,16 @@ def cmd_sweep(config: RunConfig) -> int:
     grid = config.grid()
     mesh = _sweep_mesh(config, config.medium, config.atom_position,
                        k_max=float(grid[-1]), ppw=config.ppw)
-    mode_rates = {}
-    modes_line = None
+    mode_rates, modes_line = [None] * grid.size, None
     if config.method_modes:
         # before the sweep, so a modes config error costs no sweep
-        modes, modes_line = _closed_box_modes(config, grid)
-        for omega in grid:
-            omega = float(omega)
-            try:
-                mode_rates[omega] = purcell_from_modes(
-                    modes, config.atom_position, omega, config.eta
-                )
-            except ValueError as exc:
-                raise RuntimeError(
-                    f"sweep point omega_a = {omega}: {exc}"
-                ) from exc
+        _, mode_rates, modes_line = _closed_box_modes(config, grid)
+    # the sweep's records are in grid order, which is ascending
     records = sweep(mesh, config.medium, grid, config.atom_position)
 
     want_tec = config.method_sfa and config.method_modified_ln
     rows = []
-    for rec in records:
+    for rec, mode_rate in zip(records, mode_rates):
         rows.append((
             _fmt(rec.omega_a),
             _fmt(rec.pf_sfa) if config.method_sfa else "",
@@ -437,7 +445,7 @@ def cmd_sweep(config: RunConfig) -> int:
             _fmt(rec.pf_m) if config.method_modified_ln else "",
             _fmt(rec.pf_modified_ln) if config.method_modified_ln else "",
             _fmt(rec.pf_original_ln) if config.method_original_ln else "",
-            _fmt(mode_rates.get(rec.omega_a)) if config.method_modes else "",
+            _fmt(mode_rate),
             _fmt(rec.tec_residual) if want_tec else "",
         ))
     metadata = _metadata_lines("sweep", config, mesh=mesh,
@@ -546,21 +554,16 @@ def cmd_modes(config: RunConfig) -> int:
     """Diagonalize the closed-box pencil; write spectrum and rate curve."""
     start = time.monotonic()
     grid = config.grid()
-    modes, modes_line = _closed_box_modes(config, grid)
+    # every rate exists before the first file is written, so a failing
+    # rate leaves neither output behind
+    modes, rates, modes_line = _closed_box_modes(config, grid)
+    rows = [(_fmt(float(w)), _fmt(rate)) for w, rate in zip(grid, rates)]
 
     root, ext = os.path.splitext(config.output_path)
     spectrum_path = f"{root}_spectrum{ext or '.csv'}"
     metadata = _metadata_lines("modes", config,
                                wall_seconds=time.monotonic() - start,
                                modes_line=modes_line)
-    rows = [
-        (_fmt(float(w)),
-         _fmt(purcell_from_modes(modes, config.atom_position, float(w),
-                                 config.eta)))
-        for w in grid
-    ]
-    # every row exists before the first file is written, so a failing rate
-    # leaves neither output behind
     _write_csv(
         spectrum_path, metadata, ("omega_m",),
         [(_fmt(w),) for w in modes.frequencies],

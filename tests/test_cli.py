@@ -334,11 +334,16 @@ def test_padding_short_of_an_atom_site_leaves_modes_running(tmp_path):
 
 # Eigenmode-route settings that pass validate() but that only the closed box
 # or the pencil can refuse, each with the bound its message must give:
-# under four slab lengths, short of omega_0 = 500, and 995 field dofs plus
-# 100 bins on each of 100 slab elements, 10,995 dofs above the 4,000 cap
+# under four slab lengths, short of omega_0 = 500, a grid too coarse for
+# gamma = 50 (steps of 500 and 5e4 gamma: every rate read nan at 1e8, and
+# at 1e10 no bin lay below 1000, so the slab dropped out), and 995 field
+# dofs plus 100 bins on each of 100 slab elements, 10,995 dofs above the
+# 4,000 cap
 MODES_CONFIG_ERRORS = {
     "modes.box_length = 0.2": "modes.box_length must be >= 0.25",
     "modes.nu_max = 400": "modes.nu_max must be > 500.0",
+    "modes.nu_max = 1e8": "modes.nu_max must be > 500.0 and <= 3000015.0",
+    "modes.nu_max = 1e10": "modes.nu_max must be > 500.0 and <= 3000015.0",
     "modes.n_bins = 100": "modes.n_bins must be <= 30",
 }
 
@@ -355,6 +360,37 @@ def test_modes_setting_out_of_bounds_exits_2(command, setting, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {setting.split(' = ')[0]} = ")
     assert MODES_CONFIG_ERRORS[setting] in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+@pytest.mark.parametrize("eta", ["1e160", "1e300"])
+@pytest.mark.parametrize("command", ["modes", "sweep"])
+def test_overflowing_eta_exits_2(command, eta, tmp_path, capsys):
+    # finite, but the eigenmode route's Lorentzian squares it past the
+    # largest double: refused as a config error, as MediumSpec refuses an
+    # omega_p whose square overflows, not a failure in the rate step
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"case = 1A\nsweep.count = 5\nmethods.modes = true\n"
+                   f"modes.eta = {eta}\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: modes.eta = {float(eta)!r} must have a finite square")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+@pytest.mark.parametrize("command", ["modes", "sweep"])
+def test_a_failing_mode_rate_names_its_frequency(command, tmp_path, capsys):
+    # eta = 1 is below twice the mode spacing at the bottom of the grid:
+    # both commands read the rates from one loop, which names the point
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 1A\nsweep.count = 5\nmethods.modes = true\n"
+                   "modes.eta = 1\n")
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: sweep point omega_a = 300.0: eta = 1.0 is below twice the "
+        "local mode spacing")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 

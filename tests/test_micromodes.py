@@ -28,6 +28,7 @@ from slabqed.micromodes import (
     eigenvalue_count,
     frequency_bins,
     gevp_mesh,
+    nu_max_range,
     oscillator_strength,
     purcell_from_modes,
     ser_modes,
@@ -149,6 +150,22 @@ def test_frequency_bins_degenerate_media():
 def test_frequency_bins_reject_low_nu_max():
     with pytest.raises(ValueError, match="resonance"):
         frequency_bins(CASE_PRESETS["1"], BathConfig(nu_max=400.0))
+
+
+@pytest.mark.parametrize("label", ["1", "2"])
+def test_frequency_bins_resolve_gamma_up_to_the_grid_bound(label):
+    # at the largest nu_max allowed the grid steps by 0.3 gamma and the
+    # bins keep the f-sum omega_p^2 (1 - (2/pi) gamma / nu_max), measured
+    # to 3e-5; one ulp above it the bins are refused
+    medium = CASE_PRESETS[label]
+    low, high = nu_max_range(medium)
+    assert low == medium.omega_0
+    assert high == 0.3 * medium.gamma * 200001
+    _, weights = frequency_bins(medium, BathConfig(nu_max=high))
+    f_sum = medium.omega_p**2 * (1.0 - 2.0 / np.pi * medium.gamma / high)
+    np.testing.assert_allclose(weights.sum(), f_sum, rtol=1e-4)
+    with pytest.raises(ValueError, match=f"resolve gamma = {medium.gamma}"):
+        frequency_bins(medium, BathConfig(nu_max=np.nextafter(high, np.inf)))
 
 
 @pytest.mark.parametrize("label", ["1", "2"])
