@@ -144,7 +144,8 @@ def frequency_bins(medium: MediumSpec, bath: BathConfig):
     top; each bin keeps the exact sigma-mass it covers and is represented
     at its sigma-weighted centroid. Returns a pair of float arrays of
     length ``bath.n_bins`` (or shorter in the degenerate cases: empty for
-    vacuum, a single undamped line for gamma = 0).
+    vacuum, a single undamped line for gamma = 0). A nu_max outside
+    ``nu_max_range`` is refused.
     """
     if medium.omega_p == 0.0:
         return np.empty(0), np.empty(0)
