@@ -112,7 +112,7 @@ class RunConfig:
         region = self.medium.slab_half_length + self.padding
         if not abs(self.atom_position) < region:
             raise ConfigError(
-                f"atom.position must lie strictly inside the physical region "
+                f"atom.position must lie strictly inside the padded region "
                 f"(-{region}, {region}), got {self.atom_position}"
             )
         return self
@@ -407,7 +407,7 @@ def _sweep_mesh(config: RunConfig, medium: MediumSpec, x_a: float,
     """``purcell_mesh`` with the run's padding.
 
     That mesh puts both preset atom sites and ``x_a`` on nodes, so each
-    must lie strictly inside the physical region, (-(a + padding),
+    must lie strictly inside the padded region, (-(a + padding),
     a + padding); a padding too thin for them is a config error.
     """
     reach = max(abs(x) for x in (ATOM_INSIDE, ATOM_OUTSIDE, x_a))
@@ -415,7 +415,7 @@ def _sweep_mesh(config: RunConfig, medium: MediumSpec, x_a: float,
     if not reach < region:
         raise ConfigError(
             f"mesh.padding = {config.padding!r} leaves the atom site "
-            f"x = {reach!r} outside the physical region (-{region}, "
+            f"x = {reach!r} outside the padded region (-{region}, "
             f"{region}); mesh.padding must be > "
             f"{reach - medium.slab_half_length!r}"
         )

@@ -65,10 +65,14 @@ rho, so the wave and the outgoing boundary share one dispersion relation
 and kt = k would change this module alone. ``SystemMatrices.phase``
 carries theta, and the LU keeps it (``Factorization.phase``) with the
 wave's values on the slab's nodes, which both directions of a frequency
-read (``Factorization.wave``). A closed box has no such wave: its walls
-reflect whatever the slab scatters, so an incident wave plus its response
-is not a scattering state there. It is assembled and factored at any k,
-for the identity checks and the eigenmode route, with no phase.
+read (``Factorization.wave``). Past the ports both lattice waves, the
+outgoing one and the incident one, continue at the walls' kt h, which
+``lattice_hops`` carries out to any point there: an open mesh needs no
+vacuum beyond the slab and the points it is read at. A closed box has no
+such wave: its walls reflect whatever the slab scatters, so an incident
+wave plus its response is not a scattering state there. It is assembled
+and factored at any k, for the identity checks and the eigenmode route,
+with no phase.
 
 The slab's law stays here. Every other module asks the operator about
 the slab in terms of L - L_vac, where L_vac is the operator of the same
@@ -668,18 +672,54 @@ def twisted_residues(diag, ddiag, off2, doff2, edge: int):
     return lo, hi, pivot
 
 
-def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x, nodes=slice(None)):
-    """P1 interpolation of nodal values at points of the physical region.
+def lattice_hops(mesh: Mesh1D, k: float, x, direction=None):
+    """What carries a unit vacuum lattice wave from a port of an open mesh
+    to the points ``x`` past it: the wave at x over its value at the port.
+
+    Past each port the vacuum lattice continues at its wall element's
+    spacing h, on virtual nodes x_port + s j h (j = 0, 1, ...; s = -1
+    past the left port, +1 past the right), whose wall node is j = 1. A
+    lattice wave toward ``direction`` d (+1: +x, -1: -x) is e^{i d s kt h j}
+    times its port value on them, with kt = ``lattice_wavenumber(k, h)``,
+    the dispersion of the outgoing boundary, and P1 between them, as on the
+    mesh. ``None`` is the outgoing wave, d = s: what a scattered or
+    point-source field is past the ports.
+    """
+    nodes = mesh.nodes
+    right = x > nodes[-2]
+    h = mesh.element_lengths[np.where(right, -1, 0)]
+    side = np.where(right, 1.0, -1.0)
+    step = lattice_wavenumber(k, h) * h * (
+        1.0 if direction is None else direction * side)
+    hops = np.abs(x - nodes[np.where(right, -2, 1)]) / h
+    j = np.floor(hops)
+    return np.exp(1j * step * j) * ((j + 1.0 - hops)
+                                    + (hops - j) * np.exp(1j * step))
+
+
+def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x, nodes=slice(None),
+                   k=None):
+    """P1 interpolation of nodal values, and past the ports of an open mesh
+    the outgoing lattice wave of wavenumber ``k`` (``lattice_hops``).
 
     ``dofs`` are the values at ``mesh.nodes[nodes]``, which must include
-    the two nodes that bracket each point.
+    the two nodes that bracket each point of the physical region and the
+    port each point past one lies beyond. The field past the ports is what
+    a scattered or point-source field is there, the one the dropped vacuum
+    padding carried; a closed box, or no ``k``, refuses such points.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = mesh.physical_region
-    if np.any(x < lo) or np.any(x > hi):
-        raise ValueError("evaluation point outside the physical region")
+    past = (x < lo) | (x > hi)
+    # clipped, a point past a port reads the port's value, exactly
+    inner = np.clip(x, lo, hi)
     xp = mesh.nodes[nodes]
-    out = np.interp(x, xp, dofs.real) + 1j * np.interp(x, xp, dofs.imag)
+    out = (np.interp(inner, xp, dofs.real)
+           + 1j * np.interp(inner, xp, dofs.imag))
+    if past.any():
+        if k is None or not mesh.is_open or not np.isfinite(x[past]).all():
+            raise ValueError("evaluation point outside the physical region")
+        out[past] *= lattice_hops(mesh, k, x[past])
     return out if out.ndim else complex(out)
 
 
@@ -692,7 +732,7 @@ class FieldSolution:
     dofs: np.ndarray
 
     def __call__(self, x):
-        return evaluate_field(self.mesh, self.dofs, x)
+        return evaluate_field(self.mesh, self.dofs, x, k=self.k)
 
     def at_node(self, index: int) -> complex:
         return complex(self.dofs[index])

@@ -1,17 +1,22 @@
 """1D meshes: an open domain or a closed box.
 
-The open mesh covers the physical region [-(a + padding), +(a + padding)],
-where a is the slab half-length, plus one element beyond each end of it.
-Material interfaces, the region's ends and every requested observation
-point are exact breakpoints; each span between breakpoints is subdivided
-uniformly with the globally smallest element size, so requested points are
-mesh nodes to the last bit. The element beyond each end has the length of
-the padding span's elements, and its outer node is the Dirichlet wall:
-the vacuum lattice continues past it, and ``fem.assemble`` folds that
-semi-infinite lattice into the last physical node as its exact outgoing
-condition. A wall node stands in for the field beyond and is never read
-as a field value; the physical region of an open mesh ends at the nodes
-next to its walls. A closed box is the region between its walls, which
+An open mesh is laid out over [-(a + padding), +(a + padding)], where a is
+the slab half-length: material interfaces, the layout's ends and every
+requested observation point are exact breakpoints, and each span between
+breakpoints is subdivided uniformly with the globally smallest element
+size, so requested points are mesh nodes to the last bit. The mesh keeps
+only the hull of the slab and the requested points, [min(-a, obs),
+max(a, obs)], its physical region, plus one element of the layout beyond
+each end of it: a contiguous slice of the layout, so every kept node is
+the layout's to the last bit. The outer node of each end element is the
+Dirichlet wall, and the element has the length of the uniform vacuum span
+it cuts: the vacuum lattice continues past it at that spacing, and
+``fem.assemble`` folds that semi-infinite lattice into the last physical
+node, the port, as its exact outgoing condition. Eliminating the dropped
+padding that way is exact, so the cut moves results at round-off only. A
+wall node stands in for the field beyond and is never read as a field
+value; past the ports ``fem.evaluate_field`` continues the field as the
+outgoing lattice wave. A closed box is the region between its walls, which
 are physical.
 
 The mesh is the one place that knows where the slab lies: the slab is the
@@ -209,7 +214,7 @@ def build_mesh(
     padding: float,
     observation_points=(),
 ) -> Mesh1D:
-    """Open-domain mesh: wall | vacuum | slab | vacuum | wall.
+    """Open-domain mesh: wall | vacuum | slab | vacuum | wall, cut to the hull.
 
     Parameters
     ----------
@@ -220,26 +225,30 @@ def build_mesh(
     points_per_wavelength : float
         Nodes per free-space wavelength at k_max; must be at least 10.
     padding : float
-        Vacuum gap between each slab face and the end of the physical
-        region; one element of the gap's length lies beyond each end.
+        Vacuum gap between each slab face and the end of the layout, which
+        bounds the observation points and sets the span whose element
+        length the walls take.
     observation_points : iterable of float, optional
         Positions that must coincide with mesh nodes exactly (atom sites,
-        probe points). Must lie strictly inside the physical region.
+        probe points). Must lie strictly inside (-(a + padding), a +
+        padding).
 
     Returns
     -------
     Mesh1D
+        The layout's nodes from one element below min(-a, obs) to one
+        element above max(a, obs); its physical region is that hull.
     """
     if padding <= 0:
         raise ValueError(f"padding must be > 0, got {padding}")
-    nodes = _span_nodes(medium, k_max, points_per_wavelength,
-                        medium.slab_half_length + padding,
-                        observation_points, "the physical region")
-    # the boundary elements: one more padding element beyond each end
-    walls = (nodes[0] - (nodes[1] - nodes[0]),
-             nodes[-1] + (nodes[-1] - nodes[-2]))
-    return Mesh1D(np.concatenate(([walls[0]], nodes, [walls[1]])),
-                  medium.slab_half_length, is_open=True)
+    a = medium.slab_half_length
+    obs = np.asarray(tuple(observation_points), dtype=float)
+    nodes = _span_nodes(medium, k_max, points_per_wavelength, a + padding,
+                        obs, "the padded region")
+    # the hull's ends are breakpoints strictly inside the layout, so exact
+    # nodes with a layout node beyond each: the walls
+    i0, i1 = np.searchsorted(nodes, (min((-a, *obs)), max((a, *obs))))
+    return Mesh1D(nodes[i0 - 1:i1 + 2], a, is_open=True)
 
 
 def build_box_mesh(

@@ -41,6 +41,7 @@ eigenproblem, so ``build_gevp`` insists on meshes built by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -807,8 +808,9 @@ def ser_modes(modes: ModeSet, x_a: float, omega_a: float, eta: float):
     """
     if omega_a <= 0:
         raise ValueError(f"omega_a must be > 0, got {omega_a}")
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    # the Lorentzian squares eta, by the rule RunConfig applies to modes.eta
+    if not (eta > 0 and math.isfinite(float(eta) * float(eta))):
+        raise ValueError(f"eta must be > 0 with a finite square, got {eta}")
     spacing = modes.spacing_near(omega_a)
     if eta < 2.0 * spacing:
         raise ValueError(

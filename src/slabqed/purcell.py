@@ -181,8 +181,10 @@ def purcell_mesh(
 ) -> Mesh1D:
     """Standard sweep mesh: both atom sites are nodes regardless of x_a.
 
-    An open mesh (``build_mesh``): the physical region ends ``padding``
-    beyond each slab face, where the exact outgoing boundary takes over.
+    An open mesh (``build_mesh``) cut to the hull of the slab and the
+    atom sites, [min(-a, x_a), max(a, x_B, x_a)]: the exact outgoing
+    boundary takes over one element beyond each end, at the spacing of
+    the ``padding`` span it cuts. ``padding`` bounds the atom sites.
     """
     obs = sorted({ATOM_INSIDE, ATOM_OUTSIDE, float(x_a)})
     return build_mesh(medium, k_max, ppw, padding, observation_points=obs)

@@ -15,8 +15,10 @@ directions), at the nodes asked of ``total_at_nodes`` and at the two
 nodes that bracket each point of ``total_at``.
 
 The scattered field is outgoing, and the mesh's exact outgoing boundary
-lets it leave without reflection; fields are read in the mesh's physical
-region only, never at its wall nodes. Scattering states exist on an open
+lets it leave without reflection; fields are never read at the mesh's
+wall nodes: past a port the scattered part is the outgoing lattice wave
+and the incident wave continues at the wall's lattice spacing, in closed
+form (``fem.lattice_hops``). Scattering states exist on an open
 mesh only: a closed box has no outgoing boundary, its walls reflect
 whatever the slab scatters, and its LU has no incident wave, so
 ``solve_scattering`` refuses it. The solve takes its LU, the slab term of
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FieldSolution, evaluate_field, factorization
+from .fem import FieldSolution, evaluate_field, factorization, lattice_hops
 from .medium import MediumSpec
 from .mesh import Mesh1D
 
@@ -61,20 +63,34 @@ class PlaneWaveSolution:
         return total if total.ndim else complex(total)
 
     def total_at(self, x):
-        """Incident + scattered, at points of the physical region.
+        """Incident + scattered, at any points of an open mesh's vacuum.
 
-        Both parts are P1 on one mesh, so their sum is interpolated once.
-        It is formed only at the two nodes that bracket each point, the
-        only nodes interpolation reads there, so this is bitwise the
-        interpolation of the sum formed at every node.
+        In the physical region both parts are P1 on one mesh, so their sum
+        is interpolated once. It is formed only at the two nodes that
+        bracket each point, the only nodes interpolation reads there, so
+        this is bitwise the interpolation of the sum formed at every node.
+        Past a port the scattered part is the outgoing lattice wave and
+        the incident wave's phase continues at the wall's lattice spacing
+        (``fem.lattice_hops``), as on the vacuum padding the mesh omits.
         """
-        mesh = self.scattered.mesh
-        low = np.clip(np.searchsorted(mesh.nodes, x, "right") - 1,
+        mesh, d = self.scattered.mesh, self.direction
+        x = np.asarray(x, dtype=float)
+        lo, hi = mesh.physical_region
+        inner = np.clip(x, lo, hi)
+        low = np.clip(np.searchsorted(mesh.nodes, inner, "right") - 1,
                       0, mesh.n_nodes - 2)
         bracket = np.zeros(mesh.n_nodes, dtype=bool)
         bracket[low] = bracket[low + 1] = True
         used = np.flatnonzero(bracket)
-        return evaluate_field(mesh, self.total_at_nodes(used), x, used)
+        total = np.asarray(
+            evaluate_field(mesh, self.total_at_nodes(used), inner, used))
+        past = (x < lo) | (x > hi)
+        if past.any():
+            beyond = x[past]
+            ports = np.where(beyond > hi, mesh.n_nodes - 2, 1)
+            total[past] = self.scattered(beyond) + self.lu.wave(
+                ports, d) * lattice_hops(mesh, self.scattered.k, beyond, d)
+        return total if total.ndim else complex(total)
 
 
 def solve_scattering(
@@ -118,7 +134,8 @@ def extract_r_t(solution: PlaneWaveSolution) -> tuple[complex, complex]:
     ``fem.assemble`` puts the boundary's b rho, the scattered field is one
     outgoing lattice wave, e^{-i d theta} behind the slab and e^{i d theta}
     beyond it; the incident wave's phase theta carries it to the faces, so
-    any padding will do.
+    the ports may lie on the faces themselves, as they do where the mesh
+    ends at the slab.
     """
     mesh = solution.scattered.mesh
     d, theta = solution.direction, solution.lu.phase

@@ -258,16 +258,17 @@ def test_static_bands_are_released_with_their_mesh():
 
 
 def test_slab_reaching_the_open_boundary_is_refused():
-    # the physical region ends at |x| = 0.08125 on these nodes; the outgoing
-    # condition is the vacuum lattice's, so an open mesh refuses a slab
-    # that reaches a boundary element, and a closed box, whose walls are
-    # physical, takes it
-    nodes = lu_mesh().nodes
-    for a in (0.0815, 0.1):
+    # the physical region ends at |x| = 0.0625 on these nodes, the boundary
+    # elements' midpoints at |x| = 0.06272; the outgoing condition is the
+    # vacuum lattice's, so an open mesh refuses a slab that reaches a
+    # boundary element, and a closed box, whose walls are physical, takes it
+    nodes = build_mesh(CASE1, 700.0, 20.0, 0.05,
+                       observation_points=(-0.0625, 0.0, 0.0625)).nodes
+    for a in (0.0628, 0.1):
         with pytest.raises(ValueError, match="open boundary"):
             Mesh1D(nodes, a, is_open=True)
         assert Mesh1D(nodes, a).slab_elements == slice(0, nodes.size - 1)
-    assert Mesh1D(nodes, 0.08125, is_open=True).slab_elements == slice(
+    assert Mesh1D(nodes, 0.0625, is_open=True).slab_elements == slice(
         1, nodes.size - 2)
 
 

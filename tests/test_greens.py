@@ -12,8 +12,8 @@ import dataclasses
 import numpy as np
 import pytest
 from _dense_reference import element_quadrature
-from _random_meshes import meshes
-from hypothesis import assume, given, settings
+from _random_meshes import CUT_FLOOR, dropped_padding, open_meshes
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slabqed.fem import (
@@ -77,14 +77,14 @@ def outer_span(mesh, side):
 
 
 @settings(deadline=None, max_examples=40)
-@given(drawn=meshes(), k=st.floats(50.0, 1500.0), data=st.data())
+@given(drawn=open_meshes(), k=st.floats(50.0, 1500.0), data=st.data())
 def test_outgoing_boundary_leaves_the_padding_one_outgoing_wave(drawn, k,
                                                                  data):
-    # from the wall inward to the source or the first change of element
-    # length, a vacuum point-source field is the outgoing lattice wave
-    # alone: each node is rho = e^{i kt h} times its inner neighbour
-    mesh, _ = drawn
-    assume(mesh.is_open)
+    # on a mesh with a uniform vacuum span at each wall, the uncut padded
+    # layout, from the wall inward to the source or the first change of
+    # element length, a vacuum point-source field is the outgoing lattice
+    # wave alone: each node is rho = e^{i kt h} times its inner neighbour
+    _, _, mesh, _ = drawn
     vacuum = dataclasses.replace(VACUUM,
                                  slab_half_length=mesh.slab_half_length)
     src = data.draw(st.integers(1, mesh.n_nodes - 2))
@@ -98,6 +98,24 @@ def test_outgoing_boundary_leaves_the_padding_one_outgoing_wave(drawn, k,
         inner = span - side
         np.testing.assert_allclose(u[span], rho * u[inner], rtol=1e-12,
                                    atol=0.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(drawn=open_meshes(), k=st.floats(50.0, 1500.0), data=st.data())
+def test_cut_mesh_green_is_the_padded_layouts(drawn, k, data):
+    # the exact outgoing boundary stands in for the dropped padding: G at
+    # every kept node, and past the ports over the dropped padding, is the
+    # uncut layout's G to round-off
+    mesh, medium, layout, _ = drawn
+    src = mesh.nodes[data.draw(st.integers(1, mesh.n_nodes - 2))]
+    g = solve_point_source(mesh, medium, k, src)
+    reference = solve_point_source(layout, medium, k, src)
+    scale = np.abs(reference.dofs).max()
+    i0 = int(np.searchsorted(layout.nodes, mesh.nodes[0]))
+    kept = reference.dofs[i0 + 1:i0 + mesh.n_nodes - 1]
+    assert np.abs(g.dofs[1:-1] - kept).max() < CUT_FLOOR * scale
+    x = dropped_padding(mesh, layout, data)
+    assert np.abs(g(x) - reference(x)).max() < CUT_FLOOR * scale
 
 
 @pytest.mark.parametrize("k", [100.0, 500.0, 1500.0])

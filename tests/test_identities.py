@@ -94,9 +94,9 @@ def test_medium_only_residual_matches_a_dense_reference(window):
                                    ids.check_lossless_identity_failure])
 def test_checks_hold_column_blocks_not_the_dense_green(check):
     # a dense (n, n) complex G alone is n^2 16 B, four times this bound;
-    # ppw 48 gives n = 874, about the size the bound was set at
+    # ppw 84 gives n = 880, about the size the bound was set at
     medium = CASE_PRESETS["1"]
-    system = assemble(open_mesh(medium, ppw=48.0), medium, 500.0)
+    system = assemble(open_mesh(medium, ppw=84.0), medium, 500.0)
     n = system.n_interior
     tracemalloc.start()
     try:
@@ -225,7 +225,7 @@ def test_one_walk_gives_both_checks_bitwise(name, window, built_lus):
 def test_dense_dof_cap_guard():
     # the guard fires before any dense allocation
     medium = CASE_PRESETS["vacuum"]
-    system = assemble(open_mesh(medium, ppw=250.0), medium, 500.0)
+    system = assemble(open_mesh(medium, ppw=440.0), medium, 500.0)
     assert system.n_interior > DEFAULT_DOF_CAP
     for check in (ids.check_discrete_ddgt, ids.check_lossless_identity_failure,
                   ids.check_identities):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from _random_meshes import meshes
+from _random_meshes import meshes, open_meshes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,22 +33,45 @@ def standard_mesh(**overrides):
 
 
 def test_open_mesh_ends_one_padding_element_beyond_the_physical_region():
-    # the wall nodes lie one element past +-(a + padding), and that element
-    # has the length of its neighbour in the padding span
+    # the physical region is the hull of the slab and the requested points,
+    # [-a, 0.0625]; the wall nodes lie one element past it, and each wall
+    # element has the length of the padding span it cuts
     mesh = standard_mesh()
     a = CASE1.slab_half_length
     assert mesh.is_open
-    assert mesh.physical_region == (-(a + 0.05), a + 0.05)
+    assert mesh.physical_region == (-a, 0.0625)
     assert (mesh.nodes[1], mesh.nodes[-2]) == mesh.physical_region
-    h = mesh.element_lengths
-    for wall, inner in ((0, 1), (-1, -2)):
-        assert h[wall] == pytest.approx(h[inner], rel=1e-12)
-    # no more nodes than the physical region's spans need
     h_target = 2.0 * math.pi / (700.0 * 40.0)
+    h = mesh.element_lengths
+    for wall, span in ((0, 0.05), (-1, a + 0.05 - 0.0625)):
+        assert h[wall] == pytest.approx(
+            span / math.ceil(span / h_target - 1e-9), rel=1e-12)
+    # no more nodes than the physical region's spans need
     assert mesh.element_lengths.size == sum(
         math.ceil(length / h_target - 1e-9)
-        for length in np.diff([-(a + 0.05), -a, 0.0, a, 0.0625, a + 0.05])
+        for length in np.diff([-a, 0.0, a, 0.0625])
     ) + 2
+
+
+@pytest.mark.parametrize("ppw,n_nodes", [(40.0, 423), (160.0, 1677)])
+def test_stock_sweep_mesh_sizes(ppw, n_nodes):
+    # the stock meshes keep [-a, x_B] and one wall element beyond each end
+    assert purcell_mesh(CASE1, 0.0625, ppw=ppw).n_nodes == n_nodes
+
+
+@settings(deadline=None, max_examples=40)
+@given(drawn=open_meshes())
+def test_open_mesh_is_the_hull_of_its_padded_layout(drawn):
+    # the mesh is a contiguous slice of the uncut layout, bitwise, walls
+    # included, from one node below the hull [min(-a, obs), max(a, obs)]
+    # to one above it
+    mesh, medium, layout, obs = drawn
+    i0 = int(np.searchsorted(layout.nodes, mesh.nodes[0]))
+    np.testing.assert_array_equal(layout.nodes[i0:i0 + mesh.n_nodes],
+                                  mesh.nodes)
+    a = medium.slab_half_length
+    assert mesh.physical_region == (min((-a, *obs)), max((a, *obs)))
+    assert mesh.n_nodes < layout.n_nodes
 
 
 def test_requested_points_are_exact_nodes():
@@ -66,19 +89,23 @@ def test_element_size_bound():
 
 
 def test_region_tags():
-    mesh = standard_mesh()
+    # requested points on both sides put vacuum on both sides of the slab
+    mesh = standard_mesh(observation_points=(-0.0625, 0.0, 0.0625))
     mids = mesh.element_midpoints
     a = CASE1.slab_half_length
     slab = mesh.slab_elements
     assert np.all(np.abs(mids[slab]) < a)
     vac = mids[np.r_[1:slab.start, slab.stop:mids.size - 1]]
-    assert np.all((np.abs(vac) > a) & (np.abs(vac) < a + 0.05))
+    assert np.all((np.abs(vac) > a) & (np.abs(vac) < 0.0625))
     # the boundary elements lie beyond the physical region
     lo, hi = mesh.physical_region
     assert mids[0] < lo and mids[-1] > hi
     # every region is populated, in order, and together they tile the mesh
     assert 1 < slab.start < slab.stop < mids.size - 1
     assert mesh.slab_nodes == slice(slab.start, slab.stop + 1)
+    # without a requested point below the slab the hull starts at -a: no
+    # vacuum element lies between the left wall element and the slab
+    assert standard_mesh().slab_elements.start == 1
 
 
 def test_slab_element_lengths_cover_slab():

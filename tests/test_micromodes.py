@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import math
 import signal
 
 import numpy as np
@@ -348,6 +349,18 @@ def test_eta_below_spacing_rejected(vacuum_modes):
     spacing = np.pi / bath.box_length
     with pytest.raises(ValueError, match="spacing"):
         ser_modes(modes, 0.0123, 500.0, 0.5 * spacing)
+
+
+@pytest.mark.parametrize("eta", [1e160, 1e300, math.inf, math.nan])
+def test_eta_without_a_finite_square_is_refused(vacuum_modes, eta):
+    # the Lorentzian squares eta: an overflowing square raised
+    # OverflowError from eta**2, and NaN slipped past eta <= 0
+    modes, _ = vacuum_modes
+    for rate in (ser_modes, purcell_from_modes):
+        with pytest.raises(ValueError, match="eta must be > 0"):
+            rate(modes, 0.0, 500.0, eta)
+        with pytest.raises(ValueError, match="eta must be > 0"):
+            rate(modes, 0.0, 500.0, np.float64(eta))
 
 
 def test_case1a_rate_tracks_direct_green_function(case1_modes):

@@ -9,7 +9,13 @@ band edge gets an explicit dispersion-floor + convergence test instead.
 
 import numpy as np
 import pytest
-from _random_meshes import meshes
+from _random_meshes import (
+    CUT_FLOOR,
+    dropped_padding,
+    meshes,
+    open_meshes,
+    padded_layout,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,9 +142,10 @@ def test_energy_balance_vacuum_is_clean():
 
 def test_outgoing_boundary_swallows_the_scattered_wave():
     # the exact outgoing boundary absorbs the scattered wave whole: in the
-    # uniform span next to each wall it is one lattice wave of constant
-    # modulus, where any reflected part would beat against it
-    mesh = make_mesh(CASE1)
+    # uniform span next to each wall of the uncut padded layout it is one
+    # lattice wave of constant modulus, where any reflected part would
+    # beat against it
+    mesh = padded_layout(CASE1, 700.0, 40.0, PADDING, (0.0, 0.0625))
     sol = solve_scattering(mesh, CASE1, 500.0, +1)
     lo, hi = mesh.physical_region
     for span in (mesh.nodes >= lo) & (mesh.nodes <= -0.0625), (
@@ -238,6 +245,33 @@ def test_total_at_is_the_full_mesh_interpolation(drawn, k, direction, data):
     np.testing.assert_array_equal(sol.total_at(x),
                                   evaluate_field(mesh, total, x))
     assert sol.total_at(x[0]) == evaluate_field(mesh, total, x[0])
+
+
+@settings(deadline=None, max_examples=40)
+@given(drawn=open_meshes(), k=st.floats(50.0, 1500.0),
+       direction=st.sampled_from([+1, -1]), data=st.data())
+def test_fields_past_the_ports_are_the_padded_layouts(drawn, k, direction,
+                                                       data):
+    # past the ports the scattered field is the outgoing lattice wave and
+    # the incident wave's phase continues at the wall's spacing: over the
+    # dropped padding, total and scattered fields are the uncut layout's
+    # P1 interpolation to round-off
+    mesh, medium, layout, _ = drawn
+    sol = solve_scattering(mesh, medium, k, direction)
+    reference = solve_scattering(layout, medium, k, direction)
+    x = dropped_padding(mesh, layout, data)
+    total = (reference.lu.wave(slice(None), direction)
+             + reference.scattered.dofs)
+    scale = max(np.abs(total).max(), 1.0)
+    assert np.abs(sol.total_at(x)
+                  - evaluate_field(layout, total, x)).max() < CUT_FLOOR * scale
+    assert np.abs(sol.scattered(x) - evaluate_field(
+        layout, reference.scattered.dofs, x)).max() < CUT_FLOOR * scale
+    # a point alone reads a complex: numpy's complex products may round
+    # differently by array length, so not bitwise the batch's
+    one = sol.total_at(x[0])
+    assert isinstance(one, complex)
+    assert abs(one - sol.total_at(x)[0]) < 1e-14 * scale
 
 
 @settings(deadline=None, max_examples=40)
