@@ -23,6 +23,7 @@ from scipy.linalg import eigh, eigh_tridiagonal, lapack
 from slabqed import fem, greens, identities, scattering
 from slabqed.cli import main
 from slabqed.fem import (
+    _SWEEP_BLOCK,
     GAUSS_NODES,
     GAUSS_WEIGHTS,
     Factorization,
@@ -654,6 +655,21 @@ def test_pivot_sweep_is_bitwise_the_row_by_row_recurrence(n, m):
     # bitwise, the infinite pivots included
     np.testing.assert_array_equal(last.view(np.int64),
                                   expected_last.view(np.int64))
+
+
+def test_pivot_sweep_counts_every_negative_pivot_of_full_blocks():
+    # every pivot negative: -2 - 1 / p stays below -1 from p = -2 on, over
+    # several full blocks and past 255 rows, so a sign count kept in too
+    # narrow an integer, per block or in total, would wrap
+    assert _SWEEP_BLOCK <= 255
+    n, m = 4 * _SWEEP_BLOCK + 5, 3
+    diag = list(np.full((n, m), -2.0))
+    off2 = list(np.ones((n - 1, m)))
+    count, last = pivot_sweep(diag, off2)
+    assert count.tolist() == [n] * m
+    expected_count, expected_last = row_by_row_sweep(diag, off2)
+    np.testing.assert_array_equal(count, expected_count)
+    np.testing.assert_array_equal(last, expected_last)
 
 
 def test_pivot_sweep_leaves_its_rows_untouched():

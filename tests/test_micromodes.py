@@ -486,6 +486,58 @@ def test_whole_spectrum_when_no_band():
     assert modes.normalization_residual < 1e-10
 
 
+# [S(sigma)^-1]_aa against its partial fractions, relative to the largest
+# term, at every shift midway between consecutive modes of the small case-2
+# box: the worst reads 2.5e-9 at the slab centre and 8.6e-10 at the
+# outside site, midway in a pair 3.7e-6 of its offset apart, where the
+# few-ulp brackets of the two lam set it; most shifts read ~1e-14
+PARTIAL_FRACTION_FLOOR = 1e-8
+
+
+def partial_fraction_residuals(modes, x_a, weights):
+    """|[S(sigma)^-1]_aa - sum_m weights_m / (lam_m - sigma)| per shift.
+
+    sigma runs midway between consecutive modes of a whole-spectrum set;
+    the left side is a banded solve of the bands ``_Schur.matrices`` gives,
+    and each lam_m - sigma is formed in the offset form about the bins.
+    """
+    r = modes.residues
+    schur = r.schur
+    lam = schur.anchors[r.anchor] + r.delta
+    sigma = 0.5 * (lam[1:] + lam[:-1])
+    anchor = schur.nearest(sigma)
+    delta = sigma - schur.anchors[anchor]
+    diag, off = schur.matrices(anchor, delta)
+    dof = int(np.flatnonzero(modes.nodes == x_a)[0]) - 1  # skip the wall
+    unit = np.zeros(diag.shape[1])
+    unit[dof] = 1.0
+    zero = np.zeros((off.shape[0], 1))
+    bands = np.stack((np.hstack((zero, off)), diag, np.hstack((off, zero))),
+                     axis=1)
+    lhs = np.array([scipy.linalg.solve_banded((1, 1), ab, unit)[dof]
+                    for ab in bands])
+    gap = ((schur.anchors[r.anchor] - schur.anchors[anchor][:, None])
+           + (r.delta - delta[:, None]))
+    terms = weights / gap
+    return np.abs(lhs - terms.sum(axis=1)) / np.max(np.abs(terms), axis=1)
+
+
+@pytest.mark.parametrize("x_a", [ATOM_INSIDE, ATOM_OUTSIDE])
+def test_intensities_are_the_partial_fractions_of_the_resolvent(x_a):
+    # every mode of the pencil, so the sum is the whole resolvent diagonal;
+    # a residue is only as good as its lam, so this certifies the brackets
+    system = small_box_system(CASE_PRESETS["2"])
+    modes = diagonalize(system)
+    assert modes.n_modes == system.size
+    weights = modes.intensity_at(x_a)
+    assert np.max(partial_fraction_residuals(modes, x_a, weights)) \
+        < PARTIAL_FRACTION_FLOOR
+    planted = weights.copy()
+    planted[np.argmax(weights)] *= 1.0 + 1e-3
+    assert np.max(partial_fraction_residuals(modes, x_a, planted)) \
+        > 1e3 * PARTIAL_FRACTION_FLOOR
+
+
 def test_count_on_a_bin_counts_just_below_it():
     system = small_box_system(REFERENCE_MEDIA["lossless 1"])
     values = scipy.linalg.eigh(*dense_operators(system), eigvals_only=True)
@@ -538,12 +590,16 @@ def test_diagonalize_matches_dense_eigh_on_random_boxes(system):
     assert modes.normalization_residual < 1e-10
 
 
-# bisection alone spent 87 sweeps over 101,613 columns here
-STOCK_1A_SWEEPS = 80
-STOCK_1A_COLUMNS = 60_000
+# (sweeps, columns) on the band ``modes`` diagonalizes: measured 49 sweeps
+# over 31,060 columns on 1A and 50 over 31,645 on 2A, plus under 10%
+# headroom. Secant steps without guard probes or multisection spent 75 over
+# 49,549 on 1A, and 87 over 52,373 on 2A, whose slowest mode crept along
+# its bracket by about one tol a round
+STOCK_COUNT_WORK = {"1A": (53, 34_000), "2A": (55, 34_500)}
 
 
-def test_stock_1a_count_work_budget(monkeypatch):
+@pytest.mark.parametrize("case", sorted(STOCK_COUNT_WORK))
+def test_stock_count_work_budget(monkeypatch, case):
     # counted, not timed: one call per pivot sweep, one column per lam
     work = {"sweeps": 0, "columns": 0}
     sweep = micromodes.pivot_sweep
@@ -554,13 +610,14 @@ def test_stock_1a_count_work_budget(monkeypatch):
         return sweep(diag, off2)
 
     monkeypatch.setattr(micromodes, "pivot_sweep", counted)
-    medium, _ = case_preset("1A")
+    medium, _ = case_preset(case)
     bath = BathConfig()
     system = build_gevp(gevp_mesh(medium, bath), medium, bath)
-    modes = diagonalize(system, band=(1.0, 1000.0))  # as ``modes --case 1A``
+    modes = diagonalize(system, band=(1.0, 1000.0))  # as ``modes --case``
     assert modes.count_sweeps == work["sweeps"]
-    assert work["sweeps"] <= STOCK_1A_SWEEPS
-    assert work["columns"] <= STOCK_1A_COLUMNS
+    sweeps, columns = STOCK_COUNT_WORK[case]
+    assert work["sweeps"] <= sweeps
+    assert work["columns"] <= columns
     assert modes.normalization_residual < 1e-10
 
 
