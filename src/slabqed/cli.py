@@ -32,6 +32,7 @@ from .identities import (
     check_thermal_equilibrium,
 )
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS, MediumSpec, case_preset
+from .mesh import LayoutError
 from .micromodes import (
     BathConfig,
     build_gevp,
@@ -371,7 +372,12 @@ def _closed_box_modes(config: RunConfig, grid):
             f"resolve medium.gamma = {medium.gamma!r}; modes.nu_max must be "
             f"> {low!r} and <= {high!r}"
         )
-    system = build_gevp(gevp_mesh(medium, bath), medium, bath)
+    a, edge = medium.slab_half_length, 0.5 * bath.box_length
+    mesh = _built_mesh(lambda: gevp_mesh(medium, bath), {
+        "modes.box_length": (bath.box_length, (-edge, edge)),
+        "medium.slab_half_length": (a, (-a, a)),
+    })
+    system = build_gevp(mesh, medium, bath)
     if system.size > DEFAULT_DOF_CAP:
         # n_bins oscillators per slab element, on top of the field dofs
         room = (DEFAULT_DOF_CAP - system.n_em) // max(
@@ -408,7 +414,8 @@ def _sweep_mesh(config: RunConfig, medium: MediumSpec, x_a: float,
 
     That mesh puts both preset atom sites and ``x_a`` on nodes, so each
     must lie strictly inside the padded region, (-(a + padding),
-    a + padding); a padding too thin for them is a config error.
+    a + padding); a padding too thin for them is a config error, and so
+    is a layout the mesh refuses (``_built_mesh``).
     """
     reach = max(abs(x) for x in (ATOM_INSIDE, ATOM_OUTSIDE, x_a))
     region = medium.slab_half_length + config.padding
@@ -419,8 +426,32 @@ def _sweep_mesh(config: RunConfig, medium: MediumSpec, x_a: float,
             f"{region}); mesh.padding must be > "
             f"{reach - medium.slab_half_length!r}"
         )
-    return purcell_mesh(medium, x_a, k_max=k_max, ppw=ppw,
-                        padding=config.padding)
+    a = config.medium.slab_half_length
+    return _built_mesh(lambda: purcell_mesh(medium, x_a, k_max=k_max,
+                                            ppw=ppw, padding=config.padding), {
+        "medium.slab_half_length": (a, (-a, a)),
+        "atom.position": (config.atom_position, (config.atom_position,)),
+        "mesh.padding": (config.padding, (-region, region)),
+    }, extent=2)
+
+
+def _built_mesh(build, sources, extent=None):
+    """``build()``, a layout it refuses turned into a config error.
+
+    ``sources`` maps the keys that place the mesh's breakpoints to their
+    value and the breakpoints that value sets. Breakpoints that nearly
+    coincide name the keys that set either of them; a mesh above the node
+    bound names the first ``extent`` keys (all by default), the ones that
+    set its length.
+    """
+    try:
+        return build()
+    except LayoutError as exc:
+        at_fault = set(exc.breakpoints)
+        keys = [key for key, (_, points) in sources.items()
+                if at_fault & set(points)] or list(sources)[:extent]
+        named = ", ".join(f"{key} = {sources[key][0]!r}" for key in keys)
+        raise ConfigError(f"{named}: {exc}") from exc
 
 
 def cmd_sweep(config: RunConfig) -> int:

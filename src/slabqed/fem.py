@@ -30,6 +30,7 @@ the last point asked (``node_of``) and the LU of the last (medium, k)
 (``factorization``, the one place an LU is built for a solve), so all
 solves at one frequency share it and no caller passes one around.
 ``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot),
+``uniform_sweep`` (the same over a run of equal rows, in closed form),
 ``twisted_residues`` (the weight of one row in every null vector, from a
 forward and a backward pivot sweep differentiated in lam) and
 ``inverse_iteration`` are the real symmetric tridiagonal kernels of the
@@ -537,8 +538,9 @@ def pivot_sweep(diag, off2):
     bit and makes the next one infinite with the opposite sign, so the pair
     counts once, as it would with the zero nudged either way.
 
-    The sweep is a Python loop over rows: ~1 ms of per-row ufunc overhead
-    for the ~1,000 rows of the eigenmode route, plus ~2 us per column.
+    The sweep is a Python loop over rows: ~0.2 ms of per-row ufunc
+    overhead for the 151 rows the eigenmode route sweeps between its box's
+    walls (``uniform_sweep`` takes the walls), plus ~0.4 us per column.
     Each row's pivot is written in place into a (``_SWEEP_BLOCK``, m)
     buffer by two ufuncs (quotient, then difference), and the sign bits
     are counted once per block of rows rather than once per row, summed as
@@ -563,6 +565,95 @@ def pivot_sweep(diag, off2):
             negative += np.signbit(block[:used]).view(np.uint8).sum(
                 axis=0, dtype=np.uint8)
     return negative, pivot.copy()
+
+
+def uniform_sweep(diag, off, count: int, pivot):
+    """``pivot_sweep`` over ``count`` equal rows, in closed form.
+
+    Column j is a run of ``count`` rows with diagonal diag[j] and
+    off-diagonal off[j] != 0 (also on the coupling into the run), entered
+    with pivot[j], the pivot of the row before it (+inf for none): the
+    recurrence d_i = diag - off^2 / d_(i-1) from d_0 = pivot. With b =
+    |off| and c = diag / 2b, d_i / b = y_i / y_(i-1) for y_i =
+    r U_i(c) - U_(i-1)(c), r = pivot / b and U the Chebyshev polynomials
+    of the second kind, so a pivot is negative where y changes sign; from
+    r = +inf the count is the number of eigenvalues diag + 2 b cos(i pi /
+    (count + 1)) below zero (Wittrick and Williams, Q. J. Mech. Appl.
+    Math. 24, 1971). For k = ``count`` rows and c >= 0:
+
+    * c < 1, c = cos theta: y_i is proportional to sin psi_i, psi_i =
+      (i + 1) theta + phi, phi = atan2(sin theta, r - c) in [0, pi]; the
+      count is floor(psi_k / pi) - [r < 0], and the last pivot is b y_k /
+      y_(k-1), its sign read off the same floors, so a count and the sign
+      of its last pivot always agree.
+    * c >= 1, c = cosh t: q_i = U_(i-1) / U_i = e^-t (1 - e^(-2it)) / (1 -
+      e^(-2(i+1)t)) rises to e^-t and y changes sign once at most, after
+      r in [0, q_k): the count is [r - q_k < 0] - [r < 0] by sign bits,
+      and the last pivot b (r / q_k - 1) / (r - q_(k-1)).
+
+    For c < 0, (-1)^i y_i is the orbit of -c from -r, so the count is k
+    less that orbit's and the last pivot minus its: theta stays in (0,
+    pi / 2], and theta and t are taken from (2 b - |diag|) / 4b, sin^2
+    theta/2 and -sinh^2 t/2, so they keep the distance of c from 1. A zero
+    pivot counts by its sign bit, as in ``pivot_sweep``. Away from the
+    eigenvalues of the run the counts are the recurrence's, and the last
+    pivots agree with its to round-off. Returns (negative counts of the
+    run's rows, last pivots).
+    """
+    b = np.abs(off)
+    a = np.abs(diag)
+    r = pivot / b
+    k = int(count)
+    flipped = diag < 0.0
+    if flipped.any():
+        r = np.where(flipped, -r, r)
+    # 1 - c and c - 1 over 2, exact to the rounding of one quotient: where
+    # c is near 1, a and 2 b agree in their leading bits and 2 b - a is
+    # exact, which arccos(c) and arccosh(c) would lose to c's rounding
+    half = (2.0 * b - a) / (4.0 * b)
+    wave = half > 0.0
+    negative = np.empty(a.shape, dtype=np.intp)
+    last = np.empty(a.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if wave.any():
+            inside = slice(None) if wave.all() else wave
+            cw, rw = a[inside] / (2.0 * b[inside]), r[inside]
+            theta = 2.0 * np.arcsin(np.sqrt(half[inside]))
+            sines = np.sin(np.multiply.outer((k + 1, k, k - 1), theta))
+            before = np.arctan2(np.sin(theta), rw - cw) + k * theta
+            turns = np.floor((before + theta) / np.pi)
+            unsigned = np.signbit(rw)
+            was = np.floor(before / np.pi) if k > 1 else unsigned
+            # y_k / y_(k-1) from the sines of (k + 1) theta, k theta and
+            # (k - 1) theta, which keep a small theta to round-off where
+            # psi_k = phi + (k + 1) theta, near a multiple of pi, would not;
+            # for |r| > 1 over r, so that r = +-inf is finite too
+            big = np.abs(rw) > 1.0
+            u = np.where(big, 1.0 / rw, rw)
+            top = np.where(big, sines[0] - u * sines[1],
+                           u * sines[0] - sines[1])
+            ratio = top / np.where(big, sines[1] - u * sines[2],
+                                   u * sines[1] - sines[2])
+            negative[inside] = turns - unsigned
+            last[inside] = np.copysign(ratio, was - turns + 0.5)
+        if not wave.all():
+            rm = r[~wave]
+            t = np.maximum(2.0 * np.arcsinh(np.sqrt(-half[~wave])), 1e-300)
+
+            def q(i):
+                return np.exp(-t) * np.expm1(-2.0 * i * t) / np.expm1(
+                    -2.0 * (i + 1) * t)
+
+            q_k = q(k)
+            negative[~wave] = (np.signbit(rm - q_k).astype(np.intp)
+                               - np.signbit(rm))
+            last[~wave] = np.where(np.isinf(rm), 1.0 / q_k,
+                                   (rm / q_k - 1.0) / (rm - q(k - 1)))
+    last *= b
+    if flipped.any():
+        negative[flipped] = k - negative[flipped]
+        last[flipped] *= -1.0
+    return negative, last
 
 
 def inverse_iteration(diag: np.ndarray, off: np.ndarray,

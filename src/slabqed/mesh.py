@@ -7,8 +7,9 @@ breakpoints is subdivided uniformly with the globally smallest element
 size, so requested points are mesh nodes to the last bit. The mesh keeps
 only the hull of the slab and the requested points, [min(-a, obs),
 max(a, obs)], its physical region, plus one element of the layout beyond
-each end of it: a contiguous slice of the layout, so every kept node is
-the layout's to the last bit. The outer node of each end element is the
+each end of it: a contiguous slice of the layout, cut from its spans
+before any node is laid out, so every kept node is the layout's to the
+last bit. The outer node of each end element is the
 Dirichlet wall, and the element has the length of the uniform vacuum span
 it cuts: the vacuum lattice continues past it at that spacing, and
 ``fem.assemble`` folds that semi-infinite lattice into the last physical
@@ -18,6 +19,18 @@ wall node stands in for the field beyond and is never read as a field
 value; past the ports ``fem.evaluate_field`` continues the field as the
 outgoing lattice wave. A closed box is the region between its walls, which
 are physical.
+
+The builders lay out each span between breakpoints as (start, h, count),
+node j at start + j h, where np.linspace puts it. A closed box keeps those
+spans (``Mesh1D.spans``): every element of a span has length h to the
+last bit (``element_lengths``), so a span's rows of any band are bitwise
+equal and the eigenmode count takes a box wall's span in closed form. An
+open mesh keeps the differences of its nodes as its element lengths, one
+span per element, as does a mesh given by its nodes alone (``_mesh`` says
+why). The element counts are known before any node is allocated, so a
+mesh above ``MAX_NODES`` nodes is refused, as is a layout whose
+breakpoints nearly coincide: a ``LayoutError`` that names the breakpoints
+at fault.
 
 The mesh is the one place that knows where the slab lies: the slab is the
 run of elements whose midpoint lies in (-a, a) (``Mesh1D.slab_elements``,
@@ -33,6 +46,23 @@ from functools import cached_property
 import numpy as np
 
 from .medium import MediumSpec
+
+# the most nodes a builder lays out: the stock meshes have 423 to 1,677
+# nodes and the eigenmode box 997, so this refuses only a layout whose
+# nodes alone would take tens of megabytes
+MAX_NODES = 1_000_000
+
+
+class LayoutError(ValueError):
+    """A layout the builders refuse.
+
+    ``breakpoints`` holds the breakpoints at fault: the two that are
+    distinct but too close, or none for a layout above ``MAX_NODES``.
+    """
+
+    def __init__(self, message, breakpoints=()):
+        super().__init__(message)
+        self.breakpoints = tuple(breakpoints)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -53,6 +83,10 @@ class Mesh1D:
         mesh, the walls themselves of a closed box
     slab_elements : slice of the elements whose midpoint lies in (-a, a)
     slab_nodes : slice of their nodes (empty without a slab)
+    spans : (start, h, count) of each run of elements, in order: count
+        elements of length h from the node at start. A box from
+        ``build_box_mesh`` has its exactly uniform spans; an open mesh,
+        like a mesh given by its nodes alone, one span per element.
 
     The midpoints are sorted, so the slab is one run of elements; on an
     open mesh a slab that reaches a boundary element is refused, as the
@@ -61,7 +95,7 @@ class Mesh1D:
     per mesh rather than once per solve.
     """
 
-    def __init__(self, nodes, slab_half_length, is_open=False):
+    def __init__(self, nodes, slab_half_length, is_open=False, spans=None):
         self.nodes = _frozen(np.array(nodes, dtype=float))
         self.slab_half_length = a = float(slab_half_length)
         self.is_open = bool(is_open)
@@ -70,8 +104,24 @@ class Mesh1D:
         if self.is_open and self.nodes.size < 4:
             raise ValueError("an open mesh needs at least 4 nodes: two "
                              "walls and two distinct ports")
-        if np.any(np.diff(self.nodes) <= 0):
+        steps = np.diff(self.nodes)
+        if np.any(steps <= 0):
             raise ValueError("nodes must be strictly increasing")
+        if spans is None:
+            self._spans = steps, np.ones(steps.size, dtype=np.intp)
+        else:
+            starts, lengths, counts = (np.array(column)
+                                       for column in zip(*spans))
+            self._spans = lengths.astype(float), counts.astype(np.intp)
+            first = np.cumsum(counts) - counts
+            # a span's nodes are start + j h, each within round-off of it
+            slack = 8.0 * np.finfo(float).eps * np.abs(self.nodes).max()
+            if not (counts.min() >= 1 and counts.sum() == steps.size
+                    and np.array_equal(starts, self.nodes[first])
+                    and np.all(np.abs(self.element_lengths - steps)
+                               <= slack)):
+                raise ValueError("spans must tile the nodes: each (start, "
+                                 "h, count) starts on a node and steps by h")
         ends = (1, -2) if self.is_open else (0, -1)
         self.physical_region = tuple(float(self.nodes[j]) for j in ends)
         mid = self.element_midpoints
@@ -92,8 +142,16 @@ class Mesh1D:
         return self.nodes.size - 2
 
     @cached_property
+    def spans(self):
+        lengths, counts = self._spans
+        first = np.cumsum(counts) - counts
+        return tuple(zip(self.nodes[first].tolist(), lengths.tolist(),
+                         counts.tolist()))
+
+    @cached_property
     def element_lengths(self):
-        return _frozen(np.diff(self.nodes))
+        """Each span's h, once per element of the span."""
+        return _frozen(np.repeat(*self._spans))
 
     @cached_property
     def element_midpoints(self):
@@ -125,12 +183,14 @@ class Mesh1D:
     def length_classes(self):
         """(distinct element lengths, the class of each element).
 
-        Each span between breakpoints is filled uniformly, so a mesh has
-        few distinct lengths (18 on the ppw-160 sweep mesh): work per
+        One class per distinct span h: 3 on the eigenmode box, 11 and 14
+        on the stock sweep meshes at ppw 40 and 160, whose node
+        differences spread each span's length over a few ulps. Work per
         length is done once per class and indexed back by element.
         """
-        (lengths,), _, which = unique_columns(self.element_lengths[None])
-        return _frozen(lengths), _frozen(which)
+        lengths, counts = self._spans
+        (distinct,), _, which = unique_columns(lengths[None])
+        return _frozen(distinct), _frozen(np.repeat(which, counts))
 
 
 def unique_columns(table):
@@ -152,41 +212,81 @@ def unique_columns(table):
 
 
 def _fill_spans(breakpoints, h_target):
-    """Uniformly subdivide each span; every breakpoint stays an exact node."""
-    pieces = [np.array([breakpoints[0]])]
+    """(start, h, count) of each span between consecutive breakpoints.
+
+    count is the fewest elements no longer than h_target, and h = (hi -
+    lo) / count: node j of a span is start + j h, where np.linspace puts
+    it, and the next breakpoint is the next span's start, an exact node.
+    """
+    spans = []
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        n_sub = max(1, math.ceil((hi - lo) / h_target - 1e-9))
-        pieces.append(np.linspace(lo, hi, n_sub + 1)[1:])
-    return np.concatenate(pieces)
+        length = float(hi - lo)
+        ratio = length / h_target - 1e-9
+        if not math.isfinite(ratio):
+            raise LayoutError(
+                f"the span [{float(lo)!r}, {float(hi)!r}] is too long to "
+                f"lay out in elements of {h_target!r}")
+        count = max(1, math.ceil(ratio))
+        spans.append((float(lo), length / count, count))
+    return spans
+
+
+def _nodes(spans, end):
+    """start + j h for j < count over each span, then the last node."""
+    return np.concatenate([start + np.arange(count) * h
+                           for start, h, count in spans] + [[end]])
+
+
+def _refuse_above_bound(spans, lo, hi, extra):
+    """Refuse a mesh of the spans starting in [lo, hi) and ``extra`` nodes
+    more if it has more than ``MAX_NODES`` nodes: before any is laid out."""
+    n_nodes = sum(count for start, _, count in spans if lo <= start < hi)
+    if n_nodes + extra > MAX_NODES:
+        raise LayoutError(
+            f"a mesh over [{float(lo)!r}, {float(hi)!r}] needs "
+            f"{n_nodes + extra:.4g} nodes, above the bound of {MAX_NODES:,}")
+
+
+def _mesh(spans, end, slab_half_length, is_open=False):
+    """The mesh of ``spans`` ending at node ``end``.
+
+    An open mesh keeps the differences of its nodes as its element
+    lengths, one span per element: the exact spans would move its elements
+    by up to 1.6e-13 relative, and the transmission of an opaque slab (1B
+    at omega 500, ppw 160) by ~1e-9 relative with them, so its committed
+    bodies hold those differences. Nothing counts eigenvalues on it.
+    """
+    return Mesh1D(_nodes(spans, end), slab_half_length, is_open,
+                  None if is_open else spans)
 
 
 def _dedupe(values, tol=1e-12):
     """Sorted breakpoints with exact repeats merged.
 
-    Distinct breakpoints closer than tol are refused: merging them would
-    move a requested point off its node, and keeping both would leave a
-    sliver element.
+    Distinct breakpoints closer than tol are refused (``LayoutError``):
+    merging them would move a requested point off its node, and keeping
+    both would leave a sliver element.
     """
     (values,), _, _ = unique_columns(
         np.asarray(values, dtype=float).reshape(1, -1))
     close = np.flatnonzero(np.diff(values) <= tol)
     if close.size:
-        i = close[0]
-        raise ValueError(
-            f"breakpoints {values[i]!r} and {values[i + 1]!r} are distinct "
-            f"but closer than {tol:g}; request one of them"
-        )
+        pair = float(values[close[0]]), float(values[close[0] + 1])
+        raise LayoutError(
+            f"breakpoints {pair[0]!r} and {pair[1]!r} are distinct but "
+            f"closer than {tol:g}; request one of them", pair)
     return values
 
 
-def _span_nodes(medium, k_max, points_per_wavelength, edge,
-                observation_points, region):
-    """Nodes over [-edge, edge], the slab faces and every point exact.
+def _layout(medium, k_max, points_per_wavelength, edge, observation_points,
+            region):
+    """Spans over [-edge, edge], the slab faces and every point on a node.
 
     Each span between breakpoints is filled uniformly with elements no
     longer than one ``points_per_wavelength``-th of the wavelength at
-    ``k_max``. ``region`` names [-edge, edge] in the error for an
-    observation point that does not lie strictly inside it.
+    ``k_max`` (``_fill_spans``); the last span ends at edge. ``region``
+    names [-edge, edge] in the error for an observation point that does
+    not lie strictly inside it.
     """
     if k_max <= 0:
         raise ValueError(f"k_max must be > 0, got {k_max}")
@@ -243,12 +343,28 @@ def build_mesh(
         raise ValueError(f"padding must be > 0, got {padding}")
     a = medium.slab_half_length
     obs = np.asarray(tuple(observation_points), dtype=float)
-    nodes = _span_nodes(medium, k_max, points_per_wavelength, a + padding,
-                        obs, "the padded region")
-    # the hull's ends are breakpoints strictly inside the layout, so exact
-    # nodes with a layout node beyond each: the walls
-    i0, i1 = np.searchsorted(nodes, (min((-a, *obs)), max((a, *obs))))
-    return Mesh1D(nodes[i0 - 1:i1 + 2], a, is_open=True)
+    edge = a + padding
+    spans = _layout(medium, k_max, points_per_wavelength, edge, obs,
+                    "the padded region")
+    lo, hi = min((-a, *obs)), max((a, *obs))
+    _refuse_above_bound(spans, lo, hi, 3)  # and a wall beyond each end
+    if not a < edge:
+        raise LayoutError(
+            f"a padding of {padding!r} is lost beside the slab half-length "
+            f"{a!r}: the slab reaches the ends of the padded region",
+            (-edge, edge))
+    # the hull's ends are breakpoints strictly inside the layout, so span
+    # starts with a layout node beyond each, the walls: the last node of
+    # the span below the hull and the second of the span at its top, or
+    # the next span's start if that span is one element long
+    starts = [start for start, _, _ in spans]
+    i, j = starts.index(lo), starts.index(hi)
+    start, h, count = spans[i - 1]
+    top, h_top, count_top = spans[j]
+    end = (top + h_top if count_top > 1
+           else spans[j + 1][0] if j + 1 < len(spans) else edge)
+    return _mesh([(start + (count - 1) * h, h, 1), *spans[i:j],
+                  (top, h_top, 1)], end, a, is_open=True)
 
 
 def build_box_mesh(
@@ -269,6 +385,8 @@ def build_box_mesh(
             f"box_length must be >= 4 slab lengths "
             f"({4.0 * medium.slab_length}), got {box_length}"
         )
-    return Mesh1D(_span_nodes(medium, k_max, points_per_wavelength,
-                              0.5 * box_length, observation_points, "the box"),
-                  medium.slab_half_length)
+    edge = 0.5 * box_length
+    spans = _layout(medium, k_max, points_per_wavelength, edge,
+                    observation_points, "the box")
+    _refuse_above_bound(spans, -edge, edge, 1)
+    return _mesh(spans, edge, medium.slab_half_length)

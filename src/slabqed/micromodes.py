@@ -24,7 +24,9 @@ leaves a tridiagonal Schur complement S(lam) on the field dofs (``_Schur``):
   a guard probe past any step that did not halve the bracket; once few
   modes are left, each bisection round spreads several probes over the
   bracket (multisection), since a pivot sweep costs mostly per row
-  (``_bisect``).
+  (``_bisect``). The box's two vacuum walls are exactly uniform spans of
+  equal rows, which the count takes in closed form (``fem.uniform_sweep``),
+  so a sweep runs over the 151 rows between them, not all 995.
 * Intensities. The field block of (K - lam B)^-1 is S(lam)^-1, so
   [S^-1]_aa has a pole at every mode with residue -x_m(a)^2. One forward
   and one backward pivot sweep, differentiated in lam, give all of them at
@@ -58,6 +60,7 @@ from .fem import (
     pivot_sweep,
     static_bands,
     twisted_residues,
+    uniform_sweep,
 )
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, build_box_mesh, unique_columns
@@ -100,6 +103,11 @@ _SAMPLE = 256
 # cost, with no timing outside the noise
 _MULTISECTION = 31
 _PROBE_BUDGET = 256
+
+# _Schur counts a run of at least this many equal rows at an end of the
+# band in closed form: its ~30 ufunc calls cost about as much as sweeping
+# this many rows one by one
+_CONDENSE = 32
 
 # effective_susceptibility evaluates the bath comb this many local bin
 # spacings off the real axis; fixed by the calibration measurements
@@ -405,7 +413,11 @@ class _Schur:
     in a form free of cancellation at small lam). By Haynsworth inertia
     additivity (Wittrick-Williams) the number of pencil eigenvalues below
     lam is n_slab_elements * #{nu_q^2 < lam} plus the negative LDL^T pivots
-    of S(lam).
+    of S(lam). A run of at least ``_CONDENSE`` equal rows at either end of
+    the band, a box wall's uniform vacuum span, is counted in closed form
+    (``fem.uniform_sweep``): the top run from the wall, the bottom one from
+    the pivot the rows between carry into it, so the counts and the last
+    pivot keep their meaning and only the rows between are swept.
 
     Eigenvalues are carried as lam = anchors[a] + delta about the nearest
     bin (anchor 0 is lam = 0 itself, the only one without a bath).
@@ -413,8 +425,10 @@ class _Schur:
     nu_q^2 - lam formed from lam would lose ~1e-9 relative, and with it the
     B-orthonormality of the oscillator parts; every detuning is therefore
     formed as gaps[a, q] - delta. The band rows of S are stored once per
-    distinct (K_em, B_em, A) triple: a mesh of uniform spans has ~20, so a
-    count costs one pivot sweep and no (n_em, m) matrix.
+    distinct (K_em, B_em, A) triple: the stock box's exactly uniform spans
+    give 7 diagonal and 4 off-diagonal ones, so a count costs one pivot
+    sweep over the 151 rows between its two walls' runs and no (n_em, m)
+    matrix.
     """
 
     anchors: np.ndarray     # (n_bins + 1,): 0, then every nu_q^2
@@ -425,6 +439,8 @@ class _Schur:
     diag_index: np.ndarray  # (n_em,): row of each diagonal entry
     off_rows: np.ndarray    # (3, k'): the same for the off-diagonal
     off_index: np.ndarray   # (n_em - 1,)
+    top: int                # rows of the equal run at the top, or 0
+    bottom: int             # rows of the equal run at the bottom, or 0
     sweeps: int = 0         # pivot sweeps made so far
 
     @classmethod
@@ -442,6 +458,12 @@ class _Schur:
             np.stack((system.em_s_diag, system.em_m_diag, a_diag)))
         off_rows, _, off_index = unique_columns(
             np.stack((system.em_s_off, system.em_m_off, a_off)))
+        # a run is its equal rows and the couplings from each of them to
+        # the next row, or from the row before into it; one row is left
+        # between the runs at least
+        top = _run(diag_index, off_index)
+        bottom = _run(diag_index[::-1], off_index[::-1],
+                      diag_index.size - 1 - top)
         return cls(
             anchors=anchors,
             gaps=nu2[None, :] - anchors[:, None],
@@ -451,6 +473,8 @@ class _Schur:
             diag_index=diag_index,
             off_rows=off_rows,
             off_index=off_index,
+            top=top,
+            bottom=bottom,
         )
 
     def nearest(self, lam):
@@ -481,15 +505,30 @@ class _Schur:
         """Pencil eigenvalues below lam = anchors[anchor] + delta, each.
 
         Returns the counts and the last LDL^T pivot of each S(lam); every
-        call is one pivot sweep, tallied in ``sweeps``.
+        call is one pivot sweep, tallied in ``sweeps``. The end runs are
+        taken in closed form and the rows between by ``pivot_sweep``.
         """
         diag, off, detune = self.bands(anchor, delta)
-        off *= off
-        pivots, last = pivot_sweep(_spread(diag, self.diag_index),
-                                   _spread(off, self.off_index))
+        off2 = off * off
+        top, end = self.top, self.diag_index.size - self.bottom
+        rows = _spread(diag, self.diag_index[top:end])
+        negative = self.n_elements * np.count_nonzero(detune < 0.0, axis=1)
+        if top:  # a run's couplings, into the next row too, are its own
+            count, pivot = uniform_sweep(diag[self.diag_index[0]],
+                                         off[self.off_index[0]], top, np.inf)
+            negative += count
+            with np.errstate(divide="ignore"):
+                rows[0] = rows[0] - off2[self.off_index[0]] / pivot
+        count, last = pivot_sweep(rows,
+                                  _spread(off2, self.off_index[top:end - 1]))
+        negative += count
+        if self.bottom:
+            count, last = uniform_sweep(diag[self.diag_index[-1]],
+                                        off[self.off_index[-1]], self.bottom,
+                                        last)
+            negative += count
         self.sweeps += 1
-        below = np.count_nonzero(detune < 0.0, axis=1)
-        return self.n_elements * below + pivots, last
+        return negative, last
 
     def count_at(self, lam):
         """Counts at plain lam values; one exactly on a bin moves an ulp down."""
@@ -573,6 +612,23 @@ class _Residues:
         residual = float(np.max(gap, initial=0.0) / scale) if scale else 0.0
         out.setflags(write=False)  # kept with the mode set
         return out, residual
+
+
+def _run(diag_index, off_index, most=None):
+    """Length of the run of equal rows at the top of a band.
+
+    The band's rows and couplings are given by their distinct-row indices;
+    the run is the rows equal to the first whose couplings to the next
+    row are all equal too, at most ``most`` (all rows but one by
+    default). A run under ``_CONDENSE`` rows is not worth its closed
+    form and reads 0.
+    """
+    rows = np.flatnonzero(diag_index != diag_index[0])
+    couplings = np.flatnonzero(off_index != off_index[0])
+    length = min(rows[0] if rows.size else diag_index.size,
+                 couplings[0] if couplings.size else off_index.size,
+                 diag_index.size - 1 if most is None else most)
+    return length if length >= _CONDENSE else 0
 
 
 def _spread(table, index):
@@ -721,7 +777,8 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
     with banded products and the rank-one structure of each y.
     ``count_sweeps`` tallies the pivot sweeps of the counts, band edges
     included: one per round of ``_bisect``, however many probes it holds
-    (49 on the stock 1A band, 50 on 2A).
+    (50 on the stock 1A and 2A bands), each over the rows between the
+    box's two wall runs.
     """
     n = system.size
     if n > DEFAULT_DOF_CAP:

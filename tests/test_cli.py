@@ -324,6 +324,45 @@ def test_padding_short_of_an_atom_site_exits_2(command, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+@pytest.mark.parametrize("command", ["sweep", "oracle-compare"])
+def test_an_atom_beside_a_preset_site_exits_2_naming_it(command, tmp_path,
+                                                        capsys):
+    # 1e-320 is distinct from the inside site 0.0, a node of every sweep
+    # mesh, but closer than the breakpoint tolerance: a geometry error,
+    # named by its key, with the two breakpoints as plain floats
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 1A\nsweep.count = 3\natom.position = 1e-320\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: atom.position = 1e-320: "
+                          "breakpoints 0.0 and 1e-320 are distinct")
+    assert "np." not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+@pytest.mark.parametrize("command,line,key", [
+    ("sweep", "medium.slab_half_length = 1e100", "medium.slab_half_length"),
+    ("oracle-compare", "medium.slab_half_length = 1e100",
+     "medium.slab_half_length"),
+    ("check-identities", "medium.slab_half_length = 1e100",
+     "medium.slab_half_length"),
+    ("modes", "modes.box_length = 1e9", "modes.box_length"),
+])
+def test_a_mesh_above_the_node_bound_exits_2(command, line, key, tmp_path,
+                                             capsys):
+    # the spans' element counts refuse it before any node is allocated,
+    # where numpy used to fail on an array of ~1e104 nodes
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"case = 1A\nsweep.count = 3\n{line}\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} = ")
+    assert "nodes, above the bound of 1,000,000" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
 def test_padding_short_of_an_atom_site_leaves_modes_running(tmp_path):
     # the closed box of the eigenmode route has no padding
     cfg = tmp_path / "c.cfg"

@@ -38,6 +38,7 @@ from slabqed.fem import (
     pivot_sweep,
     static_bands,
     twisted_residues,
+    uniform_sweep,
 )
 from slabqed.greens import reciprocity_residual, sample_green, solve_point_source
 from slabqed.identities import check_thermal_equilibrium
@@ -687,6 +688,108 @@ def test_pivot_sweep_leaves_its_rows_untouched():
         # the last pivot is det / det of the leading block
         expected = np.linalg.det(full) / np.linalg.det(full[:-1, :-1])
         np.testing.assert_allclose(last[j], expected, rtol=1e-12)
+
+
+def zero_gap(diag, off):
+    """Distance of 0 from the eigenvalues of a symmetric tridiagonal whose
+    first diagonal entry may be infinite (a zero pivot before it), which
+    leaves the rest decoupled; inf for no rows."""
+    if diag.size and np.isinf(diag[0]):
+        diag, off = diag[1:], off[1:]
+    if not diag.size:
+        return np.inf
+    return np.min(np.abs(eigh_tridiagonal(diag, off, eigvals_only=True)))
+
+
+# c = diag / 2 sqrt(off2) on both sides of +-1, and close to either; a
+# diagonal so tiny that off2 over it overflows is left out, as pivot_sweep
+# warns of that overflow
+RUN_SHAPES = st.floats(-3.0, 3.0).filter(
+    lambda c: c == 0.0 or abs(c) > 1e-150) | st.builds(
+    lambda side, sign, power: side * (1.0 + sign * 10.0**power),
+    st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]),
+    st.floats(-15.0, -1.0))
+# the pivot entering the run over sqrt(off2): the two walls of a run, a
+# zero pivot of either sign before it, and any pivot in between
+ENTERING = st.sampled_from([np.inf, -np.inf, 0.0, -0.0]) | st.builds(
+    lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]),
+    st.floats(1e-3, 1e3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(count=st.integers(1, 500), c=RUN_SHAPES, b=st.floats(1e-3, 1e3),
+       r=ENTERING)
+@example(count=447, c=0.999, b=1600.0, r=np.inf)  # a stock box wall
+@example(count=1, c=0.5, b=1.0, r=-0.0)
+def test_uniform_sweep_is_the_recurrence_over_equal_rows(count, c, b, r):
+    # the run entered with pivot p is the tridiagonal with diagonal 2 b c,
+    # off-diagonal b and first entry 2 b c - b^2 / p. Its count is exact
+    # wherever 0 lies more than 1e-12 of its scale from its eigenvalues;
+    # the last pivot's relative error grows as 1 / the distance of 0 from
+    # those and from the eigenvalues of the leading block, its zeros and
+    # poles, for the recurrence too (float128 recurrence: 1.1e-11 at
+    # 2.6e-8), so the pivots agree to 1e-12 from 1e-3 out and to 1e-15 /
+    # that distance nearer (20,000 draws: at most 3.6e-13 and 1.2e-8 / d)
+    diag, off2, entering = (np.array([2.0 * b * c]), np.array([b * b]),
+                            np.array([r * b]))
+    expected, expected_last = pivot_sweep([entering] + [diag] * count,
+                                          [off2] * count)
+    expected -= np.signbit(entering)
+    negative, last = uniform_sweep(diag, np.array([b]), count, entering)
+    assert negative.dtype == np.intp
+    with np.errstate(divide="ignore"):
+        first = diag[0] - off2[0] / entering[0]
+    run = np.full(count, diag[0])
+    run[0] = first
+    coupling = np.full(count - 1, b)
+    scale = abs(diag[0]) + 2.0 * b + (abs(first) if np.isfinite(first)
+                                      else 0.0)
+    at_zero = zero_gap(run, coupling) / scale
+    assume(at_zero > 1e-12)
+    assert negative[0] == expected[0]
+    closest = min(at_zero, zero_gap(run[:-1], coupling[:-1]) / scale)
+    if closest <= 1e-12:
+        return  # on a pole, where the sign of a zero pivot picks the sign
+    if np.isinf(expected_last[0]):  # a zero pivot entering one row
+        assert last[0] == expected_last[0]
+    else:
+        assert abs(last[0] - expected_last[0]) <= 1e-12 * max(
+            1.0, 1e-3 / closest) * abs(expected_last[0])
+
+
+def test_uniform_sweep_takes_each_column_on_its_own_branch():
+    # columns on both sides of c = +-1 and at it, from a wall and from
+    # finite pivots of either sign, in one call; none has 0 as an
+    # eigenvalue of a leading block
+    c = np.array([-2.5, -1.0, -0.3, 0.1, 0.7, 1.0, 1.8])
+    b = np.linspace(0.5, 2.0, c.size)
+    diag, off2 = 2.0 * b * c, b * b
+    for entering in (np.full(c.size, np.inf),
+                     np.array([-3.1, -1.7, -0.45, 0.35, 1.3, 2.2, 0.8])):
+        for count in (1, 2, 37):
+            expected, expected_last = pivot_sweep(
+                [entering] + [diag] * count, [off2] * count)
+            expected -= np.signbit(entering)
+            negative, last = uniform_sweep(diag, -b, count, entering)
+            np.testing.assert_array_equal(negative, expected)
+            np.testing.assert_allclose(last, expected_last, rtol=1e-12)
+
+
+@pytest.mark.parametrize("j", [1, 9, 20, 31, 40])
+def test_uniform_sweep_count_and_last_pivot_agree_at_the_runs_eigenvalues(j):
+    # c within 64 ulps of the run's j-th eigenvalue, cos(j pi / (k + 1)),
+    # where the last pivot crosses zero: a row past the run absorbs that
+    # crossing, so the count of run and row stays put across it, as it
+    # does for the recurrence over all rows, only if each count and the
+    # sign of its last pivot agree to the last bit
+    count = 40
+    centre = np.cos(j * np.pi / (count + 1))
+    c = centre + np.arange(-64, 65) * np.spacing(centre)
+    diag, off, row = 2.0 * c, np.ones_like(c), np.full(c.size, 5.0)
+    negative, last = uniform_sweep(diag, off, count, np.full(c.size, np.inf))
+    negative += np.signbit(row - 1.0 / last)
+    expected, _ = pivot_sweep([diag] * count + [row], [off] * count)
+    np.testing.assert_array_equal(negative, expected)
 
 
 @pytest.mark.parametrize("edge", [0, 7, 18])

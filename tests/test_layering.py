@@ -9,12 +9,15 @@ term), no module runs a dense eigensolver or a dense linear solve, and
 nothing runs on a thread pool. No module imports scipy: ``fem`` loads only its
 compiled LAPACK wrapper. The LU has one solve, ``Factorization.solve``. The
 benchmark's trace hooks must name functions that exist, and every solve of
-a sweep is a call of the one its ``fem.solve`` layer times.
+a sweep is a call of the one its ``fem.solve`` layer times. A whole
+``modes`` run loads no module beyond the CLI's and the two it is known to
+need.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -207,6 +210,30 @@ def test_eigenmodes_leave_heavy_modules_unloaded():
         "assert diagonalize(system, band=(1.0, 1000.0)).n_modes > 0\n"
     )
     assert packages_loaded_by(probe) & HEAVY == set()
+
+
+def test_a_modes_run_loads_nothing_beyond_its_known_imports(tmp_path):
+    # a fresh interpreter runs ``modes --case 1A`` whole. Beyond the CLI's
+    # own imports it may load numpy.random (the start vectors of inverse
+    # iteration) and locale (argparse's messages), as the row-by-row count
+    # did: numpy.ma, scipy or any module a change brings in fails here
+    probe = (
+        "import json, locale, sys\n"
+        "import numpy.random\n"
+        "from slabqed.cli import main\n"
+        "before = set(sys.modules)\n"
+        f"assert main(['modes', '--case', '1A', '--out', "
+        f"{str(tmp_path / 'modes.csv')!r}]) == 0\n"
+        "print(json.dumps([sorted(set(sys.modules) - before),\n"
+        "                  'numpy.ma' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    added, masked = json.loads(out.splitlines()[-1])
+    assert added == []
+    assert not masked
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

@@ -1,5 +1,6 @@
 """Mesh construction: exact node placement, the slab run, boundary elements."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -231,6 +232,64 @@ def test_box_mesh():
         CASE1.slab_length, rel=1e-12)
     with pytest.raises(ValueError):
         build_box_mesh(CASE1, 1200.0, 10.0, 0.2)  # under 4 slab lengths
+
+
+@settings(deadline=None, max_examples=60)
+@given(drawn=meshes())
+def test_every_span_is_exactly_uniform(drawn):
+    # a box lays out each span between breakpoints as start + j h, every
+    # element of length h to the last bit; an open mesh keeps the
+    # differences of its nodes, one span per element
+    mesh, _ = drawn
+    lengths = mesh.element_lengths
+    first = 0
+    for start, h, count in mesh.spans:
+        assert mesh.nodes[first] == start
+        assert np.all(lengths[first:first + count] == h)
+        if not mesh.is_open:
+            np.testing.assert_array_equal(
+                mesh.nodes[first:first + count], start + np.arange(count) * h)
+        first += count
+    assert first == lengths.size
+    if mesh.is_open:
+        np.testing.assert_array_equal(lengths, np.diff(mesh.nodes))
+    distinct, which = mesh.length_classes
+    assert distinct.tolist() == sorted({h for _, h, _ in mesh.spans})
+    np.testing.assert_array_equal(distinct[which], lengths)
+
+
+def test_stock_box_spans():
+    # the eigenmode box: the two walls, the slab's halves and the gap up
+    # to the outside atom site, one class per distinct h
+    mesh = build_box_mesh(CASE1, 1000.0, 10.0, 0.625,
+                          observation_points=(0.0, 0.0625))
+    assert [count for _, _, count in mesh.spans] == [448, 50, 50, 50, 398]
+    assert [start for start, _, _ in mesh.spans] == [
+        -0.3125, -0.03125, 0.0, 0.03125, 0.0625]
+    assert mesh.length_classes[0].size == 3
+
+
+def test_a_layout_above_the_node_bound_is_refused_before_any_node():
+    # ~1e104 elements: counted from the spans, never allocated
+    huge = dataclasses.replace(CASE1, slab_half_length=1e100)
+    for build in (lambda: standard_mesh(medium=huge),
+                  lambda: build_box_mesh(huge, 700.0, 10.0, 1e101)):
+        with pytest.raises(mesh_module.LayoutError, match="above the bound"):
+            build()
+    # a box of half the bound is laid out, one of twice the bound is not
+    h = 2.0 * math.pi / (700.0 * 10.0)
+    bound = mesh_module.MAX_NODES
+    assert build_box_mesh(CASE1, 700.0, 10.0, 0.5 * bound * h).n_nodes < bound
+    with pytest.raises(mesh_module.LayoutError, match="above the bound"):
+        build_box_mesh(CASE1, 700.0, 10.0, 2.0 * bound * h)
+
+
+def test_a_padding_lost_beside_the_slab_is_refused():
+    # a + padding rounds to a: the slab would reach the open boundary
+    wide = dataclasses.replace(CASE1, slab_half_length=1e5)
+    with pytest.raises(mesh_module.LayoutError, match="padding") as info:
+        build_mesh(wide, 1e-3, 10.0, 1e-13, observation_points=(0.0,))
+    assert info.value.breakpoints == (-1e5, 1e5)
 
 
 def test_mesh1d_validation():
