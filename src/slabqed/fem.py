@@ -98,7 +98,12 @@ import numpy as np
 from .medium import MediumSpec
 from .mesh import Mesh1D
 
-GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
+# the 4-point Gauss-Legendre rule, numpy.polynomial.legendre.leggauss(4) to
+# the last bit, written out so that importing fem loads no numpy.polynomial
+GAUSS_NODES = np.array([-0.8611363115940526, -0.33998104358485626,
+                        0.33998104358485626, 0.8611363115940526])
+GAUSS_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
+                          0.6521451548625464, 0.34785484513745357])
 _SHAPE_LO = 0.5 * (1.0 - GAUSS_NODES)  # hat falling across the element
 _SHAPE_HI = 0.5 * (1.0 + GAUSS_NODES)  # hat rising across the element
 

@@ -89,6 +89,10 @@ _CLUSTER_GAP = 1e-2
 # inverse iteration takes the modes this many at a time (bounds memory)
 _MODE_BLOCK = 256
 
+# the steps per mode and per dof of the start vectors' Weyl sequence: 1/g
+# and 1/g^2 for the plastic number g, the real root of g^3 = g + 1
+_WEYL = (0.7548776662466927, 0.5698402909980532)
+
 # the certificates are measured on this many modes spread across the band
 _SAMPLE = 256
 
@@ -339,17 +343,17 @@ def effective_susceptibility(system: GevpSystem, omega: float):
 class ModeSet:
     """Eigenmodes of the pencil: frequencies, intensities, certificates.
 
-    ``intensity_at(x)`` gives every mode's |E_m(x)|^2. ``vectors`` holds
-    field profiles sampled on every mesh node, walls pinned to zero: one
-    row per mode of ``vector_modes``, or per mode when that is None. A set
-    from ``diagonalize`` has vectors only for its clustered and sample
-    modes and carries ``residues`` for the rest; a set without ``residues``
-    reads every intensity off its vectors. normalization_residual is the
-    largest deviation of the sample vectors from B-orthonormality, and
-    count_sweeps the number of inertia-count pivot sweeps spent finding
-    the frequencies (0 for modes that did not come from ``diagonalize``).
-    A set compares by identity; the intensities at the last x asked for
-    are kept with it.
+    ``frequencies`` ascend. ``intensity_at(x)`` gives every mode's
+    |E_m(x)|^2. ``vectors`` holds field profiles sampled on every mesh
+    node, walls pinned to zero: one row per mode of ``vector_modes``, or
+    per mode when that is None. A set from ``diagonalize`` has vectors
+    only for its clustered and sample modes and carries ``residues`` for
+    the rest; a set without ``residues`` reads every intensity off its
+    vectors. normalization_residual is the largest deviation of the sample
+    vectors from B-orthonormality, and count_sweeps the number of
+    inertia-count pivot sweeps spent finding the frequencies (0 for modes
+    that did not come from ``diagonalize``). A set compares by identity;
+    the intensities at the last x asked for are kept with it.
     """
 
     frequencies: np.ndarray
@@ -391,11 +395,19 @@ class ModeSet:
             j, t, exact, self.vector_modes))
 
     def spacing_near(self, omega: float, count: int = 9):
-        """Largest gap among the ``count`` mode frequencies nearest omega."""
+        """Largest gap among the ``count`` mode frequencies nearest omega.
+
+        Of two frequencies at the same distance |f - omega| the lower is
+        taken. The frequencies ascend, so the nearest ``count`` lie among
+        the ``count`` on either side of omega.
+        """
         if self.n_modes < 2:
             raise ValueError("need at least two modes to define a spacing")
-        order = np.argsort(np.abs(self.frequencies - omega))
-        picked = np.sort(self.frequencies[order[: max(count, 2)]])
+        count = max(count, 2)
+        near = int(np.searchsorted(self.frequencies, omega))
+        window = self.frequencies[max(near - count, 0):near + count]
+        order = np.argsort(np.abs(window - omega), kind="stable")
+        picked = np.sort(window[order[:count]])
         return float(np.max(np.diff(picked)))
 
 
@@ -651,94 +663,110 @@ def _bisect(schur: _Schur, first, last, lam_lo, lam_hi):
 
     Every mode is bracketed at once with the count, which alone moves the
     bracket: a probe whose count exceeds the mode's index becomes its upper
-    end, any other its lower end. Each round re-anchors the bracket at the
+    end, any other its lower end. Modes that share a bracket, as all do at
+    first, form one group m0..m1-1 with one bracket, one probe history and
+    one set of probes (Barth, Martin and Wilkinson, Numer. Math. 9, 1967,
+    LAPACK's ``dstebz``). A probe's count c splits a group at clip(c, m0,
+    m1): the modes below c move their upper end, the rest their lower end.
+    A group keeps its members rather than reading them off the counts at
+    its ends, so where the count is not monotone in lam every mode still
+    moves as it would with a bracket of its own (Demmel, Dhillon and Ren,
+    Parallel Comput. 21, 1995). Each round re-anchors the bracket at the
     bin nearest its midpoint, so the bracket ends are offsets from that
-    bin, and a mode stops once the offset itself is resolved to a few ulps
-    (h - l <= 2 tol, tol = 2 eps max(|l|, |h|); not lam: that is what the
-    near-dark modes need), or when its probes cannot split the bracket.
-    All probes of a round share one pivot sweep, and modes sharing a probe,
-    as all do at first, share its count.
+    bin, and a group stops once the offset itself is resolved to a few
+    ulps (h - l <= 2 tol, tol = 2 eps max(|l|, |h|); not lam: that is what
+    the near-dark modes need), or when its probes cannot split the
+    bracket. All probes of a round share one pivot sweep; a probe repeated
+    within a group is swept once (``_sweep_groups``).
 
-    Until the mode is isolated (the count at its lower end is its index, at
-    its upper end one more) a round is a bisection: P = min(_MULTISECTION,
-    _PROBE_BUDGET // active) evenly spaced probes, the midpoint alone while
-    many modes are active. From then on the probe is the step: the zero of
-    c (x - z) / (x - p) through the last three (offset, last LDL^T pivot of
-    S) pairs that moved an end of the bracket, taken if it falls strictly
-    inside the bracket; otherwise a bisection round again. The last pivot
-    vanishes at the mode but has a pole where the leading block of S is
-    singular, for most modes close beside it (a median 7% of the gap to
-    the next mode), which this form follows and a secant line does not (on
-    1A, 31,060 columns in 49 sweeps against 39,722 in 54). For some modes
-    localized in the slab the pivot hardly changes sign at all, so the step
-    only proposes the point; the count decides the side. Where steps still
-    creep along one end of the bracket, a round that did not halve it adds
-    a guard probe to the next step: one last correction further toward the
-    far end, widened to tol, 2 tol, 4 tol, ... over the mode's guard rounds
-    when the correction is smaller, and never past half way to the far
-    end. When the step and its guard straddle the mode the bracket closes
-    to the correction; when they do not, that round still halves it or the
-    next guard reaches twice as far, so no mode creeps.
+    Until a mode is isolated (its group has one member and the count at
+    its lower end is its index, at its upper end one more) a round is a
+    bisection: P = min(_MULTISECTION, _PROBE_BUDGET // active) evenly
+    spaced probes, active counting modes, not groups, the midpoint alone
+    while many modes are active. From then on the probe is the step: the
+    zero of c (x - z) / (x - p) through the last three (offset, last LDL^T
+    pivot of S) pairs that moved an end of the bracket, taken if it falls
+    strictly inside the bracket; otherwise a bisection round again. The
+    last pivot vanishes at the mode but has a pole where the leading block
+    of S is singular, for most modes close beside it (a median 7% of the
+    gap to the next mode), which this form follows and a secant line does
+    not (on 1A, 31,060 columns in 49 sweeps against 39,722 in 54). For
+    some modes localized in the slab the pivot hardly changes sign at all,
+    so the step only proposes the point; the count decides the side. Where
+    steps still creep along one end of the bracket, a round that did not
+    halve it adds a guard probe to the next step: one last correction
+    further toward the far end, widened to tol, 2 tol, 4 tol, ... over the
+    mode's guard rounds when the correction is smaller, and never past half
+    way to the far end. When the step and its guard straddle the mode the
+    bracket closes to the correction; when they do not, that round still
+    halves it or the next guard reaches twice as far, so no mode creeps.
+    ``tests/_dense_reference.per_mode_bisect`` carries one bracket per mode
+    and gives the same brackets, bit for bit, in as many sweeps.
     """
-    target = np.arange(first, last)
-    anchor = np.zeros(target.size, dtype=int)
-    lo = np.full(target.size, float(lam_lo))
-    hi = np.full(target.size, float(lam_hi))
-    count_lo = np.full(target.size, first)
-    count_hi = np.full(target.size, last)
-    # the last three probe offsets that moved an end of each mode's
+    # one column per group of modes m0..m1-1 sharing a bracket [lo, hi]
+    # about anchors[anchor], with the counts at both ends
+    m0, m1 = np.array([first]), np.array([last])
+    anchor = np.zeros(1, dtype=int)
+    lo, hi = np.array([float(lam_lo)]), np.array([float(lam_hi)])
+    count_lo, count_hi = m0.copy(), m1.copy()
+    # the last three probe offsets that moved an end of each group's
     # bracket, oldest first, and the last pivot at each
-    xs, fs = np.full((2, 3, target.size), np.nan)
-    halved = np.zeros(target.size, dtype=bool)
-    guards = np.zeros(target.size)  # guard rounds spent so far
-    active = np.arange(target.size)
+    xs, fs = np.full((2, 3, 1), np.nan)
+    halved = np.zeros(1, dtype=bool)
+    guards = np.zeros(1)  # guard rounds spent so far
+    closed = []  # (m0, m1, anchor, lo, hi) of the groups that stopped
     eps = np.finfo(float).eps
-    while active.size:
-        a, l, h = anchor[active], lo[active], hi[active]
-        new = schur.nearest(schur.anchors[a] + 0.5 * (l + h))
-        shift = schur.anchors[a] - schur.anchors[new]
-        l, h = l + shift, h + shift
-        x, f = xs[:, active] + shift, fs[:, active]  # the history, too
-        t = target[active]
+    while m0.size:
+        new = schur.nearest(schur.anchors[anchor] + 0.5 * (lo + hi))
+        shift = schur.anchors[anchor] - schur.anchors[new]
+        l, h = lo + shift, hi + shift
+        x = xs + shift  # the history, too
         with np.errstate(all="ignore"):
             # the zero of c (x - z) / (x - p) through the three pairs
             u0, u1 = x[0] - x[2], x[1] - x[2]
-            step = x[2] + f[2] * u0 * u1 * (f[0] - f[1]) / (
-                u1 * f[1] * (f[0] - f[2]) - u0 * f[0] * (f[1] - f[2]))
-        stepping = ((count_lo[active] == t) & (count_hi[active] == t + 1)
+            step = x[2] + fs[2] * u0 * u1 * (fs[0] - fs[1]) / (
+                u1 * fs[1] * (fs[0] - fs[2]) - u0 * fs[0] * (fs[1] - fs[2]))
+        # a group of several holds count_lo <= m0 and count_hi >= m1
+        stepping = ((count_lo == m0) & (count_hi == m0 + 1)
                     & (l < step) & (step < h))
         mid = 0.5 * (l + h)
         # what a bisection leaves, so a midpoint round always halves
         half = np.maximum(mid - l, h - mid)
         step = np.where(stepping, step, mid)  # keeps the guard below finite
-        guard = stepping & ~halved[active]
+        guard = stepping & ~halved
         far = np.where(step - l < h - step, h, l)
         # one last correction past the step, widened to tol, 2 tol, 4 tol,
         # ... over the mode's guard rounds (tol = 2 eps max(|lo|, |hi|), half
         # the stop rule's width), and never past half way to the far end
         tol = 2.0 * eps * np.maximum(np.abs(l), np.abs(h))
-        reach = np.minimum(
-            np.maximum(np.abs(step - x[2]), tol * 2.0 ** guards[active]),
-            0.5 * np.abs(far - step))
-        guards[active] += guard
+        reach = np.minimum(np.maximum(np.abs(step - x[2]), tol * 2.0**guards),
+                           0.5 * np.abs(far - step))
+        guards = guards + guard
         pair = np.stack(
             (step, np.where(guard, step + np.sign(far - step) * reach, step)))
-        parts = max(1, min(_MULTISECTION, _PROBE_BUDGET // active.size))
+        parts = max(1, min(_MULTISECTION,
+                           _PROBE_BUDGET // int(np.sum(m1 - m0))))
         even = l + (h - l) * (np.arange(1, parts + 1) / (parts + 1))[:, None]
-        # one row per probe; a mode with fewer probes repeats its last
+        # one row per probe; a group with fewer probes repeats its last
         rows = np.arange(max(2, parts))
         probes = np.where(stepping, pair[np.minimum(rows, 1)],
                           even[np.minimum(rows, parts - 1)])
         probes = np.where(probes == 0.0, 0.5 * h, probes)  # a bin is singular
         stuck = ~stepping & ~np.any((l < probes) & (probes < h), axis=0)
-        anchors, offsets = np.tile(new, rows.size), probes.ravel()
-        _, first_of, inverse = unique_columns(np.stack((anchors, offsets)))
-        counts, pivots = schur.sweep(anchors[first_of], offsets[first_of])
-        counts = counts[inverse].reshape(probes.shape)
-        pivots = pivots[inverse].reshape(probes.shape)
-        c_lo, c_hi = count_lo[active], count_hi[active]
-        for probe, count, pivot in zip(probes, counts, pivots):
-            above = count > t
+        counts, pivots = _sweep_groups(schur, new, probes)
+
+        # the pieces of each group: its modes between consecutive distinct
+        # clip(count, m0, m1) of its probes, m0 and m1, group by group
+        cuts = np.sort(np.vstack((m0, np.clip(counts, m0, m1), m1)), axis=0)
+        between = (cuts[1:] > cuts[:-1]).T
+        group = np.nonzero(between)[0]
+        m0, m1 = cuts[:-1].T[between], cuts[1:].T[between]
+        l, h, c_lo, c_hi = l[group], h[group], count_lo[group], count_hi[group]
+        x, f = x[:, group], fs[:, group]
+        # each piece moves as its first mode would
+        for probe, count, pivot in zip(probes[:, group], counts[:, group],
+                                       pivots[:, group]):
+            above = count > m0
             to_hi = above & (probe < h)
             to_lo = ~above & (probe > l)
             h, c_hi = np.where(to_hi, probe, h), np.where(to_hi, count, c_hi)
@@ -746,14 +774,38 @@ def _bisect(schur: _Schur, first, last, lam_lo, lam_hi):
             moved = to_hi | to_lo
             x = np.where(moved, np.vstack((x[1:], probe)), x)
             f = np.where(moved, np.vstack((f[1:], pivot)), f)
-        xs[:, active], fs[:, active] = x, f
-        halved[active] = h - l <= half
-        anchor[active], lo[active], hi[active] = new, l, h
-        count_lo[active], count_hi[active] = c_lo, c_hi
-        done = stuck | (h - l <= 4.0 * eps * np.maximum(np.abs(l), np.abs(h)))
-        active = active[~done]
+        halved = h - l <= half[group]
+        guards, anchor = guards[group], new[group]
+        done = stuck[group] | (
+            h - l <= 4.0 * eps * np.maximum(np.abs(l), np.abs(h)))
+        closed.append((m0[done], m1[done], anchor[done], l[done], h[done]))
+        going = ~done
+        m0, m1, anchor, lo, hi = (m0[going], m1[going], anchor[going],
+                                  l[going], h[going])
+        count_lo, count_hi = c_lo[going], c_hi[going]
+        xs, fs = x[:, going], f[:, going]
+        halved, guards = halved[going], guards[going]
+    m0, m1, anchor, lo, hi = map(np.concatenate, zip(*closed))
+    order = np.argsort(m0)
+    anchor, lo, hi = (np.repeat(values[order], (m1 - m0)[order])
+                      for values in (anchor, lo, hi))
     delta = 0.5 * (lo + hi)
     return anchor, np.where(delta == 0.0, hi, delta)
+
+
+def _sweep_groups(schur: _Schur, anchor, probes):
+    """(counts, last pivots) at each probe, probes[r, g] about anchor[g].
+
+    One pivot sweep takes every probe; a probe that repeats the one in the
+    row above it is swept once.
+    """
+    fresh = np.ones(probes.shape, dtype=bool)
+    fresh[1:] = probes[1:] != probes[:-1]
+    # columns group by group, so a repeat takes the slot of the probe above
+    slot = (np.cumsum(fresh.T) - 1).reshape(probes.shape[::-1]).T
+    counts, pivots = schur.sweep(np.repeat(anchor, np.sum(fresh, axis=0)),
+                                 probes.T[fresh.T])
+    return counts[slot], pivots[slot]
 
 
 def diagonalize(system: GevpSystem, band=None) -> ModeSet:
@@ -763,13 +815,16 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
     eigenfrequencies are kept; None keeps the whole (positive) spectrum.
     Each kept eigenvalue lam = omega^2 is bracketed by the inertia count
     of ``_Schur`` and closed in by count-safeguarded rational steps with a
-    guard probe, after bisection or multisection rounds (``_bisect``),
-    carried as an offset from its nearest bin. Intensities
-    come from residues (``ModeSet.intensity_at``); vectors are built only
-    for the modes closer than ``_CLUSTER_GAP`` to a neighbour and for
-    ``_SAMPLE`` modes spread across the band. Two inverse-iteration steps
-    on the Schur complement S(lam) give their field part v; the oscillator
-    part follows from the eliminated rows,
+    guard probe, after bisection or multisection rounds (``_bisect``, one
+    bracket per group of modes that share it), carried as an offset from
+    its nearest bin. Intensities come from residues
+    (``ModeSet.intensity_at``); vectors are built only for the modes
+    closer than ``_CLUSTER_GAP`` to a neighbour and for ``_SAMPLE`` modes
+    spread across the band. Two inverse-iteration steps
+    on the Schur complement S(lam), from a start vector of its own per
+    mode drawn from a Weyl sequence (``_start_vectors``: deterministic,
+    no numpy.random), give their field part v; the oscillator part follows
+    from the eliminated rows,
     y_eq = (1/2) sqrt(h_e) nu_q sqrt(w_q) (v_p + v_q) / (nu_q^2 - lam),
     and the pair is normalized in B (``_orthogonalize_clusters`` handles
     near-degenerate modes). The certificate ``normalization_residual`` is
@@ -777,7 +832,7 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
     with banded products and the rank-one structure of each y.
     ``count_sweeps`` tallies the pivot sweeps of the counts, band edges
     included: one per round of ``_bisect``, however many probes it holds
-    (50 on the stock 1A and 2A bands), each over the rows between the
+    (50 on the stock 1A band, 54 on 2A), each over the rows between the
     box's two wall runs.
     """
     n = system.size
@@ -820,13 +875,12 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
     # a start vector of its own per mode, so that modes of one cluster land
     # on different directions of its invariant subspace; modes go through
     # in blocks, so no (modes, n_em) band matrix is ever held whole
-    rng = np.random.default_rng(0)
-    for block in np.split(np.arange(picked.size),
-                          np.arange(_MODE_BLOCK, picked.size, _MODE_BLOCK)):
-        diag, off = schur.matrices(anchor[picked[block]],
-                                   delta[picked[block]])
-        v[block] = inverse_iteration(diag, off,
-                                     rng.standard_normal(diag.shape))
+    dofs = np.arange(system.n_em)
+    for start in range(0, picked.size, _MODE_BLOCK):
+        block = picked[start:start + _MODE_BLOCK]
+        diag, off = schur.matrices(anchor[block], delta[block])
+        v[start:start + block.size] = inverse_iteration(
+            diag, off, _start_vectors(block, dofs))
 
     p, q = system.slab_dof_pairs.T
     # y_m = slab_m (x) bins_m: one factor per slab element, one per bin
@@ -857,6 +911,19 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
         vector_modes=picked,
         residues=_Residues(schur, anchor, delta, clustered[picked]),
     )
+
+
+def _start_vectors(modes, dofs):
+    """Inverse-iteration start vectors, one row per mode, in [-1/2, 1/2).
+
+    A two-dimensional Weyl sequence (a mode + b dof) mod 1 - 1/2, with
+    a = 1/g and b = 1/g^2 for the plastic number g (Roberts' R2 sequence):
+    deterministic, different for every mode and every dof, and free of
+    numpy.random. Each term is reduced mod 1 before the outer sum, which
+    costs a tenth of reducing every entry.
+    """
+    start = np.add.outer(_WEYL[0] * modes % 1.0, _WEYL[1] * dofs % 1.0 - 0.5)
+    return start - (start >= 0.5)
 
 
 def _orthogonalize_clusters(runs, v, bv, slab, bins):

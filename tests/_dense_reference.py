@@ -7,11 +7,15 @@ pointwise slab profile of a ``MediumSpec`` (``in_slab``,
 by the mesh's elements, not by a test at each point. So are the Gauss
 points of the element rule (``element_quadrature``): the package applies
 the rule once, to build the mass bands, and forms no point values.
+``per_mode_bisect`` is the eigenmode count one bracket per mode, the
+reference the grouped count of ``micromodes._bisect`` is checked against.
 """
 
 import numpy as np
 
+from slabqed import micromodes
 from slabqed.fem import DEFAULT_DOF_CAP, GAUSS_NODES, GAUSS_WEIGHTS
+from slabqed.mesh import unique_columns
 
 
 def element_quadrature(mesh, elements=slice(None)):
@@ -90,3 +94,90 @@ def dense_operators(system):
                 for b in (p, q):
                     K[a, b] += counter
     return K, B
+
+
+def per_mode_bisect(schur, first, last, lam_lo, lam_hi):
+    """``micromodes._bisect`` with one bracket per mode, its reference.
+
+    Every mode carries its own bracket, anchor, counts at both ends, probe
+    history, halving flag and guard rounds, and the probes of all modes
+    share one pivot sweep a round, deduplicated across modes by
+    ``unique_columns``. The rules of a round are those of ``_bisect``,
+    which keeps one bracket per group of modes that share it and must
+    return the same (anchor, delta) bit for bit, in as many sweeps.
+    """
+    target = np.arange(first, last)
+    anchor = np.zeros(target.size, dtype=int)
+    lo = np.full(target.size, float(lam_lo))
+    hi = np.full(target.size, float(lam_hi))
+    count_lo = np.full(target.size, first)
+    count_hi = np.full(target.size, last)
+    # the last three probe offsets that moved an end of each mode's
+    # bracket, oldest first, and the last pivot at each
+    xs, fs = np.full((2, 3, target.size), np.nan)
+    halved = np.zeros(target.size, dtype=bool)
+    guards = np.zeros(target.size)  # guard rounds spent so far
+    active = np.arange(target.size)
+    eps = np.finfo(float).eps
+    while active.size:
+        a, l, h = anchor[active], lo[active], hi[active]
+        new = schur.nearest(schur.anchors[a] + 0.5 * (l + h))
+        shift = schur.anchors[a] - schur.anchors[new]
+        l, h = l + shift, h + shift
+        x, f = xs[:, active] + shift, fs[:, active]  # the history, too
+        t = target[active]
+        with np.errstate(all="ignore"):
+            # the zero of c (x - z) / (x - p) through the three pairs
+            u0, u1 = x[0] - x[2], x[1] - x[2]
+            step = x[2] + f[2] * u0 * u1 * (f[0] - f[1]) / (
+                u1 * f[1] * (f[0] - f[2]) - u0 * f[0] * (f[1] - f[2]))
+        stepping = ((count_lo[active] == t) & (count_hi[active] == t + 1)
+                    & (l < step) & (step < h))
+        mid = 0.5 * (l + h)
+        # what a bisection leaves, so a midpoint round always halves
+        half = np.maximum(mid - l, h - mid)
+        step = np.where(stepping, step, mid)  # keeps the guard below finite
+        guard = stepping & ~halved[active]
+        far = np.where(step - l < h - step, h, l)
+        # one last correction past the step, widened to tol, 2 tol, 4 tol,
+        # ... over the mode's guard rounds (tol = 2 eps max(|lo|, |hi|), half
+        # the stop rule's width), and never past half way to the far end
+        tol = 2.0 * eps * np.maximum(np.abs(l), np.abs(h))
+        reach = np.minimum(
+            np.maximum(np.abs(step - x[2]), tol * 2.0 ** guards[active]),
+            0.5 * np.abs(far - step))
+        guards[active] += guard
+        pair = np.stack(
+            (step, np.where(guard, step + np.sign(far - step) * reach, step)))
+        parts = max(1, min(micromodes._MULTISECTION,
+                           micromodes._PROBE_BUDGET // active.size))
+        even = l + (h - l) * (np.arange(1, parts + 1) / (parts + 1))[:, None]
+        # one row per probe; a mode with fewer probes repeats its last
+        rows = np.arange(max(2, parts))
+        probes = np.where(stepping, pair[np.minimum(rows, 1)],
+                          even[np.minimum(rows, parts - 1)])
+        probes = np.where(probes == 0.0, 0.5 * h, probes)  # a bin is singular
+        stuck = ~stepping & ~np.any((l < probes) & (probes < h), axis=0)
+        anchors, offsets = np.tile(new, rows.size), probes.ravel()
+        _, first_of, inverse = unique_columns(np.stack((anchors, offsets)))
+        counts, pivots = schur.sweep(anchors[first_of], offsets[first_of])
+        counts = counts[inverse].reshape(probes.shape)
+        pivots = pivots[inverse].reshape(probes.shape)
+        c_lo, c_hi = count_lo[active], count_hi[active]
+        for probe, count, pivot in zip(probes, counts, pivots):
+            above = count > t
+            to_hi = above & (probe < h)
+            to_lo = ~above & (probe > l)
+            h, c_hi = np.where(to_hi, probe, h), np.where(to_hi, count, c_hi)
+            l, c_lo = np.where(to_lo, probe, l), np.where(to_lo, count, c_lo)
+            moved = to_hi | to_lo
+            x = np.where(moved, np.vstack((x[1:], probe)), x)
+            f = np.where(moved, np.vstack((f[1:], pivot)), f)
+        xs[:, active], fs[:, active] = x, f
+        halved[active] = h - l <= half
+        anchor[active], lo[active], hi[active] = new, l, h
+        count_lo[active], count_hi[active] = c_lo, c_hi
+        done = stuck | (h - l <= 4.0 * eps * np.maximum(np.abs(l), np.abs(h)))
+        active = active[~done]
+    delta = 0.5 * (lo + hi)
+    return anchor, np.where(delta == 0.0, hi, delta)

@@ -183,6 +183,14 @@ def reference_bands(mesh, medium, k):
     return s_diag, -k_e.astype(complex), m_diag, m_off
 
 
+
+def test_the_written_out_gauss_rule_is_leggauss_to_the_bit():
+    # fem spells out leggauss(4) so that importing it loads no
+    # numpy.polynomial; the literals must be numpy's rule, bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    assert GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
 ASSEMBLY_MEDIA = {
     "vacuum": VACUUM,
     "1": CASE1,

@@ -10,8 +10,9 @@ nothing runs on a thread pool. No module imports scipy: ``fem`` loads only its
 compiled LAPACK wrapper. The LU has one solve, ``Factorization.solve``. The
 benchmark's trace hooks must name functions that exist, and every solve of
 a sweep is a call of the one its ``fem.solve`` layer times. A whole
-``modes`` run loads no module beyond the CLI's and the two it is known to
-need.
+``modes`` run loads no module beyond the CLI's and locale, so neither
+numpy.random nor secrets, and importing the CLI loads neither numpy.random
+nor numpy.polynomial.
 """
 
 import ast
@@ -214,26 +215,36 @@ def test_eigenmodes_leave_heavy_modules_unloaded():
 
 def test_a_modes_run_loads_nothing_beyond_its_known_imports(tmp_path):
     # a fresh interpreter runs ``modes --case 1A`` whole. Beyond the CLI's
-    # own imports it may load numpy.random (the start vectors of inverse
-    # iteration) and locale (argparse's messages), as the row-by-row count
-    # did: numpy.ma, scipy or any module a change brings in fails here
+    # own imports it may load locale (argparse's messages) and nothing
+    # else: numpy.ma, scipy, numpy.random (12-20 ms of import, once the
+    # start vectors of inverse iteration) with the secrets module it
+    # imports, or any module a change brings in fails here
     probe = (
         "import json, locale, sys\n"
-        "import numpy.random\n"
         "from slabqed.cli import main\n"
         "before = set(sys.modules)\n"
         f"assert main(['modes', '--case', '1A', '--out', "
         f"{str(tmp_path / 'modes.csv')!r}]) == 0\n"
         "print(json.dumps([sorted(set(sys.modules) - before),\n"
-        "                  'numpy.ma' in sys.modules]))\n"
+        "                  sorted(name for name in ('numpy.ma',\n"
+        "                         'numpy.random', 'secrets')\n"
+        "                         if name in sys.modules)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    added, masked = json.loads(out.splitlines()[-1])
+    added, loaded = json.loads(out.splitlines()[-1])
     assert added == []
-    assert not masked
+    assert loaded == []
+
+
+def test_cli_import_loads_no_random_or_polynomial_numpy():
+    # fem writes its Gauss rule out rather than calling leggauss, which
+    # loads numpy.polynomial (1.1-1.3 MB of peak RSS); no module draws
+    # random numbers
+    assert packages_loaded_by("import slabqed.cli\n") & {
+        "numpy.random", "numpy.polynomial"} == set()
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

@@ -6,7 +6,7 @@ import signal
 import numpy as np
 import pytest
 import scipy.linalg
-from _dense_reference import dense_operators
+from _dense_reference import dense_operators, per_mode_bisect
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -588,6 +588,143 @@ def test_diagonalize_matches_dense_eigh_on_random_boxes(system):
     assert modes.n_modes == values.size
     np.testing.assert_allclose(modes.frequencies, np.sqrt(values), rtol=1e-10)
     assert modes.normalization_residual < 1e-10
+
+
+# ------------------------------- reference: the count one bracket per mode
+
+def assert_grouped_count_is_per_mode(make_schur, band):
+    """``_bisect`` against ``per_mode_bisect``: brackets to the bit, sweeps.
+
+    Each runs on a fresh counter from ``make_schur``, over the eigenvalues
+    the counts at the two ends of ``band`` (in lam) enclose.
+    """
+    runs = []
+    for bisect in (micromodes._bisect, per_mode_bisect):
+        schur = make_schur()
+        first, last = schur.sweep(np.zeros(2, dtype=int),
+                                  np.asarray(band, dtype=float))[0]
+        schur.sweeps = 0
+        anchor, delta = bisect(schur, first, last, *band)
+        runs.append((anchor, delta.tobytes(), schur.sweeps))
+    (anchor, delta, sweeps), (ref_anchor, ref_delta, ref_sweeps) = runs
+    np.testing.assert_array_equal(anchor, ref_anchor)
+    assert delta == ref_delta
+    assert sweeps == ref_sweeps
+
+
+@pytest.mark.parametrize("case", ["1A", "2A", "vacuum"])
+def test_grouped_count_matches_the_per_mode_count_on_stock_bands(case):
+    medium, _ = case_preset(case)
+    bath = BathConfig()
+    system = build_gevp(gevp_mesh(medium, bath), medium, bath)
+    assert_grouped_count_is_per_mode(lambda: micromodes._Schur.of(system),
+                                     (1.0, 1e6))  # the band of ``modes``
+
+
+@settings(deadline=None, max_examples=15)
+@given(system=small_pencils(), top=st.floats(0.05, 1.5))
+def test_grouped_count_matches_the_per_mode_count_on_random_boxes(system,
+                                                                  top):
+    # the band ends short of the spectrum's top as often as past it
+    lam_hi = top * float(np.max(system.em_s_diag / system.em_m_diag))
+    assert_grouped_count_is_per_mode(lambda: micromodes._Schur.of(system),
+                                     (0.0, lam_hi))
+
+
+class BumpedCount:
+    """A stand-in for ``_Schur`` whose count is off by one on a window.
+
+    It counts the ``values`` below lam = anchors[anchor] + delta, plus
+    ``bump`` (+1 or -1) for lam inside ``window``, so the count is not
+    monotone there; the last pivot is 1 / sum_j 1 / (values_j - lam), which
+    vanishes at each value with a pole between, as the pivot of S does.
+    ``out_of_order`` tallies the sweeps whose counts fall somewhere as lam
+    rises.
+    """
+
+    nearest = micromodes._Schur.nearest
+
+    def __init__(self, values, anchors, window, bump):
+        self.values = np.sort(values)
+        self.anchors = anchors
+        self.window = window
+        self.bump = bump
+        self.sweeps = 0
+        self.out_of_order = 0
+
+    def sweep(self, anchor, delta):
+        lam = self.anchors[anchor] + delta
+        counts = np.searchsorted(self.values, lam)
+        counts += self.bump * ((self.window[0] < lam) & (lam < self.window[1]))
+        with np.errstate(divide="ignore"):
+            pivots = 1.0 / np.sum(1.0 / (self.values - lam[:, None]), axis=1)
+        self.sweeps += 1
+        self.out_of_order += bool(np.any(np.diff(counts[np.argsort(lam)]) < 0))
+        return counts, pivots
+
+
+@settings(deadline=None, max_examples=40)
+@given(values=st.lists(st.floats(1.0, 100.0), min_size=2, max_size=40,
+                       unique=True),
+       mode=st.integers(0, 39), bump=st.sampled_from([-1, 1]),
+       ends=st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 1.0)),
+       anchors=st.lists(st.floats(1.0, 100.0), max_size=3, unique=True))
+def test_grouped_count_splits_groups_as_per_mode_on_a_bumped_count(
+        values, mode, bump, ends, anchors):
+    # the window spans part of the gap next to one value, so probes there
+    # read a count one off, out of order with their neighbours: a group
+    # whose probes read k + 1, k, k + 1 splits three ways, as its modes do
+    values = np.sort(values)
+    k = mode % values.size
+    gap = values[min(k + 1, values.size - 1)] - values[max(k - 1, 0)]
+    start = values[k] + ends[0] * gap
+    window = (start, start + ends[1] * 0.5 * gap)
+    anchors = np.concatenate(([0.0], np.sort(anchors)))
+    assert_grouped_count_is_per_mode(
+        lambda: BumpedCount(values, anchors, window, bump), (0.5, 101.0))
+
+
+def test_a_bumped_count_splits_a_group_at_its_out_of_order_probes():
+    # ten values, so the first round spreads 25 probes over the one group;
+    # the window reads the count 5 where it is 4, and a probe past it reads
+    # 4 again, so that group splits at counts that are out of order
+    made = []
+
+    def bumped():
+        made.append(BumpedCount(np.arange(1.0, 11.0), np.array([0.0]),
+                                (4.3, 4.7), 1))
+        return made[-1]
+
+    assert_grouped_count_is_per_mode(bumped, (0.5, 10.5))
+    assert made[0].out_of_order > 0
+
+
+def test_grouped_count_calls_no_unique_columns(monkeypatch):
+    # the groups share no probes, so _bisect sorts no columns to dedupe
+    def refused(table):
+        raise AssertionError("_bisect called unique_columns")
+
+    system = small_box_system(CASE_PRESETS["2"])
+    schur = micromodes._Schur.of(system)
+    first, last = schur.count_at([1.0, 1e6])
+    monkeypatch.setattr(micromodes, "unique_columns", refused)
+    anchor, _ = micromodes._bisect(schur, first, last, 1.0, 1e6)
+    assert anchor.size == last - first
+
+
+@settings(deadline=None, max_examples=200)
+@given(quarters=st.lists(st.integers(0, 40), min_size=2, max_size=30),
+       omega=st.integers(-4, 164), count=st.integers(0, 12))
+def test_spacing_near_is_the_argsort_form(quarters, omega, count):
+    # quarters of a unit: duplicate frequencies and omega exactly midway
+    # between two of them occur, and every distance is exact, so ties are
+    # real ties, which the rule breaks toward the lower frequency
+    frequencies = np.sort(quarters) / 4.0
+    omega /= 4.0
+    modes = ModeSet(frequencies, np.zeros((0, 2)), np.array([0.0, 1.0]), 0.0)
+    order = np.argsort(np.abs(frequencies - omega), kind="stable")
+    picked = np.sort(frequencies[order[:max(count, 2)]])
+    assert modes.spacing_near(omega, count) == float(np.max(np.diff(picked)))
 
 
 # (sweeps, columns) on the band ``modes`` diagonalizes: measured 49 sweeps
