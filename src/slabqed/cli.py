@@ -556,16 +556,10 @@ def cmd_oracle_compare(config: RunConfig) -> int:
     grid = config.grid()
     mesh = _sweep_mesh(config, config.medium, config.atom_position,
                        k_max=float(grid[-1]), ppw=config.oracle_ppw)
-    rows = []
-    residuals = []
-    for omega in grid:
-        omega = float(omega)
-        res_rt, res_field, res_green = oracle_residuals(
-            mesh, config.medium, omega, config.atom_position)
-        residuals.append((res_rt, res_field, res_green))
-        rows.append((
-            _fmt(omega), _fmt(res_rt), _fmt(res_field), _fmt(res_green)
-        ))
+    residuals = oracle_residuals(mesh, config.medium, grid,
+                                 config.atom_position)
+    rows = [tuple(map(_fmt, (omega, *row)))
+            for omega, row in zip(grid.tolist(), residuals.tolist())]
     # np.max, unlike max(), keeps a NaN, and a NaN worst fails the gate
     worst = float(np.max(residuals))
 

@@ -1,47 +1,104 @@
 """The finite-element solvers measured against the transfer-matrix oracle.
 
 ``oracle`` shares no code with the FEM, so the comparison of the two lives
-here rather than in either: one frequency, three relative residuals.
+here rather than in either: three relative residuals per frequency, for a
+whole frequency grid at once.
+
+The grid is read in two passes. A loop over the frequencies does what
+needs each frequency's LU (``fem.factorization``): the left-incident
+scattering solve, its r and t (``scattering.extract_r_t``), the
+point-source solve, and a gather of nodal values at the nodes that
+bracket the probes and the Green-function samples, which are found once
+per mesh (``fem.p1_stencil``). After the loop one array pass over the
+grid interpolates those values, evaluates the oracle with an array of
+frequencies and forms the residuals.
+
+Numeric contract: every FEM-side value (r, t, the probe fields and the G
+samples) is bitwise what the per-point readouts give, since the
+interpolation is ``evaluate_field``'s own (np.interp's arithmetic) and
+the solves are the same. The oracle's values are not: for an array of
+frequencies it works in numpy's array arithmetic, whose complex products
+may round differently from the scalar products and CPython's complex
+division of a single frequency (``oracle`` states the bound), so a
+residual may move in its last digits against a per-frequency comparison.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .fem import p1_stencil
 from .greens import solve_point_source
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D
 from .oracle import tmm_green, tmm_reflection_transmission, tmm_total_field
 from .scattering import extract_r_t, solve_scattering
 
+# the two atom sites, where the scattering state's total field is compared
+PROBES = np.array([ATOM_INSIDE, ATOM_OUTSIDE])
+# G(x, x_a) is compared at this many points evenly across the slab
+GREEN_SAMPLES = 9
 
-def oracle_residuals(mesh: Mesh1D, medium: MediumSpec, omega: float,
-                     x_a: float) -> tuple[float, float, float]:
-    """(res_rt, res_field, res_green) of the FEM against the oracle at omega.
+
+def green_samples(medium: MediumSpec) -> np.ndarray:
+    """The points across the slab where G(x, x_a) is compared."""
+    a = medium.slab_half_length
+    return np.linspace(-a, a, GREEN_SAMPLES)
+
+
+def fem_readouts(mesh: Mesh1D, medium: MediumSpec, omegas,
+                 x_a: float):
+    """(r, t, field, green) of the FEM on the frequency grid ``omegas``.
+
+    r and t, each (m,), are the left-incident state's (``extract_r_t``);
+    ``field`` (m, 2) is its total field at ``PROBES`` and ``green``
+    (m, 9) G(x, x_a) at ``green_samples``, both P1 readouts of the
+    physical region (``p1_stencil``, which refuses a point past a port).
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    probes = p1_stencil(mesh, PROBES)
+    samples = p1_stencil(mesh, green_samples(medium))
+    rt = np.empty((omegas.size, 2), dtype=complex)
+    at_probes = np.empty((omegas.size,) + probes.nodes.shape, dtype=complex)
+    at_samples = np.empty((omegas.size,) + samples.nodes.shape, dtype=complex)
+    for i, omega in enumerate(omegas.tolist()):
+        solution = solve_scattering(mesh, medium, omega, +1)
+        rt[i] = extract_r_t(solution)
+        at_probes[i] = solution.total_at_nodes(probes.nodes)
+        at_samples[i] = solve_point_source(
+            mesh, medium, omega, x_a).dofs[samples.nodes]
+        # the solution holds this frequency's LU: dropped here, the LU is
+        # freed before the next one is built, as the mesh's slot intends
+        del solution
+    return (rt[:, 0], rt[:, 1], probes(at_probes[:, 0], at_probes[:, 1]),
+            samples(at_samples[:, 0], at_samples[:, 1]))
+
+
+def oracle_residuals(mesh: Mesh1D, medium: MediumSpec, omegas,
+                     x_a: float) -> np.ndarray:
+    """(res_rt, res_field, res_green) of the FEM against the oracle, one
+    row per frequency of ``omegas``: an (m, 3) array.
 
     ``res_rt``: the worse of the r and t misses over max(|r|, |t|).
     ``res_field``: the total field of the left-incident scattering state
     at the two atom sites, over the larger of its peak and the unit drive.
     ``res_green``: G(x, x_a) at 9 points across the slab, over its peak.
+    Every max propagates NaN, so a NaN reading gives a NaN residual.
     """
-    solution = solve_scattering(mesh, medium, omega, +1)
-    r_fem, t_fem = extract_r_t(solution)
-    r_ref, t_ref = tmm_reflection_transmission(medium, omega)
-    scale = max(abs(r_ref), abs(t_ref))
-    res_rt = max(abs(r_fem - r_ref), abs(t_fem - t_ref)) / scale
+    r_fem, t_fem, field_fem, green_fem = fem_readouts(mesh, medium, omegas,
+                                                      x_a)
+    r_ref, t_ref = tmm_reflection_transmission(medium, omegas)
+    scale = np.maximum(np.abs(r_ref), np.abs(t_ref))
+    res_rt = np.maximum(np.abs(r_fem - r_ref), np.abs(t_fem - t_ref)) / scale
 
-    probes = np.array([ATOM_INSIDE, ATOM_OUTSIDE])
-    fem_field = solution.total_at(probes)
-    tmm_field = tmm_total_field(medium, omega, +1, probes)
+    field_ref = tmm_total_field(medium, omegas, +1, PROBES)
     # floor the scale at the unit incident amplitude: on resonance an
     # opaque slab shadows both probe points and the local field is
     # exponentially small, which would turn roundoff into a huge ratio
-    scale_field = max(float(np.max(np.abs(tmm_field))), 1.0)
-    res_field = float(np.max(np.abs(fem_field - tmm_field))) / scale_field
+    scale_field = np.maximum(np.max(np.abs(field_ref), axis=1), 1.0)
+    res_field = np.max(np.abs(field_fem - field_ref), axis=1) / scale_field
 
-    sample = np.linspace(-medium.slab_half_length,
-                         medium.slab_half_length, 9)
-    g_fem = solve_point_source(mesh, medium, omega, x_a)(sample)
-    g_tmm = tmm_green(medium, omega, sample, x_a)
-    res_green = float(np.max(np.abs(g_fem - g_tmm)) / np.max(np.abs(g_tmm)))
-    return res_rt, res_field, res_green
+    green_ref = tmm_green(medium, omegas, green_samples(medium), x_a)
+    res_green = (np.max(np.abs(green_fem - green_ref), axis=1)
+                 / np.max(np.abs(green_ref), axis=1))
+    return np.stack([res_rt, res_field, res_green], axis=1)

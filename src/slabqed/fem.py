@@ -797,25 +797,67 @@ def lattice_hops(mesh: Mesh1D, k: float, x, direction=None):
                                     + (hops - j) * np.exp(1j * step))
 
 
-def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x, nodes=slice(None),
-                   k=None):
-    """P1 interpolation of nodal values, and past the ports of an open mesh
-    the outgoing lattice wave of wavenumber ``k`` (``lattice_hops``).
+@dataclass(frozen=True)
+class P1Stencil:
+    """Where P1 interpolation reads each of a set of points of a mesh.
 
-    ``dofs`` are the values at ``mesh.nodes[nodes]``, which must include
-    the two nodes that bracket each point of the physical region and the
-    port each point past one lies beyond. The field past the ports is what
-    a scattered or point-source field is there, the one the dropped vacuum
-    padding carried; a closed box, or no ``k``, refuses such points.
+    ``nodes`` stacks, for each point x, np.interp's bracketing node j,
+    the one at or below x, and the node its slope is taken to, j + 1
+    (j - 1 at the mesh's last node, where that slope is never used);
+    ``offset`` is x - x_j and ``width`` the signed distance from x_j to
+    that node. Found once for a set of points, it interpolates nodal
+    values gathered at ``nodes`` for any number of fields at once.
+    """
+
+    nodes: np.ndarray  # (2,) + x.shape: j, then its neighbour
+    offset: np.ndarray
+    width: np.ndarray
+
+    def __call__(self, at_low, at_high):
+        """The interpolated values, from the values at ``nodes[0]`` and
+        ``nodes[1]`` (each of shape (..., *x.shape), leading axes free).
+
+        np.interp's arithmetic, to the bit for finite values, on the real
+        and imaginary parts apart: the node's value where x is a node,
+        else slope (x - x_j) + f_j with slope (f_{j+1} - f_j) / h.
+        """
+        def part(low, high):
+            slope = (high - low) / self.width
+            return np.where(self.offset == 0.0, low,
+                            slope * self.offset + low)
+        return (part(at_low.real, at_high.real)
+                + 1j * part(at_low.imag, at_high.imag))
+
+
+def p1_stencil(mesh: Mesh1D, x) -> P1Stencil:
+    """The ``P1Stencil`` of the points ``x``, which must lie in the mesh's
+    physical region; NaN points read NaN."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = mesh.physical_region
+    if np.any((x < lo) | (x > hi)):
+        raise ValueError("evaluation point outside the physical region")
+    nodes = mesh.nodes
+    low = np.searchsorted(nodes, x, "right") - 1
+    high = np.where(low < nodes.size - 1, low + 1, low - 1)
+    return P1Stencil(nodes=np.stack([low, high]), offset=x - nodes[low],
+                     width=nodes[high] - nodes[low])
+
+
+def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x, k=None):
+    """P1 interpolation of nodal values (``p1_stencil``), and past the
+    ports of an open mesh the outgoing lattice wave of wavenumber ``k``
+    (``lattice_hops``).
+
+    ``dofs`` holds one value per mesh node. The field past the ports is
+    what a scattered or point-source field is there, the one the dropped
+    vacuum padding carried; a closed box, or no ``k``, refuses such points.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = mesh.physical_region
     past = (x < lo) | (x > hi)
     # clipped, a point past a port reads the port's value, exactly
-    inner = np.clip(x, lo, hi)
-    xp = mesh.nodes[nodes]
-    out = (np.interp(inner, xp, dofs.real)
-           + 1j * np.interp(inner, xp, dofs.imag))
+    at = p1_stencil(mesh, np.clip(x, lo, hi))
+    out = np.asarray(at(*dofs[at.nodes]))
     if past.any():
         if k is None or not mesh.is_open or not np.isfinite(x[past]).all():
             raise ValueError("evaluation point outside the physical region")

@@ -16,6 +16,19 @@ Conventions (same normalized units as the rest of the package):
   module documents, so an empty slab gives (0, 1)
 * interior amplitudes are referenced to the face each wave launches from,
   which keeps every amplitude O(1) even when the slab is opaque
+
+Every function takes one frequency or an array of them. One frequency
+is worked as a scalar: Python's complex arithmetic for the plane-wave
+coefficients, numpy's for the rest. An array gives one value per
+frequency (times the shape of x for the fields) in numpy's array
+arithmetic, each region still evaluated on its own points only: a
+formula of one region may overflow at the points of another, where it is
+not used. numpy's array complex products and quotients round differently
+from scalar ones (in ~44% and ~43% of random operands on an AVX-512
+machine), so the two forms agree to round-off, not to the bit: at most
+5.8 eps of max(|r|, |t|) for r, 2.6 eps for t, 2.5 eps of the peak for
+the probe fields and 3.3 eps of the peak for G over the stock media on
+shifted 101-point grids (``test_crosscheck`` holds them to 16 eps).
 """
 
 from __future__ import annotations
@@ -39,7 +52,11 @@ def slab_wavenumber(medium: MediumSpec, omega: float) -> complex:
 
 @dataclass(frozen=True)
 class SlabScattering:
-    """Plane-wave solution for unit incidence from the left."""
+    """Plane-wave solution for unit incidence from the left.
+
+    Each field is a scalar for one frequency, or an array of the shape of
+    the frequencies asked for.
+    """
 
     omega: float
     k_slab: complex
@@ -50,7 +67,7 @@ class SlabScattering:
     amp_right: complex  # interior wave launched at the right face, e^{-ik_s(x-a)}
 
 
-def plane_wave_coefficients(medium: MediumSpec, omega: float) -> SlabScattering:
+def plane_wave_coefficients(medium: MediumSpec, omega) -> SlabScattering:
     """Closed-form two-interface solution for incidence from the left.
 
     The face-referenced Fabry-Perot sum: with the step reflection
@@ -61,17 +78,22 @@ def plane_wave_coefficients(medium: MediumSpec, omega: float) -> SlabScattering:
     illuminated face. Nothing divides by P, which underflows to 0 in an
     opaque slab (C, D, r and t then tend to their single-face values), and
     |rho P| < 1 for a passive slab with k_s != 0, so the denominator does
-    not vanish. Scalar complex arithmetic: no matrix is formed or solved.
+    not vanish. No matrix is formed or solved: one frequency is worked in
+    Python's scalar complex arithmetic, an array of them elementwise in
+    numpy's.
     """
-    if omega <= 0:
+    if np.any(np.asarray(omega) <= 0):
         raise ValueError(f"omega must be > 0, got {omega}")
-    k = float(omega)
-    ks = complex(slab_wavenumber(medium, omega))
+    if np.ndim(omega) == 0:
+        k, cast = float(omega), complex
+    else:
+        k, cast = np.asarray(omega, dtype=float), np.asarray
+    ks = cast(slab_wavenumber(medium, k))
     rho = (k - ks) / (k + ks)
     # |P| <= 1 when passive
-    prop = complex(np.exp(1j * ks * medium.slab_length))
+    prop = cast(np.exp(1j * ks * medium.slab_length))
     denom = 1.0 - (rho * prop) ** 2
-    incident = complex(np.exp(-1j * k * medium.slab_half_length))  # x = -a
+    incident = cast(np.exp(-1j * k * medium.slab_half_length))  # x = -a
     c = (1.0 + rho) * incident / denom
     r_face = rho * (1.0 - prop**2) / denom
     return SlabScattering(
@@ -81,44 +103,62 @@ def plane_wave_coefficients(medium: MediumSpec, omega: float) -> SlabScattering:
     )
 
 
-def tmm_reflection_transmission(
-    medium: MediumSpec, omega: float
-) -> tuple[complex, complex]:
+def tmm_reflection_transmission(medium: MediumSpec, omega):
     """(r, t) in the face (de-embedded port) convention.
 
     r = reflected/incident amplitude at the illuminated face, t =
     transmitted/incident at the exit face; an empty slab gives (0, 1).
     The slab is mirror symmetric, so the pair holds for either incidence
-    direction.
+    direction. An array of frequencies gives an array of each.
     """
     sol = plane_wave_coefficients(medium, omega)
-    shift = np.exp(2j * omega * medium.slab_half_length)
+    shift = np.exp(2j * sol.omega * medium.slab_half_length)
     return sol.r * shift, sol.t
 
 
-def tmm_total_field(medium: MediumSpec, omega: float, direction: int, x):
+def _on_points(omega, x):
+    """(frequencies, points, shape of the result) for an evaluation of
+    every frequency at every point.
+
+    The points come flattened. One frequency stays a scalar; an array of
+    them gets a trailing axis, so each coefficient broadcasts against the
+    points, and the result has the frequencies' shape followed by the
+    points'.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.ndim(omega) == 0:
+        return omega, x.reshape(-1), x.shape
+    omega = np.asarray(omega, dtype=float)
+    return omega[..., None], x.reshape(-1), omega.shape + x.shape
+
+
+def tmm_total_field(medium: MediumSpec, omega, direction: int, x):
     """Total field of a unit plane wave hitting the slab.
 
     direction +1 means incidence from the left (e^{+ikx}), -1 from the right.
     The slab is symmetric about x = 0, so the -1 solution is the +1 solution
-    evaluated at -x. Accepts scalar or array x.
+    evaluated at -x. Accepts scalar or array x, and a scalar or an array
+    of frequencies: an array gives its shape followed by the shape of x.
+    Each region is evaluated on its own points only.
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
+    omega, x, shape = _on_points(omega, x)
     sol = plane_wave_coefficients(medium, omega)
-    x = np.asarray(x, dtype=float)
     if direction == -1:
         x = -x
     k, ks, a = sol.omega, sol.k_slab, sol.half_length
 
-    out = np.empty(x.shape, dtype=complex)
+    out = np.empty(np.broadcast_shapes(np.shape(k), x.shape), dtype=complex)
     left = x < -a
     right = x > a
     inside = ~(left | right)
-    out[left] = np.exp(1j * k * x[left]) + sol.r * np.exp(-1j * k * x[left])
-    out[inside] = sol.amp_left * np.exp(1j * ks * (x[inside] + a)) + \
+    out[..., left] = (np.exp(1j * k * x[left])
+                      + sol.r * np.exp(-1j * k * x[left]))
+    out[..., inside] = sol.amp_left * np.exp(1j * ks * (x[inside] + a)) + \
         sol.amp_right * np.exp(-1j * ks * (x[inside] - a))
-    out[right] = sol.t * np.exp(1j * k * x[right])
+    out[..., right] = sol.t * np.exp(1j * k * x[right])
+    out = out.reshape(shape)
     return out if out.ndim else complex(out)
 
 
@@ -135,9 +175,10 @@ def _outgoing_pair(medium: MediumSpec, omega: float):
     Returns (u_left, u_right, wronskian, (al, ar, bl, br)): the scaled
     evaluators, P times the Wronskian u_L u_R' - u_L' u_R, and P times the
     vacuum amplitudes of u_left on the right (al e^{ikx} + bl e^{-ikx})
-    and of u_right on the left (ar, br alike).
+    and of u_right on the left (ar, br alike). An array of frequencies
+    gives an array of each, and evaluators that take flattened points.
     """
-    k = float(omega)
+    k = float(omega) if np.ndim(omega) == 0 else omega
     a = medium.slab_half_length
     ks = slab_wavenumber(medium, omega)
     phase = np.exp(1j * k * a)
@@ -174,38 +215,44 @@ def _outgoing_pair(medium: MediumSpec, omega: float):
 
     def u_left(x):
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=complex)
+        out = np.empty(np.broadcast_shapes(np.shape(k), x.shape),
+                       dtype=complex)
         lt, gt = x < -a, x > a
         mid = ~(lt | gt)
         depth = x[mid] + a
-        out[lt] = np.exp(-1j * k * x[lt])
-        out[mid] = dl + cl * np.exp(2j * ks * depth)
-        out[gt] = al * np.exp(1j * k * x[gt]) + bl * np.exp(-1j * k * x[gt])
+        out[..., lt] = np.exp(-1j * k * x[lt])
+        out[..., mid] = dl + cl * np.exp(2j * ks * depth)
+        out[..., gt] = (al * np.exp(1j * k * x[gt])
+                        + bl * np.exp(-1j * k * x[gt]))
         return out
 
     def u_right(x):
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=complex)
+        out = np.empty(np.broadcast_shapes(np.shape(k), x.shape),
+                       dtype=complex)
         lt, gt = x < -a, x > a
         mid = ~(lt | gt)
         depth = a - x[mid]
-        out[gt] = np.exp(1j * k * x[gt])
-        out[mid] = cr + dr * np.exp(2j * ks * depth)
-        out[lt] = ar * np.exp(1j * k * x[lt]) + br * np.exp(-1j * k * x[lt])
+        out[..., gt] = np.exp(1j * k * x[gt])
+        out[..., mid] = cr + dr * np.exp(2j * ks * depth)
+        out[..., lt] = (ar * np.exp(1j * k * x[lt])
+                        + br * np.exp(-1j * k * x[lt]))
         return out
 
     return u_left, u_right, wronskian, (al, ar, bl, br)
 
 
-def tmm_green(medium: MediumSpec, omega: float, x, x_src):
+def tmm_green(medium: MediumSpec, omega, x, x_src):
     """Outgoing Green function of Phi'' + k^2 eps_r Phi = -delta(x - x_src).
 
     G(x, x') = -u_L(x_<) u_R(x_>) / W with W the (constant) Wronskian of the
     two outgoing solutions. Symmetric in (x, x_src) by construction; reduces
-    to (i/2k) e^{ik|x - x'|} in vacuum. Accepts scalar or array x.
+    to (i/2k) e^{ik|x - x'|} in vacuum. Accepts scalar or array x, and a
+    scalar or an array of frequencies: an array gives its shape followed
+    by the shape of x. Each region is evaluated on its own points only.
     """
+    omega, x, shape = _on_points(omega, x)
     u_left, u_right, wronskian, _ = _outgoing_pair(medium, omega)
-    x = np.asarray(x, dtype=float)
     lo = np.minimum(x, x_src)
     hi = np.maximum(x, x_src)
     # the scalings of u_left(lo), u_right(hi) and W leave e^{i k_s d}, d the
@@ -214,5 +261,5 @@ def tmm_green(medium: MediumSpec, omega: float, x, x_src):
     between = (np.minimum(np.maximum(hi, -a), a)
                - np.minimum(np.maximum(lo, -a), a))
     span = np.exp(1j * slab_wavenumber(medium, omega) * between)
-    g = -u_left(lo) * u_right(hi) * span / wronskian
+    g = (-u_left(lo) * u_right(hi) * span / wronskian).reshape(shape)
     return g if g.ndim else complex(g)

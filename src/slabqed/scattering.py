@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FieldSolution, evaluate_field, factorization, lattice_hops
+from .fem import FieldSolution, factorization, lattice_hops, p1_stencil
 from .medium import MediumSpec
 from .mesh import Mesh1D
 
@@ -67,23 +67,18 @@ class PlaneWaveSolution:
 
         In the physical region both parts are P1 on one mesh, so their sum
         is interpolated once. It is formed only at the two nodes that
-        bracket each point, the only nodes interpolation reads there, so
-        this is bitwise the interpolation of the sum formed at every node.
-        Past a port the scattered part is the outgoing lattice wave and
-        the incident wave's phase continues at the wall's lattice spacing
-        (``fem.lattice_hops``), as on the vacuum padding the mesh omits.
+        bracket each point (``fem.p1_stencil``), the only nodes
+        interpolation reads there, so this is bitwise the interpolation of
+        the sum formed at every node. Past a port the scattered part is
+        the outgoing lattice wave and the incident wave's phase continues
+        at the wall's lattice spacing (``fem.lattice_hops``), as on the
+        vacuum padding the mesh omits.
         """
         mesh, d = self.scattered.mesh, self.direction
         x = np.asarray(x, dtype=float)
         lo, hi = mesh.physical_region
-        inner = np.clip(x, lo, hi)
-        low = np.clip(np.searchsorted(mesh.nodes, inner, "right") - 1,
-                      0, mesh.n_nodes - 2)
-        bracket = np.zeros(mesh.n_nodes, dtype=bool)
-        bracket[low] = bracket[low + 1] = True
-        used = np.flatnonzero(bracket)
-        total = np.asarray(
-            evaluate_field(mesh, self.total_at_nodes(used), inner, used))
+        at = p1_stencil(mesh, np.clip(x, lo, hi))
+        total = np.asarray(at(*self.total_at_nodes(at.nodes)))
         past = (x < lo) | (x > hi)
         if past.any():
             beyond = x[past]

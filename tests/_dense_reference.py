@@ -9,13 +9,26 @@ points of the element rule (``element_quadrature``): the package applies
 the rule once, to build the mass bands, and forms no point values.
 ``per_mode_bisect`` is the eigenmode count one bracket per mode, the
 reference the grouped count of ``micromodes._bisect`` is checked against.
+``per_frequency_oracle_residuals`` is the FEM-vs-oracle comparison one
+frequency at a time, through the per-point readouts and the scalar
+oracle, the reference of the grid comparison in ``crosscheck``;
+``interpolate_p1`` is np.interp on the real and imaginary parts, the
+reference of the package's P1 readouts.
 """
 
 import numpy as np
 
 from slabqed import micromodes
 from slabqed.fem import DEFAULT_DOF_CAP, GAUSS_NODES, GAUSS_WEIGHTS
+from slabqed.greens import solve_point_source
+from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE
 from slabqed.mesh import unique_columns
+from slabqed.oracle import (
+    tmm_green,
+    tmm_reflection_transmission,
+    tmm_total_field,
+)
+from slabqed.scattering import extract_r_t, solve_scattering
 
 
 def element_quadrature(mesh, elements=slice(None)):
@@ -181,3 +194,44 @@ def per_mode_bisect(schur, first, last, lam_lo, lam_hi):
         active = active[~done]
     delta = 0.5 * (lo + hi)
     return anchor, np.where(delta == 0.0, hi, delta)
+
+
+def interpolate_p1(xp, fp, x):
+    """P1 interpolation of the complex values ``fp`` at the nodes ``xp``,
+    by np.interp on the real and imaginary parts."""
+    return np.interp(x, xp, fp.real) + 1j * np.interp(x, xp, fp.imag)
+
+
+def per_frequency_readouts(mesh, medium, omega, x_a):
+    """(r, t, field, green) of the FEM at one frequency, each from its
+    per-point readout: ``extract_r_t``, ``PlaneWaveSolution.total_at`` at
+    the two atom sites and ``FieldSolution.__call__`` at 9 points across
+    the slab."""
+    solution = solve_scattering(mesh, medium, omega, +1)
+    r, t = extract_r_t(solution)
+    probes = np.array([ATOM_INSIDE, ATOM_OUTSIDE])
+    sample = np.linspace(-medium.slab_half_length,
+                         medium.slab_half_length, 9)
+    green = solve_point_source(mesh, medium, omega, x_a)
+    return r, t, solution.total_at(probes), green(sample)
+
+
+def per_frequency_oracle_residuals(mesh, medium, omega, x_a):
+    """(res_rt, res_field, res_green) at one frequency, against the scalar
+    oracle: ``crosscheck.oracle_residuals`` one frequency at a time."""
+    r_fem, t_fem, fem_field, g_fem = per_frequency_readouts(
+        mesh, medium, omega, x_a)
+    r_ref, t_ref = tmm_reflection_transmission(medium, omega)
+    scale = max(abs(r_ref), abs(t_ref))
+    res_rt = max(abs(r_fem - r_ref), abs(t_fem - t_ref)) / scale
+
+    probes = np.array([ATOM_INSIDE, ATOM_OUTSIDE])
+    tmm_field = tmm_total_field(medium, omega, +1, probes)
+    scale_field = max(float(np.max(np.abs(tmm_field))), 1.0)
+    res_field = float(np.max(np.abs(fem_field - tmm_field))) / scale_field
+
+    sample = np.linspace(-medium.slab_half_length,
+                         medium.slab_half_length, 9)
+    g_tmm = tmm_green(medium, omega, sample, x_a)
+    res_green = float(np.max(np.abs(g_fem - g_tmm)) / np.max(np.abs(g_tmm)))
+    return res_rt, res_field, res_green

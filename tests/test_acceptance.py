@@ -151,8 +151,8 @@ def worst_oracle_residual(ppw, ks=(300.0, 500.0, 700.0)):
         medium = CASE_PRESETS[name]
         for x_a in (ATOM_INSIDE, ATOM_OUTSIDE):
             mesh = purcell_mesh(medium, x_a, k_max=max(ks), ppw=ppw)
-            for k in ks:
-                worst = max(worst, *oracle_residuals(mesh, medium, k, x_a))
+            worst = max(worst,
+                        *oracle_residuals(mesh, medium, ks, x_a).ravel())
     return worst
 
 

@@ -689,7 +689,8 @@ def test_oracle_compare_fails_on_a_nan_residual(tmp_path, capsys,
 
     def green(medium, omega, x, x_src):
         g = oracle_green(medium, omega, x, x_src)
-        return g * np.nan if omega == 412.0 else g
+        at_412 = np.equal(omega, 412.0)[..., None]
+        return np.where(at_412, g * np.nan, g)
 
     monkeypatch.setattr(crosscheck, "tmm_green", green)
     cfg = tmp_path / "c.cfg"
@@ -701,6 +702,37 @@ def test_oracle_compare_fails_on_a_nan_residual(tmp_path, capsys,
     code = main(["oracle-compare", "--config", str(cfg), "--out", str(out)])
     _, rows = csv_rows(out)
     assert not all(np.isfinite(float(v)) for row in rows for v in row[1:])
+    assert all(np.isfinite(float(v)) for row in rows
+               if float(row[0]) != 412.0 for v in row[1:])
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["tmm_reflection_transmission",
+                                  "tmm_total_field"])
+def test_oracle_compare_fails_on_a_nan_rt_or_field(tmp_path, capsys,
+                                                   monkeypatch, name):
+    """A NaN in the oracle's r and t, or in its probe field, at one
+    frequency of the grid fails the run through that row alone."""
+    oracle = getattr(crosscheck, name)
+
+    def patched(medium, omega, *args):
+        at_412 = np.equal(omega, 412.0)
+        values = oracle(medium, omega, *args)
+        if isinstance(values, tuple):  # (r, t): a NaN r
+            return np.where(at_412, np.nan, values[0]), values[1]
+        return np.where(at_412[..., None], np.nan, values)
+
+    monkeypatch.setattr(crosscheck, name, patched)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 1A\nsweep.min = 411\nsweep.max = 413\n"
+                   "sweep.count = 3\noracle.ppw = 40\n"
+                   "oracle.tolerance = 1\n")
+    out = tmp_path / "oc.csv"
+    code = main(["oracle-compare", "--config", str(cfg), "--out", str(out)])
+    _, rows = csv_rows(out)
+    finite = [all(np.isfinite(float(v)) for v in row[1:]) for row in rows]
+    assert finite == [True, False, True]
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 

@@ -1,18 +1,199 @@
 """The FEM-vs-oracle residuals behind ``oracle-compare``."""
 
 import numpy as np
+import pytest
+from _dense_reference import (
+    interpolate_p1,
+    per_frequency_oracle_residuals,
+    per_frequency_readouts,
+)
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from slabqed.cli import main
-from slabqed.crosscheck import oracle_residuals
-from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS
+from slabqed.cli import _fmt, build_config, main
+from slabqed.crosscheck import (
+    PROBES,
+    fem_readouts,
+    green_samples,
+    oracle_residuals,
+)
+from slabqed.greens import solve_point_source
+from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS, MediumSpec
+from slabqed.mesh import build_mesh
+from slabqed.oracle import (
+    tmm_green,
+    tmm_reflection_transmission,
+    tmm_total_field,
+)
 from slabqed.purcell import purcell_mesh
+from slabqed.scattering import solve_scattering
+
+# The oracle over an array of frequencies against one call per frequency:
+# numpy's array complex products may round differently from the scalar
+# ones, and CPython's complex division from numpy's. The worst seen on the
+# stock media (cases 1, 2 and vacuum, both atom sites, 101-point grids
+# from 300 + s to 700, s in 0..4) is 5.8 eps for r, 2.6 eps for t, 2.5 eps
+# for the probe field and 3.3 eps for G, each relative to its own scale
+# below; 16 eps bounds them.
+ORACLE_ULPS = 16.0
+
+
+def bitwise(a):
+    """The bytes of a complex array, so -0.0 and 0.0 tell apart."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def assert_grid_oracle_matches_scalar(medium, grid, x_a):
+    sample = green_samples(medium)
+    r, t = tmm_reflection_transmission(medium, grid)
+    field = tmm_total_field(medium, grid, +1, PROBES)
+    green = tmm_green(medium, grid, sample, x_a)
+    assert r.shape == t.shape == grid.shape
+    assert field.shape == (grid.size, PROBES.size)
+    assert green.shape == (grid.size, sample.size)
+    tol = ORACLE_ULPS * np.finfo(float).eps
+    for i, omega in enumerate(grid.tolist()):
+        r_one, t_one = tmm_reflection_transmission(medium, omega)
+        scale = max(abs(r_one), abs(t_one))
+        assert abs(r[i] - r_one) <= tol * scale
+        assert abs(t[i] - t_one) <= tol * scale
+        field_one = tmm_total_field(medium, omega, +1, PROBES)
+        assert np.abs(field[i] - field_one).max() <= (
+            tol * np.abs(field_one).max())
+        green_one = tmm_green(medium, omega, sample, x_a)
+        assert np.abs(green[i] - green_one).max() <= (
+            tol * np.abs(green_one).max())
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.3, 4.0])
+@pytest.mark.parametrize("x_a", [ATOM_INSIDE, ATOM_OUTSIDE])
+@pytest.mark.parametrize("case", ["1", "2", "vacuum"])
+def test_grid_oracle_matches_scalar_calls_on_stock_media(case, x_a, shift):
+    grid = np.linspace(300.0 + shift, 700.0, 101)
+    assert_grid_oracle_matches_scalar(CASE_PRESETS[case], grid, x_a)
+
+
+@st.composite
+def media(draw):
+    """A vacuum slab, a lossy slab, or a thick lossless one driven just
+    above its resonance, where k_s is nearly imaginary and P = e^{i k_s L}
+    underflows."""
+    kind = draw(st.sampled_from(["vacuum", "lossy", "opaque"]))
+    a = draw(st.floats(0.005, 0.04))
+    if kind == "vacuum":
+        return MediumSpec(0.0, 500.0, 50.0, a)
+    if kind == "lossy":
+        return MediumSpec(draw(st.floats(10.0, 300.0)),
+                          draw(st.floats(300.0, 700.0)),
+                          draw(st.floats(0.5, 100.0)), a)
+    return MediumSpec(draw(st.floats(250.0, 400.0)),
+                      draw(st.floats(380.0, 450.0)), 0.0,
+                      draw(st.floats(0.09, 0.2)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(medium=media(), lo=st.floats(300.0, 450.0),
+       span=st.floats(1.0, 250.0), count=st.integers(1, 40),
+       x_a=st.sampled_from([ATOM_INSIDE, ATOM_OUTSIDE]))
+def test_grid_oracle_matches_scalar_calls_on_drawn_media(medium, lo, span,
+                                                         count, x_a):
+    grid = np.linspace(lo, lo + span, count)
+    assume(not any(medium.pole_at(w) for w in grid.tolist()))
+    assert_grid_oracle_matches_scalar(medium, grid, x_a)
+
+
+def test_an_opaque_slab_underflows_the_propagator():
+    # the drawn opaque media reach the regime they are drawn for
+    medium = MediumSpec(264.0, 410.0, 0.0, 0.09375)
+    grid = np.linspace(411.0, 413.0, 3)
+    ks = grid * np.sqrt(1.0 + medium.susceptibility(grid))
+    assert np.all(np.exp(2j * ks * medium.slab_length) == 0.0)
+    assert_grid_oracle_matches_scalar(medium, grid, ATOM_OUTSIDE)
+
+
+def test_a_scalar_frequency_reads_scalars():
+    medium, omega = CASE_PRESETS["1"], 500.0
+    _, t = tmm_reflection_transmission(medium, omega)
+    assert isinstance(t, complex)
+    assert isinstance(tmm_total_field(medium, omega, +1, 0.0), complex)
+    assert isinstance(tmm_green(medium, omega, 0.01, 0.0), complex)
+    assert tmm_green(medium, omega, PROBES, 0.0).shape == (2,)
+    grid = np.array([[400.0, 500.0]])
+    assert tmm_green(medium, grid, np.zeros((3, 4)), 0.0).shape == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("ppw", [40.0, 160.0])
+@pytest.mark.parametrize("case", ["1A", "1B", "2A", "2B"])
+def test_fem_readouts_are_the_per_point_readouts(case, ppw):
+    config = build_config(f"case = {case}\n")
+    medium, x_a = config.medium, config.atom_position
+    mesh = purcell_mesh(medium, x_a, k_max=700.0, ppw=ppw)
+    grid = config.grid()
+    readouts = fem_readouts(mesh, medium, grid, x_a)
+    for i, omega in enumerate(grid.tolist()):
+        reference = per_frequency_readouts(mesh, medium, omega, x_a)
+        for ours, theirs in zip(readouts, reference):
+            np.testing.assert_array_equal(bitwise(ours[i]), bitwise(theirs))
+    # and the per-point readouts are np.interp of the nodal values
+    omega = grid[-1]
+    _, _, field, green = per_frequency_readouts(mesh, medium, omega, x_a)
+    total = solve_scattering(mesh, medium, omega, +1).total_at_nodes(
+        slice(None))
+    np.testing.assert_array_equal(
+        bitwise(field), bitwise(interpolate_p1(mesh.nodes, total, PROBES)))
+    g = solve_point_source(mesh, medium, omega, x_a).dofs
+    np.testing.assert_array_equal(bitwise(green), bitwise(
+        interpolate_p1(mesh.nodes, g, green_samples(medium))))
+
+
+def test_a_one_point_grid_reads_as_the_reference(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 2A\nsweep.count = 1\n")
+    config = build_config(cfg.read_text())
+    medium, x_a = config.medium, config.atom_position
+    mesh = purcell_mesh(medium, x_a, k_max=300.0, ppw=config.oracle_ppw)
+    grid = config.grid()
+    assert grid.shape == (1,)
+    for ours, theirs in zip(fem_readouts(mesh, medium, grid, x_a),
+                            per_frequency_readouts(mesh, medium, 300.0, x_a)):
+        np.testing.assert_array_equal(bitwise(ours[0]), bitwise(theirs))
+    out = tmp_path / "oc.csv"
+    assert main(["oracle-compare", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    rows = [line for line in out.read_text().splitlines()
+            if line and not line.startswith("#")][1:]
+    residuals = oracle_residuals(mesh, medium, grid, x_a)
+    assert rows == [",".join(map(_fmt, [300.0, *residuals[0].tolist()]))]
+
+
+def test_residuals_match_the_per_frequency_reference():
+    # the FEM side is bitwise the reference's; the oracle's round-off
+    # moves a residual by at most its miss's share of it
+    medium = CASE_PRESETS["1"]
+    mesh = purcell_mesh(medium, ATOM_OUTSIDE, k_max=700.0, ppw=40.0)
+    grid = np.linspace(300.0, 700.0, 21)
+    residuals = oracle_residuals(mesh, medium, grid, ATOM_OUTSIDE)
+    reference = [per_frequency_oracle_residuals(mesh, medium, w,
+                                                ATOM_OUTSIDE)
+                 for w in grid.tolist()]
+    np.testing.assert_allclose(residuals, reference, rtol=1e-10)
 
 
 def test_residuals_are_small_on_a_resolved_mesh():
     medium = CASE_PRESETS["2"]
     mesh = purcell_mesh(medium, ATOM_INSIDE, k_max=700.0, ppw=160.0)
-    residuals = oracle_residuals(mesh, medium, 500.0, ATOM_INSIDE)
-    assert all(0.0 < r < 5e-3 for r in residuals)
+    residuals = oracle_residuals(mesh, medium, [500.0], ATOM_INSIDE)
+    assert residuals.shape == (1, 3)
+    assert all(0.0 < r < 5e-3 for r in residuals[0])
+
+
+def test_a_probe_past_a_port_is_refused():
+    # an open mesh cut to the slab alone leaves x_B past its right port
+    medium = CASE_PRESETS["1"]
+    mesh = build_mesh(medium, 700.0, 40.0, 0.05, observation_points=[0.0])
+    assert mesh.physical_region[1] < ATOM_OUTSIDE
+    with pytest.raises(ValueError, match="physical region"):
+        fem_readouts(mesh, medium, [500.0], ATOM_INSIDE)
 
 
 def test_oracle_compare_rows_are_the_residuals(tmp_path):
@@ -20,12 +201,12 @@ def test_oracle_compare_rows_are_the_residuals(tmp_path):
     cfg.write_text("case = 1B\nsweep.count = 2\noracle.ppw = 40\n")
     out = tmp_path / "oc.csv"
     main(["oracle-compare", "--config", str(cfg), "--out", str(out)])
-    rows = [line.split(",") for line in out.read_text().splitlines()
+    rows = [line for line in out.read_text().splitlines()
             if line and not line.startswith("#")][1:]
     medium = CASE_PRESETS["1"]
     x_a = ATOM_OUTSIDE  # case 1B
     mesh = purcell_mesh(medium, x_a, k_max=700.0, ppw=40.0)
-    for row, omega in zip(rows, (300.0, 700.0)):
-        expected = oracle_residuals(mesh, medium, omega, x_a)
-        np.testing.assert_allclose([float(v) for v in row[1:]], expected,
-                                   rtol=1e-12)
+    grid = [300.0, 700.0]
+    expected = oracle_residuals(mesh, medium, grid, x_a)
+    assert rows == [",".join(map(_fmt, [omega, *row]))
+                    for omega, row in zip(grid, expected.tolist())]

@@ -15,6 +15,7 @@ from _dense_reference import (
     dense_tridiagonal,
     element_quadrature,
     in_slab,
+    interpolate_p1,
     relative_permittivity,
 )
 from _random_meshes import meshes
@@ -35,6 +36,7 @@ from slabqed.fem import (
     factorization,
     inverse_iteration,
     lattice_wavenumber,
+    p1_stencil,
     pivot_sweep,
     static_bands,
     twisted_residues,
@@ -931,6 +933,56 @@ def test_evaluate_field_interpolation():
     )
     with pytest.raises(ValueError):
         evaluate_field(mesh, dofs, 2.5)
+
+
+@settings(deadline=None, max_examples=60)
+@given(drawn=meshes(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_evaluate_field_is_np_interp_to_the_bit(drawn, seed, data):
+    # the P1 stencil the grid readouts share is np.interp's arithmetic:
+    # the node's value at a node, slope (x - x_j) + f_j elsewhere, on the
+    # real and imaginary parts apart, signed zeros included
+    mesh, _ = drawn
+    rng = np.random.default_rng(seed)
+    dofs = np.empty(mesh.n_nodes, dtype=complex)
+    for part in (dofs.real, dofs.imag):
+        part[:] = rng.normal(size=mesh.n_nodes) * 10.0 ** rng.integers(
+            -300, 250, size=mesh.n_nodes)
+        part[rng.random(mesh.n_nodes) < 0.2] = 0.0
+        part[rng.random(mesh.n_nodes) < 0.2] = -0.0
+    lo, hi = mesh.physical_region
+    inside = mesh.nodes[(mesh.nodes >= lo) & (mesh.nodes <= hi)]
+    x = np.array(data.draw(st.lists(
+        st.floats(lo, hi) | st.sampled_from(inside), min_size=1,
+        max_size=12)))
+    expected = interpolate_p1(mesh.nodes, dofs, x)
+    got = evaluate_field(mesh, dofs, x)
+    assert got.tobytes() == expected.tobytes()
+    one = evaluate_field(mesh, dofs, x[0])
+    assert isinstance(one, complex)
+    assert np.array(one).tobytes() == expected[:1].tobytes()
+
+
+def test_p1_stencil_reads_the_last_node_and_refuses_points_outside():
+    mesh = uniform_vacuum_box(5, length=4.0)  # nodes at -2, -1, 0, 1, 2
+    at = p1_stencil(mesh, [2.0, -2.0, 0.5])
+    np.testing.assert_array_equal(at.nodes, [[4, 0, 2], [3, 1, 3]])
+    values = np.array([1.0, 2.0, 3.0, 4.0, 5.0 + 1j])
+    np.testing.assert_array_equal(at(*values[at.nodes]), [5.0 + 1j, 1.0, 3.5])
+    with pytest.raises(ValueError, match="physical region"):
+        p1_stencil(mesh, [0.0, 2.5])
+
+
+def test_a_scalar_point_past_a_port_reads_a_complex():
+    # the interpolation of one point is 0-d, and the lattice wave past the
+    # port scales it in place
+    medium = CASE_PRESETS["1"]
+    mesh = build_mesh(medium, 700.0, 40.0, 0.05, observation_points=[0.0])
+    field = solve_point_source(mesh, medium, 500.0, 0.0)
+    x = mesh.physical_region[1] + 0.1
+    one = field(x)
+    assert isinstance(one, complex)
+    # numpy's scalar and array complex products may round apart
+    assert abs(one - field([x])[0]) <= 1e-14 * abs(one)
 
 
 def test_field_solution_wrapper():
