@@ -9,11 +9,18 @@ file runs the stock scenario end to end.
 Exit codes: 0 success, 1 solver failure or threshold violation, 2 config
 error; a failed run leaves no partial CSV. Sweeps run their frequencies
 in order in one thread, so a config gives byte-identical rows every time.
+
+The CLI checks what is its own: parsing, each key's lower bound in
+``CONFIG_KEYS``, the sweep range and the method switches. Every rule that
+ties several inputs together lives once in the library, which raises
+``mesh.InputError``; ``_refusals`` turns that error into a config error
+naming the keys that set the inputs at fault, and the bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -24,21 +31,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .fem import DEFAULT_DOF_CAP, assemble
+from .fem import assemble
 from .crosscheck import oracle_residuals
 from .identities import (
     check_discrete_ddgt,
     check_identities,
     check_thermal_equilibrium,
 )
-from .medium import ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS, MediumSpec, case_preset
-from .mesh import LayoutError
+from .medium import (ATOM_INSIDE, ATOM_OUTSIDE, CASE_NAMES, CASE_PRESETS,
+                     MediumSpec, case_preset)
+from .mesh import InputError, check_padded_region
 from .micromodes import (
     BathConfig,
+    bin_count,
     build_gevp,
+    check_eta,
+    check_pencil,
     diagonalize,
     gevp_mesh,
-    nu_max_range,
     purcell_from_modes,
 )
 from .purcell import purcell_mesh, sweep
@@ -53,8 +63,6 @@ CSV_COLUMNS = (
     "pf_modes",
     "tec_residual",
 )
-
-_PRESET_NAMES = ("1A", "1B", "2A", "2B", "vacuum")
 
 
 class ConfigError(ValueError):
@@ -90,6 +98,11 @@ class RunConfig:
     def grid(self):
         return np.linspace(self.sweep_min, self.sweep_max, self.sweep_count)
 
+    @property
+    def top_key(self):
+        """The key of the grid's top frequency: one point is sweep.min."""
+        return "sweep.max" if self.sweep_count > 1 else "sweep.min"
+
     def validate(self):
         for key, (path, _, bound) in CONFIG_KEYS.items():
             if bound is None:
@@ -98,10 +111,6 @@ class RunConfig:
             value = _get(self, path)
             if not (value > limit if op == ">" else value >= limit):
                 raise ConfigError(f"{key} must be {op} {limit}, got {value!r}")
-        # the eigenmode route's Lorentzian squares eta, as chi does omega_p
-        if not math.isfinite(self.eta * self.eta):
-            raise ConfigError(
-                f"modes.eta = {self.eta!r} must have a finite square")
         if self.sweep_count > 1 and not self.sweep_min < self.sweep_max:
             raise ConfigError(
                 f"sweep.min must be < sweep.max, got "
@@ -110,12 +119,12 @@ class RunConfig:
         if not any((self.method_sfa, self.method_modified_ln,
                     self.method_original_ln, self.method_modes)):
             raise ConfigError("at least one method must be enabled")
-        region = self.medium.slab_half_length + self.padding
-        if not abs(self.atom_position) < region:
-            raise ConfigError(
-                f"atom.position must lie strictly inside the padded region "
-                f"(-{region}, {region}), got {self.atom_position}"
-            )
+        with _refusals(self, {"atom.position": {self.atom_position},
+                              "mesh.padding": {"padding"},
+                              "modes.eta": {"eta"}}):
+            check_padded_region((self.atom_position,),
+                                self.medium.slab_half_length, self.padding)
+            check_eta(self.eta)
         return self
 
     def items(self):
@@ -231,9 +240,9 @@ def parse_config_text(text):
 
 
 def _apply_case(config: RunConfig, name: str) -> RunConfig:
-    if name not in _PRESET_NAMES:
+    if name not in CASE_NAMES:
         raise ConfigError(
-            f"unknown case {name!r}; choose one of {', '.join(_PRESET_NAMES)}"
+            f"unknown case {name!r}; choose one of {', '.join(CASE_NAMES)}"
         )
     medium, x_atom = case_preset(name)
     # the vacuum scenario carries its own resolution requirement: holding
@@ -353,51 +362,33 @@ def _closed_box_modes(config: RunConfig, grid):
     Returns the ModeSet, the rates in grid order and the metadata line
     describing the modes: mode count, band, B-orthonormality residual, the
     pivot sweeps the count took and the residue-vs-vector residual at the
-    atom. A box under four slab lengths, a bath that stops short of the
-    resonance or samples it too coarsely to resolve gamma, and a pencil
-    above the dof cap are config errors, each naming its key and bound; a
-    rate that cannot be formed names its frequency.
+    atom. What the library refuses is a config error naming its keys
+    (``_refusals``): a box under four slab lengths or too small for the
+    atom sites, a bath that stops short of the resonance or samples it too
+    coarsely to resolve gamma, a pencil above the dof cap (checked before
+    any bin is sampled), a band top without a finite square and an atom
+    outside the box. A rate that cannot be formed names its frequency.
     """
     medium, bath = config.medium, config.bath
-    if not bath.box_length >= 4.0 * medium.slab_length:
-        raise ConfigError(
-            f"modes.box_length = {bath.box_length!r} is under 4 slab "
-            f"lengths; modes.box_length must be >= "
-            f"{4.0 * medium.slab_length!r}"
-        )
-    low, high = nu_max_range(medium)
-    if medium.omega_p != 0.0 and not low < bath.nu_max <= high:
-        raise ConfigError(
-            f"modes.nu_max = {bath.nu_max!r} must clear the resonance and "
-            f"resolve medium.gamma = {medium.gamma!r}; modes.nu_max must be "
-            f"> {low!r} and <= {high!r}"
-        )
     a, edge = medium.slab_half_length, 0.5 * bath.box_length
-    mesh = _built_mesh(lambda: gevp_mesh(medium, bath), {
-        "modes.box_length": (bath.box_length, (-edge, edge)),
-        "medium.slab_half_length": (a, (-a, a)),
-    })
-    system = build_gevp(mesh, medium, bath)
-    if system.size > DEFAULT_DOF_CAP:
-        # n_bins oscillators per slab element, on top of the field dofs
-        room = (DEFAULT_DOF_CAP - system.n_em) // max(
-            system.slab_lengths.size, 1)
-        key, value, bound = (
-            ("modes.n_bins", bath.n_bins, f"<= {room}")
-            if system.n_matter and room >= 8 else
-            ("modes.box_length", bath.box_length, f"< {bath.box_length!r}"))
-        raise ConfigError(
-            f"{key} = {value!r} gives a pencil of {system.size} dofs, above "
-            f"the cap {DEFAULT_DOF_CAP}; {key} must be {bound}"
-        )
     lo, hi = 1.0, max(1000.0, float(grid[-1]) + 300.0)
-    modes = diagonalize(system, band=(lo, hi))
-    line = (
-        f"modes: {modes.n_modes} in band [{lo:g}, {hi:g}], "
-        f"normalization_residual = {modes.normalization_residual:.3e}, "
-        f"count_sweeps = {modes.count_sweeps}, residue_residual = "
-        f"{modes.residue_residual(config.atom_position):.3e}"
-    )
+    with _refusals(config, {
+        "modes.box_length": {"box_length", -edge, edge},
+        "medium.slab_half_length": {-a, a},
+        "modes.nu_max": {"nu_max"},
+        "modes.n_bins": {"n_bins"},
+        config.top_key: {"band top"},
+        "atom.position": {"x"},
+    }):
+        mesh = gevp_mesh(medium, bath)
+        check_pencil(mesh, bin_count(medium, bath))
+        modes = diagonalize(build_gevp(mesh, medium, bath), band=(lo, hi))
+        line = (
+            f"modes: {modes.n_modes} in band [{lo:g}, {hi:g}], "
+            f"normalization_residual = {modes.normalization_residual:.3e}, "
+            f"count_sweeps = {modes.count_sweeps}, residue_residual = "
+            f"{modes.residue_residual(config.atom_position):.3e}"
+        )
     rates = []
     for omega in map(float, grid):
         try:
@@ -409,56 +400,55 @@ def _closed_box_modes(config: RunConfig, grid):
 
 
 def _sweep_mesh(config: RunConfig, medium: MediumSpec, x_a: float,
-                k_max: float, ppw: float):
+                k_max: float, ppw: float, sized_by=()):
     """``purcell_mesh`` with the run's padding.
 
-    That mesh puts both preset atom sites and ``x_a`` on nodes, so each
-    must lie strictly inside the padded region, (-(a + padding),
-    a + padding); a padding too thin for them is a config error, and so
-    is a layout the mesh refuses (``_built_mesh``).
+    That mesh puts both preset atom sites and ``x_a`` on nodes, each
+    strictly inside the padded region; a layout the mesh refuses is a
+    config error naming the keys that place its breakpoints or set its
+    size (``_refusals``). ``sized_by`` holds the keys that set ``k_max``
+    and ``ppw``, if any.
     """
-    reach = max(abs(x) for x in (ATOM_INSIDE, ATOM_OUTSIDE, x_a))
-    region = medium.slab_half_length + config.padding
-    if not reach < region:
-        raise ConfigError(
-            f"mesh.padding = {config.padding!r} leaves the atom site "
-            f"x = {reach!r} outside the padded region (-{region}, "
-            f"{region}); mesh.padding must be > "
-            f"{reach - medium.slab_half_length!r}"
-        )
     a = config.medium.slab_half_length
-    return _built_mesh(lambda: purcell_mesh(medium, x_a, k_max=k_max,
-                                            ppw=ppw, padding=config.padding), {
-        "medium.slab_half_length": (a, (-a, a)),
-        "atom.position": (config.atom_position, (config.atom_position,)),
-        "mesh.padding": (config.padding, (-region, region)),
-    }, extent=2)
+    edge = medium.slab_half_length + config.padding
+    with _refusals(config, {
+        "medium.slab_half_length": {-a, a},
+        "atom.position": {config.atom_position},
+        "mesh.padding": {"padding", -edge, edge},
+        **dict(zip(sized_by, ({"k_max"}, {"points_per_wavelength"}))),
+    }):
+        return purcell_mesh(medium, x_a, k_max=k_max, ppw=ppw,
+                            padding=config.padding)
 
 
-def _built_mesh(build, sources, extent=None):
-    """``build()``, a layout it refuses turned into a config error.
+@contextlib.contextmanager
+def _refusals(config: RunConfig, sources):
+    """Turn what the library refuses (``mesh.InputError``) into a
+    ConfigError.
 
-    ``sources`` maps the keys that place the mesh's breakpoints to their
-    value and the breakpoints that value sets. Breakpoints that nearly
-    coincide name the keys that set either of them; a mesh above the node
-    bound names the first ``extent`` keys (all by default), the ones that
-    set its length.
+    ``sources`` maps config keys to what each sets: library inputs by
+    parameter name, and mesh breakpoints. The error names every key that
+    sets an input or breakpoint at fault, with its value in ``config``,
+    and gives the bound of the bounded input as the bound of its key.
     """
     try:
-        return build()
-    except LayoutError as exc:
-        at_fault = set(exc.breakpoints)
-        keys = [key for key, (_, points) in sources.items()
-                if at_fault & set(points)] or list(sources)[:extent]
-        named = ", ".join(f"{key} = {sources[key][0]!r}" for key in keys)
-        raise ConfigError(f"{named}: {exc}") from exc
+        yield
+    except InputError as exc:
+        at_fault = {*exc.inputs, *exc.breakpoints}
+        keys = [key for key, sets in sources.items() if at_fault & sets]
+        named = ", ".join(f"{key} = {_get(config, CONFIG_KEYS[key][0])!r}"
+                          for key in keys)
+        bounded = next((key for key in keys
+                        if exc.bound and exc.bound[0] in sources[key]), None)
+        raise ConfigError(exc.worded(named, bounded)) from exc
 
 
 def cmd_sweep(config: RunConfig) -> int:
     start = time.monotonic()
     grid = config.grid()
     mesh = _sweep_mesh(config, config.medium, config.atom_position,
-                       k_max=float(grid[-1]), ppw=config.ppw)
+                       float(grid[-1]), config.ppw,
+                       (config.top_key, "mesh.ppw"))
     mode_rates, modes_line = [None] * grid.size, None
     if config.method_modes:
         # before the sweep, so a modes config error costs no sweep
@@ -555,7 +545,8 @@ def cmd_oracle_compare(config: RunConfig) -> int:
     start = time.monotonic()
     grid = config.grid()
     mesh = _sweep_mesh(config, config.medium, config.atom_position,
-                       k_max=float(grid[-1]), ppw=config.oracle_ppw)
+                       float(grid[-1]), config.oracle_ppw,
+                       (config.top_key, "oracle.ppw"))
     residuals = oracle_residuals(mesh, config.medium, grid,
                                  config.atom_position)
     rows = [tuple(map(_fmt, (omega, *row)))
@@ -615,7 +606,7 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--case", choices=_PRESET_NAMES,
+        p.add_argument("--case", choices=CASE_NAMES,
                        help="scenario preset; overrides the file's case")
         p.add_argument("--out", help="output CSV path")
         p.set_defaults(runner=runner)

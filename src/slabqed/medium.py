@@ -112,20 +112,25 @@ ATOM_INSIDE = 0.0
 ATOM_OUTSIDE = 0.0625
 
 
+# the case labels ``case_preset`` resolves, as the CLI spells them
+CASE_NAMES = ("1A", "1B", "2A", "2B", "vacuum")
+
+
 def case_preset(name: str) -> tuple[MediumSpec, float]:
     """Resolve a case label like ``"1A"`` to (medium, atom position).
 
     The digit selects the damping (1 = gamma 50, 2 = gamma 5), the letter the
     atom site (A = slab center, B = outside the slab). ``"vacuum"`` maps to
-    the empty slab with the atom at the origin.
+    the empty slab with the atom at the origin. A label is one of
+    ``CASE_NAMES``, in any case and with surrounding blanks.
     """
     label = name.strip().upper()
     if label == "VACUUM":
         return CASE_PRESETS["vacuum"], ATOM_INSIDE
-    if len(label) == 2 and label[0] in "12" and label[1] in "AB":
+    if label in CASE_NAMES:
         medium = CASE_PRESETS[label[0]]
         x_atom = ATOM_INSIDE if label[1] == "A" else ATOM_OUTSIDE
         return medium, x_atom
     raise ValueError(
-        f"unknown case {name!r}: expected 1A, 1B, 2A, 2B or vacuum"
+        f"unknown case {name!r}: expected one of {', '.join(CASE_NAMES)}"
     )

@@ -29,8 +29,10 @@ open mesh keeps the differences of its nodes as its element lengths, one
 span per element, as does a mesh given by its nodes alone (``_mesh`` says
 why). The element counts are known before any node is allocated, so a
 mesh above ``MAX_NODES`` nodes is refused, as is a layout whose
-breakpoints nearly coincide: a ``LayoutError`` that names the breakpoints
-at fault.
+breakpoints nearly coincide or that leaves an observation point outside:
+an ``InputError`` that names the inputs and breakpoints at fault. Each
+such rule, the padded region's and the box's included, is written here
+alone; the CLI turns the error into a config error.
 
 The mesh is the one place that knows where the slab lies: the slab is the
 run of elements whose midpoint lies in (-a, a) (``Mesh1D.slab_elements``,
@@ -53,16 +55,37 @@ from .medium import MediumSpec
 MAX_NODES = 1_000_000
 
 
-class LayoutError(ValueError):
-    """A layout the builders refuse.
+class InputError(ValueError):
+    """An input that one of the library's rules refuses.
 
-    ``breakpoints`` holds the breakpoints at fault: the two that are
-    distinct but too close, or none for a layout above ``MAX_NODES``.
+    ``inputs`` maps each input at fault, by the name of the refusing
+    call's parameter, to its value. ``bound`` is (name, bound) for the
+    input whose bound the rule states, such as ``("box_length", ">=
+    0.25")``, or None. ``breakpoints`` holds the mesh breakpoints at
+    fault: two that are distinct but too close, the ends of a mesh above
+    ``MAX_NODES``, or observation points outside the layout. The message
+    names the inputs, says what is wrong (after a colon when breakpoints
+    are at fault) and then the bound; ``worded`` gives it under other
+    names for the inputs, as the CLI gives config keys.
     """
 
-    def __init__(self, message, breakpoints=()):
-        super().__init__(message)
+    def __init__(self, why, inputs=(), bound=None, breakpoints=()):
+        self.why, self.inputs, self.bound = why, dict(inputs), bound
         self.breakpoints = tuple(breakpoints)
+        super().__init__(self.worded(", ".join(
+            f"{name} = {value!r}" for name, value in self.inputs.items()),
+            bound and bound[0]))
+
+    def worded(self, named, bound_name):
+        """The message naming ``named`` ("name = value, ...") as the
+        inputs at fault and ``bound_name``, if any, as the bounded one."""
+        text = f"{named}{': ' if self.breakpoints else ' '}{self.why}"
+        tail = f"; {bound_name} must be {self.bound[1]}" if bound_name else ""
+        return (text if named else self.why) + tail
+
+
+# the name of its first use, a layout the mesh builders refuse
+LayoutError = InputError
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -211,21 +234,24 @@ def unique_columns(table):
     return ordered[:, starts], order[starts], inverse
 
 
-def _fill_spans(breakpoints, h_target):
+def _fill_spans(breakpoints, h_target, sized_by):
     """(start, h, count) of each span between consecutive breakpoints.
 
     count is the fewest elements no longer than h_target, and h = (hi -
     lo) / count: node j of a span is start + j h, where np.linspace puts
     it, and the next breakpoint is the next span's start, an exact node.
+    ``sized_by`` names the inputs that set h_target, for the refusal of a
+    span too long to count.
     """
     spans = []
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         length = float(hi - lo)
         ratio = length / h_target - 1e-9
         if not math.isfinite(ratio):
-            raise LayoutError(
+            raise InputError(
                 f"the span [{float(lo)!r}, {float(hi)!r}] is too long to "
-                f"lay out in elements of {h_target!r}")
+                f"lay out in elements of {h_target!r}", sized_by,
+                breakpoints=(float(lo), float(hi)))
         count = max(1, math.ceil(ratio))
         spans.append((float(lo), length / count, count))
     return spans
@@ -235,16 +261,6 @@ def _nodes(spans, end):
     """start + j h for j < count over each span, then the last node."""
     return np.concatenate([start + np.arange(count) * h
                            for start, h, count in spans] + [[end]])
-
-
-def _refuse_above_bound(spans, lo, hi, extra):
-    """Refuse a mesh of the spans starting in [lo, hi) and ``extra`` nodes
-    more if it has more than ``MAX_NODES`` nodes: before any is laid out."""
-    n_nodes = sum(count for start, _, count in spans if lo <= start < hi)
-    if n_nodes + extra > MAX_NODES:
-        raise LayoutError(
-            f"a mesh over [{float(lo)!r}, {float(hi)!r}] needs "
-            f"{n_nodes + extra:.4g} nodes, above the bound of {MAX_NODES:,}")
 
 
 def _mesh(spans, end, slab_half_length, is_open=False):
@@ -263,7 +279,7 @@ def _mesh(spans, end, slab_half_length, is_open=False):
 def _dedupe(values, tol=1e-12):
     """Sorted breakpoints with exact repeats merged.
 
-    Distinct breakpoints closer than tol are refused (``LayoutError``):
+    Distinct breakpoints closer than tol are refused (``InputError``):
     merging them would move a requested point off its node, and keeping
     both would leave a sliver element.
     """
@@ -272,21 +288,47 @@ def _dedupe(values, tol=1e-12):
     close = np.flatnonzero(np.diff(values) <= tol)
     if close.size:
         pair = float(values[close[0]]), float(values[close[0] + 1])
-        raise LayoutError(
+        raise InputError(
             f"breakpoints {pair[0]!r} and {pair[1]!r} are distinct but "
-            f"closer than {tol:g}; request one of them", pair)
+            f"closer than {tol:g}; request one of them", breakpoints=pair)
     return values
 
 
-def _layout(medium, k_max, points_per_wavelength, edge, observation_points,
-            region):
+def _refuse_outside(obs, edge, region, size, need):
+    """Refuse observation points not strictly inside ``region``, (-edge,
+    edge). ``size`` is (name, value) of the input that sets edge, and
+    ``need(reach)`` the least value it takes to hold points up to |x| =
+    reach, which the error states as its bound."""
+    outside = obs[~((obs > -edge) & (obs < edge))]  # NaN lies outside too
+    if outside.size:
+        reach = float(np.max(np.abs(outside)))
+        raise InputError(
+            f"observation points must lie strictly inside {region} "
+            f"(-{edge}, {edge}); got {outside.tolist()}", [size],
+            (size[0], f"> {need(reach)!r}") if math.isfinite(reach) else None,
+            outside.tolist())
+
+
+def check_padded_region(points, slab_half_length, padding):
+    """Refuse points that do not lie strictly inside the padded region
+    (-(a + padding), a + padding) of an open mesh: an ``InputError`` that
+    bounds ``padding``."""
+    a = slab_half_length
+    _refuse_outside(np.asarray(tuple(points), dtype=float), a + padding,
+                    "the padded region", ("padding", padding),
+                    lambda reach: reach - a)
+
+
+def _layout(medium, k_max, points_per_wavelength, edge, obs, hull=None,
+            extra=1):
     """Spans over [-edge, edge], the slab faces and every point on a node.
 
     Each span between breakpoints is filled uniformly with elements no
     longer than one ``points_per_wavelength``-th of the wavelength at
-    ``k_max`` (``_fill_spans``); the last span ends at edge. ``region``
-    names [-edge, edge] in the error for an observation point that does
-    not lie strictly inside it.
+    ``k_max`` (``_fill_spans``); the last span ends at edge. A mesh of the
+    spans starting in ``hull`` = [lo, hi), all of them by default, and
+    ``extra`` nodes more is refused if it has more than ``MAX_NODES``
+    nodes, before any is laid out.
     """
     if k_max <= 0:
         raise ValueError(f"k_max must be > 0, got {k_max}")
@@ -295,16 +337,19 @@ def _layout(medium, k_max, points_per_wavelength, edge, observation_points,
             "points_per_wavelength must be >= 10, got "
             f"{points_per_wavelength}"
         )
-    obs = np.asarray(tuple(observation_points), dtype=float)
-    if not np.all((obs > -edge) & (obs < edge)):  # NaN fails it too
-        raise ValueError(
-            f"observation points must lie strictly inside {region} "
-            f"(-{edge}, {edge}); got {obs.tolist()}"
-        )
     a = medium.slab_half_length
     h_target = 2.0 * math.pi / (k_max * points_per_wavelength)
-    return _fill_spans(_dedupe(np.concatenate(([-edge, -a, a, edge], obs))),
-                       h_target)
+    sized_by = {"k_max": k_max, "points_per_wavelength": points_per_wavelength}
+    spans = _fill_spans(_dedupe(np.concatenate(([-edge, -a, a, edge], obs))),
+                        h_target, sized_by)
+    lo, hi = (-edge, edge) if hull is None else hull
+    n_nodes = sum(count for start, _, count in spans if lo <= start < hi)
+    if n_nodes + extra > MAX_NODES:
+        raise InputError(
+            f"a mesh over [{float(lo)!r}, {float(hi)!r}] needs "
+            f"{n_nodes + extra:.4g} nodes, above the bound of {MAX_NODES:,}",
+            sized_by, breakpoints=(float(lo), float(hi)))
+    return spans
 
 
 def build_mesh(
@@ -339,20 +384,18 @@ def build_mesh(
         The layout's nodes from one element below min(-a, obs) to one
         element above max(a, obs); its physical region is that hull.
     """
-    if padding <= 0:
-        raise ValueError(f"padding must be > 0, got {padding}")
     a = medium.slab_half_length
     obs = np.asarray(tuple(observation_points), dtype=float)
+    check_padded_region(obs, a, padding)
     edge = a + padding
-    spans = _layout(medium, k_max, points_per_wavelength, edge, obs,
-                    "the padded region")
     lo, hi = min((-a, *obs)), max((a, *obs))
-    _refuse_above_bound(spans, lo, hi, 3)  # and a wall beyond each end
-    if not a < edge:
-        raise LayoutError(
+    spans = _layout(medium, k_max, points_per_wavelength, edge, obs, (lo, hi),
+                    3)  # the hull's nodes and a wall beyond each end
+    if not a < edge:  # a padding <= 0, or lost to round-off beside a
+        raise InputError(
             f"a padding of {padding!r} is lost beside the slab half-length "
             f"{a!r}: the slab reaches the ends of the padded region",
-            (-edge, edge))
+            breakpoints=(-edge, edge))
     # the hull's ends are breakpoints strictly inside the layout, so span
     # starts with a layout node beyond each, the walls: the last node of
     # the span below the hull and the second of the span at its top, or
@@ -378,15 +421,15 @@ def build_box_mesh(
 
     Used by the oscillator-bath eigenmode route, which needs a real symmetric
     operator. box_length must be at least four slab lengths so the slab does
-    not dominate the cavity.
+    not dominate the cavity, and the observation points must lie strictly
+    inside the box.
     """
-    if box_length < 4.0 * medium.slab_length:
-        raise ValueError(
-            f"box_length must be >= 4 slab lengths "
-            f"({4.0 * medium.slab_length}), got {box_length}"
-        )
+    if not box_length >= 4.0 * medium.slab_length:
+        raise InputError("is under 4 slab lengths", {"box_length": box_length},
+                         ("box_length", f">= {4.0 * medium.slab_length!r}"))
     edge = 0.5 * box_length
-    spans = _layout(medium, k_max, points_per_wavelength, edge,
-                    observation_points, "the box")
-    _refuse_above_bound(spans, -edge, edge, 1)
+    obs = np.asarray(tuple(observation_points), dtype=float)
+    _refuse_outside(obs, edge, "the box", ("box_length", box_length),
+                    lambda reach: 2.0 * reach)
+    spans = _layout(medium, k_max, points_per_wavelength, edge, obs)
     return _mesh(spans, edge, medium.slab_half_length)

@@ -63,7 +63,7 @@ from .fem import (
     uniform_sweep,
 )
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
-from .mesh import Mesh1D, build_box_mesh, unique_columns
+from .mesh import InputError, Mesh1D, build_box_mesh, unique_columns
 
 # Bin placement: quantiles of a mixture of a uniform density and a
 # flattened copy of the oscillator strength. The uniform share keeps the
@@ -167,30 +167,36 @@ def nu_max_range(medium: MediumSpec):
     return medium.omega_0, high if high else np.inf
 
 
+def bin_count(medium: MediumSpec, bath: BathConfig) -> int:
+    """How many bins ``frequency_bins`` samples, known before it samples:
+    none for an empty slab, one undamped line for a lossless one, else
+    ``bath.n_bins``. A nu_max outside ``nu_max_range`` is refused
+    (``InputError``)."""
+    if medium.omega_p == 0.0:
+        return 0
+    low, high = nu_max_range(medium)
+    if not low < bath.nu_max <= high:
+        raise InputError(
+            f"must clear the resonance at {low!r} and resolve gamma = "
+            f"{medium.gamma!r}", {"nu_max": bath.nu_max},
+            ("nu_max", f"> {low!r} and <= {high!r}"))
+    return bath.n_bins if medium.gamma else 1
+
+
 def frequency_bins(medium: MediumSpec, bath: BathConfig):
     """Sample the oscillator strength into (frequencies, weights).
 
     Bin edges are quantiles of the mixture density described at module
     top; each bin keeps the exact sigma-mass it covers and is represented
     at its sigma-weighted centroid. Returns a pair of float arrays of
-    length ``bath.n_bins`` (or shorter in the degenerate cases: empty for
-    vacuum, a single undamped line for gamma = 0). A nu_max outside
-    ``nu_max_range`` is refused.
+    length ``bin_count``: ``bath.n_bins``, or none for vacuum and a single
+    undamped line for gamma = 0. ``bin_count`` refuses a nu_max outside
+    ``nu_max_range``.
     """
-    if medium.omega_p == 0.0:
-        return np.empty(0), np.empty(0)
-    low, high = nu_max_range(medium)
-    if not low < bath.nu_max <= high:
-        raise ValueError(
-            f"nu_max = {bath.nu_max} must clear the resonance at {low} and "
-            f"resolve gamma = {medium.gamma}: nu_max must be > {low} and "
-            f"<= {high}"
-        )
-    if medium.gamma == 0.0:
-        return (
-            np.array([medium.omega_0]),
-            np.array([medium.omega_p**2]),
-        )
+    count = bin_count(medium, bath)
+    if count < 2:
+        return np.full(count, medium.omega_0), np.full(count,
+                                                       medium.omega_p**2)
 
     nu = np.linspace(bath.nu_max / _GRID_POINTS, bath.nu_max, _GRID_POINTS)
     dens = oscillator_strength(medium, nu)
@@ -261,6 +267,28 @@ class GevpSystem:
     @property
     def size(self):
         return self.n_em + self.n_matter
+
+
+def check_pencil(mesh: Mesh1D, n_bins: int):
+    """Refuse a pencil above ``DEFAULT_DOF_CAP`` dofs on ``mesh``, with
+    ``n_bins`` oscillators on each slab element (``bin_count``).
+
+    Its size is known from the mesh alone, so this runs before any bin is
+    sampled. The ``InputError`` bounds n_bins when at least 8 bins, the
+    fewest ``BathConfig`` takes, would fit, and the box length otherwise.
+    """
+    slab = mesh.slab_elements
+    n_em, n_slab = mesh.n_interior, slab.stop - slab.start
+    size = n_em + n_slab * n_bins
+    if size <= DEFAULT_DOF_CAP:
+        return
+    why = f"gives a pencil of {size} dofs, above the cap {DEFAULT_DOF_CAP}"
+    room = (DEFAULT_DOF_CAP - n_em) // max(n_slab, 1)
+    if n_bins and room >= 8:
+        raise InputError(why, {"n_bins": n_bins}, ("n_bins", f"<= {room}"))
+    length = float(mesh.nodes[-1] - mesh.nodes[0])
+    raise InputError(why, {"box_length": length},
+                     ("box_length", f"< {length!r}"))
 
 
 def build_gevp(mesh: Mesh1D, medium: MediumSpec, bath: BathConfig):
@@ -382,8 +410,10 @@ class ModeSet:
         return self._intensities(x)[1]
 
     def _intensities(self, x):
-        if not self.nodes[0] <= x <= self.nodes[-1]:
-            raise ValueError(f"x = {x} lies outside the box")
+        lo, hi = float(self.nodes[0]), float(self.nodes[-1])
+        if not lo <= x <= hi:
+            raise InputError("lies outside the box", {"x": float(x)},
+                             ("x", f"in [{lo!r}, {hi!r}]"))
         j = int(np.clip(np.searchsorted(self.nodes, x), 1,
                         self.nodes.size - 1))
         t = (x - self.nodes[j - 1]) / (self.nodes[j] - self.nodes[j - 1])
@@ -833,26 +863,31 @@ def diagonalize(system: GevpSystem, band=None) -> ModeSet:
     ``count_sweeps`` tallies the pivot sweeps of the counts, band edges
     included: one per round of ``_bisect``, however many probes it holds
     (50 on the stock 1A band, 54 on 2A), each over the rows between the
-    box's two wall runs.
+    box's two wall runs. A pencil above the dof cap (``check_pencil``) and
+    a band top without a finite square are refused (``InputError``).
     """
-    n = system.size
-    if n > DEFAULT_DOF_CAP:
-        raise ValueError(
-            f"pencil has {n} dofs, above the cap {DEFAULT_DOF_CAP}; "
-            "coarsen the mesh or reduce n_bins"
-        )
+    check_pencil(system.mesh, system.bin_frequencies.size)
     schur = _Schur.of(system)
-    if band is None:
-        lam_lo = 0.0
-        lam_hi = 2.0 * max(1.0, float(schur.anchors[-1]),
-                           float(np.max(system.em_s_diag / system.em_m_diag)))
-        while schur.count_at(lam_hi)[0] < n:
-            lam_hi *= 2.0
-    else:
+    lam_lo, lam_hi = 0.0, math.inf
+    if band is not None:
         lo, hi = band
         if not lo < hi:
             raise ValueError(f"band must be (lo, hi) with lo < hi, got {band}")
-        lam_lo, lam_hi = max(lo, 0.0) ** 2, float(hi) ** 2
+        lam_hi = float(hi) * float(hi)
+        if not math.isfinite(lam_hi):
+            raise InputError("must have a finite square",
+                             {"band top": float(hi)},
+                             ("band top", f"< {2.0 ** 512!r}"))
+        lam_lo = max(lo, 0.0) ** 2
+    # past a bound that the count shows to lie above every mode, a band
+    # top is cut to it: the pivots overflowed at lam = 1e200 on the stock
+    # box, whose modes all lie below 3.1e7
+    top = 2.0 * max(1.0, float(schur.anchors[-1]),
+                    float(np.max(system.em_s_diag / system.em_m_diag)))
+    if lam_hi > top:
+        while schur.count_at(top)[0] < system.size:
+            top *= 2.0
+        lam_hi = min(lam_hi, top)
     first, last = schur.count_at([lam_lo, lam_hi])
     if last <= first:
         raise ValueError("no positive eigenfrequencies in the requested band")
@@ -965,6 +1000,15 @@ def _mass_times(system: GevpSystem, v):
     return out
 
 
+def check_eta(eta: float):
+    """Refuse a window eta that is not > 0 with a finite square, which the
+    Lorentzian of ``ser_modes`` takes (``InputError``)."""
+    if not (eta > 0 and math.isfinite(float(eta) * float(eta))):
+        raise InputError(
+            "must have a finite square" if eta > 0 else "is not > 0",
+            {"eta": float(eta)}, ("eta", "> 0 with a finite square"))
+
+
 def ser_modes(modes: ModeSet, x_a: float, omega_a: float, eta: float):
     """Lorentzian-smoothed emission rate at (x_a, omega_a).
 
@@ -975,15 +1019,18 @@ def ser_modes(modes: ModeSet, x_a: float, omega_a: float, eta: float):
     """
     if omega_a <= 0:
         raise ValueError(f"omega_a must be > 0, got {omega_a}")
-    # the Lorentzian squares eta, by the rule RunConfig applies to modes.eta
-    if not (eta > 0 and math.isfinite(float(eta) * float(eta))):
-        raise ValueError(f"eta must be > 0 with a finite square, got {eta}")
+    check_eta(eta)
     spacing = modes.spacing_near(omega_a)
     if eta < 2.0 * spacing:
         raise ValueError(
             f"eta = {eta} is below twice the local mode spacing "
             f"({spacing:.4g}); widen eta or enlarge the box"
         )
+    # each term adds (omega_a - omega_m)^2, at most reach^2, to eta^2
+    reach = max(omega_a, float(modes.frequencies[-1]))
+    if not math.isfinite(reach * reach + eta * eta):
+        raise ValueError(f"omega_a = {omega_a} and eta = {eta} overflow "
+                         "the Lorentzian")
     lorentz = eta / ((omega_a - modes.frequencies) ** 2 + eta**2)
     return float(np.sum(modes.frequencies * modes.intensity_at(x_a)
                         * lorentz))

@@ -34,8 +34,8 @@ def padded_layout(medium, k_max, ppw, padding, obs):
     uniform vacuum span at each wall is the padding ``build_mesh`` drops."""
     a = medium.slab_half_length
     nodes = mesh_module._nodes(
-        mesh_module._layout(medium, k_max, ppw, a + padding, obs,
-                            "the padded region"), a + padding)
+        mesh_module._layout(medium, k_max, ppw, a + padding, obs),
+        a + padding)
     walls = (nodes[0] - (nodes[1] - nodes[0]),
              nodes[-1] + (nodes[-1] - nodes[-2]))
     return Mesh1D(np.concatenate(([walls[0]], nodes, [walls[1]])), a,

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import contextlib
+import io
+import math
 import pathlib
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slabqed import crosscheck
+from slabqed import crosscheck, micromodes
 from slabqed.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -19,7 +24,7 @@ from slabqed.cli import (
     read_config_echo,
 )
 from slabqed.fem import assemble
-from slabqed.medium import ATOM_OUTSIDE
+from slabqed.medium import ATOM_OUTSIDE, CASE_NAMES
 from slabqed.purcell import purcell_mesh
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -363,6 +368,31 @@ def test_a_mesh_above_the_node_bound_exits_2(command, line, key, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+@pytest.mark.parametrize("command,line,keys", [
+    ("sweep", "mesh.ppw = 1e300", ["mesh.ppw = 1e+300", "sweep.max = 700.0"]),
+    ("oracle-compare", "oracle.ppw = 1e300",
+     ["oracle.ppw = 1e+300", "sweep.max = 700.0"]),
+    ("sweep", "sweep.max = 1e300", ["mesh.ppw = 40.0", "sweep.max = 1e+300"]),
+])
+def test_a_mesh_above_the_node_bound_names_its_element_size(command, line,
+                                                            keys, tmp_path,
+                                                            capsys):
+    # the element size is 2 pi / (k_max ppw): the keys that set it are
+    # named beside the ones that set the mesh's length, and the atom at
+    # x = 0, which sets neither, is not
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"case = 1A\nsweep.count = 3\n{line}\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    named = err.split(": a mesh over ")[0]
+    assert named.startswith("config error: medium.slab_half_length = ")
+    assert all(key in named for key in keys)
+    assert "atom.position" not in named
+    assert "nodes, above the bound of 1,000,000" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
 def test_padding_short_of_an_atom_site_leaves_modes_running(tmp_path):
     # the closed box of the eigenmode route has no padding
     cfg = tmp_path / "c.cfg"
@@ -399,6 +429,57 @@ def test_modes_setting_out_of_bounds_exits_2(command, setting, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {setting.split(' = ')[0]} = ")
     assert MODES_CONFIG_ERRORS[setting] in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+# Eigenmode-route settings that pass validate() and that only the box or the
+# band can refuse: a box too short for the outside site 0.0625 around a thin
+# slab, an atom past the box's edge at 0.3125 (the wide padding lets
+# validate() pass it; both commands read the box), and a grid whose band
+# top has no finite square (a sweep's mesh refuses that grid first)
+ATOM_PAST_THE_BOX = "mesh.padding = 1.0\natom.position = 0.5"
+
+
+@pytest.mark.parametrize("command,setting,message", [
+    ("modes", "medium.slab_half_length = 0.001\nmodes.box_length = 0.01",
+     "modes.box_length = 0.01: observation points must lie strictly inside "
+     "the box (-0.005, 0.005); got [0.0625]; modes.box_length must be > "
+     "0.125"),
+    ("modes", ATOM_PAST_THE_BOX, "atom.position = 0.5 lies outside the box; "
+     "atom.position must be in [-0.3125, 0.3125]"),
+    ("sweep", ATOM_PAST_THE_BOX, "atom.position = 0.5 lies outside the box; "
+     "atom.position must be in [-0.3125, 0.3125]"),
+    ("modes", "sweep.max = 1e200", "sweep.max = 1e+200 must have a finite "
+     "square; sweep.max must be < 1.3407807929942597e+154"),
+])
+def test_an_eigenmode_box_refusal_exits_2(command, setting, message,
+                                          tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        f"case = 1A\nsweep.count = 3\nmethods.modes = true\n{setting}\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+@pytest.mark.parametrize("n_bins", ["31", "100", "1000000000"])
+def test_an_over_cap_pencil_is_refused_before_any_bin(n_bins, tmp_path,
+                                                     capsys, monkeypatch):
+    # the pencil's size is known from the box mesh and n_bins: the cap is
+    # checked before frequency_bins samples anything
+    def no_sampling(*args):
+        raise AssertionError("frequency_bins ran before the cap check")
+
+    monkeypatch.setattr(micromodes, "frequency_bins", no_sampling)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"case = 1A\nsweep.count = 3\nmodes.n_bins = {n_bins}\n")
+    out = tmp_path / "o.csv"
+    assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: modes.n_bins = {n_bins} gives a "
+                          "pencil of ")
+    assert "modes.n_bins must be <= 30" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
@@ -454,6 +535,105 @@ def test_interrupted_csv_write_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError):
         _write_csv(tmp_path / "x.csv", ["meta"], ("a",), rows())
     assert list(tmp_path.iterdir()) == []
+
+
+def _around(bound):
+    """bound and the floats one ulp either side of it."""
+    return [float(np.nextafter(bound, -np.inf)), bound,
+            float(np.nextafter(bound, np.inf))]
+
+
+# The keys whose rules the library holds, each with values in range and at
+# its bounds +- 1 ulp: four stock slab lengths (0.25) and the slab half of
+# a stock box (0.078125), the resonance and the two stock media's gamma
+# bounds on nu_max, the stock box's cap at n_bins 30, the padding that
+# reaches the outside site, sweep.min and the largest band top, and the
+# least ppw. Every float key also takes 0, a negative, the least
+# subnormal, a huge value, inf and NaN; atom.position also takes the edge
+# of its padded region +- 1 ulp (drawn below). In-range values keep every
+# mesh under ~5e3 nodes; every huge one is refused before a node or a bin
+# is laid out.
+EXTREMES = [0.0, -1.0, 5e-324, 1e300, math.inf, math.nan]
+CONTRACT_VALUES = {
+    "modes.box_length": [0.625, 1.0, *_around(0.25), *EXTREMES],
+    "modes.nu_max": [2000.0, *_around(500.0), *_around(300001.5),
+                     *_around(3000015.0), *EXTREMES],
+    "modes.n_bins": [24, 7, 8, 30, 31, 0, -1, 10**9, "nan", "inf"],
+    "modes.eta": [20.0, 2.0, *_around(2.0**512), *EXTREMES],
+    "mesh.padding": [0.05, 0.5, *_around(0.03125), *EXTREMES],
+    "atom.position": ["A", "B", 0.05, -0.07, *EXTREMES],
+    "medium.slab_half_length": [0.03125, 0.01, *_around(0.078125),
+                                *EXTREMES],
+    "sweep.max": [700.0, 500.0, *_around(300.0), *_around(2.0**512),
+                  *EXTREMES],
+    "mesh.ppw": [40.0, 160.0, *_around(10.0), *EXTREMES],
+    "oracle.ppw": [40.0, 160.0, *_around(10.0), *EXTREMES],
+}
+COMMANDS = ("sweep", "check-identities", "oracle-compare", "modes")
+
+
+@st.composite
+def contract_runs(draw):
+    """(command, config text) with up to four keys of CONTRACT_VALUES."""
+    keys = draw(st.lists(st.sampled_from(sorted(CONTRACT_VALUES)),
+                         max_size=4, unique=True))
+    values = {key: draw(st.sampled_from(CONTRACT_VALUES[key]))
+              for key in keys}
+    if "atom.position" in values and draw(st.booleans()):
+        half = values.get("medium.slab_half_length", 0.03125)
+        edge = half + values.get("mesh.padding", 0.05)
+        if isinstance(half, float) and math.isfinite(edge):
+            values["atom.position"] = draw(st.sampled_from(
+                _around(edge) + _around(-edge)))
+    lines = [f"case = {draw(st.sampled_from(CASE_NAMES))}",
+             f"sweep.count = {draw(st.integers(1, 3))}",
+             f"methods.modes = {draw(st.booleans())}",
+             *(f"{key} = {value!r}" if isinstance(value, float)
+               else f"{key} = {value}" for key, value in values.items())]
+    return draw(st.sampled_from(COMMANDS)), "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(contract_runs())
+def test_every_config_keeps_the_exit_contract(run):
+    # exit 0 writes whole files of finite fields, 1 and 2 write nothing, 2
+    # names a key, and no run warns or raises. The one file written on exit
+    # 1 is the whole table of an oracle-compare whose residuals fail the
+    # gate, kept to show which rows failed
+    command, text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = pathlib.Path(tmp)
+        (folder / "c.cfg").write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(folder / "c.cfg"),
+                         "--out", str(folder / "o.csv")])
+        written = sorted(p.name for p in folder.iterdir())
+        err = err.getvalue()
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2), err
+        if code == 2:
+            assert err.startswith("config error: ")
+            assert err.removeprefix("config error: ").startswith(
+                tuple(CONFIG_KEYS)), err
+        gate_failed = code == 1 and "-> FAIL" in out.getvalue()
+        if code != 0 and not gate_failed:
+            assert written == ["c.cfg"], err
+            return
+        files = {"sweep": ["o.csv"], "oracle-compare": ["o.csv"],
+                 "modes": ["o.csv", "o_spectrum.csv"],
+                 "check-identities": []}[command]
+        assert written == sorted(["c.cfg", *files])
+        count = int(text.split("sweep.count = ")[1].split("\n")[0])
+        for name in files:
+            header, rows = csv_rows(folder / name)
+            assert rows and all(len(row) == len(header) for row in rows)
+            assert name != "o.csv" or len(rows) == count
+            assert gate_failed or all(math.isfinite(float(f))
+                                      for row in rows for f in row if f)
 
 
 # ---------------------------------------------------------------- sweep

@@ -19,7 +19,7 @@ from slabqed.medium import (
     MediumSpec,
     case_preset,
 )
-from slabqed.mesh import Mesh1D, build_mesh, unique_columns
+from slabqed.mesh import InputError, Mesh1D, build_mesh, unique_columns
 from slabqed.micromodes import (
     BathConfig,
     ModeSet,
@@ -363,6 +363,13 @@ def test_eta_without_a_finite_square_is_refused(vacuum_modes, eta):
             rate(modes, 0.0, 500.0, np.float64(eta))
 
 
+def test_a_lorentzian_past_the_largest_double_is_refused(vacuum_modes):
+    # eta and omega_a each have a finite square, their sum does not
+    modes, _ = vacuum_modes
+    with pytest.raises(ValueError, match="overflow the Lorentzian"):
+        ser_modes(modes, 0.0, 1.3e154, 1.3e154)
+
+
 def test_case1a_rate_tracks_direct_green_function(case1_modes):
     modes, medium, x_a = case1_modes
     pf_modes = purcell_from_modes(modes, x_a, 500.0, eta=20.0)
@@ -408,6 +415,22 @@ def test_dense_cap_refuses_runaway_systems():
         dense_operators(system)
     with pytest.raises(ValueError, match="cap"):
         diagonalize(system)
+
+
+def test_a_band_top_past_every_mode_reads_the_whole_spectrum():
+    # the count's pivots overflowed for a band top of 1e100 (lam = 1e200):
+    # a top past every mode is cut to the bound that the whole spectrum's
+    # count finds, so the modes are bitwise those of band=None; a top
+    # without a finite square is refused
+    medium = CASE_PRESETS["1"]
+    bath = BathConfig(n_bins=8, box_length=0.25)
+    system = build_gevp(gevp_mesh(medium, bath, k_max=300.0), medium, bath)
+    whole = diagonalize(system).frequencies
+    for top in (1e100, 1.3e154):
+        np.testing.assert_array_equal(
+            diagonalize(system, band=(0.0, top)).frequencies, whole)
+    with pytest.raises(InputError, match="band top = 1e\\+200"):
+        diagonalize(system, band=(1.0, 1e200))
 
 
 def test_pencil_is_positive_semidefinite():
