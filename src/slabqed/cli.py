@@ -47,6 +47,7 @@ from .micromodes import (
     build_gevp,
     check_eta,
     check_pencil,
+    check_site,
     diagonalize,
     gevp_mesh,
     purcell_from_modes,
@@ -364,10 +365,11 @@ def _closed_box_modes(config: RunConfig, grid):
     pivot sweeps the count took and the residue-vs-vector residual at the
     atom. What the library refuses is a config error naming its keys
     (``_refusals``): a box under four slab lengths or too small for the
-    atom sites, a bath that stops short of the resonance or samples it too
-    coarsely to resolve gamma, a pencil above the dof cap (checked before
-    any bin is sampled), a band top without a finite square and an atom
-    outside the box. A rate that cannot be formed names its frequency.
+    atom sites, an atom outside the box and a pencil above the dof cap
+    (both checked before any bin is sampled), a bath that stops short of
+    the resonance or samples it too coarsely to resolve gamma and a band
+    top without a finite square. A rate that cannot be formed names its
+    frequency.
     """
     medium, bath = config.medium, config.bath
     a, edge = medium.slab_half_length, 0.5 * bath.box_length
@@ -381,6 +383,7 @@ def _closed_box_modes(config: RunConfig, grid):
         "atom.position": {"x"},
     }):
         mesh = gevp_mesh(medium, bath)
+        check_site(mesh.nodes, config.atom_position)
         check_pencil(mesh, bin_count(medium, bath))
         modes = diagonalize(build_gevp(mesh, medium, bath), band=(lo, hi))
         line = (
@@ -498,7 +501,9 @@ def cmd_check_identities(config: RunConfig) -> int:
         )
 
     # operator identities on small meshes: exactness does not depend on
-    # resolution, so ppw = 15 keeps the O(n^2) column solves cheap
+    # resolution, so ppw = 15 keeps the O(n^2) column solves cheap; a slab
+    # long enough to put a mesh above their dof cap is a config error
+    a = config.medium.slab_half_length
     for label, medium in (("vacuum", CASE_PRESETS["vacuum"]),
                           ("slab", config.medium)):
         mesh = _sweep_mesh(config, medium, x_b, k_max=700.0, ppw=15.0)
@@ -509,10 +514,11 @@ def cmd_check_identities(config: RunConfig) -> int:
             # slab legitimately absorbs part of that channel and the
             # residual drops below any fixed floor
             lossless = label == "vacuum" and not config.closed_box
-            if lossless:  # both from one walk of G
-                ddgt, failure = check_identities(system)
-            else:
-                ddgt = check_discrete_ddgt(system)
+            with _refusals(config, {"medium.slab_half_length": {-a, a}}):
+                if lossless:  # both from one walk of G
+                    ddgt, failure = check_identities(system)
+                else:
+                    ddgt = check_discrete_ddgt(system)
             all_ok &= _report(
                 lines, f"two-channel dissipation [{label}, k={k:g}]",
                 ddgt, config.ddgt_max, "<",

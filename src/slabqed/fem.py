@@ -28,7 +28,9 @@ replaced when its key changes and freed with the mesh: the k-independent
 bands (``static_bands``, one per mesh whatever the medium), the node of
 the last point asked (``node_of``) and the LU of the last (medium, k)
 (``factorization``, the one place an LU is built for a solve), so all
-solves at one frequency share it and no caller passes one around.
+solves at one frequency share it and no caller passes one around. While
+a ``frequency_block`` is open the mesh also keeps the block's rows, and
+``factorization`` builds the LU of a k the block holds from them.
 ``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot),
 ``uniform_sweep`` (the same over a run of equal rows, in closed form),
 ``twisted_residues`` (the weight of one row in every null vector, from a
@@ -57,6 +59,21 @@ slab's nodes only and b rho on the two ports only (each an exact zero
 elsewhere), and refuses a medium whose slab half-length is not the
 mesh's: one chi, one kt per length class, O(n) band arithmetic, one LU
 and no quadrature per frequency.
+
+A frequency sweep does that O(n) work for a block of frequencies at once
+(``frequency_block``, sized by ``BLOCK_BYTES``). ``assemble`` takes an
+array of k and gives every band that depends on k one row per k, and
+``operator_rows`` then forms, for the whole block in one array pass, the
+interior bands of L, the pivot test's scale, the lattice wave on the
+slab's nodes and both directions' loads. Per frequency only what needs
+that frequency's LU is left: ``factorization`` builds it from the rows
+(``gttrf`` in place, with the same singular-pivot test), and the solves
+and readouts follow as for one frequency. Numeric contract: every row is
+bitwise the system, the LU and the loads of its k assembled alone. chi(k)
+is a Python scalar per k, checked before any band is formed, and so are
+k^2 and k^2 chi(k), since numpy's square and a Python square may round
+apart; every array operation is elementwise along the rows, and
+theta(0) is read with np.interp's own arithmetic (``P1Stencil``).
 
 On an open mesh the same phase steps kt h give the vacuum lattice's own
 plane wave, the wave the scattering states are driven by: its nodal phase
@@ -87,6 +104,7 @@ are k^2 chi M_slab w, k^2 chi_I v^H M_slab u and k^2 Im M.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import os
@@ -110,6 +128,16 @@ _SHAPE_HI = 0.5 * (1.0 + GAUSS_NODES)  # hat rising across the element
 # the identity checks refuse systems above this many dofs: they solve for
 # every column of G, O(n^2) time, though only a block of columns is held
 DEFAULT_DOF_CAP = 4000
+
+# a block of frequencies (``frequency_block``) holds about this many bytes
+# while it is assembled; ``block_size`` sizes blocks by it. Blocks pay off
+# where per-call overhead outweighs the O(n) work: 7 frequencies of the
+# 423-node stock mesh (ppw 40) per block, while the 1,677-node one (ppw
+# 160), on which a block of two measured no faster, runs one at a time
+BLOCK_BYTES = 384 * 1024
+# what one frequency of a block holds per mesh node: its mass and stiffness
+# bands, theta and the interior bands of L, with their temporaries
+_BLOCK_BYTES_PER_NODE = 128
 
 # pivot_sweep counts sign bits once per this many rows; their sum per
 # column is kept in a uint8, so this must stay <= 255
@@ -190,7 +218,8 @@ def lattice_wavenumber(k: float, h):
     at k itself. Wave-amplitude extraction has to use kt, otherwise the
     extracted coefficients pick up a spurious phase (kt - k) d that grows
     with the distance d carried and swamps the actual discretization error.
-    A scalar h gives a float, an array of spacings one kt per entry.
+    A scalar h gives a float, an array of spacings one kt per entry; an
+    array of k broadcasts against h.
     The half-angle form sin(kt h / 2) = (kh/2) / sqrt(1 + (kh)^2/6) is used:
     arccos of the cosine above loses half the digits of kt h as kh -> 0
     (2e-10 relative at kh ~ 1e-3), and the phase step of the outgoing
@@ -200,9 +229,10 @@ def lattice_wavenumber(k: float, h):
     z = k * h
     half_sine = 0.5 * z / np.sqrt(1.0 + z**2 / 6.0)
     if (half_sine >= 1.0).any():
+        k_first = np.broadcast_to(k, z.shape)[half_sine >= 1.0][0]
         raise ValueError(
-            f"no propagating lattice wave at k = {k} with spacing "
-            f"h = {np.max(h)}"
+            f"no propagating lattice wave at k = {float(k_first)} with "
+            f"spacing h = {np.max(h)}"
         )
     kt = 2.0 * np.arcsin(half_sine) / h
     return float(kt) if kt.ndim == 0 else kt
@@ -210,6 +240,13 @@ def lattice_wavenumber(k: float, h):
 
 # the ports of an open mesh, the nodes next to its walls
 _PORTS = np.array([1, -2])
+
+
+def _squares(ks) -> np.ndarray:
+    """k^2 of each k as Python squares a float, a complex column: numpy's
+    square may round otherwise, and a complex factor multiplies a complex
+    band as a complex scalar does, with no cast."""
+    return np.array([k**2 for k in ks], dtype=complex)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,6 +260,9 @@ class SystemMatrices:
     ``Factorization`` turns into the slab term, and ``phase`` the nodal
     phase theta of the vacuum lattice's plane wave at this k, read-only
     (None on a closed box, which has no incident wave at any k).
+    A block of frequencies (``assemble`` with an array of k) has an array
+    ``k`` and ``chi`` and one row per k in every band that depends on k;
+    ``operator_interior`` and ``operator_rows`` take it, the rest one k.
     Systems compare by identity: equal bands do not make two systems equal.
     """
 
@@ -249,10 +289,12 @@ class SystemMatrices:
         return k2 * self.m_diag[1:-1].imag, k2 * self.m_off[1:-1].imag
 
     def operator_interior(self):
-        """Bands of L = S - k^2 M on the interior nodes."""
-        k2 = self.k**2
-        return (self.s_diag[1:-1] - k2 * self.m_diag[1:-1],
-                self.s_off[1:-1] - k2 * self.m_off[1:-1])
+        """Bands of L = S - k^2 M on the interior nodes (a row per k of a
+        block)."""
+        k2 = (_squares(self.k.tolist()) if isinstance(self.k, np.ndarray)
+              else self.k**2)
+        return (self.s_diag[..., 1:-1] - k2 * self.m_diag[..., 1:-1],
+                self.s_off[..., 1:-1] - k2 * self.m_off[..., 1:-1])
 
 
 def _gauss_sum(values):
@@ -293,6 +335,8 @@ class StaticBands:
     (one k_e at a wall) and -k_e off it, k_e the element stiffness. All
     are complex, as is every band and load they enter, so no operation on
     them casts. M_slab has all its nonzeros on the mesh's ``slab_nodes``.
+    ``origin`` is where np.interp reads x = 0 among all the nodes, walls
+    included (``P1Stencil``), where the lattice wave's phase is zero.
     Holds arrays and slices only, not the mesh, so a copy kept for a mesh
     dies with it.
     """
@@ -313,6 +357,9 @@ class StaticBands:
         s_diag[:-1] += k_e
         s_diag[1:] += k_e
         self.s_diag, self.s_off = _read_only(s_diag), _read_only(-k_e)
+        # np.interp reads the end value past either end node
+        nodes = mesh.nodes
+        self.origin = _stencil(nodes, np.clip(0.0, nodes[0], nodes[-1]))
 
 
 def static_bands(mesh: Mesh1D) -> StaticBands:
@@ -329,22 +376,9 @@ def node_of(mesh: Mesh1D, x: float) -> int:
     return kept(mesh, "node", x, lambda: mesh.find_node(x))
 
 
-def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
-    """Assemble stiffness and mass bands for wavenumber k.
-
-    Parameters
-    ----------
-    mesh : Mesh1D
-    medium : MediumSpec
-        Supplies chi(k); its slab must be the mesh's, which places it.
-    k : float
-        Wavenumber; enters through eps_r dispersion and, on an open mesh,
-        the outgoing condition at the two boundary elements.
-
-    Returns
-    -------
-    SystemMatrices
-    """
+def _susceptibility(mesh: Mesh1D, medium: MediumSpec, k: float) -> complex:
+    """chi(k) as a Python complex, after the checks ``assemble`` makes of
+    k and the medium: k > 0, the mesh's slab, and a finite chi(k)."""
     if k <= 0:
         raise ValueError(f"k must be > 0, got {k}")
     if medium.slab_half_length != mesh.slab_half_length:
@@ -359,6 +393,29 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
             f"chi(k) is not finite at k = {k}: a lossless slab "
             f"(gamma = 0) has no permittivity at its resonance omega_0"
         )
+    return chi
+
+
+def assemble(mesh: Mesh1D, medium: MediumSpec, k) -> SystemMatrices:
+    """Assemble stiffness and mass bands for wavenumber k.
+
+    Parameters
+    ----------
+    mesh : Mesh1D
+    medium : MediumSpec
+        Supplies chi(k); its slab must be the mesh's, which places it.
+    k : float or 1-D array of floats
+        Wavenumber; enters through eps_r dispersion and, on an open mesh,
+        the outgoing condition at the two boundary elements. An array is a
+        block of frequencies (``_assemble_block``).
+
+    Returns
+    -------
+    SystemMatrices
+    """
+    if np.ndim(k):
+        return _assemble_block(mesh, medium, np.asarray(k, dtype=float))
+    chi = _susceptibility(mesh, medium, k)
     static = static_bands(mesh)
     # M_slab is an exact zero off its nodes and b rho off the two ports:
     # adding each over its own nodes only leaves every band entry bitwise
@@ -391,57 +448,184 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k: float) -> SystemMatrices:
     )
 
 
+def _assemble_block(mesh: Mesh1D, medium: MediumSpec,
+                    ks: np.ndarray) -> SystemMatrices:
+    """``assemble`` for a block of frequencies, in one array pass.
+
+    ``k`` and ``chi`` are arrays and every band that depends on k has one
+    row per k, bitwise the system of that k alone: each k is checked and
+    its chi(k) and k^2 formed as scalars, as ``assemble`` forms them,
+    before any band, and every array operation is elementwise along the
+    rows. theta(0) is read with np.interp's own arithmetic for every row
+    at once (``P1Stencil``).
+    """
+    if ks.ndim != 1:
+        raise ValueError(f"k must be a scalar or 1-D, got shape {ks.shape}")
+    wavenumbers = ks.tolist()
+    chi = np.array([_susceptibility(mesh, medium, k) for k in wavenumbers],
+                   dtype=complex)[:, None]
+    static = static_bands(mesh)
+    m_diag = np.repeat(static.m0_diag[None], ks.size, 0)
+    m_off = np.repeat(static.m0_off[None], ks.size, 0)
+    nodes, elements = mesh.slab_nodes, mesh.slab_elements
+    m_diag[:, nodes] += chi * static.slab_diag[nodes]
+    m_off[:, elements] += chi * static.slab_off[elements]
+    s_diag, phase = static.s_diag, None
+    if mesh.is_open:
+        lengths, classes = mesh.length_classes
+        steps = (lattice_wavenumber(ks[:, None], lengths) * lengths).take(
+            classes, axis=1)
+        phase = np.zeros((ks.size, mesh.n_nodes))
+        np.cumsum(steps, axis=1, out=phase[:, 1:])
+        low, high = static.origin.nodes
+        phase -= static.origin.real(phase[:, low], phase[:, high])[:, None]
+        phase = _read_only(phase)
+        ends = [0, -1]
+        b = (static.s_off.real[ends]
+             - _squares(wavenumbers).real * static.m0_off.real[ends])
+        s_diag = np.repeat(s_diag[None], ks.size, 0)
+        s_diag[:, _PORTS] += b * np.exp(1j * steps.take(ends, axis=1))
+    return SystemMatrices(
+        mesh=mesh, k=ks, chi=chi[:, 0], s_diag=s_diag, s_off=static.s_off,
+        m_diag=m_diag, m_off=m_off, phase=phase,
+    )
+
+
+@dataclass(eq=False)
+class OperatorRows:
+    """One frequency of an assembled system, as its LU is built from it.
+
+    ``diag`` and ``off`` are the interior bands of L, which the LU factors
+    in place, and ``scale`` max|L_ij| over them, taken before; ``slab_term``
+    is k^2 chi(k) and ``s_diag`` the stiffness diagonal, which the
+    singular-pivot message reads. On an open mesh ``phase`` is the lattice
+    wave's theta and ``slab_wave`` its values e^{i theta} on
+    ``slab_nodes`` (None on a closed box); ``loads``, when formed, are the
+    loads (L_vac - L) w there of the wave toward +x and of the one toward
+    -x. All but the bands are read-only. The rows of a block are views of
+    the block's arrays.
+    """
+
+    static: StaticBands
+    k: float
+    slab_term: complex
+    diag: np.ndarray
+    off: np.ndarray
+    scale: float
+    s_diag: np.ndarray
+    phase: np.ndarray | None = None
+    slab_wave: np.ndarray | None = None
+    loads: tuple | None = None
+
+
+def _slab_product(static: StaticBands, values) -> np.ndarray:
+    """M_slab w on ``slab_nodes``, for the values of w there (one row per
+    leading index)."""
+    off = static.slab_off[static.slab_elements]
+    product = static.slab_diag[static.slab_nodes] * values
+    product[..., :-1] += off * values[..., 1:]
+    product[..., 1:] += off * values[..., :-1]
+    return product
+
+
+def _rows_of(system: SystemMatrices) -> OperatorRows:
+    """The ``OperatorRows`` of a one-frequency system, with no loads: its
+    LU forms each where a solve asks for it (``incident_load``)."""
+    static = static_bands(system.mesh)
+    diag, off = system.operator_interior()
+    phase = system.phase
+    return OperatorRows(
+        static, system.k, system.k**2 * system.chi, diag, off,
+        max(np.abs(diag).max(), np.abs(off).max()), system.s_diag, phase,
+        None if phase is None else _read_only(
+            np.exp(1j * phase[static.slab_nodes])))
+
+
+def operator_rows(block: SystemMatrices) -> list[OperatorRows]:
+    """The ``OperatorRows`` of each frequency of a block, in order.
+
+    One array pass over the block forms, for every frequency at once, what
+    ``_rows_of`` forms for one and both directions' loads k^2 chi M_slab
+    w. Each operation is elementwise along the rows and k^2 chi(k) is a
+    Python product per frequency, as the LU's loads and losses read it, so
+    every row is bitwise what its k assembled alone gives.
+    """
+    static = static_bands(block.mesh)
+    diag, off = block.operator_interior()
+    ks = block.k.tolist()
+    terms = [k**2 * chi for k, chi in zip(ks, block.chi.tolist())]
+    scales = map(max, np.abs(diag).max(axis=1).tolist(),
+                 np.abs(off).max(axis=1).tolist())
+    # a closed box's stiffness is the static band at every k
+    s_diags = (block.s_diag if block.s_diag.ndim > 1
+               else [block.s_diag] * len(ks))
+    rows = [OperatorRows(static, *fields)
+            for fields in zip(ks, terms, diag, off, scales, s_diags)]
+    if block.phase is not None:
+        wave = _read_only(np.exp(1j * block.phase[:, static.slab_nodes]))
+        # the slab term first, as in slab_load: numpy's complex multiply
+        # is not bitwise commutative
+        column = np.array(terms, dtype=complex)[:, None]
+        loads = [_read_only(column * _slab_product(static, values))
+                 for values in (wave, wave.conj())]
+        for row, theta, values, plus, minus in zip(rows, block.phase, wave,
+                                                   *loads):
+            row.phase, row.slab_wave, row.loads = theta, values, (plus, minus)
+    return rows
+
+
 class Factorization:
     """LU factors of the interior operator, reusable across right-hand sides,
     the operator's slab term, which the loads and rates read, and, on an
     open mesh, the lattice wave the scattering states are driven by.
 
-    Holds the factors, k, the scalar k^2 chi(k) by which the slab enters
+    Built from a one-frequency ``SystemMatrices`` or from one frequency's
+    ``OperatorRows`` of a block, whose bands it factors in place. Holds
+    the factors, k, the scalar k^2 chi(k) by which the slab enters
     L_vac - L = k^2 chi(k) M_slab, the wave's nodal phase theta
-    (``phase``, read-only, None on a closed box) and the k-independent bands (``static_bands``,
-    arrays and slices only), not the system or its mesh, so an LU kept for
-    a mesh by ``factorization`` is freed together with that mesh. L_vac is
-    the operator of the same mesh with an empty slab: the two differ on
-    ``slab_nodes`` alone.
+    (``phase``, read-only, None on a closed box), the wave on the slab's
+    nodes (with both loads there when built from a block's rows) and the
+    k-independent bands (``static_bands``, arrays and slices only), not
+    the system or its mesh, so an LU kept for a mesh by ``factorization``
+    is freed together with that mesh. L_vac is the operator of the same
+    mesh with an empty slab: the two differ on ``slab_nodes`` alone.
     """
 
-    def __init__(self, system: SystemMatrices):
-        self.n_interior = system.n_interior
-        self.k = system.k
-        self.phase = system.phase
-        self._slab_term = self.k**2 * system.chi
-        self._static = static_bands(system.mesh)
-        diag, off = system.operator_interior()
-        # the operator's scale max|L_ij|, taken before gttrf overwrites
-        # the bands
-        scale = max(np.abs(diag).max(), np.abs(off).max())
-        gttrf, gttrs = _tridiagonal_kernels(diag.dtype)
-        # the bands are fresh temporaries: d and du are factored in place;
+    def __init__(self, system):
+        rows = system if isinstance(system, OperatorRows) else _rows_of(
+            system)
+        self.n_interior = rows.diag.size
+        self.k = rows.k
+        self.phase = rows.phase
+        self._slab_term = rows.slab_term
+        self._static = rows.static
+        gttrf, gttrs = _tridiagonal_kernels(rows.diag.dtype)
+        # the bands are the rows' own: d and du are factored in place;
         # f2py copies dl, which shares ``off`` with du, before the call
-        dl, d, du, du2, ipiv, info = gttrf(off, diag, off,
+        dl, d, du, du2, ipiv, info = gttrf(rows.off, rows.diag, rows.off,
                                            overwrite_d=1, overwrite_du=1)
-        if info > 0 or np.abs(d).min() < 1e-14 * scale:
+        if info > 0 or np.abs(d).min() < 1e-14 * rows.scale:
             raise SingularOperatorError(
-                f"operator is singular at k = {system.k}: "
+                f"operator is singular at k = {rows.k}: "
                 "the frequency coincides with a discrete resonance"
-                + self._slab_scale_note(system, scale)
+                + self._slab_scale_note(rows)
             )
         if info < 0:
             raise RuntimeError(f"gttrf failed with info = {info}")
         self._factors = (dl, d, du, du2, ipiv)
         self._gttrs = gttrs
-        if self.phase is not None:  # the +x values both directions read
-            slab = self.phase[self._static.slab_nodes]
-            self._slab_wave = _read_only(np.exp(1j * slab))
+        # the +x values both directions read, and their loads
+        self._slab_wave, self._loads = rows.slab_wave, rows.loads
 
-    def _slab_scale_note(self, system: SystemMatrices, scale) -> str:
+    def _slab_scale_note(self, rows: OperatorRows) -> str:
         """Why the pivot test may have tripped, when the slab rows set the
         scale it is relative to: k^2 chi(k) and the contrast of the largest
         entry with the largest entry of L_vac; otherwise nothing."""
         k2, static = self.k**2, self._static
         vacuum = max(np.abs(band[1:-1]).max() for band in (
-            system.s_diag - k2 * static.m0_diag,
-            system.s_off - k2 * static.m0_off))
+            rows.s_diag - k2 * static.m0_diag,
+            static.s_off - k2 * static.m0_off))
+        scale = rows.scale
         return "" if scale <= vacuum else (
             f"; the slab rows set the pivot test's scale: k^2 chi(k) = "
             f"{self._slab_term:.3e}, the largest entry {scale / vacuum:.3e} "
@@ -466,14 +650,22 @@ class Factorization:
             values = np.exp(1j * self.phase[nodes])
         return values if direction > 0 else values.conj()
 
-    def _slab_product(self, values) -> np.ndarray:
-        """M_slab w on ``slab_nodes``, for the values of w there."""
-        static = self._static
-        off = static.slab_off[static.slab_elements]
-        product = static.slab_diag[static.slab_nodes] * values
-        product[:-1] += off * values[1:]
-        product[1:] += off * values[:-1]
-        return product
+    def incident_load(self, direction: int) -> np.ndarray:
+        """(L_vac - L) w for the unit lattice wave w toward ``direction``
+        (``wave``): the load of that scattering state.
+
+        One value per mesh node, exactly zero outside ``slab_nodes`` and
+        fresh, so a solve may overwrite it: ``slab_load`` of the wave's
+        values there, or the same values formed for both directions with
+        the LU's rows, in a block's array pass (``operator_rows``). A
+        closed box, which has no wave and so no loads, is refused.
+        """
+        if self._loads is None:
+            return self.slab_load(self.wave(self._static.slab_nodes,
+                                            direction))
+        f = np.zeros(self.n_interior + 2, dtype=complex)
+        f[self._static.slab_nodes] = self._loads[direction < 0]
+        return f
 
     def slab_load(self, values) -> np.ndarray:
         """(L_vac - L) w, for the values of w on ``slab_nodes``.
@@ -484,7 +676,7 @@ class Factorization:
         """
         f = np.zeros(self.n_interior + 2, dtype=complex)
         # scale first: numpy's complex multiply is not bitwise commutative
-        np.multiply(self._slab_term, self._slab_product(values),
+        np.multiply(self._slab_term, _slab_product(self._static, values),
                     out=f[self._static.slab_nodes])
         return f
 
@@ -496,7 +688,7 @@ class Factorization:
         u conj(v) dx to round-off; 0 without a slab.
         """
         return self._slab_term.imag * complex(
-            np.vdot(v, self._slab_product(u)))
+            np.vdot(v, _slab_product(self._static, u)))
 
     def solve(self, block: np.ndarray) -> np.ndarray:
         """Overwrite ``block`` with L^{-1} block and return it; interior rows.
@@ -519,17 +711,68 @@ class Factorization:
         return x
 
 
+def block_size(mesh: Mesh1D) -> int:
+    """How many frequencies one ``frequency_block`` on ``mesh`` holds: as
+    many as ``BLOCK_BYTES`` takes, at least one."""
+    return max(1, BLOCK_BYTES // (_BLOCK_BYTES_PER_NODE * mesh.n_nodes))
+
+
+def frequency_block(mesh: Mesh1D, medium: MediumSpec, ks):
+    """A context that assembles the wavenumbers ``ks`` at once and, while
+    it is open, builds the LU of each of them from the block.
+
+    ``assemble`` and ``operator_rows`` run once over the whole block, and
+    the mesh keeps its rows: ``factorization`` builds the LU of a k the
+    block holds from that k's rows, each once, in place. A block that
+    cannot be assembled whole keeps nothing, so each of its k is then
+    assembled alone, and the first k at fault is refused by itself, after
+    the ones before it have been solved. Leaving the context drops the
+    rows no LU took. A single k is assembled by itself: its context does
+    nothing.
+    """
+    if len(ks) < 2:
+        return contextlib.nullcontext()
+    return _kept_block(mesh, medium, ks)
+
+
+@contextlib.contextmanager
+def _kept_block(mesh: Mesh1D, medium: MediumSpec, ks):
+    """``frequency_block`` for two or more k."""
+    slots = _KEPT.setdefault(mesh, {})
+    try:
+        rows = operator_rows(assemble(mesh, medium, np.array(ks, dtype=float)))
+        slots["block"] = (medium, dict(zip(ks, rows)))
+    except ValueError:
+        pass
+    try:
+        yield
+    finally:
+        slots.pop("block", None)
+
+
+def _operator_of(mesh: Mesh1D, medium: MediumSpec, k: float):
+    """The rows of k in the block the mesh keeps, taken out of it, if the
+    block is for this medium and holds k; otherwise k's system alone."""
+    block = _KEPT.get(mesh, {}).get("block")
+    if block is not None and block[0] == medium:
+        rows = block[1].pop(k, None)
+        if rows is not None:
+            return rows
+    return assemble(mesh, medium, k)
+
+
 def factorization(mesh: Mesh1D, medium: MediumSpec, k: float) -> Factorization:
     """The LU of L = S - k^2 M for (mesh, medium, k).
 
     Every solve at one frequency reuses it: the mesh keeps the LU of the
     last (medium, k) solved on it, and the old LU is freed before the
-    operator of a new (medium, k) is assembled. One slot per mesh suits a
-    serial frequency loop; solves of two frequencies on one mesh
-    interleaved would refactorize each time.
+    operator of a new (medium, k) is assembled, or taken from the open
+    ``frequency_block`` that holds it. One slot per mesh suits a serial
+    frequency loop; solves of two frequencies on one mesh interleaved
+    would refactorize each time.
     """
     return kept(mesh, "factorization", (medium, k),
-                lambda: Factorization(assemble(mesh, medium, k)))
+                lambda: Factorization(_operator_of(mesh, medium, k)))
 
 
 def pivot_sweep(diag, off2):
@@ -815,18 +1058,26 @@ class P1Stencil:
 
     def __call__(self, at_low, at_high):
         """The interpolated values, from the values at ``nodes[0]`` and
-        ``nodes[1]`` (each of shape (..., *x.shape), leading axes free).
+        ``nodes[1]`` (each of shape (..., *x.shape), leading axes free),
+        on the real and imaginary parts apart (``real``)."""
+        return (self.real(at_low.real, at_high.real)
+                + 1j * self.real(at_low.imag, at_high.imag))
 
-        np.interp's arithmetic, to the bit for finite values, on the real
-        and imaginary parts apart: the node's value where x is a node,
-        else slope (x - x_j) + f_j with slope (f_{j+1} - f_j) / h.
-        """
-        def part(low, high):
-            slope = (high - low) / self.width
-            return np.where(self.offset == 0.0, low,
-                            slope * self.offset + low)
-        return (part(at_low.real, at_high.real)
-                + 1j * part(at_low.imag, at_high.imag))
+    def real(self, at_low, at_high):
+        """``__call__`` for real values: np.interp's arithmetic, to the bit
+        for finite values, the node's value where x is a node, else slope
+        (x - x_j) + f_j with slope (f_{j+1} - f_j) / h."""
+        slope = (at_high - at_low) / self.width
+        return np.where(self.offset == 0.0, at_low,
+                        slope * self.offset + at_low)
+
+
+def _stencil(nodes: np.ndarray, x) -> P1Stencil:
+    """The ``P1Stencil`` of the points ``x`` among ``nodes``."""
+    low = np.searchsorted(nodes, x, "right") - 1
+    high = np.where(low < nodes.size - 1, low + 1, low - 1)
+    return P1Stencil(nodes=np.stack([low, high]), offset=x - nodes[low],
+                     width=nodes[high] - nodes[low])
 
 
 def p1_stencil(mesh: Mesh1D, x) -> P1Stencil:
@@ -836,11 +1087,7 @@ def p1_stencil(mesh: Mesh1D, x) -> P1Stencil:
     lo, hi = mesh.physical_region
     if np.any((x < lo) | (x > hi)):
         raise ValueError("evaluation point outside the physical region")
-    nodes = mesh.nodes
-    low = np.searchsorted(nodes, x, "right") - 1
-    high = np.where(low < nodes.size - 1, low + 1, low - 1)
-    return P1Stencil(nodes=np.stack([low, high]), offset=x - nodes[low],
-                     width=nodes[high] - nodes[low])
+    return _stencil(mesh.nodes, x)
 
 
 def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x, k=None):

@@ -57,7 +57,7 @@ from .fem import (
 )
 from .greens import solve_point_source
 from .medium import MediumSpec
-from .mesh import Mesh1D
+from .mesh import InputError, Mesh1D
 from .scattering import solve_scattering
 
 
@@ -120,14 +120,16 @@ def _relative_residuals(system: SystemMatrices, rows: slice):
     medium-only residual over the window ``rows`` x ``rows``; every column
     is solved for. G is held as G~ alone, since Im G = -Im G~ exactly, and
     a residual that is exactly zero reports 0. Each column costs O(n), so
-    systems above the dof cap are refused.
+    systems above the dof cap are refused (``InputError``, naming the ends
+    of the mesh as the breakpoints at fault).
     """
     n = system.n_interior
     if n > DEFAULT_DOF_CAP:
-        raise ValueError(
-            f"identity checks solve {n} dofs per column of G, above the cap "
-            f"{DEFAULT_DOF_CAP}; use a coarser mesh"
-        )
+        lo, hi = system.mesh.physical_region
+        raise InputError(
+            f"a mesh over [{float(lo)!r}, {float(hi)!r}] gives the identity "
+            f"checks {n} dofs per column of G, above their cap of "
+            f"{DEFAULT_DOF_CAP}", breakpoints=(float(lo), float(hi)))
     lu = Factorization(system)
     ports, port_weights, port_columns = _radiation_ports(lu, system)
     medium = system.loss_interior()

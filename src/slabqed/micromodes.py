@@ -269,6 +269,16 @@ class GevpSystem:
         return self.n_em + self.n_matter
 
 
+def check_site(nodes: np.ndarray, x: float):
+    """Refuse a point x outside the box whose nodes are ``nodes``
+    (``InputError``): no mode is read there. The box is known before its
+    pencil is built, so this can run before the eigensolve."""
+    lo, hi = float(nodes[0]), float(nodes[-1])
+    if not lo <= x <= hi:
+        raise InputError("lies outside the box", {"x": float(x)},
+                         ("x", f"in [{lo!r}, {hi!r}]"))
+
+
 def check_pencil(mesh: Mesh1D, n_bins: int):
     """Refuse a pencil above ``DEFAULT_DOF_CAP`` dofs on ``mesh``, with
     ``n_bins`` oscillators on each slab element (``bin_count``).
@@ -410,10 +420,7 @@ class ModeSet:
         return self._intensities(x)[1]
 
     def _intensities(self, x):
-        lo, hi = float(self.nodes[0]), float(self.nodes[-1])
-        if not lo <= x <= hi:
-            raise InputError("lies outside the box", {"x": float(x)},
-                             ("x", f"in [{lo!r}, {hi!r}]"))
+        check_site(self.nodes, x)
         j = int(np.clip(np.searchsorted(self.nodes, x), 1,
                         self.nodes.size - 1))
         t = (x - self.nodes[j - 1]) / (self.nodes[j] - self.nodes[j - 1])

@@ -18,9 +18,9 @@ dispersion relation and do not slip in phase against each other. The
 boundary part then equals the radiation channel of the LDOS (the flux
 through the mesh's exact outgoing boundary) up to the LDOS route's own
 vacuum lattice bias, O((kh)^2). The LU carries the wave as its nodal
-phase, and ``compute_record`` reads its values only on the slab's nodes
-(the loads, formed once for both directions) and at the atom's node (the
-boundary part).
+phase, and a sweep reads its values only on the slab's nodes (the loads,
+formed once for both directions) and at the atom's node (the boundary
+part).
 
 The medium part is 2k times the loss the slab adds to the operator,
 -g^H Im(L - L_vac) g with g = G(x_a, .) (``GreenSamples.medium_loss``).
@@ -38,6 +38,17 @@ mesh, and the sweep runs its frequencies in order, one LU at a time; the
 atom's node is found once per sweep (``fem.node_of``). The identity
 (ldos - medium) = boundary is the zero-separation thermal-balance
 statement, so each sweep record carries its relative residual for free.
+
+The sweep takes its frequencies in blocks of ``fem.block_size``. Per
+block one array pass in ``fem`` (``fem.frequency_block``) assembles every
+frequency's operator and forms its LU's inputs and both loads; per
+frequency, in order, the first solve builds that frequency's LU from its
+rows, the three solves follow, and then the three rates are read as
+scalars: ``pf_b`` as a Python sum of ``abs(complex) ** 2``, ``pf_m``
+through ``np.vdot`` and ``pf_sfa`` from G(x_a, x_a). numpy's ``np.abs``
+and ``x**2`` may round apart from Python's, so no readout is an array
+pass. Every record is bitwise the one of its frequency swept alone.
+``compute_record`` is a one-point sweep.
 """
 
 from __future__ import annotations
@@ -46,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import node_of
-from .greens import GreenSamples, sample_green
+from .fem import block_size, frequency_block, node_of
+from .greens import GreenSamples, solve_point_source
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, build_mesh
 from .scattering import PlaneWaveSolution, solve_scattering
@@ -84,7 +95,7 @@ def gamma_boundary(
 
     The two unit-amplitude lattice plane waves are the 1D stand-in for the
     angular spectrum entering from infinity; in vacuum each contributes
-    1/2. ``compute_record`` forms the same sum at the atom's node.
+    1/2. A sweep forms the same sum at the atom's node.
     """
     if {sol_plus.direction, sol_minus.direction} != {+1, -1}:
         raise ValueError("need one solution per incidence direction")
@@ -104,28 +115,30 @@ def gamma_medium(samples: GreenSamples) -> float:
     return 2.0 * samples.k * samples.medium_loss
 
 
-def compute_record(
-    mesh: Mesh1D,
-    medium: MediumSpec,
-    omega_a: float,
-    x_a: float,
-) -> PurcellRecord:
+def _record(mesh: Mesh1D, medium: MediumSpec, omega_a: float,
+            x_a: float) -> PurcellRecord:
     """All Purcell factors at one frequency from one factorization.
 
-    ``x_a`` must be a mesh node (``purcell_mesh`` makes it one). The
-    boundary part reads the two scattering states' nodal values there:
-    interpolation at a node returns the nodal value, so this is
-    ``gamma_boundary`` of the same states to the last bit.
+    The left-incident scattering state brings the frequency's LU
+    (``solve_scattering`` takes it from ``fem.factorization``); the
+    right-incident state and the point source at the atom
+    (``solve_point_source``) are solved on that LU, three single-column
+    solves in all. The rates are then read as ``gamma_boundary``,
+    ``gamma_sfa`` and ``gamma_medium`` read them, to the last bit: the
+    states' values at the atom's node (interpolation at a node returns
+    the nodal value), G(x_a, x_a) and the slab's loss of G(x_a, .).
     """
-    sol_plus = solve_scattering(mesh, medium, omega_a, +1)
-    sol_minus = solve_scattering(mesh, medium, omega_a, -1)
-    samples = sample_green(mesh, medium, omega_a, x_a)
+    plus = solve_scattering(mesh, medium, omega_a, +1)
+    lu, node = plus.lu, node_of(mesh, x_a)
+    minus = lu.incident_load(-1)
+    lu.solve(minus[1:-1])
+    green = solve_point_source(mesh, medium, omega_a, x_a).dofs
+    g = green[mesh.slab_nodes]
 
-    node = node_of(mesh, x_a)
-    pf_sfa = gamma_sfa(samples)
-    pf_b = 0.5 * sum(abs(sol.total_at_nodes(node)) ** 2
-                     for sol in (sol_plus, sol_minus))
-    pf_m = gamma_medium(samples)
+    pf_sfa = 2.0 * omega_a * complex(green[node]).imag
+    pf_b = 0.5 * (abs(plus.total_at_nodes(node)) ** 2
+                  + abs(complex(lu.wave(node, -1) + minus[node])) ** 2)
+    pf_m = 2.0 * omega_a * lu.slab_loss(g, g).real
     lhs = pf_sfa - pf_m
     tec = abs(lhs - pf_b) / max(abs(lhs), abs(pf_b), 1e-300)
     return PurcellRecord(
@@ -140,6 +153,19 @@ def compute_record(
     )
 
 
+def compute_record(
+    mesh: Mesh1D,
+    medium: MediumSpec,
+    omega_a: float,
+    x_a: float,
+) -> PurcellRecord:
+    """All Purcell factors at one frequency: a one-point ``sweep``.
+
+    ``x_a`` must be a mesh node (``purcell_mesh`` makes it one).
+    """
+    return sweep(mesh, medium, [omega_a], x_a)[0]
+
+
 def sweep(
     mesh: Mesh1D,
     medium: MediumSpec,
@@ -148,20 +174,27 @@ def sweep(
 ) -> list[PurcellRecord]:
     """Frequency sweep; returns records sorted by transition frequency.
 
-    Serial on purpose: the mesh keeps one LU, so each frequency's solves
-    share it and the next frequency replaces it.
+    Serial on purpose: the frequencies run in order, in blocks of
+    ``fem.block_size`` (``fem.frequency_block``, one assembly per block),
+    and the mesh keeps one LU, so each frequency's solves share it and the
+    next frequency replaces it. An error names the frequency it is at.
     """
+    omegas = sorted(float(w) for w in omegas)
+    size = block_size(mesh)
     records = []
-    for omega in sorted(float(w) for w in omegas):
-        try:
-            records.append(compute_record(mesh, medium, omega, x_a))
-        except Exception as exc:
-            note = f"sweep point omega_a = {omega}: {exc}"
-            try:
-                wrapped = type(exc)(note)
-            except TypeError:
-                wrapped = RuntimeError(note)
-            raise wrapped from exc
+    for start in range(0, len(omegas), size):
+        block = omegas[start:start + size]
+        with frequency_block(mesh, medium, block):
+            for omega in block:
+                try:
+                    records.append(_record(mesh, medium, omega, x_a))
+                except Exception as exc:
+                    note = f"sweep point omega_a = {omega}: {exc}"
+                    try:
+                        wrapped = type(exc)(note)
+                    except TypeError:
+                        wrapped = RuntimeError(note)
+                    raise wrapped from exc
     return records
 
 

@@ -21,8 +21,8 @@ and the incident wave continues at the wall's lattice spacing, in closed
 form (``fem.lattice_hops``). Scattering states exist on an open
 mesh only: a closed box has no outgoing boundary, its walls reflect
 whatever the slab scatters, and its LU has no incident wave, so
-``solve_scattering`` refuses it. The solve takes its LU, the slab term of
-its load (``Factorization.slab_load``) and its incident wave from
+``solve_scattering`` refuses it. The solve takes its LU, its load
+(``Factorization.incident_load``) and its incident wave from
 ``fem.factorization`` and solves in place (``Factorization.solve``), so
 both directions and the point-source solves at one frequency share one
 factorization, and each solution carries the LU it was solved with. The absorbed power of the energy balance is the
@@ -98,17 +98,17 @@ def solve_scattering(
 
     The incident wave is the LU's lattice wave toward +x (d = +1) or its
     complex conjugate (d = -1). The load is (L_vac - L) w
-    (``Factorization.slab_load``), from the wave's values on the mesh's
-    ``slab_nodes`` alone. The LU is ``fem.factorization``'s, shared with
-    every other solve at this frequency on this mesh. The load vector is
-    solved in place (``Factorization.solve``). A closed box has no
+    (``Factorization.incident_load``), from the wave's values on the
+    mesh's ``slab_nodes`` alone. The LU is ``fem.factorization``'s,
+    shared with every other solve at this frequency on this mesh. The
+    load vector is solved in place (``Factorization.solve``). A closed box has no
     incident wave, since its walls reflect what the slab scatters, and is
     refused.
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     lu = factorization(mesh, medium, k)
-    dofs = lu.slab_load(lu.wave(mesh.slab_nodes, direction))
+    dofs = lu.incident_load(direction)
     lu.solve(dofs[1:-1])
     dofs[0] = dofs[-1] = 0.0  # Dirichlet walls, whatever the load put there
     return PlaneWaveSolution(

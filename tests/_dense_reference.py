@@ -13,16 +13,21 @@ reference the grouped count of ``micromodes._bisect`` is checked against.
 frequency at a time, through the per-point readouts and the scalar
 oracle, the reference of the grid comparison in ``crosscheck``;
 ``interpolate_p1`` is np.interp on the real and imaginary parts, the
-reference of the package's P1 readouts.
+reference of the package's P1 readouts. ``per_frequency_sweep`` is the
+sweep one frequency at a time, each assembled and factored by itself
+through the route functions, the reference of the block sweep in
+``purcell``.
 """
 
 import numpy as np
 
 from slabqed import micromodes
 from slabqed.fem import DEFAULT_DOF_CAP, GAUSS_NODES, GAUSS_WEIGHTS
-from slabqed.greens import solve_point_source
+from slabqed.fem import node_of
+from slabqed.greens import sample_green, solve_point_source
 from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE
 from slabqed.mesh import unique_columns
+from slabqed.purcell import PurcellRecord, gamma_medium, gamma_sfa
 from slabqed.oracle import (
     tmm_green,
     tmm_reflection_transmission,
@@ -235,3 +240,26 @@ def per_frequency_oracle_residuals(mesh, medium, omega, x_a):
     g_tmm = tmm_green(medium, omega, sample, x_a)
     res_green = float(np.max(np.abs(g_fem - g_tmm)) / np.max(np.abs(g_tmm)))
     return res_rt, res_field, res_green
+
+
+def per_frequency_sweep(mesh, medium, omegas, x_a):
+    """``purcell.sweep`` one frequency at a time: per frequency the two
+    scattering states and the point source, each frequency's operator
+    assembled and factored by itself, then the three rates."""
+    records = []
+    for omega in sorted(float(w) for w in omegas):
+        sol_plus = solve_scattering(mesh, medium, omega, +1)
+        sol_minus = solve_scattering(mesh, medium, omega, -1)
+        samples = sample_green(mesh, medium, omega, x_a)
+        node = node_of(mesh, x_a)
+        pf_sfa = gamma_sfa(samples)
+        pf_b = 0.5 * sum(abs(sol.total_at_nodes(node)) ** 2
+                         for sol in (sol_plus, sol_minus))
+        pf_m = gamma_medium(samples)
+        lhs = pf_sfa - pf_m
+        tec = abs(lhs - pf_b) / max(abs(lhs), abs(pf_b), 1e-300)
+        records.append(PurcellRecord(
+            omega_a=omega, x_a=float(x_a), pf_sfa=pf_sfa, pf_b=pf_b,
+            pf_m=pf_m, pf_modified_ln=pf_b + pf_m, pf_original_ln=pf_m,
+            tec_residual=tec))
+    return records

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slabqed import crosscheck, micromodes
+from slabqed import cli, crosscheck, micromodes
 from slabqed.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -463,6 +463,27 @@ def test_an_eigenmode_box_refusal_exits_2(command, setting, message,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+@pytest.mark.parametrize("command", ["modes", "sweep"])
+def test_an_atom_past_the_box_is_refused_before_the_eigensolve(
+        command, tmp_path, capsys, monkeypatch):
+    # the box is known before its pencil: the site is checked before
+    # diagonalize spends the solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("diagonalize ran before the site check")
+
+    monkeypatch.setattr(cli, "diagonalize", no_solve)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        f"case = 1A\nsweep.count = 3\nmethods.modes = true\n"
+        f"{ATOM_PAST_THE_BOX}\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: atom.position = 0.5 lies outside the box; "
+        "atom.position must be in [-0.3125, 0.3125]")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
 @pytest.mark.parametrize("n_bins", ["31", "100", "1000000000"])
 def test_an_over_cap_pencil_is_refused_before_any_bin(n_bins, tmp_path,
                                                      capsys, monkeypatch):
@@ -784,6 +805,21 @@ def test_check_identities_fails_under_impossible_threshold(tmp_path, capsys):
     cfg.write_text("case = 1A\nidentities.ddgt_max = 1e-16\n")
     assert main(["check-identities", "--config", str(cfg)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_identities_above_the_dof_cap_exits_2(tmp_path, capsys):
+    # a 1.5 slab puts the ppw-15 mesh of the identity checks at 5,016
+    # interior dofs: refused before any column of G is solved, as a config
+    # error naming the key that sets the mesh's extent
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = 1B\nmedium.slab_half_length = 1.5\n")
+    assert main(["check-identities", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: medium.slab_half_length = 1.5: a mesh over [-1.5, "
+        "1.5] gives the identity checks 5016 dofs per column of G, above "
+        "their cap of 4000")
 
 
 def test_check_identities_closed_box_skips_lossless(tmp_path, capsys):

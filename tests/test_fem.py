@@ -226,6 +226,41 @@ def test_assemble_matches_the_per_gauss_point_formula(k, ppw, name, box):
         assert np.max(np.abs(band - reference)) <= 1e-14 * scale
 
 
+@settings(deadline=None, max_examples=30)
+@given(drawn=meshes(), ks=st.lists(st.floats(1.0, 2000.0), min_size=2,
+                                   max_size=9))
+def test_a_block_is_bitwise_each_k_assembled_alone(drawn, ks):
+    # every row of a block's system and of its LU inputs is what its k
+    # gives alone: the bands, theta, the interior bands of L and their
+    # scale, the wave on the slab and both loads
+    mesh, medium = drawn
+    block = assemble(mesh, medium, np.array(ks))
+    rows = fem.operator_rows(block)
+    for i, (k, row) in enumerate(zip(ks, rows)):
+        alone = assemble(mesh, medium, k)
+        for name in ("chi", "s_diag", "m_diag", "m_off", "phase"):
+            got, want = getattr(block, name), getattr(alone, name)
+            if want is None or name == "s_diag" and not mesh.is_open:
+                assert got is want  # no wave, or the static band
+            else:
+                np.testing.assert_array_equal(got[i], want)
+        assert block.k[i] == row.k == alone.k
+        diag, off = alone.operator_interior()
+        np.testing.assert_array_equal(row.diag, diag)
+        np.testing.assert_array_equal(row.off, off)
+        assert row.scale == max(np.abs(diag).max(), np.abs(off).max())
+        lu = Factorization(alone)
+        if mesh.is_open:
+            wave = lu.wave(mesh.slab_nodes)
+            np.testing.assert_array_equal(row.slab_wave, wave)
+            for direction, load in zip((+1, -1), row.loads):
+                np.testing.assert_array_equal(
+                    load, lu.slab_load(lu.wave(mesh.slab_nodes, direction))[
+                        mesh.slab_nodes])
+        else:
+            assert row.slab_wave is None and row.loads is None
+
+
 def test_vacuum_box_bands_are_bitwise_the_reference():
     # the eigenmode route reads these bands' real interior parts from the
     # static bands (test_micromodes); its outputs keep their bytes
@@ -1054,6 +1089,18 @@ def test_entry_point_builds_one_factorization(entry, built):
 def test_sweep_builds_one_factorization_per_point(built):
     sweep(lu_mesh(), CASE1, [520.0, 410.0, 660.0], 0.0625)
     assert built == [410.0, 520.0, 660.0]
+
+
+def test_a_block_row_is_factored_once():
+    # the LU factors its rows in place: a k asked for again once its LU
+    # was replaced is assembled alone, not built from the spent rows
+    mesh, rng = lu_mesh(), np.random.default_rng(5)
+    rhs = rng.normal(size=mesh.n_interior) + 0j
+    reference = solved(Factorization(assemble(mesh, CASE1, 500.0)), rhs)
+    with fem.frequency_block(mesh, CASE1, [500.0, 501.0]):
+        for k in (500.0, 501.0, 500.0):
+            lu = factorization(mesh, CASE1, k)
+        np.testing.assert_array_equal(solved(lu, rhs), reference)
 
 
 def test_oracle_compare_builds_one_factorization_per_point(built, tmp_path):

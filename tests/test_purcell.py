@@ -1,7 +1,14 @@
 """Purcell-factor methods: vacuum anchors, regime structure, exact identities."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from _dense_reference import per_frequency_sweep
+from _random_meshes import open_meshes
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slabqed import fem, purcell
 from slabqed.cli import main
@@ -225,3 +232,93 @@ def test_stock_1b_sweep_count_work_budget(monkeypatch, tmp_path):
     assert work["find_node"] <= 2
     assert work["lu"] == STOCK_1B_POINTS
     assert work["solves"] == work["columns"] == 3 * STOCK_1B_POINTS
+
+
+# ---------------------------------------------------------- block sweep
+
+
+def bits(records):
+    """Every field of every record, as the bytes of its double."""
+    return [tuple(np.float64(v).tobytes() for v in dataclasses.astuple(r))
+            for r in records]
+
+
+def assert_block_sweep_is_per_frequency(mesh, medium, omegas, x_a):
+    records = purcell.sweep(mesh, medium, omegas, x_a)
+    assert bits(records) == bits(per_frequency_sweep(mesh, medium, omegas,
+                                                     x_a))
+    return records
+
+
+@pytest.mark.parametrize("ppw", [40.0, 160.0])
+@pytest.mark.parametrize("label", ["1A", "1B", "2A", "2B", "vacuum"])
+def test_block_sweep_is_bitwise_the_per_frequency_sweep(label, ppw):
+    # blocks of 7 frequencies on the 423-node ppw-40 mesh, one at a time on
+    # the 1,677-node ppw-160 one: the same bits either way
+    mesh, medium, x_a = make_setup(label, ppw=ppw)
+    assert fem.block_size(mesh) == {40.0: 7, 160.0: 1}[ppw]
+    assert_block_sweep_is_per_frequency(mesh, medium, purcell.sweep_grid(),
+                                        x_a)
+
+
+def block_grids():
+    """Grids around the ppw-40 block size of 7: one point, a block less
+    one, a block, a block plus one and two blocks plus one, unsorted."""
+    rng = np.random.default_rng(30)
+    return [[512.5]] + [rng.uniform(300.0, 700.0, n).tolist()
+                        for n in (6, 7, 8, 15)]
+
+
+@pytest.mark.parametrize("grid", block_grids(), ids=len)
+def test_block_sweep_is_bitwise_on_any_grid(grid):
+    mesh, medium, x_a = make_setup("2B")
+    records = assert_block_sweep_is_per_frequency(mesh, medium, grid, x_a)
+    assert [r.omega_a for r in records] == sorted(grid)
+
+
+def test_a_sweep_assembles_once_per_block(monkeypatch):
+    mesh, medium, x_a = make_setup("1A")
+    assembled = []
+    assemble = fem.assemble
+
+    def counting(mesh, medium, k):
+        assembled.append(np.size(k))
+        return assemble(mesh, medium, k)
+
+    monkeypatch.setattr(fem, "assemble", counting)
+    purcell.sweep(mesh, medium, purcell.sweep_grid(), x_a)
+    assert assembled == [7] * 14 + [3]
+    # the block's rows went to its LUs; the mesh keeps no block after it
+    assert set(fem._KEPT[mesh]) == {"static_bands", "node", "factorization"}
+
+
+def test_a_pole_in_a_block_is_refused_at_its_frequency():
+    # a lossless slab has no permittivity at omega_0 = 500: the block that
+    # holds it cannot be assembled, so its frequencies are solved one at a
+    # time up to 500, which is refused by itself, before chi is evaluated
+    mesh, medium, x_a = make_setup("1A")
+    lossless = dataclasses.replace(medium, gamma=0.0)
+    grid = [496.0, 497.0, 498.0, 499.0, 500.0, 501.0, 502.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            purcell.sweep(mesh, lossless, grid, x_a)
+    assert str(refused.value).startswith(
+        "sweep point omega_a = 500.0: chi(k) is not finite at k = 500.0")
+    before = per_frequency_sweep(mesh, lossless, grid[:4], x_a)
+    assert bits(purcell.sweep(mesh, lossless, grid[:4], x_a)) == bits(before)
+
+
+@settings(deadline=None, max_examples=25)
+@given(drawn=open_meshes(), omega_p=st.floats(0.0, 2000.0),
+       gamma=st.sampled_from([0.0, 5.0, 50.0]),
+       grid=st.lists(st.floats(50.0, 1500.0), min_size=1, max_size=20),
+       pick=st.floats(0.0, 1.0))
+def test_block_sweep_is_bitwise_on_any_medium_and_grid(drawn, omega_p, gamma,
+                                                       grid, pick):
+    mesh, medium, _, _ = drawn
+    medium = dataclasses.replace(medium, omega_p=omega_p, gamma=gamma)
+    assume(not any(medium.pole_at(omega) for omega in grid))
+    nodes = mesh.nodes[1:-1]
+    x_a = float(nodes[round(pick * (nodes.size - 1))])
+    assert_block_sweep_is_per_frequency(mesh, medium, grid, x_a)
