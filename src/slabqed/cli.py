@@ -12,7 +12,9 @@ in order in one thread, so a config gives byte-identical rows every time.
 
 The CLI checks what is its own: parsing, each key's lower bound in
 ``CONFIG_KEYS``, the sweep range and the method switches. Every rule that
-ties several inputs together lives once in the library, which raises
+ties several inputs together, and every bound the library enforces on an
+input itself (the points per wavelength of ``mesh.ppw`` and
+``oracle.ppw``, ``modes.eta``), lives once in the library, which raises
 ``mesh.InputError``; ``_refusals`` turns that error into a config error
 naming the keys that set the inputs at fault, and the bound.
 """
@@ -40,7 +42,7 @@ from .identities import (
 )
 from .medium import (ATOM_INSIDE, ATOM_OUTSIDE, CASE_NAMES, CASE_PRESETS,
                      MediumSpec, case_preset)
-from .mesh import InputError, check_padded_region
+from .mesh import InputError, check_padded_region, check_resolution
 from .micromodes import (
     BathConfig,
     bin_count,
@@ -126,6 +128,9 @@ class RunConfig:
             check_padded_region((self.atom_position,),
                                 self.medium.slab_half_length, self.padding)
             check_eta(self.eta)
+        for key in ("mesh.ppw", "oracle.ppw"):
+            with _refusals(self, {key: {"points_per_wavelength"}}):
+                check_resolution(_get(self, CONFIG_KEYS[key][0]))
         return self
 
     def items(self):
@@ -188,7 +193,7 @@ CONFIG_KEYS = {
     "sweep.min": ("sweep_min", _float, (">", 0)),
     "sweep.max": ("sweep_max", _float, None),
     "sweep.count": ("sweep_count", _int, (">=", 1)),
-    "mesh.ppw": ("ppw", _float, (">=", 10)),
+    "mesh.ppw": ("ppw", _float, None),
     "mesh.padding": ("padding", _float, (">", 0)),
     "methods.sfa": ("method_sfa", _bool, None),
     "methods.modified_ln": ("method_modified_ln", _bool, None),
@@ -197,13 +202,13 @@ CONFIG_KEYS = {
     "modes.n_bins": ("bath.n_bins", _int, None),
     "modes.nu_max": ("bath.nu_max", _float, None),
     "modes.box_length": ("bath.box_length", _float, None),
-    "modes.eta": ("eta", _float, (">", 0)),
+    "modes.eta": ("eta", _float, None),
     "output.path": ("output_path", str, None),
     "identities.ddgt_max": ("ddgt_max", _float, (">", 0)),
     "identities.balance_max": ("balance_max", _float, (">", 0)),
     "identities.lossless_min": ("lossless_min", _float, (">", 0)),
     "identities.closed_box": ("closed_box", _bool, None),
-    "oracle.ppw": ("oracle_ppw", _float, (">=", 10)),
+    "oracle.ppw": ("oracle_ppw", _float, None),
     "oracle.tolerance": ("oracle_tolerance", _float, (">", 0)),
 }
 

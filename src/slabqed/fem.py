@@ -28,9 +28,7 @@ replaced when its key changes and freed with the mesh: the k-independent
 bands (``static_bands``, one per mesh whatever the medium), the node of
 the last point asked (``node_of``) and the LU of the last (medium, k)
 (``factorization``, the one place an LU is built for a solve), so all
-solves at one frequency share it and no caller passes one around. While
-a ``frequency_block`` is open the mesh also keeps the block's rows, and
-``factorization`` builds the LU of a k the block holds from them.
+solves at one frequency share it and no caller passes one around.
 ``pivot_sweep`` (an inertia count that also returns the last LDL^T pivot),
 ``uniform_sweep`` (the same over a run of equal rows, in closed form),
 ``twisted_residues`` (the weight of one row in every null vector, from a
@@ -60,16 +58,20 @@ elsewhere), and refuses a medium whose slab half-length is not the
 mesh's: one chi, one kt per length class, O(n) band arithmetic, one LU
 and no quadrature per frequency.
 
-A frequency sweep does that O(n) work for a block of frequencies at once
-(``frequency_block``, sized by ``BLOCK_BYTES``). ``assemble`` takes an
-array of k and gives every band that depends on k one row per k, and
-``operator_rows`` then forms, for the whole block in one array pass, the
-interior bands of L, the pivot test's scale, the lattice wave on the
-slab's nodes and both directions' loads. Per frequency only what needs
-that frequency's LU is left: ``factorization`` builds it from the rows
-(``gttrf`` in place, with the same singular-pivot test), and the solves
-and readouts follow as for one frequency. Numeric contract: every row is
-bitwise the system, the LU and the loads of its k assembled alone. chi(k)
+There is one way to a frequency's LU. ``assemble`` takes a wavenumber or
+a block of them (an array, one row per k in every band that depends on
+k; a scalar k runs the same statements on bands without the row axis),
+and ``operator_rows`` forms, for every k of the system in one array pass,
+the ``OperatorRows`` its LU is built from: the interior bands of L, the
+pivot test's scale and the lattice wave on the slab's nodes, from which
+the LU forms a direction's load where a solve asks for it.
+``Factorization`` factors one k's rows (``gttrf`` in place, with the
+singular-pivot test); given a one-frequency system it takes that
+system's one row. A sweep takes each block's rows and hands them to
+``factorization`` one k at a time (``BLOCK_BYTES`` sizes the blocks,
+``block_size``); every other caller asks ``factorization`` for one k,
+which it assembles alone. Numeric contract: every row, and the LU and
+loads built from it, is bitwise what its k assembled alone gives. chi(k)
 is a Python scalar per k, checked before any band is formed, and so are
 k^2 and k^2 chi(k), since numpy's square and a Python square may round
 apart; every array operation is elementwise along the rows, and
@@ -104,7 +106,7 @@ are k^2 chi M_slab w, k^2 chi_I v^H M_slab u and k^2 Im M.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -129,11 +131,12 @@ _SHAPE_HI = 0.5 * (1.0 + GAUSS_NODES)  # hat rising across the element
 # every column of G, O(n^2) time, though only a block of columns is held
 DEFAULT_DOF_CAP = 4000
 
-# a block of frequencies (``frequency_block``) holds about this many bytes
-# while it is assembled; ``block_size`` sizes blocks by it. Blocks pay off
-# where per-call overhead outweighs the O(n) work: 7 frequencies of the
-# 423-node stock mesh (ppw 40) per block, while the 1,677-node one (ppw
-# 160), on which a block of two measured no faster, runs one at a time
+# a block of frequencies (``assemble`` with an array of k) holds about this
+# many bytes while it is assembled; ``block_size`` sizes a sweep's blocks by
+# it. Blocks pay off where per-call overhead outweighs the O(n) work: 7
+# frequencies of the 423-node stock mesh (ppw 40) per block, while the
+# 1,677-node one (ppw 160), on which a block of two measured no faster,
+# runs one at a time
 BLOCK_BYTES = 384 * 1024
 # what one frequency of a block holds per mesh node: its mass and stiffness
 # bands, theta and the interior bands of L, with their temporaries
@@ -196,6 +199,7 @@ def _load_flapack():
 _FLAPACK = _load_flapack()
 
 
+@functools.cache
 def _tridiagonal_kernels(dtype):
     """LAPACK (gttrf, gttrs) for double bands: z if complex, else d."""
     prefix = "z" if dtype.kind == "c" else "d"
@@ -238,15 +242,24 @@ def lattice_wavenumber(k: float, h):
     return float(kt) if kt.ndim == 0 else kt
 
 
-# the ports of an open mesh, the nodes next to its walls
+# the ports of an open mesh, the nodes next to its walls, and its two wall
+# elements
 _PORTS = np.array([1, -2])
+_WALL_ELEMENTS = np.array([0, -1])
+
+
+def _along_nodes(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """``values``, one per k of a block of ``shape``, shaped to broadcast
+    along the nodes: a column for a block, a 0-d array for a scalar k
+    (shape ()), so its bands see a scalar."""
+    return values.reshape(shape + (1,) * len(shape))
 
 
 def _squares(ks) -> np.ndarray:
-    """k^2 of each k as Python squares a float, a complex column: numpy's
-    square may round otherwise, and a complex factor multiplies a complex
-    band as a complex scalar does, with no cast."""
-    return np.array([k**2 for k in ks], dtype=complex)[:, None]
+    """k^2 of each k of the list ``ks`` as Python squares a float, as
+    complex: numpy's square may round otherwise, and a complex factor
+    multiplies a complex band as a complex scalar does, with no cast."""
+    return np.array([k**2 for k in ks], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +275,7 @@ class SystemMatrices:
     (None on a closed box, which has no incident wave at any k).
     A block of frequencies (``assemble`` with an array of k) has an array
     ``k`` and ``chi`` and one row per k in every band that depends on k;
-    ``operator_interior`` and ``operator_rows`` take it, the rest one k.
+    ``operator_interior`` and ``operator_rows`` take either, the rest one k.
     Systems compare by identity: equal bands do not make two systems equal.
     """
 
@@ -291,8 +304,8 @@ class SystemMatrices:
     def operator_interior(self):
         """Bands of L = S - k^2 M on the interior nodes (a row per k of a
         block)."""
-        k2 = (_squares(self.k.tolist()) if isinstance(self.k, np.ndarray)
-              else self.k**2)
+        k2 = _along_nodes(_squares(np.ravel(self.k).tolist()),
+                          self.m_diag.shape[:-1])
         return (self.s_diag[..., 1:-1] - k2 * self.m_diag[..., 1:-1],
                 self.s_off[..., 1:-1] - k2 * self.m_off[..., 1:-1])
 
@@ -335,20 +348,19 @@ class StaticBands:
     (one k_e at a wall) and -k_e off it, k_e the element stiffness. All
     are complex, as is every band and load they enter, so no operation on
     them casts. M_slab has all its nonzeros on the mesh's ``slab_nodes``.
-    ``origin`` is where np.interp reads x = 0 among all the nodes, walls
-    included (``P1Stencil``), where the lattice wave's phase is zero.
-    Holds arrays and slices only, not the mesh, so a copy kept for a mesh
-    dies with it.
+    ``per_k_bands`` stacks the bands ``assemble`` copies per k, M_0's
+    diagonal and off-diagonal (padded with a zero to n entries) and S's
+    diagonal, and ``slab_bands`` M_slab's two bands over ``slab_nodes``
+    alike; ``wall_off`` holds the real stiffness and vacuum mass
+    off-diagonals of the two wall elements, which the outgoing boundary
+    reads. Holds arrays and slices only, not the mesh, so a copy kept for
+    a mesh dies with it.
     """
 
     def __init__(self, mesh: Mesh1D):
         half = 0.5 * mesh.element_lengths[:, None]
         on_slab = np.zeros_like(half)
         on_slab[mesh.slab_elements] = 1.0
-        self.m0_diag, self.m0_off = _mass_bands(half, 1.0)
-        self.slab_diag, self.slab_off = _mass_bands(half, on_slab)
-        self.slab_elements, self.slab_nodes = (mesh.slab_elements,
-                                               mesh.slab_nodes)
         # hat slopes are constant +-1/h, so the element stiffness is
         # k_e * [[1, -1], [-1, 1]] with k_e = (1/2h) sum w
         k_e = (_gauss_sum(GAUSS_WEIGHTS)
@@ -356,10 +368,38 @@ class StaticBands:
         s_diag = np.zeros(mesh.n_nodes, dtype=complex)
         s_diag[:-1] += k_e
         s_diag[1:] += k_e
-        self.s_diag, self.s_off = _read_only(s_diag), _read_only(-k_e)
+        # each band is a row of a stack, an off-diagonal padded with a zero
+        # to n entries: one copy per k takes every band that varies with
+        # k, and one product adds chi M_slab to both mass bands, since
+        # M_slab's off-diagonal past the slab is an exact zero
+        per_k, slab = (np.zeros((rows, mesh.n_nodes), dtype=complex)
+                       for rows in (3, 2))
+        per_k[0], per_k[1, :-1] = _mass_bands(half, 1.0)
+        per_k[2] = s_diag
+        slab[0], slab[1, :-1] = _mass_bands(half, on_slab)
+        self.per_k_bands, slab = _read_only(per_k), _read_only(slab)
+        self.m0_diag, self.m0_off, self.s_diag = per_k[0], per_k[1, :-1], per_k[2]
+        self.slab_diag, self.slab_off = slab[0], slab[1, :-1]
+        self.slab_bands = slab[:, mesh.slab_nodes]
+        self.s_off = _read_only(-k_e)
+        self.slab_elements, self.slab_nodes = (mesh.slab_elements,
+                                               mesh.slab_nodes)
+        self.wall_off = (self.s_off.real[_WALL_ELEMENTS],
+                         self.m0_off.real[_WALL_ELEMENTS])
         # np.interp reads the end value past either end node
         nodes = mesh.nodes
-        self.origin = _stencil(nodes, np.clip(0.0, nodes[0], nodes[-1]))
+        self._origin = _stencil(nodes, np.clip(0.0, nodes[0], nodes[-1]))
+        self._origin_node = (int(self._origin.nodes[0])
+                             if self._origin.offset == 0.0 else None)
+
+    def origin_phase(self, phase):
+        """theta(0) of each row of the nodal phases ``phase``, read as
+        np.interp reads x = 0 among all the nodes, walls included
+        (``P1Stencil``): the value at its node where 0 is one."""
+        if self._origin_node is not None:
+            return phase[..., self._origin_node]
+        low, high = self._origin.nodes
+        return self._origin.real(phase[..., low], phase[..., high])
 
 
 def static_bands(mesh: Mesh1D) -> StaticBands:
@@ -407,86 +447,62 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k) -> SystemMatrices:
     k : float or 1-D array of floats
         Wavenumber; enters through eps_r dispersion and, on an open mesh,
         the outgoing condition at the two boundary elements. An array is a
-        block of frequencies (``_assemble_block``).
+        block of frequencies: every band that depends on k then has one
+        row per k, and ``k`` and ``chi`` are arrays.
+
+    A scalar k runs the same statements as a block, on bands without the
+    row axis. Each k is checked and its chi(k) and k^2 formed as Python
+    scalars before any band, and every array operation is elementwise
+    along the rows, so each row is bitwise what its k gives alone.
 
     Returns
     -------
     SystemMatrices
     """
-    if np.ndim(k):
-        return _assemble_block(mesh, medium, np.asarray(k, dtype=float))
-    chi = _susceptibility(mesh, medium, k)
+    ks = np.asarray(k, dtype=float)
+    if ks.ndim > 1:
+        raise ValueError(f"k must be a scalar or 1-D, got shape {ks.shape}")
+    wavenumbers = ks.ravel().tolist()
+    chis = [_susceptibility(mesh, medium, k) for k in wavenumbers]
+    # chi(k) per k, broadcast along both mass bands' nodes: a 0-d array
+    # for a scalar k (``_along_nodes``)
+    chi = np.array(chis, dtype=complex).reshape(ks.shape + (1, 1) * ks.ndim)
     static = static_bands(mesh)
     # M_slab is an exact zero off its nodes and b rho off the two ports:
     # adding each over its own nodes only leaves every band entry bitwise
     # as a sum over all n would. A band without a per-k term is the static
     # one itself, read-only.
-    m_diag, m_off = static.m0_diag.copy(), static.m0_off.copy()
-    nodes, elements = mesh.slab_nodes, mesh.slab_elements
-    m_diag[nodes] += chi * static.slab_diag[nodes]
-    m_off[elements] += chi * static.slab_off[elements]
+    # a writable copy of the bands that vary with k, per k of a block
+    per_k = np.empty(ks.shape + static.per_k_bands.shape, dtype=complex)
+    per_k[...] = static.per_k_bands
+    per_k[..., :2, mesh.slab_nodes] += chi * static.slab_bands
+    m_diag, m_off = per_k[..., 0, :], per_k[..., 1, :-1]
     s_diag, phase = static.s_diag, None
     if mesh.is_open:
         # the phase kt h the lattice wave advances across each element, kt
         # found once per distinct element length
         lengths, classes = mesh.length_classes
-        steps = (lattice_wavenumber(k, lengths) * lengths)[classes]
-        phase = np.concatenate(([0.0], np.cumsum(steps)))
+        steps = (lattice_wavenumber(_along_nodes(ks, ks.shape), lengths)
+                 * lengths).take(classes, axis=-1)
+        phase = np.zeros(ks.shape + (mesh.n_nodes,))
+        np.add.accumulate(steps, axis=-1, out=phase[..., 1:])
         # theta(0) = 0, the oracle's absolute phase
-        phase = _read_only(phase - np.interp(0.0, mesh.nodes, phase))
+        phase -= _along_nodes(static.origin_phase(phase), ks.shape)
+        phase = _read_only(phase)
         # the vacuum lattice beyond each wall carries u_1 rho^j outward:
         # eliminating it adds b rho to the last physical node's diagonal,
         # rho from the kt the lattice wave advances by
-        ends = [0, -1]
-        b = static.s_off.real[ends] - k**2 * static.m0_off.real[ends]
-        s_diag = s_diag.copy()
-        s_diag[_PORTS] += b * np.exp(1j * steps[ends])
+        stiffness, mass = static.wall_off
+        k2 = _along_nodes(_squares(wavenumbers).real, ks.shape)
+        b = stiffness - k2 * mass
+        s_diag = per_k[..., 2, :]
+        s_diag[..., _PORTS] += b * np.exp(
+            1j * steps.take(_WALL_ELEMENTS, axis=-1))
+    one = ks.ndim == 0
     return SystemMatrices(
-        mesh=mesh, k=float(k), chi=chi,
+        mesh=mesh, k=wavenumbers[0] if one else ks,
+        chi=chis[0] if one else chi.reshape(ks.shape),
         s_diag=s_diag, s_off=static.s_off,
-        m_diag=m_diag, m_off=m_off, phase=phase,
-    )
-
-
-def _assemble_block(mesh: Mesh1D, medium: MediumSpec,
-                    ks: np.ndarray) -> SystemMatrices:
-    """``assemble`` for a block of frequencies, in one array pass.
-
-    ``k`` and ``chi`` are arrays and every band that depends on k has one
-    row per k, bitwise the system of that k alone: each k is checked and
-    its chi(k) and k^2 formed as scalars, as ``assemble`` forms them,
-    before any band, and every array operation is elementwise along the
-    rows. theta(0) is read with np.interp's own arithmetic for every row
-    at once (``P1Stencil``).
-    """
-    if ks.ndim != 1:
-        raise ValueError(f"k must be a scalar or 1-D, got shape {ks.shape}")
-    wavenumbers = ks.tolist()
-    chi = np.array([_susceptibility(mesh, medium, k) for k in wavenumbers],
-                   dtype=complex)[:, None]
-    static = static_bands(mesh)
-    m_diag = np.repeat(static.m0_diag[None], ks.size, 0)
-    m_off = np.repeat(static.m0_off[None], ks.size, 0)
-    nodes, elements = mesh.slab_nodes, mesh.slab_elements
-    m_diag[:, nodes] += chi * static.slab_diag[nodes]
-    m_off[:, elements] += chi * static.slab_off[elements]
-    s_diag, phase = static.s_diag, None
-    if mesh.is_open:
-        lengths, classes = mesh.length_classes
-        steps = (lattice_wavenumber(ks[:, None], lengths) * lengths).take(
-            classes, axis=1)
-        phase = np.zeros((ks.size, mesh.n_nodes))
-        np.cumsum(steps, axis=1, out=phase[:, 1:])
-        low, high = static.origin.nodes
-        phase -= static.origin.real(phase[:, low], phase[:, high])[:, None]
-        phase = _read_only(phase)
-        ends = [0, -1]
-        b = (static.s_off.real[ends]
-             - _squares(wavenumbers).real * static.m0_off.real[ends])
-        s_diag = np.repeat(s_diag[None], ks.size, 0)
-        s_diag[:, _PORTS] += b * np.exp(1j * steps.take(ends, axis=1))
-    return SystemMatrices(
-        mesh=mesh, k=ks, chi=chi[:, 0], s_diag=s_diag, s_off=static.s_off,
         m_diag=m_diag, m_off=m_off, phase=phase,
     )
 
@@ -500,10 +516,9 @@ class OperatorRows:
     is k^2 chi(k) and ``s_diag`` the stiffness diagonal, which the
     singular-pivot message reads. On an open mesh ``phase`` is the lattice
     wave's theta and ``slab_wave`` its values e^{i theta} on
-    ``slab_nodes`` (None on a closed box); ``loads``, when formed, are the
-    loads (L_vac - L) w there of the wave toward +x and of the one toward
-    -x. All but the bands are read-only. The rows of a block are views of
-    the block's arrays.
+    ``slab_nodes``, from which the LU forms each direction's load (None on
+    a closed box). All but the bands are read-only. The rows of a block
+    are views of the block's arrays.
     """
 
     static: StaticBands
@@ -515,7 +530,6 @@ class OperatorRows:
     s_diag: np.ndarray
     phase: np.ndarray | None = None
     slab_wave: np.ndarray | None = None
-    loads: tuple | None = None
 
 
 def _slab_product(static: StaticBands, values) -> np.ndarray:
@@ -528,50 +542,31 @@ def _slab_product(static: StaticBands, values) -> np.ndarray:
     return product
 
 
-def _rows_of(system: SystemMatrices) -> OperatorRows:
-    """The ``OperatorRows`` of a one-frequency system, with no loads: its
-    LU forms each where a solve asks for it (``incident_load``)."""
-    static = static_bands(system.mesh)
-    diag, off = system.operator_interior()
-    phase = system.phase
-    return OperatorRows(
-        static, system.k, system.k**2 * system.chi, diag, off,
-        max(np.abs(diag).max(), np.abs(off).max()), system.s_diag, phase,
-        None if phase is None else _read_only(
-            np.exp(1j * phase[static.slab_nodes])))
+def operator_rows(system: SystemMatrices) -> list[OperatorRows]:
+    """The ``OperatorRows`` of each frequency of a system, in order: one
+    for a scalar k.
 
-
-def operator_rows(block: SystemMatrices) -> list[OperatorRows]:
-    """The ``OperatorRows`` of each frequency of a block, in order.
-
-    One array pass over the block forms, for every frequency at once, what
-    ``_rows_of`` forms for one and both directions' loads k^2 chi M_slab
-    w. Each operation is elementwise along the rows and k^2 chi(k) is a
-    Python product per frequency, as the LU's loads and losses read it, so
-    every row is bitwise what its k assembled alone gives.
+    One array pass over the rows forms, for every frequency at once, the
+    interior bands of L and their scale and the lattice wave on the slab's
+    nodes. Each operation is elementwise along the rows and k^2 chi(k) is
+    a Python product per frequency, as the LU's loads and losses read it,
+    so every row is bitwise what its k assembled alone gives.
     """
-    static = static_bands(block.mesh)
-    diag, off = block.operator_interior()
-    ks = block.k.tolist()
-    terms = [k**2 * chi for k, chi in zip(ks, block.chi.tolist())]
+    static, n = static_bands(system.mesh), system.mesh.n_nodes
+    ks = np.ravel(system.k).tolist()
+    m = len(ks)
+    terms = [k**2 * chi for k, chi in zip(ks, np.ravel(system.chi).tolist())]
+    diag, off = (band.reshape(m, -1) for band in system.operator_interior())
     scales = map(max, np.abs(diag).max(axis=1).tolist(),
                  np.abs(off).max(axis=1).tolist())
-    # a closed box's stiffness is the static band at every k
-    s_diags = (block.s_diag if block.s_diag.ndim > 1
-               else [block.s_diag] * len(ks))
-    rows = [OperatorRows(static, *fields)
-            for fields in zip(ks, terms, diag, off, scales, s_diags)]
-    if block.phase is not None:
-        wave = _read_only(np.exp(1j * block.phase[:, static.slab_nodes]))
-        # the slab term first, as in slab_load: numpy's complex multiply
-        # is not bitwise commutative
-        column = np.array(terms, dtype=complex)[:, None]
-        loads = [_read_only(column * _slab_product(static, values))
-                 for values in (wave, wave.conj())]
-        for row, theta, values, plus, minus in zip(rows, block.phase, wave,
-                                                   *loads):
-            row.phase, row.slab_wave, row.loads = theta, values, (plus, minus)
-    return rows
+    # a closed box's stiffness is the static band at every k, and it has
+    # no wave
+    s_diags, phase, waves = [system.s_diag] * m, [None] * m, [None] * m
+    if system.phase is not None:
+        s_diags, phase = system.s_diag.reshape(m, n), system.phase.reshape(m, n)
+        waves = _read_only(np.exp(1j * phase[:, static.slab_nodes]))
+    return [OperatorRows(static, *fields) for fields in zip(
+        ks, terms, diag, off, scales, s_diags, phase, waves)]
 
 
 class Factorization:
@@ -579,21 +574,22 @@ class Factorization:
     the operator's slab term, which the loads and rates read, and, on an
     open mesh, the lattice wave the scattering states are driven by.
 
-    Built from a one-frequency ``SystemMatrices`` or from one frequency's
-    ``OperatorRows`` of a block, whose bands it factors in place. Holds
-    the factors, k, the scalar k^2 chi(k) by which the slab enters
-    L_vac - L = k^2 chi(k) M_slab, the wave's nodal phase theta
-    (``phase``, read-only, None on a closed box), the wave on the slab's
-    nodes (with both loads there when built from a block's rows) and the
-    k-independent bands (``static_bands``, arrays and slices only), not
-    the system or its mesh, so an LU kept for a mesh by ``factorization``
-    is freed together with that mesh. L_vac is the operator of the same
-    mesh with an empty slab: the two differ on ``slab_nodes`` alone.
+    Built from one frequency's ``OperatorRows``, whose bands it factors in
+    place, or from a one-frequency ``SystemMatrices``, whose one row it
+    takes (``operator_rows``). Holds the factors, k, the scalar k^2 chi(k)
+    by which the slab enters L_vac - L = k^2 chi(k) M_slab, the wave's
+    nodal phase theta (``phase``, read-only, None on a closed box), the
+    wave's values on the slab's nodes and the k-independent bands
+    (``static_bands``, arrays and slices only), not the system or its
+    mesh, so an LU kept for a mesh by ``factorization`` is freed together
+    with that mesh. L_vac is the operator of the same mesh with an empty
+    slab: the two differ on ``slab_nodes`` alone.
     """
 
     def __init__(self, system):
-        rows = system if isinstance(system, OperatorRows) else _rows_of(
-            system)
+        # a one-frequency system is a block of one
+        (rows,) = (operator_rows(system) if isinstance(system, SystemMatrices)
+                   else [system])
         self.n_interior = rows.diag.size
         self.k = rows.k
         self.phase = rows.phase
@@ -614,8 +610,8 @@ class Factorization:
             raise RuntimeError(f"gttrf failed with info = {info}")
         self._factors = (dl, d, du, du2, ipiv)
         self._gttrs = gttrs
-        # the +x values both directions read, and their loads
-        self._slab_wave, self._loads = rows.slab_wave, rows.loads
+        # the +x values both directions read
+        self._slab_wave = rows.slab_wave
 
     def _slab_scale_note(self, rows: OperatorRows) -> str:
         """Why the pivot test may have tripped, when the slab rows set the
@@ -656,16 +652,10 @@ class Factorization:
 
         One value per mesh node, exactly zero outside ``slab_nodes`` and
         fresh, so a solve may overwrite it: ``slab_load`` of the wave's
-        values there, or the same values formed for both directions with
-        the LU's rows, in a block's array pass (``operator_rows``). A
-        closed box, which has no wave and so no loads, is refused.
+        values there, formed for the direction asked only. A closed box,
+        which has no wave and so no loads, is refused.
         """
-        if self._loads is None:
-            return self.slab_load(self.wave(self._static.slab_nodes,
-                                            direction))
-        f = np.zeros(self.n_interior + 2, dtype=complex)
-        f[self._static.slab_nodes] = self._loads[direction < 0]
-        return f
+        return self.slab_load(self.wave(self._static.slab_nodes, direction))
 
     def slab_load(self, values) -> np.ndarray:
         """(L_vac - L) w, for the values of w on ``slab_nodes``.
@@ -712,67 +702,25 @@ class Factorization:
 
 
 def block_size(mesh: Mesh1D) -> int:
-    """How many frequencies one ``frequency_block`` on ``mesh`` holds: as
-    many as ``BLOCK_BYTES`` takes, at least one."""
+    """How many frequencies a sweep assembles at once on ``mesh``: as many
+    as ``BLOCK_BYTES`` takes, at least one."""
     return max(1, BLOCK_BYTES // (_BLOCK_BYTES_PER_NODE * mesh.n_nodes))
 
 
-def frequency_block(mesh: Mesh1D, medium: MediumSpec, ks):
-    """A context that assembles the wavenumbers ``ks`` at once and, while
-    it is open, builds the LU of each of them from the block.
-
-    ``assemble`` and ``operator_rows`` run once over the whole block, and
-    the mesh keeps its rows: ``factorization`` builds the LU of a k the
-    block holds from that k's rows, each once, in place. A block that
-    cannot be assembled whole keeps nothing, so each of its k is then
-    assembled alone, and the first k at fault is refused by itself, after
-    the ones before it have been solved. Leaving the context drops the
-    rows no LU took. A single k is assembled by itself: its context does
-    nothing.
-    """
-    if len(ks) < 2:
-        return contextlib.nullcontext()
-    return _kept_block(mesh, medium, ks)
-
-
-@contextlib.contextmanager
-def _kept_block(mesh: Mesh1D, medium: MediumSpec, ks):
-    """``frequency_block`` for two or more k."""
-    slots = _KEPT.setdefault(mesh, {})
-    try:
-        rows = operator_rows(assemble(mesh, medium, np.array(ks, dtype=float)))
-        slots["block"] = (medium, dict(zip(ks, rows)))
-    except ValueError:
-        pass
-    try:
-        yield
-    finally:
-        slots.pop("block", None)
-
-
-def _operator_of(mesh: Mesh1D, medium: MediumSpec, k: float):
-    """The rows of k in the block the mesh keeps, taken out of it, if the
-    block is for this medium and holds k; otherwise k's system alone."""
-    block = _KEPT.get(mesh, {}).get("block")
-    if block is not None and block[0] == medium:
-        rows = block[1].pop(k, None)
-        if rows is not None:
-            return rows
-    return assemble(mesh, medium, k)
-
-
-def factorization(mesh: Mesh1D, medium: MediumSpec, k: float) -> Factorization:
+def factorization(mesh: Mesh1D, medium: MediumSpec, k: float,
+                  rows: OperatorRows | None = None) -> Factorization:
     """The LU of L = S - k^2 M for (mesh, medium, k).
 
     Every solve at one frequency reuses it: the mesh keeps the LU of the
-    last (medium, k) solved on it, and the old LU is freed before the
-    operator of a new (medium, k) is assembled, or taken from the open
-    ``frequency_block`` that holds it. One slot per mesh suits a serial
-    frequency loop; solves of two frequencies on one mesh interleaved
-    would refactorize each time.
+    last (medium, k) solved on it, and the old LU is freed before the new
+    one is built, from ``rows``, k's ``OperatorRows`` in a block
+    (``operator_rows``), if given, else from k's operator assembled alone.
+    An LU already kept for (medium, k) leaves ``rows`` unfactored. One
+    slot per mesh suits a serial frequency loop; solves of two
+    frequencies on one mesh interleaved would refactorize each time.
     """
-    return kept(mesh, "factorization", (medium, k),
-                lambda: Factorization(_operator_of(mesh, medium, k)))
+    return kept(mesh, "factorization", (medium, k), lambda: Factorization(
+        assemble(mesh, medium, k) if rows is None else rows))
 
 
 def pivot_sweep(diag, off2):

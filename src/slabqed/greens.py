@@ -37,13 +37,21 @@ def solve_point_source(
     The unit load is solved in place on the interior rows of the nodal
     vector, whose walls stay zero.
     """
+    dofs = point_load(mesh, x_src)
+    factorization(mesh, medium, k).solve(dofs[1:-1])
+    return FieldSolution(mesh=mesh, k=float(k), dofs=dofs)
+
+
+def point_load(mesh: Mesh1D, x_src: float) -> np.ndarray:
+    """The unit load of a point source at the node x_src, one value per
+    mesh node; a source on a Dirichlet wall, whose field is zero, is
+    refused."""
     src = node_of(mesh, x_src)
     if src == 0 or src == mesh.n_nodes - 1:
         raise ValueError("source on a Dirichlet wall gives the zero field")
     dofs = np.zeros(mesh.n_nodes, dtype=complex)
     dofs[src] = 1.0
-    factorization(mesh, medium, k).solve(dofs[1:-1])
-    return FieldSolution(mesh=mesh, k=float(k), dofs=dofs)
+    return dofs
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,8 @@ from .medium import MediumSpec
 # nodes and the eigenmode box 997, so this refuses only a layout whose
 # nodes alone would take tens of megabytes
 MAX_NODES = 1_000_000
+# the fewest points per wavelength a mesh is laid out with
+MIN_PPW = 10
 
 
 class InputError(ValueError):
@@ -309,6 +311,16 @@ def _refuse_outside(obs, edge, region, size, need):
             outside.tolist())
 
 
+def check_resolution(points_per_wavelength):
+    """Refuse a mesh of fewer than ``MIN_PPW`` points per wavelength, or
+    NaN (``InputError``)."""
+    if not points_per_wavelength >= MIN_PPW:
+        raise InputError(
+            f"is not >= {MIN_PPW}",
+            {"points_per_wavelength": points_per_wavelength},
+            ("points_per_wavelength", f">= {MIN_PPW}"))
+
+
 def check_padded_region(points, slab_half_length, padding):
     """Refuse points that do not lie strictly inside the padded region
     (-(a + padding), a + padding) of an open mesh: an ``InputError`` that
@@ -332,11 +344,7 @@ def _layout(medium, k_max, points_per_wavelength, edge, obs, hull=None,
     """
     if k_max <= 0:
         raise ValueError(f"k_max must be > 0, got {k_max}")
-    if points_per_wavelength < 10:
-        raise ValueError(
-            "points_per_wavelength must be >= 10, got "
-            f"{points_per_wavelength}"
-        )
+    check_resolution(points_per_wavelength)
     a = medium.slab_half_length
     h_target = 2.0 * math.pi / (k_max * points_per_wavelength)
     sized_by = {"k_max": k_max, "points_per_wavelength": points_per_wavelength}

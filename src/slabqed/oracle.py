@@ -17,18 +17,18 @@ Conventions (same normalized units as the rest of the package):
 * interior amplitudes are referenced to the face each wave launches from,
   which keeps every amplitude O(1) even when the slab is opaque
 
-Every function takes one frequency or an array of them. One frequency
-is worked as a scalar: Python's complex arithmetic for the plane-wave
-coefficients, numpy's for the rest. An array gives one value per
-frequency (times the shape of x for the fields) in numpy's array
-arithmetic, each region still evaluated on its own points only: a
+Every function takes one frequency or an array of them, and works in
+one arithmetic, numpy's array arithmetic: an array gives one value per
+frequency (times the shape of x for the fields), and one frequency is
+worked as an array of one and unwrapped, to a Python complex where the
+result is one number. Each region is evaluated on its own points only: a
 formula of one region may overflow at the points of another, where it is
 not used. numpy's array complex products and quotients round differently
-from scalar ones (in ~44% and ~43% of random operands on an AVX-512
-machine), so the two forms agree to round-off, not to the bit: at most
-5.8 eps of max(|r|, |t|) for r, 2.6 eps for t, 2.5 eps of the peak for
-the probe fields and 3.3 eps of the peak for G over the stock media on
-shifted 101-point grids (``test_crosscheck`` holds them to 16 eps).
+from Python's scalar ones (in ~44% and ~43% of random operands on an
+AVX-512 machine), which one frequency no longer uses; an array of one
+gave bitwise the values of the same frequency in a grid on the stock
+media and on a lossless slab near its resonance (``test_crosscheck``
+holds the two to 16 eps).
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def slab_wavenumber(medium: MediumSpec, omega: float) -> complex:
 class SlabScattering:
     """Plane-wave solution for unit incidence from the left.
 
-    Each field is a scalar for one frequency, or an array of the shape of
-    the frequencies asked for.
+    Each field is a Python scalar for one frequency, or an array of the
+    shape of the frequencies asked for.
     """
 
     omega: float
@@ -78,29 +78,35 @@ def plane_wave_coefficients(medium: MediumSpec, omega) -> SlabScattering:
     illuminated face. Nothing divides by P, which underflows to 0 in an
     opaque slab (C, D, r and t then tend to their single-face values), and
     |rho P| < 1 for a passive slab with k_s != 0, so the denominator does
-    not vanish. No matrix is formed or solved: one frequency is worked in
-    Python's scalar complex arithmetic, an array of them elementwise in
-    numpy's.
+    not vanish. No matrix is formed or solved: the frequencies are worked
+    elementwise in numpy's array arithmetic, one frequency as an array of
+    one.
     """
-    if np.any(np.asarray(omega) <= 0):
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0):
         raise ValueError(f"omega must be > 0, got {omega}")
-    if np.ndim(omega) == 0:
-        k, cast = float(omega), complex
-    else:
-        k, cast = np.asarray(omega, dtype=float), np.asarray
-    ks = cast(slab_wavenumber(medium, k))
+    k = np.atleast_1d(omega)
+    ks = slab_wavenumber(medium, k)
     rho = (k - ks) / (k + ks)
     # |P| <= 1 when passive
-    prop = cast(np.exp(1j * ks * medium.slab_length))
+    prop = np.exp(1j * ks * medium.slab_length)
     denom = 1.0 - (rho * prop) ** 2
-    incident = cast(np.exp(-1j * k * medium.slab_half_length))  # x = -a
+    incident = np.exp(-1j * k * medium.slab_half_length)  # x = -a
     c = (1.0 + rho) * incident / denom
     r_face = rho * (1.0 - prop**2) / denom
-    return SlabScattering(
-        omega=k, k_slab=ks, half_length=medium.slab_half_length,
-        r=r_face * incident**2, t=(1.0 - rho) * prop * c * incident,
-        amp_left=c, amp_right=-rho * prop * c,
-    )
+    fields = dict(k_slab=ks, r=r_face * incident**2,
+                  t=(1.0 - rho) * prop * c * incident, amp_left=c,
+                  amp_right=-rho * prop * c)
+    return SlabScattering(omega=_unwrapped(omega, k),
+                          half_length=medium.slab_half_length,
+                          **{name: _unwrapped(omega, value)
+                             for name, value in fields.items()})
+
+
+def _unwrapped(omega: np.ndarray, value: np.ndarray):
+    """``value``, worked for the frequencies ``omega`` as an array: for one
+    frequency (0-d ``omega``), its one entry as a Python scalar."""
+    return value if omega.ndim else value.reshape(-1)[0].item()
 
 
 def tmm_reflection_transmission(medium: MediumSpec, omega):
@@ -111,25 +117,25 @@ def tmm_reflection_transmission(medium: MediumSpec, omega):
     The slab is mirror symmetric, so the pair holds for either incidence
     direction. An array of frequencies gives an array of each.
     """
-    sol = plane_wave_coefficients(medium, omega)
+    omega = np.asarray(omega, dtype=float)
+    sol = plane_wave_coefficients(medium, np.atleast_1d(omega))
     shift = np.exp(2j * sol.omega * medium.slab_half_length)
-    return sol.r * shift, sol.t
+    return _unwrapped(omega, sol.r * shift), _unwrapped(omega, sol.t)
 
 
 def _on_points(omega, x):
     """(frequencies, points, shape of the result) for an evaluation of
     every frequency at every point.
 
-    The points come flattened. One frequency stays a scalar; an array of
-    them gets a trailing axis, so each coefficient broadcasts against the
+    The points come flattened. The frequencies, one as an array of one,
+    get a trailing axis, so each coefficient broadcasts against the
     points, and the result has the frequencies' shape followed by the
     points'.
     """
     x = np.asarray(x, dtype=float)
-    if np.ndim(omega) == 0:
-        return omega, x.reshape(-1), x.shape
     omega = np.asarray(omega, dtype=float)
-    return omega[..., None], x.reshape(-1), omega.shape + x.shape
+    return (np.atleast_1d(omega)[..., None], x.reshape(-1),
+            omega.shape + x.shape)
 
 
 def tmm_total_field(medium: MediumSpec, omega, direction: int, x):
@@ -162,7 +168,7 @@ def tmm_total_field(medium: MediumSpec, omega, direction: int, x):
     return out if out.ndim else complex(out)
 
 
-def _outgoing_pair(medium: MediumSpec, omega: float):
+def _outgoing_pair(medium: MediumSpec, k):
     """Homogeneous solutions u_left, u_right used to build the Green function.
 
     u_left is purely left-going (e^{-ikx}) for x < -a; u_right is purely
@@ -178,9 +184,8 @@ def _outgoing_pair(medium: MediumSpec, omega: float):
     and of u_right on the left (ar, br alike). An array of frequencies
     gives an array of each, and evaluators that take flattened points.
     """
-    k = float(omega) if np.ndim(omega) == 0 else omega
     a = medium.slab_half_length
-    ks = slab_wavenumber(medium, omega)
+    ks = slab_wavenumber(medium, k)
     phase = np.exp(1j * k * a)
     prop2 = np.exp(2j * ks * medium.slab_length)  # P^2; may underflow to 0
 

@@ -23,7 +23,7 @@ formed once for both directions) and at the atom's node (the boundary
 part).
 
 The medium part is 2k times the loss the slab adds to the operator,
--g^H Im(L - L_vac) g with g = G(x_a, .) (``GreenSamples.medium_loss``).
+-g^H Im(L - L_vac) g with g = G(x_a, .) (``Factorization.slab_loss``).
 On P1 that is 2k^3 chi_I int_slab |G(x_a, x)|^2 dx, taken as the band form
 k^2 chi_I g^H M_slab g over the slab's nodes: the Gauss rule that built
 M_slab integrates the P1 product exactly, so no Gauss-point values of G
@@ -31,24 +31,20 @@ are formed.
 
 Per frequency the routes share one operator and one matrix
 factorization, which feeds three separate single-column solves (two plane
-waves, one point source); each load is solved in place.
-``fem.factorization`` keeps the LU, with the slab term the loads and the
-medium loss read and the lattice wave the states are driven by, on the
-mesh, and the sweep runs its frequencies in order, one LU at a time; the
-atom's node is found once per sweep (``fem.node_of``). The identity
-(ldos - medium) = boundary is the zero-separation thermal-balance
-statement, so each sweep record carries its relative residual for free.
-
-The sweep takes its frequencies in blocks of ``fem.block_size``. Per
-block one array pass in ``fem`` (``fem.frequency_block``) assembles every
-frequency's operator and forms its LU's inputs and both loads; per
-frequency, in order, the first solve builds that frequency's LU from its
-rows, the three solves follow, and then the three rates are read as
-scalars: ``pf_b`` as a Python sum of ``abs(complex) ** 2``, ``pf_m``
-through ``np.vdot`` and ``pf_sfa`` from G(x_a, x_a). numpy's ``np.abs``
-and ``x**2`` may round apart from Python's, so no readout is an array
-pass. Every record is bitwise the one of its frequency swept alone.
-``compute_record`` is a one-point sweep.
+waves, one point source); each load is solved in place. The sweep takes
+its frequencies in order, in blocks of ``fem.block_size``: per block one
+array pass in ``fem`` (``fem.assemble`` and ``fem.operator_rows``) forms
+every frequency's operator and the inputs of its LU; per frequency its
+LU is built from its rows and kept on the mesh in place of the last one
+(``fem.factorization``), the three solves follow on it, and the three
+rates are read as scalars (``_record``). The rows stay with the sweep:
+the mesh keeps no block. numpy's ``np.abs`` and ``x**2`` may round apart
+from Python's, so no readout is an array pass, and every record is
+bitwise the one of its frequency swept alone. The atom's node is found
+once per sweep (``fem.node_of``). The identity (ldos - medium) = boundary
+is the zero-separation thermal-balance statement, so each sweep record
+carries its relative residual for free. ``compute_record`` is a
+one-point sweep.
 """
 
 from __future__ import annotations
@@ -57,11 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import block_size, frequency_block, node_of
-from .greens import GreenSamples, solve_point_source
+from .fem import (OperatorRows, assemble, block_size, factorization,
+                  node_of, operator_rows)
+from .greens import point_load
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, build_mesh
-from .scattering import PlaneWaveSolution, solve_scattering
 
 
 @dataclass(frozen=True)
@@ -83,66 +79,44 @@ class PurcellRecord:
     tec_residual: float  # thermal-balance residual at (x_a, x_a)
 
 
-def gamma_sfa(samples: GreenSamples) -> float:
-    """Rate over free-space rate from the local density of states."""
-    return 2.0 * samples.k * samples.self_value.imag
+def _record(mesh: Mesh1D, medium: MediumSpec, omega_a: float, x_a: float,
+            rows: OperatorRows | None) -> PurcellRecord:
+    """All Purcell factors at one frequency, from one factorization.
 
+    The frequency's LU is built from its ``rows`` of a block, or from its
+    operator assembled alone for None, and kept on the mesh
+    (``fem.factorization``). Three single-column solves follow on it,
+    each load solved in place: the scattering states driven by the unit
+    lattice wave toward +x and toward -x (``Factorization.incident_load``,
+    refused on a closed box) and the point source at the atom's node
+    (``greens.point_load``, refused on a wall). The rates are then read as
+    scalars at k = ``omega_a``:
 
-def gamma_boundary(
-    sol_plus: PlaneWaveSolution, sol_minus: PlaneWaveSolution, x_a: float
-) -> float:
-    """Boundary part: half the summed intensity of the two scattering states.
-
-    The two unit-amplitude lattice plane waves are the 1D stand-in for the
-    angular spectrum entering from infinity; in vacuum each contributes
-    1/2. A sweep forms the same sum at the atom's node.
+    * pf_sfa = 2k Im G(x_a, x_a), the LDOS;
+    * pf_b = (|Phi_+(x_a)|^2 + |Phi_-(x_a)|^2) / 2, half the summed
+      intensity of the two states, incident wave plus scattered field, at
+      the atom's node: the two unit plane waves are the 1D stand-in for the
+      angular spectrum entering from infinity, and in vacuum each gives 1/2;
+    * pf_m = 2k times the slab's loss -g^H Im(L - L_vac) g of g =
+      G(x_a, .) (``Factorization.slab_loss``), on P1 2k^3 chi_I int_slab
+      |G(x_a, x)|^2 dx, the element rule's Gauss sum exactly.
     """
-    if {sol_plus.direction, sol_minus.direction} != {+1, -1}:
-        raise ValueError("need one solution per incidence direction")
-    total = 0.0
-    for sol in (sol_plus, sol_minus):
-        total += abs(complex(sol.total_at(x_a))) ** 2
-    return 0.5 * total
-
-
-def gamma_medium(samples: GreenSamples) -> float:
-    """Medium part: noise currents in the slab radiating to the atom.
-
-    2k times the slab's loss -g^H Im(L - L_vac) g, which ``sample_green``
-    reads from the operator; on P1 that is 2 k^3 chi_I int_slab
-    |G(x_a, x)|^2 dx (the element rule's Gauss sum, exactly).
-    """
-    return 2.0 * samples.k * samples.medium_loss
-
-
-def _record(mesh: Mesh1D, medium: MediumSpec, omega_a: float,
-            x_a: float) -> PurcellRecord:
-    """All Purcell factors at one frequency from one factorization.
-
-    The left-incident scattering state brings the frequency's LU
-    (``solve_scattering`` takes it from ``fem.factorization``); the
-    right-incident state and the point source at the atom
-    (``solve_point_source``) are solved on that LU, three single-column
-    solves in all. The rates are then read as ``gamma_boundary``,
-    ``gamma_sfa`` and ``gamma_medium`` read them, to the last bit: the
-    states' values at the atom's node (interpolation at a node returns
-    the nodal value), G(x_a, x_a) and the slab's loss of G(x_a, .).
-    """
-    plus = solve_scattering(mesh, medium, omega_a, +1)
-    lu, node = plus.lu, node_of(mesh, x_a)
-    minus = lu.incident_load(-1)
+    lu = factorization(mesh, medium, omega_a, rows)
+    plus, minus = lu.incident_load(+1), lu.incident_load(-1)
+    lu.solve(plus[1:-1])
     lu.solve(minus[1:-1])
-    green = solve_point_source(mesh, medium, omega_a, x_a).dofs
-    g = green[mesh.slab_nodes]
+    green = point_load(mesh, x_a)
+    lu.solve(green[1:-1])
+    node, g = node_of(mesh, x_a), green[mesh.slab_nodes]
 
     pf_sfa = 2.0 * omega_a * complex(green[node]).imag
-    pf_b = 0.5 * (abs(plus.total_at_nodes(node)) ** 2
+    pf_b = 0.5 * (abs(complex(lu.wave(node, +1) + plus[node])) ** 2
                   + abs(complex(lu.wave(node, -1) + minus[node])) ** 2)
     pf_m = 2.0 * omega_a * lu.slab_loss(g, g).real
     lhs = pf_sfa - pf_m
     tec = abs(lhs - pf_b) / max(abs(lhs), abs(pf_b), 1e-300)
     return PurcellRecord(
-        omega_a=float(omega_a),
+        omega_a=omega_a,
         x_a=float(x_a),
         pf_sfa=pf_sfa,
         pf_b=pf_b,
@@ -175,26 +149,34 @@ def sweep(
     """Frequency sweep; returns records sorted by transition frequency.
 
     Serial on purpose: the frequencies run in order, in blocks of
-    ``fem.block_size`` (``fem.frequency_block``, one assembly per block),
-    and the mesh keeps one LU, so each frequency's solves share it and the
-    next frequency replaces it. An error names the frequency it is at.
+    ``fem.block_size``, each assembled in one array pass, and the mesh
+    keeps one LU, built from the frequency's rows, so each frequency's
+    solves share it and the next frequency replaces it. A block that
+    cannot be assembled whole is swept one k at a time, each assembled
+    alone, so the first k at fault is refused by itself, after the ones
+    before it. An error names the frequency it is at.
     """
     omegas = sorted(float(w) for w in omegas)
     size = block_size(mesh)
     records = []
     for start in range(0, len(omegas), size):
         block = omegas[start:start + size]
-        with frequency_block(mesh, medium, block):
-            for omega in block:
+        try:
+            # a block of one is its scalar k, whose bands have no row axis
+            rows = operator_rows(assemble(
+                mesh, medium, block if len(block) > 1 else block[0]))
+        except ValueError:
+            rows = [None] * len(block)
+        for omega, row in zip(block, rows):
+            try:
+                records.append(_record(mesh, medium, omega, x_a, row))
+            except Exception as exc:
+                note = f"sweep point omega_a = {omega}: {exc}"
                 try:
-                    records.append(_record(mesh, medium, omega, x_a))
-                except Exception as exc:
-                    note = f"sweep point omega_a = {omega}: {exc}"
-                    try:
-                        wrapped = type(exc)(note)
-                    except TypeError:
-                        wrapped = RuntimeError(note)
-                    raise wrapped from exc
+                    wrapped = type(exc)(note)
+                except TypeError:
+                    wrapped = RuntimeError(note)
+                raise wrapped from exc
     return records
 
 

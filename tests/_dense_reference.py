@@ -16,7 +16,9 @@ oracle, the reference of the grid comparison in ``crosscheck``;
 reference of the package's P1 readouts. ``per_frequency_sweep`` is the
 sweep one frequency at a time, each assembled and factored by itself
 through the route functions, the reference of the block sweep in
-``purcell``.
+``purcell``; the per-route rate readers ``gamma_sfa``,
+``gamma_boundary`` and ``gamma_medium`` read the three rates off the
+route functions' states, as ``purcell._record`` reads them off its solves.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ from slabqed.fem import node_of
 from slabqed.greens import sample_green, solve_point_source
 from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE
 from slabqed.mesh import unique_columns
-from slabqed.purcell import PurcellRecord, gamma_medium, gamma_sfa
+from slabqed.purcell import PurcellRecord
 from slabqed.oracle import (
     tmm_green,
     tmm_reflection_transmission,
@@ -240,6 +242,36 @@ def per_frequency_oracle_residuals(mesh, medium, omega, x_a):
     g_tmm = tmm_green(medium, omega, sample, x_a)
     res_green = float(np.max(np.abs(g_fem - g_tmm)) / np.max(np.abs(g_tmm)))
     return res_rt, res_field, res_green
+
+
+def gamma_sfa(samples):
+    """Rate over free-space rate from the local density of states."""
+    return 2.0 * samples.k * samples.self_value.imag
+
+
+def gamma_boundary(sol_plus, sol_minus, x_a):
+    """Boundary part: half the summed intensity of the two scattering states.
+
+    The two unit-amplitude lattice plane waves are the 1D stand-in for the
+    angular spectrum entering from infinity; in vacuum each contributes
+    1/2. A sweep forms the same sum at the atom's node.
+    """
+    if {sol_plus.direction, sol_minus.direction} != {+1, -1}:
+        raise ValueError("need one solution per incidence direction")
+    total = 0.0
+    for sol in (sol_plus, sol_minus):
+        total += abs(complex(sol.total_at(x_a))) ** 2
+    return 0.5 * total
+
+
+def gamma_medium(samples):
+    """Medium part: noise currents in the slab radiating to the atom.
+
+    2k times the slab's loss -g^H Im(L - L_vac) g, which ``sample_green``
+    reads from the operator; on P1 that is 2 k^3 chi_I int_slab
+    |G(x_a, x)|^2 dx (the element rule's Gauss sum, exactly).
+    """
+    return 2.0 * samples.k * samples.medium_loss
 
 
 def per_frequency_sweep(mesh, medium, omegas, x_a):

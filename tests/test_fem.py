@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from _dense_reference import (
     dense_tridiagonal,
     element_quadrature,
+    gamma_boundary,
+    gamma_medium,
+    gamma_sfa,
     in_slab,
     interpolate_p1,
     relative_permittivity,
@@ -21,7 +24,7 @@ from _dense_reference import (
 from _random_meshes import meshes
 from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
-from slabqed import fem, greens, identities, scattering
+from slabqed import fem, greens, identities, purcell, scattering
 from slabqed.cli import main
 from slabqed.fem import (
     _SWEEP_BLOCK,
@@ -46,14 +49,7 @@ from slabqed.greens import reciprocity_residual, sample_green, solve_point_sourc
 from slabqed.identities import check_thermal_equilibrium
 from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS
 from slabqed.mesh import Mesh1D, build_box_mesh, build_mesh
-from slabqed.purcell import (
-    compute_record,
-    gamma_boundary,
-    gamma_medium,
-    gamma_sfa,
-    purcell_mesh,
-    sweep,
-)
+from slabqed.purcell import compute_record, purcell_mesh, sweep
 from slabqed.scattering import solve_scattering
 
 CASE1 = CASE_PRESETS["1"]
@@ -232,7 +228,7 @@ def test_assemble_matches_the_per_gauss_point_formula(k, ppw, name, box):
 def test_a_block_is_bitwise_each_k_assembled_alone(drawn, ks):
     # every row of a block's system and of its LU inputs is what its k
     # gives alone: the bands, theta, the interior bands of L and their
-    # scale, the wave on the slab and both loads
+    # scale, the wave on the slab and both loads the LU of its row forms
     mesh, medium = drawn
     block = assemble(mesh, medium, np.array(ks))
     rows = fem.operator_rows(block)
@@ -253,12 +249,13 @@ def test_a_block_is_bitwise_each_k_assembled_alone(drawn, ks):
         if mesh.is_open:
             wave = lu.wave(mesh.slab_nodes)
             np.testing.assert_array_equal(row.slab_wave, wave)
-            for direction, load in zip((+1, -1), row.loads):
+            from_row = Factorization(row)
+            for direction in (+1, -1):
                 np.testing.assert_array_equal(
-                    load, lu.slab_load(lu.wave(mesh.slab_nodes, direction))[
-                        mesh.slab_nodes])
+                    from_row.incident_load(direction),
+                    lu.incident_load(direction))
         else:
-            assert row.slab_wave is None and row.loads is None
+            assert row.slab_wave is None
 
 
 def test_vacuum_box_bands_are_bitwise_the_reference():
@@ -1091,16 +1088,21 @@ def test_sweep_builds_one_factorization_per_point(built):
     assert built == [410.0, 520.0, 660.0]
 
 
-def test_a_block_row_is_factored_once():
-    # the LU factors its rows in place: a k asked for again once its LU
-    # was replaced is assembled alone, not built from the spent rows
+def test_a_block_row_is_factored_once(built):
+    # the LU factors its rows in place: a k asked for again while its LU
+    # is kept reuses that LU and leaves the spent rows alone, and once the
+    # LU was replaced it is assembled alone, not built from them
     mesh, rng = lu_mesh(), np.random.default_rng(5)
     rhs = rng.normal(size=mesh.n_interior) + 0j
     reference = solved(Factorization(assemble(mesh, CASE1, 500.0)), rhs)
-    with fem.frequency_block(mesh, CASE1, [500.0, 501.0]):
-        for k in (500.0, 501.0, 500.0):
-            lu = factorization(mesh, CASE1, k)
-        np.testing.assert_array_equal(solved(lu, rhs), reference)
+    rows = fem.operator_rows(assemble(mesh, CASE1, np.array([500.0, 501.0])))
+    lu = factorization(mesh, CASE1, 500.0, rows[0])
+    assert factorization(mesh, CASE1, 500.0, rows[0]) is lu
+    np.testing.assert_array_equal(solved(lu, rhs), reference)
+    factorization(mesh, CASE1, 501.0, rows[1])
+    lu = factorization(mesh, CASE1, 500.0)
+    np.testing.assert_array_equal(solved(lu, rhs), reference)
+    assert built == [500.0, 500.0, 501.0, 500.0]
 
 
 def test_oracle_compare_builds_one_factorization_per_point(built, tmp_path):
@@ -1122,11 +1124,11 @@ def test_changed_operator_gets_a_fresh_factorization(entry, other, built,
     call = dict(mesh=mesh, medium=CASE1, k=500.0)
     call[other] = {"mesh": lu_mesh(), "medium": VACUUM, "k": 501.0}[other]
 
-    def direct(mesh, medium, k):
+    def direct(mesh, medium, k, rows=None):
         return Factorization(assemble(mesh, medium, k))
 
     with monkeypatch.context() as patch:
-        for module in (greens, scattering, identities):
+        for module in (greens, scattering, identities, purcell):
             patch.setattr(module, "factorization", direct)
         reference = run(**call)
     del built[:]

