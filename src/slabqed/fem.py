@@ -63,19 +63,20 @@ a block of them (an array, one row per k in every band that depends on
 k; a scalar k runs the same statements on bands without the row axis),
 and ``operator_rows`` forms, for every k of the system in one array pass,
 the ``OperatorRows`` its LU is built from: the interior bands of L, the
-pivot test's scale and the lattice wave on the slab's nodes, from which
-the LU forms a direction's load where a solve asks for it.
-``Factorization`` factors one k's rows (``gttrf`` in place, with the
-singular-pivot test); given a one-frequency system it takes that
-system's one row. A sweep takes each block's rows and hands them to
-``factorization`` one k at a time (``BLOCK_BYTES`` sizes the blocks,
-``block_size``); every other caller asks ``factorization`` for one k,
-which it assembles alone. Numeric contract: every row, and the LU and
-loads built from it, is bitwise what its k assembled alone gives. chi(k)
-is a Python scalar per k, checked before any band is formed, and so are
-k^2 and k^2 chi(k), since numpy's square and a Python square may round
-apart; every array operation is elementwise along the rows, and
-theta(0) is read with np.interp's own arithmetic (``P1Stencil``).
+pivot test's scale, the lattice wave w on the slab's nodes and M_slab w
+there, from which the LU forms either direction's load (M_slab is real,
+so the -x load is the conjugate product's). ``Factorization`` factors one
+k's rows (``gttrf`` in place, with the singular-pivot test); given a
+one-frequency system it takes that system's one row. A sweep takes each
+block's rows and hands them to ``factorization`` one k at a time
+(``BLOCK_BYTES`` sizes the blocks, ``block_size``); every other caller
+asks ``factorization`` for one k, which it assembles alone. Numeric
+contract: every row, and the LU and loads built from it, is bitwise what
+its k assembled alone gives. chi(k) is a Python scalar per k, checked
+before any band is formed, and so are k^2 (formed once, kept as
+``SystemMatrices.k_squared``) and k^2 chi(k), since numpy's square and a
+Python square may round apart; every array operation is elementwise
+along the rows, and theta(0) is read with np.interp row by row.
 
 On an open mesh the same phase steps kt h give the vacuum lattice's own
 plane wave, the wave the scattering states are driven by: its nodal phase
@@ -109,6 +110,8 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
+import math
 import os
 import weakref
 from dataclasses import dataclass
@@ -232,7 +235,7 @@ def lattice_wavenumber(k: float, h):
     h = np.asarray(h, dtype=float)
     z = k * h
     half_sine = 0.5 * z / np.sqrt(1.0 + z**2 / 6.0)
-    if (half_sine >= 1.0).any():
+    if half_sine.max() >= 1.0:
         k_first = np.broadcast_to(k, z.shape)[half_sine >= 1.0][0]
         raise ValueError(
             f"no propagating lattice wave at k = {float(k_first)} with "
@@ -246,20 +249,6 @@ def lattice_wavenumber(k: float, h):
 # elements
 _PORTS = np.array([1, -2])
 _WALL_ELEMENTS = np.array([0, -1])
-
-
-def _along_nodes(values: np.ndarray, shape: tuple) -> np.ndarray:
-    """``values``, one per k of a block of ``shape``, shaped to broadcast
-    along the nodes: a column for a block, a 0-d array for a scalar k
-    (shape ()), so its bands see a scalar."""
-    return values.reshape(shape + (1,) * len(shape))
-
-
-def _squares(ks) -> np.ndarray:
-    """k^2 of each k of the list ``ks`` as Python squares a float, as
-    complex: numpy's square may round otherwise, and a complex factor
-    multiplies a complex band as a complex scalar does, with no cast."""
-    return np.array([k**2 for k in ks], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,6 +265,10 @@ class SystemMatrices:
     A block of frequencies (``assemble`` with an array of k) has an array
     ``k`` and ``chi`` and one row per k in every band that depends on k;
     ``operator_interior`` and ``operator_rows`` take either, the rest one k.
+    ``k_squared`` is k^2 of each k, formed once by ``assemble`` as Python
+    squares of the floats (numpy's square may round apart) and complex, so
+    it multiplies a complex band as a complex scalar does, with no cast: a
+    complex for a scalar k, a column for a block.
     Systems compare by identity: equal bands do not make two systems equal.
     """
 
@@ -287,6 +280,7 @@ class SystemMatrices:
     m_diag: np.ndarray
     m_off: np.ndarray
     phase: np.ndarray | None
+    k_squared: complex | np.ndarray
 
     @property
     def n_interior(self) -> int:
@@ -304,10 +298,21 @@ class SystemMatrices:
     def operator_interior(self):
         """Bands of L = S - k^2 M on the interior nodes (a row per k of a
         block)."""
-        k2 = _along_nodes(_squares(np.ravel(self.k).tolist()),
-                          self.m_diag.shape[:-1])
-        return (self.s_diag[..., 1:-1] - k2 * self.m_diag[..., 1:-1],
-                self.s_off[..., 1:-1] - k2 * self.m_off[..., 1:-1])
+        return self._operator_bands()[1:]
+
+    def _operator_bands(self):
+        """(both, diag, off): ``operator_interior``'s bands, views of one
+        array ``both`` that holds each row's diagonal and then its
+        off-diagonal, so one pass reads max|L_ij| over both."""
+        n = self.n_interior
+        both = np.empty(self.m_diag.shape[:-1] + (2 * n - 1,), dtype=complex)
+        diag, off = both[..., :n], both[..., n:]
+        k2 = self.k_squared
+        np.multiply(k2, self.m_diag[..., 1:-1], out=diag)
+        np.multiply(k2, self.m_off[..., 1:-1], out=off)
+        np.subtract(self.s_diag[..., 1:-1], diag, out=diag)
+        np.subtract(self.s_off[..., 1:-1], off, out=off)
+        return both, diag, off
 
 
 def _gauss_sum(values):
@@ -350,8 +355,9 @@ class StaticBands:
     them casts. M_slab has all its nonzeros on the mesh's ``slab_nodes``.
     ``per_k_bands`` stacks the bands ``assemble`` copies per k, M_0's
     diagonal and off-diagonal (padded with a zero to n entries) and S's
-    diagonal, and ``slab_bands`` M_slab's two bands over ``slab_nodes``
-    alike; ``wall_off`` holds the real stiffness and vacuum mass
+    diagonal; ``slab_mass`` holds M_slab's diagonal over ``slab_nodes``
+    and its off-diagonal over ``slab_elements``, all its nonzeros;
+    ``wall_off`` holds the real stiffness and vacuum mass
     off-diagonals of the two wall elements, which the outgoing boundary
     reads. Holds arrays and slices only, not the mesh, so a copy kept for
     a mesh dies with it.
@@ -368,38 +374,21 @@ class StaticBands:
         s_diag = np.zeros(mesh.n_nodes, dtype=complex)
         s_diag[:-1] += k_e
         s_diag[1:] += k_e
-        # each band is a row of a stack, an off-diagonal padded with a zero
-        # to n entries: one copy per k takes every band that varies with
-        # k, and one product adds chi M_slab to both mass bands, since
-        # M_slab's off-diagonal past the slab is an exact zero
-        per_k, slab = (np.zeros((rows, mesh.n_nodes), dtype=complex)
-                       for rows in (3, 2))
+        # each band that varies with k is a row of a stack, the
+        # off-diagonal padded with a zero to n entries, so one copy per k
+        # takes them all
+        per_k = np.zeros((3, mesh.n_nodes), dtype=complex)
         per_k[0], per_k[1, :-1] = _mass_bands(half, 1.0)
         per_k[2] = s_diag
-        slab[0], slab[1, :-1] = _mass_bands(half, on_slab)
-        self.per_k_bands, slab = _read_only(per_k), _read_only(slab)
+        self.per_k_bands = _read_only(per_k)
         self.m0_diag, self.m0_off, self.s_diag = per_k[0], per_k[1, :-1], per_k[2]
-        self.slab_diag, self.slab_off = slab[0], slab[1, :-1]
-        self.slab_bands = slab[:, mesh.slab_nodes]
+        self.slab_diag, self.slab_off = _mass_bands(half, on_slab)
+        self.slab_mass = (self.slab_diag[mesh.slab_nodes],
+                          self.slab_off[mesh.slab_elements])
         self.s_off = _read_only(-k_e)
-        self.slab_elements, self.slab_nodes = (mesh.slab_elements,
-                                               mesh.slab_nodes)
+        self.slab_nodes = mesh.slab_nodes
         self.wall_off = (self.s_off.real[_WALL_ELEMENTS],
                          self.m0_off.real[_WALL_ELEMENTS])
-        # np.interp reads the end value past either end node
-        nodes = mesh.nodes
-        self._origin = _stencil(nodes, np.clip(0.0, nodes[0], nodes[-1]))
-        self._origin_node = (int(self._origin.nodes[0])
-                             if self._origin.offset == 0.0 else None)
-
-    def origin_phase(self, phase):
-        """theta(0) of each row of the nodal phases ``phase``, read as
-        np.interp reads x = 0 among all the nodes, walls included
-        (``P1Stencil``): the value at its node where 0 is one."""
-        if self._origin_node is not None:
-            return phase[..., self._origin_node]
-        low, high = self._origin.nodes
-        return self._origin.real(phase[..., low], phase[..., high])
 
 
 def static_bands(mesh: Mesh1D) -> StaticBands:
@@ -428,7 +417,7 @@ def _susceptibility(mesh: Mesh1D, medium: MediumSpec, k: float) -> complex:
         )
     # a pole of chi is refused before numpy divides by zero and warns
     chi = np.nan if medium.pole_at(k) else complex(medium.susceptibility(k))
-    if not np.isfinite(chi):
+    if not (math.isfinite(chi.real) and math.isfinite(chi.imag)):
         raise ValueError(
             f"chi(k) is not finite at k = {k}: a lossless slab "
             f"(gamma = 0) has no permittivity at its resonance omega_0"
@@ -464,9 +453,11 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k) -> SystemMatrices:
         raise ValueError(f"k must be a scalar or 1-D, got shape {ks.shape}")
     wavenumbers = ks.ravel().tolist()
     chis = [_susceptibility(mesh, medium, k) for k in wavenumbers]
-    # chi(k) per k, broadcast along both mass bands' nodes: a 0-d array
-    # for a scalar k (``_along_nodes``)
-    chi = np.array(chis, dtype=complex).reshape(ks.shape + (1, 1) * ks.ndim)
+    # k^2 and chi(k) per k, shaped to broadcast along the nodes: a column
+    # for a block, a scalar for a scalar k
+    columns = np.array([[k**2 for k in wavenumbers], chis], dtype=complex)
+    columns = columns.reshape((2,) + ks.shape + (1,) * ks.ndim)
+    k2, chi = columns[0], columns[1]
     static = static_bands(mesh)
     # M_slab is an exact zero off its nodes and b rho off the two ports:
     # adding each over its own nodes only leaves every band entry bitwise
@@ -475,26 +466,28 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k) -> SystemMatrices:
     # a writable copy of the bands that vary with k, per k of a block
     per_k = np.empty(ks.shape + static.per_k_bands.shape, dtype=complex)
     per_k[...] = static.per_k_bands
-    per_k[..., :2, mesh.slab_nodes] += chi * static.slab_bands
     m_diag, m_off = per_k[..., 0, :], per_k[..., 1, :-1]
+    slab_diag, slab_off = static.slab_mass
+    m_diag[..., mesh.slab_nodes] += chi * slab_diag
+    m_off[..., mesh.slab_elements] += chi * slab_off
     s_diag, phase = static.s_diag, None
     if mesh.is_open:
         # the phase kt h the lattice wave advances across each element, kt
         # found once per distinct element length
         lengths, classes = mesh.length_classes
-        steps = (lattice_wavenumber(_along_nodes(ks, ks.shape), lengths)
+        steps = (lattice_wavenumber(ks[..., None], lengths)
                  * lengths).take(classes, axis=-1)
         phase = np.zeros(ks.shape + (mesh.n_nodes,))
         np.add.accumulate(steps, axis=-1, out=phase[..., 1:])
         # theta(0) = 0, the oracle's absolute phase
-        phase -= _along_nodes(static.origin_phase(phase), ks.shape)
+        for theta in phase.reshape(-1, mesh.n_nodes):
+            theta -= np.interp(0.0, mesh.nodes, theta)
         phase = _read_only(phase)
         # the vacuum lattice beyond each wall carries u_1 rho^j outward:
         # eliminating it adds b rho to the last physical node's diagonal,
         # rho from the kt the lattice wave advances by
         stiffness, mass = static.wall_off
-        k2 = _along_nodes(_squares(wavenumbers).real, ks.shape)
-        b = stiffness - k2 * mass
+        b = stiffness - k2.real * mass
         s_diag = per_k[..., 2, :]
         s_diag[..., _PORTS] += b * np.exp(
             1j * steps.take(_WALL_ELEMENTS, axis=-1))
@@ -503,7 +496,7 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k) -> SystemMatrices:
         mesh=mesh, k=wavenumbers[0] if one else ks,
         chi=chis[0] if one else chi.reshape(ks.shape),
         s_diag=s_diag, s_off=static.s_off,
-        m_diag=m_diag, m_off=m_off, phase=phase,
+        m_diag=m_diag, m_off=m_off, phase=phase, k_squared=k2,
     )
 
 
@@ -515,10 +508,11 @@ class OperatorRows:
     in place, and ``scale`` max|L_ij| over them, taken before; ``slab_term``
     is k^2 chi(k) and ``s_diag`` the stiffness diagonal, which the
     singular-pivot message reads. On an open mesh ``phase`` is the lattice
-    wave's theta and ``slab_wave`` its values e^{i theta} on
-    ``slab_nodes``, from which the LU forms each direction's load (None on
-    a closed box). All but the bands are read-only. The rows of a block
-    are views of the block's arrays.
+    wave's theta, ``slab_wave`` its values w = e^{i theta} on
+    ``slab_nodes`` and ``slab_mass_wave`` M_slab w there, from which the
+    LU forms each direction's load (all None on a closed box). All but the
+    bands are read-only. The rows of a block are views of the block's
+    arrays.
     """
 
     static: StaticBands
@@ -530,13 +524,14 @@ class OperatorRows:
     s_diag: np.ndarray
     phase: np.ndarray | None = None
     slab_wave: np.ndarray | None = None
+    slab_mass_wave: np.ndarray | None = None
 
 
 def _slab_product(static: StaticBands, values) -> np.ndarray:
     """M_slab w on ``slab_nodes``, for the values of w there (one row per
     leading index)."""
-    off = static.slab_off[static.slab_elements]
-    product = static.slab_diag[static.slab_nodes] * values
+    diag, off = static.slab_mass
+    product = diag * values
     product[..., :-1] += off * values[..., 1:]
     product[..., 1:] += off * values[..., :-1]
     return product
@@ -547,26 +542,36 @@ def operator_rows(system: SystemMatrices) -> list[OperatorRows]:
     for a scalar k.
 
     One array pass over the rows forms, for every frequency at once, the
-    interior bands of L and their scale and the lattice wave on the slab's
-    nodes. Each operation is elementwise along the rows and k^2 chi(k) is
-    a Python product per frequency, as the LU's loads and losses read it,
-    so every row is bitwise what its k assembled alone gives.
+    interior bands of L and their scale, the lattice wave on the slab's
+    nodes and its product with M_slab. Each operation is elementwise along
+    the rows and k^2 chi(k) is a Python product per frequency, as the LU's
+    loads and losses read it, so every row is bitwise what its k assembled
+    alone gives.
     """
-    static, n = static_bands(system.mesh), system.mesh.n_nodes
-    ks = np.ravel(system.k).tolist()
-    m = len(ks)
-    terms = [k**2 * chi for k, chi in zip(ks, np.ravel(system.chi).tolist())]
-    diag, off = (band.reshape(m, -1) for band in system.operator_interior())
-    scales = map(max, np.abs(diag).max(axis=1).tolist(),
-                 np.abs(off).max(axis=1).tolist())
-    # a closed box's stiffness is the static band at every k, and it has
-    # no wave
-    s_diags, phase, waves = [system.s_diag] * m, [None] * m, [None] * m
-    if system.phase is not None:
-        s_diags, phase = system.s_diag.reshape(m, n), system.phase.reshape(m, n)
-        waves = _read_only(np.exp(1j * phase[:, static.slab_nodes]))
-    return [OperatorRows(static, *fields) for fields in zip(
-        ks, terms, diag, off, scales, s_diags, phase, waves)]
+    static = static_bands(system.mesh)
+    ks = np.array(system.k, ndmin=1).tolist()
+    chis = np.array(system.chi, ndmin=1).tolist()
+    both, diag, off = system._operator_bands()
+    scales = np.abs(both).max(axis=-1)
+    if system.phase is None:
+        # a closed box's stiffness is the static band at every k, and it
+        # has no wave
+        rest = [np.broadcast_to(system.s_diag,
+                                diag.shape[:-1] + system.s_diag.shape)]
+    else:
+        wave = _read_only(np.exp(1j * system.phase[..., static.slab_nodes]))
+        rest = [system.s_diag, system.phase, wave,
+                _read_only(_slab_product(static, wave))]
+    # each k's index into the bands: () for a scalar k, (i,) in a block
+    at = itertools.product(*map(range, diag.shape[:-1]))
+    return [OperatorRows(static, k, k**2 * chi, diag[i], off[i], scales[i],
+                         *[band[i] for band in rest])
+            for i, k, chi in zip(at, ks, chis)]
+
+
+# what the LU of a closed box says when asked for a scattering state
+_NO_WAVE = ("a closed box has no scattering states: its walls reflect what "
+            "the slab scatters")
 
 
 class Factorization:
@@ -579,11 +584,11 @@ class Factorization:
     takes (``operator_rows``). Holds the factors, k, the scalar k^2 chi(k)
     by which the slab enters L_vac - L = k^2 chi(k) M_slab, the wave's
     nodal phase theta (``phase``, read-only, None on a closed box), the
-    wave's values on the slab's nodes and the k-independent bands
-    (``static_bands``, arrays and slices only), not the system or its
-    mesh, so an LU kept for a mesh by ``factorization`` is freed together
-    with that mesh. L_vac is the operator of the same mesh with an empty
-    slab: the two differ on ``slab_nodes`` alone.
+    wave's values w on the slab's nodes and M_slab w there, and the
+    k-independent bands (``static_bands``, arrays and slices only), not
+    the system or its mesh, so an LU kept for a mesh by ``factorization``
+    is freed together with that mesh. L_vac is the operator of the same
+    mesh with an empty slab: the two differ on ``slab_nodes`` alone.
     """
 
     def __init__(self, system):
@@ -612,6 +617,7 @@ class Factorization:
         self._gttrs = gttrs
         # the +x values both directions read
         self._slab_wave = rows.slab_wave
+        self._slab_mass_wave = rows.slab_mass_wave
 
     def _slab_scale_note(self, rows: OperatorRows) -> str:
         """Why the pivot test may have tripped, when the slab rows set the
@@ -638,8 +644,7 @@ class Factorization:
         no incident wave and is refused.
         """
         if self.phase is None:
-            raise ValueError("a closed box has no scattering states: its "
-                             "walls reflect what the slab scatters")
+            raise ValueError(_NO_WAVE)
         if isinstance(nodes, slice) and nodes == self._static.slab_nodes:
             values = self._slab_wave
         else:
@@ -651,11 +656,15 @@ class Factorization:
         (``wave``): the load of that scattering state.
 
         One value per mesh node, exactly zero outside ``slab_nodes`` and
-        fresh, so a solve may overwrite it: ``slab_load`` of the wave's
-        values there, formed for the direction asked only. A closed box,
-        which has no wave and so no loads, is refused.
+        fresh, so a solve may overwrite it: ``slab_load``'s product, from
+        the M_slab w the LU keeps, conjugated toward -x (M_slab is real, so
+        that is M_slab conj(w) to the sign of a zero). A closed box, which
+        has no wave and so no loads, is refused.
         """
-        return self.slab_load(self.wave(self._static.slab_nodes, direction))
+        if self._slab_mass_wave is None:
+            raise ValueError(_NO_WAVE)
+        product = self._slab_mass_wave
+        return self._scaled(product if direction > 0 else product.conj())
 
     def slab_load(self, values) -> np.ndarray:
         """(L_vac - L) w, for the values of w on ``slab_nodes``.
@@ -664,10 +673,14 @@ class Factorization:
         P1 the band product k^2 chi M_slab w, the consistent load of the
         P1 wave over the slab.
         """
+        return self._scaled(_slab_product(self._static, values))
+
+    def _scaled(self, product) -> np.ndarray:
+        """k^2 chi(k) times M_slab w, given on ``slab_nodes``, at every
+        node: exactly zero off the slab."""
         f = np.zeros(self.n_interior + 2, dtype=complex)
         # scale first: numpy's complex multiply is not bitwise commutative
-        np.multiply(self._slab_term, _slab_product(self._static, values),
-                    out=f[self._static.slab_nodes])
+        np.multiply(self._slab_term, product, out=f[self._static.slab_nodes])
         return f
 
     def slab_loss(self, u, v) -> complex:
@@ -1020,14 +1033,6 @@ class P1Stencil:
                         slope * self.offset + at_low)
 
 
-def _stencil(nodes: np.ndarray, x) -> P1Stencil:
-    """The ``P1Stencil`` of the points ``x`` among ``nodes``."""
-    low = np.searchsorted(nodes, x, "right") - 1
-    high = np.where(low < nodes.size - 1, low + 1, low - 1)
-    return P1Stencil(nodes=np.stack([low, high]), offset=x - nodes[low],
-                     width=nodes[high] - nodes[low])
-
-
 def p1_stencil(mesh: Mesh1D, x) -> P1Stencil:
     """The ``P1Stencil`` of the points ``x``, which must lie in the mesh's
     physical region; NaN points read NaN."""
@@ -1035,7 +1040,11 @@ def p1_stencil(mesh: Mesh1D, x) -> P1Stencil:
     lo, hi = mesh.physical_region
     if np.any((x < lo) | (x > hi)):
         raise ValueError("evaluation point outside the physical region")
-    return _stencil(mesh.nodes, x)
+    nodes = mesh.nodes
+    low = np.searchsorted(nodes, x, "right") - 1
+    high = np.where(low < nodes.size - 1, low + 1, low - 1)
+    return P1Stencil(nodes=np.stack([low, high]), offset=x - nodes[low],
+                     width=nodes[high] - nodes[low])
 
 
 def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x, k=None):

@@ -162,9 +162,7 @@ def sweep(
     for start in range(0, len(omegas), size):
         block = omegas[start:start + size]
         try:
-            # a block of one is its scalar k, whose bands have no row axis
-            rows = operator_rows(assemble(
-                mesh, medium, block if len(block) > 1 else block[0]))
+            rows = operator_rows(assemble(mesh, medium, np.array(block)))
         except ValueError:
             rows = [None] * len(block)
         for omega, row in zip(block, rows):

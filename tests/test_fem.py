@@ -223,6 +223,21 @@ def test_assemble_matches_the_per_gauss_point_formula(k, ppw, name, box):
 
 
 @settings(deadline=None, max_examples=30)
+@given(drawn=meshes(), k=st.floats(1.0, 2000.0))
+def test_the_minus_x_load_is_the_conjugate_wave_load(drawn, k):
+    # the LU keeps M_slab w and conjugates it for -x: M_slab is real, so
+    # this is the load of the -x wave formed on its own
+    mesh, medium = drawn
+    assume(mesh.is_open)
+    lu = Factorization(assemble(mesh, medium, k))
+    np.testing.assert_array_equal(
+        lu.incident_load(-1),
+        lu.slab_load(lu.wave(mesh.slab_nodes, -1)))
+    np.testing.assert_array_equal(
+        lu.incident_load(+1), lu.slab_load(lu.wave(mesh.slab_nodes)))
+
+
+@settings(deadline=None, max_examples=30)
 @given(drawn=meshes(), ks=st.lists(st.floats(1.0, 2000.0), min_size=2,
                                    max_size=9))
 def test_a_block_is_bitwise_each_k_assembled_alone(drawn, ks):
@@ -562,7 +577,7 @@ def test_singularity_test_is_the_relative_pivot_threshold(ratio):
     system = fem.SystemMatrices(mesh=mesh, k=1.0, chi=0j, s_diag=s_diag,
                                 s_off=s_off, m_diag=np.zeros(5, complex),
                                 m_off=np.zeros(4, complex),
-                                phase=np.zeros(5))
+                                phase=np.zeros(5), k_squared=1.0 + 0j)
     diag, off = system.operator_interior()
     pivots = lapack.zgttrf(off, diag, off)[1]
     singular = np.abs(pivots).min() < 1e-14 * max(np.abs(diag).max(),

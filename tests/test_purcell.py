@@ -289,7 +289,9 @@ def test_a_sweep_assembles_once_per_block(monkeypatch):
         assembled.append(np.size(k))
         return assemble(mesh, medium, k)
 
+    # the sweep's own name and fem's, which an LU assembled alone calls
     monkeypatch.setattr(purcell, "assemble", counting)
+    monkeypatch.setattr(fem, "assemble", counting)
     purcell.sweep(mesh, medium, purcell.sweep_grid(), x_a)
     assert assembled == [7] * 14 + [3]
     # the block's rows went to its LUs; the mesh keeps no block after it
