@@ -10,24 +10,30 @@ scattering solve, its r and t (``scattering.extract_r_t``), the
 point-source solve, and a gather of nodal values at the nodes that
 bracket the probes and the Green-function samples, which are found once
 per mesh (``fem.p1_stencil``). After the loop one array pass over the
-grid interpolates those values, evaluates the oracle with an array of
-frequencies and forms the residuals.
+grid interpolates those values, carries a probe past a port in closed
+form, evaluates the oracle with an array of frequencies and forms the
+residuals. The mesh need keep only the atom and the G samples, which lie
+on the slab: on the A cases it ends at the slab face, and the probe at
+x_B lies past its right port.
 
 Numeric contract: every FEM-side value (r, t, the probe fields and the G
-samples) is bitwise what the per-point readouts give, since the
-interpolation is ``evaluate_field``'s own (np.interp's arithmetic) and
-the solves are the same. The oracle's values are not: for an array of
-frequencies it works in numpy's array arithmetic, whose complex products
-may round differently from the scalar products and CPython's complex
-division of a single frequency (``oracle`` states the bound), so a
-residual may move in its last digits against a per-frequency comparison.
+samples) is bitwise what the per-point readouts give (``extract_r_t``,
+``PlaneWaveSolution.total_at``, ``FieldSolution``), since the
+interpolation is ``evaluate_field``'s own (np.interp's arithmetic), a
+probe past a port is carried by ``fem.lattice_hops`` in the arithmetic
+``total_at`` carries it in, and the solves are the same. The oracle's
+values are not: for an array of frequencies it works in numpy's array
+arithmetic, whose complex products may round differently from the scalar
+products and CPython's complex division of a single frequency
+(``oracle`` states the bound), so a residual may move in its last digits
+against a per-frequency comparison.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fem import p1_stencil
+from .fem import lattice_hops, p1_stencil
 from .greens import solve_point_source
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D
@@ -52,26 +58,61 @@ def fem_readouts(mesh: Mesh1D, medium: MediumSpec, omegas,
 
     r and t, each (m,), are the left-incident state's (``extract_r_t``);
     ``field`` (m, 2) is its total field at ``PROBES`` and ``green``
-    (m, 9) G(x, x_a) at ``green_samples``, both P1 readouts of the
-    physical region (``p1_stencil``, which refuses a point past a port).
+    (m, 9) G(x, x_a) at ``green_samples``, P1 readouts of the physical
+    region (``p1_stencil``, which refuses a sample past a port). A probe
+    past a port is read as ``PlaneWaveSolution.total_at`` reads it
+    (``_probe_fields``).
     """
     omegas = np.asarray(omegas, dtype=float)
-    probes = p1_stencil(mesh, PROBES)
+    # clipped, a probe past a port reads its port, exactly
+    probes = p1_stencil(mesh, np.clip(PROBES, *mesh.physical_region))
     samples = p1_stencil(mesh, green_samples(medium))
     rt = np.empty((omegas.size, 2), dtype=complex)
-    at_probes = np.empty((omegas.size,) + probes.nodes.shape, dtype=complex)
+    waves = np.empty((omegas.size,) + probes.nodes.shape, dtype=complex)
+    scattered = np.empty_like(waves)
     at_samples = np.empty((omegas.size,) + samples.nodes.shape, dtype=complex)
     for i, omega in enumerate(omegas.tolist()):
         solution = solve_scattering(mesh, medium, omega, +1)
         rt[i] = extract_r_t(solution)
-        at_probes[i] = solution.total_at_nodes(probes.nodes)
+        waves[i] = solution.lu.wave(probes.nodes)
+        scattered[i] = solution.scattered.dofs[probes.nodes]
         at_samples[i] = solve_point_source(
             mesh, medium, omega, x_a).dofs[samples.nodes]
         # the solution holds this frequency's LU: dropped here, the LU is
         # freed before the next one is built, as the mesh's slot intends
         del solution
-    return (rt[:, 0], rt[:, 1], probes(at_probes[:, 0], at_probes[:, 1]),
+    return (rt[:, 0], rt[:, 1],
+            _probe_fields(mesh, omegas, probes, waves, scattered),
             samples(at_samples[:, 0], at_samples[:, 1]))
+
+
+def _probe_fields(mesh: Mesh1D, omegas, probes, waves, scattered):
+    """The total field at ``PROBES``, (m, 2), from the incident wave and
+    the scattered field gathered at the ``probes`` stencil's nodes.
+
+    In the physical region their sum is interpolated (``total_at_nodes``
+    and ``p1_stencil``). Past a port the scattered field is the outgoing
+    lattice wave and the incident wave continues at the wall's spacing
+    (``fem.lattice_hops``), each carried from its port value.
+    """
+    total = waves + scattered
+    field = probes(total[:, 0], total[:, 1])
+    lo, hi = mesh.physical_region
+    past = (PROBES < lo) | (PROBES > hi)
+    if past.any():
+        k, beyond = omegas[:, None], PROBES[past]
+        port = probes(scattered[:, 0], scattered[:, 1])[:, past]
+        hop = lattice_hops(mesh, k, beyond)
+        # ``evaluate_field`` carries one value in place, which numpy does in
+        # its scalar complex loop: written out in real arithmetic, as that
+        # loop forms it, since a product of whole arrays may take a vector
+        # loop with fused multiply-adds and round apart from it
+        outgoing = np.empty_like(port)
+        outgoing.real = port.real * hop.real - port.imag * hop.imag
+        outgoing.imag = port.real * hop.imag + port.imag * hop.real
+        field[:, past] = outgoing + waves[:, 0, past] * lattice_hops(
+            mesh, k, beyond, +1)
+    return field
 
 
 def oracle_residuals(mesh: Mesh1D, medium: MediumSpec, omegas,

@@ -4,7 +4,7 @@ The discrete Green function solves L g = e_src where e_src is the consistent
 load of a delta at a mesh node: in weak form int g' v'/s - k^2 int eps s g v
 = v(x_src), i.e. the column of L^{-1} at that node. Because L is complex
 symmetric the discrete G inherits exact reciprocity, G(x, x') = G(x', x),
-up to solver round-off; a residual helper quantifies that.
+up to solver round-off.
 
 ``sample_green`` reads what the rate routes need of one such solve: the
 self value G(x_a, x_a) for the LDOS route and, for the medium route, the
@@ -89,18 +89,3 @@ def sample_green(
         medium_loss=factorization(mesh, medium, k).slab_loss(g, g).real,
     )
 
-
-def reciprocity_residual(
-    mesh: Mesh1D,
-    medium: MediumSpec,
-    k: float,
-    x_a: float,
-    x_b: float,
-) -> float:
-    """|G(a,b) - G(b,a)| / max(|G(a,b)|, |G(b,a)|) from two separate solves."""
-    g_ab = solve_point_source(mesh, medium, k, x_b)
-    g_ba = solve_point_source(mesh, medium, k, x_a)
-    val_ab = g_ab.at_node(mesh.find_node(x_a))
-    val_ba = g_ba.at_node(mesh.find_node(x_b))
-    scale = max(abs(val_ab), abs(val_ba), 1e-300)
-    return abs(val_ab - val_ba) / scale

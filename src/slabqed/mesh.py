@@ -4,21 +4,27 @@ An open mesh is laid out over [-(a + padding), +(a + padding)], where a is
 the slab half-length: material interfaces, the layout's ends and every
 requested observation point are exact breakpoints, and each span between
 breakpoints is subdivided uniformly with the globally smallest element
-size, so requested points are mesh nodes to the last bit. The mesh keeps
-only the hull of the slab and the requested points, [min(-a, obs),
-max(a, obs)], its physical region, plus one element of the layout beyond
-each end of it: a contiguous slice of the layout, cut from its spans
-before any node is laid out, so every kept node is the layout's to the
-last bit. The outer node of each end element is the
-Dirichlet wall, and the element has the length of the uniform vacuum span
-it cuts: the vacuum lattice continues past it at that spacing, and
-``fem.assemble`` folds that semi-infinite lattice into the last physical
-node, the port, as its exact outgoing condition. Eliminating the dropped
-padding that way is exact, so the cut moves results at round-off only. A
-wall node stands in for the field beyond and is never read as a field
-value; past the ports ``fem.evaluate_field`` continues the field as the
-outgoing lattice wave. A closed box is the region between its walls, which
-are physical.
+size, so requested points are layout nodes to the last bit. The mesh
+keeps only the hull of the slab and the points it is cut around
+(``build_mesh``'s ``hull_points``, by default every requested point),
+[min(-a, obs), max(a, obs)], its physical region, plus one element of
+the layout beyond each end of it: a contiguous slice of the layout, cut
+from its spans before any node is laid out, so every kept node is the
+layout's to the last bit. A requested point outside the hull still shapes
+the spans, and so the element lengths, without being solved for. The
+outer node of each end element is the Dirichlet wall, and the element
+has the length of the uniform vacuum span it cuts: the vacuum lattice
+continues past it at that spacing, and ``fem.assemble`` folds that
+semi-infinite lattice into the last physical node, the port, as its exact
+outgoing condition. Where the dropped vacuum is laid out at the wall's
+length, as the padding beyond the outermost point is, eliminating it that
+way is exact, and the cut moves results at round-off only. Where it is
+not, as for a span between the hull and a point outside it, the wall's
+length is that span's, and results move by the lattice's O((k h)^2)
+reflection of the change. A wall node stands in for the field beyond and
+is never read as a field value; past the ports ``fem.evaluate_field``
+continues the field as the outgoing lattice wave. A closed box is the
+region between its walls, which are physical.
 
 The builders lay out each span between breakpoints as (start, h, count),
 node j at start + j h, where np.linspace puts it. A closed box keeps those
@@ -366,6 +372,7 @@ def build_mesh(
     points_per_wavelength: float,
     padding: float,
     observation_points=(),
+    hull_points=None,
 ) -> Mesh1D:
     """Open-domain mesh: wall | vacuum | slab | vacuum | wall, cut to the hull.
 
@@ -382,21 +389,29 @@ def build_mesh(
         bounds the observation points and sets the span whose element
         length the walls take.
     observation_points : iterable of float, optional
-        Positions that must coincide with mesh nodes exactly (atom sites,
-        probe points). Must lie strictly inside (-(a + padding), a +
+        Breakpoints of the layout (atom sites, probe points), each a layout
+        node to the last bit. Must lie strictly inside (-(a + padding), a +
         padding).
+    hull_points : iterable of float, optional
+        The observation points the mesh is cut around, so they are its
+        nodes; the others shape the layout's spans, and so its element
+        lengths, but may lie past the ports. Default: all of them.
 
     Returns
     -------
     Mesh1D
-        The layout's nodes from one element below min(-a, obs) to one
-        element above max(a, obs); its physical region is that hull.
+        The layout's nodes from one element below min(-a, hull_points) to
+        one element above max(a, hull_points); its physical region is that
+        hull.
     """
     a = medium.slab_half_length
     obs = np.asarray(tuple(observation_points), dtype=float)
     check_padded_region(obs, a, padding)
+    kept = obs if hull_points is None else tuple(map(float, hull_points))
+    if not set(kept) <= set(obs.tolist()):
+        raise ValueError("hull_points must be observation points")
     edge = a + padding
-    lo, hi = min((-a, *obs)), max((a, *obs))
+    lo, hi = min((-a, *kept)), max((a, *kept))
     spans = _layout(medium, k_max, points_per_wavelength, edge, obs, (lo, hi),
                     3)  # the hull's nodes and a wall beyond each end
     if not a < edge:  # a padding <= 0, or lost to round-off beside a

@@ -192,12 +192,17 @@ def purcell_mesh(
     ppw: float = 40.0,
     padding: float = 0.05,
 ) -> Mesh1D:
-    """Standard sweep mesh: both atom sites are nodes regardless of x_a.
+    """Standard sweep mesh: x_a is a node, and both preset atom sites are
+    breakpoints of the layout regardless of x_a.
 
-    An open mesh (``build_mesh``) cut to the hull of the slab and the
-    atom sites, [min(-a, x_a), max(a, x_B, x_a)]: the exact outgoing
-    boundary takes over one element beyond each end, at the spacing of
-    the ``padding`` span it cuts. ``padding`` bounds the atom sites.
+    An open mesh (``build_mesh``) cut to the hull of the slab and x_a,
+    [min(-a, x_a), max(a, x_a)], the points a sweep solves for: the exact
+    outgoing boundary takes over one element beyond each end, at the
+    spacing of the span it cuts, so an atom at the slab center gets a mesh
+    that ends at the slab faces, with x_B past its right port. The preset
+    sites still set the layout's spans, and so every element length, and
+    ``padding`` bounds them and x_a.
     """
     obs = sorted({ATOM_INSIDE, ATOM_OUTSIDE, float(x_a)})
-    return build_mesh(medium, k_max, ppw, padding, observation_points=obs)
+    return build_mesh(medium, k_max, ppw, padding, observation_points=obs,
+                      hull_points=(x_a,))

@@ -19,11 +19,15 @@ through the route functions, the reference of the block sweep in
 ``purcell``; the per-route rate readers ``gamma_sfa``,
 ``gamma_boundary`` and ``gamma_medium`` read the three rates off the
 route functions' states, as ``purcell._record`` reads them off its solves.
+``reciprocity_residual`` compares G(a, b) with G(b, a) from two
+point-source solves, and ``read_config_echo`` re-parses the config a CSV
+header echoes: checks that only the tests make.
 """
 
 import numpy as np
 
 from slabqed import micromodes
+from slabqed.cli import ConfigError, config_from_items
 from slabqed.fem import DEFAULT_DOF_CAP, GAUSS_NODES, GAUSS_WEIGHTS
 from slabqed.fem import node_of
 from slabqed.greens import sample_green, solve_point_source
@@ -295,3 +299,33 @@ def per_frequency_sweep(mesh, medium, omegas, x_a):
             pf_m=pf_m, pf_modified_ln=pf_b + pf_m, pf_original_ln=pf_m,
             tec_residual=tec))
     return records
+
+
+def reciprocity_residual(mesh, medium, k, x_a, x_b):
+    """|G(a,b) - G(b,a)| / max(|G(a,b)|, |G(b,a)|) from two separate solves."""
+    g_ab = solve_point_source(mesh, medium, k, x_b)
+    g_ba = solve_point_source(mesh, medium, k, x_a)
+    val_ab = g_ab.at_node(mesh.find_node(x_a))
+    val_ba = g_ba.at_node(mesh.find_node(x_b))
+    scale = max(abs(val_ab), abs(val_ba), 1e-300)
+    return abs(val_ab - val_ba) / scale
+
+
+def read_config_echo(path):
+    """Re-parse the config echoed in a CSV metadata header."""
+    items = []
+    with open(path, "r", encoding="utf-8") as fh:
+        in_config = False
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            body = line[1:].strip()
+            if body == "config:":
+                in_config = True
+                continue
+            if in_config and "=" in body:
+                key, value = body.split("=", 1)
+                items.append((key.strip(), value.strip()))
+    if not items:
+        raise ConfigError(f"{path} carries no config echo")
+    return config_from_items(items)

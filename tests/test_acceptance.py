@@ -11,10 +11,11 @@ import time
 
 import numpy as np
 import pytest
+from _dense_reference import reciprocity_residual
 
 from slabqed.crosscheck import oracle_residuals
 from slabqed.fem import assemble
-from slabqed.greens import reciprocity_residual, solve_point_source
+from slabqed.greens import solve_point_source
 from slabqed.identities import (
     check_discrete_ddgt,
     check_lossless_identity_failure,

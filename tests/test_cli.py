@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _dense_reference import read_config_echo
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +22,8 @@ from slabqed.cli import (
     build_config,
     config_from_items,
     main,
-    read_config_echo,
 )
-from slabqed.fem import assemble
+from slabqed.fem import assemble, lattice_hops
 from slabqed.medium import ATOM_OUTSIDE, CASE_NAMES
 from slabqed.purcell import purcell_mesh
 
@@ -858,10 +858,11 @@ def test_oracle_compare_documents_coarse_mesh_floor(tmp_path):
 def test_oracle_compare_vacuum_scattering_is_exact(tmp_path):
     """With no slab the scattering source vanishes identically, so r and t
     match to roundoff and the total field is the incident lattice wave. Its
-    miss at the probes is the lattice phase slip |1 - e^{i(theta - k x)}|,
-    largest at x_B, which the unit drive scales. The point-source
-    comparison keeps its usual lattice-dispersion floor and only meets the
-    0.5 percent gate."""
+    miss at the probes is the lattice phase slip |1 - w e^{-i k x}|,
+    largest at x_B, which the unit drive scales; the mesh ends at the slab
+    face, and past its right port the wave w continues at the wall's
+    spacing (``lattice_hops``). The point-source comparison keeps its usual
+    lattice-dispersion floor and only meets the 0.5 percent gate."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text("case = vacuum\nsweep.count = 3\n")
     out = tmp_path / "ocv.csv"
@@ -872,11 +873,13 @@ def test_oracle_compare_vacuum_scattering_is_exact(tmp_path):
     mesh = purcell_mesh(config.medium, config.atom_position,
                         k_max=700.0, ppw=config.oracle_ppw,
                         padding=config.padding)
-    node = mesh.find_node(ATOM_OUTSIDE)
+    port = mesh.n_nodes - 2
+    assert mesh.nodes[port] < ATOM_OUTSIDE
     for row in rows:
         k = float(row[0])
-        theta = assemble(mesh, config.medium, k).phase[node]
-        slip = abs(1.0 - np.exp(1j * (theta - k * ATOM_OUTSIDE)))
+        theta = assemble(mesh, config.medium, k).phase[port]
+        wave = np.exp(1j * theta) * lattice_hops(mesh, k, ATOM_OUTSIDE, +1)
+        slip = abs(1.0 - wave * np.exp(-1j * k * ATOM_OUTSIDE))
         assert float(row[1]) < 1e-15
         assert float(row[2]) == pytest.approx(slip, rel=1e-12)
     assert max(float(row[3]) for row in rows) < 5e-3
@@ -973,3 +976,25 @@ def test_modes_command_writes_spectrum_and_rates(tmp_path):
     assert np.all(np.diff(freqs) > 0)
     # closed vacuum box of length L resonates at multiples of pi / L
     np.testing.assert_allclose(freqs[0], np.pi / 0.25, rtol=1e-3)
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path):
+    # the parser is built on the first call and kept for every later one,
+    # not at import
+    built = []
+    add_subparsers = cli.argparse.ArgumentParser.add_subparsers
+
+    def counting(parser, **kwargs):
+        built.append(parser.prog)
+        return add_subparsers(parser, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "add_subparsers",
+                        counting)
+    cli._parser.cache_clear()
+    try:
+        missing = str(tmp_path / "missing.cfg")
+        for _ in range(3):
+            assert main(["sweep", "--config", missing]) == 2
+        assert built == ["slabqed"]
+    finally:
+        cli._parser.cache_clear()

@@ -129,7 +129,7 @@ def test_a_scalar_frequency_reads_scalars():
 
 
 @pytest.mark.parametrize("ppw", [40.0, 160.0])
-@pytest.mark.parametrize("case", ["1A", "1B", "2A", "2B"])
+@pytest.mark.parametrize("case", ["1A", "1B", "2A", "2B", "vacuum"])
 def test_fem_readouts_are_the_per_point_readouts(case, ppw):
     config = build_config(f"case = {case}\n")
     medium, x_a = config.medium, config.atom_position
@@ -140,13 +140,18 @@ def test_fem_readouts_are_the_per_point_readouts(case, ppw):
         reference = per_frequency_readouts(mesh, medium, omega, x_a)
         for ours, theirs in zip(readouts, reference):
             np.testing.assert_array_equal(bitwise(ours[i]), bitwise(theirs))
-    # and the per-point readouts are np.interp of the nodal values
+    # and in the physical region the per-point readouts are np.interp of
+    # the nodal values (past a port, where the A cases' meshes leave x_B,
+    # the probe is read in closed form, as the test below checks)
     omega = grid[-1]
     _, _, field, green = per_frequency_readouts(mesh, medium, omega, x_a)
     total = solve_scattering(mesh, medium, omega, +1).total_at_nodes(
         slice(None))
-    np.testing.assert_array_equal(
-        bitwise(field), bitwise(interpolate_p1(mesh.nodes, total, PROBES)))
+    lo, hi = mesh.physical_region
+    inside = (PROBES >= lo) & (PROBES <= hi)
+    assert inside.sum() == (1 if x_a == ATOM_INSIDE else 2)
+    np.testing.assert_array_equal(bitwise(field[inside]), bitwise(
+        interpolate_p1(mesh.nodes, total, PROBES[inside])))
     g = solve_point_source(mesh, medium, omega, x_a).dofs
     np.testing.assert_array_equal(bitwise(green), bitwise(
         interpolate_p1(mesh.nodes, g, green_samples(medium))))
@@ -193,13 +198,29 @@ def test_residuals_are_small_on_a_resolved_mesh():
     assert all(0.0 < r < 5e-3 for r in residuals[0])
 
 
-def test_a_probe_past_a_port_is_refused():
-    # an open mesh cut to the slab alone leaves x_B past its right port
-    medium = CASE_PRESETS["1"]
-    mesh = build_mesh(medium, 700.0, 40.0, 0.05, observation_points=[0.0])
-    assert mesh.physical_region[1] < ATOM_OUTSIDE
-    with pytest.raises(ValueError, match="physical region"):
-        fem_readouts(mesh, medium, [500.0], ATOM_INSIDE)
+@settings(deadline=None, max_examples=25)
+@given(medium=media(), lo=st.floats(300.0, 450.0),
+       span=st.floats(1.0, 250.0), count=st.integers(1, 12),
+       ppw=st.sampled_from([10.0, 40.0]))
+def test_a_probe_past_a_port_is_total_at_at_every_frequency(medium, lo, span,
+                                                           count, ppw):
+    # a mesh cut to the slab and the atom at its center, as the A cases'
+    # are, leaves x_B past its right port unless the slab holds it; there
+    # the grid's probe field is the per-point closed form of ``total_at``
+    # (the outgoing scattered wave plus the incident lattice wave, carried
+    # from the port), bitwise, at every frequency
+    grid = np.linspace(lo, lo + span, count)
+    assume(not any(medium.pole_at(w) for w in grid.tolist()))
+    mesh = build_mesh(medium, float(grid[-1]), ppw, 0.1,
+                      observation_points=[ATOM_INSIDE, ATOM_OUTSIDE],
+                      hull_points=[ATOM_INSIDE])
+    a = medium.slab_half_length
+    assert (mesh.physical_region[1] < ATOM_OUTSIDE) == (a < ATOM_OUTSIDE)
+    _, _, field, _ = fem_readouts(mesh, medium, grid, ATOM_INSIDE)
+    for i, omega in enumerate(grid.tolist()):
+        solution = solve_scattering(mesh, medium, omega, +1)
+        np.testing.assert_array_equal(bitwise(field[i]),
+                                      bitwise(solution.total_at(PROBES)))
 
 
 def test_oracle_compare_rows_are_the_residuals(tmp_path):

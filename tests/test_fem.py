@@ -19,6 +19,7 @@ from _dense_reference import (
     gamma_sfa,
     in_slab,
     interpolate_p1,
+    reciprocity_residual,
     relative_permittivity,
 )
 from _random_meshes import meshes
@@ -45,7 +46,7 @@ from slabqed.fem import (
     twisted_residues,
     uniform_sweep,
 )
-from slabqed.greens import reciprocity_residual, sample_green, solve_point_source
+from slabqed.greens import sample_green, solve_point_source
 from slabqed.identities import check_thermal_equilibrium
 from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS
 from slabqed.mesh import Mesh1D, build_box_mesh, build_mesh

@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from _dense_reference import element_quadrature
+from _dense_reference import element_quadrature, reciprocity_residual
 from _random_meshes import CUT_FLOOR, dropped_padding, open_meshes
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +24,6 @@ from slabqed.fem import (
     static_bands,
 )
 from slabqed.greens import (
-    reciprocity_residual,
     sample_green,
     solve_point_source,
 )

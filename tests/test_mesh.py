@@ -56,8 +56,11 @@ def test_open_mesh_ends_one_padding_element_beyond_the_physical_region():
 
 @pytest.mark.parametrize("ppw,n_nodes", [(40.0, 423), (160.0, 1677)])
 def test_stock_sweep_mesh_sizes(ppw, n_nodes):
-    # the stock meshes keep [-a, x_B] and one wall element beyond each end
+    # the B cases' meshes keep [-a, x_B] and one wall element beyond each
+    # end; the A cases' keep [-a, a], x_B a breakpoint past the right port
     assert purcell_mesh(CASE1, 0.0625, ppw=ppw).n_nodes == n_nodes
+    assert purcell_mesh(CASE1, 0.0, ppw=ppw).n_nodes == {
+        40.0: 283, 160.0: 1119}[ppw]
 
 
 @settings(deadline=None, max_examples=40)
@@ -198,6 +201,7 @@ def test_find_node_is_the_argmin_node(drawn, data):
         dict(k_max=-500.0),
         dict(observation_points=(0.09,)),  # in the right boundary element
         dict(observation_points=(-0.25,)),  # outside the domain
+        dict(hull_points=(0.01,)),  # not an observation point
     ],
 )
 def test_invalid_build_arguments(overrides):

@@ -1,6 +1,7 @@
 """Purcell-factor methods: vacuum anchors, regime structure, exact identities."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -18,8 +19,9 @@ from slabqed import fem, purcell
 from slabqed.cli import main
 from slabqed.greens import sample_green, solve_point_source
 from slabqed.identities import check_thermal_equilibrium
-from slabqed.medium import MediumSpec, case_preset
-from slabqed.mesh import Mesh1D
+from slabqed.medium import (ATOM_INSIDE, ATOM_OUTSIDE, CASE_PRESETS, MediumSpec,
+                            case_preset)
+from slabqed.mesh import InputError, Mesh1D, build_mesh
 from slabqed.oracle import tmm_total_field
 from slabqed.scattering import solve_scattering
 
@@ -193,10 +195,68 @@ def test_sweep_grid_shape_and_validation():
         purcell.sweep_grid(700.0, 300.0)
 
 
-def test_mesh_places_both_atom_sites_on_nodes():
+def test_mesh_lays_out_both_atom_sites_as_breakpoints():
+    # both atom sites are breakpoints of the layout whatever x_a: an atom at
+    # the slab center keeps its node, and its mesh ends one element past
+    # the slab face, an element of the span that ends at x_B, so its
+    # element lengths are those of the mesh that keeps x_B
     mesh, medium, _ = make_setup("2A")
-    assert mesh.find_node(0.0) >= 0
-    assert mesh.find_node(0.0625) >= 0
+    wide, _, _ = make_setup("2B")
+    assert mesh.nodes[mesh.find_node(0.0)] == 0.0
+    assert wide.nodes[wide.find_node(0.0625)] == 0.0625
+    assert mesh.physical_region[1] == medium.slab_half_length < 0.0625
+    np.testing.assert_array_equal(mesh.nodes, wide.nodes[:mesh.n_nodes])
+
+
+# the worst record delta between a mesh cut at the slab face and one that
+# keeps [a, x_B], relative to pf_sfa, over 10,000 draws each: 1.5e-13
+# where the wall element shares the gap's h, and elsewhere 0.049
+# (k h)^2 |dh| / h, h the longer wall element and dh the change of its
+# length, k = 700 the top of the band
+CUT_AT_FACE_FLOOR = 1e-12
+CUT_AT_FACE_SLOPE = 0.1
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=st.sampled_from(["1", "2", "vacuum"]),
+       a=st.floats(0.005, 0.04), ppw=st.floats(10.0, 80.0),
+       site=st.floats(-0.999, 0.999), shared=st.integers(0, 40),
+       padding=st.floats(0.0, 1.0),
+       omegas=st.lists(st.floats(300.0, 700.0), min_size=1, max_size=3))
+def test_cutting_the_gap_moves_the_records_by_the_wall_length(
+        case, a, ppw, site, shared, padding, omegas):
+    # an atom inside the slab: its mesh ends one element past the slab
+    # face, where the mesh that keeps x_B on a node goes on through the gap
+    # [a, x_B] and the padding beyond it. With a padding of ``shared`` gap
+    # elements past x_B, at most as many as the gap holds, that span is
+    # laid out in elements of the gap's h, so both meshes end in the same
+    # vacuum lattice and the records agree to round-off; elsewhere the
+    # wall element's length changes, and the records move by the
+    # lattice's O((k h)^2) reflection of that change
+    medium = dataclasses.replace(CASE_PRESETS[case], slab_half_length=a)
+    gap = ATOM_OUTSIDE - a
+    count = math.ceil(gap * 700.0 * ppw / (2.0 * math.pi) - 1e-9)
+    padding = (gap + min(shared, count) * gap / count if shared
+               else gap + 1e-3 + padding * (0.1 - gap))
+    x_a = site * a
+    try:
+        cut = purcell.purcell_mesh(medium, x_a, ppw=ppw, padding=padding)
+        keep = build_mesh(medium, 700.0, ppw, padding,
+                          sorted({ATOM_INSIDE, ATOM_OUTSIDE, x_a}))
+    except InputError as exc:
+        assume("closer than" not in str(exc))
+        raise
+    assert cut.physical_region == (-a, a) and ATOM_OUTSIDE in keep.nodes
+    h_cut, h_keep = cut.element_lengths[-1], keep.element_lengths[-1]
+    h = max(h_cut, h_keep)
+    assert not shared or abs(h_cut - h_keep) <= 1e-12 * h
+    bound = CUT_AT_FACE_FLOOR + CUT_AT_FACE_SLOPE * (700.0 * h) ** 2 * abs(
+        h_cut - h_keep) / h
+    for ours, theirs in zip(purcell.sweep(cut, medium, omegas, x_a),
+                            purcell.sweep(keep, medium, omegas, x_a)):
+        for name in ("pf_sfa", "pf_b", "pf_m"):
+            assert abs(getattr(ours, name) - getattr(theirs, name)) <= (
+                bound * theirs.pf_sfa), name
 
 
 # ``sweep --case 1B``: 101 frequencies at ppw 40. Per frequency, one chi(k),
@@ -257,10 +317,13 @@ def assert_block_sweep_is_per_frequency(mesh, medium, omegas, x_a):
 @pytest.mark.parametrize("ppw", [40.0, 160.0])
 @pytest.mark.parametrize("label", ["1A", "1B", "2A", "2B", "vacuum"])
 def test_block_sweep_is_bitwise_the_per_frequency_sweep(label, ppw):
-    # blocks of 7 frequencies on the 423-node ppw-40 mesh, one at a time on
-    # the 1,677-node ppw-160 one: the same bits either way
+    # blocks of 7 frequencies on the B cases' 423-node ppw-40 mesh, one at
+    # a time on their 1,677-node ppw-160 one; blocks of 10 and 2 on the
+    # 283- and 1,119-node meshes of an atom at the slab center, which end
+    # at the slab face: the same bits either way
     mesh, medium, x_a = make_setup(label, ppw=ppw)
-    assert fem.block_size(mesh) == {40.0: 7, 160.0: 1}[ppw]
+    sizes = {40.0: 7, 160.0: 1} if x_a > 0.0 else {40.0: 10, 160.0: 2}
+    assert fem.block_size(mesh) == sizes[ppw]
     assert_block_sweep_is_per_frequency(mesh, medium, purcell.sweep_grid(),
                                         x_a)
 
@@ -293,7 +356,7 @@ def test_a_sweep_assembles_once_per_block(monkeypatch):
     monkeypatch.setattr(purcell, "assemble", counting)
     monkeypatch.setattr(fem, "assemble", counting)
     purcell.sweep(mesh, medium, purcell.sweep_grid(), x_a)
-    assert assembled == [7] * 14 + [3]
+    assert assembled == [10] * 10 + [1]
     # the block's rows went to its LUs; the mesh keeps no block after it
     assert set(fem._KEPT[mesh]) == {"static_bands", "node", "factorization"}
 
