@@ -20,8 +20,8 @@ Numeric contract: every FEM-side value (r, t, the probe fields and the G
 samples) is bitwise what the per-point readouts give (``extract_r_t``,
 ``PlaneWaveSolution.total_at``, ``FieldSolution``), since the
 interpolation is ``evaluate_field``'s own (np.interp's arithmetic), a
-probe past a port is carried by ``fem.lattice_hops`` in the arithmetic
-``total_at`` carries it in, and the solves are the same. The oracle's
+probe past a port is carried by ``fem.carried_past_port``, as
+``total_at`` carries it, and the solves are the same. The oracle's
 values are not: for an array of frequencies it works in numpy's array
 arithmetic, whose complex products may round differently from the scalar
 products and CPython's complex division of a single frequency
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import lattice_hops, p1_stencil
+from .fem import carried_past_port, p1_stencil
 from .greens import solve_point_source
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D
@@ -92,8 +92,8 @@ def _probe_fields(mesh: Mesh1D, omegas, probes, waves, scattered):
 
     In the physical region their sum is interpolated (``total_at_nodes``
     and ``p1_stencil``). Past a port the scattered field is the outgoing
-    lattice wave and the incident wave continues at the wall's spacing
-    (``fem.lattice_hops``), each carried from its port value.
+    lattice wave and the incident wave continues at the wall's spacing,
+    each carried from its port value (``fem.carried_past_port``).
     """
     total = waves + scattered
     field = probes(total[:, 0], total[:, 1])
@@ -102,16 +102,9 @@ def _probe_fields(mesh: Mesh1D, omegas, probes, waves, scattered):
     if past.any():
         k, beyond = omegas[:, None], PROBES[past]
         port = probes(scattered[:, 0], scattered[:, 1])[:, past]
-        hop = lattice_hops(mesh, k, beyond)
-        # ``evaluate_field`` carries one value in place, which numpy does in
-        # its scalar complex loop: written out in real arithmetic, as that
-        # loop forms it, since a product of whole arrays may take a vector
-        # loop with fused multiply-adds and round apart from it
-        outgoing = np.empty_like(port)
-        outgoing.real = port.real * hop.real - port.imag * hop.imag
-        outgoing.imag = port.real * hop.imag + port.imag * hop.real
-        field[:, past] = outgoing + waves[:, 0, past] * lattice_hops(
-            mesh, k, beyond, +1)
+        field[:, past] = (carried_past_port(mesh, k, port, beyond)
+                          + carried_past_port(mesh, k, waves[:, 0, past],
+                                              beyond, +1))
     return field
 
 

@@ -1001,6 +1001,22 @@ def lattice_hops(mesh: Mesh1D, k: float, x, direction=None):
                                     + (hops - j) * np.exp(1j * step))
 
 
+def carried_past_port(mesh: Mesh1D, k: float, port, x, direction=None):
+    """A lattice wave at the points ``x`` past a port, from its value
+    ``port`` there: ``port`` times ``lattice_hops``.
+
+    The product is formed in real arithmetic, as numpy's one-value complex
+    loop forms it: its vector loop, with fused multiply-adds, rounds apart,
+    so a point would read other bits alone than among others.
+    """
+    hop = lattice_hops(mesh, k, x, direction)
+    port = np.asarray(port)
+    out = np.empty(np.broadcast_shapes(port.shape, hop.shape), dtype=complex)
+    out.real = port.real * hop.real - port.imag * hop.imag
+    out.imag = port.real * hop.imag + port.imag * hop.real
+    return out
+
+
 @dataclass(frozen=True)
 class P1Stencil:
     """Where P1 interpolation reads each of a set of points of a mesh.
@@ -1050,7 +1066,7 @@ def p1_stencil(mesh: Mesh1D, x) -> P1Stencil:
 def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x, k=None):
     """P1 interpolation of nodal values (``p1_stencil``), and past the
     ports of an open mesh the outgoing lattice wave of wavenumber ``k``
-    (``lattice_hops``).
+    (``carried_past_port``).
 
     ``dofs`` holds one value per mesh node. The field past the ports is
     what a scattered or point-source field is there, the one the dropped
@@ -1065,7 +1081,7 @@ def evaluate_field(mesh: Mesh1D, dofs: np.ndarray, x, k=None):
     if past.any():
         if k is None or not mesh.is_open or not np.isfinite(x[past]).all():
             raise ValueError("evaluation point outside the physical region")
-        out[past] *= lattice_hops(mesh, k, x[past])
+        out[past] = carried_past_port(mesh, k, out[past], x[past])
     return out if out.ndim else complex(out)
 
 

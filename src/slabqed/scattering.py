@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FieldSolution, factorization, lattice_hops, p1_stencil
+from .fem import FieldSolution, carried_past_port, factorization, p1_stencil
 from .medium import MediumSpec
 from .mesh import Mesh1D
 
@@ -71,8 +71,9 @@ class PlaneWaveSolution:
         interpolation reads there, so this is bitwise the interpolation of
         the sum formed at every node. Past a port the scattered part is
         the outgoing lattice wave and the incident wave's phase continues
-        at the wall's lattice spacing (``fem.lattice_hops``), as on the
-        vacuum padding the mesh omits.
+        at the wall's lattice spacing (``fem.carried_past_port``), as on
+        the vacuum padding the mesh omits; a point reads the same bits
+        alone as among others.
         """
         mesh, d = self.scattered.mesh, self.direction
         x = np.asarray(x, dtype=float)
@@ -83,8 +84,8 @@ class PlaneWaveSolution:
         if past.any():
             beyond = x[past]
             ports = np.where(beyond > hi, mesh.n_nodes - 2, 1)
-            total[past] = self.scattered(beyond) + self.lu.wave(
-                ports, d) * lattice_hops(mesh, self.scattered.k, beyond, d)
+            total[past] = self.scattered(beyond) + carried_past_port(
+                mesh, self.scattered.k, self.lu.wave(ports, d), beyond, d)
         return total if total.ndim else complex(total)
 
 
