@@ -21,12 +21,10 @@ samples) is bitwise what the per-point readouts give (``extract_r_t``,
 ``PlaneWaveSolution.total_at``, ``FieldSolution``), since the
 interpolation is ``evaluate_field``'s own (np.interp's arithmetic), a
 probe past a port is carried by ``fem.carried_past_port``, as
-``total_at`` carries it, and the solves are the same. The oracle's
-values are not: for an array of frequencies it works in numpy's array
-arithmetic, whose complex products may round differently from the scalar
-products and CPython's complex division of a single frequency
-(``oracle`` states the bound), so a residual may move in its last digits
-against a per-frequency comparison.
+``total_at`` carries it, and the solves are the same. The oracle works
+one frequency as an array of one, in the arithmetic of a grid, so its
+values are also those of one call per frequency, and each residual is
+the per-frequency comparison's.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ inline), Fresnel limits, flux conservation, and direct residual checks of the
 differential equation and the Green-function jump condition.
 """
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,8 +17,6 @@ from _dense_reference import relative_permittivity
 
 from slabqed.medium import CASE_PRESETS, MediumSpec
 from slabqed.oracle import (
-    _outgoing_pair,
-    plane_wave_coefficients,
     slab_wavenumber,
     tmm_green,
     tmm_reflection_transmission,
@@ -65,6 +66,19 @@ def matching_system_coefficients(medium, omega):
     return np.linalg.solve(mat, rhs)
 
 
+def matching_system_field(medium, omega, x):
+    """Phi_+ at the points ``x`` from ``matching_system_coefficients``."""
+    k, a = omega, medium.slab_half_length
+    ks = slab_wavenumber(medium, omega)
+    r, c, d, t = matching_system_coefficients(medium, omega)
+    x = np.asarray(x, dtype=float)
+    return np.where(
+        x < -a, np.exp(1j * k * x) + r * np.exp(-1j * k * x),
+        np.where(x > a, t * np.exp(1j * k * x),
+                 c * np.exp(1j * ks * np.clip(x + a, 0.0, None))
+                 + d * np.exp(-1j * ks * np.clip(x - a, None, 0.0))))
+
+
 # an opaque lossy slab 32 times case 2's length (P = e^{i k_s L} underflows
 # to 0 near resonance) and a lossless slab whose eps_r < 0 above omega_0
 # (k_s imaginary, |rho| = 1, P = e^{-706} at 411)
@@ -80,11 +94,17 @@ def test_closed_form_coefficients_solve_the_matching_system(medium):
     omegas = np.linspace(300.0, 700.0, 401)
     if medium is BELOW_CUTOFF:
         omegas = np.concatenate((omegas, [411.0]))
+    # r and t, and Phi_+ at 9 points across the slab, which read the two
+    # interior amplitudes
+    a = medium.slab_half_length
+    inside = np.linspace(-a, a, 9)
     worst = 0.0
     for omega in omegas[np.abs(omegas - medium.omega_0) > 1e-6]:
-        sol = plane_wave_coefficients(medium, omega)
-        got = np.array([sol.r, sol.amp_left, sol.amp_right, sol.t])
-        reference = matching_system_coefficients(medium, omega)
+        r, t = tmm_reflection_transmission(medium, omega)
+        got = np.array([r, t, *tmm_total_field(medium, omega, +1, inside)])
+        r_abs, _, _, t_ref = matching_system_coefficients(medium, omega)
+        reference = np.array([r_abs * np.exp(2j * omega * a), t_ref,
+                              *matching_system_field(medium, omega, inside)])
         worst = max(worst, np.max(np.abs(got - reference)
                                   / np.maximum(1.0, np.abs(reference))))
     assert worst <= 1e-14
@@ -183,14 +203,15 @@ def test_reverse_incidence_convention():
     # using the absolute-phase amplitudes a symmetric slab shares between
     # the two incidence directions
     omega = 420.0
-    sol = plane_wave_coefficients(CASE1, omega)
+    r, t = tmm_reflection_transmission(CASE1, omega)
+    r_abs = r * np.exp(-2j * omega * CASE1.slab_half_length)
     x = 0.21
     phi = tmm_total_field(CASE1, omega, -1, x)
-    expected = np.exp(-1j * omega * x) + sol.r * np.exp(1j * omega * x)
+    expected = np.exp(-1j * omega * x) + r_abs * np.exp(1j * omega * x)
     assert phi == pytest.approx(expected, rel=1e-12)
     x = -0.17
     phi = tmm_total_field(CASE1, omega, -1, x)
-    assert phi == pytest.approx(sol.t * np.exp(-1j * omega * x), rel=1e-12)
+    assert phi == pytest.approx(t * np.exp(-1j * omega * x), rel=1e-12)
 
 
 def test_green_vacuum_closed_form():
@@ -247,12 +268,27 @@ def test_green_solves_helmholtz_away_from_source():
         assert abs(residual) / (omega**2 * abs(g[1])) < 1e-4
 
 
-def test_wronskian_is_side_independent():
-    # W = 2ik b_left evaluated on the right must equal 2ik a_right from the
-    # left vacuum region; equality is a symmetry theorem for this system
-    for medium in (CASE1, CASE2, VACUUM):
-        _, _, _, (al, ar, bl, br) = _outgoing_pair(medium, 500.0)
-        assert ar == pytest.approx(bl, rel=1e-12)
+LOSSLESS = MediumSpec(omega_p=100.0, omega_0=500.0, gamma=0.0,
+                     slab_half_length=0.03125)
+
+
+def test_green_is_the_product_of_mirrored_scattering_states():
+    # G(x, x') = (i / 2kt) Phi_+(-x_<) Phi_+(x_>): the left-going outgoing
+    # solution is the mirror of the right-going one, Phi_+ t, and their
+    # Wronskian 2ik / t; Phi_+ and t from the dense matching system
+    x = np.linspace(-0.1, 0.1, 17)  # left of, inside and right of the slab
+    for medium, omega in itertools.product(
+            (CASE1, CASE2, VACUUM, LOSSLESS), (300.0, 420.0, 499.0, 640.0,
+                                               700.0)):
+        t = matching_system_coefficients(medium, omega)[3]
+        for x_src in (-0.05, -0.01, 0.0, 0.02, 0.07):
+            lo, hi = np.minimum(x, x_src), np.maximum(x, x_src)
+            reference = (1j / (2.0 * omega * t)
+                         * matching_system_field(medium, omega, -lo)
+                         * matching_system_field(medium, omega, hi))
+            got = tmm_green(medium, omega, x, x_src)
+            assert np.abs(got - reference).max() <= (
+                1e-13 * np.abs(reference).max())
 
 
 def test_green_decays_through_opaque_slab():
@@ -280,8 +316,18 @@ def test_green_stays_finite_through_an_opaque_lossless_slab():
 
 
 def test_rejects_nonpositive_frequency():
-    with pytest.raises(ValueError):
-        plane_wave_coefficients(CASE1, 0.0)
+    # refused before anything is computed, naming the first bad frequency
+    calls = [lambda omega: tmm_reflection_transmission(CASE1, omega),
+             lambda omega: tmm_total_field(CASE1, omega, +1, 0.0),
+             lambda omega: tmm_green(CASE1, omega, 0.0, 0.0),
+             lambda omega: tmm_green(CASE1, omega, [-0.1, 0.0, 0.1], 0.0)]
+    cases = [(0.0, "0.0"), (-5.0, "-5.0"), ([300.0, 0.0, -5.0], "0.0"),
+             (np.array([[500.0], [-5.0]]), "-5.0")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, (omega, named) in itertools.product(calls, cases):
+            with pytest.raises(ValueError, match=f"got {named}$"):
+                call(omega)
     with pytest.raises(ValueError):
         tmm_total_field(CASE1, 500.0, 0, 0.0)
 
