@@ -1010,7 +1010,6 @@ def carried_past_port(mesh: Mesh1D, k: float, port, x, direction=None):
     so a point would read other bits alone than among others.
     """
     hop = lattice_hops(mesh, k, x, direction)
-    port = np.asarray(port)
     out = np.empty(np.broadcast_shapes(port.shape, hop.shape), dtype=complex)
     out.real = port.real * hop.real - port.imag * hop.imag
     out.imag = port.real * hop.imag + port.imag * hop.real

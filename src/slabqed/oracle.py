@@ -83,18 +83,18 @@ def _outgoing(medium: MediumSpec, k):
 
     def u(x):
         return _by_region(
-            medium, k, x, lambda x: (amp_a * np.exp(1j * k * x)
-                                     + amp_b * np.exp(-1j * k * x)),
+            a, k, x,
+            lambda x: amp_a * np.exp(1j * k * x) + amp_b * np.exp(-1j * k * x),
             lambda x: c + d * np.exp(2j * ks * (a - x)),
             lambda x: np.exp(1j * k * x))
 
     return u, ks, prop, c, d, amp_a, amp_b
 
 
-def _by_region(medium: MediumSpec, k, x, left, inside, right):
+def _by_region(a: float, k, x, left, inside, right):
     """The values of the frequencies ``k`` at the points ``x``, each region
-    of the slab's line from its own formula, evaluated on its points only."""
-    a = medium.slab_half_length
+    of the line (left of, inside and right of the slab [-a, a]) from its
+    own formula, evaluated on its points only."""
     out = np.empty(np.broadcast_shapes(np.shape(k), x.shape), dtype=complex)
     lt, gt = x < -a, x > a
     mid = ~(lt | gt)
@@ -158,7 +158,7 @@ def tmm_total_field(medium: MediumSpec, omega, direction: int, x):
     r, t = amp_b / amp_a, prop / amp_a
     launched_left, launched_right = c / amp_a, d * prop / amp_a
     out = _by_region(
-        medium, k, direction * x,
+        a, k, direction * x,
         lambda x: np.exp(1j * k * x) + r * np.exp(-1j * k * x),
         lambda x: (launched_left * np.exp(1j * ks * (x + a))
                    + launched_right * np.exp(-1j * ks * (x - a))),

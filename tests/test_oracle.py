@@ -86,6 +86,9 @@ OPAQUE = MediumSpec(omega_p=100.0, omega_0=500.0, gamma=5.0,
                     slab_half_length=1.0)
 BELOW_CUTOFF = MediumSpec(omega_p=264.0, omega_0=410.0, gamma=0.0,
                           slab_half_length=0.09375)
+# a lossless slab below its resonance (chi real > 0)
+LOSSLESS = MediumSpec(omega_p=100.0, omega_0=500.0, gamma=0.0,
+                      slab_half_length=0.03125)
 
 
 @pytest.mark.parametrize("medium", [CASE1, CASE2, VACUUM, OPAQUE,
@@ -266,10 +269,6 @@ def test_green_solves_helmholtz_away_from_source():
         eps_r = relative_permittivity(CASE1, x0, omega)
         residual = second + omega**2 * eps_r * g[1]
         assert abs(residual) / (omega**2 * abs(g[1])) < 1e-4
-
-
-LOSSLESS = MediumSpec(omega_p=100.0, omega_0=500.0, gamma=0.0,
-                     slab_half_length=0.03125)
 
 
 def test_green_is_the_product_of_mirrored_scattering_states():
