@@ -36,11 +36,7 @@ import numpy as np
 from . import __version__
 from .fem import assemble
 from .crosscheck import oracle_residuals
-from .identities import (
-    check_discrete_ddgt,
-    check_identities,
-    check_thermal_equilibrium,
-)
+from .identities import check_identities, check_thermal_equilibrium
 from .medium import (ATOM_INSIDE, ATOM_OUTSIDE, CASE_NAMES, CASE_PRESETS,
                      MediumSpec, case_preset)
 from .mesh import InputError, check_padded_region, check_resolution
@@ -504,10 +500,7 @@ def cmd_check_identities(config: RunConfig) -> int:
             # residual drops below any fixed floor
             lossless = label == "vacuum" and not config.closed_box
             with _refusals(config, {"medium.slab_half_length": {-a, a}}):
-                if lossless:  # both from one walk of G
-                    ddgt, failure = check_identities(system)
-                else:
-                    ddgt = check_discrete_ddgt(system)
+                ddgt, failure = check_identities(system)  # one walk of G
             all_ok &= _report(
                 lines, f"two-channel dissipation [{label}, k={k:g}]",
                 ddgt, config.ddgt_max, "<",

@@ -37,9 +37,10 @@ forward and a backward pivot sweep differentiated in lam) and
 eigenmode route; ``inverse_iteration`` and the LU are the only LAPACK
 calls in the package, LAPACK's ``?gttrf``/``?gttrs`` from scipy's compiled
 ``_flapack``, loaded without importing ``scipy.linalg``
-(``_load_flapack``). f2py copies every array it may not overwrite, so the
-LU factors fresh bands in place and ``Factorization.solve``, the one solve
-of the package, overwrites a block its caller owns: no copy in or out.
+(``_load_flapack``). f2py copies every array it may not overwrite: the LU
+factors copies of a system's read-only bands, and ``Factorization.solve``,
+the one solve of the package, overwrites a block its caller owns: no copy
+in or out.
 
 The consistent mass matrix is kept as-is (no lumping or blending): on a
 uniform vacuum mesh the rows are 2/h, -1/h and 2h/3, h/6.
@@ -58,25 +59,25 @@ elsewhere), and refuses a medium whose slab half-length is not the
 mesh's: one chi, one kt per length class, O(n) band arithmetic, one LU
 and no quadrature per frequency.
 
-There is one way to a frequency's LU. ``assemble`` takes a wavenumber or
-a block of them (an array, one row per k in every band that depends on
-k; a scalar k runs the same statements on bands without the row axis),
-and ``operator_rows`` forms, for every k of the system in one array pass,
-the ``OperatorRows`` its LU is built from: the interior bands of L, the
-pivot test's scale, the lattice wave w on the slab's nodes and M_slab w
-there, from which the LU forms either direction's load (M_slab is real,
-so the -x load is the conjugate product's). ``Factorization`` factors one
-k's rows (``gttrf`` in place, with the singular-pivot test); given a
-one-frequency system it takes that system's one row. A sweep takes each
-block's rows and hands them to ``factorization`` one k at a time
-(``BLOCK_BYTES`` sizes the blocks, ``block_size``); every other caller
-asks ``factorization`` for one k, which it assembles alone. Numeric
-contract: every row, and the LU and loads built from it, is bitwise what
-its k assembled alone gives. chi(k) is a Python scalar per k, checked
-before any band is formed, and so are k^2 (formed once, kept as
-``SystemMatrices.k_squared``) and k^2 chi(k), since numpy's square and a
-Python square may round apart; every array operation is elementwise
-along the rows, and theta(0) is read with np.interp row by row.
+There is one object per frequency, ``SystemMatrices``, and one way to
+its LU. ``assemble`` takes a wavenumber or a block of them (an array) and
+forms, in one array pass, every band that depends on k, one row per k of
+a block (a scalar k runs the same statements on bands without the row
+axis): S and M, the interior bands of L and their scale, the lattice wave
+w on the slab's nodes and M_slab w there, from which the LU forms either
+direction's load (M_slab is real, so the -x load is the conjugate
+product's). It hands out one read-only system per k, views of the
+block's rows. ``Factorization`` factors one system (``gttrf``, with the
+singular-pivot test) and leaves it as assembled, so a system may be
+factored again. A sweep hands each system of a block to
+``factorization`` one k at a time (``BLOCK_BYTES`` sizes the blocks,
+``block_size``); every other caller asks ``factorization`` for one k,
+which it assembles alone. Numeric contract: every system of a block, and
+the LU and loads built from it, is bitwise what its k assembled alone
+gives. chi(k), k^2 and k^2 chi(k) are Python scalars per k, checked and
+formed before any band, since numpy's square and a Python square may
+round apart; every array operation is elementwise along the rows, and
+theta(0) is read with np.interp row by row.
 
 On an open mesh the same phase steps kt h give the vacuum lattice's own
 plane wave, the wave the scattering states are driven by: its nodal phase
@@ -253,23 +254,24 @@ _WALL_ELEMENTS = np.array([0, -1])
 
 @dataclass(frozen=True, eq=False)
 class SystemMatrices:
-    """Assembled tridiagonal bands over all nodes, walls included.
+    """One frequency's operator: its bands over all nodes, walls included,
+    and what its LU reads.
 
     ``s_diag/s_off`` and ``m_diag/m_off`` are the stiffness and mass bands;
-    ``off[i]`` couples node i to node i+1. Interior (Dirichlet-reduced)
-    views are provided for the solver and the identity checks. ``chi`` is
-    the slab susceptibility chi(k) the bands were assembled with, which
-    ``Factorization`` turns into the slab term, and ``phase`` the nodal
-    phase theta of the vacuum lattice's plane wave at this k, read-only
-    (None on a closed box, which has no incident wave at any k).
-    A block of frequencies (``assemble`` with an array of k) has an array
-    ``k`` and ``chi`` and one row per k in every band that depends on k;
-    ``operator_interior`` and ``operator_rows`` take either, the rest one k.
-    ``k_squared`` is k^2 of each k, formed once by ``assemble`` as Python
-    squares of the floats (numpy's square may round apart) and complex, so
-    it multiplies a complex band as a complex scalar does, with no cast: a
-    complex for a scalar k, a column for a block.
-    Systems compare by identity: equal bands do not make two systems equal.
+    ``off[i]`` couples node i to node i+1. ``l_diag/l_off`` are the
+    interior (Dirichlet-reduced) bands of L = S - k^2 M, which the LU
+    factors, and ``scale`` max|L_ij| over them, the scale of its
+    singular-pivot test. ``chi`` is the slab susceptibility chi(k) the
+    bands were assembled with and ``slab_term`` k^2 chi(k), by which the
+    slab enters L_vac - L = k^2 chi(k) M_slab. On an open mesh ``phase`` is
+    the nodal phase theta of the vacuum lattice's plane wave at this k,
+    ``slab_wave`` its values w = e^{i theta} on ``slab_nodes`` and
+    ``slab_mass_wave`` M_slab w there, from which the LU forms each
+    direction's load (all None on a closed box, which has no incident wave
+    at any k). Every band is read-only, so a system may be factored any
+    number of times and read afterwards; the systems of a block are views
+    of the block's arrays. Systems compare by identity: equal bands do not
+    make two systems equal.
     """
 
     mesh: Mesh1D
@@ -279,8 +281,13 @@ class SystemMatrices:
     s_off: np.ndarray
     m_diag: np.ndarray
     m_off: np.ndarray
-    phase: np.ndarray | None
-    k_squared: complex | np.ndarray
+    l_diag: np.ndarray
+    l_off: np.ndarray
+    scale: float
+    slab_term: complex
+    phase: np.ndarray | None = None
+    slab_wave: np.ndarray | None = None
+    slab_mass_wave: np.ndarray | None = None
 
     @property
     def n_interior(self) -> int:
@@ -296,23 +303,8 @@ class SystemMatrices:
         return k2 * self.m_diag[1:-1].imag, k2 * self.m_off[1:-1].imag
 
     def operator_interior(self):
-        """Bands of L = S - k^2 M on the interior nodes (a row per k of a
-        block)."""
-        return self._operator_bands()[1:]
-
-    def _operator_bands(self):
-        """(both, diag, off): ``operator_interior``'s bands, views of one
-        array ``both`` that holds each row's diagonal and then its
-        off-diagonal, so one pass reads max|L_ij| over both."""
-        n = self.n_interior
-        both = np.empty(self.m_diag.shape[:-1] + (2 * n - 1,), dtype=complex)
-        diag, off = both[..., :n], both[..., n:]
-        k2 = self.k_squared
-        np.multiply(k2, self.m_diag[..., 1:-1], out=diag)
-        np.multiply(k2, self.m_off[..., 1:-1], out=off)
-        np.subtract(self.s_diag[..., 1:-1], diag, out=diag)
-        np.subtract(self.s_off[..., 1:-1], off, out=off)
-        return both, diag, off
+        """Bands of L = S - k^2 M on the interior nodes."""
+        return self.l_diag, self.l_off
 
 
 def _gauss_sum(values):
@@ -407,9 +399,10 @@ def node_of(mesh: Mesh1D, x: float) -> int:
 
 def _susceptibility(mesh: Mesh1D, medium: MediumSpec, k: float) -> complex:
     """chi(k) as a Python complex, after the checks ``assemble`` makes of
-    k and the medium: k > 0, the mesh's slab, and a finite chi(k)."""
-    if k <= 0:
-        raise ValueError(f"k must be > 0, got {k}")
+    k and the medium: a finite k > 0, the mesh's slab, and a finite
+    chi(k)."""
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be finite and > 0, got {k}")
     if medium.slab_half_length != mesh.slab_half_length:
         raise ValueError(
             f"the medium's slab half-length {medium.slab_half_length} is not "
@@ -425,8 +418,18 @@ def _susceptibility(mesh: Mesh1D, medium: MediumSpec, k: float) -> complex:
     return chi
 
 
-def assemble(mesh: Mesh1D, medium: MediumSpec, k) -> SystemMatrices:
-    """Assemble stiffness and mass bands for wavenumber k.
+def _slab_product(static: StaticBands, values) -> np.ndarray:
+    """M_slab w on ``slab_nodes``, for the values of w there (one row per
+    leading index)."""
+    diag, off = static.slab_mass
+    product = diag * values
+    product[..., :-1] += off * values[..., 1:]
+    product[..., 1:] += off * values[..., :-1]
+    return product
+
+
+def assemble(mesh: Mesh1D, medium: MediumSpec, k):
+    """Assemble the operator of wavenumber k, or of each k of a block.
 
     Parameters
     ----------
@@ -436,17 +439,19 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k) -> SystemMatrices:
     k : float or 1-D array of floats
         Wavenumber; enters through eps_r dispersion and, on an open mesh,
         the outgoing condition at the two boundary elements. An array is a
-        block of frequencies: every band that depends on k then has one
-        row per k, and ``k`` and ``chi`` are arrays.
+        block of frequencies.
 
-    A scalar k runs the same statements as a block, on bands without the
-    row axis. Each k is checked and its chi(k) and k^2 formed as Python
+    A block is formed in one array pass, every band that depends on k
+    holding one row per k, and each of its systems is a view of one row;
+    a scalar k runs the same statements on bands without the row axis.
+    Each k is checked and its chi(k), k^2 and k^2 chi(k) formed as Python
     scalars before any band, and every array operation is elementwise
-    along the rows, so each row is bitwise what its k gives alone.
+    along the rows, so each system of a block is bitwise what its k gives
+    alone.
 
     Returns
     -------
-    SystemMatrices
+    SystemMatrices for a scalar k, else a list of them, one per k in order
     """
     ks = np.asarray(k, dtype=float)
     if ks.ndim > 1:
@@ -459,18 +464,18 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k) -> SystemMatrices:
     columns = columns.reshape((2,) + ks.shape + (1,) * ks.ndim)
     k2, chi = columns[0], columns[1]
     static = static_bands(mesh)
+    # a writable copy of the bands that vary with k, per k of a block.
     # M_slab is an exact zero off its nodes and b rho off the two ports:
     # adding each over its own nodes only leaves every band entry bitwise
-    # as a sum over all n would. A band without a per-k term is the static
-    # one itself, read-only.
-    # a writable copy of the bands that vary with k, per k of a block
+    # as a sum over all n would
     per_k = np.empty(ks.shape + static.per_k_bands.shape, dtype=complex)
     per_k[...] = static.per_k_bands
     m_diag, m_off = per_k[..., 0, :], per_k[..., 1, :-1]
+    s_diag = per_k[..., 2, :]
     slab_diag, slab_off = static.slab_mass
     m_diag[..., mesh.slab_nodes] += chi * slab_diag
     m_off[..., mesh.slab_elements] += chi * slab_off
-    s_diag, phase = static.s_diag, None
+    waves = []
     if mesh.is_open:
         # the phase kt h the lattice wave advances across each element, kt
         # found once per distinct element length
@@ -482,91 +487,39 @@ def assemble(mesh: Mesh1D, medium: MediumSpec, k) -> SystemMatrices:
         # theta(0) = 0, the oracle's absolute phase
         for theta in phase.reshape(-1, mesh.n_nodes):
             theta -= np.interp(0.0, mesh.nodes, theta)
-        phase = _read_only(phase)
         # the vacuum lattice beyond each wall carries u_1 rho^j outward:
         # eliminating it adds b rho to the last physical node's diagonal,
         # rho from the kt the lattice wave advances by
         stiffness, mass = static.wall_off
         b = stiffness - k2.real * mass
-        s_diag = per_k[..., 2, :]
         s_diag[..., _PORTS] += b * np.exp(
             1j * steps.take(_WALL_ELEMENTS, axis=-1))
-    one = ks.ndim == 0
-    return SystemMatrices(
-        mesh=mesh, k=wavenumbers[0] if one else ks,
-        chi=chis[0] if one else chi.reshape(ks.shape),
-        s_diag=s_diag, s_off=static.s_off,
-        m_diag=m_diag, m_off=m_off, phase=phase, k_squared=k2,
-    )
-
-
-@dataclass(eq=False)
-class OperatorRows:
-    """One frequency of an assembled system, as its LU is built from it.
-
-    ``diag`` and ``off`` are the interior bands of L, which the LU factors
-    in place, and ``scale`` max|L_ij| over them, taken before; ``slab_term``
-    is k^2 chi(k) and ``s_diag`` the stiffness diagonal, which the
-    singular-pivot message reads. On an open mesh ``phase`` is the lattice
-    wave's theta, ``slab_wave`` its values w = e^{i theta} on
-    ``slab_nodes`` and ``slab_mass_wave`` M_slab w there, from which the
-    LU forms each direction's load (all None on a closed box). All but the
-    bands are read-only. The rows of a block are views of the block's
-    arrays.
-    """
-
-    static: StaticBands
-    k: float
-    slab_term: complex
-    diag: np.ndarray
-    off: np.ndarray
-    scale: float
-    s_diag: np.ndarray
-    phase: np.ndarray | None = None
-    slab_wave: np.ndarray | None = None
-    slab_mass_wave: np.ndarray | None = None
-
-
-def _slab_product(static: StaticBands, values) -> np.ndarray:
-    """M_slab w on ``slab_nodes``, for the values of w there (one row per
-    leading index)."""
-    diag, off = static.slab_mass
-    product = diag * values
-    product[..., :-1] += off * values[..., 1:]
-    product[..., 1:] += off * values[..., :-1]
-    return product
-
-
-def operator_rows(system: SystemMatrices) -> list[OperatorRows]:
-    """The ``OperatorRows`` of each frequency of a system, in order: one
-    for a scalar k.
-
-    One array pass over the rows forms, for every frequency at once, the
-    interior bands of L and their scale, the lattice wave on the slab's
-    nodes and its product with M_slab. Each operation is elementwise along
-    the rows and k^2 chi(k) is a Python product per frequency, as the LU's
-    loads and losses read it, so every row is bitwise what its k assembled
-    alone gives.
-    """
-    static = static_bands(system.mesh)
-    ks = np.array(system.k, ndmin=1).tolist()
-    chis = np.array(system.chi, ndmin=1).tolist()
-    both, diag, off = system._operator_bands()
+        wave = np.exp(1j * phase[..., static.slab_nodes])
+        waves = [phase, wave, _slab_product(static, wave)]
+    # the interior bands of L, views of one array that holds each row's
+    # diagonal and then its off-diagonal, so one pass reads max|L_ij|
+    n = mesh.n_interior
+    both = np.empty(ks.shape + (2 * n - 1,), dtype=complex)
+    l_diag, l_off = both[..., :n], both[..., n:]
+    np.multiply(k2, m_diag[..., 1:-1], out=l_diag)
+    np.multiply(k2, m_off[..., 1:-1], out=l_off)
+    np.subtract(s_diag[..., 1:-1], l_diag, out=l_diag)
+    np.subtract(static.s_off[1:-1], l_off, out=l_off)
     scales = np.abs(both).max(axis=-1)
-    if system.phase is None:
-        # a closed box's stiffness is the static band at every k, and it
-        # has no wave
-        rest = [np.broadcast_to(system.s_diag,
-                                diag.shape[:-1] + system.s_diag.shape)]
-    else:
-        wave = _read_only(np.exp(1j * system.phase[..., static.slab_nodes]))
-        rest = [system.s_diag, system.phase, wave,
-                _read_only(_slab_product(static, wave))]
-    # each k's index into the bands: () for a scalar k, (i,) in a block
-    at = itertools.product(*map(range, diag.shape[:-1]))
-    return [OperatorRows(static, k, k**2 * chi, diag[i], off[i], scales[i],
-                         *[band[i] for band in rest])
-            for i, k, chi in zip(at, ks, chis)]
+    # a view taken of a writable array stays writable: each band a system
+    # takes its row of is made read-only itself
+    for band in (s_diag, m_diag, m_off, l_diag, l_off, *waves):
+        _read_only(band)
+    # each k's index into the rows: () for a scalar k, (i,) in a block.
+    # The fields go by position, in their order: by keyword, a block's
+    # systems measured ~4 us per k slower to form (~10% at 283 nodes)
+    at = itertools.product(*map(range, ks.shape))
+    systems = [SystemMatrices(mesh, k, chi, s_diag[i], static.s_off,
+                              m_diag[i], m_off[i], l_diag[i], l_off[i],
+                              scales[i], k**2 * chi,
+                              *[band[i] for band in waves])
+               for i, k, chi in zip(at, wavenumbers, chis)]
+    return systems if ks.ndim else systems[0]
 
 
 # what the LU of a closed box says when asked for a scattering state
@@ -579,55 +532,50 @@ class Factorization:
     the operator's slab term, which the loads and rates read, and, on an
     open mesh, the lattice wave the scattering states are driven by.
 
-    Built from one frequency's ``OperatorRows``, whose bands it factors in
-    place, or from a one-frequency ``SystemMatrices``, whose one row it
-    takes (``operator_rows``). Holds the factors, k, the scalar k^2 chi(k)
-    by which the slab enters L_vac - L = k^2 chi(k) M_slab, the wave's
-    nodal phase theta (``phase``, read-only, None on a closed box), the
-    wave's values w on the slab's nodes and M_slab w there, and the
-    k-independent bands (``static_bands``, arrays and slices only), not
-    the system or its mesh, so an LU kept for a mesh by ``factorization``
-    is freed together with that mesh. L_vac is the operator of the same
-    mesh with an empty slab: the two differ on ``slab_nodes`` alone.
+    Built from one frequency's ``SystemMatrices``, which it leaves as
+    assembled: f2py copies the read-only bands of L that gttrf factors.
+    Holds the factors, k, the scalar k^2 chi(k) by which the slab enters
+    L_vac - L = k^2 chi(k) M_slab, the wave's nodal phase theta
+    (``phase``, read-only, None on a closed box), the wave's values w on
+    the slab's nodes and M_slab w there, and the k-independent bands
+    (``static_bands``, arrays and slices only), not the system or its
+    mesh, so an LU kept for a mesh by ``factorization`` is freed together
+    with that mesh. L_vac is the operator of the same mesh with an empty
+    slab: the two differ on ``slab_nodes`` alone.
     """
 
-    def __init__(self, system):
-        # a one-frequency system is a block of one
-        (rows,) = (operator_rows(system) if isinstance(system, SystemMatrices)
-                   else [system])
-        self.n_interior = rows.diag.size
-        self.k = rows.k
-        self.phase = rows.phase
-        self._slab_term = rows.slab_term
-        self._static = rows.static
-        gttrf, gttrs = _tridiagonal_kernels(rows.diag.dtype)
-        # the bands are the rows' own: d and du are factored in place;
-        # f2py copies dl, which shares ``off`` with du, before the call
-        dl, d, du, du2, ipiv, info = gttrf(rows.off, rows.diag, rows.off,
-                                           overwrite_d=1, overwrite_du=1)
-        if info > 0 or np.abs(d).min() < 1e-14 * rows.scale:
+    def __init__(self, system: SystemMatrices):
+        self.n_interior = system.n_interior
+        self.k = system.k
+        self.phase = system.phase
+        self._slab_term = system.slab_term
+        self._static = static_bands(system.mesh)
+        gttrf, gttrs = _tridiagonal_kernels(system.l_diag.dtype)
+        dl, d, du, du2, ipiv, info = gttrf(system.l_off, system.l_diag,
+                                           system.l_off)
+        if info > 0 or np.abs(d).min() < 1e-14 * system.scale:
             raise SingularOperatorError(
-                f"operator is singular at k = {rows.k}: "
+                f"operator is singular at k = {system.k}: "
                 "the frequency coincides with a discrete resonance"
-                + self._slab_scale_note(rows)
+                + self._slab_scale_note(system)
             )
         if info < 0:
             raise RuntimeError(f"gttrf failed with info = {info}")
         self._factors = (dl, d, du, du2, ipiv)
         self._gttrs = gttrs
         # the +x values both directions read
-        self._slab_wave = rows.slab_wave
-        self._slab_mass_wave = rows.slab_mass_wave
+        self._slab_wave = system.slab_wave
+        self._slab_mass_wave = system.slab_mass_wave
 
-    def _slab_scale_note(self, rows: OperatorRows) -> str:
+    def _slab_scale_note(self, system: SystemMatrices) -> str:
         """Why the pivot test may have tripped, when the slab rows set the
         scale it is relative to: k^2 chi(k) and the contrast of the largest
         entry with the largest entry of L_vac; otherwise nothing."""
         k2, static = self.k**2, self._static
         vacuum = max(np.abs(band[1:-1]).max() for band in (
-            rows.s_diag - k2 * static.m0_diag,
+            system.s_diag - k2 * static.m0_diag,
             static.s_off - k2 * static.m0_off))
-        scale = rows.scale
+        scale = system.scale
         return "" if scale <= vacuum else (
             f"; the slab rows set the pivot test's scale: k^2 chi(k) = "
             f"{self._slab_term:.3e}, the largest entry {scale / vacuum:.3e} "
@@ -721,19 +669,18 @@ def block_size(mesh: Mesh1D) -> int:
 
 
 def factorization(mesh: Mesh1D, medium: MediumSpec, k: float,
-                  rows: OperatorRows | None = None) -> Factorization:
+                  system: SystemMatrices | None = None) -> Factorization:
     """The LU of L = S - k^2 M for (mesh, medium, k).
 
     Every solve at one frequency reuses it: the mesh keeps the LU of the
     last (medium, k) solved on it, and the old LU is freed before the new
-    one is built, from ``rows``, k's ``OperatorRows`` in a block
-    (``operator_rows``), if given, else from k's operator assembled alone.
-    An LU already kept for (medium, k) leaves ``rows`` unfactored. One
-    slot per mesh suits a serial frequency loop; solves of two
-    frequencies on one mesh interleaved would refactorize each time.
+    one is built, from ``system``, k's system in a block, if given, else
+    from k's operator assembled alone. One slot per mesh suits a serial
+    frequency loop; solves of two frequencies on one mesh interleaved
+    would refactorize each time.
     """
     return kept(mesh, "factorization", (medium, k), lambda: Factorization(
-        assemble(mesh, medium, k) if rows is None else rows))
+        assemble(mesh, medium, k) if system is None else system))
 
 
 def pivot_sweep(diag, off2):

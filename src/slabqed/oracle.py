@@ -52,7 +52,8 @@ def slab_wavenumber(medium: MediumSpec, omega: float) -> complex:
 
 
 def _outgoing(medium: MediumSpec, k):
-    """The outgoing solution u of the frequencies ``k`` (an array, > 0).
+    """The outgoing solution u of the frequencies ``k`` (an array, finite
+    and > 0).
 
     u is e^{ikx} for x > a. Across an opaque slab it grows by 1/|P|,
     P = e^{i k_s L}, which overflows, so it is returned scaled back by
@@ -65,9 +66,9 @@ def _outgoing(medium: MediumSpec, k):
     Returns (u, k_s, P, c, d, A, B), with ``u`` the scaled evaluator of
     flattened points.
     """
-    bad = k[k <= 0]
+    bad = k[~((k > 0) & (k < np.inf))]  # NaN fails both comparisons
     if bad.size:
-        raise ValueError(f"omega must be > 0, got {bad[0]}")
+        raise ValueError(f"omega must be finite and > 0, got {bad[0]}")
     a = medium.slab_half_length
     ks = slab_wavenumber(medium, k)
     phase = np.exp(1j * k * a)

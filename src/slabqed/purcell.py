@@ -33,18 +33,18 @@ Per frequency the routes share one operator and one matrix
 factorization, which feeds three separate single-column solves (two plane
 waves, one point source); each load is solved in place. The sweep takes
 its frequencies in order, in blocks of ``fem.block_size``: per block one
-array pass in ``fem`` (``fem.assemble`` and ``fem.operator_rows``) forms
-every frequency's operator and the inputs of its LU; per frequency its
-LU is built from its rows and kept on the mesh in place of the last one
+array pass (``fem.assemble``) forms every frequency's system, its
+operator and the inputs of its LU; per frequency its LU is built from its
+system and kept on the mesh in place of the last one
 (``fem.factorization``), the three solves follow on it, and the three
-rates are read as scalars (``_record``). The rows stay with the sweep:
-the mesh keeps no block. numpy's ``np.abs`` and ``x**2`` may round apart
-from Python's, so no readout is an array pass, and every record is
-bitwise the one of its frequency swept alone. The atom's node is found
-once per sweep (``fem.node_of``). The identity (ldos - medium) = boundary
-is the zero-separation thermal-balance statement, so each sweep record
-carries its relative residual for free. ``compute_record`` is a
-one-point sweep.
+rates are read as scalars (``_record``). The systems stay with the
+sweep: the mesh keeps no block. numpy's ``np.abs`` and ``x**2`` may
+round apart from Python's, so no readout is an array pass, and every
+record is bitwise the one of its frequency swept alone. The atom's node
+is found once per sweep (``fem.node_of``). The identity (ldos - medium)
+= boundary is the zero-separation thermal-balance statement, so each
+sweep record carries its relative residual for free. ``compute_record``
+is a one-point sweep.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (OperatorRows, assemble, block_size, factorization,
-                  node_of, operator_rows)
+from .fem import SystemMatrices, assemble, block_size, factorization, node_of
 from .greens import point_load
 from .medium import ATOM_INSIDE, ATOM_OUTSIDE, MediumSpec
 from .mesh import Mesh1D, build_mesh
@@ -80,11 +79,11 @@ class PurcellRecord:
 
 
 def _record(mesh: Mesh1D, medium: MediumSpec, omega_a: float, x_a: float,
-            rows: OperatorRows | None) -> PurcellRecord:
+            system: SystemMatrices | None) -> PurcellRecord:
     """All Purcell factors at one frequency, from one factorization.
 
-    The frequency's LU is built from its ``rows`` of a block, or from its
-    operator assembled alone for None, and kept on the mesh
+    The frequency's LU is built from its ``system`` of a block, or from
+    its operator assembled alone for None, and kept on the mesh
     (``fem.factorization``). Three single-column solves follow on it,
     each load solved in place: the scattering states driven by the unit
     lattice wave toward +x and toward -x (``Factorization.incident_load``,
@@ -101,7 +100,7 @@ def _record(mesh: Mesh1D, medium: MediumSpec, omega_a: float, x_a: float,
       G(x_a, .) (``Factorization.slab_loss``), on P1 2k^3 chi_I int_slab
       |G(x_a, x)|^2 dx, the element rule's Gauss sum exactly.
     """
-    lu = factorization(mesh, medium, omega_a, rows)
+    lu = factorization(mesh, medium, omega_a, system)
     plus, minus = lu.incident_load(+1), lu.incident_load(-1)
     lu.solve(plus[1:-1])
     lu.solve(minus[1:-1])
@@ -150,7 +149,7 @@ def sweep(
 
     Serial on purpose: the frequencies run in order, in blocks of
     ``fem.block_size``, each assembled in one array pass, and the mesh
-    keeps one LU, built from the frequency's rows, so each frequency's
+    keeps one LU, built from the frequency's system, so each frequency's
     solves share it and the next frequency replaces it. A block that
     cannot be assembled whole is swept one k at a time, each assembled
     alone, so the first k at fault is refused by itself, after the ones
@@ -162,12 +161,12 @@ def sweep(
     for start in range(0, len(omegas), size):
         block = omegas[start:start + size]
         try:
-            rows = operator_rows(assemble(mesh, medium, np.array(block)))
+            systems = assemble(mesh, medium, np.array(block))
         except ValueError:
-            rows = [None] * len(block)
-        for omega, row in zip(block, rows):
+            systems = [None] * len(block)
+        for omega, system in zip(block, systems):
             try:
-                records.append(_record(mesh, medium, omega, x_a, row))
+                records.append(_record(mesh, medium, omega, x_a, system))
             except Exception as exc:
                 note = f"sweep point omega_a = {omega}: {exc}"
                 try:

@@ -29,13 +29,13 @@ from slabqed.purcell import purcell_mesh
 from slabqed.scattering import solve_scattering
 
 # The oracle over an array of frequencies against one call per frequency:
-# one frequency is worked as an array of one, in the same arithmetic, and
-# read bitwise the grid's values on the stock media and the lossless
-# example below. While it was worked in Python's scalar arithmetic, the
-# worst seen on the stock media (cases 1, 2 and vacuum, both atom sites,
-# 101-point grids from 300 + s to 700, s in 0..4) was 5.8 eps for r, 2.6
-# eps for t, 2.5 eps for the probe field and 3.3 eps for G, each relative
-# to its own scale below; 16 eps bounded them.
+# one frequency is worked as an array of one, with the same numpy
+# operations, and reads the grid's values bitwise on the stock media and
+# the lossless example below. The bound is not zero because numpy's
+# complex multiply may round one value apart from several (its vector
+# loop may fuse multiply-adds), so bitwise agreement can fail on another
+# CPU; 16 eps, each relative to its own scale below, is the bound kept
+# from when one frequency had an arithmetic of its own.
 ORACLE_ULPS = 16.0
 
 

@@ -5,6 +5,7 @@ import gc
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -238,40 +239,71 @@ def test_the_minus_x_load_is_the_conjugate_wave_load(drawn, k):
         lu.incident_load(+1), lu.slab_load(lu.wave(mesh.slab_nodes)))
 
 
+def assert_bitwise_same_system(got, want):
+    """Every field of two systems bitwise alike: the same mesh, equal
+    scalars, equal bands, and None where the other has None."""
+    for field in dataclasses.fields(fem.SystemMatrices):
+        ours, theirs = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "mesh" or theirs is None:
+            assert ours is theirs
+        elif isinstance(theirs, np.ndarray):
+            np.testing.assert_array_equal(ours, theirs, strict=True)
+        else:
+            assert type(ours) is type(theirs) and ours == theirs
+
+
 @settings(deadline=None, max_examples=30)
 @given(drawn=meshes(), ks=st.lists(st.floats(1.0, 2000.0), min_size=2,
                                    max_size=9))
 def test_a_block_is_bitwise_each_k_assembled_alone(drawn, ks):
-    # every row of a block's system and of its LU inputs is what its k
-    # gives alone: the bands, theta, the interior bands of L and their
-    # scale, the wave on the slab and both loads the LU of its row forms
+    # every system of a block is what its k gives alone, in every field:
+    # the bands, the interior bands of L and their scale, k^2 chi(k),
+    # theta, the wave on the slab and M_slab w there, and so are both
+    # loads the LU of a block's system forms
     mesh, medium = drawn
-    block = assemble(mesh, medium, np.array(ks))
-    rows = fem.operator_rows(block)
-    for i, (k, row) in enumerate(zip(ks, rows)):
+    systems = assemble(mesh, medium, np.array(ks))
+    assert len(systems) == len(ks)
+    for k, system in zip(ks, systems):
         alone = assemble(mesh, medium, k)
-        for name in ("chi", "s_diag", "m_diag", "m_off", "phase"):
-            got, want = getattr(block, name), getattr(alone, name)
-            if want is None or name == "s_diag" and not mesh.is_open:
-                assert got is want  # no wave, or the static band
-            else:
-                np.testing.assert_array_equal(got[i], want)
-        assert block.k[i] == row.k == alone.k
-        diag, off = alone.operator_interior()
-        np.testing.assert_array_equal(row.diag, diag)
-        np.testing.assert_array_equal(row.off, off)
-        assert row.scale == max(np.abs(diag).max(), np.abs(off).max())
-        lu = Factorization(alone)
+        assert_bitwise_same_system(system, alone)
+        assert alone.scale == max(np.abs(alone.l_diag).max(),
+                                  np.abs(alone.l_off).max())
         if mesh.is_open:
-            wave = lu.wave(mesh.slab_nodes)
-            np.testing.assert_array_equal(row.slab_wave, wave)
-            from_row = Factorization(row)
+            from_block, lu = Factorization(system), Factorization(alone)
             for direction in (+1, -1):
                 np.testing.assert_array_equal(
-                    from_row.incident_load(direction),
+                    from_block.incident_load(direction),
                     lu.incident_load(direction))
         else:
-            assert row.slab_wave is None
+            assert system.slab_wave is None
+
+
+@settings(deadline=None, max_examples=30)
+@given(drawn=meshes(), ks=st.one_of(
+    st.floats(1.0, 2000.0),
+    st.lists(st.floats(1.0, 2000.0), min_size=1, max_size=9)))
+def test_a_system_is_read_only_and_outlives_its_lus(drawn, ks):
+    # every band of a system is read-only, an LU leaves it bitwise as
+    # assembled, and two LUs of one system solve bitwise alike; each
+    # system of a block is its k assembled alone
+    mesh, medium = drawn
+    got = assemble(mesh, medium, np.array(ks))
+    systems = got if isinstance(ks, list) else [got]
+    rhs = np.random.default_rng(2).normal(size=(mesh.n_interior, 2)) + 0j
+    for k, system in zip(np.atleast_1d(ks).tolist(), systems):
+        bands = {field.name: getattr(system, field.name)
+                 for field in dataclasses.fields(system)
+                 if isinstance(getattr(system, field.name), np.ndarray)}
+        assert {"s_diag", "m_diag", "l_diag", "l_off"} <= set(bands)
+        assert not any(band.flags.writeable for band in bands.values())
+        kept = {name: band.copy() for name, band in bands.items()}
+        first, second = Factorization(system), Factorization(system)
+        for name, band in bands.items():
+            np.testing.assert_array_equal(band, kept[name], strict=True)
+        np.testing.assert_array_equal(solved(first, rhs),
+                                      solved(second, rhs), strict=True)
+        if isinstance(ks, list):
+            assert_bitwise_same_system(system, assemble(mesh, medium, k))
 
 
 def test_vacuum_box_bands_are_bitwise_the_reference():
@@ -575,14 +607,15 @@ def test_singularity_test_is_the_relative_pivot_threshold(ratio):
     s_diag = np.array([0.0, 1.0, 1.0 + ratio * 1e-14, 1.0, 0.0],
                       dtype=complex)
     s_off = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    # k^2 M = 0, so L is S
+    diag, off = s_diag[1:-1], s_off[1:-1]
+    scale = max(np.abs(diag).max(), np.abs(off).max())
     system = fem.SystemMatrices(mesh=mesh, k=1.0, chi=0j, s_diag=s_diag,
                                 s_off=s_off, m_diag=np.zeros(5, complex),
-                                m_off=np.zeros(4, complex),
-                                phase=np.zeros(5), k_squared=1.0 + 0j)
-    diag, off = system.operator_interior()
+                                m_off=np.zeros(4, complex), l_diag=diag,
+                                l_off=off, scale=scale, slab_term=0j)
     pivots = lapack.zgttrf(off, diag, off)[1]
-    singular = np.abs(pivots).min() < 1e-14 * max(np.abs(diag).max(),
-                                                  np.abs(off).max())
+    singular = np.abs(pivots).min() < 1e-14 * scale
     assert singular == (ratio < 1.0)
     if singular:
         with pytest.raises(SingularOperatorError):
@@ -1051,6 +1084,21 @@ def test_bad_inputs():
             fact.solve(np.ones(shape, dtype=complex, order="F"))
 
 
+@pytest.mark.parametrize("k", [0.0, -5.0, np.nan, np.inf, -np.inf])
+def test_a_frequency_that_is_not_finite_and_positive_is_refused(k):
+    # refused by name before chi(k) is evaluated: a NaN or an infinite k
+    # made numpy warn in the susceptibility and was then blamed on a
+    # lossless slab at its resonance, even for case 1 (gamma = 50)
+    mesh = lu_mesh()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"finite and > 0, got {k}$"):
+            assemble(mesh, CASE1, k)
+        with pytest.raises(ValueError, match=f"^sweep point omega_a = {k}: "
+                                             f"k must be finite and > 0"):
+            sweep(mesh, CASE1, [500.0, k], 0.0625)
+
+
 # every solver that takes its LU from ``fem.factorization``, reduced to its
 # result; x = 0.0625 is the outside atom site, a node of ``lu_mesh``
 LU_ENTRY_POINTS = {
@@ -1105,20 +1153,23 @@ def test_sweep_builds_one_factorization_per_point(built):
 
 
 def test_a_block_row_is_factored_once(built):
-    # the LU factors its rows in place: a k asked for again while its LU
-    # is kept reuses that LU and leaves the spent rows alone, and once the
-    # LU was replaced it is assembled alone, not built from them
+    # a k asked for again while its LU is kept reuses that LU, and once
+    # the LU was replaced it is assembled alone; a block's system outlives
+    # its LU and, factored again, solves as before
     mesh, rng = lu_mesh(), np.random.default_rng(5)
     rhs = rng.normal(size=mesh.n_interior) + 0j
     reference = solved(Factorization(assemble(mesh, CASE1, 500.0)), rhs)
-    rows = fem.operator_rows(assemble(mesh, CASE1, np.array([500.0, 501.0])))
-    lu = factorization(mesh, CASE1, 500.0, rows[0])
-    assert factorization(mesh, CASE1, 500.0, rows[0]) is lu
+    systems = assemble(mesh, CASE1, np.array([500.0, 501.0]))
+    lu = factorization(mesh, CASE1, 500.0, systems[0])
+    assert factorization(mesh, CASE1, 500.0, systems[0]) is lu
     np.testing.assert_array_equal(solved(lu, rhs), reference)
-    factorization(mesh, CASE1, 501.0, rows[1])
+    factorization(mesh, CASE1, 501.0, systems[1])
     lu = factorization(mesh, CASE1, 500.0)
     np.testing.assert_array_equal(solved(lu, rhs), reference)
-    assert built == [500.0, 500.0, 501.0, 500.0]
+    factorization(mesh, CASE1, 501.0, systems[1])
+    lu = factorization(mesh, CASE1, 500.0, systems[0])
+    np.testing.assert_array_equal(solved(lu, rhs), reference)
+    assert built == [500.0, 500.0, 501.0, 500.0, 501.0, 500.0]
 
 
 def test_oracle_compare_builds_one_factorization_per_point(built, tmp_path):
@@ -1140,7 +1191,7 @@ def test_changed_operator_gets_a_fresh_factorization(entry, other, built,
     call = dict(mesh=mesh, medium=CASE1, k=500.0)
     call[other] = {"mesh": lu_mesh(), "medium": VACUUM, "k": 501.0}[other]
 
-    def direct(mesh, medium, k, rows=None):
+    def direct(mesh, medium, k, system=None):
         return Factorization(assemble(mesh, medium, k))
 
     with monkeypatch.context() as patch:

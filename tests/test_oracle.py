@@ -315,13 +315,15 @@ def test_green_stays_finite_through_an_opaque_lossless_slab():
 
 
 def test_rejects_nonpositive_frequency():
-    # refused before anything is computed, naming the first bad frequency
+    # refused before anything is computed, naming the first bad frequency;
+    # NaN and inf, which pass a test of k <= 0, too
     calls = [lambda omega: tmm_reflection_transmission(CASE1, omega),
              lambda omega: tmm_total_field(CASE1, omega, +1, 0.0),
              lambda omega: tmm_green(CASE1, omega, 0.0, 0.0),
              lambda omega: tmm_green(CASE1, omega, [-0.1, 0.0, 0.1], 0.0)]
     cases = [(0.0, "0.0"), (-5.0, "-5.0"), ([300.0, 0.0, -5.0], "0.0"),
-             (np.array([[500.0], [-5.0]]), "-5.0")]
+             (np.array([[500.0], [-5.0]]), "-5.0"), (np.nan, "nan"),
+             (np.inf, "inf"), ([300.0, np.inf, np.nan], "inf")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call, (omega, named) in itertools.product(calls, cases):

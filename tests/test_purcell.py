@@ -357,7 +357,7 @@ def test_a_sweep_assembles_once_per_block(monkeypatch):
     monkeypatch.setattr(fem, "assemble", counting)
     purcell.sweep(mesh, medium, purcell.sweep_grid(), x_a)
     assert assembled == [10] * 10 + [1]
-    # the block's rows went to its LUs; the mesh keeps no block after it
+    # the block's systems went to its LUs; the mesh keeps no block after it
     assert set(fem._KEPT[mesh]) == {"static_bands", "node", "factorization"}
 
 
