@@ -73,7 +73,8 @@ class MediumSpec:
         of its denominator are formed as there (numpy squares a float as
         omega * omega), and two floats differ by zero only when equal.
         """
-        return self.gamma * omega == 0.0 and self.omega_0**2 == omega * omega
+        return (self.gamma * omega == 0.0
+                and self.omega_0 * self.omega_0 == omega * omega)
 
     def susceptibility(self, omega):
         """chi(omega) = omega_p^2 / (omega_0^2 - omega^2 - i omega gamma).
@@ -83,7 +84,11 @@ class MediumSpec:
         e^{-i omega t} convention (Im chi >= 0 for omega >= 0).
         """
         omega = np.asarray(omega, dtype=float)
-        denom = self.omega_0**2 - omega**2 - 1j * omega * self.gamma
+        # omega_0 * omega_0, not omega_0**2: Python's float ** calls the C
+        # pow, which can round a square one ulp away from numpy's omega**2
+        # (omega * omega) and so move the lossless pole off omega_0
+        denom = (self.omega_0 * self.omega_0 - omega**2
+                 - 1j * omega * self.gamma)
         # + 0j turns the signed zeros of an empty slab (omega_p = 0) into
         # +0 and leaves every other value as it is
         chi = self.omega_p**2 / denom + 0j
