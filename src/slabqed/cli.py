@@ -323,19 +323,36 @@ def _metadata_lines(command, config, mesh=None, wall_seconds=None,
 
 
 def _write_csv(path, metadata, columns, rows):
-    """Write the whole file or nothing: fill a sibling, then rename it."""
-    partial = f"{path}.{os.getpid()}.tmp"
+    """Write the whole file or nothing (``_write_csvs``)."""
+    _write_csvs([(path, metadata, columns, rows)])
+
+
+def _write_csvs(files):
+    """Write every file whole, or none: fill a sibling of each, then rename
+    them all. Each of ``files`` is (path, metadata, columns, rows). If any
+    step fails, the siblings and every file this call renamed are removed.
+    """
+    partials, written = [], []
     try:
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
-            for line in metadata:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        os.replace(partial, path)
+        for path, metadata, columns, rows in files:
+            partials.append(f"{path}.{os.getpid()}.tmp")
+            with open(partials[-1], "w", encoding="utf-8", newline="") as fh:
+                for line in metadata:
+                    fh.write(f"# {line}\n")
+                fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(",".join(row) + "\n")
+        for partial, (path, *_) in zip(partials, files):
+            os.replace(partial, path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
     finally:
-        if os.path.exists(partial):
-            os.remove(partial)
+        for partial in partials:
+            if os.path.exists(partial):
+                os.remove(partial)
 
 
 def _closed_box_modes(config: RunConfig, grid):
@@ -568,11 +585,11 @@ def cmd_modes(config: RunConfig) -> int:
     metadata = _metadata_lines("modes", config,
                                wall_seconds=time.monotonic() - start,
                                modes_line=modes_line)
-    _write_csv(
-        spectrum_path, metadata, ("omega_m",),
-        [(_fmt(w),) for w in modes.frequencies],
-    )
-    _write_csv(config.output_path, metadata, ("omega_a", "pf_modes"), rows)
+    _write_csvs([
+        (spectrum_path, metadata, ("omega_m",),
+         [(_fmt(w),) for w in modes.frequencies]),
+        (config.output_path, metadata, ("omega_a", "pf_modes"), rows),
+    ])
     print(
         f"wrote {modes.n_modes} mode frequencies to {spectrum_path} and "
         f"{len(rows)} rate samples to {config.output_path}"

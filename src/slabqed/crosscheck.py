@@ -18,10 +18,12 @@ x_B lies past its right port.
 
 Numeric contract: every FEM-side value (r, t, the probe fields and the G
 samples) is bitwise what the per-point readouts give (``extract_r_t``,
-``PlaneWaveSolution.total_at``, ``FieldSolution``), since the
-interpolation is ``evaluate_field``'s own (np.interp's arithmetic), a
-probe past a port is carried by ``fem.carried_past_port``, as
-``total_at`` carries it, and the solves are the same. The oracle works
+``FieldSolution`` and, for the probe fields, the total field of the
+scattering state read one point at a time, whose reference lives in the
+tests as ``tests/_dense_reference.total_at``), since the interpolation
+is ``evaluate_field``'s own (np.interp's arithmetic), a probe past a port
+is carried by ``fem.carried_past_port``, as that reference carries it,
+and the solves are the same. The oracle works
 one frequency as an array of one, in the arithmetic of a grid, so its
 values are also those of one call per frequency, and each residual is
 the per-frequency comparison's.
@@ -58,8 +60,8 @@ def fem_readouts(mesh: Mesh1D, medium: MediumSpec, omegas,
     ``field`` (m, 2) is its total field at ``PROBES`` and ``green``
     (m, 9) G(x, x_a) at ``green_samples``, P1 readouts of the physical
     region (``p1_stencil``, which refuses a sample past a port). A probe
-    past a port is read as ``PlaneWaveSolution.total_at`` reads it
-    (``_probe_fields``).
+    past a port is the outgoing scattered wave plus the incident lattice
+    wave, each carried from its port (``_probe_fields``).
     """
     omegas = np.asarray(omegas, dtype=float)
     # clipped, a probe past a port reads its port, exactly

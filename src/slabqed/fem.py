@@ -99,9 +99,9 @@ with no phase.
 The slab's law stays here. Every other module asks the operator about
 the slab in terms of L - L_vac, where L_vac is the operator of the same
 mesh with an empty slab, and never reads chi(k) or M_slab:
-``Factorization.slab_load`` gives the load (L_vac - L) w of a wave w and
-``Factorization.slab_loss`` the slab's loss -v^H Im(L - L_vac) u between
-two fields, both over the slab's nodes only, and
+``Factorization.incident_load`` gives the load (L_vac - L) w of the
+lattice wave w and ``Factorization.slab_loss`` the slab's loss -v^H
+Im(L - L_vac) u between two fields, both over the slab's nodes only, and
 ``SystemMatrices.loss_interior`` the bands of -Im(L - L_vac). On P1 these
 are k^2 chi M_slab w, k^2 chi_I v^H M_slab u and k^2 Im M.
 """
@@ -301,10 +301,6 @@ class SystemMatrices:
         slab adds to the operator: k^2 Im M on P1, zero in vacuum."""
         k2 = self.k**2
         return k2 * self.m_diag[1:-1].imag, k2 * self.m_off[1:-1].imag
-
-    def operator_interior(self):
-        """Bands of L = S - k^2 M on the interior nodes."""
-        return self.l_diag, self.l_off
 
 
 def _gauss_sum(values):
@@ -604,7 +600,8 @@ class Factorization:
         (``wave``): the load of that scattering state.
 
         One value per mesh node, exactly zero outside ``slab_nodes`` and
-        fresh, so a solve may overwrite it: ``slab_load``'s product, from
+        fresh, so a solve may overwrite it: on P1 the band product k^2 chi
+        M_slab w, the consistent load of the P1 wave over the slab, from
         the M_slab w the LU keeps, conjugated toward -x (M_slab is real, so
         that is M_slab conj(w) to the sign of a zero). A closed box, which
         has no wave and so no loads, is refused.
@@ -612,23 +609,11 @@ class Factorization:
         if self._slab_mass_wave is None:
             raise ValueError(_NO_WAVE)
         product = self._slab_mass_wave
-        return self._scaled(product if direction > 0 else product.conj())
-
-    def slab_load(self, values) -> np.ndarray:
-        """(L_vac - L) w, for the values of w on ``slab_nodes``.
-
-        One value per mesh node, exactly zero outside ``slab_nodes``: on
-        P1 the band product k^2 chi M_slab w, the consistent load of the
-        P1 wave over the slab.
-        """
-        return self._scaled(_slab_product(self._static, values))
-
-    def _scaled(self, product) -> np.ndarray:
-        """k^2 chi(k) times M_slab w, given on ``slab_nodes``, at every
-        node: exactly zero off the slab."""
         f = np.zeros(self.n_interior + 2, dtype=complex)
         # scale first: numpy's complex multiply is not bitwise commutative
-        np.multiply(self._slab_term, product, out=f[self._static.slab_nodes])
+        np.multiply(self._slab_term,
+                    product if direction > 0 else product.conj(),
+                    out=f[self._static.slab_nodes])
         return f
 
     def slab_loss(self, u, v) -> complex:

@@ -11,8 +11,10 @@ self value G(x_a, x_a) for the LDOS route and, for the medium route, the
 loss the slab adds to the operator, -g^H Im(L - L_vac) g with g =
 G(x_a, .) over the slab's nodes (``Factorization.slab_loss``), read from
 the LU the solve used; on P1 it is k^2 chi_I int_slab |G|^2, exact for a
-P1 field. The solve is the kept LU's ``Factorization.solve``, in place on
-the interior rows of the nodal vector.
+P1 field. The sweep does not call it: ``purcell`` reads the same two
+numbers off its own solve on the LU. The solve is the kept LU's
+``Factorization.solve``, in place on the interior rows of the nodal
+vector.
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ def sample_green(
     """One point-source solve giving both G(x_a, x_a) and G(x_a, slab).
 
     Reciprocity of the complex-symmetric operator lets a single solve with
-    the source at the atom stand in for a solve per slab point, which is
-    the main performance lever of the frequency sweep. The medium loss is
+    the source at the atom stand in for a solve per slab point. No command
+    calls this function: the sweep solves on the LU in ``purcell._record``.
+    It is kept for the benchmark's trace hooks, which name it, and for the
+    tests, which read the two routes' samples through it. The medium loss is
     the operator's slab loss of g with itself (``Factorization.slab_loss``),
     on P1 k^2 chi_I g^H M_slab g: the Gauss rule that built M_slab is exact
     for the P1 product, so this is the element rule's sum of |G|^2 at the

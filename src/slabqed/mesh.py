@@ -92,10 +92,6 @@ class InputError(ValueError):
         return (text if named else self.why) + tail
 
 
-# the name of its first use, a layout the mesh builders refuse
-LayoutError = InputError
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array

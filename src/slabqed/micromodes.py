@@ -5,8 +5,9 @@ field on a Dirichlet box, plus a family of harmonic oscillators attached
 to every slab element. Each oscillator sits at a sampled frequency nu_q
 and carries the weight that the slab susceptibility assigns to a bin
 around nu_q, so eliminating the oscillators at frequency omega returns a
-discretized susceptibility chi_d(omega) that can be checked against the
-medium directly (see ``effective_susceptibility``). The resulting pencil
+discretized susceptibility chi_d(omega) that the tests check against the
+medium directly (``tests/_dense_reference.effective_susceptibility``,
+the calibration of the bins). The resulting pencil
 (K, B) is real symmetric with B positive definite, so every mode is a
 genuine normal mode with a real frequency, and the emission rate follows
 from a Lorentzian-smoothed sum over modes (``ser_modes``), which reads one
@@ -16,7 +17,7 @@ No dense matrix is formed. Eliminating the oscillators at lam = omega^2
 leaves a tridiagonal Schur complement S(lam) on the field dofs (``_Schur``):
 
 * Frequencies. The LDL^T pivots of S count the pencil eigenvalues below
-  lam (Wittrick-Williams, ``eigenvalue_count``). ``diagonalize`` brackets
+  lam (Wittrick-Williams, ``_Schur.count_at``). ``diagonalize`` brackets
   every mode of the band at once with that count, each eigenvalue carried
   as an offset from its nearest bin: bisection until a bracket holds one
   mode, then count-safeguarded steps on the last pivot, each the zero of a
@@ -74,6 +75,8 @@ from .mesh import InputError, Mesh1D, build_box_mesh, unique_columns
 _UNIFORM_SHARE = 0.3
 _SHAPE_POWER = 0.75
 _GRID_POINTS = 200001
+# frequency_bins works its grid this many points at a time
+_GRID_CHUNK = 8192
 # the grid's step nu_max / _GRID_POINTS may be at most this many gamma: up
 # to 0.3 the bins kept the f-sum omega_p^2 (1 - (2/pi) gamma / nu_max) to
 # 3e-5 relative on presets 1 and 2; at 0.4 they missed it by 8e-4, and by
@@ -86,8 +89,11 @@ _STEP_PER_GAMMA = 0.3
 # small reference boxes), so 1e-2 keeps every other pair near 1e-12
 _CLUSTER_GAP = 1e-2
 
-# inverse iteration takes the modes this many at a time (bounds memory)
-_MODE_BLOCK = 256
+# inverse iteration takes the modes this many at a time (bounds memory):
+# a block holds four (modes, n_em) arrays, its bands, start vectors and
+# vectors, ~1 MB on the 995-row stock box (~8 MB at 256 modes); each
+# mode's iteration reads its own row alone, so the block size moves no bit
+_MODE_BLOCK = 32
 
 # the steps per mode and per dof of the start vectors' Weyl sequence: 1/g
 # and 1/g^2 for the plastic number g, the real root of g^3 = g + 1
@@ -112,10 +118,6 @@ _PROBE_BUDGET = 256
 # band in closed form: its ~30 ufunc calls cost about as much as sweeping
 # this many rows one by one
 _CONDENSE = 32
-
-# effective_susceptibility evaluates the bath comb this many local bin
-# spacings off the real axis; fixed by the calibration measurements
-_DELTA_FACTOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -199,18 +201,25 @@ def frequency_bins(medium: MediumSpec, bath: BathConfig):
                                                        medium.omega_p**2)
 
     nu = np.linspace(bath.nu_max / _GRID_POINTS, bath.nu_max, _GRID_POINTS)
-    dens = oscillator_strength(medium, nu)
-
-    def cumulative(values):
-        steps = 0.5 * (values[1:] + values[:-1]) * np.diff(nu)
-        return np.concatenate(([0.0], np.cumsum(steps)))
-
-    mass = cumulative(dens)
-    shaped = cumulative(dens**_SHAPE_POWER)
-    mixture = (
-        _UNIFORM_SHARE * nu / bath.nu_max
-        + (1.0 - _UNIFORM_SHARE) * shaped / shaped[-1]
-    )
+    # the cumulative trapezoid sums of sigma, sigma^p and sigma nu, one row
+    # each, worked _GRID_CHUNK points at a time: each chunk's sums start
+    # from the last chunk's totals, so they are the whole grid's cumsums
+    # to the bit, and only the mixture's uniform term below is a temporary
+    # as long as the grid
+    mass, shaped, first_moment = sums = np.zeros((3, _GRID_POINTS))
+    for lo in range(0, _GRID_POINTS - 1, _GRID_CHUNK):
+        grid = nu[lo:lo + _GRID_CHUNK + 1]
+        dens = oscillator_strength(medium, grid)
+        values = np.stack((dens, dens**_SHAPE_POWER, dens * grid))
+        steps = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(grid)
+        steps[:, 0] += sums[:, lo]
+        np.cumsum(steps, axis=1, out=sums[:, lo + 1:lo + grid.size])
+    # the mixture, formed in place of the shaped sums: (1 - u) shaped /
+    # shaped[-1] + u nu / nu_max, over its last value
+    mixture, total = shaped, shaped[-1]
+    mixture *= 1.0 - _UNIFORM_SHARE
+    mixture /= total
+    mixture += _UNIFORM_SHARE * nu / bath.nu_max
     mixture /= mixture[-1]
 
     edges = np.interp(
@@ -218,7 +227,6 @@ def frequency_bins(medium: MediumSpec, bath: BathConfig):
     )
     mass_at_edges = np.interp(edges, nu, mass)
     weights = np.diff(mass_at_edges)
-    first_moment = cumulative(dens * nu)
     centroid_num = np.diff(np.interp(edges, nu, first_moment))
     midpoints = 0.5 * (edges[1:] + edges[:-1])
     centers = np.where(
@@ -241,9 +249,10 @@ class GevpSystem:
     keeps K positive semidefinite exactly (the Schur complement of the
     oscillator block at zero frequency is the bare stiffness).
 
-    The blocks alone are enough for ``diagonalize``, ``eigenvalue_count``
-    and ``effective_susceptibility``, which is why a finely binned
-    calibration system stays cheap; nothing here materializes K or B.
+    The blocks alone are enough for ``diagonalize`` and its inertia count
+    (``_Schur``), and for the tests' effective susceptibility, which is
+    why a finely binned calibration system stays cheap; nothing here
+    materializes K or B.
     """
 
     mesh: Mesh1D
@@ -339,42 +348,6 @@ def build_gevp(mesh: Mesh1D, medium: MediumSpec, bath: BathConfig):
         bin_frequencies=centers,
         bin_weights=weights,
     )
-
-
-def effective_susceptibility(system: GevpSystem, omega: float):
-    """Susceptibility the pencil actually implements, at frequency omega.
-
-    Eliminating one element's oscillator block at complex frequency z
-    leaves the element with an extra mass z^2 * h_e * chi_d(z); this
-    returns chi_d(omega) continued to the real axis. The oscillator sum
-    is only meaningful a little off the axis (it is a finite comb), so it
-    is evaluated at z = omega + i*delta with delta tied to the local bin
-    spacing (``_DELTA_FACTOR``), and the leading linear-in-delta error
-    removed by a two-point extrapolation.
-    """
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    nu = system.bin_frequencies
-    w = system.bin_weights
-    if nu.size == 0:
-        return 0.0 + 0.0j
-    if np.min(np.abs(nu - omega)) == 0.0:
-        raise ValueError(
-            f"omega = {omega} collides with a bath bin; resample nearby"
-        )
-    if nu.size == 1:
-        return complex(w[0] / (nu[0] ** 2 - omega**2))
-
-    i = int(np.searchsorted(nu, omega))
-    lo = max(min(i - 1, nu.size - 2), 0)
-    gap = max(float(nu[lo + 1] - nu[lo]), 1e-12)
-    delta = _DELTA_FACTOR * gap
-
-    def comb(d):
-        z = omega + 1j * d
-        return np.sum(w / (nu**2 - z**2))
-
-    return complex(2.0 * comb(delta) - comb(2.0 * delta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,15 +657,6 @@ def _spread(table, index):
     """The rows of a distinct-row table in band order, as a list of rows."""
     rows = list(table)
     return [rows[i] for i in index.tolist()]
-
-
-def eigenvalue_count(system: GevpSystem, lam) -> np.ndarray:
-    """Number of pencil eigenvalues omega^2 strictly below each lam >= 0.
-
-    O(n_em) per value and no dense matrix: the Wittrick-Williams count of
-    ``_Schur``. A lam exactly on a bin nu_q^2 is counted one ulp below it.
-    """
-    return _Schur.of(system).count_at(lam)
 
 
 def _bisect(schur: _Schur, first, last, lam_lo, lam_hi):

@@ -134,7 +134,9 @@ def compute_record(
 ) -> PurcellRecord:
     """All Purcell factors at one frequency: a one-point ``sweep``.
 
-    ``x_a`` must be a mesh node (``purcell_mesh`` makes it one).
+    ``x_a`` must be a mesh node (``purcell_mesh`` makes it one). No
+    command calls it; it stays as the package's exported one-point API
+    (``slabqed.__all__``), and the benchmark's trace hooks time it.
     """
     return sweep(mesh, medium, [omega_a], x_a)[0]
 

@@ -10,9 +10,10 @@ it), so incident and scattered parts share one dispersion relation. The
 operator defines it, with the same kt as its outgoing boundary, and the
 LU of ``fem.factorization`` keeps it (``Factorization.phase`` and
 ``Factorization.wave``): its values are formed only where they are read,
-on the slab's nodes for the load and the absorbed power (once for both
-directions), at the nodes asked of ``total_at_nodes`` and at the two
-nodes that bracket each point of ``total_at``.
+on the slab's nodes for the load (once for both directions) and at the
+nodes asked of ``total_at_nodes``. Between nodes the total field is the
+P1 interpolant of those values (``fem.p1_stencil``), as ``crosscheck``
+reads it at its probes.
 
 The scattered field is outgoing, and the mesh's exact outgoing boundary
 lets it leave without reflection; fields are never read at the mesh's
@@ -25,9 +26,9 @@ whatever the slab scatters, and its LU has no incident wave, so
 (``Factorization.incident_load``) and its incident wave from
 ``fem.factorization`` and solves in place (``Factorization.solve``), so
 both directions and the point-source solves at one frequency share one
-factorization, and each solution carries the LU it was solved with. The absorbed power of the energy balance is the
-slab's loss read from that LU (``Factorization.slab_loss``): no module
-but ``fem`` reads chi(k).
+factorization, and each solution carries the LU it was solved with. The
+power a state loses in the slab is read from that LU
+(``Factorization.slab_loss``): no module but ``fem`` reads chi(k).
 
 Reflection and transmission are reported in the face (de-embedded port)
 convention: r is the reflected-to-incident ratio at the illuminated face,
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FieldSolution, carried_past_port, factorization, p1_stencil
+from .fem import FieldSolution, factorization
 from .medium import MediumSpec
 from .mesh import Mesh1D
 
@@ -60,32 +61,6 @@ class PlaneWaveSolution:
         array); a complex for one index."""
         total = (self.lu.wave(nodes, self.direction)
                  + self.scattered.dofs[nodes])
-        return total if total.ndim else complex(total)
-
-    def total_at(self, x):
-        """Incident + scattered, at any points of an open mesh's vacuum.
-
-        In the physical region both parts are P1 on one mesh, so their sum
-        is interpolated once. It is formed only at the two nodes that
-        bracket each point (``fem.p1_stencil``), the only nodes
-        interpolation reads there, so this is bitwise the interpolation of
-        the sum formed at every node. Past a port the scattered part is
-        the outgoing lattice wave and the incident wave's phase continues
-        at the wall's lattice spacing (``fem.carried_past_port``), as on
-        the vacuum padding the mesh omits; a point reads the same bits
-        alone as among others.
-        """
-        mesh, d = self.scattered.mesh, self.direction
-        x = np.asarray(x, dtype=float)
-        lo, hi = mesh.physical_region
-        at = p1_stencil(mesh, np.clip(x, lo, hi))
-        total = np.asarray(at(*self.total_at_nodes(at.nodes)))
-        past = (x < lo) | (x > hi)
-        if past.any():
-            beyond = x[past]
-            ports = np.where(beyond > hi, mesh.n_nodes - 2, 1)
-            total[past] = self.scattered(beyond) + carried_past_port(
-                mesh, self.scattered.k, self.lu.wave(ports, d), beyond, d)
         return total if total.ndim else complex(total)
 
 
@@ -143,33 +118,3 @@ def extract_r_t(solution: PlaneWaveSolution) -> tuple[complex, complex]:
     r = u[back] * np.exp(1j * d * (theta[back] - 2.0 * theta[face_in]))
     t = 1.0 + u[fwd] * np.exp(-1j * d * theta[fwd])
     return complex(r), complex(t)
-
-
-@dataclass(frozen=True)
-class EnergyBalance:
-    flux_deficit: float  # 1 - |r|^2 - |t|^2
-    absorbed: float  # the slab's loss of Phi_tot, over k
-    residual: float  # relative mismatch
-
-
-def energy_balance(solution: PlaneWaveSolution) -> EnergyBalance:
-    """Check that the missing flux equals the power dissipated in the slab.
-
-    The absorbed power is the slab's loss -Phi^H Im(L - L_vac) Phi of the
-    nodal total field over k, read from the solution's LU
-    (``Factorization.slab_loss``): on P1 k Im(chi) int_slab |Phi_tot|^2,
-    exact for the P1 field.
-    """
-    r, t = extract_r_t(solution)
-    deficit = 1.0 - abs(r) ** 2 - abs(t) ** 2
-
-    phi = solution.total_at_nodes(solution.scattered.mesh.slab_nodes)
-    absorbed = solution.lu.slab_loss(phi, phi).real / solution.lu.k
-    # floor the scale so a lossless run (both sides ~ round-off) reads as a
-    # tiny residual instead of 0/0 noise
-    scale = max(abs(deficit), abs(absorbed), 1e-6)
-    return EnergyBalance(
-        flux_deficit=deficit,
-        absorbed=absorbed,
-        residual=abs(deficit - absorbed) / scale,
-    )

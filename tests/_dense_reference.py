@@ -21,25 +21,38 @@ through the route functions, the reference of the block sweep in
 route functions' states, as ``purcell._record`` reads them off its solves.
 ``reciprocity_residual`` compares G(a, b) with G(b, a) from two
 point-source solves, and ``read_config_echo`` re-parses the config a CSV
-header echoes: checks that only the tests make.
+header echoes: checks that only the tests make. So are ``total_at``, a
+scattering state's total field at any points, the per-point reference of
+the grid readouts in ``crosscheck``; ``energy_balance``, the plane-wave
+flux deficit against the slab's absorption; and
+``effective_susceptibility``, the susceptibility the eigenmode pencil's
+bath implements, which calibrates ``micromodes.frequency_bins``.
+``full_grid_frequency_bins`` is ``frequency_bins`` with every sum over its
+whole grid at once, the reference of its chunked sums.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from slabqed import micromodes
 from slabqed.cli import ConfigError, config_from_items
 from slabqed.fem import DEFAULT_DOF_CAP, GAUSS_NODES, GAUSS_WEIGHTS
-from slabqed.fem import node_of
+from slabqed.fem import carried_past_port, node_of, p1_stencil
 from slabqed.greens import sample_green, solve_point_source
 from slabqed.medium import ATOM_INSIDE, ATOM_OUTSIDE
 from slabqed.mesh import unique_columns
-from slabqed.purcell import PurcellRecord
 from slabqed.oracle import (
     tmm_green,
     tmm_reflection_transmission,
     tmm_total_field,
 )
+from slabqed.purcell import PurcellRecord
 from slabqed.scattering import extract_r_t, solve_scattering
+
+# effective_susceptibility evaluates the bath comb this many local bin
+# spacings off the real axis; fixed by the calibration measurements
+DELTA_FACTOR = 1.0
 
 
 def element_quadrature(mesh, elements=slice(None)):
@@ -213,9 +226,138 @@ def interpolate_p1(xp, fp, x):
     return np.interp(x, xp, fp.real) + 1j * np.interp(x, xp, fp.imag)
 
 
+def total_at(solution, x):
+    """Incident + scattered field of a ``PlaneWaveSolution`` at any points
+    of an open mesh's vacuum.
+
+    In the physical region both parts are P1 on one mesh, so their sum is
+    interpolated once. It is formed only at the two nodes that bracket
+    each point (``fem.p1_stencil``), the only nodes interpolation reads
+    there, so this is bitwise the interpolation of the sum formed at every
+    node. Past a port the scattered part is the outgoing lattice wave and
+    the incident wave's phase continues at the wall's lattice spacing
+    (``fem.carried_past_port``), as on the vacuum padding the mesh omits;
+    a point reads the same bits alone as among others.
+    """
+    mesh, d = solution.scattered.mesh, solution.direction
+    x = np.asarray(x, dtype=float)
+    lo, hi = mesh.physical_region
+    at = p1_stencil(mesh, np.clip(x, lo, hi))
+    total = np.asarray(at(*solution.total_at_nodes(at.nodes)))
+    past = (x < lo) | (x > hi)
+    if past.any():
+        beyond = x[past]
+        ports = np.where(beyond > hi, mesh.n_nodes - 2, 1)
+        total[past] = solution.scattered(beyond) + carried_past_port(
+            mesh, solution.scattered.k, solution.lu.wave(ports, d), beyond, d)
+    return total if total.ndim else complex(total)
+
+
+@dataclass(frozen=True)
+class EnergyBalance:
+    flux_deficit: float  # 1 - |r|^2 - |t|^2
+    absorbed: float  # the slab's loss of Phi_tot, over k
+    residual: float  # relative mismatch
+
+
+def energy_balance(solution):
+    """Check that the missing flux equals the power dissipated in the slab.
+
+    The absorbed power is the slab's loss -Phi^H Im(L - L_vac) Phi of the
+    nodal total field over k, read from the solution's LU
+    (``Factorization.slab_loss``): on P1 k Im(chi) int_slab |Phi_tot|^2,
+    exact for the P1 field.
+    """
+    r, t = extract_r_t(solution)
+    deficit = 1.0 - abs(r) ** 2 - abs(t) ** 2
+
+    phi = solution.total_at_nodes(solution.scattered.mesh.slab_nodes)
+    absorbed = solution.lu.slab_loss(phi, phi).real / solution.lu.k
+    # floor the scale so a lossless run (both sides ~ round-off) reads as a
+    # tiny residual instead of 0/0 noise
+    scale = max(abs(deficit), abs(absorbed), 1e-6)
+    return EnergyBalance(
+        flux_deficit=deficit,
+        absorbed=absorbed,
+        residual=abs(deficit - absorbed) / scale,
+    )
+
+
+def effective_susceptibility(system, omega):
+    """Susceptibility a ``micromodes.GevpSystem`` actually implements, at
+    frequency omega.
+
+    Eliminating one element's oscillator block at complex frequency z
+    leaves the element with an extra mass z^2 * h_e * chi_d(z); this
+    returns chi_d(omega) continued to the real axis. The oscillator sum
+    is only meaningful a little off the axis (it is a finite comb), so it
+    is evaluated at z = omega + i*delta with delta tied to the local bin
+    spacing (``DELTA_FACTOR``), and the leading linear-in-delta error
+    removed by a two-point extrapolation.
+    """
+    if omega <= 0:
+        raise ValueError(f"omega must be > 0, got {omega}")
+    nu = system.bin_frequencies
+    w = system.bin_weights
+    if nu.size == 0:
+        return 0.0 + 0.0j
+    if np.min(np.abs(nu - omega)) == 0.0:
+        raise ValueError(
+            f"omega = {omega} collides with a bath bin; resample nearby"
+        )
+    if nu.size == 1:
+        return complex(w[0] / (nu[0] ** 2 - omega**2))
+
+    i = int(np.searchsorted(nu, omega))
+    lo = max(min(i - 1, nu.size - 2), 0)
+    gap = max(float(nu[lo + 1] - nu[lo]), 1e-12)
+    delta = DELTA_FACTOR * gap
+
+    def comb(d):
+        z = omega + 1j * d
+        return np.sum(w / (nu**2 - z**2))
+
+    return complex(2.0 * comb(delta) - comb(2.0 * delta))
+
+
+def full_grid_frequency_bins(medium, bath):
+    """``micromodes.frequency_bins`` with each cumulative trapezoid sum
+    taken over the whole grid in one array pass."""
+    count = micromodes.bin_count(medium, bath)
+    if count < 2:
+        return np.full(count, medium.omega_0), np.full(count,
+                                                       medium.omega_p**2)
+
+    points = micromodes._GRID_POINTS
+    nu = np.linspace(bath.nu_max / points, bath.nu_max, points)
+    dens = micromodes.oscillator_strength(medium, nu)
+
+    def cumulative(values):
+        steps = 0.5 * (values[1:] + values[:-1]) * np.diff(nu)
+        return np.concatenate(([0.0], np.cumsum(steps)))
+
+    share = micromodes._UNIFORM_SHARE
+    mass = cumulative(dens)
+    shaped = cumulative(dens**micromodes._SHAPE_POWER)
+    mixture = share * nu / bath.nu_max + (1.0 - share) * shaped / shaped[-1]
+    mixture /= mixture[-1]
+
+    edges = np.interp(np.linspace(0.0, 1.0, bath.n_bins + 1), mixture, nu)
+    weights = np.diff(np.interp(edges, nu, mass))
+    first_moment = cumulative(dens * nu)
+    centroid_num = np.diff(np.interp(edges, nu, first_moment))
+    midpoints = 0.5 * (edges[1:] + edges[:-1])
+    centers = np.where(
+        weights > 1e-300 * max(mass[-1], 1.0),
+        centroid_num / np.maximum(weights, 1e-300),
+        midpoints,
+    )
+    return centers, weights
+
+
 def per_frequency_readouts(mesh, medium, omega, x_a):
     """(r, t, field, green) of the FEM at one frequency, each from its
-    per-point readout: ``extract_r_t``, ``PlaneWaveSolution.total_at`` at
+    per-point readout: ``extract_r_t``, ``total_at`` at
     the two atom sites and ``FieldSolution.__call__`` at 9 points across
     the slab."""
     solution = solve_scattering(mesh, medium, omega, +1)
@@ -224,7 +366,7 @@ def per_frequency_readouts(mesh, medium, omega, x_a):
     sample = np.linspace(-medium.slab_half_length,
                          medium.slab_half_length, 9)
     green = solve_point_source(mesh, medium, omega, x_a)
-    return r, t, solution.total_at(probes), green(sample)
+    return r, t, total_at(solution, probes), green(sample)
 
 
 def per_frequency_oracle_residuals(mesh, medium, omega, x_a):
@@ -264,7 +406,7 @@ def gamma_boundary(sol_plus, sol_minus, x_a):
         raise ValueError("need one solution per incidence direction")
     total = 0.0
     for sol in (sol_plus, sol_minus):
-        total += abs(complex(sol.total_at(x_a))) ** 2
+        total += abs(complex(total_at(sol, x_a))) ** 2
     return 0.5 * total
 
 

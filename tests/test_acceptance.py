@@ -11,7 +11,11 @@ import time
 
 import numpy as np
 import pytest
-from _dense_reference import reciprocity_residual
+from _dense_reference import (
+    effective_susceptibility,
+    energy_balance,
+    reciprocity_residual,
+)
 
 from slabqed.crosscheck import oracle_residuals
 from slabqed.fem import assemble
@@ -25,12 +29,11 @@ from slabqed.micromodes import (
     BathConfig,
     build_gevp,
     diagonalize,
-    effective_susceptibility,
     gevp_mesh,
     purcell_from_modes,
 )
 from slabqed.purcell import purcell_mesh, sweep, sweep_grid
-from slabqed.scattering import energy_balance, solve_scattering
+from slabqed.scattering import solve_scattering
 
 CASES = ("1A", "1B", "2A", "2B")
 GRID = sweep_grid()  # 101 points covering [300, 700]

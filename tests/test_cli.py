@@ -548,6 +548,18 @@ def test_failed_modes_run_writes_no_output(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+def test_a_modes_run_whose_rates_cannot_be_written_leaves_no_spectrum(
+        tmp_path, capsys):
+    # --out names a directory, which the rate file cannot replace; the
+    # spectrum is written first and must not be left behind alone
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["modes", "--case", "1A", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list(out.iterdir()) == []
+
+
 def test_interrupted_csv_write_leaves_no_file(tmp_path):
     def rows():
         yield ("1",)

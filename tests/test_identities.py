@@ -59,7 +59,7 @@ def green_through_the_blocks(system, monkeypatch):
 def test_green_from_the_lu_matches_a_dense_inverse(monkeypatch):
     medium = CASE_PRESETS["1"]
     system = assemble(open_mesh(medium), medium, 500.0)
-    diag, off = system.operator_interior()
+    diag, off = system.l_diag, system.l_off
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     reference = np.linalg.solve(dense, np.eye(system.n_interior))
     green = green_through_the_blocks(system, monkeypatch)
@@ -74,7 +74,7 @@ def test_medium_only_residual_matches_a_dense_reference(window):
     # a dense inverse; a one-node window reads one entry of each
     medium = CASE_PRESETS["1"]
     system = assemble(open_mesh(medium), medium, 500.0)
-    diag, off = system.operator_interior()
+    diag, off = system.l_diag, system.l_off
     green = np.linalg.inv(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     m_diag, m_off = system.m_diag[1:-1], system.m_off[1:-1]
     im_m = np.diag(m_diag.imag) + np.diag(m_off.imag, 1) + np.diag(
@@ -148,7 +148,7 @@ def test_radiation_channel_is_the_dense_sandwich(drawn, k):
     mesh, medium = drawn
     assume(mesh.n_interior <= 500)
     system = assemble(mesh, medium, k)
-    operator = dense_tridiagonal(*system.operator_interior())
+    operator = dense_tridiagonal(system.l_diag, system.l_off)
     green = np.linalg.inv(operator)
     s_diag, s_off = system.stiffness_interior()
     dense = green @ dense_tridiagonal(s_diag.imag, s_off.imag) @ np.conj(green)

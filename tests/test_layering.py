@@ -16,6 +16,7 @@ nor numpy.polynomial.
 """
 
 import ast
+import collections
 import importlib
 import importlib.util
 import json
@@ -337,3 +338,75 @@ def test_every_sweep_solve_is_the_hooked_one(monkeypatch, tmp_path):
     assert main(["sweep", "--case", "1B",
                  "--out", str(tmp_path / "o.csv")]) == 0
     assert len(calls) == 3 * 101  # the stock grid's 101 frequencies
+
+
+def public_definitions(modules):
+    """(module, dotted name, node) of every public top-level function and
+    class of ``modules`` and of every public method of their classes."""
+    for module, tree in sorted(modules.items()):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield module, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield module, f"{node.name}.{item.name}", item
+
+
+def used_names(tree):
+    """How often a tree uses each identifier: names, attributes and
+    imported names, not the names it defines."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def unreached_public_names(modules, exported, hooked):
+    """The public definitions of ``modules`` (``public_definitions``) that
+    nothing reaches: named nowhere in the modules but inside their own
+    body, not in ``exported`` (the package's ``__all__``) and not in
+    ``hooked`` ((module, dotted name) of the benchmark's trace hooks).
+    ``__init__`` re-exports names; its imports count as ``exported``."""
+    uses = sum((used_names(tree) for module, tree in modules.items()
+                if module != "__init__"), collections.Counter())
+    unreached = []
+    for module, dotted, node in public_definitions(modules):
+        name = node.name
+        elsewhere = uses[name] - used_names(node)[name]
+        top = "." not in dotted
+        if not (elsewhere > 0 or (top and name in exported)
+                or (module, dotted) in hooked):
+            unreached.append(f"{module}.{dotted}")
+    return unreached
+
+
+def test_every_public_name_is_run_exported_or_hooked():
+    # a public name that no module names, that the package does not
+    # export and that no benchmark hook wraps is API only the tests reach:
+    # its reference belongs in tests/, not in src/
+    (exported,) = [ast.literal_eval(node.value)
+                   for node in MODULES["__init__"].body
+                   if isinstance(node, ast.Assign)
+                   and [target.id for target in node.targets] == ["__all__"]]
+    hooked = {(module.removeprefix("slabqed."), attr)
+              for module, attr, _ in load_bench_hooks().values()}
+    assert unreached_public_names(MODULES, set(exported), hooked) == []
+
+
+def test_public_name_rule_sees_methods_exports_and_hooks():
+    modules = {"m": ast.parse(
+        "def run():\n    return Kept().used()\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def hooked():\n    pass\n"
+        "def exported():\n    pass\n"
+        "def _private():\n    pass\n"
+        "class Kept:\n"
+        "    def used(self):\n        pass\n"
+        "    def unused(self):\n        pass\n")}
+    assert unreached_public_names(modules, {"exported"}, {("m", "hooked")}) \
+        == ["m.run", "m.recursive", "m.Kept.unused"]

@@ -278,20 +278,20 @@ def test_a_layout_above_the_node_bound_is_refused_before_any_node():
     huge = dataclasses.replace(CASE1, slab_half_length=1e100)
     for build in (lambda: standard_mesh(medium=huge),
                   lambda: build_box_mesh(huge, 700.0, 10.0, 1e101)):
-        with pytest.raises(mesh_module.LayoutError, match="above the bound"):
+        with pytest.raises(mesh_module.InputError, match="above the bound"):
             build()
     # a box of half the bound is laid out, one of twice the bound is not
     h = 2.0 * math.pi / (700.0 * 10.0)
     bound = mesh_module.MAX_NODES
     assert build_box_mesh(CASE1, 700.0, 10.0, 0.5 * bound * h).n_nodes < bound
-    with pytest.raises(mesh_module.LayoutError, match="above the bound"):
+    with pytest.raises(mesh_module.InputError, match="above the bound"):
         build_box_mesh(CASE1, 700.0, 10.0, 2.0 * bound * h)
 
 
 def test_a_padding_lost_beside_the_slab_is_refused():
     # a + padding rounds to a: the slab would reach the open boundary
     wide = dataclasses.replace(CASE1, slab_half_length=1e5)
-    with pytest.raises(mesh_module.LayoutError, match="padding") as info:
+    with pytest.raises(mesh_module.InputError, match="padding") as info:
         build_mesh(wide, 1e-3, 10.0, 1e-13, observation_points=(0.0,))
     assert info.value.breakpoints == (-1e5, 1e5)
 

@@ -2,12 +2,18 @@ import contextlib
 import dataclasses
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from _dense_reference import dense_operators, per_mode_bisect
-from hypothesis import assume, given, settings
+from _dense_reference import (
+    dense_operators,
+    effective_susceptibility,
+    full_grid_frequency_bins,
+    per_mode_bisect,
+)
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slabqed import micromodes
@@ -25,8 +31,6 @@ from slabqed.micromodes import (
     ModeSet,
     build_gevp,
     diagonalize,
-    effective_susceptibility,
-    eigenvalue_count,
     frequency_bins,
     gevp_mesh,
     nu_max_range,
@@ -167,6 +171,41 @@ def test_frequency_bins_resolve_gamma_up_to_the_grid_bound(label):
     np.testing.assert_allclose(weights.sum(), f_sum, rtol=1e-4)
     with pytest.raises(ValueError, match=f"resolve gamma = {medium.gamma}"):
         frequency_bins(medium, BathConfig(nu_max=np.nextafter(high, np.inf)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(omega_p=st.floats(1.0, 3000.0), omega_0=st.floats(1.0, 1500.0),
+       gamma=st.floats(0.5, 200.0), reach=st.floats(1.0, 20.0,
+                                                     exclude_min=True),
+       n_bins=st.integers(8, 64))
+@example(omega_p=CASE_PRESETS["1"].omega_p, omega_0=CASE_PRESETS["1"].omega_0,
+         gamma=CASE_PRESETS["1"].gamma, reach=4.0, n_bins=24)
+@example(omega_p=CASE_PRESETS["2"].omega_p, omega_0=CASE_PRESETS["2"].omega_0,
+         gamma=CASE_PRESETS["2"].gamma, reach=4.0, n_bins=24)
+def test_chunked_bins_are_the_full_grid_bins_bitwise(omega_p, omega_0, gamma,
+                                                     reach, n_bins):
+    # each chunk's sums start from the last chunk's totals, so the bins are
+    # those of the whole grid summed at once, to the bit
+    medium = MediumSpec(omega_p, omega_0, gamma, 0.03125)
+    bath = BathConfig(n_bins=n_bins, nu_max=omega_0 * reach)
+    got = frequency_bins(medium, bath)
+    want = full_grid_frequency_bins(medium, bath)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_frequency_bins_hold_no_temporary_as_long_as_the_grid():
+    # the grid and its three rows of running sums are the only arrays that
+    # span it, 4 grid lengths of float64 plus one for the mixture's uniform
+    # term; every sum over the whole grid at once peaks at ~9
+    medium, bath = CASE_PRESETS["1"], BathConfig()
+    frequency_bins(medium, bath)
+    tracemalloc.start()
+    try:
+        frequency_bins(medium, bath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 8 * micromodes._GRID_POINTS
 
 
 @pytest.mark.parametrize("label", ["1", "2"])
@@ -565,7 +604,8 @@ def test_count_on_a_bin_counts_just_below_it():
     system = small_box_system(REFERENCE_MEDIA["lossless 1"])
     values = scipy.linalg.eigh(*dense_operators(system), eigvals_only=True)
     on_bin = float(system.bin_frequencies[0] ** 2)
-    assert eigenvalue_count(system, on_bin)[0] == np.sum(values < on_bin)
+    assert micromodes._Schur.of(system).count_at(on_bin)[0] == np.sum(
+        values < on_bin)
     # a band edge on the bin still brackets the modes below it
     modes = diagonalize(system, band=(1.0, float(system.bin_frequencies[0])))
     assert modes.n_modes == np.sum((values >= 1.0) & (values <= on_bin))
@@ -598,7 +638,7 @@ def test_count_is_monotone_and_matches_dense_eigh(system, fractions):
     special = np.concatenate((values, system.bin_frequencies**2))
     for x in lam:
         assume(np.min(np.abs(special - x)) > COUNT_MARGIN * x)
-    counts = eigenvalue_count(system, lam)
+    counts = micromodes._Schur.of(system).count_at(lam)
     assert np.all(np.diff(counts) >= 0)
     np.testing.assert_array_equal(counts, np.searchsorted(values, lam))
 
